@@ -115,9 +115,10 @@ impl Server {
     /// probe. The returned duration (spawn → probe reply) is the program's
     /// own start-up time and nothing else. The port is chosen here and the
     /// probe retries its connect without sleeping, so it is queued the
-    /// moment the server listens: it neither waits to read the port from
-    /// the server's stderr nor misses the first accept and waits out the
-    /// acceptor's 10 ms poll.
+    /// moment the server listens and does not wait to read the port from
+    /// the server's stderr. It usually reaches the backlog before the
+    /// acceptor's first `accept`; when it does not, it waits out the
+    /// acceptor's 10 ms poll (see `SETUP_QUANTILE`).
     pub fn boot(aqo: &Path) -> Result<(Server, Conn, Duration), String> {
         let port = TcpListener::bind("127.0.0.1:0")
             .and_then(|l| l.local_addr())

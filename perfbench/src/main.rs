@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! aqo-perfbench --aqo <path/to/aqo> --workload <name> --seed <n> --seconds <n> --trace <0|1>
-//!               [--requests <n>] [--plant-wrong-cost]
+//!               [--plant-wrong-cost]
 //! ```
 //!
 //! `--trace 0` boots a fresh `aqo serve --threads 1`, drives the workload
@@ -24,14 +24,22 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Where the traced run writes its spans, relative to the checkout root.
 const SPANS_DIR: &str = ".bench_out";
 
-/// Extra boots before and after the measured run; `setup_s` is the median
-/// over these and the measured server's own boot.
-const SPARE_BOOTS_EACH_SIDE: usize = 25;
+/// Extra boots before and after the measured run; `setup_s` is taken over
+/// these and the measured server's own boot.
+const SPARE_BOOTS_EACH_SIDE: usize = 50;
+
+/// The quantile of the boot times reported as `setup_s`. `aqo serve`
+/// polls `accept` every 10 ms, so a boot whose probe connects after the
+/// first `accept` call waits out one poll and reads ~10 ms slower. How
+/// many boots do that depends on the host's load, and a median flips
+/// between the two modes when about half do. The lower quartile stays in
+/// the fast mode until three quarters of the boots miss the first poll.
+const SETUP_QUANTILE: f64 = 0.25;
 
 struct Args {
     aqo: PathBuf,
@@ -39,9 +47,6 @@ struct Args {
     seed: u64,
     seconds: u64,
     trace: bool,
-    /// Fixed timed-request count (smoke tests); default: as many as fit
-    /// in `seconds`.
-    requests: Option<usize>,
     /// Corrupts the oracle's expected cost of the first pool instance, to
     /// prove that the correctness check can fail.
     plant_wrong_cost: bool,
@@ -71,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
             "1" => true,
             other => return Err(format!("--trace must be 0 or 1, got {other}")),
         },
-        requests: number("--requests")?.map(|n| n.max(1) as usize),
         plant_wrong_cost: argv.iter().any(|a| a == "--plant-wrong-cost"),
     })
 }
@@ -126,13 +130,38 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Whether the timed phase is over after `r` timed requests: at
-/// `--requests` when given, else once `secs` seconds have elapsed.
-fn timed_done(args: &Args, r: usize, t0: Instant, secs: f64) -> bool {
-    match args.requests {
-        Some(n) => r >= n,
-        None => t0.elapsed().as_secs_f64() >= secs,
-    }
+/// The timed phase is cut into windows of about this length, and the
+/// host's steal counter is read at each window's end.
+const STEAL_WINDOW: Duration = Duration::from_millis(100);
+
+/// The host's steal time so far (`/proc/stat`, all CPUs, in clock ticks):
+/// time the hypervisor ran something else while a CPU of this machine had
+/// work. 0 where the counter cannot be read, so every window then counts
+/// as quiet.
+fn steal_ticks() -> u64 {
+    std::fs::read_to_string("/proc/stat")
+        .ok()
+        .and_then(|s| s.lines().next()?.split_whitespace().nth(8)?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// A stretch of consecutive timed requests `first..end`.
+struct Window {
+    first: usize,
+    end: usize,
+    wall_s: f64,
+    steal: u64,
+}
+
+/// The windows whose steal is at most the median window's: the whole
+/// phase on a quiet host, and at least half of it when the hypervisor
+/// steals CPU time in bursts. The choice reads only the host's counter,
+/// never the measured latencies.
+fn quiet_windows(windows: &[Window]) -> Vec<&Window> {
+    let mut steal: Vec<u64> = windows.iter().map(|w| w.steal).collect();
+    steal.sort_unstable();
+    let limit = steal.get(steal.len() / 2).copied().unwrap_or(0);
+    windows.iter().filter(|w| w.steal <= limit).collect()
 }
 
 /// Operations attempted and failed, with the first failure's message.
@@ -186,17 +215,16 @@ struct Outcome {
 
 /// The end-to-end run: a fresh server, one connection, a closed loop.
 /// Replies are kept raw during the timed window and checked after it, so
-/// checking never delays a request.
+/// checking never delays a request. Latency and throughput cover the
+/// timed phase's quiet windows (see [`quiet_windows`]): on a shared host
+/// the hypervisor steals CPU time in bursts of seconds to minutes, and a
+/// burst that lands in one run would otherwise set that run's p90 and
+/// throughput (a 3× p90 and half the throughput on `serve-hot`).
 fn untraced(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     let k = pool.len();
-    let spares = if args.requests.is_some() {
-        1
-    } else {
-        SPARE_BOOTS_EACH_SIDE
-    };
     let host_before = host_ref_ms();
     let mut boots = Vec::new();
-    spare_boots(args, spares, &mut boots)?;
+    spare_boots(args, SPARE_BOOTS_EACH_SIDE, &mut boots)?;
     let (server, mut conn, boot) = live::Server::boot(&args.aqo)?;
     boots.push(boot.as_secs_f64());
     let mut checker = Checker::default();
@@ -207,8 +235,11 @@ fn untraced(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     let mut replies: Vec<String> = Vec::new();
     let mut transport_err = None;
     let mut line = String::new();
+    let mut windows = Vec::new();
+    let (mut first, mut steal0) = (0, steal_ticks());
     let t0 = Instant::now();
-    while !timed_done(args, replies.len(), t0, args.seconds as f64) {
+    let mut w0 = t0;
+    while t0.elapsed().as_secs_f64() < args.seconds as f64 {
         let r = replies.len();
         pool[r % k].write_line((k + r) as u64 + 1, &mut line);
         let mut reply = String::new();
@@ -219,8 +250,26 @@ fn untraced(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
         }
         latency_us.push(r0.elapsed().as_secs_f64() * 1e6);
         replies.push(reply);
+        if w0.elapsed() >= STEAL_WINDOW {
+            let steal = steal_ticks();
+            windows.push(Window {
+                first,
+                end: replies.len(),
+                wall_s: w0.elapsed().as_secs_f64(),
+                steal: steal - steal0,
+            });
+            (first, steal0, w0) = (replies.len(), steal, Instant::now());
+        }
     }
     let wall = t0.elapsed().as_secs_f64();
+    if first < replies.len() {
+        windows.push(Window {
+            first,
+            end: replies.len(),
+            wall_s: w0.elapsed().as_secs_f64(),
+            steal: steal_ticks() - steal0,
+        });
+    }
     tally.attempted += replies.len();
     let mut peak_rss_kib = 0;
     if let Some(e) = transport_err {
@@ -236,35 +285,59 @@ fn untraced(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
             tally.fail(format!("request {id}: {e}"));
         }
     }
-    spare_boots(args, spares, &mut boots)?;
+    spare_boots(args, SPARE_BOOTS_EACH_SIDE, &mut boots)?;
     let host_after = host_ref_ms();
 
-    let p50 = quantile(&mut latency_us, 0.50) / 1e3;
-    let p90 = quantile(&mut latency_us, 0.90) / 1e3;
-    let p99 = quantile(&mut latency_us, 0.99) / 1e3;
+    let quiet = quiet_windows(&windows);
+    let mut quiet_us: Vec<f64> = quiet
+        .iter()
+        .flat_map(|w| &latency_us[w.first..w.end])
+        .copied()
+        .collect();
+    let quiet_wall: f64 = quiet.iter().map(|w| w.wall_s).sum();
+    // The mean, not the median, is the centre metric: the host switches
+    // between two speed modes about 1.35× apart, so a run's latencies
+    // have two peaks and their median jumps from one to the other when
+    // the mix nears half and half, while the mean moves with the mix.
+    let mean = quiet_us.iter().sum::<f64>() / quiet_us.len().max(1) as f64 / 1e3;
+    let p50 = quantile(&mut quiet_us, 0.50) / 1e3;
+    let p90 = quantile(&mut quiet_us, 0.90) / 1e3;
+    let p99 = quantile(&mut quiet_us, 0.99) / 1e3;
     let metrics = [
-        ("latency_p50_ms", p50, "ms"),
+        ("latency_mean_ms", mean, "ms"),
         ("latency_p90_ms", p90, "ms"),
-        ("throughput_rps", replies.len() as f64 / wall, "1/s"),
-        ("setup_s", median(&boots), "s"),
+        ("throughput_rps", quiet_us.len() as f64 / quiet_wall, "1/s"),
+        ("setup_s", quantile(&mut boots, SETUP_QUANTILE), "s"),
         ("peak_rss_mb", peak_rss_kib as f64 / 1024.0, "MB"),
     ]
     .map(|(name, value, unit)| (name.to_string(), value, unit))
     .to_vec();
     let mut detail = host_detail(host_before, host_after);
     detail.extend([
+        ("latency_p50_ms".into(), format!("{p50}")),
         ("latency_p99_ms".into(), format!("{p99}")),
         ("timed_requests".into(), replies.len().to_string()),
+        ("quiet_requests".into(), quiet_us.len().to_string()),
         (
             "beyond_p90".into(),
-            latency_us
-                .iter()
-                .filter(|&&u| u / 1e3 > p90)
-                .count()
-                .to_string(),
+            quiet_us.iter().filter(|&&u| u / 1e3 > p90).count().to_string(),
         ),
         ("timed_wall_s".into(), format!("{wall}")),
+        ("quiet_wall_s".into(), format!("{quiet_wall}")),
+        (
+            "all_requests_p90_ms".into(),
+            format!("{}", quantile(&mut latency_us, 0.90) / 1e3),
+        ),
+        (
+            "all_requests_rps".into(),
+            format!("{}", replies.len() as f64 / wall),
+        ),
+        (
+            "steal_ticks".into(),
+            windows.iter().map(|w| w.steal).sum::<u64>().to_string(),
+        ),
         ("boots".into(), boots.len().to_string()),
+        ("setup_median_s".into(), format!("{}", median(&boots))),
     ]);
     Ok(Outcome {
         tally,
@@ -355,22 +428,26 @@ fn traced_run(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     let mut elapsed_us = Vec::new();
     let (mut line, mut reply) = (String::new(), String::new());
     let mut transport_ok = true;
+    // The server's counters when the timed phase starts.
+    let mut counters_before = BTreeMap::new();
     let mut t0 = Instant::now();
     let mut r = 0;
     // The warm-up pass (r < k), then the timed requests.
     loop {
         if r == k {
+            counters_before = conn.counters()?;
             t0 = Instant::now();
         }
-        if r >= k && timed_done(args, r - k, t0, args.seconds as f64 * TRACED_SHARE) {
+        if r >= k && t0.elapsed().as_secs_f64() >= args.seconds as f64 * TRACED_SHARE {
             break;
         }
         let (idx, id) = (r % k, r as u64 + 1);
-        tally.attempted += 2;
+        // The live exchange and the in-process replay count as one
+        // operation each; a transport error ends the run before the replay.
+        tally.attempted += 1;
         pool[idx].write_line(id, &mut line);
         let r0 = Instant::now();
         if let Err(e) = conn.roundtrip(&line, &mut reply) {
-            tally.failed += 1;
             tally.fail(format!("transport: {e}"));
             transport_ok = false;
             break;
@@ -385,6 +462,7 @@ fn traced_run(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
         if let Err(e) = live {
             tally.fail(format!("request {id}: {e}"));
         }
+        tally.attempted += 1;
         let replayed = traced::replay_one(&mut tracer, &cache, &pool[idx], id)
             .and_then(|line| checker.check(pool, idx, id, &line).map(|_| ()));
         if let Err(e) = replayed {
@@ -394,12 +472,12 @@ fn traced_run(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     }
     let timed = elapsed_us.len();
     let ids: Vec<u64> = (k..k + timed).map(|r| r as u64 + 1).collect();
-    let counters = if transport_ok {
+    let counters_after = if transport_ok {
         let c = conn.counters()?;
         server.shutdown(conn)?;
         c
     } else {
-        BTreeMap::new()
+        counters_before.clone()
     };
     let host_after = host_ref_ms();
     std::fs::create_dir_all(SPANS_DIR).map_err(|e| format!("{SPANS_DIR}: {e}"))?;
@@ -456,12 +534,12 @@ fn traced_run(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     for &(name, us) in &times[1..] {
         metrics.push((format!("{name}.share_pct"), share(us), "%"));
     }
-    let served = counters
-        .get("serve.requests.optimize")
-        .copied()
-        .unwrap_or(0.0)
-        .max(1.0);
-    let per_request = |name: &str| counters.get(name).copied().unwrap_or(0.0) / served;
+    // Counts cover the timed requests only: the server's counters at the
+    // end minus those read when the timed phase started.
+    let per_request = |name: &str| {
+        let read = |c: &BTreeMap<String, f64>| c.get(name).copied().unwrap_or(0.0);
+        (read(&counters_after) - read(&counters_before)) / timed.max(1) as f64
+    };
     let (hits, misses) = (
         per_request("serve.cache.hits"),
         per_request("serve.cache.misses"),

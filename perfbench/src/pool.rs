@@ -28,8 +28,6 @@ pub const POOL_SIZE: usize = 64;
 pub enum Workload {
     /// QO_N cliques, n = 9, cartesian products allowed, cache off.
     QonDense,
-    /// QO_N chains, n = 19, no cartesian products, cache off.
-    QonSparse,
     /// QO_H chains, n = 5, memory = product of relation sizes, cache off.
     QohExhaustive,
     /// QO_N chains and cycles, n = 28, no cartesian products, cache on.
@@ -37,9 +35,8 @@ pub enum Workload {
 }
 
 impl Workload {
-    pub const ALL: [Workload; 4] = [
+    pub const ALL: [Workload; 3] = [
         Workload::QonDense,
-        Workload::QonSparse,
         Workload::QohExhaustive,
         Workload::ServeHot,
     ];
@@ -51,7 +48,6 @@ impl Workload {
     pub fn name(self) -> &'static str {
         match self {
             Workload::QonDense => "qon-dense",
-            Workload::QonSparse => "qon-sparse",
             Workload::QohExhaustive => "qoh-exhaustive",
             Workload::ServeHot => "serve-hot",
         }
@@ -146,11 +142,6 @@ fn item(workload: Workload, seed: u64, i: usize) -> Result<Item, String> {
             true,
             false,
         ),
-        Workload::QonSparse => (
-            Inst::Qon(workloads::chain(19, &params, &mut rng)),
-            false,
-            false,
-        ),
         Workload::QohExhaustive => {
             let base = workloads::chain(5, &params, &mut rng);
             // Memory = product of all relation sizes (as `aqo loadgen`
@@ -193,10 +184,9 @@ fn item(workload: Workload, seed: u64, i: usize) -> Result<Item, String> {
 
 /// The exact optimum by a method other than the serving tier:
 /// - QO_N with cartesian products (`dp` serves): the two-phase engine;
-/// - QO_N without, n ≤ 25 (`dp` serves): connected-subgraph `ccp`;
-/// - QO_N without, n > 25 (`ccp` serves): IKKBZ on trees, which is exact
-///   for acyclic query graphs; cycles have no second exact method at this
-///   size, so `ccp` itself is the reference there;
+/// - QO_N without (`ccp` serves the n = 28 instances): IKKBZ on trees,
+///   which is exact for acyclic query graphs; cycles have no second exact
+///   method at this size, so `ccp` itself is the reference there;
 /// - QO_H (`exhaustive` serves): every sequence with every interval
 ///   partition tried (`best_decomposition_bruteforce`).
 fn oracle(inst: &Inst, allow_cartesian: bool, budget: &Budget) -> Option<String> {
@@ -210,7 +200,7 @@ fn oracle(inst: &Inst, allow_cartesian: bool, budget: &Budget) -> Option<String>
                 .ok()?
                 .map(|o| o.cost)
         }
-        Inst::Qon(q) if q.n() <= engine::MAX_N || q.graph().m() + 1 != q.n() => {
+        Inst::Qon(q) if q.graph().m() + 1 != q.n() => {
             ccp::optimize_two_phase::<BigRational>(q, 1, budget)
                 .ok()?
                 .map(|o| o.cost)
