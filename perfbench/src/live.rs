@@ -3,7 +3,7 @@
 //! counters and peak RSS, shut it down.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -12,9 +12,6 @@ use std::time::{Duration, Instant};
 /// No single reply may take longer than this; a hung server fails the run
 /// instead of hanging it.
 const READ_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// How long a read polls before it blocks (see [`Conn::roundtrip`]).
-const SPIN: Duration = Duration::from_millis(5);
 
 /// A running `aqo serve --threads 1`, killed on drop if still alive.
 pub struct Server {
@@ -34,7 +31,6 @@ impl Conn {
         stream
             .set_read_timeout(Some(READ_TIMEOUT))
             .map_err(|e| e.to_string())?;
-        stream.set_nonblocking(true).map_err(|e| e.to_string())?;
         let writer = stream.try_clone().map_err(|e| e.to_string())?;
         Ok(Conn {
             reader: BufReader::new(stream),
@@ -43,59 +39,25 @@ impl Conn {
     }
 
     /// Writes one newline-terminated request line and reads the reply
-    /// line into `reply` (cleared first). The read polls for up to
-    /// [`SPIN`] before it blocks, so a fast reply is seen without waiting
-    /// for the scheduler to wake this thread: on a shared host that
-    /// wake-up, not the server, would set the tail of sub-millisecond
-    /// requests.
+    /// line into `reply` (cleared first). The read blocks: in the timed
+    /// phase client and server share one CPU, so polling would take it
+    /// from the server.
     pub fn roundtrip(&mut self, line: &str, reply: &mut String) -> Result<(), String> {
-        self.exchange(line, reply, SPIN)
-    }
-
-    /// As [`Conn::roundtrip`] without polling, for control requests (the
-    /// readiness probe must not take a CPU from a server that is starting).
-    fn roundtrip_blocking(&mut self, line: &str, reply: &mut String) -> Result<(), String> {
-        self.exchange(line, reply, Duration::ZERO)
-    }
-
-    fn exchange(&mut self, line: &str, reply: &mut String, spin: Duration) -> Result<(), String> {
         reply.clear();
         self.writer
             .write_all(line.as_bytes())
             .map_err(|e| format!("write: {e}"))?;
-        let t0 = Instant::now();
-        loop {
-            // A `WouldBlock` keeps the bytes read so far in `reply`; the
-            // next call appends the rest of the line.
-            match self.reader.read_line(reply) {
-                Ok(0) => return Err("server closed the connection".into()),
-                Ok(_) => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::WouldBlock && t0.elapsed() < spin => {
-                    std::hint::spin_loop()
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    let stream = self.reader.get_ref();
-                    stream.set_nonblocking(false).map_err(|e| e.to_string())?;
-                    let read = self.reader.read_line(reply);
-                    self.reader
-                        .get_ref()
-                        .set_nonblocking(true)
-                        .map_err(|e| e.to_string())?;
-                    return match read {
-                        Ok(0) => Err("server closed the connection".into()),
-                        Ok(_) => Ok(()),
-                        Err(e) => Err(format!("read: {e}")),
-                    };
-                }
-                Err(e) => return Err(format!("read: {e}")),
-            }
+        match self.reader.read_line(reply) {
+            Ok(0) => Err("server closed the connection".into()),
+            Ok(_) => Ok(()),
+            Err(e) => Err(format!("read: {e}")),
         }
     }
 
     /// The server's counters, from the `metrics` op.
     pub fn counters(&mut self) -> Result<BTreeMap<String, f64>, String> {
         let mut reply = String::new();
-        self.roundtrip_blocking("{\"id\": 0, \"op\": \"metrics\"}\n", &mut reply)?;
+        self.roundtrip("{\"id\": 0, \"op\": \"metrics\"}\n", &mut reply)?;
         let doc = aqo_obs::json::parse(reply.trim_end())?;
         match doc.get("counters") {
             Some(aqo_obs::json::JsonValue::Obj(fields)) => Ok(fields
@@ -110,16 +72,36 @@ impl Conn {
     }
 }
 
+/// `aqo serve`'s acceptor polls `accept` this often.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// How long one boot took, measured from the spawn.
+pub struct BootTimes {
+    /// Until the first reply to the readiness probe: the program's own
+    /// start-up time and nothing else.
+    pub ready: Duration,
+    /// Until the probe's connect succeeded (the server listens).
+    pub listening: Duration,
+}
+
+impl BootTimes {
+    /// Whether the probe waited out an `accept` poll: it reached the
+    /// backlog just after the acceptor's first `accept` found it empty,
+    /// so the reply came about [`ACCEPT_POLL`] after the connect.
+    pub fn missed_first_accept(&self) -> bool {
+        self.ready - self.listening >= ACCEPT_POLL / 2
+    }
+}
+
 impl Server {
     /// Spawns the server and waits for the first reply to a readiness
-    /// probe. The returned duration (spawn → probe reply) is the program's
-    /// own start-up time and nothing else. The port is chosen here and the
-    /// probe retries its connect without sleeping, so it is queued the
-    /// moment the server listens and does not wait to read the port from
-    /// the server's stderr. It usually reaches the backlog before the
-    /// acceptor's first `accept`; when it does not, it waits out the
-    /// acceptor's 10 ms poll (see `SETUP_QUANTILE`).
-    pub fn boot(aqo: &Path) -> Result<(Server, Conn, Duration), String> {
+    /// probe. The port is chosen here and the probe retries its connect
+    /// without sleeping, so it is queued the moment the server listens
+    /// and does not wait to read the port from the server's stderr. It
+    /// usually reaches the backlog before the acceptor's first `accept`;
+    /// when it does not, it waits out the acceptor's 10 ms poll (see
+    /// [`BootTimes::missed_first_accept`]).
+    pub fn boot(aqo: &Path) -> Result<(Server, Conn, BootTimes), String> {
         let port = TcpListener::bind("127.0.0.1:0")
             .and_then(|l| l.local_addr())
             .map_err(|e| format!("pick a port: {e}"))?
@@ -146,13 +128,19 @@ impl Server {
                 }
             }
         };
+        let listening = t0.elapsed();
         let mut reply = String::new();
-        conn.roundtrip_blocking("{\"id\": 0, \"op\": \"status\"}\n", &mut reply)?;
-        let setup = t0.elapsed();
+        conn.roundtrip("{\"id\": 0, \"op\": \"status\"}\n", &mut reply)?;
+        let ready = t0.elapsed();
         if !reply.contains("\"ok\": true") {
             return Err(format!("readiness probe failed: {}", reply.trim_end()));
         }
-        Ok((server, conn, setup))
+        Ok((server, conn, BootTimes { ready, listening }))
+    }
+
+    /// The server's process id.
+    pub fn pid(&self) -> u32 {
+        self.child.id()
     }
 
     /// Peak resident set size (`VmHWM`) so far, in KiB.
@@ -169,7 +157,7 @@ impl Server {
     /// Asks the server to drain and waits for it to exit.
     pub fn shutdown(mut self, mut conn: Conn) -> Result<(), String> {
         let mut reply = String::new();
-        conn.roundtrip_blocking("{\"id\": 0, \"op\": \"shutdown\"}\n", &mut reply)?;
+        conn.roundtrip("{\"id\": 0, \"op\": \"shutdown\"}\n", &mut reply)?;
         drop(conn);
         let status = self.child.wait().map_err(|e| format!("wait: {e}"))?;
         if status.success() {

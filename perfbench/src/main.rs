@@ -15,6 +15,7 @@
 //! the line before it carries diagnostics. Any failed operation makes the
 //! exit code 1. See `perfbench/README.md`.
 
+mod host;
 mod live;
 mod pool;
 mod traced;
@@ -29,17 +30,18 @@ use std::time::{Duration, Instant};
 /// Where the traced run writes its spans, relative to the checkout root.
 const SPANS_DIR: &str = ".bench_out";
 
-/// Extra boots before and after the measured run; `setup_s` is taken over
-/// these and the measured server's own boot.
-const SPARE_BOOTS_EACH_SIDE: usize = 50;
+/// Servers booted only to time their start-up, before the measured
+/// one; `setup_s` is taken over these and the measured server's boot.
+const SPARE_BOOTS: usize = 100;
 
-/// The quantile of the boot times reported as `setup_s`. `aqo serve`
-/// polls `accept` every 10 ms, so a boot whose probe connects after the
-/// first `accept` call waits out one poll and reads ~10 ms slower. How
-/// many boots do that depends on the host's load, and a median flips
-/// between the two modes when about half do. The lower quartile stays in
-/// the fast mode until three quarters of the boots miss the first poll.
-const SETUP_QUANTILE: f64 = 0.25;
+/// The timed phase is cut into windows of about this length; each
+/// window's requests are divided by the speed factor of the reference
+/// units run inside it.
+const WINDOW: Duration = Duration::from_millis(100);
+
+/// After each timed request the client runs reference units for this
+/// share of the request's latency (at least one unit).
+const REF_SHARE: f64 = 0.4;
 
 struct Args {
     aqo: PathBuf,
@@ -95,75 +97,6 @@ fn median(v: &[f64]) -> f64 {
     quantile(&mut v.to_vec(), 0.5)
 }
 
-/// A fixed std-only reference computation (xorshift into a 512 KiB
-/// table), timed as the median of five repetitions. It depends on the
-/// host alone, so a slow-host run can be told apart from a regression.
-fn host_ref_ms() -> f64 {
-    let mut reps: Vec<f64> = (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            let mut table = vec![0u64; 1 << 16];
-            let mut x = 0x9E37_79B9_7F4A_7C15u64;
-            for _ in 0..(4 << 20) {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let j = (x as usize) & 0xFFFF;
-                table[j] = table[j].wrapping_add(x);
-            }
-            std::hint::black_box(&table);
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    quantile(&mut reps, 0.5)
-}
-
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("model name")
-                    .map(|r| r.trim_start_matches([' ', '\t', ':']).to_string())
-            })
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// The timed phase is cut into windows of about this length, and the
-/// host's steal counter is read at each window's end.
-const STEAL_WINDOW: Duration = Duration::from_millis(100);
-
-/// The host's steal time so far (`/proc/stat`, all CPUs, in clock ticks):
-/// time the hypervisor ran something else while a CPU of this machine had
-/// work. 0 where the counter cannot be read, so every window then counts
-/// as quiet.
-fn steal_ticks() -> u64 {
-    std::fs::read_to_string("/proc/stat")
-        .ok()
-        .and_then(|s| s.lines().next()?.split_whitespace().nth(8)?.parse().ok())
-        .unwrap_or(0)
-}
-
-/// A stretch of consecutive timed requests `first..end`.
-struct Window {
-    first: usize,
-    end: usize,
-    wall_s: f64,
-    steal: u64,
-}
-
-/// The windows whose steal is at most the median window's: the whole
-/// phase on a quiet host, and at least half of it when the hypervisor
-/// steals CPU time in bursts. The choice reads only the host's counter,
-/// never the measured latencies.
-fn quiet_windows(windows: &[Window]) -> Vec<&Window> {
-    let mut steal: Vec<u64> = windows.iter().map(|w| w.steal).collect();
-    steal.sort_unstable();
-    let limit = steal.get(steal.len() / 2).copied().unwrap_or(0);
-    windows.iter().filter(|w| w.steal <= limit).collect()
-}
-
 /// Operations attempted and failed, with the first failure's message.
 #[derive(Default)]
 struct Tally {
@@ -195,14 +128,47 @@ fn warm_up(conn: &mut live::Conn, pool: &[Item], checker: &mut Checker, tally: &
     }
 }
 
-/// Boots `n` servers only to time their start-up; each is killed (and
-/// reaped) as soon as it has answered the readiness probe.
-fn spare_boots(args: &Args, n: usize, boot_times: &mut Vec<f64>) -> Result<(), String> {
-    for _ in 0..n {
-        let (_server, _conn, boot) = live::Server::boot(&args.aqo)?;
-        boot_times.push(boot.as_secs_f64());
+/// One boot: its time in seconds, raw and divided by the host's spawn
+/// factor taken just before it, and whether its probe missed the
+/// acceptor's first `accept`.
+struct Boot {
+    raw_s: f64,
+    norm_s: f64,
+    spawn_ms: f64,
+    missed_first_accept: bool,
+}
+
+/// Boots a server after timing the spawn reference, and records the boot.
+fn boot(aqo: &Path, boots: &mut Vec<Boot>) -> Result<(live::Server, live::Conn), String> {
+    let spawn_ms = host::spawn_ms()?;
+    let (server, conn, times) = live::Server::boot(aqo)?;
+    let raw_s = times.ready.as_secs_f64();
+    boots.push(Boot {
+        raw_s,
+        norm_s: raw_s / (spawn_ms / host::SPAWN_REF_MS),
+        spawn_ms,
+        missed_first_accept: times.missed_first_accept(),
+    });
+    Ok((server, conn))
+}
+
+/// The median boot time (normalized, or raw) of the boots whose probe
+/// made the first `accept`: `setup_s`. A probe that misses it waits out
+/// the acceptor's 10 ms poll, and how many miss depends on the host's
+/// load (from none to more than a third of 101 boots in runs minutes
+/// apart), so
+/// a median or quantile over all boots flips between the two modes.
+/// Every boot counts only if every probe missed.
+fn setup_s(boots: &[Boot], time: fn(&Boot) -> f64) -> f64 {
+    let made: Vec<f64> = boots
+        .iter()
+        .filter(|b| !b.missed_first_accept)
+        .map(time)
+        .collect();
+    match made.is_empty() {
+        false => median(&made),
+        true => median(&boots.iter().map(time).collect::<Vec<_>>()),
     }
-    Ok(())
 }
 
 /// Everything one invocation prints.
@@ -213,20 +179,30 @@ struct Outcome {
     detail: Vec<(String, String)>,
 }
 
-/// The end-to-end run: a fresh server, one connection, a closed loop.
-/// Replies are kept raw during the timed window and checked after it, so
-/// checking never delays a request. Latency and throughput cover the
-/// timed phase's quiet windows (see [`quiet_windows`]): on a shared host
-/// the hypervisor steals CPU time in bursts of seconds to minutes, and a
-/// burst that lands in one run would otherwise set that run's p90 and
-/// throughput (a 3× p90 and half the throughput on `serve-hot`).
+/// A stretch of consecutive timed requests `first..end` and the
+/// reference units run between them.
+struct Window {
+    first: usize,
+    end: usize,
+    ref_us: Vec<f64>,
+}
+
+/// The end-to-end run: a fresh server, one connection, a closed loop,
+/// client and server pinned to one CPU. Replies are kept raw during the
+/// timed phase and checked after it, so checking never delays a request.
+/// Every time metric is host-normalized (see [`host`]): each request's
+/// latency is divided by the speed factor of the reference units run in
+/// its 100 ms window, each boot by the spawn time taken just before it
+/// over [`host::SPAWN_REF_MS`]. The raw figures are in the detail line.
 fn untraced(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     let k = pool.len();
-    let host_before = host_ref_ms();
+    let host_before = host::ref_ms();
     let mut boots = Vec::new();
-    spare_boots(args, SPARE_BOOTS_EACH_SIDE, &mut boots)?;
-    let (server, mut conn, boot) = live::Server::boot(&args.aqo)?;
-    boots.push(boot.as_secs_f64());
+    for _ in 0..SPARE_BOOTS {
+        boot(&args.aqo, &mut boots)?;
+    }
+    let (server, mut conn) = boot(&args.aqo, &mut boots)?;
+    host::pin(server.pid(), host::last_allowed_cpu()?)?;
     let mut checker = Checker::default();
     let mut tally = Tally::default();
     warm_up(&mut conn, pool, &mut checker, &mut tally);
@@ -236,7 +212,8 @@ fn untraced(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     let mut transport_err = None;
     let mut line = String::new();
     let mut windows = Vec::new();
-    let (mut first, mut steal0) = (0, steal_ticks());
+    let mut ref_us = Vec::new();
+    let mut first = 0;
     let t0 = Instant::now();
     let mut w0 = t0;
     while t0.elapsed().as_secs_f64() < args.seconds as f64 {
@@ -248,27 +225,29 @@ fn untraced(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
             transport_err = Some(e);
             break;
         }
-        latency_us.push(r0.elapsed().as_secs_f64() * 1e6);
+        let us = r0.elapsed().as_secs_f64() * 1e6;
+        latency_us.push(us);
         replies.push(reply);
-        if w0.elapsed() >= STEAL_WINDOW {
-            let steal = steal_ticks();
-            windows.push(Window {
-                first,
-                end: replies.len(),
-                wall_s: w0.elapsed().as_secs_f64(),
-                steal: steal - steal0,
-            });
-            (first, steal0, w0) = (replies.len(), steal, Instant::now());
+        let units = Instant::now();
+        loop {
+            let u0 = Instant::now();
+            host::ref_unit(ref_us.len() as u64);
+            ref_us.push(u0.elapsed().as_secs_f64() * 1e6);
+            if units.elapsed().as_secs_f64() * 1e6 >= us * REF_SHARE {
+                break;
+            }
+        }
+        if w0.elapsed() >= WINDOW {
+            let end = replies.len();
+            let ref_us = std::mem::take(&mut ref_us);
+            windows.push(Window { first, end, ref_us });
+            (first, w0) = (end, Instant::now());
         }
     }
     let wall = t0.elapsed().as_secs_f64();
     if first < replies.len() {
-        windows.push(Window {
-            first,
-            end: replies.len(),
-            wall_s: w0.elapsed().as_secs_f64(),
-            steal: steal_ticks() - steal0,
-        });
+        let (end, ref_us) = (replies.len(), std::mem::take(&mut ref_us));
+        windows.push(Window { first, end, ref_us });
     }
     tally.attempted += replies.len();
     let mut peak_rss_kib = 0;
@@ -285,59 +264,81 @@ fn untraced(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
             tally.fail(format!("request {id}: {e}"));
         }
     }
-    spare_boots(args, SPARE_BOOTS_EACH_SIDE, &mut boots)?;
-    let host_after = host_ref_ms();
+    let host_after = host::ref_ms();
 
-    let quiet = quiet_windows(&windows);
-    let mut quiet_us: Vec<f64> = quiet
-        .iter()
-        .flat_map(|w| &latency_us[w.first..w.end])
-        .copied()
-        .collect();
-    let quiet_wall: f64 = quiet.iter().map(|w| w.wall_s).sum();
-    // The mean, not the median, is the centre metric: the host switches
-    // between two speed modes about 1.35× apart, so a run's latencies
-    // have two peaks and their median jumps from one to the other when
-    // the mix nears half and half, while the mean moves with the mix.
-    let mean = quiet_us.iter().sum::<f64>() / quiet_us.len().max(1) as f64 / 1e3;
-    let p50 = quantile(&mut quiet_us, 0.50) / 1e3;
-    let p90 = quantile(&mut quiet_us, 0.90) / 1e3;
-    let p99 = quantile(&mut quiet_us, 0.99) / 1e3;
+    let mut factors = Vec::new();
+    let mut norm_us = Vec::new();
+    for w in &windows {
+        let factor = host::factor_of(&w.ref_us);
+        factors.push(factor);
+        norm_us.extend(latency_us[w.first..w.end].iter().map(|us| us / factor));
+    }
+    let norm_total_s = norm_us.iter().sum::<f64>() / 1e6;
+    let p50 = quantile(&mut norm_us, 0.50) / 1e3;
+    let p90 = quantile(&mut norm_us, 0.90) / 1e3;
+    let p99 = quantile(&mut norm_us, 0.99) / 1e3;
     let metrics = [
-        ("latency_mean_ms", mean, "ms"),
+        ("latency_p50_ms", p50, "ms"),
         ("latency_p90_ms", p90, "ms"),
-        ("throughput_rps", quiet_us.len() as f64 / quiet_wall, "1/s"),
-        ("setup_s", quantile(&mut boots, SETUP_QUANTILE), "s"),
+        ("throughput_rps", norm_us.len() as f64 / norm_total_s, "1/s"),
+        ("setup_s", setup_s(&boots, |b| b.norm_s), "s"),
         ("peak_rss_mb", peak_rss_kib as f64 / 1024.0, "MB"),
     ]
     .map(|(name, value, unit)| (name.to_string(), value, unit))
     .to_vec();
     let mut detail = host_detail(host_before, host_after);
+    let raw_ms = |v: &mut Vec<f64>, q| format!("{}", quantile(v, q) / 1e3);
     detail.extend([
-        ("latency_p50_ms".into(), format!("{p50}")),
         ("latency_p99_ms".into(), format!("{p99}")),
         ("timed_requests".into(), replies.len().to_string()),
-        ("quiet_requests".into(), quiet_us.len().to_string()),
         (
             "beyond_p90".into(),
-            quiet_us.iter().filter(|&&u| u / 1e3 > p90).count().to_string(),
+            norm_us
+                .iter()
+                .filter(|&&u| u / 1e3 > p90)
+                .count()
+                .to_string(),
         ),
         ("timed_wall_s".into(), format!("{wall}")),
-        ("quiet_wall_s".into(), format!("{quiet_wall}")),
         (
-            "all_requests_p90_ms".into(),
-            format!("{}", quantile(&mut latency_us, 0.90) / 1e3),
+            "speed_factor_p10".into(),
+            format!("{}", quantile(&mut factors, 0.1)),
         ),
         (
-            "all_requests_rps".into(),
+            "speed_factor_p50".into(),
+            format!("{}", quantile(&mut factors, 0.5)),
+        ),
+        (
+            "speed_factor_p90".into(),
+            format!("{}", quantile(&mut factors, 0.9)),
+        ),
+        ("raw_latency_p50_ms".into(), raw_ms(&mut latency_us, 0.50)),
+        ("raw_latency_p90_ms".into(), raw_ms(&mut latency_us, 0.90)),
+        ("raw_latency_p99_ms".into(), raw_ms(&mut latency_us, 0.99)),
+        (
+            "raw_throughput_rps".into(),
             format!("{}", replies.len() as f64 / wall),
         ),
-        (
-            "steal_ticks".into(),
-            windows.iter().map(|w| w.steal).sum::<u64>().to_string(),
-        ),
         ("boots".into(), boots.len().to_string()),
-        ("setup_median_s".into(), format!("{}", median(&boots))),
+        (
+            "boots_missing_first_accept".into(),
+            boots
+                .iter()
+                .filter(|b| b.missed_first_accept)
+                .count()
+                .to_string(),
+        ),
+        (
+            "raw_setup_s".into(),
+            format!("{}", setup_s(&boots, |b| b.raw_s)),
+        ),
+        (
+            "spawn_ref_ms".into(),
+            format!(
+                "{}",
+                median(&boots.iter().map(|b| b.spawn_ms).collect::<Vec<_>>())
+            ),
+        ),
     ]);
     Ok(Outcome {
         tally,
@@ -356,7 +357,7 @@ fn host_detail(before: f64, after: f64) -> Vec<(String, String)> {
                 .map_or(0, |n| n.get())
                 .to_string(),
         ),
-        ("host.cpu_model".into(), json_str(&cpu_model())),
+        ("host.cpu_model".into(), json_str(&host::cpu_model())),
     ]
 }
 
@@ -414,8 +415,9 @@ fn finite_median(v: &[f64]) -> f64 {
 /// the two request by request keeps host drift out of their differences.
 fn traced_run(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     let k = pool.len();
-    let host_before = host_ref_ms();
+    let host_before = host::ref_ms();
     let (server, mut conn, _) = live::Server::boot(&args.aqo)?;
+    host::pin(server.pid(), host::last_allowed_cpu()?)?;
     // The server's registry settings: metrics on, journal off.
     aqo_obs::set_enabled(true);
     aqo_obs::journal::set_capture(false);
@@ -479,7 +481,7 @@ fn traced_run(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
     } else {
         counters_before.clone()
     };
-    let host_after = host_ref_ms();
+    let host_after = host::ref_ms();
     std::fs::create_dir_all(SPANS_DIR).map_err(|e| format!("{SPANS_DIR}: {e}"))?;
     let spans_path = Path::new(SPANS_DIR).join(format!(
         "spans-{}-seed{}.jsonl",
@@ -604,6 +606,9 @@ fn traced_run(args: &Args, pool: &[Item]) -> Result<Outcome, String> {
 }
 
 fn main() -> ExitCode {
+    if std::env::args().nth(1).as_deref() == Some(host::NOOP_ARG) {
+        return ExitCode::SUCCESS;
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
