@@ -3,7 +3,14 @@
 //! Representation: little-endian `Vec<u64>` limbs with no trailing zero limb;
 //! the value zero is the empty limb vector. All operations are implemented
 //! from first principles: schoolbook and Karatsuba multiplication, Knuth
-//! Algorithm D division, binary GCD, square-and-multiply exponentiation.
+//! Algorithm D division, square-and-multiply exponentiation, and a GCD
+//! that picks its path by operand size. `BigRational` normalizes every
+//! result through that GCD, and the cost models' operands are mostly one
+//! or two limbs, so those cases stay in machine words: a single-limb
+//! operand reduces the other with one remainder pass (a mask for a power
+//! of two) and finishes in `u64`, two-limb pairs run in `u128`, and longer
+//! operands run binary GCD in place on two owned buffers until an operand
+//! fits a word path.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -38,9 +45,7 @@ impl BigUint {
 
     /// Builds a value from little-endian limbs, normalizing trailing zeros.
     pub fn from_limbs(mut limbs: Vec<u64>) -> Self {
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
+        trim(&mut limbs);
         BigUint { limbs }
     }
 
@@ -145,22 +150,9 @@ impl BigUint {
         if self < other {
             return None;
         }
-        let mut out = self.limbs.clone();
-        let mut borrow = 0u64;
-        for (i, &o) in other.limbs.iter().enumerate() {
-            let (d1, b1) = out[i].overflowing_sub(o);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out[i] = d2;
-            borrow = (b1 || b2) as u64;
-        }
-        let mut i = other.limbs.len();
-        while borrow != 0 {
-            let (d, b) = out[i].overflowing_sub(borrow);
-            out[i] = d;
-            borrow = b as u64;
-            i += 1;
-        }
-        Some(BigUint::from_limbs(out))
+        let mut limbs = self.limbs.clone();
+        sub_in_place(&mut limbs, &other.limbs);
+        Some(BigUint { limbs })
     }
 
     /// Quotient and remainder; panics on division by zero.
@@ -269,51 +261,24 @@ impl BigUint {
         &acc * &base
     }
 
-    /// Greatest common divisor (binary GCD).
+    /// Greatest common divisor; `gcd(0, x) = x`.
+    ///
+    /// Allocates only the result when an operand fits one limb or both fit
+    /// two, and two working buffers otherwise (the paths are listed in the
+    /// module docs).
     pub fn gcd(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() {
+        if self.is_zero() || other.is_one() {
             return other.clone();
         }
-        if other.is_zero() {
+        if other.is_zero() || self.is_one() {
             return self.clone();
         }
-        let mut a = self.clone();
-        let mut b = other.clone();
-        let az = a.trailing_zeros();
-        let bz = b.trailing_zeros();
-        let common = az.min(bz);
-        a = a >> az;
-        b = b >> bz;
-        loop {
-            debug_assert!(!a.is_even() && !b.is_even());
-            // Fast path: gcd(1, x) = 1. Crucial for the reduction instances,
-            // whose denominators are pure powers of two — without this the
-            // subtract-shift loop degenerates to O(bits²).
-            if a.is_one() || b.is_one() {
-                return BigUint::one() << common;
-            }
-            if a > b {
-                std::mem::swap(&mut a, &mut b);
-            }
-            b = b.checked_sub(&a).expect("b >= a");
-            if b.is_zero() {
-                return a << common;
-            }
-            b = {
-                let tz = b.trailing_zeros();
-                b >> tz
-            };
-        }
+        gcd_nonzero(&self.limbs, &other.limbs)
     }
 
     /// Number of trailing zero bits; `0` for zero.
     pub fn trailing_zeros(&self) -> u64 {
-        for (i, &l) in self.limbs.iter().enumerate() {
-            if l != 0 {
-                return i as u64 * 64 + l.trailing_zeros() as u64;
-            }
-        }
-        0
+        limbs_trailing_zeros(&self.limbs)
     }
 
     /// Integer square root (floor).
@@ -454,11 +419,166 @@ impl PartialOrd for BigUint {
 
 impl Ord for BigUint {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.limbs.len().cmp(&other.limbs.len()) {
-            Ordering::Equal => self.limbs.iter().rev().cmp(other.limbs.iter().rev()),
-            o => o,
+        cmp_limbs(&self.limbs, &other.limbs)
+    }
+}
+
+/// Compares normalized limb slices (no trailing zero limb).
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()))
+}
+
+fn limbs_trailing_zeros(limbs: &[u64]) -> u64 {
+    for (i, &l) in limbs.iter().enumerate() {
+        if l != 0 {
+            return i as u64 * 64 + l.trailing_zeros() as u64;
         }
     }
+    0
+}
+
+/// Pops trailing zero limbs so `limbs` is normalized again.
+fn trim(limbs: &mut Vec<u64>) {
+    while limbs.last() == Some(&0) {
+        limbs.pop();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Greatest common divisor
+// ---------------------------------------------------------------------------
+
+/// `gcd(a, b)` for nonzero normalized limb slices, on the cheapest path
+/// the operand sizes allow:
+///
+/// * one operand a single limb `x`: one remainder pass reduces the other
+///   to `r < x`, then `gcd_u64(x, r)`; a power-of-two `x` needs only a
+///   mask, so the reductions' `2^k` denominators cost nothing;
+/// * both operands two limbs: binary GCD in `u128`;
+/// * otherwise [`gcd_binary`] on owned copies.
+fn gcd_nonzero(a: &[u64], b: &[u64]) -> BigUint {
+    match (a, b) {
+        (&[x], long) | (long, &[x]) => BigUint::from(gcd_u64(x, rem_limb(long, x))),
+        _ if a.len() <= 2 && b.len() <= 2 => BigUint::from(gcd_u128(limbs_u128(a), limbs_u128(b))),
+        _ => gcd_binary(a.to_vec(), b.to_vec()),
+    }
+}
+
+/// Binary GCD in place on two owned nonzero buffers: each step subtracts
+/// the smaller odd operand from the larger and shifts out the zeros,
+/// allocating nothing, and hands over to [`gcd_nonzero`]'s word paths as
+/// soon as an operand fits one.
+fn gcd_binary(mut a: Vec<u64>, mut b: Vec<u64>) -> BigUint {
+    let (za, zb) = (limbs_trailing_zeros(&a), limbs_trailing_zeros(&b));
+    shr_in_place(&mut a, za);
+    shr_in_place(&mut b, zb);
+    let odd = loop {
+        // Both operands are odd here.
+        if a.len() == 1 || b.len() == 1 || (a.len() == 2 && b.len() == 2) {
+            break gcd_nonzero(&a, &b);
+        }
+        if cmp_limbs(&a, &b) == Ordering::Greater {
+            std::mem::swap(&mut a, &mut b);
+        }
+        sub_in_place(&mut b, &a);
+        if b.is_empty() {
+            break BigUint { limbs: a };
+        }
+        let z = limbs_trailing_zeros(&b);
+        shr_in_place(&mut b, z);
+    };
+    let common = za.min(zb);
+    if common == 0 {
+        odd
+    } else {
+        odd << common
+    }
+}
+
+/// `limbs mod d` for `d != 0`, most significant limb first.
+fn rem_limb(limbs: &[u64], d: u64) -> u64 {
+    if d.is_power_of_two() {
+        return limbs.first().map_or(0, |&l| l & (d - 1));
+    }
+    limbs.iter().rev().fold(0u64, |r, &l| (((r as u128) << 64 | l as u128) % d as u128) as u64)
+}
+
+/// The value of at most two limbs.
+fn limbs_u128(limbs: &[u64]) -> u128 {
+    limbs.iter().rev().fold(0u128, |acc, &l| acc << 64 | l as u128)
+}
+
+/// Binary GCD on one machine word; `gcd(0, x) = x`.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Binary GCD on two machine words, finishing in [`gcd_u64`] once both
+/// operands fit one; `gcd(0, x) = x`.
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if (a | b) >> 64 == 0 {
+            return (gcd_u64(a as u64, b as u64) as u128) << shift;
+        }
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `b -= a` in place for normalized `b >= a`, renormalizing `b`.
+fn sub_in_place(b: &mut Vec<u64>, a: &[u64]) {
+    let mut borrow = false;
+    for (i, x) in b.iter_mut().enumerate() {
+        let y = a.get(i).copied().unwrap_or(0);
+        if i >= a.len() && !borrow {
+            break;
+        }
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *x = d2;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow, "sub_in_place requires b >= a");
+    trim(b);
+}
+
+/// `v >>= bits` in place, renormalizing `v`.
+fn shr_in_place(v: &mut Vec<u64>, bits: u64) {
+    let limbs = ((bits / 64) as usize).min(v.len());
+    v.drain(..limbs);
+    let bit = bits % 64;
+    if bit != 0 {
+        for i in 0..v.len() {
+            let hi = v.get(i + 1).map_or(0, |&h| h << (64 - bit));
+            v[i] = v[i] >> bit | hi;
+        }
+    }
+    trim(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -610,22 +730,10 @@ impl Shr<u64> for &BigUint {
         if self.is_zero() || rhs == 0 {
             return self.clone();
         }
-        let limb_shift = (rhs / 64) as usize;
-        if limb_shift >= self.limbs.len() {
-            return BigUint::zero();
-        }
-        let bit_shift = rhs % 64;
-        let src = &self.limbs[limb_shift..];
-        let mut out = Vec::with_capacity(src.len());
-        if bit_shift == 0 {
-            out.extend_from_slice(src);
-        } else {
-            for i in 0..src.len() {
-                let hi = src.get(i + 1).copied().unwrap_or(0);
-                out.push((src[i] >> bit_shift) | (hi << (64 - bit_shift)));
-            }
-        }
-        BigUint::from_limbs(out)
+        let limb_shift = ((rhs / 64) as usize).min(self.limbs.len());
+        let mut limbs = self.limbs[limb_shift..].to_vec();
+        shr_in_place(&mut limbs, rhs % 64);
+        BigUint { limbs }
     }
 }
 

@@ -29,6 +29,47 @@ fn bigrational() -> impl Strategy<Value = BigRational> {
         })
 }
 
+/// Operands on every boundary of `BigUint::gcd`'s size-dependent paths:
+/// zero and one, one/two/many limbs, `2^k · odd`, and values next to
+/// `u64::MAX` and `u128::MAX`.
+fn gcd_operand() -> impl Strategy<Value = BigUint> {
+    let parts = (0u8..8, any::<u128>(), prop::collection::vec(any::<u64>(), 1..7), 0u64..300);
+    parts.prop_map(|(kind, word, limbs, k)| {
+        let near = BigUint::from(word as u64 % 4);
+        match kind {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            2 => BigUint::from(word as u64),
+            3 => BigUint::from(word),
+            4 => BigUint::from_limbs(limbs),
+            5 => ((BigUint::from_limbs(limbs) << 1) + BigUint::one()) << k,
+            6 => BigUint::from(u64::MAX - (word >> 64) as u64 % 4) + near,
+            _ => BigUint::from(u128::MAX - (word >> 64) % 4) + near,
+        }
+    })
+}
+
+/// A pair drawn independently, equal, or with one dividing the other, or
+/// sharing a random common factor.
+fn gcd_pair() -> impl Strategy<Value = (BigUint, BigUint)> {
+    (0u8..4, gcd_operand(), gcd_operand(), gcd_operand()).prop_map(|(kind, a, b, c)| match kind {
+        0 => (a, b),
+        1 => (a.clone(), a),
+        2 => (a.clone(), &a * &b),
+        _ => (&c * &a, &c * &b),
+    })
+}
+
+/// Euclid's algorithm on `div_rem`: a reference independent of `gcd`.
+fn euclid_gcd(a: &BigUint, b: &BigUint) -> BigUint {
+    let (mut a, mut b) = (a.clone(), b.clone());
+    while !b.is_zero() {
+        let r = a.div_rem(&b).1;
+        a = std::mem::replace(&mut b, r);
+    }
+    a
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -95,6 +136,13 @@ proptest! {
     }
 
     #[test]
+    fn gcd_matches_euclid((a, b) in gcd_pair()) {
+        let want = euclid_gcd(&a, &b);
+        prop_assert_eq!(a.gcd(&b), want.clone());
+        prop_assert_eq!(b.gcd(&a), want);
+    }
+
+    #[test]
     fn isqrt_is_floor_sqrt(a in biguint()) {
         let r = a.isqrt();
         prop_assert!(r.pow(2) <= a);
@@ -130,6 +178,15 @@ proptest! {
         prop_assert_eq!(&a + &b, &b + &a);
         prop_assert_eq!(&a * &b, &b * &a);
         prop_assert_eq!(&a * &(&b + &c), &(&a * &b) + &(&a * &c));
+    }
+
+    #[test]
+    fn rational_ops_reduce_cross_products(a in bigrational(), b in bigrational()) {
+        let (n1, d1) = (a.numer(), BigInt::from(a.denom().clone()));
+        let (n2, d2) = (b.numer(), BigInt::from(b.denom().clone()));
+        let den = a.denom() * b.denom();
+        prop_assert_eq!(&a + &b, BigRational::new(&(n1 * &d2) + &(n2 * &d1), den.clone()));
+        prop_assert_eq!(&a * &b, BigRational::new(n1 * n2, den));
     }
 
     #[test]

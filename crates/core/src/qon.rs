@@ -12,7 +12,7 @@
 //! `N(Xv_j) = N(X)·t_j·∏_{v_i ∈ X} s_{ij}` (§2.1.2).
 
 use crate::{CostScalar, JoinSequence};
-use aqo_bignum::{BigRational, BigUint};
+use aqo_bignum::BigUint;
 use aqo_graph::{BitSet, Graph};
 
 /// An instance of the QO_N problem.
@@ -23,6 +23,53 @@ pub struct QoNInstance {
     selectivity: crate::SelectivityMatrix,
     access_cost: crate::AccessCostMatrix,
 }
+
+/// The first invariant of §2.1.1 a candidate QO_N instance violates
+/// ([`QoNInstance::try_new`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum InvalidQonInstance {
+    /// `sizes` does not have one entry per vertex.
+    SizesLength {
+        /// Entries in `sizes`.
+        sizes: usize,
+        /// Vertices in the graph.
+        vertices: usize,
+    },
+    /// Relation `i` has `t_i = 0`.
+    ZeroCardinality(usize),
+    /// Edge `(u,v)` has no selectivity entry.
+    MissingSelectivity(usize, usize),
+    /// Edge `(j,k)` has no access cost `w(j,k)`.
+    MissingAccessCost(usize, usize),
+    /// `w(j,k) < t_j·s_jk`.
+    AccessCostBelow(usize, usize),
+    /// `w(j,k) > t_j`.
+    AccessCostAbove(usize, usize),
+}
+
+impl std::fmt::Display for InvalidQonInstance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            InvalidQonInstance::SizesLength { sizes, vertices } => write!(
+                f,
+                "sizes length must equal vertex count ({sizes} sizes, {vertices} vertices)"
+            ),
+            InvalidQonInstance::ZeroCardinality(i) => {
+                write!(f, "relation {i} has zero cardinality")
+            }
+            InvalidQonInstance::MissingSelectivity(u, v) => {
+                write!(f, "edge ({u},{v}) lacks a selectivity entry")
+            }
+            InvalidQonInstance::MissingAccessCost(j, k) => {
+                write!(f, "edge ({j},{k}) lacks an access-cost entry")
+            }
+            InvalidQonInstance::AccessCostBelow(j, k) => write!(f, "w({j},{k}) below t_j*s_jk"),
+            InvalidQonInstance::AccessCostAbove(j, k) => write!(f, "w({j},{k}) above t_j"),
+        }
+    }
+}
+
+impl std::error::Error for InvalidQonInstance {}
 
 /// Full cost accounting for one join sequence.
 #[derive(Clone, Debug)]
@@ -38,43 +85,59 @@ pub struct QonCost<S> {
 }
 
 impl QoNInstance {
-    /// Builds and validates an instance.
-    ///
-    /// Requirements enforced (all from §2.1.1):
-    /// * `sizes.len() == graph.n()` and every `t_i ≥ 1`;
-    /// * every explicit selectivity entry sits on a graph edge, with
-    ///   `0 < s ≤ 1`; every graph edge has an explicit selectivity;
-    /// * every graph edge `{j,k}` has both directional access costs, with
-    ///   `t_j·s_{jk} ≤ w(j,k) ≤ t_j` (and symmetrically);
-    /// * non-edges take the defaults `s = 1`, `w(j,k) = t_j`.
+    /// Builds and validates an instance, panicking with the violated
+    /// invariant's message (see [`QoNInstance::try_new`]).
     pub fn new(
         graph: Graph,
         sizes: Vec<BigUint>,
         selectivity: crate::SelectivityMatrix,
         access_cost: crate::AccessCostMatrix,
     ) -> Self {
+        QoNInstance::try_new(graph, sizes, selectivity, access_cost)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds an instance, or returns the first invariant it violates.
+    ///
+    /// Requirements checked (all from §2.1.1):
+    /// * `sizes.len() == graph.n()` and every `t_i ≥ 1`;
+    /// * every graph edge has an explicit selectivity (the matrix itself
+    ///   keeps every entry in `(0, 1]`);
+    /// * every graph edge `{j,k}` has both directional access costs, with
+    ///   `t_j·s_{jk} ≤ w(j,k) ≤ t_j` (and symmetrically);
+    /// * non-edges take the defaults `s = 1`, `w(j,k) = t_j`.
+    pub fn try_new(
+        graph: Graph,
+        sizes: Vec<BigUint>,
+        selectivity: crate::SelectivityMatrix,
+        access_cost: crate::AccessCostMatrix,
+    ) -> Result<Self, InvalidQonInstance> {
         let n = graph.n();
-        assert_eq!(sizes.len(), n, "sizes length must equal vertex count");
-        for (i, t) in sizes.iter().enumerate() {
-            assert!(!t.is_zero(), "relation {i} has zero cardinality");
+        if sizes.len() != n {
+            return Err(InvalidQonInstance::SizesLength { sizes: sizes.len(), vertices: n });
+        }
+        if let Some(i) = sizes.iter().position(BigUint::is_zero) {
+            return Err(InvalidQonInstance::ZeroCardinality(i));
         }
         for (u, v) in graph.edges() {
-            assert!(
-                selectivity.has_entry(u, v),
-                "edge ({u},{v}) lacks a selectivity entry"
-            );
+            if !selectivity.has_entry(u, v) {
+                return Err(InvalidQonInstance::MissingSelectivity(u, v));
+            }
+            let s = selectivity.get(u, v);
             for (j, k) in [(u, v), (v, u)] {
                 let w = access_cost
                     .get(j, k)
-                    .unwrap_or_else(|| panic!("edge ({j},{k}) lacks an access-cost entry"));
-                let tj = BigRational::from(sizes[j].clone());
-                let lower = &tj * &selectivity.get(j, k);
-                let w_rat = BigRational::from(w.clone());
-                assert!(w_rat >= lower, "w({j},{k}) below t_j*s_jk");
-                assert!(w_rat <= tj, "w({j},{k}) above t_j");
+                    .ok_or(InvalidQonInstance::MissingAccessCost(j, k))?;
+                // t_j·p/q ≤ w ≤ t_j in integers, for s = p/q > 0.
+                if w * s.denom() < &sizes[j] * s.numer().magnitude() {
+                    return Err(InvalidQonInstance::AccessCostBelow(j, k));
+                }
+                if w > &sizes[j] {
+                    return Err(InvalidQonInstance::AccessCostAbove(j, k));
+                }
             }
         }
-        QoNInstance { graph, sizes, selectivity, access_cost }
+        Ok(QoNInstance { graph, sizes, selectivity, access_cost })
     }
 
     /// Number of relations `n`.
@@ -193,7 +256,7 @@ impl QoNInstance {
 mod tests {
     use super::*;
     use crate::{AccessCostMatrix, SelectivityMatrix};
-    use aqo_bignum::{BigInt, LogNum};
+    use aqo_bignum::{BigInt, BigRational, LogNum};
 
     /// Chain query R0 — R1 — R2 with hand-computable numbers.
     ///

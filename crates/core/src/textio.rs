@@ -151,23 +151,7 @@ pub fn qon_from_text(input: &str) -> Result<QoNInstance, ParseError> {
         .collect::<Result<_, _>>()?;
     let graph = graph.expect("set with n");
     debug_assert_eq!(graph.n(), n);
-    // Semantic validation before handing to the (panicking) constructor.
-    for (i, t) in sizes.iter().enumerate() {
-        if t.is_zero() {
-            return Err(err(0, format!("relation {i} has zero cardinality")));
-        }
-    }
-    for (u, v) in graph.edges() {
-        for (j, k) in [(u, v), (v, u)] {
-            let w = acc.get(j, k).ok_or_else(|| err(0, format!("missing w({j},{k})")))?;
-            let tj = BigRational::from(sizes[j].clone());
-            let w_rat = BigRational::from(w.clone());
-            if w_rat < &tj * &sel.get(j, k) || w_rat > tj {
-                return Err(err(0, format!("w({j},{k}) outside [t_j*s, t_j]")));
-            }
-        }
-    }
-    Ok(QoNInstance::new(graph, sizes, sel, acc))
+    QoNInstance::try_new(graph, sizes, sel, acc).map_err(|e| err(0, e.to_string()))
 }
 
 /// Serializes a QO_H instance.
@@ -353,5 +337,21 @@ mod tests {
         assert_eq!(e.line, 5);
         assert!(qon_from_text("nope\n").is_err());
         assert!(qon_from_text("qon\nvertices 1\n").is_err(), "missing size");
+    }
+
+    #[test]
+    fn semantic_violations_are_parse_errors_naming_the_invariant() {
+        let edge = |w01: u64, w10: u64| {
+            format!("qon\nvertices 2\nsize 0 4\nsize 1 8\nedge 0 1 1/4 {w01} {w10}\n")
+        };
+        assert!(qon_from_text(&edge(1, 2)).is_ok(), "w at its lower bounds t_j*s");
+        assert!(qon_from_text(&edge(4, 8)).is_ok(), "w at its upper bounds t_j");
+        let message = |text: &str| qon_from_text(text).unwrap_err().message;
+        assert_eq!(message(&edge(1, 1)), "w(1,0) below t_j*s_jk");
+        assert_eq!(message(&edge(5, 2)), "w(0,1) above t_j");
+        assert_eq!(
+            message("qon\nvertices 2\nsize 0 0\nsize 1 8\n"),
+            "relation 0 has zero cardinality"
+        );
     }
 }

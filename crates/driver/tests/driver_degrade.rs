@@ -6,8 +6,9 @@
 //!     from the next tier;
 //! (c) a generous budget reproduces `dp::optimize` bit for bit.
 //!
-//! Fault sites are process-global, so tests that arm them serialize on
-//! [`FAULT_LOCK`].
+//! Fault sites are process-global, and every driver call passes through
+//! them, so every test here serializes on [`FAULT_LOCK`]: one test's
+//! armed `qon::dp` must never fire inside another test's driver call.
 
 use aqo_bignum::{BigInt, BigRational, BigUint};
 use aqo_core::budget::CancelToken;
@@ -22,10 +23,14 @@ use aqo_graph::Graph;
 use aqo_optimizer::dp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+fn fault_guard() -> MutexGuard<'static, ()> {
+    FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn clique_instance(n: usize, seed: u64) -> QoNInstance {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -46,6 +51,7 @@ fn assert_valid_sequence(inst: &QoNInstance, outcome: &aqo_driver::QonOutcome) {
 
 #[test]
 fn clique_with_tiny_deadline_degrades_to_heuristic() {
+    let _guard = fault_guard();
     let inst = clique_instance(14, 7);
     let cfg = QonDriverConfig {
         budget: BudgetSpec { timeout: Some(Duration::ZERO), ..BudgetSpec::unlimited() },
@@ -76,7 +82,7 @@ fn clique_with_tiny_deadline_degrades_to_heuristic() {
 
 #[test]
 fn injected_dp_panic_degrades_to_branch_and_bound() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = fault_guard();
     faults::clear();
     faults::arm("qon::dp", faults::FaultKind::Panic, 1);
     let inst = clique_instance(8, 3);
@@ -92,6 +98,7 @@ fn injected_dp_panic_degrades_to_branch_and_bound() {
 
 #[test]
 fn generous_budget_is_bit_identical_to_direct_dp() {
+    let _guard = fault_guard();
     let inst = clique_instance(10, 11);
     let cfg = QonDriverConfig {
         budget: BudgetSpec {
@@ -112,7 +119,7 @@ fn generous_budget_is_bit_identical_to_direct_dp() {
 
 #[test]
 fn transient_injected_error_is_retried_then_succeeds() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = fault_guard();
     faults::clear();
     // Two spurious errors, then the site passes: with two retries allowed,
     // the dp tier itself still answers.
@@ -137,7 +144,7 @@ fn transient_injected_error_is_retried_then_succeeds() {
 
 #[test]
 fn exhausted_retries_degrade_instead_of_failing() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = fault_guard();
     faults::clear();
     faults::arm("qon::dp", faults::FaultKind::Error, 100);
     let inst = clique_instance(7, 6);
@@ -156,7 +163,7 @@ fn exhausted_retries_degrade_instead_of_failing() {
 
 #[test]
 fn every_tier_armed_means_driver_error() {
-    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = fault_guard();
     faults::clear();
     for site in ["qon::dp", "qon::ccp", "qon::bnb", "qon::ikkbz", "qon::greedy"] {
         faults::arm(site, faults::FaultKind::Panic, 100);
@@ -171,6 +178,7 @@ fn every_tier_armed_means_driver_error() {
 
 #[test]
 fn pre_cancelled_token_skips_budgeted_tiers() {
+    let _guard = fault_guard();
     let token = CancelToken::new();
     token.cancel();
     let inst = clique_instance(9, 4);
@@ -195,6 +203,7 @@ fn chain_qon_instance(n: usize, seed: u64) -> QoNInstance {
 
 #[test]
 fn ccp_tier_answers_past_the_dp_cap_on_sparse_no_cartesian() {
+    let _guard = fault_guard();
     // n = 26 is over dp::MAX_N: dp must step aside with a structured
     // unsupported failure and ccp must answer exactly.
     let n = aqo_optimizer::dp::MAX_N + 1;
@@ -215,6 +224,7 @@ fn ccp_tier_answers_past_the_dp_cap_on_sparse_no_cartesian() {
 
 #[test]
 fn ccp_pin_with_cartesian_products_is_a_structured_unsupported_error() {
+    let _guard = fault_guard();
     // Cartesian products can beat every connected order, so ccp refuses
     // rather than silently returning a non-optimal "exact" plan.
     let inst = chain_qon_instance(8, 22);
@@ -235,6 +245,7 @@ fn ccp_pin_with_cartesian_products_is_a_structured_unsupported_error() {
 
 #[test]
 fn n_over_mask_width_degrades_every_mask_tier_with_unsupported() {
+    let _guard = fault_guard();
     // n = 33 overflows every u32-mask tier (dp, ccp); the chain must
     // degrade to the polynomial tiers with structured failures, not
     // wrap masks or hit an assert-turned-panic.
@@ -262,6 +273,7 @@ fn n_over_mask_width_degrades_every_mask_tier_with_unsupported() {
 
 #[test]
 fn mask_tiers_accept_exactly_their_documented_caps() {
+    let _guard = fault_guard();
     // Boundary: n == ccp::MAX_N (32) is in range for ccp and out of range
     // for dp; n == dp::MAX_N is in range for dp. Tiny deadline keeps the
     // in-range attempts cheap — a budget trip proves the tier *ran*.
@@ -291,6 +303,7 @@ fn qoh_chain_instance(n: usize) -> QoHInstance {
 
 #[test]
 fn qoh_driver_degrades_from_exhaustive_to_greedy() {
+    let _guard = fault_guard();
     let inst = qoh_chain_instance(6);
     // Unlimited: the exhaustive tier answers and is exact.
     let exact = optimize_qoh(&inst, &QohDriverConfig::default()).expect("feasible");

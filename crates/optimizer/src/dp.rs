@@ -11,8 +11,8 @@
 //! dp[S ∪ {j}]  = min_{j ∉ S} dp[S] + N(S)·min_{k ∈ S} w_{jk}
 //! ```
 
+use crate::engine::{nbr_masks, ExactView};
 use crate::Optimum;
-use aqo_bignum::BigUint;
 use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::qon::QoNInstance;
 use aqo_core::{CostScalar, JoinSequence};
@@ -50,6 +50,8 @@ pub fn optimize_with_budget<S: CostScalar>(
         (full + 1) * (2 * std::mem::size_of::<Option<S>>() + std::mem::size_of::<u8>());
     budget.charge_memory(table_bytes as u64)?;
     budget.checkpoint()?;
+    let nbr = nbr_masks(inst);
+    let view = ExactView::<S>::build(inst, &nbr);
     // dp cost, intermediate size N(S), and the last vertex added.
     let mut dp: Vec<Option<S>> = vec![None; full + 1];
     let mut nsize: Vec<Option<S>> = vec![None; full + 1];
@@ -57,7 +59,7 @@ pub fn optimize_with_budget<S: CostScalar>(
     for v in 0..n {
         let m = 1usize << v;
         dp[m] = Some(S::zero());
-        nsize[m] = Some(S::from_count(&inst.sizes()[v]));
+        nsize[m] = Some(view.size(v).clone());
     }
     // Plain locals in the hot loop, flushed to the metrics registry once
     // at the end — counting costs nothing per transition.
@@ -72,46 +74,26 @@ pub fn optimize_with_budget<S: CostScalar>(
         let Some(cost_s) = dp_lo[mask].as_ref() else { continue };
         let n_s = ns_lo[mask].as_ref().expect("N(S) set with dp");
         subsets_expanded += 1;
-        for j in 0..n {
+        let s = mask as u32;
+        for (j, &nbr_j) in nbr.iter().enumerate() {
             if mask >> j & 1 == 1 {
                 continue;
             }
             budget.tick()?;
             transitions += 1;
-            // Neighbours of j inside S.
-            let mut w_min: Option<BigUint> = None;
-            let mut nbr_count = 0usize;
-            let mut new_n = n_s.mul(&S::from_count(&inst.sizes()[j]));
-            for k in inst.graph().neighbors(j).iter() {
-                if mask >> k & 1 == 1 {
-                    nbr_count += 1;
-                    let w = inst.w(j, k);
-                    w_min = Some(match w_min {
-                        None => w,
-                        Some(cur) => cur.min(w),
-                    });
-                    new_n = new_n.mul(&S::from_ratio(&inst.selectivity().get(j, k)));
-                }
-            }
-            let prefix_len = mask.count_ones() as usize;
-            if nbr_count == 0 && !allow_cartesian {
+            if !allow_cartesian && nbr_j & s == 0 {
                 continue;
             }
-            if nbr_count < prefix_len {
-                // Some non-neighbour in S: the default w = t_j competes.
-                let tj = inst.sizes()[j].clone();
-                w_min = Some(match w_min {
-                    None => tj,
-                    Some(cur) => cur.min(tj),
-                });
-            }
-            let step = n_s.mul(&S::from_count(&w_min.expect("prefix nonempty")));
-            let cand = cost_s.add(&step);
+            let cand = cost_s.add(&n_s.mul(view.wmin(j, s)));
             let nm = mask | 1 << j;
             let slot = &mut dp_hi[nm - (mask + 1)];
+            if slot.is_none() {
+                // First transition into S ∪ {j}: N is prefix-set
+                // determined, so this value is final.
+                ns_hi[nm - (mask + 1)] = Some(view.extend_n(n_s, j, s));
+            }
             if slot.as_ref().is_none_or(|cur| cand < *cur) {
                 *slot = Some(cand);
-                ns_hi[nm - (mask + 1)] = Some(new_n);
                 parent[nm] = j as u8;
             }
         }
@@ -145,7 +127,7 @@ pub fn optimize_with_budget<S: CostScalar>(
 mod tests {
     use super::*;
     use crate::exhaustive;
-    use aqo_bignum::{BigInt, BigRational, LogNum};
+    use aqo_bignum::{BigInt, BigRational, BigUint, LogNum};
     use aqo_core::{AccessCostMatrix, SelectivityMatrix};
     use aqo_graph::Graph;
 

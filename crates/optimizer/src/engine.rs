@@ -2,9 +2,9 @@
 //! sparse per-layer frontiers.
 //!
 //! The classic subset DP in [`crate::dp`] is exact but single-threaded and
-//! clones big-number scalars in its `O(2^n · n²)` inner loop. This engine
-//! restructures the same recurrence for speed without giving up a single
-//! bit of exactness:
+//! costs every transition of a dense `2^n` table in the exact scalar. This
+//! engine restructures the same recurrence for speed without giving up a
+//! single bit of exactness:
 //!
 //! 1. **Pull-style, layer-parallel evaluation.** Subsets of size `k`
 //!    depend only on subsets of size `k − 1`, so each layer is evaluated
@@ -52,7 +52,7 @@
 //! error surfaces, so no threads outlive the call.
 
 use crate::Optimum;
-use aqo_bignum::LogNum;
+use aqo_bignum::{BigUint, LogNum};
 use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::parallel::{par_chunks_zip, resolve_threads};
 use aqo_core::qon::QoNInstance;
@@ -322,11 +322,11 @@ fn pred_ranks(
     k
 }
 
-/// Precomputed log-domain view of an instance: neighbour bitmasks and the
-/// `t`, `w*`, `s` scalars converted to [`LogNum`] once, so the phase-A hot
-/// loop allocates nothing and touches no big numbers.
-struct LogView {
-    nbr: Vec<u32>,
+/// Precomputed log-domain view of an instance: the call's neighbour
+/// bitmasks and the `t`, `w*`, `s` scalars converted to [`LogNum`] once,
+/// so the phase-A hot loop allocates nothing and touches no big numbers.
+struct LogView<'a> {
+    nbr: &'a [u32],
     tlog: Vec<LogNum>,
     /// `w*(j,k)` row-major; diagonal entries are `+inf` (never selected).
     wlog: Vec<LogNum>,
@@ -334,15 +334,9 @@ struct LogView {
     slog: Vec<LogNum>,
 }
 
-impl LogView {
-    fn build(inst: &QoNInstance) -> LogView {
+impl<'a> LogView<'a> {
+    fn build(inst: &QoNInstance, nbr: &'a [u32]) -> LogView<'a> {
         let n = inst.n();
-        let mut nbr = vec![0u32; n];
-        for (j, b) in nbr.iter_mut().enumerate() {
-            for k in inst.graph().neighbors(j).iter() {
-                *b |= 1 << k;
-            }
-        }
         let tlog: Vec<LogNum> =
             inst.sizes().iter().map(<LogNum as CostScalar>::from_count).collect();
         let mut wlog = vec![LogNum::INFINITY; n * n];
@@ -423,6 +417,7 @@ fn wmin_log(view: &LogView, n: usize, j: usize, s: u32) -> LogNum {
 fn log_phase(
     inst: &QoNInstance,
     frontiers: &Frontiers,
+    nbr: &[u32],
     allow_cartesian: bool,
     threads: usize,
     budget: &Budget,
@@ -430,7 +425,7 @@ fn log_phase(
 ) -> Result<LogDp, BudgetExceeded> {
     let _span = aqo_obs::span("engine.log_phase");
     let n = inst.n();
-    let view = LogView::build(inst);
+    let view = LogView::build(inst, nbr);
     let binom = Binom::build(n);
     // The n×n log-domain view tables, charged before the layer loop.
     budget.charge_memory(((2 * n * n + n) * std::mem::size_of::<LogNum>()) as u64)?;
@@ -546,36 +541,91 @@ fn log_phase(
     Ok(LogDp { dp: dp_layers, parent: parent_layers })
 }
 
-/// Precomputed exact-scalar view: `t_j`, `w*(j,k)`, and edge selectivities
-/// embedded into `S` once, so phase B's loop clones nothing.
-struct ExactView<S> {
-    ts: Vec<S>,
+/// Precomputed exact-scalar view of an instance, shared by phase B and
+/// the sequential [`crate::dp`]: `w*(j,k)` (with `t_j` on the diagonal)
+/// and the edge selectivities embedded into `S` once, plus each row's rank
+/// order, so transition loops clone nothing and compare no big numbers.
+pub(crate) struct ExactView<'a, S> {
+    n: usize,
+    nbr: &'a [u32],
+    /// `w*(j,k)` row-major; the diagonal holds `t_j`.
     wexs: Vec<S>,
+    /// Rank of `wexs[j·n + k]` within row `j` by exact value: equal values
+    /// share a rank, so the least rank always selects the least value.
+    wrank: Vec<u32>,
+    /// Selectivities row-major; `1` off the query graph.
     sels: Vec<S>,
 }
 
-impl<S: CostScalar> ExactView<S> {
-    fn build(inst: &QoNInstance) -> ExactView<S> {
+impl<'a, S: CostScalar> ExactView<'a, S> {
+    /// The view of `inst`, over its neighbour bitmasks `nbr`
+    /// ([`nbr_masks`]).
+    pub(crate) fn build(inst: &QoNInstance, nbr: &'a [u32]) -> ExactView<'a, S> {
         let n = inst.n();
-        let ts: Vec<S> = inst.sizes().iter().map(S::from_count).collect();
         let mut wexs: Vec<S> = Vec::with_capacity(n * n);
+        let mut wrank: Vec<u32> = Vec::with_capacity(n * n);
         let mut sels: Vec<S> = Vec::with_capacity(n * n);
-        for (j, tj) in ts.iter().enumerate() {
-            for k in 0..n {
-                if j == k {
-                    wexs.push(tj.clone()); // placeholder, never selected
-                    sels.push(S::one());
-                    continue;
-                }
-                wexs.push(S::from_count(&inst.w(j, k)));
-                sels.push(if inst.graph().has_edge(j, k) {
+        for j in 0..n {
+            let row: Vec<BigUint> = (0..n)
+                .map(|k| if k == j { inst.sizes()[j].clone() } else { inst.w(j, k) })
+                .collect();
+            let mut by_value: Vec<usize> = (0..n).collect();
+            by_value.sort_by(|&a, &b| row[a].cmp(&row[b]));
+            let mut rank = vec![0u32; n];
+            for pair in by_value.windows(2) {
+                let step = u32::from(row[pair[0]] != row[pair[1]]);
+                rank[pair[1]] = rank[pair[0]] + step;
+            }
+            wexs.extend(row.iter().map(S::from_count));
+            wrank.extend(rank);
+            sels.extend((0..n).map(|k| {
+                if k != j && inst.graph().has_edge(j, k) {
                     S::from_ratio(&inst.selectivity().get(j, k))
                 } else {
                     S::one()
-                });
+                }
+            }));
+        }
+        ExactView { n, nbr, wexs, wrank, sels }
+    }
+
+    /// `t_j` in `S`.
+    pub(crate) fn size(&self, j: usize) -> &S {
+        &self.wexs[j * self.n + j]
+    }
+
+    /// `min_{k ∈ s} w*(j,k)` for a nonempty `s ∌ j`: edges of `j` inside
+    /// `s` offer `w(j,k)`, and any non-neighbour in `s` lets the default
+    /// access path `t_j` compete.
+    #[inline]
+    pub(crate) fn wmin(&self, j: usize, s: u32) -> &S {
+        let row = j * self.n;
+        let mut best = row + j;
+        let mut best_rank = if s & !self.nbr[j] != 0 { self.wrank[best] } else { u32::MAX };
+        let mut bits = self.nbr[j] & s;
+        while bits != 0 {
+            let k = row + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if self.wrank[k] < best_rank {
+                best_rank = self.wrank[k];
+                best = k;
             }
         }
-        ExactView { ts, wexs, sels }
+        &self.wexs[best]
+    }
+
+    /// `N(s ∪ {j})` from `ns = N(s)`: times `t_j` and the selectivity of
+    /// every edge from `j` into `s`.
+    #[inline]
+    pub(crate) fn extend_n(&self, ns: &S, j: usize, s: u32) -> S {
+        let mut nn = ns.mul(self.size(j));
+        let mut bits = self.nbr[j] & s;
+        while bits != 0 {
+            let v = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            nn = nn.mul(&self.sels[j * self.n + v]);
+        }
+        nn
     }
 }
 
@@ -599,10 +649,9 @@ fn exact_phase<S: CostScalar + Send + Sync>(
     budget.charge_memory(((2 * n * n + n) * entry) as u64)?;
     budget.checkpoint()?;
 
-    let view = ExactView::<S>::build(inst);
+    let view = ExactView::<S>::build(inst, nbr);
     let mut dp_prev: Vec<Option<S>> = (0..n).map(|_| Some(S::zero())).collect();
-    let mut ns_prev: Vec<Option<S>> =
-        inst.sizes().iter().map(|t| Some(S::from_count(t))).collect();
+    let mut ns_prev: Vec<Option<S>> = (0..n).map(|j| Some(view.size(j).clone())).collect();
     let mut parent_layers: Vec<Vec<u8>> = vec![Vec::new(); n + 1];
     parent_layers[1] = vec![u8::MAX; n];
     let mut results: Vec<Option<(S, S, u8)>> = Vec::new();
@@ -652,27 +701,7 @@ fn exact_phase<S: CostScalar + Send + Sync>(
                     // are written together; a reached dp without its N(S)
                     // is a programming error, not a runtime condition.
                     let ns = ns_prev[r as usize].as_ref().expect("N(S) set with dp");
-                    // min_{k ∈ S} w*(j,k), by reference: zero clones.
-                    let mut wmin: Option<&S> = None;
-                    let mut bits = nbr[j] & s;
-                    while bits != 0 {
-                        let v = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let w = &view.wexs[j * n + v];
-                        if wmin.is_none_or(|cur| w < cur) {
-                            wmin = Some(w);
-                        }
-                    }
-                    if s & !nbr[j] != 0 {
-                        let tj = &view.ts[j];
-                        if wmin.is_none_or(|cur| tj < cur) {
-                            wmin = Some(tj);
-                        }
-                    }
-                    // analyze:allow(no-unwrap-in-lib) -- `s` has k−1 ≥ 1
-                    // members, and every member feeds wmin through its
-                    // edge or the non-neighbour default branch.
-                    let cand = dps.add(&ns.mul(wmin.expect("prefix nonempty")));
+                    let cand = dps.add(&ns.mul(view.wmin(j, s)));
                     if best.as_ref().is_none_or(|(b, _)| cand < *b) {
                         best = Some((cand, j as u8));
                     }
@@ -688,15 +717,8 @@ fn exact_phase<S: CostScalar + Send + Sync>(
                             .binary_search(&s)
                             .expect("winning parent is on the frontier"),
                     };
-                    let mut nn =
-                        ns_prev[r].as_ref().expect("winner has N(S)").mul(&view.ts[j as usize]);
-                    let mut bits = nbr[j as usize] & s;
-                    while bits != 0 {
-                        let v = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        nn = nn.mul(&view.sels[j as usize * n + v]);
-                    }
-                    (cost, nn, j)
+                    let ns = ns_prev[r].as_ref().expect("winner has N(S)");
+                    (cost, view.extend_n(ns, j as usize, s), j)
                 });
             }
             Ok(())
@@ -770,9 +792,9 @@ fn log_impl(
     tier: Tier,
 ) -> Result<Option<Optimum<LogNum>>, BudgetExceeded> {
     let n = inst.n();
-    let view_nbr: Vec<u32> = nbr_masks(inst);
-    let frontiers = Frontiers::build(n, &view_nbr, mode, budget)?;
-    let log = log_phase(inst, &frontiers, allow_cartesian, threads, budget, tier)?;
+    let nbr = nbr_masks(inst);
+    let frontiers = Frontiers::build(n, &nbr, mode, budget)?;
+    let log = log_phase(inst, &frontiers, &nbr, allow_cartesian, threads, budget, tier)?;
     if frontiers.layer(n).is_empty() || unreached(log.dp[n][0]) {
         return Ok(None);
     }
@@ -799,7 +821,7 @@ pub(crate) fn two_phase_impl<S: CostScalar + Send + Sync>(
     let threads = resolve_threads(threads);
     let nbr = nbr_masks(inst);
     let frontiers = Frontiers::build(n, &nbr, mode, budget)?;
-    let log = log_phase(inst, &frontiers, allow_cartesian, threads, budget, tier)?;
+    let log = log_phase(inst, &frontiers, &nbr, allow_cartesian, threads, budget, tier)?;
     if frontiers.layer(n).is_empty() || unreached(log.dp[n][0]) {
         // Unreachable full set is a combinatorial fact (disconnected graph
         // under the no-cartesian rule), identical in both scalars.

@@ -246,6 +246,18 @@ pub fn load(path: &Path, cache: &PlanCache) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Fault sites are process-global: every test here holds this lock
+    /// from a cleared registry to its end, so one test's `faults::clear`
+    /// never disarms a site another test armed mid-test.
+    static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+    fn exclusive_faults() -> MutexGuard<'static, ()> {
+        let guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        faults::clear();
+        guard
+    }
 
     fn plan(tag: &str, frags: Option<Vec<(usize, usize)>>) -> CachedPlan {
         CachedPlan {
@@ -276,7 +288,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips() {
-        faults::clear();
+        let _faults = exclusive_faults();
         let path = tmpfile("roundtrip.snap");
         let cache = populated(5);
         assert_eq!(save(&path, &cache).expect("save"), 5);
@@ -293,7 +305,7 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_salvages_intact_lines() {
-        faults::clear();
+        let _faults = exclusive_faults();
         let path = tmpfile("truncated.snap");
         let cache = populated(6);
         save(&path, &cache).expect("save");
@@ -309,7 +321,7 @@ mod tests {
 
     #[test]
     fn garbage_snapshot_is_an_error_not_a_panic() {
-        faults::clear();
+        let _faults = exclusive_faults();
         let path = tmpfile("garbage.snap");
         std::fs::write(&path, "!!! not a snapshot\nstill not\n").expect("write garbage");
         let restored = PlanCache::new(64);
@@ -319,7 +331,7 @@ mod tests {
 
     #[test]
     fn interior_corruption_skips_only_the_bad_line() {
-        faults::clear();
+        let _faults = exclusive_faults();
         let path = tmpfile("interior.snap");
         save(&path, &populated(4)).expect("save");
         let text = std::fs::read_to_string(&path).expect("read");
@@ -333,7 +345,7 @@ mod tests {
 
     #[test]
     fn injected_torn_write_leaves_previous_snapshot_intact() {
-        faults::clear();
+        let _faults = exclusive_faults();
         let path = tmpfile("torn.snap");
         save(&path, &populated(3)).expect("first save");
         faults::arm("serve::storage::snapshot_write", faults::FaultKind::Error, 1);
@@ -347,7 +359,7 @@ mod tests {
 
     #[test]
     fn injected_load_fault_forces_salvage_with_identical_result() {
-        faults::clear();
+        let _faults = exclusive_faults();
         let path = tmpfile("salvage-forced.snap");
         save(&path, &populated(4)).expect("save");
         faults::arm("serve::storage::snapshot_load", faults::FaultKind::Error, 1);
@@ -358,7 +370,7 @@ mod tests {
 
     #[test]
     fn empty_cache_snapshot_loads_as_zero() {
-        faults::clear();
+        let _faults = exclusive_faults();
         let path = tmpfile("empty.snap");
         save(&path, &PlanCache::new(8)).expect("save empty");
         assert_eq!(load(&path, &PlanCache::new(8)).expect("load empty"), 0);
