@@ -85,20 +85,6 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bnb_parallel(c: &mut Criterion) {
-    let inst = instance(10, 4);
-    let mut group = c.benchmark_group("branch_bound_n10");
-    for threads in [1usize, 0] {
-        let label = if threads == 1 { "seq" } else { "auto" };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                branch_bound::optimize_par::<BigRational>(black_box(&inst), true, threads)
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_bnb_vs_exhaustive(c: &mut Criterion) {
     let inst = instance(8, 2);
     let mut group = c.benchmark_group("exact_search_n8");
@@ -142,6 +128,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_dp, bench_engine, bench_bnb_parallel, bench_bnb_vs_exhaustive, bench_ikkbz
+    targets = bench_dp, bench_engine, bench_bnb_vs_exhaustive, bench_ikkbz
 }
 criterion_main!(benches);

@@ -27,21 +27,20 @@
 //! driver's report — which tier answered, budget consumed, failures
 //! swallowed — goes to stderr; the plan goes to stdout as usual. The
 //! `AQO_FAULTS` environment variable arms fault-injection sites (see
-//! [`aqo_driver::faults`]).
+//! [`aqo_core::faults`]).
 //!
 //! Observability: `--metrics` prints a metrics summary table to stderr,
 //! `--trace-json <path>` writes the structured event journal as JSON Lines,
 //! and `--report-json <path>` writes the driver report as JSON. Turning on
 //! `--metrics` or `--trace-json` without an explicit `--method` routes
-//! through the driver (so tier events appear in the trace) and forces the
-//! DP tier through the parallel engine even at `--threads 1`, keeping the
-//! deterministic `optimizer.engine.*` counters comparable across thread
-//! counts. `aqo trace-check <path>` validates a journal without external
-//! tools.
+//! through the driver (so tier events appear in the trace); the DP tier
+//! always runs the two-phase engine, whose `optimizer.engine.*` counters
+//! are identical across thread counts. `aqo trace-check <path>` validates
+//! a journal without external tools.
 
 use aqo_bignum::{BigRational, BigUint};
-use aqo_core::{textio, workloads, CostScalar};
-use aqo_driver::{faults, BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
+use aqo_core::{faults, textio, workloads, CostScalar};
+use aqo_driver::{BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
 use aqo_optimizer::{
     branch_bound, ccp, dp, engine, exhaustive, genetic, greedy, ikkbz, local_search, pipeline,
 };
@@ -137,7 +136,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]\n  aqo optimize <file.qon> [--method dp|ccp|bnb|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian] [--explain]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo serve [--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n            [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n            [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n            [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n            [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n                                                       # JSONL optimization service (docs/SERVING.md)\n  aqo request <addr> <optimize|explain|optimize-qoh|explain-qoh|clique|status|metrics|shutdown> [file]\n              [--id <n>] [--method <tier>] [--fallback <tier,tier,...>] [--timeout-ms <n>]\n              [--max-expansions <n>] [--threads <n>] [--no-cartesian] [--no-cache]\n  aqo loadgen [--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n              [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] [--out <path>]\n                                                       # writes BENCH_serve.json\n  aqo chaos [--quick] [--requests <n>] [--fault-count <n>] [--seed <n>] [--out <path>]\n                                                       # fault campaign, writes CHAOS.json (docs/ROBUSTNESS.md)\n  aqo replay extract <journal.jsonl> [--out <path>]    # journal -> aqo-workload/v1\n  aqo replay run <workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n                                                       # re-drive + diff, exit 1 on regression\n  aqo replay validate [<workload.jsonl>] [--quick] [--instance <file.qon>] [--trials <n>]\n              [--tolerance <f>] [--min-gap-log2 <f>] [--seed <n>] [--max-rows <n>]\n              [--json] [--out <path>]                  # execution-backed ordering gate (docs/REPLAY.md)\n  aqo exec validate <file.qon> [--trials <n>] [--seed <n>] [--json] [--out <path>]\n                                                       # model-vs-measured calibration\n  aqo bench [--quick] [--threads <n>] [--out <path>]   # writes BENCH_optimizer.json\n  aqo trace-check <trace.jsonl>                        # validate a --trace-json journal\n  aqo trace view <trace.jsonl>                         # render per-request span trees\n  aqo top [--addr <host:port>] [--once] [--json] [--interval-ms <n>]\n                                                       # live dashboard from the `metrics` op\n  aqo analyze [--json] [--root <dir>] [--rule <id>] [--baseline <file>]\n              [--no-baseline] [--write-baseline]      # invariant linter (docs/ANALYSIS.md)\n  aqo reduce-3sat <file.cnf> [--a <int>] [--e <int>]\n  aqo clique <file.dimacs>\n  aqo --version | -V                                   # print version and exit\n\n--threads: 1 = sequential (default), 0 = one worker per hardware thread,\nk > 1 routes the exact tiers through the parallel engines (same optimum).\n--metrics prints a metrics summary to stderr; --trace-json writes the\nstructured event journal as JSON Lines; --report-json writes the driver\nreport as JSON (and routes through the driver)."
+    "usage:\n  aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]\n  aqo optimize <file.qon> [--method dp|ccp|bnb|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian] [--explain]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo serve [--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n            [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n            [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n            [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n            [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n                                                       # JSONL optimization service (docs/SERVING.md)\n  aqo request <addr> <optimize|explain|optimize-qoh|explain-qoh|clique|status|metrics|shutdown> [file]\n              [--id <n>] [--method <tier>] [--fallback <tier,tier,...>] [--timeout-ms <n>]\n              [--max-expansions <n>] [--threads <n>] [--no-cartesian] [--no-cache]\n  aqo loadgen [--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n              [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] [--out <path>]\n                                                       # writes BENCH_serve.json\n  aqo chaos [--quick] [--requests <n>] [--fault-count <n>] [--seed <n>] [--out <path>]\n                                                       # fault campaign, writes CHAOS.json (docs/ROBUSTNESS.md)\n  aqo replay extract <journal.jsonl> [--out <path>]    # journal -> aqo-workload/v1\n  aqo replay run <workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n                                                       # re-drive + diff, exit 1 on regression\n  aqo replay validate [<workload.jsonl>] [--quick] [--instance <file.qon>] [--trials <n>]\n              [--tolerance <f>] [--min-gap-log2 <f>] [--seed <n>] [--max-rows <n>]\n              [--json] [--out <path>]                  # execution-backed ordering gate (docs/REPLAY.md)\n  aqo exec validate <file.qon> [--trials <n>] [--seed <n>] [--json] [--out <path>]\n                                                       # model-vs-measured calibration\n  aqo bench [--quick] [--threads <n>] [--out <path>]   # writes BENCH_optimizer.json\n  aqo trace-check <trace.jsonl>                        # validate a --trace-json journal\n  aqo trace view <trace.jsonl>                         # render per-request span trees\n  aqo top [--addr <host:port>] [--once] [--json] [--interval-ms <n>]\n                                                       # live dashboard from the `metrics` op\n  aqo analyze [--json] [--root <dir>] [--rule <id>] [--baseline <file>]\n              [--no-baseline] [--write-baseline]      # invariant linter (docs/ANALYSIS.md)\n  aqo reduce-3sat <file.cnf> [--a <int>] [--e <int>]\n  aqo clique <file.dimacs>\n  aqo --version | -V                                   # print version and exit\n\n--threads: 1 = sequential (default), 0 = one worker per hardware thread,\nk > 1 splits the exact DP's layers (QO_N) or the exhaustive sweep (QO_H)\nacross k workers (same optimum).\n--metrics prints a metrics summary to stderr; --trace-json writes the\nstructured event journal as JSON Lines; --report-json writes the driver\nreport as JSON (and routes through the driver)."
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -318,7 +317,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
                 chain,
                 allow_cartesian,
                 threads,
-                force_engine_dp: obs.collecting(),
                 ..QonDriverConfig::default()
             };
             let outcome = aqo_driver::optimize_qon(&inst, &cfg).map_err(CliError::Driver)?;
@@ -364,11 +362,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
                     .ok_or_else(infeasible_qon)?;
                     ("exact (DPccp connected-subgraph DP)", o.sequence)
                 }
-                "dp" if threads == 1 => {
-                    let o = dp::optimize::<BigRational>(&inst, allow_cartesian)
-                        .ok_or_else(infeasible_qon)?;
-                    ("exact (subset DP)", o.sequence)
-                }
                 "dp" => {
                     let opts = engine::DpOptions { allow_cartesian, threads };
                     let o = engine::optimize_two_phase::<BigRational>(
@@ -378,32 +371,16 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
                     )
                     .expect("unlimited budget cannot be exceeded")
                     .ok_or_else(infeasible_qon)?;
-                    ("exact (parallel two-phase DP)", o.sequence)
+                    ("exact (two-phase subset DP)", o.sequence)
                 }
-                "bnb" if threads == 1 => {
+                "bnb" => {
                     let o = branch_bound::optimize::<BigRational>(&inst, allow_cartesian)
                         .ok_or_else(infeasible_qon)?;
                     ("exact (branch & bound)", o.sequence)
                 }
-                "bnb" => {
-                    let o =
-                        branch_bound::optimize_par::<BigRational>(&inst, allow_cartesian, threads)
-                            .ok_or_else(infeasible_qon)?;
-                    ("exact (parallel branch & bound)", o.sequence)
-                }
-                "exhaustive" if threads == 1 => {
+                "exhaustive" => {
                     ("exact (exhaustive)", exhaustive::optimize::<BigRational>(&inst).sequence)
                 }
-                "exhaustive" => (
-                    "exact (parallel exhaustive)",
-                    exhaustive::optimize_par_with_budget::<BigRational>(
-                        &inst,
-                        threads,
-                        &aqo_core::Budget::unlimited(),
-                    )
-                    .expect("unlimited budget cannot be exceeded")
-                    .sequence,
-                ),
                 "greedy" => (
                     "greedy min-intermediate",
                     greedy::min_intermediate(&inst, allow_cartesian)
@@ -980,7 +957,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
     }
     eprintln!(
         "chaos: sweeping {} fault sites x 3 modes, {} request(s)/cell, {} fire(s)/site",
-        aqo_driver::faults::CATALOG.len(),
+        faults::CATALOG.len(),
         cfg.requests_per_cell,
         cfg.fault_count,
     );

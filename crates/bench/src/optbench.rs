@@ -17,8 +17,8 @@
 //! `algo = "ccp"` cells (connected-subgraph DP on the sparse families,
 //! reaching past the dense engine's practical range — chain `n = 25`
 //! against `2^25` all-subsets states) and an optional `note` field for
-//! cell-level caveats such as the parallel branch-and-bound's sequential
-//! delegation on one-worker hosts. Every ccp cell is verified three ways
+//! cell-level caveats. Branch-and-bound cells are sequential only (it has
+//! no parallel variant). Every ccp cell is verified three ways
 //! before it is recorded: log-domain cost agreement with the sequential
 //! `dp` oracle, exact recosting of the returned sequence, and
 //! `optimizer.ccp.subsets_expanded` equal to the instance's true
@@ -52,7 +52,7 @@ pub struct BenchRecord {
     /// Relation count.
     pub n: usize,
     /// Algorithm identifier (`dp`, `engine`, `engine-two-phase`, `ccp`,
-    /// `bnb`).
+    /// `bnb`; `bnb` cells are `seq` only).
     pub algo: &'static str,
     /// Scalar backend (`lognum` or `rational`).
     pub scalar: &'static str,
@@ -69,8 +69,7 @@ pub struct BenchRecord {
     /// Nonzero counters captured from this cell's (untimed) cross-check
     /// run, sorted by name. Deterministic for the DP/engine algorithms.
     pub metrics: Vec<(String, u64)>,
-    /// Cell-level caveat (v3), e.g. the parallel branch-and-bound's
-    /// sequential delegation when only one worker resolves.
+    /// Cell-level caveat (v3), e.g. how a ccp cell was verified.
     pub note: Option<&'static str>,
 }
 
@@ -97,7 +96,7 @@ struct Family {
     lognum_ns: &'static [usize],
     /// Sizes for the exact pair (sequential `dp` vs `engine-two-phase`).
     exact_ns: &'static [usize],
-    /// Sizes for the branch-and-bound pair.
+    /// Sizes for the (sequential) branch-and-bound cell.
     bnb_ns: &'static [usize],
     /// Sizes for the connected-subgraph DP (cartesian-free, exact). The
     /// state space is the connected-subgraph count, so sparse families
@@ -256,18 +255,11 @@ pub fn run(cfg: &BenchConfig) -> Vec<BenchRecord> {
         }
         for &n in fam.bnb_ns {
             let inst = instance(fam.name, n, 42 + n as u64);
-            let (seq_run, seq_metrics) =
+            let (run, metrics) =
                 capture_metrics(|| branch_bound::optimize::<BigRational>(&inst, true));
-            let seq_cost = seq_run.expect("connected").cost;
-            let (par_run, par_metrics) = capture_metrics(|| {
-                branch_bound::optimize_par::<BigRational>(&inst, true, threads)
-            });
-            let par_cost = par_run.expect("connected").cost;
-            assert_eq!(seq_cost, par_cost, "{} n={n}: B&B seq/par cost divergence", fam.name);
-            let seq_ms =
-                median_ms(samples, || branch_bound::optimize::<BigRational>(&inst, true));
-            let par_ms = median_ms(samples, || {
-                branch_bound::optimize_par::<BigRational>(&inst, true, threads)
+            run.expect("connected");
+            let ms = median_ms(samples, || {
+                branch_bound::optimize::<BigRational>(&inst, true)
             });
             records.push(BenchRecord {
                 family: fam.name,
@@ -276,27 +268,11 @@ pub fn run(cfg: &BenchConfig) -> Vec<BenchRecord> {
                 scalar: "rational",
                 mode: "seq",
                 threads: 1,
-                median_ms: seq_ms,
+                median_ms: ms,
                 samples,
                 speedup: None,
-                metrics: seq_metrics,
+                metrics,
                 note: None,
-            });
-            records.push(BenchRecord {
-                family: fam.name,
-                n,
-                algo: "bnb",
-                scalar: "rational",
-                mode: "par",
-                threads,
-                median_ms: par_ms,
-                samples,
-                speedup: Some(seq_ms / par_ms.max(1e-9)),
-                metrics: par_metrics,
-                note: (threads == 1).then_some(
-                    "one resolved worker: optimize_par delegates to the sequential DFS, \
-                     so speedup ~1.0 measures delegation overhead, not contention",
-                ),
             });
         }
         for &n in fam.ccp_ns {
@@ -438,8 +414,8 @@ mod tests {
         let cfg = BenchConfig { quick: true, threads: 2 };
         let records = run(&cfg);
         assert!(!records.is_empty());
-        // Every parallel record pairs with a sequential one and carries a
-        // positive speedup.
+        // Every parallel record carries a positive speedup and pairs with a
+        // sequential one; bnb cells are sequential only.
         for r in &records {
             assert!(r.median_ms >= 0.0);
             match r.mode {
@@ -451,7 +427,10 @@ mod tests {
                 other => panic!("unknown mode {other}"),
             }
         }
-        let seq = records.iter().filter(|r| r.mode == "seq").count();
+        let seq = records
+            .iter()
+            .filter(|r| r.mode == "seq" && r.algo != "bnb")
+            .count();
         let par = records.iter().filter(|r| r.mode == "par").count();
         assert_eq!(seq, par);
         // The quick profile exercises a ccp cell; its expansion counter

@@ -7,9 +7,9 @@
 //! algorithm as a handful of *atomic steps* per thread over a cloneable
 //! shared state, then enumerate **every** interleaving of those steps by
 //! depth-first search. For the 2-thread, ≤6-step models we care about
-//! (the [`crate::parallel::SharedBound`] fetch-min protocol, the trace
-//! journal's seq/buffer-order invariant) that is a few hundred to a few
-//! thousand schedules — milliseconds, and *exhaustive*.
+//! (the metrics gauge's fetch-add, the trace journal's seq/buffer-order
+//! invariant) that is a few hundred to a few thousand schedules —
+//! milliseconds, and *exhaustive*.
 //!
 //! This is a model checker, not an instrumentation layer: it verifies the
 //! *protocol* (the sequence of atomic operations), not the compiled code.
@@ -34,7 +34,7 @@
 //! The invariant closure is called after *every* step with `done = false`
 //! and once per completed schedule with `done = true`, so models can
 //! express both always-invariants ("buffer order agrees with seq order")
-//! and postconditions ("the published bound is the minimum").
+//! and postconditions ("the final count is the sum of the adds").
 
 use std::fmt;
 

@@ -2,18 +2,15 @@
 //!
 //! The build environment vendors no threading crates, so the parallel
 //! engines shard their work across plain [`std::thread::scope`] workers.
-//! Three primitives cover every use in the workspace:
+//! Two primitives cover every use in the workspace:
 //!
-//! * [`run_workers`] — fork/join over worker indices (branch-and-bound
-//!   roots, strided permutation sweeps);
+//! * [`run_workers`] — fork/join over worker indices (the QO_H strided
+//!   permutation sweep, the serve worker pool);
 //! * [`par_chunks_zip`] — split a read-only item slice and a matching
 //!   output slice into aligned contiguous chunks, one scoped worker per
 //!   chunk (the layer-parallel subset DP: each worker owns a disjoint
 //!   `&mut` window of the layer's result buffer, so no locks and no
-//!   `unsafe` are needed);
-//! * [`SharedBound`] — a lock-free shared incumbent upper bound in log₂
-//!   domain, used by parallel branch-and-bound to propagate pruning power
-//!   between workers.
+//!   `unsafe` are needed).
 //!
 //! Worker panics are re-raised on the joining thread via
 //! [`std::panic::resume_unwind`], so the driver's `catch_unwind` isolation
@@ -22,8 +19,6 @@
 //! atomic) and unwind with `BudgetExceeded` individually; `thread::scope`
 //! guarantees every worker is joined before the call returns, so a tripped
 //! budget can never leak a thread.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of hardware threads, with a fallback of 1 when the platform
 /// cannot say.
@@ -144,58 +139,6 @@ where
     })
 }
 
-/// A shared monotonically tightening upper bound, stored as the `f64` bit
-/// pattern of a log₂ value in an atomic word.
-///
-/// Parallel branch-and-bound workers publish `log₂(incumbent cost)` here
-/// and prune prefixes whose accumulated cost exceeds the bound by more
-/// than a float-error margin; the *exact* incumbent each worker keeps
-/// locally is what decides the final answer, so the float domain here only
-/// ever affects how much gets pruned, never what is returned.
-#[derive(Debug)]
-pub struct SharedBound(AtomicU64);
-
-impl SharedBound {
-    /// A bound that prunes nothing yet.
-    pub fn unbounded() -> Self {
-        SharedBound(AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    /// A bound starting at `log2` (e.g. a warm start's cost).
-    pub fn new(log2: f64) -> Self {
-        debug_assert!(!log2.is_nan());
-        SharedBound(AtomicU64::new(log2.to_bits()))
-    }
-
-    /// The current bound (log₂ domain).
-    #[inline]
-    pub fn get(&self) -> f64 {
-        // ordering: the bound is self-contained — the f64 bit pattern IS
-        // the entire message, with no dependent data published alongside
-        // it, so there is nothing for an Acquire to synchronize. A stale
-        // read only prunes less; each worker's exact local incumbent
-        // decides the final answer (audited for PR 4; no Release/Acquire
-        // upgrade needed).
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Lowers the bound to `log2` if that is tighter. Lock-free; lost
-    /// races only ever leave the bound looser (still correct).
-    pub fn tighten(&self, log2: f64) {
-        debug_assert!(!log2.is_nan());
-        // ordering: see `get` — a single self-contained word; the CAS in
-        // fetch_update already guarantees the monotone min is kept under
-        // races (verified exhaustively in tests/model_parallel.rs).
-        let _ = self.0.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-            if log2 < f64::from_bits(cur) {
-                Some(log2.to_bits())
-            } else {
-                None
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,28 +195,6 @@ mod tests {
             })
         });
         assert!(caught.is_err());
-    }
-
-    #[test]
-    fn shared_bound_only_tightens() {
-        let b = SharedBound::unbounded();
-        assert_eq!(b.get(), f64::INFINITY);
-        b.tighten(10.0);
-        b.tighten(12.0); // looser: ignored
-        assert_eq!(b.get(), 10.0);
-        b.tighten(-3.5);
-        assert_eq!(b.get(), -3.5);
-    }
-
-    #[test]
-    fn shared_bound_from_many_threads() {
-        let b = SharedBound::new(1000.0);
-        run_workers(4, |t| {
-            for i in 0..100 {
-                b.tighten(1000.0 - (t * 100 + i) as f64);
-            }
-        });
-        assert_eq!(b.get(), 1000.0 - 399.0);
     }
 
     #[test]

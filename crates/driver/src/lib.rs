@@ -10,8 +10,8 @@
 //!   memory cap, cancel token);
 //! * isolates panics with `catch_unwind` and treats them like any other
 //!   tier failure;
-//! * retries transient injected failures (see [`faults`]) a bounded number
-//!   of times with doubling backoff;
+//! * retries transient injected failures (see [`aqo_core::faults`]) a
+//!   bounded number of times with doubling backoff;
 //! * on failure, degrades down a configurable fallback chain
 //!   (`dp → bnb → ikkbz → greedy` for QO_N, `exhaustive → greedy` for
 //!   QO_H) until some tier answers;
@@ -28,17 +28,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod faults;
 pub mod report;
 
 pub use report::{Attempt, DriverError, DriverReport, TierFailure};
 
 use aqo_bignum::BigRational;
 use aqo_core::budget::{Budget, CancelToken};
+use aqo_core::faults::{self, with_quiet_panics};
 use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
 use aqo_optimizer::pipeline::QohPlan;
-use aqo_optimizer::{branch_bound, ccp, dp, engine, exhaustive, greedy, ikkbz, pipeline, Optimum};
+use aqo_optimizer::{branch_bound, engine, exhaustive, greedy, ikkbz, pipeline, Optimum};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -80,8 +80,8 @@ impl BudgetSpec {
 }
 
 /// Bounded retry with doubling backoff, applied only to *transient*
-/// failures (injected errors from the [`faults`] layer). Budget trips and
-/// panics never retry: they degrade immediately.
+/// failures (injected errors from the [`aqo_core::faults`] layer). Budget
+/// trips and panics never retry: they degrade immediately.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Retries per tier after the first attempt (0 disables retry).
@@ -99,13 +99,12 @@ impl Default for RetryPolicy {
 /// The QO_N fallback tiers, strongest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QonTier {
-    /// Subset dynamic programming (exact, `O(2^n)` memory).
+    /// The exact subset DP ([`engine::optimize_two_phase`]). Its state
+    /// space follows the request: every subset when cartesian products are
+    /// admissible (reported as `dp`, `n ≤ 25`), connected subgraphs only
+    /// when they are not (DPccp, reported as `ccp`, `n ≤ 32` — polynomial
+    /// memory on chains/cycles/sparse graphs).
     Dp,
-    /// DPccp connected-subgraph DP (exact for the cartesian-free space,
-    /// memory sized by the connected-subgraph count — polynomial on
-    /// chains/cycles/sparse graphs; unsupported when cartesian products
-    /// are admissible).
-    Ccp,
     /// Branch-and-bound DFS (exact, low memory, worst-case exponential).
     BranchBound,
     /// IKKBZ (polynomial; exact only on acyclic query graphs, panics on
@@ -116,11 +115,14 @@ pub enum QonTier {
 }
 
 impl QonTier {
-    /// Short name used in chain specs, fail-point sites, and reports.
-    pub fn name(self) -> &'static str {
+    /// The name the tier reports under, which fail-point sites
+    /// (`qon::<name>`) and tier spans (`tier.<name>`) follow too. The
+    /// exact DP is `dp` with cartesian products admissible and `ccp`
+    /// without.
+    pub fn name(self, allow_cartesian: bool) -> &'static str {
         match self {
-            QonTier::Dp => "dp",
-            QonTier::Ccp => "ccp",
+            QonTier::Dp if allow_cartesian => "dp",
+            QonTier::Dp => "ccp",
             QonTier::BranchBound => "bnb",
             QonTier::Ikkbz => "ikkbz",
             QonTier::Greedy => "greedy",
@@ -129,37 +131,33 @@ impl QonTier {
 
     /// Whether the tier's answer is provably optimal for every instance.
     pub fn is_exact(self) -> bool {
-        matches!(self, QonTier::Dp | QonTier::Ccp | QonTier::BranchBound)
+        matches!(self, QonTier::Dp | QonTier::BranchBound)
     }
 
-    /// The default chain: `dp → ccp → bnb → ikkbz → greedy`. `ccp` covers
-    /// the no-cartesian configs `dp` is too big for (sparse graphs far
-    /// past [`dp::MAX_N`]); with cartesian products admissible it reports
-    /// unsupported and the chain moves on.
+    /// The default chain: `dp → bnb → ikkbz → greedy`. `bnb` is the only
+    /// exact tier past the DP's cap (cartesian products admissible and
+    /// `n > 25`).
     pub fn default_chain() -> Vec<QonTier> {
-        vec![
-            QonTier::Dp,
-            QonTier::Ccp,
-            QonTier::BranchBound,
-            QonTier::Ikkbz,
-            QonTier::Greedy,
-        ]
+        vec![QonTier::Dp, QonTier::BranchBound, QonTier::Ikkbz, QonTier::Greedy]
     }
 
-    /// Parses a comma-separated chain spec such as `dp,ccp,greedy`.
+    /// Parses a comma-separated chain spec such as `dp,bnb,greedy`. `dp`
+    /// and `ccp` both name the exact DP; a tier named twice runs once.
     pub fn parse_chain(spec: &str) -> Result<Vec<QonTier>, String> {
         let mut chain = Vec::new();
         for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            chain.push(match name {
-                "dp" => QonTier::Dp,
-                "ccp" => QonTier::Ccp,
+            let tier = match name {
+                "dp" | "ccp" => QonTier::Dp,
                 "bnb" => QonTier::BranchBound,
                 "ikkbz" => QonTier::Ikkbz,
                 "greedy" => QonTier::Greedy,
                 other => {
                     return Err(format!("unknown tier `{other}` (dp|ccp|bnb|ikkbz|greedy)"))
                 }
-            });
+            };
+            if !chain.contains(&tier) {
+                chain.push(tier);
+            }
         }
         if chain.is_empty() {
             return Err("empty fallback chain".to_string());
@@ -226,18 +224,10 @@ pub struct QonDriverConfig {
     pub retry: RetryPolicy,
     /// Optional cooperative cancellation token.
     pub cancel: Option<CancelToken>,
-    /// Worker threads for the exact tiers: `1` keeps the classic
-    /// sequential algorithms, `0` means one worker per hardware thread,
-    /// and `> 1` routes the DP tier to the two-phase parallel
-    /// [`aqo_optimizer::engine`] and branch-and-bound to its shared-bound
-    /// parallel variant. The optimal cost is identical in every mode.
+    /// Worker threads for the exact DP tier's layers; `0` means one
+    /// worker per hardware thread. Cost and plan are identical for every
+    /// thread count.
     pub threads: usize,
-    /// Route the DP tier through the two-phase [`aqo_optimizer::engine`]
-    /// even at `threads == 1` (by default one thread runs the classic
-    /// sequential DP, which reproduces `dp::optimize` bit for bit). The CLI
-    /// sets this when metrics or tracing are on so the deterministic
-    /// `optimizer.engine.*` counters are comparable across thread counts.
-    pub force_engine_dp: bool,
 }
 
 impl Default for QonDriverConfig {
@@ -249,7 +239,6 @@ impl Default for QonDriverConfig {
             retry: RetryPolicy::default(),
             cancel: None,
             threads: 1,
-            force_engine_dp: false,
         }
     }
 }
@@ -418,15 +407,13 @@ fn drive<T, Tier: Copy>(
     Err(DriverError { failures })
 }
 
-use faults::with_quiet_panics;
-
 /// Per-tier span for QO_N attempts, timing each tier's execution inside
-/// the driver chain (one static name per tier so the catalog scanner and
-/// the `span.<name>` histograms see every variant).
-fn qon_tier_span(tier: QonTier) -> aqo_obs::Span {
+/// the driver chain (one static name per reported tier name, so the
+/// catalog scanner and the `span.<name>` histograms see every variant).
+fn qon_tier_span(tier: QonTier, allow_cartesian: bool) -> aqo_obs::Span {
     match tier {
-        QonTier::Dp => aqo_obs::span("tier.dp"),
-        QonTier::Ccp => aqo_obs::span("tier.ccp"),
+        QonTier::Dp if allow_cartesian => aqo_obs::span("tier.dp"),
+        QonTier::Dp => aqo_obs::span("tier.ccp"),
         QonTier::BranchBound => aqo_obs::span("tier.bnb"),
         QonTier::Ikkbz => aqo_obs::span("tier.ikkbz"),
         QonTier::Greedy => aqo_obs::span("tier.greedy"),
@@ -453,8 +440,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Optimizes a QO_N instance down the fallback chain. Exact arithmetic
-/// ([`BigRational`]) throughout, so a generous budget reproduces
-/// `dp::optimize` bit for bit.
+/// ([`BigRational`]) throughout, so a generous budget reproduces the
+/// reference subset DP ([`aqo_optimizer::dp`]) bit for bit, cost and plan.
 pub fn optimize_qon(
     inst: &QoNInstance,
     cfg: &QonDriverConfig,
@@ -462,55 +449,34 @@ pub fn optimize_qon(
     let _span = aqo_obs::span("driver.optimize_qon");
     let budget = cfg.budget.build(cfg.cancel.clone());
     let allow = cfg.allow_cartesian;
-    let threads = cfg.threads;
-    let force_engine = cfg.force_engine_dp;
     drive(
         &cfg.chain,
         &budget,
         &cfg.retry,
         "qon",
-        QonTier::name,
+        |tier| tier.name(allow),
         QonTier::is_exact,
-        qon_tier_span,
+        |tier| qon_tier_span(tier, allow),
         |tier, budget| match tier {
-            // The mask-based exact tiers reject oversized instances with a
-            // structured failure (degrading down the chain) instead of
-            // hitting their internal asserts or silent u32 wraparound.
-            QonTier::Dp if inst.n() > dp::MAX_N => Err(TierFailure::Unsupported(format!(
-                "dp handles n <= {} (got n = {})",
-                dp::MAX_N,
-                inst.n()
-            ))),
-            QonTier::Dp if threads == 1 && !force_engine => {
-                dp::optimize_with_budget::<BigRational>(inst, allow, budget)
-                    .map_err(TierFailure::Budget)
+            // Past its per-mode cap the DP rejects with a structured
+            // failure (degrading down the chain) instead of hitting the
+            // engine's assert or silent u32 mask wraparound.
+            QonTier::Dp if inst.n() > engine::max_n(allow) => {
+                Err(TierFailure::Unsupported(format!(
+                    "{} handles n <= {} (got n = {})",
+                    tier.name(allow),
+                    engine::max_n(allow),
+                    inst.n()
+                )))
             }
             QonTier::Dp => {
-                let opts = engine::DpOptions { allow_cartesian: allow, threads };
+                let opts = engine::DpOptions { allow_cartesian: allow, threads: cfg.threads };
                 engine::optimize_two_phase::<BigRational>(inst, &opts, budget)
                     .map_err(TierFailure::Budget)
             }
-            QonTier::Ccp if allow => Err(TierFailure::Unsupported(
-                "ccp enumerates connected subgraphs only, which is exact just for the \
-                 cartesian-free space; rerun with --no-cartesian or use dp/bnb"
-                    .to_string(),
-            )),
-            QonTier::Ccp if inst.n() > ccp::MAX_N => Err(TierFailure::Unsupported(format!(
-                "ccp handles n <= {} (got n = {}): subset masks are u32",
-                ccp::MAX_N,
-                inst.n()
-            ))),
-            QonTier::Ccp => ccp::optimize_two_phase::<BigRational>(inst, threads, budget)
-                .map_err(TierFailure::Budget),
-            QonTier::BranchBound if threads == 1 => {
+            QonTier::BranchBound => {
                 branch_bound::optimize_with_budget::<BigRational>(inst, allow, budget)
                     .map_err(TierFailure::Budget)
-            }
-            QonTier::BranchBound => {
-                branch_bound::optimize_par_with_budget::<BigRational>(
-                    inst, allow, threads, budget,
-                )
-                .map_err(TierFailure::Budget)
             }
             QonTier::Ikkbz => Ok(Some(ikkbz::optimize(inst))),
             QonTier::Greedy => Ok(greedy::min_intermediate(inst, allow).map(|z| {

@@ -14,10 +14,10 @@ use aqo_bignum::{BigInt, BigRational, BigUint};
 use aqo_core::budget::CancelToken;
 use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
-use aqo_core::{workloads, SelectivityMatrix};
+use aqo_core::{faults, workloads, SelectivityMatrix};
 use aqo_driver::{
-    faults, optimize_qoh, optimize_qon, BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig,
-    QonTier, RetryPolicy,
+    optimize_qoh, optimize_qon, BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier,
+    RetryPolicy,
 };
 use aqo_graph::Graph;
 use aqo_optimizer::dp;
@@ -61,20 +61,19 @@ fn clique_with_tiny_deadline_degrades_to_heuristic() {
     assert_eq!(outcome.report.tier, "greedy");
     assert!(!outcome.report.exact);
     // Every stronger tier's failure is on the record: dp and bnb tripped
-    // the deadline, ccp is unsupported with cartesian products admissible,
-    // ikkbz panicked on the cyclic graph.
+    // the deadline, ikkbz panicked on the cyclic graph.
     let failed: Vec<&str> = outcome.report.failures.iter().map(|a| a.tier).collect();
-    assert_eq!(failed, ["dp", "ccp", "bnb", "ikkbz"]);
+    assert_eq!(failed, ["dp", "bnb", "ikkbz"]);
     assert!(matches!(
         outcome.report.failures[0].failure,
         aqo_driver::TierFailure::Budget(_)
     ));
     assert!(matches!(
         outcome.report.failures[1].failure,
-        aqo_driver::TierFailure::Unsupported(_)
+        aqo_driver::TierFailure::Budget(_)
     ));
     assert!(matches!(
-        outcome.report.failures[3].failure,
+        outcome.report.failures[2].failure,
         aqo_driver::TierFailure::Panic(_)
     ));
     assert_valid_sequence(&inst, &outcome);
@@ -165,13 +164,13 @@ fn exhausted_retries_degrade_instead_of_failing() {
 fn every_tier_armed_means_driver_error() {
     let _guard = fault_guard();
     faults::clear();
-    for site in ["qon::dp", "qon::ccp", "qon::bnb", "qon::ikkbz", "qon::greedy"] {
+    for site in ["qon::dp", "qon::bnb", "qon::ikkbz", "qon::greedy"] {
         faults::arm(site, faults::FaultKind::Panic, 100);
     }
     let inst = clique_instance(6, 2);
     let err = optimize_qon(&inst, &QonDriverConfig::default()).unwrap_err();
     faults::clear();
-    assert_eq!(err.failures.len(), 5);
+    assert_eq!(err.failures.len(), 4);
     let msg = err.to_string();
     assert!(msg.contains("every tier failed"), "unexpected message: {msg}");
 }
@@ -204,90 +203,93 @@ fn chain_qon_instance(n: usize, seed: u64) -> QoNInstance {
 #[test]
 fn ccp_tier_answers_past_the_dp_cap_on_sparse_no_cartesian() {
     let _guard = fault_guard();
-    // n = 26 is over dp::MAX_N: dp must step aside with a structured
-    // unsupported failure and ccp must answer exactly.
+    // n = 26 is over dp::MAX_N, but without cartesian products the exact
+    // tier enumerates connected subgraphs only: it answers at once,
+    // exactly, and reports itself as ccp.
     let n = aqo_optimizer::dp::MAX_N + 1;
     let inst = chain_qon_instance(n, 21);
     let cfg = QonDriverConfig { allow_cartesian: false, ..QonDriverConfig::default() };
     let outcome = optimize_qon(&inst, &cfg).expect("ccp answers");
     assert_eq!(outcome.report.tier, "ccp");
     assert!(outcome.report.exact);
-    assert_eq!(outcome.report.failures.len(), 1);
-    assert_eq!(outcome.report.failures[0].tier, "dp");
-    assert!(matches!(
-        outcome.report.failures[0].failure,
-        aqo_driver::TierFailure::Unsupported(_)
-    ));
+    assert!(outcome.report.failures.is_empty());
     assert_valid_sequence(&inst, &outcome);
     assert!(!inst.has_cartesian_product(&outcome.optimum.sequence));
 }
 
 #[test]
-fn ccp_pin_with_cartesian_products_is_a_structured_unsupported_error() {
+fn dp_and_ccp_name_one_tier_reported_by_mode() {
     let _guard = fault_guard();
-    // Cartesian products can beat every connected order, so ccp refuses
-    // rather than silently returning a non-optimal "exact" plan.
+    assert_eq!(QonTier::parse_chain("dp,ccp,greedy").unwrap(), [QonTier::Dp, QonTier::Greedy]);
+    assert_eq!(QonTier::parse_chain("ccp").unwrap(), [QonTier::Dp]);
     let inst = chain_qon_instance(8, 22);
-    let cfg = QonDriverConfig {
-        chain: vec![QonTier::Ccp],
-        allow_cartesian: true,
-        ..QonDriverConfig::default()
-    };
-    let err = optimize_qon(&inst, &cfg).unwrap_err();
-    assert_eq!(err.failures.len(), 1);
-    match &err.failures[0].failure {
-        aqo_driver::TierFailure::Unsupported(msg) => {
-            assert!(msg.contains("cartesian"), "message should say why: {msg}");
-        }
-        other => panic!("expected unsupported, got {other:?}"),
+    for (allow, name) in [(true, "dp"), (false, "ccp")] {
+        let cfg = QonDriverConfig {
+            chain: vec![QonTier::Dp],
+            allow_cartesian: allow,
+            threads: 2,
+            ..QonDriverConfig::default()
+        };
+        let outcome = optimize_qon(&inst, &cfg).expect("the exact tier answers");
+        assert_eq!(outcome.report.tier, name);
+        assert!(outcome.report.exact);
+        let oracle = dp::optimize::<BigRational>(&inst, allow).unwrap();
+        assert_eq!(outcome.optimum.cost, oracle.cost);
+        assert_eq!(outcome.optimum.sequence.order(), oracle.sequence.order());
     }
 }
 
 #[test]
 fn n_over_mask_width_degrades_every_mask_tier_with_unsupported() {
     let _guard = fault_guard();
-    // n = 33 overflows every u32-mask tier (dp, ccp); the chain must
-    // degrade to the polynomial tiers with structured failures, not
-    // wrap masks or hit an assert-turned-panic.
+    // n = 33 overflows the u32 masks of the exact DP in both modes; the
+    // chain must degrade to the polynomial tiers with structured
+    // failures, not wrap masks or hit an assert-turned-panic.
     let inst = chain_qon_instance(33, 23);
-    let cfg = QonDriverConfig {
-        chain: vec![QonTier::Dp, QonTier::Ccp, QonTier::Greedy],
-        allow_cartesian: false,
-        ..QonDriverConfig::default()
-    };
-    let outcome = optimize_qon(&inst, &cfg).expect("greedy answers");
-    assert_eq!(outcome.report.tier, "greedy");
-    let kinds: Vec<&str> =
-        outcome.report.failures.iter().map(|a| a.failure.kind_str()).collect();
-    assert_eq!(kinds, ["unsupported", "unsupported"]);
-    for a in &outcome.report.failures {
-        match &a.failure {
+    for allow in [true, false] {
+        let cfg = QonDriverConfig {
+            chain: vec![QonTier::Dp, QonTier::Greedy],
+            allow_cartesian: allow,
+            ..QonDriverConfig::default()
+        };
+        let outcome = optimize_qon(&inst, &cfg).expect("greedy answers");
+        assert_eq!(outcome.report.tier, "greedy");
+        assert_eq!(outcome.report.failures.len(), 1);
+        match &outcome.report.failures[0].failure {
             aqo_driver::TierFailure::Unsupported(msg) => {
                 assert!(msg.contains("n = 33"), "boundary in message: {msg}");
             }
             other => panic!("expected unsupported, got {other:?}"),
         }
+        assert_valid_sequence(&inst, &outcome);
     }
-    assert_valid_sequence(&inst, &outcome);
 }
 
 #[test]
 fn mask_tiers_accept_exactly_their_documented_caps() {
     let _guard = fault_guard();
-    // Boundary: n == ccp::MAX_N (32) is in range for ccp and out of range
-    // for dp; n == dp::MAX_N is in range for dp. Tiny deadline keeps the
-    // in-range attempts cheap — a budget trip proves the tier *ran*.
-    let inst = chain_qon_instance(aqo_optimizer::ccp::MAX_N, 24);
-    let cfg = QonDriverConfig {
-        budget: BudgetSpec { timeout: Some(Duration::ZERO), ..BudgetSpec::unlimited() },
-        chain: vec![QonTier::Dp, QonTier::Ccp, QonTier::Greedy],
-        allow_cartesian: false,
-        ..QonDriverConfig::default()
-    };
-    let outcome = optimize_qon(&inst, &cfg).expect("greedy answers");
-    let by_tier: Vec<(&str, &str)> =
-        outcome.report.failures.iter().map(|a| (a.tier, a.failure.kind_str())).collect();
-    assert_eq!(by_tier, [("dp", "unsupported"), ("ccp", "budget")]);
+    // Boundary: n == ccp::MAX_N (32) is in range for the connected mode
+    // and out of range for all subsets; n == dp::MAX_N is in range for
+    // all subsets. Tiny deadline keeps the in-range attempts cheap — a
+    // budget trip proves the tier *ran*.
+    let cases = [
+        (aqo_optimizer::ccp::MAX_N, false, ("ccp", "budget")),
+        (aqo_optimizer::ccp::MAX_N, true, ("dp", "unsupported")),
+        (aqo_optimizer::dp::MAX_N, true, ("dp", "budget")),
+    ];
+    for (n, allow, expect) in cases {
+        let inst = chain_qon_instance(n, 24);
+        let cfg = QonDriverConfig {
+            budget: BudgetSpec { timeout: Some(Duration::ZERO), ..BudgetSpec::unlimited() },
+            chain: vec![QonTier::Dp, QonTier::Greedy],
+            allow_cartesian: allow,
+            ..QonDriverConfig::default()
+        };
+        let outcome = optimize_qon(&inst, &cfg).expect("greedy answers");
+        let by_tier: Vec<(&str, &str)> =
+            outcome.report.failures.iter().map(|a| (a.tier, a.failure.kind_str())).collect();
+        assert_eq!(by_tier, [expect], "n = {n}, allow_cartesian = {allow}");
+    }
 }
 
 fn qoh_chain_instance(n: usize) -> QoHInstance {

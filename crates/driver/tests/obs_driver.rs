@@ -6,8 +6,8 @@
 //! Fault sites and the metrics registry are both process-global, so every
 //! test here serializes on [`OBS_LOCK`].
 
-use aqo_core::workloads;
-use aqo_driver::{faults, optimize_qon, QonDriverConfig, RetryPolicy};
+use aqo_core::{faults, workloads};
+use aqo_driver::{optimize_qon, QonDriverConfig, RetryPolicy};
 use aqo_obs::journal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -7,8 +7,8 @@
 
 use aqo_bignum::BigRational;
 use aqo_core::qon::QoNInstance;
-use aqo_core::workloads;
-use aqo_driver::{faults, optimize_qon, QonDriverConfig};
+use aqo_core::{faults, workloads};
+use aqo_driver::{optimize_qon, QonDriverConfig};
 use aqo_optimizer::dp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

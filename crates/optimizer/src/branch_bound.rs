@@ -9,40 +9,21 @@
 use crate::{greedy, Optimum};
 use aqo_bignum::BigUint;
 use aqo_core::budget::{Budget, BudgetExceeded};
-use aqo_core::parallel::{resolve_threads, run_workers, SharedBound};
 use aqo_core::qon::QoNInstance;
 use aqo_core::{CostScalar, JoinSequence};
 use aqo_graph::BitSet;
 
-/// Slack, in bits, added to the shared log₂ incumbent before pruning on it.
-/// The shared bound is the `f64` log₂ of some worker's *exact* incumbent;
-/// pruning only when the prefix exceeds it by more than this margin makes
-/// float rounding harmless: a pruned prefix is certainly no better than an
-/// incumbent some worker already holds exactly.
-const SHARED_BOUND_MARGIN_BITS: f64 = 1e-3;
-
-/// Per-search tallies, accumulated in plain locals on each worker (zero
-/// atomic traffic in the DFS) and flushed to the metrics registry once.
-/// Node and prune counts depend on incumbent timing, so under parallel
-/// search they are *not* deterministic across thread counts — unlike the
-/// engine's layer counters (see docs/OBSERVABILITY.md).
+/// Per-search tallies, accumulated in plain locals (nothing shared in the
+/// DFS) and flushed to the metrics registry once.
 #[derive(Clone, Copy, Debug, Default)]
 struct SearchStats {
     nodes: u64,
     incumbent_improvements: u64,
     bound_prunes: u64,
-    shared_prunes: u64,
 }
 
 impl SearchStats {
-    fn merge(&mut self, other: &SearchStats) {
-        self.nodes += other.nodes;
-        self.incumbent_improvements += other.incumbent_improvements;
-        self.bound_prunes += other.bound_prunes;
-        self.shared_prunes += other.shared_prunes;
-    }
-
-    fn flush(&self, mode: &'static str, workers: usize) {
+    fn flush(&self) {
         if !aqo_obs::enabled() {
             return;
         }
@@ -50,16 +31,12 @@ impl SearchStats {
         aqo_obs::counter_handle!("optimizer.bnb.incumbent_improvements")
             .add(self.incumbent_improvements);
         aqo_obs::counter_handle!("optimizer.bnb.bound_prunes").add(self.bound_prunes);
-        aqo_obs::counter_handle!("optimizer.bnb.shared_prunes").add(self.shared_prunes);
         aqo_obs::journal::event(
             "bnb_done",
             vec![
-                ("mode", mode.into()),
-                ("workers", workers.into()),
                 ("nodes", self.nodes.into()),
                 ("incumbent_improvements", self.incumbent_improvements.into()),
                 ("bound_prunes", self.bound_prunes.into()),
-                ("shared_prunes", self.shared_prunes.into()),
             ],
         );
     }
@@ -70,23 +47,6 @@ impl SearchStats {
 pub fn optimize<S: CostScalar>(inst: &QoNInstance, allow_cartesian: bool) -> Option<Optimum<S>> {
     optimize_with_budget(inst, allow_cartesian, &Budget::unlimited())
         .expect("unlimited budget cannot be exceeded")
-}
-
-/// A worker's best-so-far: the exact cost plus its cached `log2`, so the
-/// shared-bound check never recomputes the expensive exact→float bridge
-/// on the DFS hot path (only on the rare incumbent improvement).
-struct Incumbent<S> {
-    order: Vec<usize>,
-    cost: S,
-    log2: f64,
-}
-
-impl<S: CostScalar> Incumbent<S> {
-    fn from_warm(inst: &QoNInstance, z: JoinSequence) -> Incumbent<S> {
-        let cost: S = inst.total_cost(&z);
-        let log2 = cost.log2();
-        Incumbent { order: z.order().to_vec(), cost, log2 }
-    }
 }
 
 /// As [`optimize`], under a cooperative [`Budget`] ticked once per DFS
@@ -105,23 +65,8 @@ pub fn optimize_with_budget<S: CostScalar>(
     }
     budget.checkpoint()?;
     let mut best = greedy::min_intermediate(inst, allow_cartesian)
-        .map(|z| Incumbent::from_warm(inst, z));
+        .map(|z| Optimum { cost: inst.total_cost(&z), sequence: z });
     let mut stats = SearchStats::default();
-    search_all_roots(inst, allow_cartesian, &mut best, budget, None, &mut stats)?;
-    stats.flush("seq", 1);
-    Ok(best.map(|b| Optimum { sequence: JoinSequence::new(b.order), cost: b.cost }))
-}
-
-/// The sequential search body: every root vertex in order, one DFS each.
-fn search_all_roots<S: CostScalar>(
-    inst: &QoNInstance,
-    allow_cartesian: bool,
-    best: &mut Option<Incumbent<S>>,
-    budget: &Budget,
-    shared: Option<&SharedBound>,
-    stats: &mut SearchStats,
-) -> Result<(), BudgetExceeded> {
-    let n = inst.n();
     let mut prefix = Vec::with_capacity(n);
     let mut in_prefix = BitSet::new(n);
     for start in 0..n {
@@ -134,173 +79,21 @@ fn search_all_roots<S: CostScalar>(
             &mut in_prefix,
             S::from_count(&inst.sizes()[start]),
             S::zero(),
-            best,
+            &mut best,
             budget,
-            shared,
-            stats,
+            &mut stats,
         );
         in_prefix.remove(start);
         prefix.pop();
         outcome?;
     }
-    Ok(())
-}
-
-/// Parallel branch-and-bound: the *ordered pairs* of root vertices —
-/// `n(n−1)` depth-2 subtrees instead of `n` depth-1 ones — are strided
-/// across a scoped worker pool, and workers share the incumbent upper
-/// bound through a lock-free atomic ([`SharedBound`], log₂ domain), so a
-/// strong incumbent found by one worker immediately sharpens pruning in
-/// all the others. The finer split matters on real graphs: depth-1
-/// subtree sizes vary by orders of magnitude (a hub root dominates), and
-/// with only `n` units a stride of `threads` routinely leaves workers
-/// idle while one drains the big subtree.
-///
-/// Each worker keeps its *exact* local incumbent; the shared float bound
-/// only decides what gets pruned (with [`SHARED_BOUND_MARGIN_BITS`] of
-/// slack), never what is returned — so the returned cost equals the
-/// sequential optimum for every thread count. `threads = 0` means one
-/// worker per hardware thread; when that resolves to a single worker
-/// (e.g. a 1-core host) the search delegates to the sequential DFS
-/// outright, skipping the shared-bound machinery it would pay for and
-/// never benefit from (the `mode=par` rows in BENCH_optimizer.json on a
-/// 1-thread host measure exactly this delegation).
-pub fn optimize_par<S: CostScalar + Send + Sync>(
-    inst: &QoNInstance,
-    allow_cartesian: bool,
-    threads: usize,
-) -> Option<Optimum<S>> {
-    optimize_par_with_budget(inst, allow_cartesian, threads, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
-}
-
-/// As [`optimize_par`], under a cooperative [`Budget`] shared by all
-/// workers (its interior is atomic). When the budget trips, every worker
-/// unwinds at its next tick and the scoped pool joins them all before the
-/// error is returned — no threads outlive the call.
-pub fn optimize_par_with_budget<S: CostScalar + Send + Sync>(
-    inst: &QoNInstance,
-    allow_cartesian: bool,
-    threads: usize,
-    budget: &Budget,
-) -> Result<Option<Optimum<S>>, BudgetExceeded> {
-    let n = inst.n();
-    if n == 1 {
-        return Ok(Some(Optimum { sequence: JoinSequence::identity(1), cost: S::zero() }));
-    }
-    let threads = resolve_threads(threads).min(n);
-    // Per-worker scratch: prefix stack, membership bitset, incumbent order.
-    let scratch_per_worker = 2 * n * std::mem::size_of::<usize>() + n.div_ceil(8) + 64;
-    budget.charge_memory((threads * scratch_per_worker) as u64)?;
-    budget.checkpoint()?;
-
-    if threads == 1 {
-        // One worker gains nothing from the shared bound but would pay
-        // its per-node check; run the plain sequential DFS instead.
-        let mut best = greedy::min_intermediate(inst, allow_cartesian)
-            .map(|z| Incumbent::from_warm(inst, z));
-        let mut stats = SearchStats::default();
-        search_all_roots(inst, allow_cartesian, &mut best, budget, None, &mut stats)?;
-        stats.flush("par", 1);
-        return Ok(best.map(|b| Optimum { sequence: JoinSequence::new(b.order), cost: b.cost }));
-    }
-
-    let warm = greedy::min_intermediate(inst, allow_cartesian)
-        .map(|z| Incumbent::<S>::from_warm(inst, z));
-    let shared = SharedBound::unbounded();
-    if let Some(b) = &warm {
-        shared.tighten(b.log2);
-    }
-
-    // Depth-2 seeds: every ordered root pair whose second join is legal.
-    // Deterministic order, so the stride assignment is reproducible.
-    let mut seeds: Vec<(usize, usize)> = Vec::with_capacity(n * (n - 1));
-    for a in 0..n {
-        for b in 0..n {
-            if a != b && (allow_cartesian || inst.graph().has_edge(a, b)) {
-                seeds.push((a, b));
-            }
-        }
-    }
-    if seeds.is_empty() {
-        // No legal second join anywhere (edgeless graph, cartesian-free):
-        // only the warm start (which is `None` then) could answer.
-        return Ok(warm.map(|b| Optimum { sequence: JoinSequence::new(b.order), cost: b.cost }));
-    }
-    let threads = threads.min(seeds.len());
-
-    type WorkerOut<S> = (Option<Incumbent<S>>, SearchStats);
-    let seeds = &seeds;
-    let outcomes = run_workers(threads, |t| -> Result<WorkerOut<S>, BudgetExceeded> {
-        let mut best = warm.as_ref().map(|b| Incumbent {
-            order: b.order.clone(),
-            cost: b.cost.clone(),
-            log2: b.log2,
-        });
-        let mut stats = SearchStats::default();
-        let mut prefix = Vec::with_capacity(n);
-        let mut in_prefix = BitSet::new(n);
-        let mut i = t;
-        while i < seeds.len() {
-            let (a, b) = seeds[i];
-            i += threads;
-            // The depth-1 node (root `a`) is re-entered once per seed
-            // sharing that root; tick it so expansion accounting stays
-            // proportional to work actually done.
-            budget.tick()?;
-            stats.nodes += 1;
-            prefix.push(a);
-            in_prefix.insert(a);
-            let n_a = S::from_count(&inst.sizes()[a]);
-            let outcome = match step(inst, allow_cartesian, &in_prefix, 1, &n_a, b) {
-                None => Ok(()),
-                Some((n_ab, delta)) => {
-                    prefix.push(b);
-                    in_prefix.insert(b);
-                    let r = dfs(
-                        inst,
-                        allow_cartesian,
-                        &mut prefix,
-                        &mut in_prefix,
-                        n_ab,
-                        delta,
-                        &mut best,
-                        budget,
-                        Some(&shared),
-                        &mut stats,
-                    );
-                    in_prefix.remove(b);
-                    prefix.pop();
-                    r
-                }
-            };
-            in_prefix.remove(a);
-            prefix.pop();
-            outcome?;
-        }
-        Ok((best, stats))
-    });
-
-    let mut best: Option<Incumbent<S>> = None;
-    let mut stats = SearchStats::default();
-    for outcome in outcomes {
-        let (worker_best, worker_stats) = outcome?;
-        stats.merge(&worker_stats);
-        if let Some(wb) = worker_best {
-            if best.as_ref().is_none_or(|b| wb.cost < b.cost) {
-                best = Some(wb);
-            }
-        }
-    }
-    stats.flush("par", threads);
-    Ok(best.map(|b| Optimum { sequence: JoinSequence::new(b.order), cost: b.cost }))
+    stats.flush();
+    Ok(best)
 }
 
 /// One DFS transition: the cost delta and new intermediate size of
 /// joining `j` into the current prefix, or `None` when that join would be
-/// a cartesian product and those are not admissible. Shared between the
-/// inner DFS loop and the parallel depth-2 seeding so the two can never
-/// drift apart on the cost model.
+/// a cartesian product and those are not admissible.
 fn step<S: CostScalar>(
     inst: &QoNInstance,
     allow_cartesian: bool,
@@ -347,9 +140,8 @@ fn dfs<S: CostScalar>(
     in_prefix: &mut BitSet,
     n_x: S,
     cost: S,
-    best: &mut Option<Incumbent<S>>,
+    best: &mut Option<Optimum<S>>,
     budget: &Budget,
-    shared: Option<&SharedBound>,
     stats: &mut SearchStats,
 ) -> Result<(), BudgetExceeded> {
     let n = inst.n();
@@ -361,32 +153,10 @@ fn dfs<S: CostScalar>(
             return Ok(());
         }
     }
-    if let Some(sb) = shared {
-        // Another worker's exact incumbent, as a float bound with slack.
-        // `cost.log2()` is an exact→float bridge (a BigRational bit scan),
-        // far too expensive per node; only pay for it when the shared
-        // bound is strictly tighter than our cached local incumbent —
-        // i.e. when it could prune something the local check above
-        // didn't. Soundness is unchanged: skipping the check never
-        // prunes, and the local exact compare already ran.
-        let sbv = sb.get();
-        let local = best.as_ref().map_or(f64::INFINITY, |b| b.log2);
-        if sbv + SHARED_BOUND_MARGIN_BITS < local
-            && cost.log2() > sbv + SHARED_BOUND_MARGIN_BITS
-        {
-            stats.shared_prunes += 1;
-            return Ok(());
-        }
-    }
     if prefix.len() == n {
-        if best.as_ref().is_none_or(|b| cost < b.cost) {
-            let log2 = cost.log2();
-            if let Some(sb) = shared {
-                sb.tighten(log2);
-            }
-            stats.incumbent_improvements += 1;
-            *best = Some(Incumbent { order: prefix.clone(), cost, log2 });
-        }
+        // Strictly below the incumbent: the prune above let it through.
+        stats.incumbent_improvements += 1;
+        *best = Some(Optimum { sequence: JoinSequence::new(prefix.clone()), cost });
         return Ok(());
     }
     for j in 0..n {
@@ -409,7 +179,6 @@ fn dfs<S: CostScalar>(
             new_cost,
             best,
             budget,
-            shared,
             stats,
         );
         in_prefix.remove(j);
@@ -475,41 +244,6 @@ mod tests {
         let bb = optimize_with_budget::<BigRational>(&inst, true, &roomy).unwrap().unwrap();
         let free = optimize::<BigRational>(&inst, true).unwrap();
         assert_eq!(bb.cost, free.cost);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_for_every_thread_count() {
-        let inst = cycle(7);
-        for allow in [true, false] {
-            let seq = optimize::<BigRational>(&inst, allow).unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let par = optimize_par::<BigRational>(&inst, allow, threads).unwrap();
-                assert_eq!(par.cost, seq.cost, "threads {threads}");
-                let recost: BigRational = inst.total_cost(&par.sequence);
-                assert_eq!(recost, par.cost);
-                if !allow {
-                    assert!(!inst.has_cartesian_product(&par.sequence));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_budget_trips_and_charges_worker_scratch() {
-        let inst = cycle(7);
-        let tiny = Budget::unlimited().with_max_expansions(5);
-        let err =
-            optimize_par_with_budget::<BigRational>(&inst, true, 4, &tiny).unwrap_err();
-        assert_eq!(err.kind, aqo_core::budget::BudgetKind::Expansions);
-
-        // Scratch scales with the worker count, so a cap that admits one
-        // worker can reject eight.
-        let one = Budget::unlimited().with_max_memory_bytes(200);
-        assert!(optimize_par_with_budget::<BigRational>(&inst, true, 1, &one).is_ok());
-        let eight = Budget::unlimited().with_max_memory_bytes(200);
-        let err =
-            optimize_par_with_budget::<BigRational>(&inst, true, 7, &eight).unwrap_err();
-        assert_eq!(err.kind, aqo_core::budget::BudgetKind::Memory);
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //! connected order). Restricting to connected states would silently
 //! return a non-optimal "exact" answer, so this module simply does not
 //! accept an `allow_cartesian` flag; callers that need cartesian products
-//! use [`crate::engine`] (the driver reports `ccp` as unsupported for
-//! such configs rather than falling through to it).
+//! use [`crate::engine`].
 //!
-//! Shares the sparse-frontier machinery of [`crate::engine`]
-//! ([`crate::engine::FrontierMode::Connected`]), reporting under the
-//! `optimizer.ccp.*` counters; `optimizer.ccp.subsets_expanded` counts
+//! This is [`crate::engine::optimize_two_phase`] with
+//! `allow_cartesian = false` (same frontier, same plan), reporting under
+//! the `optimizer.ccp.*` counters instead of `optimizer.engine.*`. The
+//! driver's exact tier calls the engine in both modes and reports its
+//! cartesian-free answers as tier `ccp`. `optimizer.ccp.subsets_expanded` counts
 //! every connected subgraph the enumeration touches (singletons included),
 //! so it equals [`connected_subset_count`] exactly — property-tested
 //! against a brute-force connectivity scan in `tests/prop_ccp.rs`.

@@ -10,6 +10,11 @@
 //! dp[{v}]      = 0
 //! dp[S ∪ {j}]  = min_{j ∉ S} dp[S] + N(S)·min_{k ∈ S} w_{jk}
 //! ```
+//!
+//! This is the reference oracle. The driver, the service and
+//! `aqo optimize --method dp` run [`crate::engine::optimize_two_phase`],
+//! which returns the same cost and the same plan; tests and benches check
+//! it against this module.
 
 use crate::engine::{nbr_masks, ExactView};
 use crate::Optimum;

@@ -4,7 +4,8 @@
 //! The classic subset DP in [`crate::dp`] is exact but single-threaded and
 //! costs every transition of a dense `2^n` table in the exact scalar. This
 //! engine restructures the same recurrence for speed without giving up a
-//! single bit of exactness:
+//! single bit of exactness — same cost, same plan — and is the only exact
+//! subset DP the driver and the service run (`dp` stays as its oracle):
 //!
 //! 1. **Pull-style, layer-parallel evaluation.** Subsets of size `k`
 //!    depend only on subsets of size `k − 1`, so each layer is evaluated
@@ -58,10 +59,17 @@ use aqo_core::parallel::{par_chunks_zip, resolve_threads};
 use aqo_core::qon::QoNInstance;
 use aqo_core::{CostScalar, JoinSequence};
 
-/// Hard cap on `n` for the all-subsets mode, same as the sequential DP
-/// (a `2^n` frontier is materialized). The connected mode is capped by
-/// the mask width instead ([`crate::ccp::MAX_N`]).
-pub const MAX_N: usize = crate::dp::MAX_N;
+/// The largest `n` the engine accepts in the mode `allow_cartesian`
+/// selects: [`crate::dp::MAX_N`] for all subsets (a `2^n` frontier is
+/// materialized), [`crate::ccp::MAX_N`] (the `u32` mask width) for
+/// connected subgraphs.
+pub fn max_n(allow_cartesian: bool) -> usize {
+    if allow_cartesian {
+        crate::dp::MAX_N
+    } else {
+        crate::ccp::MAX_N
+    }
+}
 
 /// Safety margin, in bits, added to the exact incumbent's log₂ cost when
 /// phase B prunes on phase-A estimates. Accumulated `f64` log-domain error
@@ -97,7 +105,8 @@ pub(crate) enum FrontierMode {
 }
 
 /// Which counter family a run reports under: the engine entry points or
-/// the DPccp tier ([`crate::ccp`]). Both share this machinery.
+/// the direct DPccp entry point ([`crate::ccp`]). Both share this
+/// machinery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Tier {
     Engine,
@@ -125,7 +134,7 @@ impl Tier {
         }
     }
 
-    /// The ccp tier counts singletons too, so its expansion total equals
+    /// The ccp counters count singletons too, so their expansion total equals
     /// the number of connected subgraphs of the query graph exactly.
     fn record_singletons(self, n: usize) {
         if let Tier::Ccp = self {
@@ -702,7 +711,11 @@ fn exact_phase<S: CostScalar + Send + Sync>(
                     // is a programming error, not a runtime condition.
                     let ns = ns_prev[r as usize].as_ref().expect("N(S) set with dp");
                     let cand = dps.add(&ns.mul(view.wmin(j, s)));
-                    if best.as_ref().is_none_or(|(b, _)| cand < *b) {
+                    // `<=`: among equal costs the highest `j` wins, the
+                    // predecessor `dp` keeps (it visits `T∖{j}` in
+                    // ascending mask order, i.e. `j` descending, under a
+                    // strict `<`) — so both return the same plan.
+                    if best.as_ref().is_none_or(|(b, _)| cand <= *b) {
                         best = Some((cand, j as u8));
                     }
                 }
@@ -712,11 +725,9 @@ fn exact_phase<S: CostScalar + Send + Sync>(
                 res[i] = best.map(|(cost, j)| {
                     // N(T) once per subset, from the winning parent only.
                     let s = tm & !(1u32 << j);
-                    let r = match frontiers.mode {
-                        FrontierMode::AllSubsets | FrontierMode::Connected => prev_layer
-                            .binary_search(&s)
-                            .expect("winning parent is on the frontier"),
-                    };
+                    let r = prev_layer
+                        .binary_search(&s)
+                        .expect("winning parent is on the frontier");
                     let ns = ns_prev[r].as_ref().expect("winner has N(S)");
                     (cost, view.extend_n(ns, j as usize, s), j)
                 });
@@ -864,7 +875,8 @@ pub fn optimize_log_parallel(
     budget: &Budget,
 ) -> Result<Option<Optimum<LogNum>>, BudgetExceeded> {
     let n = inst.n();
-    assert!((1..=MAX_N).contains(&n), "engine DP is for n in 1..={MAX_N}");
+    let cap = max_n(opts.allow_cartesian);
+    assert!((1..=cap).contains(&n), "engine DP is for n in 1..={cap}");
     if n == 1 {
         return Ok(Some(Optimum { sequence: JoinSequence::identity(1), cost: LogNum::ZERO }));
     }
@@ -882,16 +894,23 @@ pub fn optimize_log_parallel(
 /// only — exactly the reachable prefixes — so table sizes follow the
 /// query graph's density instead of `2^n`.
 ///
-/// Bit-identical to [`crate::dp::optimize_with_budget`] in returned cost
-/// for every thread count; the plan is a valid sequence achieving that
-/// cost (tie-breaking may choose a different equal-cost plan).
+/// Returns exactly what [`crate::dp::optimize_with_budget`] returns, for
+/// every thread count: the same cost and the same plan. Among equal-cost
+/// predecessors phase B keeps the highest joined index, as `dp` does, and
+/// pruning cannot change that choice: a predecessor tied on the returned
+/// path costs at most the optimum, so its phase-A estimate is below the
+/// bound and it is never pruned (DESIGN.md §9).
+///
+/// `n` is capped per mode ([`max_n`]): 25 for all subsets, 32 for
+/// connected subgraphs.
 pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     inst: &QoNInstance,
     opts: &DpOptions,
     budget: &Budget,
 ) -> Result<Option<Optimum<S>>, BudgetExceeded> {
     let n = inst.n();
-    assert!((1..=MAX_N).contains(&n), "engine DP is for n in 1..={MAX_N}");
+    let cap = max_n(opts.allow_cartesian);
+    assert!((1..=cap).contains(&n), "engine DP is for n in 1..={cap}");
     let mode =
         if opts.allow_cartesian { FrontierMode::AllSubsets } else { FrontierMode::Connected };
     two_phase_impl(inst, mode, opts.allow_cartesian, opts.threads, budget, Tier::Engine)
@@ -953,23 +972,64 @@ mod tests {
         QoNInstance::new(g, sizes, s, w)
     }
 
+    /// Every relation of size 10 and every edge of selectivity 1/2: a
+    /// tie-heavy instance on which many plans share the optimal cost.
+    fn uniform_instance(g: Graph) -> QoNInstance {
+        let n = g.n();
+        let sel = BigRational::new(BigInt::one(), BigUint::from(2u64));
+        let mut s = SelectivityMatrix::new();
+        let mut w = AccessCostMatrix::new();
+        for (u, v) in g.edges().collect::<Vec<_>>() {
+            s.set(u, v, sel.clone());
+            w.set(u, v, BigUint::from(5u64));
+            w.set(v, u, BigUint::from(5u64));
+        }
+        QoNInstance::new(g, vec![BigUint::from(10u64); n], s, w)
+    }
+
+    fn uniform_family(n: usize) -> Vec<QoNInstance> {
+        let mut chain = Graph::new(n);
+        let mut star = Graph::new(n);
+        let mut clique = Graph::new(n);
+        for v in 1..n {
+            chain.add_edge(v - 1, v);
+            star.add_edge(0, v);
+            for u in 0..v {
+                clique.add_edge(u, v);
+            }
+        }
+        let mut cycle = chain.clone();
+        cycle.add_edge(0, n - 1);
+        [chain, cycle, star, clique]
+            .into_iter()
+            .map(uniform_instance)
+            .collect()
+    }
+
     #[test]
     fn two_phase_matches_sequential_dp_exactly() {
-        for seed in 0..10u64 {
-            let inst = random_instance(seed, 7, 7);
+        let mut instances: Vec<QoNInstance> =
+            (0..10u64).map(|seed| random_instance(seed, 7, 7)).collect();
+        for n in [5usize, 7, 9] {
+            instances.extend(uniform_family(n));
+        }
+        for (i, inst) in instances.iter().enumerate() {
             for allow in [true, false] {
-                let seq = dp::optimize::<BigRational>(&inst, allow);
+                let seq = dp::optimize::<BigRational>(inst, allow);
                 for threads in [1usize, 2, 4] {
                     let opts = DpOptions { allow_cartesian: allow, threads };
-                    let par = optimize_two_phase::<BigRational>(
-                        &inst,
-                        &opts,
-                        &Budget::unlimited(),
-                    )
-                    .unwrap();
+                    let par = optimize_two_phase::<BigRational>(inst, &opts, &Budget::unlimited())
+                        .unwrap();
                     match (&seq, &par) {
                         (Some(a), Some(b)) => {
-                            assert_eq!(a.cost, b.cost, "seed {seed} threads {threads}");
+                            assert_eq!(a.cost, b.cost, "instance {i} threads {threads}");
+                            // Same tie-break as dp: the same plan, not just
+                            // an equal-cost one.
+                            assert_eq!(
+                                a.sequence.order(),
+                                b.sequence.order(),
+                                "instance {i} allow {allow} threads {threads}"
+                            );
                             let recost: BigRational = inst.total_cost(&b.sequence);
                             assert_eq!(recost, b.cost);
                             if !allow {

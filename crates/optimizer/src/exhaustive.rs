@@ -1,18 +1,18 @@
-//! Exhaustive QO_N optimization over all `n!` join sequences.
+//! Exhaustive QO_N optimization over all `n!` join sequences: a reference
+//! oracle for tests and experiments (nothing on the request path calls it).
 
 use crate::Optimum;
 use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::join::permutations;
-use aqo_core::parallel::{resolve_threads, run_workers};
 use aqo_core::qon::QoNInstance;
 use aqo_core::{CostScalar, JoinSequence};
 
 /// Maximum `n` accepted; `12! ≈ 4.8·10⁸` is already past the point of sanity.
 pub const MAX_N: usize = 10;
 
-/// Flush a locally accumulated permutation count to the metrics registry.
-/// Workers call this once on successful completion, so a sweep that trips
-/// the budget contributes nothing (see docs/OBSERVABILITY.md).
+/// Flush a locally accumulated permutation count to the metrics registry,
+/// once on successful completion, so a sweep that trips the budget
+/// contributes nothing (see docs/OBSERVABILITY.md).
 fn flush_perms_costed(costed: u64) {
     if aqo_obs::enabled() && costed > 0 {
         aqo_obs::counter_handle!("optimizer.exhaustive.perms_costed").add(costed);
@@ -53,53 +53,6 @@ pub fn optimize_with_budget<S: CostScalar>(
     Ok(best.expect("at least one permutation"))
 }
 
-/// Parallel [`optimize`]: worker `t` costs every permutation whose
-/// lexicographic index is `≡ t (mod threads)`. Workers are reduced by
-/// `(cost, index)`, so the winner is the lowest-index permutation of
-/// minimal cost — exactly the sequence the sequential scan returns, for
-/// every thread count. `threads = 0` means one worker per hardware thread.
-pub fn optimize_par_with_budget<S: CostScalar + Send + Sync>(
-    inst: &QoNInstance,
-    threads: usize,
-    budget: &Budget,
-) -> Result<Optimum<S>, BudgetExceeded> {
-    let n = inst.n();
-    assert!((1..=MAX_N).contains(&n), "exhaustive search is for n in 1..={MAX_N}");
-    let threads = resolve_threads(threads);
-    let outcomes = run_workers(threads, |t| -> Result<Option<(S, usize, Vec<usize>)>, BudgetExceeded> {
-        let mut best: Option<(S, usize, Vec<usize>)> = None;
-        let mut costed = 0u64;
-        for (i, perm) in permutations(n).enumerate() {
-            if i % threads != t {
-                continue;
-            }
-            budget.tick()?;
-            costed += 1;
-            let z = JoinSequence::new(perm);
-            let cost: S = inst.total_cost(&z);
-            if best.as_ref().is_none_or(|(b, _, _)| cost < *b) {
-                best = Some((cost, i, z.order().to_vec()));
-            }
-        }
-        flush_perms_costed(costed);
-        Ok(best)
-    });
-    let mut best: Option<(S, usize, Vec<usize>)> = None;
-    for outcome in outcomes {
-        if let Some((cost, i, order)) = outcome? {
-            let better = match &best {
-                None => true,
-                Some((b, bi, _)) => cost < *b || (cost == *b && i < *bi),
-            };
-            if better {
-                best = Some((cost, i, order));
-            }
-        }
-    }
-    let (cost, _, order) = best.expect("at least one permutation");
-    Ok(Optimum { sequence: JoinSequence::new(order), cost })
-}
-
 /// As [`optimize`], restricted to sequences without cartesian products.
 /// Returns `None` when every sequence has one (disconnected query graph).
 pub fn optimize_no_cartesian<S: CostScalar>(inst: &QoNInstance) -> Option<Optimum<S>> {
@@ -131,52 +84,6 @@ pub fn optimize_no_cartesian_with_budget<S: CostScalar>(
     }
     flush_perms_costed(costed);
     Ok(best)
-}
-
-/// Parallel [`optimize_no_cartesian`] with the same strided schedule and
-/// `(cost, index)` reduction as [`optimize_par_with_budget`].
-pub fn optimize_no_cartesian_par_with_budget<S: CostScalar + Send + Sync>(
-    inst: &QoNInstance,
-    threads: usize,
-    budget: &Budget,
-) -> Result<Option<Optimum<S>>, BudgetExceeded> {
-    let n = inst.n();
-    assert!((1..=MAX_N).contains(&n), "exhaustive search is for n in 1..={MAX_N}");
-    let threads = resolve_threads(threads);
-    let outcomes = run_workers(threads, |t| -> Result<Option<(S, usize, Vec<usize>)>, BudgetExceeded> {
-        let mut best: Option<(S, usize, Vec<usize>)> = None;
-        let mut costed = 0u64;
-        for (i, perm) in permutations(n).enumerate() {
-            if i % threads != t {
-                continue;
-            }
-            budget.tick()?;
-            let z = JoinSequence::new(perm);
-            if n > 1 && inst.has_cartesian_product(&z) {
-                continue;
-            }
-            costed += 1;
-            let cost: S = inst.total_cost(&z);
-            if best.as_ref().is_none_or(|(b, _, _)| cost < *b) {
-                best = Some((cost, i, z.order().to_vec()));
-            }
-        }
-        flush_perms_costed(costed);
-        Ok(best)
-    });
-    let mut best: Option<(S, usize, Vec<usize>)> = None;
-    for outcome in outcomes {
-        if let Some((cost, i, order)) = outcome? {
-            let better = match &best {
-                None => true,
-                Some((b, bi, _)) => cost < *b || (cost == *b && i < *bi),
-            };
-            if better {
-                best = Some((cost, i, order));
-            }
-        }
-    }
-    Ok(best.map(|(cost, _, order)| Optimum { sequence: JoinSequence::new(order), cost }))
 }
 
 #[cfg(test)]
@@ -238,37 +145,6 @@ mod tests {
         let err = optimize_with_budget::<BigRational>(&inst, &budget).unwrap_err();
         assert_eq!(err.kind, aqo_core::budget::BudgetKind::Expansions);
         assert_eq!(err.expansions, 11);
-    }
-
-    #[test]
-    fn parallel_returns_the_sequential_winner_exactly() {
-        let inst = chain(6);
-        let seq: Optimum<BigRational> = optimize(&inst);
-        let seq_nc = optimize_no_cartesian::<BigRational>(&inst).unwrap();
-        for threads in [1usize, 2, 5] {
-            let par =
-                optimize_par_with_budget::<BigRational>(&inst, threads, &Budget::unlimited())
-                    .unwrap();
-            assert_eq!(par.cost, seq.cost);
-            assert_eq!(par.sequence.order(), seq.sequence.order(), "threads {threads}");
-            let par_nc = optimize_no_cartesian_par_with_budget::<BigRational>(
-                &inst,
-                threads,
-                &Budget::unlimited(),
-            )
-            .unwrap()
-            .unwrap();
-            assert_eq!(par_nc.cost, seq_nc.cost);
-            assert_eq!(par_nc.sequence.order(), seq_nc.sequence.order());
-        }
-    }
-
-    #[test]
-    fn parallel_budget_trips() {
-        let inst = chain(6);
-        let budget = Budget::unlimited().with_max_expansions(10);
-        let err = optimize_par_with_budget::<BigRational>(&inst, 3, &budget).unwrap_err();
-        assert_eq!(err.kind, aqo_core::budget::BudgetKind::Expansions);
     }
 
     #[test]

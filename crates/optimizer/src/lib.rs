@@ -6,15 +6,15 @@
 //!
 //! * **Exact optimizers** — ground truth on small instances and the
 //!   machinery the experiments use to *verify* the reductions' cost claims:
-//!   - [`exhaustive`] — all `n!` sequences (tiny `n`);
+//!   - [`exhaustive`] — all `n!` sequences (tiny `n`; a test oracle);
 //!   - [`dp`] — Selinger-style dynamic programming over vertex subsets
 //!     (left-deep plans), exact for the QO_N cost model since both `N(X)`
 //!     and `min_k w_{jk}` depend on the prefix only through its *set*;
-//!   - [`branch_bound`] — DFS with the admissible partial-cost bound,
-//!     optionally parallel with a shared atomic incumbent bound;
+//!     the reference oracle for the engine;
+//!   - [`branch_bound`] — DFS with the admissible partial-cost bound;
 //!   - [`engine`] — the layer-parallel, allocation-lean two-phase
 //!     (log-domain then exact) subset DP engine over sparse per-layer
-//!     frontiers;
+//!     frontiers: the one exact QO_N DP the driver and service run;
 //!   - [`ccp`] — DPccp: the engine's DP restricted to *connected
 //!     subgraphs only*, exact for the cartesian-free sequence space and
 //!     polynomially sized on the paper's §6 sparse families;

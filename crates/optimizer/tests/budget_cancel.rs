@@ -9,7 +9,7 @@ use aqo_core::budget::{Budget, BudgetKind, CancelToken};
 use aqo_core::qon::QoNInstance;
 use aqo_core::{AccessCostMatrix, SelectivityMatrix};
 use aqo_graph::Graph;
-use aqo_optimizer::{branch_bound, engine};
+use aqo_optimizer::engine;
 use std::time::{Duration, Instant};
 
 /// A clique-ish instance big enough that the DP has work spanning many
@@ -105,25 +105,4 @@ fn expansion_cap_shared_by_workers_trips_once() {
         "expansion accounting drifted: {} for cap {cap}",
         err.expansions
     );
-}
-
-#[test]
-fn parallel_bnb_deadline_trips_and_recovers() {
-    let inst = big_instance(13);
-    let budget = Budget::unlimited().with_timeout(Duration::from_millis(2));
-    std::thread::sleep(Duration::from_millis(3));
-    let err = branch_bound::optimize_par_with_budget::<BigRational>(&inst, true, 4, &budget)
-        .unwrap_err();
-    assert_eq!(err.kind, BudgetKind::Deadline);
-    // Fresh budget, same process: the pool was fully joined.
-    let seq = branch_bound::optimize_par_with_budget::<BigRational>(
-        &inst,
-        true,
-        4,
-        &Budget::unlimited(),
-    )
-    .unwrap()
-    .unwrap();
-    let recost: BigRational = inst.total_cost(&seq.sequence);
-    assert_eq!(recost, seq.cost);
 }

@@ -196,6 +196,10 @@ proptest! {
         n in 3usize..=9,
         family in 0usize..4,
     ) {
+        // Takes the lock although it reads no counters: its ccp runs
+        // would otherwise land in the counters the other tests read while
+        // they hold collection on.
+        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let g = match family {
             0 => chain(n),
             1 => cycle(n),

@@ -1,15 +1,14 @@
-//! Property tests for the parallel optimizers: for every thread count,
-//! the parallel subset-DP engine, branch-and-bound, and exhaustive sweeps
-//! must return the sequential optimum — bit-identical cost and a valid
-//! plan achieving it — on random connected AND disconnected instances,
-//! with and without cartesian products.
+//! Property tests for the parallel subset-DP engine: for every thread
+//! count it must return the sequential optimum — bit-identical cost and a
+//! valid plan achieving it — on random connected AND disconnected
+//! instances, with and without cartesian products.
 
 use aqo_bignum::{BigInt, BigRational, BigUint};
 use aqo_core::budget::Budget;
 use aqo_core::qon::QoNInstance;
 use aqo_core::{AccessCostMatrix, SelectivityMatrix};
 use aqo_graph::Graph;
-use aqo_optimizer::{branch_bound, dp, engine, exhaustive};
+use aqo_optimizer::{dp, engine};
 use proptest::prelude::*;
 
 /// Strategy: a QO_N instance on 3..=7 vertices, tagged with whether it is
@@ -78,57 +77,6 @@ proptest! {
                 }
             }
             (None, None) => prop_assert!(!connected && !allow_cartesian),
-            other => prop_assert!(false, "feasibility mismatch: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_bnb_matches_sequential(
-        (inst, connected) in qon_any(),
-        threads in 1usize..=4,
-        allow_cartesian in any::<bool>(),
-    ) {
-        let seq = branch_bound::optimize::<BigRational>(&inst, allow_cartesian);
-        let par = branch_bound::optimize_par::<BigRational>(&inst, allow_cartesian, threads);
-        match (&seq, &par) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(&a.cost, &b.cost);
-                let recost: BigRational = inst.total_cost(&b.sequence);
-                prop_assert_eq!(&recost, &b.cost);
-                if !allow_cartesian {
-                    prop_assert!(!inst.has_cartesian_product(&b.sequence));
-                }
-            }
-            (None, None) => prop_assert!(!connected && !allow_cartesian),
-            other => prop_assert!(false, "feasibility mismatch: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_exhaustive_returns_the_sequential_winner(
-        (inst, connected) in qon_any(),
-        threads in 1usize..=4,
-    ) {
-        let budget = Budget::unlimited();
-        let seq = exhaustive::optimize::<BigRational>(&inst);
-        let par = exhaustive::optimize_par_with_budget::<BigRational>(&inst, threads, &budget)
-            .expect("unlimited budget cannot be exceeded");
-        // Strided sweep + (cost, index) reduction: the *sequence* matches
-        // too, not just the cost.
-        prop_assert_eq!(&seq.cost, &par.cost);
-        prop_assert_eq!(seq.sequence.order(), par.sequence.order());
-
-        let seq_nc = exhaustive::optimize_no_cartesian::<BigRational>(&inst);
-        let par_nc = exhaustive::optimize_no_cartesian_par_with_budget::<BigRational>(
-            &inst, threads, &budget,
-        )
-        .expect("unlimited budget cannot be exceeded");
-        match (&seq_nc, &par_nc) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(&a.cost, &b.cost);
-                prop_assert_eq!(a.sequence.order(), b.sequence.order());
-            }
-            (None, None) => prop_assert!(!connected),
             other => prop_assert!(false, "feasibility mismatch: {other:?}"),
         }
     }

@@ -166,12 +166,31 @@ impl ServiceReport {
     /// JSON rendering for `--report-json` (hand-rolled, like
     /// `DriverReport::to_json`).
     pub fn to_json(&self) -> String {
+        self.render_json(true)
+    }
+
+    /// [`ServiceReport::to_json`] without the wall-clock `elapsed_ms`:
+    /// only counts remain, so a deterministic run renders the same bytes
+    /// every time (the form `CHAOS.json` embeds).
+    pub fn to_json_untimed(&self) -> String {
+        self.render_json(false)
+    }
+
+    fn render_json(&self, timed: bool) -> String {
+        let elapsed = if timed {
+            format!(
+                ",\n  \"elapsed_ms\": {:.3}",
+                self.elapsed.as_secs_f64() * 1e3
+            )
+        } else {
+            String::new()
+        };
         format!(
             "{{\n  \"reason\": \"{}\",\n  \"requests\": {},\n  \"ok\": {},\n  \
              \"errors\": {},\n  \"overloaded\": {},\n  \"degraded\": {},\n  \
              \"evicted\": {},\n  \"cache\": {{\"hits\": {}, \
              \"misses\": {}, \"inserts\": {}, \"evictions\": {}, \"len\": {}, \
-             \"capacity\": {}}},\n  \"elapsed_ms\": {:.3}\n}}\n",
+             \"capacity\": {}}}{elapsed}\n}}\n",
             self.reason,
             self.requests,
             self.ok,
@@ -185,7 +204,6 @@ impl ServiceReport {
             self.cache.evictions,
             self.cache.len,
             self.cache.capacity,
-            self.elapsed.as_secs_f64() * 1e3,
         )
     }
 }

@@ -13,8 +13,7 @@
 //! server-level tests serialize on one mutex (each test binary is its
 //! own process, so this does not contend with `serve_e2e`).
 
-use aqo_core::{textio, workloads};
-use aqo_driver::faults;
+use aqo_core::{faults, textio, workloads};
 use aqo_obs::json::{self, JsonValue};
 use aqo_serve::{Op, Problem, Request, ServeConfig, Server};
 use rand::rngs::StdRng;

@@ -6,8 +6,8 @@
 //! The fault registry and the obs switch are process-global, so the tests
 //! serialize on one mutex.
 
+use aqo_core::faults::{self, FaultKind};
 use aqo_core::{textio, workloads};
-use aqo_driver::faults::{self, FaultKind};
 use aqo_obs::json::{self, JsonValue};
 use aqo_serve::{Client, Op, Problem, Request, ServeConfig, Server};
 use rand::rngs::StdRng;
