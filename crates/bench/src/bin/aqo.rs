@@ -136,7 +136,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]\n  aqo optimize <file.qon> [--method dp|ccp|bnb|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian] [--explain]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo serve [--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n            [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n            [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n            [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n            [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n                                                       # JSONL optimization service (docs/SERVING.md)\n  aqo request <addr> <optimize|explain|optimize-qoh|explain-qoh|clique|status|metrics|shutdown> [file]\n              [--id <n>] [--method <tier>] [--fallback <tier,tier,...>] [--timeout-ms <n>]\n              [--max-expansions <n>] [--threads <n>] [--no-cartesian] [--no-cache]\n  aqo loadgen [--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n              [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] [--out <path>]\n                                                       # writes BENCH_serve.json\n  aqo chaos [--quick] [--requests <n>] [--fault-count <n>] [--seed <n>] [--out <path>]\n                                                       # fault campaign, writes CHAOS.json (docs/ROBUSTNESS.md)\n  aqo replay extract <journal.jsonl> [--out <path>]    # journal -> aqo-workload/v1\n  aqo replay run <workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n                                                       # re-drive + diff, exit 1 on regression\n  aqo replay validate [<workload.jsonl>] [--quick] [--instance <file.qon>] [--trials <n>]\n              [--tolerance <f>] [--min-gap-log2 <f>] [--seed <n>] [--max-rows <n>]\n              [--json] [--out <path>]                  # execution-backed ordering gate (docs/REPLAY.md)\n  aqo exec validate <file.qon> [--trials <n>] [--seed <n>] [--json] [--out <path>]\n                                                       # model-vs-measured calibration\n  aqo bench [--quick] [--threads <n>] [--out <path>]   # writes BENCH_optimizer.json\n  aqo trace-check <trace.jsonl>                        # validate a --trace-json journal\n  aqo trace view <trace.jsonl>                         # render per-request span trees\n  aqo top [--addr <host:port>] [--once] [--json] [--interval-ms <n>]\n                                                       # live dashboard from the `metrics` op\n  aqo analyze [--json] [--root <dir>] [--rule <id>] [--baseline <file>]\n              [--no-baseline] [--write-baseline]      # invariant linter (docs/ANALYSIS.md)\n  aqo reduce-3sat <file.cnf> [--a <int>] [--e <int>]\n  aqo clique <file.dimacs>\n  aqo --version | -V                                   # print version and exit\n\n--threads: 1 = sequential (default), 0 = one worker per hardware thread,\nk > 1 splits the exact DP's layers (QO_N) or the exhaustive sweep (QO_H)\nacross k workers (same optimum).\n--metrics prints a metrics summary to stderr; --trace-json writes the\nstructured event journal as JSON Lines; --report-json writes the driver\nreport as JSON (and routes through the driver)."
+    "usage:\n  aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]\n  aqo optimize <file.qon> [--method dp|ccp|bnb|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian] [--explain]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo serve [--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n            [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n            [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n            [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n            [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n                                                       # JSONL optimization service (docs/SERVING.md)\n  aqo request <addr> <optimize|explain|optimize-qoh|explain-qoh|clique|status|metrics|shutdown> [file]\n              [--id <n>] [--method <tier>] [--fallback <tier,tier,...>] [--timeout-ms <n>]\n              [--max-expansions <n>] [--threads <n>] [--no-cartesian] [--no-cache]\n  aqo loadgen [--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n              [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] [--out <path>]\n                                                       # writes BENCH_serve.json\n  aqo chaos [--quick] [--requests <n>] [--fault-count <n>] [--seed <n>] [--out <path>]\n                                                       # fault campaign, writes CHAOS.json (docs/ROBUSTNESS.md)\n  aqo replay extract <journal.jsonl> [--out <path>]    # journal -> aqo-workload/v1\n  aqo replay run <workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n                                                       # re-drive + diff, exit 1 on regression\n  aqo replay validate [<workload.jsonl>] [--quick] [--instance <file.qon>] [--trials <n>]\n              [--tolerance <f>] [--min-gap-log2 <f>] [--seed <n>] [--max-rows <n>]\n              [--json] [--out <path>]                  # execution-backed ordering gate (docs/REPLAY.md)\n  aqo exec validate <file.qon> [--trials <n>] [--seed <n>] [--json] [--out <path>]\n                                                       # model-vs-measured calibration\n  aqo bench [--quick] [--threads <n>] [--out <path>]   # writes BENCH_optimizer.json\n  aqo trace-check <trace.jsonl>                        # validate a --trace-json journal\n  aqo trace view <trace.jsonl>                         # render per-request span trees\n  aqo top [--addr <host:port>] [--once] [--json] [--interval-ms <n>]\n                                                       # live dashboard from the `metrics` op\n  aqo analyze [--json] [--root <dir>] [--rule <id>] [--baseline <file>]\n              [--no-baseline] [--write-baseline]      # invariant linter (docs/ANALYSIS.md)\n  aqo reduce-3sat <file.cnf> [--a <int>] [--e <int>]\n  aqo clique <file.dimacs>\n  aqo --version | -V                                   # print version and exit\n\n--threads: 1 = sequential (default), 0 = one worker per hardware thread,\nk > 1 splits the exact DP's layers (QO_N) or the exhaustive search's root\nprefixes, i.e. its first relations (QO_H), across k workers (same optimum).\n--metrics prints a metrics summary to stderr; --trace-json writes the\nstructured event journal as JSON Lines; --report-json writes the driver\nreport as JSON (and routes through the driver)."
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -474,13 +474,20 @@ fn cmd_optimize_qoh(args: &[String]) -> Result<(), CliError> {
         (format!("driver ({} tier)", outcome.report.tier), outcome.plan)
     } else {
         let plan = match method {
-            "exhaustive" if threads != 1 => pipeline::optimize_exhaustive_par_with_budget(
+            "exhaustive" if inst.n() > pipeline::MAX_N => {
+                return Err(CliError::Unsupported(format!(
+                    "--method exhaustive handles n <= {} (instance has n = {}); \
+                     use --method greedy",
+                    pipeline::MAX_N,
+                    inst.n(),
+                )));
+            }
+            "exhaustive" => pipeline::optimize_exhaustive_par_with_budget(
                 &inst,
                 threads,
                 &aqo_core::Budget::unlimited(),
             )
             .expect("unlimited budget cannot be exceeded"),
-            "exhaustive" => pipeline::optimize_exhaustive(&inst),
             "greedy" => pipeline::optimize_greedy(&inst),
             other => {
                 return Err(CliError::usage(format!("optimize-qoh: unknown method {other}")))

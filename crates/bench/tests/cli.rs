@@ -462,4 +462,26 @@ fn oversized_instances_get_structured_rejections_not_mask_wraparound() {
     let (ok, _, err) =
         aqo(&["optimize", p33.to_str().unwrap(), "--method", "greedy", "--no-cartesian"]);
     assert!(ok, "greedy at n = 33: {err}");
+
+    // QO_H: exhaustive search stops at n = 9. At n = 10 it exits 1 with a
+    // structured error (not 101 from a panic); greedy still answers.
+    let mut qoh = String::from("qoh\nvertices 10\nmemory 1000000\n");
+    for v in 0..10 {
+        qoh.push_str(&format!("size {v} {}\n", 100 + 7 * v));
+    }
+    for v in 1..10 {
+        qoh.push_str(&format!("edge {} {v} 1/4\n", v - 1));
+    }
+    let p10 = dir.join("chain10.qoh");
+    std::fs::write(&p10, &qoh).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_aqo"))
+        .args(["optimize-qoh", p10.to_str().unwrap(), "--method", "exhaustive"])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("handles n <= 9"), "{err}");
+    assert!(!err.contains("usage:") && !err.contains("panicked"), "{err}");
+    let (ok, _, err) = aqo(&["optimize-qoh", p10.to_str().unwrap(), "--method", "greedy"]);
+    assert!(ok, "greedy at n = 10: {err}");
 }

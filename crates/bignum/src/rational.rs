@@ -211,19 +211,40 @@ impl PartialOrd for BigRational {
     }
 }
 
+/// `n·d` for a signed `n` and unsigned `d`, without widening `d` to a
+/// [`BigInt`] first.
+fn scale(n: &BigInt, d: &BigUint) -> BigInt {
+    BigInt::from_sign_mag(n.sign(), n.magnitude() * d)
+}
+
 impl Ord for BigRational {
     fn cmp(&self, other: &Self) -> Ordering {
+        // Equal positive denominators (both 1 for two integers) order the
+        // values as their numerators.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // Cross-multiply: num1/den1 <=> num2/den2  iff  num1*den2 <=> num2*den1.
-        let lhs = &self.num * &BigInt::from(other.den.clone());
-        let rhs = &other.num * &BigInt::from(self.den.clone());
-        lhs.cmp(&rhs)
+        scale(&self.num, &other.den).cmp(&scale(&other.num, &self.den))
     }
 }
 
 impl Add<&BigRational> for &BigRational {
     type Output = BigRational;
     fn add(self, rhs: &BigRational) -> BigRational {
-        let num = &self.num * &BigInt::from(rhs.den.clone()) + &rhs.num * &BigInt::from(self.den.clone());
+        // Integer operand c: a/b + c = (a + c·b)/b is already reduced, since
+        // gcd(a + c·b, b) = gcd(a, b) = 1. No GCD needed; a zero sum can
+        // only arise when b = 1, where `0/1` is the canonical zero.
+        if self.den.is_one() || rhs.den.is_one() {
+            let (frac, int) = if rhs.den.is_one() { (self, rhs) } else { (rhs, self) };
+            let num = if frac.den.is_one() {
+                &frac.num + &int.num
+            } else {
+                &frac.num + &scale(&int.num, &frac.den)
+            };
+            return BigRational { num, den: frac.den.clone() };
+        }
+        let num = &scale(&self.num, &rhs.den) + &scale(&rhs.num, &self.den);
         BigRational::new(num, &self.den * &rhs.den)
     }
 }

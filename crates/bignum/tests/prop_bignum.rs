@@ -60,6 +60,34 @@ fn gcd_pair() -> impl Strategy<Value = (BigUint, BigUint)> {
     })
 }
 
+/// Operand pairs for `BigRational`'s add and cmp fast paths: integer +
+/// fraction, fraction + integer, integer + integer, equal denominators,
+/// and a value against its own negation (the sum cancels to zero), each
+/// with mixed signs; plus `a/d` against `a/(d + 1)`, whose denominators
+/// differ (the general path) while the numerators often match.
+fn fast_path_pair() -> impl Strategy<Value = (BigRational, BigRational)> {
+    let den = prop::collection::vec(any::<u64>(), 1..4);
+    (0u8..6, bigint(), bigint(), den, any::<bool>()).prop_map(|(kind, a, c, d, int_first)| {
+        let d = BigUint::from_limbs(d);
+        let d = if d.is_zero() { BigUint::from(3u64) } else { d };
+        let frac = |n: &BigInt| BigRational::new(n.clone(), d.clone());
+        let int = |n: &BigInt| BigRational::from(n.clone());
+        match kind {
+            0 => (int(&a), frac(&c)),
+            1 => (frac(&a), int(&c)),
+            2 => (int(&a), int(&c)),
+            // a/d and (a + c·d)/d reduce by the same gcd(a, d), so the two
+            // denominators stay equal.
+            3 => (frac(&a), frac(&(&a + &(&c * &BigInt::from(d.clone()))))),
+            4 => (frac(&a), BigRational::new(a.clone(), &d + &BigUint::one())),
+            _ => {
+                let x = if int_first { int(&a) } else { frac(&a) };
+                (x.clone(), -x)
+            }
+        }
+    })
+}
+
 /// Euclid's algorithm on `div_rem`: a reference independent of `gcd`.
 fn euclid_gcd(a: &BigUint, b: &BigUint) -> BigUint {
     let (mut a, mut b) = (a.clone(), b.clone());
@@ -187,6 +215,21 @@ proptest! {
         let den = a.denom() * b.denom();
         prop_assert_eq!(&a + &b, BigRational::new(&(n1 * &d2) + &(n2 * &d1), den.clone()));
         prop_assert_eq!(&a * &b, BigRational::new(n1 * n2, den));
+    }
+
+    #[test]
+    fn rational_fast_paths_match_cross_multiplication((a, b) in fast_path_pair()) {
+        let (n1, d1) = (a.numer(), BigInt::from(a.denom().clone()));
+        let (n2, d2) = (b.numer(), BigInt::from(b.denom().clone()));
+        let reference = BigRational::new(&(n1 * &d2) + &(n2 * &d1), a.denom() * b.denom());
+        // Field-by-field equality: the fast paths return the reduced form.
+        for sum in [&a + &b, &b + &a] {
+            prop_assert_eq!(sum.numer(), reference.numer());
+            prop_assert_eq!(sum.denom(), reference.denom());
+            prop_assert!(sum.is_zero() || sum.numer().magnitude().gcd(sum.denom()).is_one());
+        }
+        prop_assert_eq!(a.cmp(&b), (n1 * &d2).cmp(&(n2 * &d1)));
+        prop_assert_eq!(b.cmp(&a), (n2 * &d1).cmp(&(n1 * &d2)));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub fn explain_qoh(
         );
         for j in i..=k {
             let inner = inst.inner_size(z, j);
-            let hj = inst.hjmin(inner);
+            let hj = inst.relation_hjmin(z.at(j));
             let m = &alloc[j - i];
             let status = if *m >= BigRational::from(inner.clone()) {
                 "in-memory"

@@ -27,7 +27,7 @@
 
 use crate::{CostScalar, JoinSequence};
 use aqo_bignum::{BigRational, BigUint};
-use aqo_graph::{BitSet, Graph};
+use aqo_graph::Graph;
 
 /// An instance of the QO_H problem.
 #[derive(Clone, Debug)]
@@ -38,6 +38,8 @@ pub struct QoHInstance {
     memory: BigUint,
     /// `hjmin(b) = ⌈b^{eta.0/eta.1}⌉`; the paper requires `0 < η < 1`.
     eta: (u32, u32),
+    /// `hjmin(t_v)` for every relation `v`, computed once at construction.
+    hjmins: Vec<BigUint>,
 }
 
 /// A pipeline decomposition: the join operations `J_1 … J_{n−1}` (1-based,
@@ -109,7 +111,8 @@ impl QoHInstance {
             assert!(selectivity.has_entry(u, v), "edge ({u},{v}) lacks a selectivity entry");
         }
         assert!(!memory.is_zero(), "zero memory");
-        QoHInstance { graph, sizes, selectivity, memory, eta }
+        let hjmins = sizes.iter().map(|t| t.root_pow_ceil(eta.0, eta.1)).collect();
+        QoHInstance { graph, sizes, selectivity, memory, eta, hjmins }
     }
 
     /// Number of relations.
@@ -142,32 +145,45 @@ impl QoHInstance {
         self.eta
     }
 
-    /// `hjmin(b) = ⌈b^η⌉`.
+    /// `hjmin(b) = ⌈b^η⌉` for an arbitrary size `b`. For a relation of the
+    /// instance use the precomputed [`QoHInstance::relation_hjmin`].
     pub fn hjmin(&self, b: &BigUint) -> BigUint {
         b.root_pow_ceil(self.eta.0, self.eta.1)
+    }
+
+    /// `hjmin(t_v)` of relation `v`.
+    pub fn relation_hjmin(&self, v: usize) -> &BigUint {
+        &self.hjmins[v]
+    }
+
+    /// Whether relation `v` can be a hash join's inner (build) relation at
+    /// all: `hjmin(t_v) ≤ M`.
+    pub fn buildable(&self, v: usize) -> bool {
+        self.hjmins[v] <= self.memory
     }
 
     /// `g(m, b)`: the paper's linear spill fraction, or `None` when
     /// `m < hjmin(b)` (the join is infeasible with that little memory).
     pub fn g(&self, m: &BigRational, b: &BigUint) -> Option<BigRational> {
-        let hj = self.hjmin(b);
-        let hj_rat = BigRational::from(hj.clone());
-        if *m < hj_rat {
-            return None;
-        }
-        let b_rat = BigRational::from(b.clone());
-        if *m >= b_rat || hj >= *b {
-            return Some(BigRational::zero());
-        }
-        Some((&b_rat - m) / (&b_rat - &hj_rat))
+        g_with(m, b, &self.hjmin(b))
     }
 
     /// `h(m, b_R, b_S)` over scalar backend `S` (`b_R` is an intermediate
     /// size and may be huge); `None` when infeasible.
     pub fn h<S: CostScalar>(&self, m: &BigRational, b_r: &S, b_s: &BigUint) -> Option<S> {
-        let g = self.g(m, b_s)?;
-        let bs = S::from_count(b_s);
-        Some(b_r.add(&bs).mul(&S::from_ratio(&g)).add(&bs))
+        h_with(m, b_r, b_s, &self.hjmin(b_s))
+    }
+
+    /// `N_d` from `N_{d−1}` when relation `j` joins the relations in
+    /// `prefix`: `N_d = N_{d−1} · t_j · ∏_{k ∈ prefix} s_{jk}`.
+    pub fn next_intermediate<S: CostScalar>(&self, prev: &S, j: usize, prefix: &[usize]) -> S {
+        let mut nx = prev.mul(&S::from_count(&self.sizes[j]));
+        for k in self.graph.neighbors(j).iter() {
+            if prefix.contains(&k) {
+                nx = nx.mul(&S::from_ratio(&self.selectivity.get(j, k)));
+            }
+        }
+        nx
     }
 
     /// Intermediate sizes `N_0 … N_{n−1}` of `z` (same product estimate as
@@ -175,21 +191,10 @@ impl QoHInstance {
     pub fn intermediates<S: CostScalar>(&self, z: &JoinSequence) -> Vec<S> {
         let n = self.n();
         assert_eq!(z.len(), n);
-        let mut prefix = BitSet::new(n);
-        prefix.insert(z.at(0));
-        let mut nx = S::from_count(&self.sizes[z.at(0)]);
         let mut out = Vec::with_capacity(n);
-        out.push(nx.clone());
+        out.push(S::from_count(&self.sizes[z.at(0)]));
         for i in 1..n {
-            let j = z.at(i);
-            nx = nx.mul(&S::from_count(&self.sizes[j]));
-            for k in self.graph.neighbors(j).iter() {
-                if prefix.contains(k) {
-                    nx = nx.mul(&S::from_ratio(&self.selectivity.get(j, k)));
-                }
-            }
-            out.push(nx.clone());
-            prefix.insert(j);
+            out.push(self.next_intermediate(&out[i - 1], z.at(i), z.prefix(i)));
         }
         out
     }
@@ -205,7 +210,7 @@ impl QoHInstance {
     pub fn fragment_feasible(&self, z: &JoinSequence, frag: (usize, usize)) -> bool {
         let mut need = BigUint::zero();
         for j in frag.0..=frag.1 {
-            need = need + self.hjmin(self.inner_size(z, j));
+            need += &self.hjmins[z.at(j)];
         }
         need <= self.memory
     }
@@ -213,7 +218,7 @@ impl QoHInstance {
     /// Whether the sequence is feasible at all (every join can be run in
     /// some fragment — singletons suffice as witnesses).
     pub fn sequence_feasible(&self, z: &JoinSequence) -> bool {
-        (1..z.len()).all(|j| self.hjmin(self.inner_size(z, j)) <= self.memory)
+        (1..z.len()).all(|j| self.buildable(z.at(j)))
     }
 
     /// Cost of fragment `(i, k)` under allocation `alloc` (one entry per
@@ -239,7 +244,8 @@ impl QoHInstance {
         // Read materialized input + write output.
         let mut cost = intermediates[i - 1].add(&intermediates[k]);
         for j in i..=k {
-            let h = self.h(&alloc[j - i], &intermediates[j - 1], self.inner_size(z, j))?;
+            let v = z.at(j);
+            let h = h_with(&alloc[j - i], &intermediates[j - 1], &self.sizes[v], &self.hjmins[v])?;
             cost = cost.add(&h);
         }
         Some(cost)
@@ -261,39 +267,92 @@ impl QoHInstance {
         intermediates: &[BigRational],
     ) -> Option<Vec<BigRational>> {
         let (i, k) = frag;
-        let joins = k - i + 1;
-        let mut alloc: Vec<BigRational> = Vec::with_capacity(joins);
-        let mut mandatory = BigRational::zero();
-        // (slope, join offset, room to grow)
-        let mut growth: Vec<(BigRational, usize, BigRational)> = Vec::new();
-        for j in i..=k {
-            let bs = self.inner_size(z, j);
-            let hj = self.hjmin(bs);
-            let hj_rat = BigRational::from(hj.clone());
-            alloc.push(hj_rat.clone());
-            mandatory = &mandatory + &hj_rat;
-            let bs_rat = BigRational::from(bs.clone());
-            if hj < *bs {
-                let denom = &bs_rat - &hj_rat;
-                let slope = (&intermediates[j - 1] + &bs_rat) / &denom;
-                growth.push((slope, j - i, denom));
+        let mut alloc: Vec<BigRational> =
+            (i..=k).map(|j| BigRational::from(self.hjmins[z.at(j)].clone())).collect();
+        let mut growth = Vec::new();
+        let feasible = self.allocate(z.order(), frag, intermediates, &mut growth, |g, take| {
+            if !take.is_zero() {
+                alloc[g.offset] = &alloc[g.offset] + &BigRational::from(take.clone());
             }
-        }
-        let budget = BigRational::from(self.memory.clone());
-        if mandatory > budget {
+        });
+        feasible.then_some(alloc)
+    }
+
+    /// Cost of fragment `(i, k)` of the sequence prefix `order` (`order[j]`
+    /// is `z_j`; `intermediates` holds `N_0 … N_k`) under its optimal
+    /// allocation, or `None` if the fragment is infeasible. Equal to
+    /// [`QoHInstance::fragment_cost`] at [`QoHInstance::optimal_allocation`],
+    /// in one pass over the greedy and without its feasibility re-checks.
+    ///
+    /// With `m = hjmin + x` the paper's `h` reads
+    /// `(N_{j−1} + b_S)·(room − x)/room + b_S`, `room = b_S − hjmin`, so a
+    /// join filled to `b_S` costs `b_S` and only a partly filled one needs a
+    /// multiplication.
+    pub fn optimal_fragment_cost(
+        &self,
+        order: &[usize],
+        frag: (usize, usize),
+        intermediates: &[BigRational],
+        scratch: &mut FragmentScratch,
+    ) -> Option<BigRational> {
+        let (i, k) = frag;
+        let mut cost = &intermediates[i - 1] + &intermediates[k];
+        let feasible = self.allocate(order, frag, intermediates, &mut scratch.growth, |g, take| {
+            if take.is_zero() {
+                cost = &cost + &g.weight;
+            } else if *take < g.room {
+                cost = &cost + &(&g.slope * &BigRational::from(&g.room - take));
+            }
+        });
+        if !feasible {
             return None;
         }
-        let mut leftover = &budget - &mandatory;
-        growth.sort_by(|a, b| b.0.cmp(&a.0));
-        for (_, idx, room) in growth {
-            if leftover.is_zero() {
-                break;
-            }
-            let take = room.min(leftover.clone());
-            alloc[idx] = &alloc[idx] + &take;
-            leftover = &leftover - &take;
+        let mut builds = BigUint::zero();
+        for &v in &order[i..=k] {
+            builds += &self.sizes[v];
         }
-        Some(alloc)
+        Some(&cost + &BigRational::from(builds))
+    }
+
+    /// The optimal-allocation greedy over joins `J_i … J_k` of `order`:
+    /// every join gets its `hjmin`, then the leftover memory goes to the
+    /// joins in order of steepest marginal saving, each up to its `b_S`.
+    /// Calls `fill(g, take)` for every join that can grow, in fill order
+    /// (`take` may be zero). Returns `false`, calling nothing, when the
+    /// mandatory `Σ hjmin` exceeds `M`.
+    fn allocate(
+        &self,
+        order: &[usize],
+        (i, k): (usize, usize),
+        intermediates: &[BigRational],
+        growth: &mut Vec<Growth>,
+        mut fill: impl FnMut(&Growth, &BigUint),
+    ) -> bool {
+        let mut mandatory = BigUint::zero();
+        for &v in &order[i..=k] {
+            mandatory += &self.hjmins[v];
+        }
+        let Some(mut leftover) = self.memory.checked_sub(&mandatory) else {
+            return false;
+        };
+        growth.clear();
+        for j in i..=k {
+            let (bs, hj) = (&self.sizes[order[j]], &self.hjmins[order[j]]);
+            if hj < bs {
+                let room = bs - hj;
+                let weight = &intermediates[j - 1] + &BigRational::from(bs.clone());
+                let slope = &weight / &BigRational::from(room.clone());
+                growth.push(Growth { slope, offset: j - i, room, weight });
+            }
+        }
+        // Stable: equal slopes fill in join order.
+        growth.sort_by(|a, b| b.slope.cmp(&a.slope));
+        for g in growth.iter() {
+            let take = if g.room <= leftover { g.room.clone() } else { leftover.clone() };
+            leftover -= &take;
+            fill(g, &take);
+        }
+        true
     }
 
     /// Cost of `z` under decomposition `decomp` with per-fragment *optimal*
@@ -330,6 +389,44 @@ impl QoHInstance {
         }
         Some(total)
     }
+}
+
+/// `g(m, b)` given `hj = hjmin(b)`.
+fn g_with(m: &BigRational, b: &BigUint, hj: &BigUint) -> Option<BigRational> {
+    let hj_rat = BigRational::from(hj.clone());
+    if *m < hj_rat {
+        return None;
+    }
+    let b_rat = BigRational::from(b.clone());
+    if *m >= b_rat || hj >= b {
+        return Some(BigRational::zero());
+    }
+    Some((&b_rat - m) / (&b_rat - &hj_rat))
+}
+
+/// `h(m, b_R, b_S)` given `hj = hjmin(b_S)`.
+fn h_with<S: CostScalar>(m: &BigRational, b_r: &S, b_s: &BigUint, hj: &BigUint) -> Option<S> {
+    let g = g_with(m, b_s, hj)?;
+    let bs = S::from_count(b_s);
+    Some(b_r.add(&bs).mul(&S::from_ratio(&g)).add(&bs))
+}
+
+/// A join of a fragment that can use memory beyond its `hjmin`.
+struct Growth {
+    /// Marginal saving per extra page, `(N_{j−1} + b_S)/room`.
+    slope: BigRational,
+    /// Join offset within the fragment.
+    offset: usize,
+    /// Pages it can take beyond `hjmin`: `b_S − hjmin`.
+    room: BigUint,
+    /// `N_{j−1} + b_S`: its spill cost at `hjmin`, all saved when filled.
+    weight: BigRational,
+}
+
+/// Reusable buffers for [`QoHInstance::optimal_fragment_cost`].
+#[derive(Default)]
+pub struct FragmentScratch {
+    growth: Vec<Growth>,
 }
 
 #[cfg(test)]

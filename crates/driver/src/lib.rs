@@ -255,8 +255,9 @@ pub struct QohDriverConfig {
     /// Optional cooperative cancellation token.
     pub cancel: Option<CancelToken>,
     /// Worker threads for the exhaustive tier: `1` is sequential, `0`
-    /// means one worker per hardware thread. The parallel sweep returns
-    /// exactly the sequential winner (reduced by permutation index).
+    /// means one worker per hardware thread. Workers split the search by
+    /// first relation and return exactly the sequential winner (reduced by
+    /// cost, then lexicographic sequence).
     pub threads: usize,
 }
 
@@ -504,9 +505,12 @@ pub fn optimize_qoh(
         QohTier::is_exact,
         qoh_tier_span,
         |tier, budget| match tier {
-            QohTier::Exhaustive if cfg.threads == 1 => {
-                pipeline::optimize_exhaustive_with_budget(inst, budget)
-                    .map_err(TierFailure::Budget)
+            QohTier::Exhaustive if inst.n() > pipeline::MAX_N => {
+                Err(TierFailure::Unsupported(format!(
+                    "exhaustive handles n <= {} (got n = {})",
+                    pipeline::MAX_N,
+                    inst.n()
+                )))
             }
             QohTier::Exhaustive => {
                 pipeline::optimize_exhaustive_par_with_budget(inst, cfg.threads, budget)

@@ -324,3 +324,25 @@ fn qoh_driver_degrades_from_exhaustive_to_greedy() {
     assert!(!degraded.report.exact);
     assert!(degraded.plan.cost >= exact.plan.cost);
 }
+
+#[test]
+fn qoh_exhaustive_over_its_cap_degrades_with_unsupported() {
+    let _guard = fault_guard();
+    // n = 10 is past the exhaustive search's cap: a structured failure, not
+    // a caught panic, and greedy answers.
+    let n = aqo_optimizer::pipeline::MAX_N + 1;
+    let inst = qoh_chain_instance(n);
+    let outcome = optimize_qoh(&inst, &QohDriverConfig::default()).expect("greedy answers");
+    assert_eq!(outcome.report.tier, "greedy");
+    assert_eq!(outcome.report.failures.len(), 1);
+    let failure = &outcome.report.failures[0];
+    assert_eq!((failure.tier, failure.failure.kind_str()), ("exhaustive", "unsupported"));
+    match &failure.failure {
+        aqo_driver::TierFailure::Unsupported(msg) => {
+            assert!(msg.contains("handles n <= 9"), "cap in message: {msg}");
+            assert!(msg.contains("n = 10"), "instance size in message: {msg}");
+        }
+        other => panic!("expected unsupported, got {other:?}"),
+    }
+    assert_eq!(outcome.plan.sequence.len(), n);
+}

@@ -2,12 +2,19 @@
 //! validity, and dominance relations, over randomized instances.
 
 use aqo_bignum::{BigInt, BigRational, BigUint, LogNum};
+use aqo_core::budget::{Budget, BudgetKind};
 use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
 use aqo_core::{AccessCostMatrix, CostScalar, JoinSequence, SelectivityMatrix};
 use aqo_graph::Graph;
 use aqo_optimizer::{branch_bound, dp, exhaustive, greedy, pipeline, star};
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// Metrics are process-global: tests here that run the exhaustive QO_H
+/// search (which flushes sequence counters) serialize on this lock, so a
+/// counter read sees only its own run.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Strategy: a connected QO_N instance on 3..=7 vertices.
 fn qon_instance() -> impl Strategy<Value = QoNInstance> {
@@ -120,6 +127,7 @@ proptest! {
 
     #[test]
     fn qoh_greedy_never_beats_exhaustive(inst in qoh_instance()) {
+        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let greedy = pipeline::optimize_greedy(&inst);
         let exact = pipeline::optimize_exhaustive(&inst);
         match (greedy, exact) {
@@ -158,4 +166,187 @@ proptest! {
             prop_assert_eq!(ex, star::optimize(&inst).1);
         }
     }
+}
+
+/// A QO_H instance on `n` relations shaped as a chain (`shape` 0), a star
+/// (1) or a cycle (2), with η = 1/2, random sizes and selectivities, and
+/// memory in one of four regimes: 0 the product of all sizes (every
+/// fragment fits); 1 tight (the largest `hjmin` plus a little, so long
+/// pipelines split); 2 tight with one relation grown until `hjmin > M`;
+/// 3 the same with two such relations, where no sequence is feasible.
+fn qoh_shaped(n: usize, shape: u8, regime: u8, seed: u64) -> QoHInstance {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut g = Graph::new(n);
+    for v in 1..n {
+        g.add_edge(if shape == 1 { 0 } else { v - 1 }, v);
+    }
+    if shape == 2 && n >= 3 {
+        g.add_edge(n - 1, 0);
+    }
+    let mut s = SelectivityMatrix::new();
+    for (u, v) in g.edges().collect::<Vec<_>>() {
+        s.set(u, v, BigRational::new(BigInt::one(), BigUint::from(2 + next() % 11)));
+    }
+    let mut sizes: Vec<BigUint> = (0..n).map(|_| BigUint::from(2 + next() % 400)).collect();
+    let memory = if regime == 0 {
+        sizes.iter().fold(BigUint::one(), |acc, t| &acc * t)
+    } else {
+        let max_hj = sizes.iter().map(|t| t.root_pow_ceil(1, 2)).max().expect("n >= 2");
+        let slack = BigUint::from(next() % (max_hj.to_u64().expect("small") + 1));
+        let m = &max_hj + &slack;
+        let unbuildable = (&m + &BigUint::one()).pow(2);
+        let first = (next() % n as u64) as usize;
+        for v in [first, (first + 1) % n].into_iter().take(usize::from(regime.saturating_sub(1))) {
+            sizes[v] = unbuildable.clone();
+        }
+        m
+    };
+    QoHInstance::new(g, sizes, s, memory)
+}
+
+/// A QO_H plan as (sequence, fragments, cost), compared field by field.
+type PlanParts = (Vec<usize>, Vec<(usize, usize)>, BigRational);
+
+/// The exhaustive search as it was before the prefix DP: every permutation
+/// in lexicographic order, each decomposed from scratch with the
+/// allocate-then-cost pair, the first cheapest winning.
+fn per_permutation_reference(inst: &QoHInstance) -> Option<PlanParts> {
+    let n = inst.n();
+    let mut best: Option<PlanParts> = None;
+    for perm in aqo_core::join::permutations(n) {
+        let z = JoinSequence::new(perm);
+        if !inst.sequence_feasible(&z) {
+            continue;
+        }
+        let inter: Vec<BigRational> = inst.intermediates(&z);
+        let mut dp: Vec<Option<(BigRational, usize)>> = vec![None; n];
+        dp[0] = Some((BigRational::zero(), 0));
+        for k in 1..n {
+            for i in 1..=k {
+                let Some((prev, _)) = dp[i - 1].clone() else { continue };
+                let Some(alloc) = inst.optimal_allocation(&z, (i, k), &inter) else { continue };
+                let frag = inst.fragment_cost(&z, (i, k), &alloc, &inter).expect("feasible");
+                let cand = &prev + &frag;
+                if dp[k].as_ref().is_none_or(|(cur, _)| cand < *cur) {
+                    dp[k] = Some((cand, i));
+                }
+            }
+        }
+        let (cost, _) = dp[n - 1].clone().expect("feasible sequence");
+        if best.as_ref().is_none_or(|(_, _, b)| cost < *b) {
+            let mut fragments = Vec::new();
+            let mut k = n - 1;
+            while k >= 1 {
+                let i = dp[k].as_ref().expect("reached").1;
+                fragments.insert(0, (i, k));
+                k = i - 1;
+            }
+            best = Some((z.order().to_vec(), fragments, cost));
+        }
+    }
+    best
+}
+
+/// Runs the exhaustive search with metrics on; returns the plan and the
+/// `(sequences_costed, sequences_infeasible)` counters. Caller holds
+/// [`OBS_LOCK`].
+fn exhaustive_with_counters(
+    inst: &QoHInstance,
+    threads: usize,
+) -> (Option<pipeline::QohPlan>, (u64, u64)) {
+    aqo_obs::reset_metrics();
+    aqo_obs::set_enabled(true);
+    let plan = pipeline::optimize_exhaustive_par_with_budget(inst, threads, &Budget::unlimited())
+        .expect("unlimited budget cannot be exceeded");
+    aqo_obs::set_enabled(false);
+    let counter = |name: &str| {
+        aqo_obs::counters_snapshot().into_iter().find(|(n, _)| n == name).map_or(0, |(_, v)| v)
+    };
+    let tally = (
+        counter("optimizer.pipeline.sequences_costed"),
+        counter("optimizer.pipeline.sequences_infeasible"),
+    );
+    aqo_obs::reset_metrics();
+    (plan, tally)
+}
+
+/// The prefix search against the reference and, when `brute` is set, the
+/// every-partition oracle (2^(n−2) decompositions of each of the n!
+/// sequences); at 1, 2 and 4 threads; counting n! sequences; and ticking
+/// the budget exactly n! times.
+fn check_prefix_search(inst: &QoHInstance, regime: u8, brute: bool) {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let n = inst.n();
+    let fact: u64 = (1..=n as u64).product();
+    let expect = per_permutation_reference(inst);
+    if regime == 3 {
+        assert!(expect.is_none(), "two unbuildable relations admit no sequence");
+    }
+    if brute {
+        // Each sequence's single-path DP against the oracle, then the
+        // search's optimum against the cheapest of them.
+        let mut brute_min: Option<BigRational> = None;
+        for perm in aqo_core::join::permutations(n) {
+            let z = JoinSequence::new(perm);
+            let oracle = pipeline::best_decomposition_bruteforce(inst, &z).map(|(_, c)| c);
+            assert_eq!(pipeline::best_decomposition(inst, &z).map(|(_, c)| c), oracle);
+            brute_min = brute_min.into_iter().chain(oracle).min();
+        }
+        assert_eq!(expect.as_ref().map(|e| e.2.clone()), brute_min);
+    }
+    for threads in [1usize, 2, 4] {
+        let (plan, (costed, infeasible)) = exhaustive_with_counters(inst, threads);
+        let got = plan
+            .map(|p| (p.sequence.order().to_vec(), p.decomposition.fragments().to_vec(), p.cost));
+        assert_eq!(got, expect, "regime {regime} threads {threads}");
+        assert_eq!(costed + infeasible, fact, "threads {threads}");
+    }
+    let tight = Budget::unlimited().with_max_expansions(fact - 1);
+    let err = pipeline::optimize_exhaustive_with_budget(inst, &tight).unwrap_err();
+    assert_eq!(err.kind, BudgetKind::Expansions);
+    let exact = Budget::unlimited().with_max_expansions(fact);
+    assert!(pipeline::optimize_exhaustive_with_budget(inst, &exact).is_ok());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn qoh_prefix_search_is_exact_and_ticks_n_factorial(
+        n in 2usize..=6,
+        shape in 0u8..3,
+        regime in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        check_prefix_search(&qoh_shaped(n, shape, regime, seed), regime, true);
+    }
+}
+
+#[test]
+fn qoh_prefix_search_is_exact_at_seven_relations() {
+    // A cycle in tight memory, so fragments both split and run out of
+    // room. The reference carries it alone: the every-partition oracle
+    // would cost 32 decompositions of each of 5,040 sequences.
+    check_prefix_search(&qoh_shaped(7, 2, 1, 5), 1, false);
+}
+
+#[test]
+fn qoh_decomposition_ties_go_to_the_lowest_fragment_start() {
+    // t = (4, 4, 4), s = 1/4, M = 6: one pipeline J_1..J_2 and two
+    // singleton fragments both cost 24. The DP keeps the lowest fragment
+    // start, i.e. the single pipeline, in the search as in the reference.
+    let mut g = Graph::new(3);
+    let mut s = SelectivityMatrix::new();
+    for v in 1..3 {
+        g.add_edge(v - 1, v);
+        s.set(v - 1, v, BigRational::new(BigInt::one(), BigUint::from(4u64)));
+    }
+    let inst = QoHInstance::new(g, vec![BigUint::from(4u64); 3], s, BigUint::from(6u64));
+    let (decomp, cost) = pipeline::best_decomposition(&inst, &JoinSequence::identity(3)).unwrap();
+    assert_eq!((decomp.fragments(), cost), (&[(1, 2)][..], BigRational::from(24u64)));
+    check_prefix_search(&inst, 1, true);
 }
