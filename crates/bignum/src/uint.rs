@@ -244,6 +244,86 @@ impl BigUint {
         (BigUint::from_limbs(q), rem)
     }
 
+    /// Fused multiply-add: `self = a + b·c`, written into `self`'s existing
+    /// limb buffer. Allocates nothing once that buffer has room for the
+    /// result (Karatsuba-sized products excepted), so a hot loop can reuse
+    /// one scratch value across calls.
+    pub fn set_mul_add(&mut self, a: &BigUint, b: &BigUint, c: &BigUint) {
+        let out = &mut self.limbs;
+        out.clear();
+        if b.is_zero() || c.is_zero() {
+            out.extend_from_slice(&a.limbs);
+            return;
+        }
+        let (long, short) = if b.limbs.len() >= c.limbs.len() {
+            (&b.limbs, &c.limbs)
+        } else {
+            (&c.limbs, &b.limbs)
+        };
+        if short.len() >= KARATSUBA_THRESHOLD {
+            *out = add_limbs(&a.limbs, &mul_limbs(long, short));
+            trim(out);
+            return;
+        }
+        // a + b·c < 2^(64·max(|a|, |b|+|c|) + 1): one spare limb suffices,
+        // so no carry below runs off the end.
+        out.resize((long.len() + short.len()).max(a.limbs.len()) + 1, 0);
+        out[..a.limbs.len()].copy_from_slice(&a.limbs);
+        for (i, &si) in short.iter().enumerate() {
+            if si == 0 {
+                continue;
+            }
+            let mut carry = 0u128;
+            for (j, &lj) in long.iter().enumerate() {
+                let cur = out[i + j] as u128 + si as u128 * lj as u128 + carry;
+                out[i + j] = cur as u64;
+                carry = cur >> 64;
+            }
+            let mut k = i + long.len();
+            while carry != 0 {
+                let cur = out[k] as u128 + carry;
+                out[k] = cur as u64;
+                carry = cur >> 64;
+                k += 1;
+            }
+        }
+        trim(out);
+    }
+
+    /// `self /= d` in place for a divisor known to divide `self`. A divisor
+    /// of one limb costs one pass over `self` and no allocation (a power of
+    /// two only a shift); longer divisors go through [`BigUint::div_rem`].
+    ///
+    /// Panics if `d` is zero or does not divide `self`: the caller's
+    /// exactness claim is checked, never assumed.
+    pub fn div_exact_assign(&mut self, d: &BigUint) {
+        assert!(!d.is_zero(), "BigUint division by zero");
+        match d.limbs[..] {
+            [1] => {}
+            [x] if x.is_power_of_two() => {
+                let k = x.trailing_zeros();
+                let low = self.limbs.first().map_or(u64::BITS, |l| l.trailing_zeros());
+                assert!(low >= k, "inexact division");
+                shr_in_place(&mut self.limbs, k as u64);
+            }
+            [x] => {
+                let mut rem = 0u128;
+                for l in self.limbs.iter_mut().rev() {
+                    let cur = (rem << 64) | *l as u128;
+                    *l = (cur / x as u128) as u64;
+                    rem = cur % x as u128;
+                }
+                assert!(rem == 0, "inexact division");
+                trim(&mut self.limbs);
+            }
+            _ => {
+                let (q, r) = self.div_rem(d);
+                assert!(r.is_zero(), "inexact division");
+                *self = q;
+            }
+        }
+    }
+
     /// `self^exp` by square-and-multiply.
     pub fn pow(&self, mut exp: u64) -> BigUint {
         if exp == 0 {
@@ -802,8 +882,24 @@ impl SubAssign<&BigUint> for BigUint {
 }
 
 impl MulAssign<&BigUint> for BigUint {
+    /// A one-limb `rhs` multiplies in place (at most one limb appended);
+    /// anything longer builds a new product.
     fn mul_assign(&mut self, rhs: &BigUint) {
-        *self = &*self * rhs;
+        match rhs.limbs[..] {
+            [] => self.limbs.clear(),
+            [m] => {
+                let mut carry = 0u128;
+                for l in self.limbs.iter_mut() {
+                    let cur = *l as u128 * m as u128 + carry;
+                    *l = cur as u64;
+                    carry = cur >> 64;
+                }
+                if carry != 0 {
+                    self.limbs.push(carry as u64);
+                }
+            }
+            _ => *self = &*self * rhs,
+        }
     }
 }
 

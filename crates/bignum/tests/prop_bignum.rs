@@ -89,6 +89,15 @@ fn fast_path_pair() -> impl Strategy<Value = (BigRational, BigRational)> {
 }
 
 /// Euclid's algorithm on `div_rem`: a reference independent of `gcd`.
+/// Operands for the in-place kernels: the gcd-boundary values plus, now
+/// and then, one long enough (32+ limbs) to take `set_mul_add`'s
+/// Karatsuba path.
+fn kernel_operand() -> impl Strategy<Value = BigUint> {
+    (0u8..8, gcd_operand(), prop::collection::vec(any::<u64>(), 32..40)).prop_map(
+        |(kind, small, long)| if kind == 0 { BigUint::from_limbs(long) } else { small },
+    )
+}
+
 fn euclid_gcd(a: &BigUint, b: &BigUint) -> BigUint {
     let (mut a, mut b) = (a.clone(), b.clone());
     while !b.is_zero() {
@@ -278,5 +287,50 @@ proptest! {
             let below = &c - &BigUint::one();
             prop_assert!(below.pow(den as u64) < a.pow(num as u64));
         }
+    }
+
+    #[test]
+    fn set_mul_add_matches_operators(
+        a in kernel_operand(),
+        b in kernel_operand(),
+        c in kernel_operand(),
+        stale in kernel_operand(),
+    ) {
+        // The destination starts out holding an unrelated value: the
+        // kernel must overwrite, not accumulate into, its buffer.
+        let mut out = stale;
+        out.set_mul_add(&a, &b, &c);
+        prop_assert_eq!(&out, &(&a + &(&b * &c)));
+        out.set_mul_add(&c, &a, &b);
+        prop_assert_eq!(out, &c + &(&a * &b));
+    }
+
+    #[test]
+    fn div_exact_assign_inverts_mul(a in kernel_operand(), d in kernel_operand()) {
+        prop_assume!(!d.is_zero());
+        let mut q = &a * &d;
+        q.div_exact_assign(&d);
+        prop_assert_eq!(&q, &a);
+        // Agrees with the general quotient wherever the division is exact.
+        let p = &a * &d;
+        prop_assert_eq!(q, &p / &d);
+    }
+
+    #[test]
+    fn div_exact_assign_rejects_a_remainder(a in kernel_operand(), d in kernel_operand()) {
+        prop_assume!(!d.is_zero() && !d.is_one());
+        let inexact = &(&a * &d) + &BigUint::one();
+        let caught = std::panic::catch_unwind(|| {
+            let mut v = inexact.clone();
+            v.div_exact_assign(&d);
+        });
+        prop_assert!(caught.is_err());
+    }
+
+    #[test]
+    fn mul_assign_matches_mul(a in kernel_operand(), b in kernel_operand()) {
+        let mut v = a.clone();
+        v *= &b;
+        prop_assert_eq!(v, &a * &b);
     }
 }

@@ -16,7 +16,7 @@
 //! which returns the same cost and the same plan; tests and benches check
 //! it against this module.
 
-use crate::engine::{nbr_masks, ExactView};
+use crate::engine::{nbr_masks, AccessRows};
 use crate::Optimum;
 use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::qon::QoNInstance;
@@ -126,6 +126,62 @@ pub fn optimize_with_budget<S: CostScalar>(
     order.push(mask.trailing_zeros() as usize);
     order.reverse();
     Ok(Some(Optimum { sequence: JoinSequence::new(order), cost }))
+}
+
+/// Precomputed exact-scalar view of an instance: the engine's
+/// [`AccessRows`] plus `w*(j,k)` and the edge selectivities embedded into
+/// `S` once, so the transition loop clones nothing and compares no big
+/// numbers.
+struct ExactView<'a, S> {
+    rows: AccessRows<'a>,
+    /// `rows.w` embedded into `S`.
+    wexs: Vec<S>,
+    /// Selectivities row-major; `1` off the query graph.
+    sels: Vec<S>,
+}
+
+impl<'a, S: CostScalar> ExactView<'a, S> {
+    fn build(inst: &QoNInstance, nbr: &'a [u32]) -> ExactView<'a, S> {
+        let n = inst.n();
+        let rows = AccessRows::build(inst, nbr);
+        let wexs = rows.w.iter().map(S::from_count).collect();
+        let sels = (0..n * n)
+            .map(|i| {
+                let (j, k) = (i / n, i % n);
+                if j != k && inst.graph().has_edge(j, k) {
+                    S::from_ratio(&inst.selectivity().get(j, k))
+                } else {
+                    S::one()
+                }
+            })
+            .collect();
+        ExactView { rows, wexs, sels }
+    }
+
+    /// `t_j` in `S`.
+    fn size(&self, j: usize) -> &S {
+        &self.wexs[j * self.rows.n + j]
+    }
+
+    /// `min_{k ∈ s} w*(j,k)` for a nonempty `s ∌ j`.
+    #[inline]
+    fn wmin(&self, j: usize, s: u32) -> &S {
+        &self.wexs[self.rows.wmin_at(j, s)]
+    }
+
+    /// `N(s ∪ {j})` from `ns = N(s)`: times `t_j` and the selectivity of
+    /// every edge from `j` into `s`.
+    #[inline]
+    fn extend_n(&self, ns: &S, j: usize, s: u32) -> S {
+        let mut nn = ns.mul(self.size(j));
+        let mut bits = self.rows.nbr[j] & s;
+        while bits != 0 {
+            let v = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            nn = nn.mul(&self.sels[j * self.rows.n + v]);
+        }
+        nn
+    }
 }
 
 #[cfg(test)]

@@ -30,15 +30,21 @@
 //! 3. **Two-phase costing.** Phase A runs the whole DP in the `f64`
 //!    log-domain [`LogNum`] scalar, producing a candidate plan and, per
 //!    frontier entry, a log-domain estimate of the cheapest way to reach
-//!    it. Phase B re-runs the DP in the caller's exact scalar, but
-//!    *prunes* every subset whose phase-A estimate exceeds the exact
-//!    candidate cost by more than [`PRUNE_MARGIN_BITS`] — on realistic
-//!    instances this skips the vast majority of subsets, eliminating
-//!    almost all big-number arithmetic while provably returning the true
-//!    optimum (see DESIGN.md §9 and §13 for the safety argument: phase-A
-//!    error is bounded far below the margin, and costs only grow along a
-//!    sequence, so a subset estimated more than the margin above the
-//!    incumbent cannot prefix any plan that beats the incumbent).
+//!    it. Phase B re-runs the DP exactly, but *prunes* every subset whose
+//!    phase-A estimate exceeds the exact candidate cost by more than
+//!    `prune_margin`, a per-request bound on phase A's accumulated
+//!    rounding error. Costs only grow along a sequence, so every subset
+//!    whose exact best prefix cost is at most the optimum — ties included —
+//!    survives; on realistic instances nothing else does, which removes
+//!    almost all big-number arithmetic (DESIGN.md §9). Phase B runs on
+//!    integers with one scale: with `D = ∏_e q_e` over the query edges'
+//!    reduced selectivities `p_e/q_e`, every `D·N(S)` and `D·dp[S]` is a
+//!    [`BigUint`], so a transition is one fused multiply-add and one
+//!    integer compare — no GCD, no cross-multiplication — and the answer
+//!    is the single rational `D·dp[full] / D`. If pruning ever lost the
+//!    optimum (phase B finds no plan, or one dearer than the candidate),
+//!    phase B reruns unpruned and `optimizer.engine.prune_fallbacks`
+//!    counts it.
 //!
 //! The per-transition access cost `min_{k ∈ S} w*(j,k)` is computed
 //! directly from the neighbour bitmasks — `w(j,k)` over `nbr(j) ∩ S`,
@@ -53,7 +59,7 @@
 //! error surfaces, so no threads outlive the call.
 
 use crate::Optimum;
-use aqo_bignum::{BigUint, LogNum};
+use aqo_bignum::{BigInt, BigRational, BigUint, LogNum};
 use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::parallel::{par_chunks_zip, resolve_threads};
 use aqo_core::qon::QoNInstance;
@@ -71,12 +77,71 @@ pub fn max_n(allow_cartesian: bool) -> usize {
     }
 }
 
-/// Safety margin, in bits, added to the exact incumbent's log₂ cost when
-/// phase B prunes on phase-A estimates. Accumulated `f64` log-domain error
-/// over a DP path is below `n · 2⁻⁴⁰` bits for `n ≤ 32` — more than
-/// nine orders of magnitude smaller than this margin — so no subset on an
-/// optimal path is ever pruned.
-pub const PRUNE_MARGIN_BITS: f64 = 0.5;
+/// Worst-case error of one phase-A step, in units `U` (see
+/// [`prune_margin`]), *including* the conversion of the operand it
+/// brings in. Per primitive, with `U ≥ 2⁻⁵²`:
+///
+/// * `f64` add/sub (IEEE round-to-nearest): ½ ulp of a result within
+///   `±L`, so ≤ ½U; the difference `lo − hi` inside a log-sum-exp can
+///   reach `2L`, so ≤ U;
+/// * `exp2` (libm, result in `(0, 1]`): ≤ 1 ulp ≤ 2⁻⁵² ≤ U;
+/// * `ln_1p` (libm, result in `[0, ln 2]`): ≤ 1 ulp ≤ 2⁻⁵³ ≤ U;
+/// * `BigUint::log2`: the top 128 bits stand for the value (relative
+///   error < 2⁻⁶³), one `u128 → f64` rounding (2⁻⁵³ relative, so
+///   < 2⁻⁵² bits after the log), one libm `log2` (≤ 1 ulp ≤ U) and one
+///   exact-integer add (≤ ½U): ≤ 3U.
+///
+/// Steps: a LogNum multiply by a size `t` or access cost `w` is one `f64`
+/// add (½U) plus the operand's `BigUint::log2` (3U): 3½U. A multiply by a
+/// selectivity is ½U plus `log2 p − log2 q` (3U + 3U + ½U): 7U. A LogNum
+/// add `hi + ln_1p(exp2(lo − hi))/ln 2` has slope ≤ ½ in `lo − hi`
+/// (½U), relative `exp2` error damped by `x/((1+x) ln 2) ≤ 0.73`
+/// (0.73U), `ln_1p` (U), the `ln 2` constant and the division (U), and
+/// the final add (½U): under 4U. Both the LogNum add and `min` are
+/// 1-Lipschitz in the sup norm, so input errors pass through them
+/// without growing and a path's error is at most the sum of its steps.
+const PHASE_A_ULPS_PER_OP: f64 = 7.0;
+
+/// Multiplier on the derived error bound in [`prune_margin`]: a libm
+/// that misses its documented accuracy by up to 4× still prunes safely.
+const PRUNE_SAFETY_FACTOR: f64 = 4.0;
+
+/// The phase-B pruning margin, in bits, for an `n`-relation request:
+/// every subset whose phase-A estimate exceeds `log₂(candidate) + margin`
+/// is skipped.
+///
+/// Error bound. Let `L ≥ 1` bound every `|log₂|` phase A meets, and
+/// `U = 2^(⌈log₂ L⌉ − 52)`, which is at least one ulp of every `f64` of
+/// magnitude ≤ L. A phase-A path to a subset `T` takes at most
+/// `K = n + n(n−1)/2 + 2n` LogNum steps: ≤ n multiplies by a size `t_v`
+/// and ≤ n(n−1)/2 by a selectivity (building `N(S)`), and per layer one
+/// multiply by an access cost `w*` and one add. Each step errs by at
+/// most [`PHASE_A_ULPS_PER_OP`]·U, so the estimate `est(T)` is within
+/// `7K·U` of `log₂ dp[T]`, the exact best prefix cost. The bound's
+/// `log₂(candidate)` is `log₂(D·C) − log₂(D)` on two exact integers (two
+/// `BigUint::log2` and one subtraction, under 7U), and adding the margin
+/// rounds once more (½U). So with `margin ≥ 7(K + 2)·U`,
+/// `dp[T] ≤ optimum ≤ candidate` implies `est(T) ≤ bound`: every subset
+/// that can prefix an optimal plan, or tie with one, is recosted. The
+/// margin applies [`PRUNE_SAFETY_FACTOR`] on top.
+///
+/// `max_log2` is phase A's a-priori magnitude bound (the `|log₂|` of
+/// every size and selectivity summed, plus the largest access cost's and
+/// `log₂ n`); `candidate` and `scale` are the candidate's scaled cost
+/// `D·C` and `D`.
+pub(crate) fn prune_margin(n: usize, max_log2: f64, candidate: &BigUint, scale: &BigUint) -> f64 {
+    let l = max_log2.max(candidate.log2()).max(scale.log2()).max(1.0);
+    let ulp = (l.log2().ceil() - 52.0).exp2();
+    let ops = (n + n * (n - 1) / 2 + 2 * n) as f64;
+    PRUNE_SAFETY_FACTOR * PHASE_A_ULPS_PER_OP * (ops + 2.0) * ulp
+}
+
+/// The phase-B prune bound `log₂(candidate) + margin`, in bits, and the
+/// margin itself, from the candidate's scaled cost `D·C` and the scale `D`.
+fn prune_bound(n: usize, max_log2: f64, candidate: &BigUint, scale: &BigUint) -> (f64, f64) {
+    let margin = prune_margin(n, max_log2, candidate, scale);
+    ((candidate.log2() - scale.log2()) + margin, margin)
+}
 
 /// Knobs for the engine.
 #[derive(Clone, Copy, Debug)]
@@ -341,6 +406,10 @@ struct LogView<'a> {
     wlog: Vec<LogNum>,
     /// Selectivities row-major; `1` off the query graph.
     slog: Vec<LogNum>,
+    /// An upper bound on every `|log₂|` phase A meets: each value it
+    /// forms is a sum of distinct `log₂ t_v` and `log₂ s_e`, plus one
+    /// `log₂ w*`, or a LogNum sum of fewer than `n` such terms.
+    max_log2: f64,
 }
 
 impl<'a> LogView<'a> {
@@ -350,27 +419,35 @@ impl<'a> LogView<'a> {
             inst.sizes().iter().map(<LogNum as CostScalar>::from_count).collect();
         let mut wlog = vec![LogNum::INFINITY; n * n];
         let mut slog = vec![LogNum::ONE; n * n];
+        let mut max_log2 = tlog.iter().map(|t| t.log2().abs()).sum::<f64>();
+        let mut wmax = 0f64;
         for j in 0..n {
             for k in 0..n {
                 if j == k {
                     continue;
                 }
                 wlog[j * n + k] = <LogNum as CostScalar>::from_count(&inst.w(j, k));
+                wmax = wmax.max(wlog[j * n + k].log2().abs());
                 if inst.graph().has_edge(j, k) {
                     slog[j * n + k] =
                         <LogNum as CostScalar>::from_ratio(&inst.selectivity().get(j, k));
+                    if j < k {
+                        max_log2 += slog[j * n + k].log2().abs();
+                    }
                 }
             }
         }
-        LogView { nbr, tlog, wlog, slog }
+        max_log2 += wmax + (n as f64).log2();
+        LogView { nbr, tlog, wlog, slog, max_log2 }
     }
 }
 
 /// Phase-A output: per-layer log-domain cost estimates, frontier-aligned,
-/// and the winning predecessor per entry.
+/// the winning predecessor per entry, and the view's magnitude bound.
 struct LogDp {
     dp: Vec<Vec<LogNum>>,
     parent: Vec<Vec<u8>>,
+    max_log2: f64,
 }
 
 #[inline]
@@ -547,124 +624,186 @@ fn log_phase(
             );
         }
     }
-    Ok(LogDp { dp: dp_layers, parent: parent_layers })
+    Ok(LogDp { dp: dp_layers, parent: parent_layers, max_log2: view.max_log2 })
 }
 
-/// Precomputed exact-scalar view of an instance, shared by phase B and
-/// the sequential [`crate::dp`]: `w*(j,k)` (with `t_j` on the diagonal)
-/// and the edge selectivities embedded into `S` once, plus each row's rank
-/// order, so transition loops clone nothing and compare no big numbers.
-pub(crate) struct ExactView<'a, S> {
-    n: usize,
-    nbr: &'a [u32],
+/// The exact access-cost rows of an instance, shared by phase B and the
+/// reference [`crate::dp`]: `w*(j,k)` row-major with `t_j` on the
+/// diagonal, plus each row's rank order, so picking `min_{k ∈ S} w*(j,k)`
+/// compares `u32` ranks instead of big numbers.
+pub(crate) struct AccessRows<'a> {
+    pub(crate) n: usize,
+    pub(crate) nbr: &'a [u32],
     /// `w*(j,k)` row-major; the diagonal holds `t_j`.
-    wexs: Vec<S>,
-    /// Rank of `wexs[j·n + k]` within row `j` by exact value: equal values
+    pub(crate) w: Vec<BigUint>,
+    /// Rank of `w[j·n + k]` within row `j` by exact value: equal values
     /// share a rank, so the least rank always selects the least value.
-    wrank: Vec<u32>,
-    /// Selectivities row-major; `1` off the query graph.
-    sels: Vec<S>,
+    rank: Vec<u32>,
 }
 
-impl<'a, S: CostScalar> ExactView<'a, S> {
-    /// The view of `inst`, over its neighbour bitmasks `nbr`
+impl<'a> AccessRows<'a> {
+    /// The rows of `inst`, over its neighbour bitmasks `nbr`
     /// ([`nbr_masks`]).
-    pub(crate) fn build(inst: &QoNInstance, nbr: &'a [u32]) -> ExactView<'a, S> {
+    pub(crate) fn build(inst: &QoNInstance, nbr: &'a [u32]) -> AccessRows<'a> {
         let n = inst.n();
-        let mut wexs: Vec<S> = Vec::with_capacity(n * n);
-        let mut wrank: Vec<u32> = Vec::with_capacity(n * n);
-        let mut sels: Vec<S> = Vec::with_capacity(n * n);
+        let mut w: Vec<BigUint> = Vec::with_capacity(n * n);
+        let mut rank: Vec<u32> = Vec::with_capacity(n * n);
         for j in 0..n {
             let row: Vec<BigUint> = (0..n)
                 .map(|k| if k == j { inst.sizes()[j].clone() } else { inst.w(j, k) })
                 .collect();
             let mut by_value: Vec<usize> = (0..n).collect();
             by_value.sort_by(|&a, &b| row[a].cmp(&row[b]));
-            let mut rank = vec![0u32; n];
+            let mut r = vec![0u32; n];
             for pair in by_value.windows(2) {
                 let step = u32::from(row[pair[0]] != row[pair[1]]);
-                rank[pair[1]] = rank[pair[0]] + step;
+                r[pair[1]] = r[pair[0]] + step;
             }
-            wexs.extend(row.iter().map(S::from_count));
-            wrank.extend(rank);
-            sels.extend((0..n).map(|k| {
-                if k != j && inst.graph().has_edge(j, k) {
-                    S::from_ratio(&inst.selectivity().get(j, k))
-                } else {
-                    S::one()
-                }
-            }));
+            w.extend(row);
+            rank.extend(r);
         }
-        ExactView { n, nbr, wexs, wrank, sels }
+        AccessRows { n, nbr, w, rank }
     }
 
-    /// `t_j` in `S`.
-    pub(crate) fn size(&self, j: usize) -> &S {
-        &self.wexs[j * self.n + j]
-    }
-
-    /// `min_{k ∈ s} w*(j,k)` for a nonempty `s ∌ j`: edges of `j` inside
-    /// `s` offer `w(j,k)`, and any non-neighbour in `s` lets the default
-    /// access path `t_j` compete.
+    /// The index into [`AccessRows::w`] of `min_{k ∈ s} w*(j,k)` for a
+    /// nonempty `s ∌ j`: edges of `j` inside `s` offer `w(j,k)`, and any
+    /// non-neighbour in `s` lets the default access path `t_j` compete.
     #[inline]
-    pub(crate) fn wmin(&self, j: usize, s: u32) -> &S {
+    pub(crate) fn wmin_at(&self, j: usize, s: u32) -> usize {
         let row = j * self.n;
         let mut best = row + j;
-        let mut best_rank = if s & !self.nbr[j] != 0 { self.wrank[best] } else { u32::MAX };
+        let mut best_rank = if s & !self.nbr[j] != 0 { self.rank[best] } else { u32::MAX };
         let mut bits = self.nbr[j] & s;
         while bits != 0 {
             let k = row + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if self.wrank[k] < best_rank {
-                best_rank = self.wrank[k];
+            if self.rank[k] < best_rank {
+                best_rank = self.rank[k];
                 best = k;
             }
         }
-        &self.wexs[best]
-    }
-
-    /// `N(s ∪ {j})` from `ns = N(s)`: times `t_j` and the selectivity of
-    /// every edge from `j` into `s`.
-    #[inline]
-    pub(crate) fn extend_n(&self, ns: &S, j: usize, s: u32) -> S {
-        let mut nn = ns.mul(self.size(j));
-        let mut bits = self.nbr[j] & s;
-        while bits != 0 {
-            let v = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            nn = nn.mul(&self.sels[j * self.n + v]);
-        }
-        nn
+        best
     }
 }
 
-/// Phase B: the exact DP over the same frontiers, layer-parallel,
-/// skipping every entry whose phase-A estimate exceeds `bound_log2`.
-#[allow(clippy::too_many_arguments)]
-fn exact_phase<S: CostScalar + Send + Sync>(
-    inst: &QoNInstance,
+/// Phase B's integer view of an instance. With each edge selectivity
+/// reduced to `p_e/q_e` and the scale `D = ∏_e q_e` over the query edges,
+/// `D·N(S) = ∏_{v∈S} t_v · ∏_{e⊆S} p_e · ∏_{e⊄S} q_e` is an integer, and
+/// so is `D` times every prefix cost. Scaling by one positive constant
+/// keeps every comparison, and so every tie-break, exactly as in the
+/// rationals.
+struct ScaledView<'a> {
+    rows: AccessRows<'a>,
+    /// Selectivity numerators and denominators row-major; `1` off the
+    /// query graph.
+    p: Vec<BigUint>,
+    q: Vec<BigUint>,
+    /// `D`.
+    scale: BigUint,
+}
+
+impl<'a> ScaledView<'a> {
+    fn build(inst: &QoNInstance, nbr: &'a [u32]) -> ScaledView<'a> {
+        let n = inst.n();
+        let mut p = vec![BigUint::one(); n * n];
+        let mut q = vec![BigUint::one(); n * n];
+        let mut scale = BigUint::one();
+        for (u, v) in inst.graph().edges() {
+            let s = inst.selectivity().get(u, v);
+            for (j, k) in [(u, v), (v, u)] {
+                p[j * n + k] = s.numer().magnitude().clone();
+                q[j * n + k] = s.denom().clone();
+            }
+            scale *= s.denom();
+        }
+        ScaledView { rows: AccessRows::build(inst, nbr), p, q, scale }
+    }
+
+    /// `min_{k ∈ s} w*(j,k)` (unscaled: it multiplies a scaled `D·N(s)`).
+    #[inline]
+    fn wmin(&self, j: usize, s: u32) -> &BigUint {
+        &self.rows.w[self.rows.wmin_at(j, s)]
+    }
+
+    /// `D·N({v}) = D·t_v`.
+    fn scaled_size(&self, v: usize) -> BigUint {
+        &self.scale * &self.rows.w[v * self.rows.n + v]
+    }
+
+    /// `D·N(s ∪ {j})` from `ns = D·N(s)`: exact divisions by the `q_e` of
+    /// the edges from `j` into `s` (each is a factor of `ns`, since those
+    /// edges are not inside `s`), then times `t_j` and their `p_e`.
+    fn extend_n(&self, ns: &BigUint, j: usize, s: u32) -> BigUint {
+        let row = j * self.rows.n;
+        let mut nn = ns.clone();
+        let mut bits = self.rows.nbr[j] & s;
+        while bits != 0 {
+            let v = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            nn.div_exact_assign(&self.q[row + v]);
+        }
+        nn *= &self.rows.w[row + j];
+        let mut bits = self.rows.nbr[j] & s;
+        while bits != 0 {
+            let v = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if !self.p[row + v].is_one() {
+                nn *= &self.p[row + v];
+            }
+        }
+        nn
+    }
+
+    /// `D·C(order)`, the scaled cost of one join sequence.
+    fn path_cost(&self, order: &[usize]) -> BigUint {
+        let mut s = 1u32 << order[0];
+        let mut ns = self.scaled_size(order[0]);
+        let (mut cost, mut next) = (BigUint::zero(), BigUint::zero());
+        for &j in &order[1..] {
+            next.set_mul_add(&cost, &ns, self.wmin(j, s));
+            std::mem::swap(&mut cost, &mut next);
+            ns = self.extend_n(&ns, j, s);
+            s |= 1 << j;
+        }
+        cost
+    }
+
+    /// The rational a scaled value stands for, in lowest terms.
+    fn unscale(&self, scaled: BigUint) -> BigRational {
+        BigRational::new(BigInt::from(scaled), self.scale.clone())
+    }
+}
+
+/// One phase-B frontier entry: `D·dp[T]`, `D·N(T)` and the relation
+/// joined last. `None` when pruned or unreachable.
+type ScaledEntry = Option<(BigUint, BigUint, u8)>;
+
+/// Phase B: the exact DP over the same frontiers in scaled integers,
+/// layer-parallel, skipping every entry whose phase-A estimate exceeds
+/// the bound. Returns `D·C*` and the plan.
+fn exact_phase(
+    view: &ScaledView,
     frontiers: &Frontiers,
     allow_cartesian: bool,
     threads: usize,
     budget: &Budget,
     prune: Option<(&[Vec<LogNum>], f64)>,
-    nbr: &[u32],
     tier: Tier,
-) -> Result<Option<Optimum<S>>, BudgetExceeded> {
+) -> Result<Option<(BigUint, JoinSequence)>, BudgetExceeded> {
     let _span = aqo_obs::span("engine.exact_phase");
-    let n = inst.n();
+    let n = view.rows.n;
+    let nbr = view.rows.nbr;
     let binom = Binom::build(n);
-    let entry = std::mem::size_of::<Option<S>>();
-    budget.charge_memory(((2 * n * n + n) * entry) as u64)?;
+    let entry = std::mem::size_of::<ScaledEntry>();
+    budget.charge_memory(((3 * n * n + n) * std::mem::size_of::<BigUint>()) as u64)?;
     budget.checkpoint()?;
 
-    let view = ExactView::<S>::build(inst, nbr);
-    let mut dp_prev: Vec<Option<S>> = (0..n).map(|_| Some(S::zero())).collect();
-    let mut ns_prev: Vec<Option<S>> = (0..n).map(|j| Some(view.size(j).clone())).collect();
+    let mut prev: Vec<ScaledEntry> =
+        (0..n).map(|v| Some((BigUint::zero(), view.scaled_size(v), u8::MAX))).collect();
+    let mut cur: Vec<ScaledEntry> = Vec::new();
     let mut parent_layers: Vec<Vec<u8>> = vec![Vec::new(); n + 1];
     parent_layers[1] = vec![u8::MAX; n];
-    let mut results: Vec<Option<(S, S, u8)>> = Vec::new();
-    let mut scratch_charged = 0usize;
+    let mut charged = 0usize;
 
     for k in 2..=n {
         let targets = frontiers.layer(k);
@@ -672,18 +811,24 @@ fn exact_phase<S: CostScalar + Send + Sync>(
             return Ok(None);
         }
         let width = targets.len();
-        let persist = width * (2 * entry + 1);
-        let scratch = width * std::mem::size_of::<Option<(S, S, u8)>>();
-        let grow = scratch.saturating_sub(scratch_charged);
-        budget.charge_memory((persist + grow) as u64)?;
-        scratch_charged = scratch_charged.max(scratch);
-        results.clear();
-        results.resize(width, None);
+        // The parent row, plus growth of the two entry buffers (this
+        // layer and the previous one), charged before resizing.
+        let grow = (2 * width * entry).saturating_sub(charged);
+        budget.charge_memory((width + grow) as u64)?;
+        charged = charged.max(2 * width * entry);
+        cur.clear();
+        cur.resize(width, None);
         let prev_layer = frontiers.layer(k - 1);
         let est = prune.map(|(layers, bound)| (&layers[k], bound));
+        let prev_ref: &[ScaledEntry] = &prev;
 
-        par_chunks_zip(threads, targets, &mut results, |offset, ts, res| {
+        par_chunks_zip(threads, targets, &mut cur, |offset, ts, res| {
             let mut ranks = [u32::MAX; 32];
+            // The running minimum and the candidate under test: each
+            // candidate is formed in `scratch` and swapped in when it wins,
+            // so the transition loop allocates nothing.
+            let mut best = BigUint::zero();
+            let mut scratch = BigUint::zero();
             for (i, &tm) in ts.iter().enumerate() {
                 if let Some((est, bound)) = est {
                     if est[offset + i].log2() > bound {
@@ -693,7 +838,7 @@ fn exact_phase<S: CostScalar + Send + Sync>(
                 }
                 budget.tick_n(k as u64)?;
                 let kk = pred_ranks(frontiers.mode, &binom, prev_layer, tm, &mut ranks);
-                let mut best: Option<(S, u8)> = None;
+                let mut winner: Option<(usize, usize)> = None;
                 let mut tb = tm;
                 for &r in &ranks[..kk] {
                     let j = tb.trailing_zeros() as usize;
@@ -701,60 +846,33 @@ fn exact_phase<S: CostScalar + Send + Sync>(
                     if r == u32::MAX {
                         continue;
                     }
-                    let Some(dps) = dp_prev[r as usize].as_ref() else { continue };
+                    let Some((dps, ns, _)) = prev_ref[r as usize].as_ref() else { continue };
                     let s = tm & !(1u32 << j);
                     if !allow_cartesian && nbr[j] & s == 0 {
                         continue;
                     }
-                    // analyze:allow(no-unwrap-in-lib) -- dp and ns entries
-                    // are written together; a reached dp without its N(S)
-                    // is a programming error, not a runtime condition.
-                    let ns = ns_prev[r as usize].as_ref().expect("N(S) set with dp");
-                    let cand = dps.add(&ns.mul(view.wmin(j, s)));
+                    scratch.set_mul_add(dps, ns, view.wmin(j, s));
                     // `<=`: among equal costs the highest `j` wins, the
                     // predecessor `dp` keeps (it visits `T∖{j}` in
                     // ascending mask order, i.e. `j` descending, under a
                     // strict `<`) — so both return the same plan.
-                    if best.as_ref().is_none_or(|(b, _)| cand <= *b) {
-                        best = Some((cand, j as u8));
+                    if winner.is_none() || scratch <= best {
+                        std::mem::swap(&mut scratch, &mut best);
+                        winner = Some((j, r as usize));
                     }
                 }
-                // analyze:allow(no-unwrap-in-lib) -- the winning parent's
-                // rank and N(S) both exist by construction: `j` won the
-                // min over exactly the predecessors found on the frontier.
-                res[i] = best.map(|(cost, j)| {
-                    // N(T) once per subset, from the winning parent only.
+                // N(T) once per subset, from the winning parent only.
+                res[i] = winner.and_then(|(j, r)| {
+                    let (_, ns, _) = prev_ref[r].as_ref()?;
                     let s = tm & !(1u32 << j);
-                    let r = prev_layer
-                        .binary_search(&s)
-                        .expect("winning parent is on the frontier");
-                    let ns = ns_prev[r].as_ref().expect("winner has N(S)");
-                    (cost, view.extend_n(ns, j as usize, s), j)
+                    Some((best.clone(), view.extend_n(ns, j, s), j as u8))
                 });
             }
             Ok(())
         })?;
 
-        let mut dp_k: Vec<Option<S>> = Vec::with_capacity(width);
-        let mut ns_k: Vec<Option<S>> = Vec::with_capacity(width);
-        let mut parent_k = Vec::with_capacity(width);
-        for slot in results.iter_mut() {
-            match slot.take() {
-                Some((c, nn, pj)) => {
-                    dp_k.push(Some(c));
-                    ns_k.push(Some(nn));
-                    parent_k.push(pj);
-                }
-                None => {
-                    dp_k.push(None);
-                    ns_k.push(None);
-                    parent_k.push(u8::MAX);
-                }
-            }
-        }
-        dp_prev = dp_k;
-        ns_prev = ns_k;
-        parent_layers[k] = parent_k;
+        parent_layers[k] = cur.iter().map(|e| e.as_ref().map_or(u8::MAX, |e| e.2)).collect();
+        std::mem::swap(&mut prev, &mut cur);
         // Prune/recost counts are a pure function of the phase-A estimates
         // and the bound — replayed here on the coordinating thread so the
         // totals are deterministic for every thread count.
@@ -786,11 +904,33 @@ fn exact_phase<S: CostScalar + Send + Sync>(
         }
     }
 
-    let Some(cost) = dp_prev[0].take() else { return Ok(None) };
-    let Some(sequence) = reconstruct_order(frontiers, &parent_layers, n) else {
-        return Ok(None);
-    };
-    Ok(Some(Optimum { sequence, cost }))
+    let Some((cost, _, _)) = prev.swap_remove(0) else { return Ok(None) };
+    Ok(reconstruct_order(frontiers, &parent_layers, n).map(|sequence| (cost, sequence)))
+}
+
+/// Phase B under the prune `bound`, checked against the candidate's
+/// scaled cost: a pruned run that finds no plan, or one dearer than the
+/// candidate, has lost the optimum to the prune, so phase B reruns without
+/// pruning. The flag reports whether that rerun happened.
+#[allow(clippy::too_many_arguments)]
+fn certified_exact_phase(
+    view: &ScaledView,
+    frontiers: &Frontiers,
+    allow_cartesian: bool,
+    threads: usize,
+    budget: &Budget,
+    est: &[Vec<LogNum>],
+    bound: f64,
+    candidate: &BigUint,
+    tier: Tier,
+) -> Result<(Option<(BigUint, JoinSequence)>, bool), BudgetExceeded> {
+    let pruned =
+        exact_phase(view, frontiers, allow_cartesian, threads, budget, Some((est, bound)), tier)?;
+    if pruned.as_ref().is_some_and(|(cost, _)| cost <= candidate) {
+        return Ok((pruned, false));
+    }
+    let full = exact_phase(view, frontiers, allow_cartesian, threads, budget, None, tier)?;
+    Ok((full, true))
 }
 
 /// The shared log-phase-only path behind [`optimize_log_parallel`].
@@ -841,21 +981,28 @@ pub(crate) fn two_phase_impl<S: CostScalar + Send + Sync>(
     let Some(candidate) = reconstruct_order(&frontiers, &log.parent, n) else {
         return Ok(None);
     };
-    let exact_candidate: S = inst.total_cost(&candidate);
-    let bound = exact_candidate.log2() + PRUNE_MARGIN_BITS;
-    aqo_obs::journal::event("engine_bound", vec![("bound_log2", bound.into())]);
-    let opt = exact_phase::<S>(
-        inst,
+    let view = ScaledView::build(inst, &nbr);
+    let candidate_cost = view.path_cost(candidate.order());
+    let (bound, margin) = prune_bound(n, log.max_log2, &candidate_cost, &view.scale);
+    aqo_obs::journal::event(
+        "engine_bound",
+        vec![("bound_log2", bound.into()), ("margin_bits", margin.into())],
+    );
+    let (opt, fell_back) = certified_exact_phase(
+        &view,
         &frontiers,
         allow_cartesian,
         threads,
         budget,
-        Some((&log.dp, bound)),
-        &nbr,
+        &log.dp,
+        bound,
+        &candidate_cost,
         tier,
     )?;
-    debug_assert!(opt.is_some(), "candidate path is never pruned");
-    Ok(opt)
+    if fell_back {
+        aqo_obs::counter_handle!("optimizer.engine.prune_fallbacks").inc();
+    }
+    Ok(opt.map(|(cost, sequence)| Optimum { sequence, cost: S::from_ratio(&view.unscale(cost)) }))
 }
 
 /// Per-vertex neighbour bitmasks of the query graph.
@@ -1004,6 +1151,152 @@ mod tests {
             .into_iter()
             .map(uniform_instance)
             .collect()
+    }
+
+    /// An `f_N`-style instance (the shape E5 measures): every relation of
+    /// size `a^e`, every edge of selectivity `1/a` and access cost
+    /// `a^{e−1}`, over a graph with a planted clique of size `k`.
+    fn fn_instance(n: usize, k: usize, a: &BigUint, e: u64) -> QoNInstance {
+        let g = aqo_graph::generators::dense_known_omega(n, k);
+        let sel = BigRational::recip_of(a.clone());
+        let mut s = SelectivityMatrix::new();
+        let mut w = AccessCostMatrix::new();
+        for (u, v) in g.edges().collect::<Vec<_>>() {
+            s.set(u, v, sel.clone());
+            w.set(u, v, a.pow(e - 1));
+            w.set(v, u, a.pow(e - 1));
+        }
+        QoNInstance::new(g, vec![a.pow(e); n], s, w)
+    }
+
+    /// The exact best prefix cost `dp[T]` of every subset `T` (dense, by
+    /// mask; `None` when unreachable under the cartesian rule), by a plain
+    /// push-style `BigRational` subset DP written for this test only.
+    fn exact_prefix_costs(inst: &QoNInstance, allow_cartesian: bool) -> Vec<Option<BigRational>> {
+        let n = inst.n();
+        let full = (1usize << n) - 1;
+        let mut dp: Vec<Option<BigRational>> = vec![None; full + 1];
+        let mut size: Vec<BigRational> = vec![BigRational::zero(); full + 1];
+        for v in 0..n {
+            dp[1 << v] = Some(BigRational::zero());
+            size[1 << v] = BigRational::from(inst.sizes()[v].clone());
+        }
+        for mask in 1..=full {
+            let Some(cost) = dp[mask].clone() else { continue };
+            let members: Vec<usize> = (0..n).filter(|&v| mask >> v & 1 == 1).collect();
+            for j in (0..n).filter(|&j| mask >> j & 1 == 0) {
+                let linked = members.iter().any(|&v| inst.graph().has_edge(j, v));
+                if !allow_cartesian && !linked {
+                    continue;
+                }
+                let w = members.iter().map(|&k| inst.w(j, k)).min().expect("nonempty prefix");
+                let cand = &cost + &(&size[mask] * &BigRational::from(w));
+                let next = mask | 1 << j;
+                if dp[next].as_ref().is_none_or(|cur| cand < *cur) {
+                    dp[next] = Some(cand);
+                }
+                let mut grown = &size[mask] * &BigRational::from(inst.sizes()[j].clone());
+                for &v in members.iter().filter(|&&v| inst.graph().has_edge(j, v)) {
+                    grown = &grown * &inst.selectivity().get(j, v);
+                }
+                size[next] = grown;
+            }
+        }
+        dp
+    }
+
+    /// Phase A's estimates, the candidate's scaled cost and the prune
+    /// bound, exactly as [`two_phase_impl`] derives them.
+    fn phase_a_and_bound(inst: &QoNInstance, allow_cartesian: bool) -> (Frontiers, LogDp, f64) {
+        let n = inst.n();
+        let nbr = nbr_masks(inst);
+        let mode =
+            if allow_cartesian { FrontierMode::AllSubsets } else { FrontierMode::Connected };
+        let budget = Budget::unlimited();
+        let frontiers = Frontiers::build(n, &nbr, mode, &budget).unwrap();
+        let log =
+            log_phase(inst, &frontiers, &nbr, allow_cartesian, 1, &budget, Tier::Engine).unwrap();
+        let candidate = reconstruct_order(&frontiers, &log.parent, n).unwrap();
+        let view = ScaledView::build(inst, &nbr);
+        let scaled = view.path_cost(candidate.order());
+        let exact: BigRational = inst.total_cost(&candidate);
+        assert_eq!(view.unscale(scaled.clone()), exact, "scaled candidate cost");
+        let (bound, margin) = prune_bound(n, log.max_log2, &scaled, &view.scale);
+        assert!(margin > 0.0 && margin < 1e-6, "margin {margin} bits");
+        (frontiers, log, bound)
+    }
+
+    #[test]
+    fn prune_keeps_every_subset_that_can_reach_the_optimum() {
+        let mut instances: Vec<QoNInstance> =
+            (0..12u64).map(|seed| random_instance(seed, 8, 6)).collect();
+        instances.extend((20..24u64).map(|seed| random_instance(seed, 10, 12)));
+        for n in [6usize, 8, 10] {
+            instances.extend(uniform_family(n));
+        }
+        let four = BigUint::from(4u64);
+        instances.push(fn_instance(8, 5, &four, 6));
+        instances.push(fn_instance(10, 6, &four, 7));
+        // A two-limb `a`: multi-limb selectivity denominators and scale.
+        instances.push(fn_instance(9, 5, &(BigUint::one() << 70), 4));
+        let mut tied = 0usize;
+        for (i, inst) in instances.iter().enumerate() {
+            for allow in [true, false] {
+                let exact = exact_prefix_costs(inst, allow);
+                let Some(opt) = exact[(1usize << inst.n()) - 1].clone() else { continue };
+                let (frontiers, log, bound) = phase_a_and_bound(inst, allow);
+                for k in 2..=inst.n() {
+                    for (r, &m) in frontiers.layer(k).iter().enumerate() {
+                        let Some(cost) = exact[m as usize].as_ref() else { continue };
+                        if *cost > opt {
+                            continue;
+                        }
+                        tied += usize::from(*cost == opt);
+                        let est = log.dp[k][r].log2();
+                        assert!(
+                            est <= bound,
+                            "instance {i} allow {allow}: subset {m:b} costs <= the optimum \
+                             but its estimate {est} exceeds the bound {bound}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(tied > 0, "the tie-heavy instances must exercise exact ties");
+    }
+
+    #[test]
+    fn violated_prune_falls_back_to_an_unpruned_rerun() {
+        let inst = random_instance(4, 8, 6);
+        let want = dp::optimize::<BigRational>(&inst, true).unwrap();
+        let (frontiers, log, bound) = phase_a_and_bound(&inst, true);
+        let nbr = nbr_masks(&inst);
+        let view = ScaledView::build(&inst, &nbr);
+        let candidate = reconstruct_order(&frontiers, &log.parent, inst.n()).unwrap();
+        let scaled = view.path_cost(candidate.order());
+        let run = |bound: f64, candidate: &BigUint| {
+            let (opt, fell_back) = certified_exact_phase(
+                &view,
+                &frontiers,
+                true,
+                2,
+                &Budget::unlimited(),
+                &log.dp,
+                bound,
+                candidate,
+                Tier::Engine,
+            )
+            .unwrap();
+            let (cost, sequence) = opt.unwrap();
+            assert_eq!(view.unscale(cost), want.cost);
+            assert_eq!(sequence.order(), want.sequence.order());
+            fell_back
+        };
+        assert!(!run(bound, &scaled), "a sound bound needs no rerun");
+        // Everything pruned: phase B finds no plan and reruns unpruned.
+        assert!(run(f64::NEG_INFINITY, &scaled));
+        // A pruned answer dearer than the candidate is rejected too.
+        assert!(run(bound, &BigUint::zero()));
     }
 
     #[test]
