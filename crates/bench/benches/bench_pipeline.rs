@@ -7,6 +7,8 @@ use aqo_core::{JoinSequence, SelectivityMatrix};
 use aqo_graph::Graph;
 use aqo_optimizer::pipeline;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn path(n: usize, t: u64, mem: u64) -> QoHInstance {
@@ -51,12 +53,31 @@ fn bench_exhaustive_qoh(c: &mut Criterion) {
     });
 }
 
+/// The `qoh-exhaustive` request shape: a 5-chain with log-uniform sizes
+/// (`workloads::chain`, default parameters) and memory = the product of
+/// all sizes, so every fragment fits and all 120 sequences are costed.
+fn bench_exhaustive_chain5(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let base = aqo_core::workloads::chain(5, &Default::default(), &mut rng);
+    let memory = base.sizes().iter().fold(BigUint::one(), |acc, t| &acc * t);
+    let inst = QoHInstance::new(
+        base.graph().clone(),
+        base.sizes().to_vec(),
+        base.selectivity().clone(),
+        memory,
+    );
+    c.bench_function("qoh_exhaustive_chain5", |b| {
+        b.iter(|| pipeline::optimize_exhaustive(black_box(&inst)));
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_allocation, bench_decomposition_dp, bench_exhaustive_qoh
+    targets = bench_allocation, bench_decomposition_dp, bench_exhaustive_qoh,
+        bench_exhaustive_chain5
 }
 criterion_main!(benches);

@@ -870,14 +870,35 @@ impl Shr<u32> for BigUint {
 }
 
 impl AddAssign<&BigUint> for BigUint {
+    /// Adds into `self`'s limb buffer, which grows only by the limbs the
+    /// sum needs: no allocation once it has room.
     fn add_assign(&mut self, rhs: &BigUint) {
-        *self = &*self + rhs;
+        let out = &mut self.limbs;
+        if out.len() < rhs.limbs.len() {
+            out.resize(rhs.limbs.len(), 0);
+        }
+        let mut carry = false;
+        for (i, l) in out.iter_mut().enumerate() {
+            let r = rhs.limbs.get(i).copied().unwrap_or(0);
+            if i >= rhs.limbs.len() && !carry {
+                break;
+            }
+            let (s, c1) = l.overflowing_add(r);
+            let (s, c2) = s.overflowing_add(u64::from(carry));
+            *l = s;
+            carry = c1 || c2;
+        }
+        if carry {
+            out.push(1);
+        }
     }
 }
 
 impl SubAssign<&BigUint> for BigUint {
+    /// Subtracts in place; panics on underflow.
     fn sub_assign(&mut self, rhs: &BigUint) {
-        *self = &*self - rhs;
+        assert!(*self >= *rhs, "BigUint subtraction underflow");
+        sub_in_place(&mut self.limbs, &rhs.limbs);
     }
 }
 

@@ -333,4 +333,27 @@ proptest! {
         v *= &b;
         prop_assert_eq!(v, &a * &b);
     }
+
+    #[test]
+    fn add_sub_assign_match_operators(a in kernel_operand(), b in kernel_operand()) {
+        let mut v = a.clone();
+        v += &b;
+        prop_assert_eq!(&v, &(&a + &b));
+        v -= &b;
+        prop_assert_eq!(&v, &a);
+        let (hi, lo) = if a >= b { (&a, &b) } else { (&b, &a) };
+        let mut w = hi.clone();
+        w -= lo;
+        prop_assert_eq!(w, hi - lo);
+    }
+}
+
+#[test]
+fn add_assign_carries_into_a_new_limb() {
+    let mut v = BigUint::from_limbs(vec![u64::MAX; 3]);
+    v += &BigUint::one();
+    assert_eq!(v, BigUint::one() << 192u64);
+    let mut w = BigUint::one();
+    w += &BigUint::from_limbs(vec![u64::MAX; 2]);
+    assert_eq!(w, BigUint::one() << 128u64);
 }

@@ -162,6 +162,8 @@ pub const CATALOG: &[SiteInfo] = &[
 #[derive(Clone, Debug)]
 struct Spec {
     kind: FaultKind,
+    /// The fire count it was armed with.
+    count: u64,
     /// Fires while positive, then the site passes.
     remaining: u64,
     /// Total hits observed at this site since it was armed.
@@ -181,7 +183,7 @@ fn lock() -> std::sync::MutexGuard<'static, HashMap<String, Spec>> {
 
 /// Arms `site` to fire `kind` on its next `count` hits.
 pub fn arm(site: &str, kind: FaultKind, count: u64) {
-    lock().insert(site.to_string(), Spec { kind, remaining: count, hits: 0 });
+    lock().insert(site.to_string(), Spec { kind, count, remaining: count, hits: 0 });
 }
 
 /// Disarms every site and forgets all hit counts.
@@ -194,6 +196,14 @@ pub fn clear() {
 /// tracked).
 pub fn hits(site: &str) -> u64 {
     lock().get(site).map_or(0, |s| s.hits)
+}
+
+/// Number of hits at `site` that fired since it was armed: the armed count
+/// minus the fires left. Unlike [`hits`], it does not count the passing
+/// hits after the fires, so it does not depend on how often a site is
+/// polled once its faults are spent.
+pub fn fired(site: &str) -> u64 {
+    lock().get(site).map_or(0, |s| s.count - s.remaining)
 }
 
 /// Sites currently armed (with fires left or spent), in sorted order.
@@ -329,6 +339,9 @@ mod tests {
         assert!(fail_point(site).is_err());
         assert!(fail_point(site).is_ok());
         assert_eq!(hits(site), 3);
+        assert!(fail_point(site).is_ok());
+        assert_eq!((hits(site), fired(site)), (4, 2), "passing hits are not fires");
+        assert_eq!(fired("faults-test::unarmed"), 0);
     }
 
     #[test]

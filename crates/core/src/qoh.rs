@@ -26,7 +26,7 @@
 //! materialized input, run the pipelined joins, write the output.
 
 use crate::{CostScalar, JoinSequence};
-use aqo_bignum::{BigRational, BigUint};
+use aqo_bignum::{BigInt, BigRational, BigUint};
 use aqo_graph::Graph;
 
 /// An instance of the QO_H problem.
@@ -263,96 +263,36 @@ impl QoHInstance {
     pub fn optimal_allocation(
         &self,
         z: &JoinSequence,
-        frag: (usize, usize),
-        intermediates: &[BigRational],
-    ) -> Option<Vec<BigRational>> {
-        let (i, k) = frag;
-        let mut alloc: Vec<BigRational> =
-            (i..=k).map(|j| BigRational::from(self.hjmins[z.at(j)].clone())).collect();
-        let mut growth = Vec::new();
-        let feasible = self.allocate(z.order(), frag, intermediates, &mut growth, |g, take| {
-            if !take.is_zero() {
-                alloc[g.offset] = &alloc[g.offset] + &BigRational::from(take.clone());
-            }
-        });
-        feasible.then_some(alloc)
-    }
-
-    /// Cost of fragment `(i, k)` of the sequence prefix `order` (`order[j]`
-    /// is `z_j`; `intermediates` holds `N_0 … N_k`) under its optimal
-    /// allocation, or `None` if the fragment is infeasible. Equal to
-    /// [`QoHInstance::fragment_cost`] at [`QoHInstance::optimal_allocation`],
-    /// in one pass over the greedy and without its feasibility re-checks.
-    ///
-    /// With `m = hjmin + x` the paper's `h` reads
-    /// `(N_{j−1} + b_S)·(room − x)/room + b_S`, `room = b_S − hjmin`, so a
-    /// join filled to `b_S` costs `b_S` and only a partly filled one needs a
-    /// multiplication.
-    pub fn optimal_fragment_cost(
-        &self,
-        order: &[usize],
-        frag: (usize, usize),
-        intermediates: &[BigRational],
-        scratch: &mut FragmentScratch,
-    ) -> Option<BigRational> {
-        let (i, k) = frag;
-        let mut cost = &intermediates[i - 1] + &intermediates[k];
-        let feasible = self.allocate(order, frag, intermediates, &mut scratch.growth, |g, take| {
-            if take.is_zero() {
-                cost = &cost + &g.weight;
-            } else if *take < g.room {
-                cost = &cost + &(&g.slope * &BigRational::from(&g.room - take));
-            }
-        });
-        if !feasible {
-            return None;
-        }
-        let mut builds = BigUint::zero();
-        for &v in &order[i..=k] {
-            builds += &self.sizes[v];
-        }
-        Some(&cost + &BigRational::from(builds))
-    }
-
-    /// The optimal-allocation greedy over joins `J_i … J_k` of `order`:
-    /// every join gets its `hjmin`, then the leftover memory goes to the
-    /// joins in order of steepest marginal saving, each up to its `b_S`.
-    /// Calls `fill(g, take)` for every join that can grow, in fill order
-    /// (`take` may be zero). Returns `false`, calling nothing, when the
-    /// mandatory `Σ hjmin` exceeds `M`.
-    fn allocate(
-        &self,
-        order: &[usize],
         (i, k): (usize, usize),
         intermediates: &[BigRational],
-        growth: &mut Vec<Growth>,
-        mut fill: impl FnMut(&Growth, &BigUint),
-    ) -> bool {
+    ) -> Option<Vec<BigRational>> {
         let mut mandatory = BigUint::zero();
-        for &v in &order[i..=k] {
-            mandatory += &self.hjmins[v];
-        }
-        let Some(mut leftover) = self.memory.checked_sub(&mandatory) else {
-            return false;
-        };
-        growth.clear();
         for j in i..=k {
-            let (bs, hj) = (&self.sizes[order[j]], &self.hjmins[order[j]]);
+            mandatory += &self.hjmins[z.at(j)];
+        }
+        let mut leftover = self.memory.checked_sub(&mandatory)?;
+        let mut alloc: Vec<BigRational> =
+            (i..=k).map(|j| BigRational::from(self.hjmins[z.at(j)].clone())).collect();
+        // `(slope, offset, room)` of every join that can grow past `hjmin`.
+        let mut growth = Vec::new();
+        for j in i..=k {
+            let (bs, hj) = (&self.sizes[z.at(j)], &self.hjmins[z.at(j)]);
             if hj < bs {
                 let room = bs - hj;
                 let weight = &intermediates[j - 1] + &BigRational::from(bs.clone());
-                let slope = &weight / &BigRational::from(room.clone());
-                growth.push(Growth { slope, offset: j - i, room, weight });
+                growth.push((&weight / &BigRational::from(room.clone()), j - i, room));
             }
         }
         // Stable: equal slopes fill in join order.
-        growth.sort_by(|a, b| b.slope.cmp(&a.slope));
-        for g in growth.iter() {
-            let take = if g.room <= leftover { g.room.clone() } else { leftover.clone() };
+        growth.sort_by(|a, b| b.0.cmp(&a.0));
+        for (_, offset, room) in growth {
+            let take = if room <= leftover { room } else { leftover.clone() };
             leftover -= &take;
-            fill(g, &take);
+            if !take.is_zero() {
+                alloc[offset] = &alloc[offset] + &BigRational::from(take);
+            }
         }
-        true
+        Some(alloc)
     }
 
     /// Cost of `z` under decomposition `decomp` with per-fragment *optimal*
@@ -411,29 +351,168 @@ fn h_with<S: CostScalar>(m: &BigRational, b_r: &S, b_s: &BigUint, hj: &BigUint) 
     Some(b_r.add(&bs).mul(&S::from_ratio(&g)).add(&bs))
 }
 
-/// A join of a fragment that can use memory beyond its `hjmin`.
-struct Growth {
-    /// Marginal saving per extra page, `(N_{j−1} + b_S)/room`.
-    slope: BigRational,
-    /// Join offset within the fragment.
-    offset: usize,
-    /// Pages it can take beyond `hjmin`: `b_S − hjmin`.
-    room: BigUint,
-    /// `N_{j−1} + b_S`: its spill cost at `hjmin`, all saved when filled.
-    weight: BigRational,
+/// The instance scaled by one integer `K`, so that the exhaustive search's
+/// decomposition DP runs on `BigUint` with no rational arithmetic:
+///
+/// `K = ∏_e q_e · ∏_{v : hjmin(t_v) < t_v} room_v`, where `p_e/q_e` is the
+/// reduced selectivity of edge `e` and `room_v = t_v − hjmin(t_v)`.
+///
+/// * `K·N_d = ∏_{room_v > 0} room_v · ∏_{e ∉ z_0…z_d} q_e · ∏ t · ∏_{e ∈ z_0…z_d} p_e`,
+///   so appending a relation divides exactly by the `q_e` of its new edges.
+/// * `K·weight_j = K·N_{j−1} + K·t_{z_j}`: both terms carry the factor
+///   `room_{z_j}`, so `K·slope_j = K·weight_j / room_{z_j}` is exact.
+/// * A partly filled join costs `K·slope_j·(room − take)`, a filled one
+///   nothing, an unfilled one `K·weight_j`; builds cost `K·t`, and `hjmin`
+///   and `M` are integers already.
+///
+/// `K > 0`, so scaled values compare as the rationals they stand for.
+/// Every division is [`BigUint::div_exact_assign`], which panics on a
+/// remainder: exactness is checked, not assumed.
+pub struct ScaledView<'a> {
+    inst: &'a QoHInstance,
+    /// `K`.
+    scale: BigUint,
+    /// `K·t_v`.
+    scaled_sizes: Vec<BigUint>,
+    /// `room_v`; zero when `hjmin(t_v) = t_v` and the join cannot grow.
+    rooms: Vec<BigUint>,
+    /// The neighbours `k` of each relation with `(p, q)` of edge `{v, k}`.
+    edges: Vec<Vec<(usize, BigUint, BigUint)>>,
 }
 
-/// Reusable buffers for [`QoHInstance::optimal_fragment_cost`].
-#[derive(Default)]
-pub struct FragmentScratch {
-    growth: Vec<Growth>,
+/// Position `j` of a sequence prefix under a [`ScaledView`].
+#[derive(Debug)]
+pub struct ScaledStep {
+    /// `K·N_j`.
+    size: BigUint,
+    /// `K·weight_j`, the spill cost of join `J_j` at `hjmin`, all saved
+    /// when it is filled; zero at `j = 0`.
+    weight: BigUint,
+    /// `K·slope_j`, its saving per extra page; zero when it cannot grow.
+    slope: BigUint,
+}
+
+impl<'a> ScaledView<'a> {
+    /// Computes `K` and the per-relation tables.
+    pub fn new(inst: &'a QoHInstance) -> Self {
+        let n = inst.n();
+        let mut scale = BigUint::one();
+        let mut edges = vec![Vec::new(); n];
+        for (u, v) in inst.graph.edges() {
+            let s = inst.selectivity.get(u, v);
+            let (p, q) = (s.numer().magnitude(), s.denom());
+            edges[u].push((v, p.clone(), q.clone()));
+            edges[v].push((u, p.clone(), q.clone()));
+            scale *= q;
+        }
+        let rooms: Vec<BigUint> = (0..n).map(|v| &inst.sizes[v] - &inst.hjmins[v]).collect();
+        for room in rooms.iter().filter(|r| !r.is_zero()) {
+            scale *= room;
+        }
+        let scaled_sizes = inst.sizes.iter().map(|t| &scale * t).collect();
+        ScaledView { inst, scale, scaled_sizes, rooms, edges }
+    }
+
+    /// The instance this view scales.
+    pub fn instance(&self) -> &'a QoHInstance {
+        self.inst
+    }
+
+    /// The rational a scaled value stands for, in lowest terms.
+    pub fn unscale(&self, scaled: BigUint) -> BigRational {
+        BigRational::new(BigInt::from(scaled), self.scale.clone())
+    }
+
+    /// The step that appends `v` at position `prefix.len()`, after the
+    /// relations `prefix` whose last step is `last`.
+    pub fn step(&self, last: Option<&ScaledStep>, v: usize, prefix: &[usize]) -> ScaledStep {
+        let Some(last) = last else {
+            let size = self.scaled_sizes[v].clone();
+            return ScaledStep { size, weight: BigUint::zero(), slope: BigUint::zero() };
+        };
+        let mut size = last.size.clone();
+        let joined = || self.edges[v].iter().filter(|(k, _, _)| prefix.contains(k));
+        for (_, _, q) in joined() {
+            size.div_exact_assign(q);
+        }
+        size *= &self.inst.sizes[v];
+        for (_, p, _) in joined().filter(|(_, p, _)| !p.is_one()) {
+            size *= p;
+        }
+        let weight = &last.size + &self.scaled_sizes[v];
+        let mut slope = BigUint::zero();
+        if !self.rooms[v].is_zero() {
+            slope.clone_from(&weight);
+            slope.div_exact_assign(&self.rooms[v]);
+        }
+        ScaledStep { size, weight, slope }
+    }
+
+    /// `K·` the cost of every feasible fragment `(i, d)` ending at the last
+    /// position `d` of the prefix `order` (with its `steps`) under its
+    /// optimal allocation, passed to `each(i, cost)` for `i = d` down to 1
+    /// until `Σ hjmin` exceeds `M`. `each` may take the value: it is a
+    /// scratch buffer, refilled for the next `i`.
+    ///
+    /// The allocation is [`QoHInstance::optimal_allocation`]'s greedy:
+    /// `hjmin` for every join, then the leftover to the joins in order of
+    /// steepest slope, each up to its `room`. `growth` keeps the joins of
+    /// the current fragment in that order as `i` falls: a new join goes
+    /// before every join of equal slope, since equal slopes fill in join
+    /// order.
+    pub fn last_fragments(
+        &self,
+        order: &[usize],
+        steps: &[ScaledStep],
+        growth: &mut Vec<usize>,
+        mut each: impl FnMut(usize, &mut BigUint),
+    ) {
+        let d = order.len() - 1;
+        let (mut need, mut sizes, mut builds) = (BigUint::zero(), BigUint::zero(), BigUint::zero());
+        let mut cost = BigUint::zero();
+        growth.clear();
+        for i in (1..=d).rev() {
+            let v = order[i];
+            need += &self.inst.hjmins[v];
+            if need > self.inst.memory {
+                return;
+            }
+            sizes += &self.inst.sizes[v];
+            builds += &self.scaled_sizes[v];
+            if !self.rooms[v].is_zero() {
+                let slope = &steps[i].slope;
+                let at = growth.iter().position(|&j| steps[j].slope <= *slope);
+                growth.insert(at.unwrap_or(growth.len()), i);
+            }
+            // Read the input, write the output, build every inner relation.
+            cost.clone_from(&steps[i - 1].size);
+            cost += &steps[d].size;
+            cost += &builds;
+            // `hjmin + room = t`, so with `Σ t ≤ M` every join is filled
+            // and spills nothing.
+            if sizes > self.inst.memory {
+                let mut leftover = &self.inst.memory - &need;
+                for &j in growth.iter() {
+                    let room = &self.rooms[order[j]];
+                    if leftover.is_zero() {
+                        cost += &steps[j].weight;
+                    } else if *room <= leftover {
+                        leftover -= room;
+                    } else {
+                        cost += &(&steps[j].slope * &(room - &leftover));
+                        leftover = BigUint::zero();
+                    }
+                }
+            }
+            each(i, &mut cost);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SelectivityMatrix;
-    use aqo_bignum::BigInt;
 
     /// Path query 0—1—2—3, t = (100, 100, 100, 100), s = 1/10 per edge,
     /// M = 250 pages, η = 1/2 so hjmin(100) = 10.

@@ -4,16 +4,17 @@
 //! For a fixed sequence the decomposition problem is an interval partition:
 //! `dp[k]` = cheapest way to execute joins `J_1 … J_k` with a fragment
 //! ending at `k`, where each candidate fragment is costed under its optimal
-//! memory allocation ([`aqo_core::qoh::QoHInstance::optimal_fragment_cost`]).
-//! Fragment costs are independent of the decomposition around them, so the
-//! DP is exact — and `dp[k]` depends only on the prefix `z_0 … z_k`. The
-//! exhaustive search therefore walks prefixes depth first and extends the
-//! DP by one row per prefix, instead of redoing it for each of the `n!`
-//! sequences.
+//! memory allocation. Fragment costs are independent of the decomposition
+//! around them, so the DP is exact — and `dp[k]` depends only on the
+//! prefix `z_0 … z_k`. The exhaustive search therefore walks prefixes depth
+//! first and extends the DP by one row per prefix, instead of redoing it
+//! for each of the `n!` sequences. The DP runs on integers scaled by one
+//! instance-wide `K` ([`aqo_core::qoh::ScaledView`]); the reported cost is
+//! the one rational `K·C/K`.
 
-use aqo_bignum::BigRational;
+use aqo_bignum::{BigRational, BigUint};
 use aqo_core::budget::{Budget, BudgetExceeded};
-use aqo_core::qoh::{FragmentScratch, PipelineDecomposition, QoHInstance};
+use aqo_core::qoh::{PipelineDecomposition, QoHInstance, ScaledStep, ScaledView};
 use aqo_core::JoinSequence;
 
 /// Largest `n` the exhaustive search accepts (`9! = 362,880` sequences).
@@ -45,69 +46,95 @@ pub struct QohPlan {
     pub cost: BigRational,
 }
 
-/// The decomposition DP along a sequence prefix `z_0 … z_d`, extended and
-/// shortened one relation at a time.
-struct PrefixDp<'a> {
-    inst: &'a QoHInstance,
+/// A plan whose cost is still scaled by the view's `K`.
+struct ScaledPlan {
+    cost: BigUint,
     order: Vec<usize>,
-    /// `N_0 … N_d`.
-    inter: Vec<BigRational>,
-    /// `dp[k]`: the cheapest execution of `J_1 … J_k` (`dp[0] = 0`) and the
-    /// start of its last fragment.
-    dp: Vec<(BigRational, usize)>,
-    scratch: FragmentScratch,
+    fragments: Vec<(usize, usize)>,
 }
 
-impl<'a> PrefixDp<'a> {
-    fn new(inst: &'a QoHInstance) -> Self {
-        PrefixDp { inst, order: vec![], inter: vec![], dp: vec![], scratch: Default::default() }
+impl ScaledPlan {
+    fn unscale(self, view: &ScaledView) -> QohPlan {
+        let n = self.order.len();
+        QohPlan {
+            sequence: JoinSequence::new(self.order),
+            decomposition: PipelineDecomposition::new(n, self.fragments),
+            cost: view.unscale(self.cost),
+        }
+    }
+}
+
+/// The decomposition DP along a sequence prefix `z_0 … z_d`, extended and
+/// shortened one relation at a time.
+struct PrefixDp<'v, 'a> {
+    view: &'v ScaledView<'a>,
+    order: Vec<usize>,
+    /// `K·N_j`, `K·weight_j` and `K·slope_j` of every position.
+    steps: Vec<ScaledStep>,
+    /// `K·dp[k]`: the cheapest execution of `J_1 … J_k` (`dp[0] = 0`), and
+    /// the start of its last fragment.
+    dp: Vec<(BigUint, usize)>,
+    growth: Vec<usize>,
+}
+
+impl<'v, 'a> PrefixDp<'v, 'a> {
+    fn new(view: &'v ScaledView<'a>) -> Self {
+        PrefixDp { view, order: vec![], steps: vec![], dp: vec![], growth: vec![] }
     }
 
     /// Appends `v` as `z_d` and computes `dp[d] = min_i dp[i−1] + frag(i, d)`,
-    /// the lowest `i` winning ties (`min_by` keeps the first minimum). Past
-    /// the first position `v` must be buildable, which makes the singleton
-    /// fragment `(d, d)` feasible.
+    /// the lowest `i` winning ties. Past the first position `v` must be
+    /// buildable, which makes the singleton fragment `(d, d)` feasible.
     fn push(&mut self, v: usize) {
         let d = self.order.len();
-        self.inter.push(match self.inter.last() {
-            None => BigRational::from(self.inst.sizes()[v].clone()),
-            Some(prev) => self.inst.next_intermediate(prev, v, &self.order),
-        });
+        self.steps.push(self.view.step(self.steps.last(), v, &self.order));
         self.order.push(v);
         if d == 0 {
-            self.dp.push((BigRational::zero(), 0));
+            self.dp.push((BigUint::zero(), 0));
             return;
         }
-        let (inst, order, inter) = (self.inst, &self.order, &self.inter);
-        let best = (1..=d)
-            .filter_map(|i| {
-                let c = inst.optimal_fragment_cost(order, (i, d), inter, &mut self.scratch)?;
-                Some((&self.dp[i - 1].0 + &c, i))
-            })
-            .min_by(|a, b| a.0.cmp(&b.0));
+        let dp = &self.dp;
+        let mut best: Option<(BigUint, usize)> = None;
+        self.view.last_fragments(&self.order, &self.steps, &mut self.growth, |i, cost| {
+            *cost += &dp[i - 1].0;
+            // `i` falls, so `<=` leaves the lowest `i` of equal cost.
+            if best.as_ref().is_none_or(|(b, _)| *cost <= *b) {
+                best = Some((std::mem::take(cost), i));
+            }
+        });
         self.dp.push(best.expect("the singleton fragment of a buildable relation is feasible"));
     }
 
     fn pop(&mut self) {
         self.order.pop();
-        self.inter.pop();
+        self.steps.pop();
         self.dp.pop();
     }
 
+    /// Makes the prefix `order`, keeping the positions it shares with the
+    /// current one.
+    fn set(&mut self, order: &[usize]) {
+        let keep = self.order.iter().zip(order).take_while(|(a, b)| a == b).count();
+        while self.order.len() > keep {
+            self.pop();
+        }
+        order[keep..].iter().for_each(|&v| self.push(v));
+    }
+
+    /// `K·` the cost of the full prefix.
+    fn cost(&self) -> &BigUint {
+        &self.dp[self.order.len() - 1].0
+    }
+
     /// The plan of the full prefix: its sequence, decomposition and cost.
-    fn plan(&self) -> QohPlan {
-        let n = self.order.len();
+    fn plan(&self) -> ScaledPlan {
         let mut fragments = Vec::new();
-        let mut k = n - 1;
+        let mut k = self.order.len() - 1;
         while k >= 1 {
             fragments.insert(0, (self.dp[k].1, k));
             k = self.dp[k].1 - 1;
         }
-        QohPlan {
-            sequence: JoinSequence::new(self.order.clone()),
-            decomposition: PipelineDecomposition::new(n, fragments),
-            cost: self.dp[n - 1].0.clone(),
-        }
+        ScaledPlan { cost: self.cost().clone(), order: self.order.clone(), fragments }
     }
 }
 
@@ -122,9 +149,10 @@ pub fn best_decomposition(
     if !inst.sequence_feasible(z) {
         return None;
     }
-    let mut dp = PrefixDp::new(inst);
-    z.order().iter().for_each(|&v| dp.push(v));
-    let plan = dp.plan();
+    let view = ScaledView::new(inst);
+    let mut dp = PrefixDp::new(&view);
+    dp.set(z.order());
+    let plan = dp.plan().unscale(&view);
     Some((plan.decomposition, plan.cost))
 }
 
@@ -158,8 +186,9 @@ pub fn optimize_exhaustive_par_with_budget(
     let n = inst.n();
     assert!((2..=MAX_N).contains(&n), "exhaustive QO_H search is for n in 2..={MAX_N}");
     let threads = resolve_threads(threads).min(n);
-    let outcomes = run_workers(threads, |t| -> Result<Option<QohPlan>, BudgetExceeded> {
-        let (mut dp, mut best, mut tally) = (PrefixDp::new(inst), None, (0, 0));
+    let view = ScaledView::new(inst);
+    let outcomes = run_workers(threads, |t| -> Result<Option<ScaledPlan>, BudgetExceeded> {
+        let (mut dp, mut best, mut tally) = (PrefixDp::new(&view), None, (0, 0));
         for root in (t..n).step_by(threads) {
             dp.push(root);
             search(&mut dp, budget, &mut best, &mut tally)?;
@@ -168,15 +197,14 @@ pub fn optimize_exhaustive_par_with_budget(
         flush_sequence_counts(tally.0, tally.1);
         Ok(best)
     });
-    let mut best: Option<QohPlan> = None;
+    let mut best: Option<ScaledPlan> = None;
     for plan in outcomes.into_iter().filter_map(Result::transpose) {
         let plan = plan?;
-        let (cost, order) = (&plan.cost, plan.sequence.order());
-        if best.as_ref().is_none_or(|b| (cost, order) < (&b.cost, b.sequence.order())) {
+        if best.as_ref().is_none_or(|b| (&plan.cost, &plan.order) < (&b.cost, &b.order)) {
             best = Some(plan);
         }
     }
-    Ok(best)
+    Ok(best.map(|plan| plan.unscale(&view)))
 }
 
 /// Visits every completion of `dp`'s prefix in lexicographic order, keeping
@@ -186,14 +214,15 @@ pub fn optimize_exhaustive_par_with_budget(
 fn search(
     dp: &mut PrefixDp,
     budget: &Budget,
-    best: &mut Option<QohPlan>,
+    best: &mut Option<ScaledPlan>,
     tally: &mut (u64, u64),
 ) -> Result<(), BudgetExceeded> {
-    let (n, d) = (dp.inst.n(), dp.order.len());
+    let inst = dp.view.instance();
+    let (n, d) = (inst.n(), dp.order.len());
     if d == n {
         budget.tick()?;
         tally.0 += 1;
-        if best.as_ref().is_none_or(|b| dp.dp[n - 1].0 < b.cost) {
+        if best.as_ref().is_none_or(|b| *dp.cost() < b.cost) {
             *best = Some(dp.plan());
         }
         return Ok(());
@@ -202,7 +231,7 @@ fn search(
         if dp.order.contains(&v) {
             continue;
         }
-        if dp.inst.buildable(v) {
+        if inst.buildable(v) {
             dp.push(v);
             search(dp, budget, best, tally)?;
             dp.pop();
@@ -271,26 +300,25 @@ pub fn optimize_greedy(inst: &QoHInstance) -> Option<QohPlan> {
         used[j] = true;
         log_n = new_log;
     }
-    let mut z = JoinSequence::new(order);
-    let (mut decomp, mut cost) = best_decomposition(inst, &z)?;
-    // 2-opt improvement over position swaps (never moves an unbuildable
-    // relation out of front position).
-    let first_pinned = !unbuildable.is_empty();
-    let lo = if first_pinned { 1 } else { 0 };
+    // Only the unbuildable relation, if any, sits at position 0, and the
+    // swaps below never move it: every sequence they try is feasible.
+    // One view and one prefix DP serve every candidate; a swap at `i < j`
+    // keeps the DP rows of positions before `i`.
+    let view = ScaledView::new(inst);
+    let mut dp = PrefixDp::new(&view);
+    dp.set(&order);
+    let mut best = dp.plan();
+    let lo = usize::from(!unbuildable.is_empty());
     loop {
         let mut improved = false;
         for i in lo..n {
             for j in i + 1..n {
-                let mut cand_order = z.order().to_vec();
-                cand_order.swap(i, j);
-                let cand = JoinSequence::new(cand_order);
-                if let Some((d, c)) = best_decomposition(inst, &cand) {
-                    if c < cost {
-                        z = cand;
-                        decomp = d;
-                        cost = c;
-                        improved = true;
-                    }
+                let mut cand = best.order.clone();
+                cand.swap(i, j);
+                dp.set(&cand);
+                if *dp.cost() < best.cost {
+                    best = dp.plan();
+                    improved = true;
                 }
             }
         }
@@ -298,7 +326,7 @@ pub fn optimize_greedy(inst: &QoHInstance) -> Option<QohPlan> {
             break;
         }
     }
-    Some(QohPlan { sequence: z, decomposition: decomp, cost })
+    Some(best.unscale(&view))
 }
 
 /// Brute-force check helper: the best decomposition found by trying *every*

@@ -350,3 +350,180 @@ fn qoh_decomposition_ties_go_to_the_lowest_fragment_start() {
     assert_eq!((decomp.fragments(), cost), (&[(1, 2)][..], BigRational::from(24u64)));
     check_prefix_search(&inst, 1, true);
 }
+
+/// A QO_H instance for checking the scaled decomposition DP against the
+/// `BigRational` reference, on `n` relations shaped as a chain (`shape`
+/// 0), a star (1), a cycle (2) or a random tree (3), with
+/// `η = (1/3, 1/2, 2/3)[eta]`. Sizes include 1 and the small sizes whose
+/// `hjmin` is the whole relation (`room = 0`); selectivities are 1, `1/q`
+/// or `p/q` with `p > 1`. With `ties` every size and every selectivity is
+/// the same. Memory `regime`: 0 the product of all sizes (every fragment
+/// fits); 1 tight (the largest `hjmin` plus a little, so fragments split
+/// and joins fill partly); 2 between `Σ hjmin` and `Σ t` (long fragments
+/// with partial fills); 3 tight with one or two relations grown until
+/// `hjmin > M`.
+fn qoh_varied(n: usize, shape: u8, regime: u8, eta: u8, ties: bool, seed: u64) -> QoHInstance {
+    let mut state = seed | 1;
+    let mut next = move |m: u64| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let eta = [(1u32, 3u32), (1, 2), (2, 3)][usize::from(eta)];
+    let mut g = Graph::new(n);
+    for v in 1..n {
+        let u = match shape {
+            0 | 2 => v - 1,
+            1 => 0,
+            _ => next(v as u64) as usize,
+        };
+        g.add_edge(u, v);
+    }
+    if shape == 2 && n >= 3 {
+        g.add_edge(n - 1, 0);
+    }
+    let mut sel = || match next(5) {
+        0 => BigRational::one(),
+        1 | 2 => BigRational::new(BigInt::one(), BigUint::from(2 + next(11))),
+        _ => {
+            let q = 3 + next(10);
+            BigRational::new(BigInt::from(2 + next(q - 2)), BigUint::from(q))
+        }
+    };
+    let size = |next: &mut dyn FnMut(u64) -> u64| match next(6) {
+        0 => BigUint::one(),
+        1 => BigUint::from(2 + next(2)),
+        _ => BigUint::from(4 + next(400)),
+    };
+    let tied_sel = sel();
+    let mut s = SelectivityMatrix::new();
+    for (u, v) in g.edges().collect::<Vec<_>>() {
+        s.set(u, v, if ties { tied_sel.clone() } else { sel() });
+    }
+    let tied_size = size(&mut next);
+    let mut sizes: Vec<BigUint> =
+        (0..n).map(|_| if ties { tied_size.clone() } else { size(&mut next) }).collect();
+    let hjmin = |t: &BigUint| t.root_pow_ceil(eta.0, eta.1);
+    let max_hj = sizes.iter().map(hjmin).max().expect("n >= 2");
+    let sum = |f: &dyn Fn(&BigUint) -> BigUint| sizes.iter().fold(BigUint::zero(), |a, t| &a + &f(t));
+    let memory = match regime {
+        0 => sizes.iter().fold(BigUint::one(), |acc, t| &acc * t),
+        2 => {
+            let (lo, hi) = (sum(&hjmin), sum(&|t| t.clone()));
+            let span = (&hi - &lo).to_u64().expect("small") + 1;
+            &lo + &BigUint::from(next(span))
+        }
+        _ => &max_hj + &BigUint::from(next(max_hj.to_u64().expect("small") + 1)),
+    };
+    if regime == 3 {
+        // `t = (M + 1)^den` has `hjmin(t) = (M + 1)^num > M`.
+        let unbuildable = (&memory + &BigUint::one()).pow(u64::from(eta.1));
+        let first = next(n as u64) as usize;
+        for v in [first, (first + 1) % n].into_iter().take(1 + next(2) as usize) {
+            sizes[v] = unbuildable.clone();
+        }
+    }
+    QoHInstance::with_eta(g, sizes, s, memory, eta)
+}
+
+/// The exhaustive optimum from the reference alone: every permutation in
+/// lexicographic order, each with its every-partition decomposition, the
+/// first cheapest winning.
+fn bruteforce_optimum(inst: &QoHInstance) -> Option<PlanParts> {
+    let mut best: Option<PlanParts> = None;
+    for perm in aqo_core::join::permutations(inst.n()) {
+        let z = JoinSequence::new(perm);
+        if let Some((decomp, cost)) = pipeline::best_decomposition_bruteforce(inst, &z) {
+            if best.as_ref().is_none_or(|b| cost < b.2) {
+                best = Some((z.order().to_vec(), decomp.fragments().to_vec(), cost));
+            }
+        }
+    }
+    best
+}
+
+fn parts(plan: pipeline::QohPlan) -> PlanParts {
+    (plan.sequence.order().to_vec(), plan.decomposition.fragments().to_vec(), plan.cost)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn scaled_decomposition_matches_bruteforce(
+        n in 2usize..=7,
+        shape in 0u8..4,
+        regime in 0u8..4,
+        eta in 0u8..3,
+        ties in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let inst = qoh_varied(n, shape, regime, eta, ties, seed);
+        // The identity and one seeded permutation; the lowest fragment
+        // start wins ties in the DP, the lowest boundary mask in the
+        // reference: the same decomposition.
+        let mut orders = vec![(0..n).collect::<Vec<_>>()];
+        let mut shuffled = orders[0].clone();
+        shuffled.rotate_left((seed % n as u64) as usize);
+        shuffled.swap(0, n - 1);
+        orders.push(shuffled);
+        for order in orders {
+            let z = JoinSequence::new(order);
+            let got = pipeline::best_decomposition(&inst, &z);
+            let want = pipeline::best_decomposition_bruteforce(&inst, &z);
+            prop_assert_eq!(
+                got.map(|(d, c)| (d.fragments().to_vec(), c)),
+                want.map(|(d, c)| (d.fragments().to_vec(), c))
+            );
+        }
+    }
+
+    #[test]
+    fn scaled_exhaustive_matches_bruteforce_minimum(
+        n in 2usize..=6,
+        shape in 0u8..4,
+        regime in 0u8..4,
+        eta in 0u8..3,
+        ties in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let inst = qoh_varied(n, shape, regime, eta, ties, seed);
+        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let want = bruteforce_optimum(&inst);
+        prop_assert_eq!(pipeline::optimize_exhaustive(&inst).map(parts), want);
+        // The greedy reuses one prefix DP across its swaps; the plan it
+        // reports must be its sequence's true optimal decomposition.
+        if let Some(g) = pipeline::optimize_greedy(&inst) {
+            let reference = pipeline::best_decomposition_bruteforce(&inst, &g.sequence)
+                .map(|(d, c)| (d.fragments().to_vec(), c));
+            prop_assert_eq!(Some((g.decomposition.fragments().to_vec(), g.cost)), reference);
+        }
+    }
+}
+
+#[test]
+fn fh_reduction_optima_are_pinned() {
+    // E9b's two families (ω = 4 and the Turán graph T(6, 3), b = 2^12):
+    // n = 7 and a scale `K` of over a thousand bits. The costs are the
+    // ones the `BigRational` search returned.
+    use aqo_graph::generators;
+    use aqo_reductions::fh_reduction;
+    let b = BigUint::from(2u64).pow(12);
+    let cases = [
+        (
+            generators::dense_known_omega(6, 4),
+            "11779303984949684258943348363023394207835581952512169754318934925974525269/357913941",
+        ),
+        (
+            generators::turan(6, 3),
+            "72398546384629361236104171445138129149390067488824829234456251126851523575807/\
+             1073741823",
+        ),
+    ];
+    for (g, cost) in cases {
+        let red = fh_reduction::reduce(&g, &b);
+        let plan = pipeline::optimize_exhaustive(&red.instance).expect("feasible");
+        assert_eq!(plan.cost.to_string(), cost);
+        assert_eq!(plan.sequence.order(), &[6, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(plan.decomposition.fragments(), &[(1, 1), (2, 6)]);
+    }
+}

@@ -1098,11 +1098,7 @@ impl LineReader {
                     if self.pending.is_empty() { None } else { Some(Instant::now()) };
                 return Ok(LineEvent::Line(String::from_utf8_lossy(&line).into_owned()));
             }
-            // `serve::net::oversized_line` forces this eviction path as if
-            // the limit had been hit, whatever is pending.
-            if self.pending.len() > self.max_line
-                || faults::fail_point("serve::net::oversized_line").is_err()
-            {
+            if self.pending.len() > self.max_line {
                 return Ok(LineEvent::Evicted(EvictReason::Oversized));
             }
             if let (Some(deadline), Some(since)) = (self.deadline, self.partial_since) {
@@ -1113,15 +1109,23 @@ impl LineReader {
             if stop() {
                 return Ok(LineEvent::Closed);
             }
-            // `serve::net::stalled_read`: delay stalls the loop one fault
-            // budget at a time; err aborts the read as a peer reset would.
-            if faults::fail_point("serve::net::stalled_read").is_err() {
-                return Ok(LineEvent::Closed);
-            }
             let mut buf = [0u8; 4096];
             match self.stream.read(&mut buf) {
                 Ok(0) => return Ok(LineEvent::Closed),
                 Ok(n) => {
+                    // The read path's fault sites are polled when bytes
+                    // arrive, never on a read timeout, so an idle or
+                    // closing connection cannot take a fire meant for an
+                    // active one. `serve::net::stalled_read`: delay stalls
+                    // the loop one fault budget at a time; err aborts the
+                    // read as a peer reset would. `serve::net::oversized_line`
+                    // forces the eviction path as if the limit had been hit.
+                    if faults::fail_point("serve::net::stalled_read").is_err() {
+                        return Ok(LineEvent::Closed);
+                    }
+                    if faults::fail_point("serve::net::oversized_line").is_err() {
+                        return Ok(LineEvent::Evicted(EvictReason::Oversized));
+                    }
                     // analyze:allow(panic-path) -- n <= buf.len() by the
                     // io::Read contract, so the slice is in range.
                     self.pending.extend_from_slice(&buf[..n]);
