@@ -1,4 +1,4 @@
-//! Exact optimizers: subset DP, branch-and-bound, exhaustive (E5/E13, F3).
+//! Exact optimizers (subset DP, two-phase engine; E5/E13, F3) and IKKBZ on trees.
 
 use aqo_bignum::{BigInt, BigRational, BigUint, LogNum};
 use aqo_core::qon::QoNInstance;
@@ -6,7 +6,7 @@ use aqo_core::{AccessCostMatrix, SelectivityMatrix};
 use aqo_graph::generators;
 use aqo_core::budget::Budget;
 use aqo_optimizer::engine::DpOptions;
-use aqo_optimizer::{branch_bound, dp, engine, exhaustive, ikkbz};
+use aqo_optimizer::{dp, engine, ikkbz};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,18 +85,6 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bnb_vs_exhaustive(c: &mut Criterion) {
-    let inst = instance(8, 2);
-    let mut group = c.benchmark_group("exact_search_n8");
-    group.bench_function("branch_bound", |b| {
-        b.iter(|| branch_bound::optimize::<LogNum>(black_box(&inst), true));
-    });
-    group.bench_function("exhaustive", |b| {
-        b.iter(|| exhaustive::optimize::<LogNum>(black_box(&inst)));
-    });
-    group.finish();
-}
-
 fn bench_ikkbz(c: &mut Criterion) {
     let mut group = c.benchmark_group("ikkbz_trees");
     for n in [20usize, 60, 120] {
@@ -128,6 +116,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_dp, bench_engine, bench_bnb_vs_exhaustive, bench_ikkbz
+    targets = bench_dp, bench_engine, bench_ikkbz
 }
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]   # emit a .qon instance
-//! aqo optimize <file.qon> [--method dp|bnb|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian]
+//! aqo optimize <file.qon> [--method dp|ccp|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian]
 //!              [--timeout-ms <n>] [--max-expansions <n>] [--fallback <chain>]
 //! aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]
 //!              [--timeout-ms <n>] [--max-expansions <n>] [--fallback <chain>]
@@ -23,7 +23,7 @@
 //! Passing any of `--timeout-ms`, `--max-expansions`, or `--fallback` routes
 //! the command through the budgeted driver ([`aqo_driver`]): the strongest
 //! tier runs under the budget and failures degrade down the fallback chain
-//! (`dp,bnb,ikkbz,greedy` for QO_N, `exhaustive,greedy` for QO_H). The
+//! (`dp,ikkbz,greedy` for QO_N, `exhaustive,greedy` for QO_H). The
 //! driver's report — which tier answered, budget consumed, failures
 //! swallowed — goes to stderr; the plan goes to stdout as usual. The
 //! `AQO_FAULTS` environment variable arms fault-injection sites (see
@@ -41,9 +41,7 @@
 use aqo_bignum::{BigRational, BigUint};
 use aqo_core::{faults, textio, workloads, CostScalar};
 use aqo_driver::{BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
-use aqo_optimizer::{
-    branch_bound, ccp, dp, engine, exhaustive, genetic, greedy, ikkbz, local_search, pipeline,
-};
+use aqo_optimizer::{engine, exhaustive, genetic, greedy, ikkbz, local_search, pipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -136,7 +134,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]\n  aqo optimize <file.qon> [--method dp|ccp|bnb|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian] [--explain]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo serve [--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n            [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n            [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n            [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n            [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n                                                       # JSONL optimization service (docs/SERVING.md)\n  aqo request <addr> <optimize|explain|optimize-qoh|explain-qoh|clique|status|metrics|shutdown> [file]\n              [--id <n>] [--method <tier>] [--fallback <tier,tier,...>] [--timeout-ms <n>]\n              [--max-expansions <n>] [--threads <n>] [--no-cartesian] [--no-cache]\n  aqo loadgen [--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n              [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] [--out <path>]\n                                                       # writes BENCH_serve.json\n  aqo chaos [--quick] [--requests <n>] [--fault-count <n>] [--seed <n>] [--out <path>]\n                                                       # fault campaign, writes CHAOS.json (docs/ROBUSTNESS.md)\n  aqo replay extract <journal.jsonl> [--out <path>]    # journal -> aqo-workload/v1\n  aqo replay run <workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n                                                       # re-drive + diff, exit 1 on regression\n  aqo replay validate [<workload.jsonl>] [--quick] [--instance <file.qon>] [--trials <n>]\n              [--tolerance <f>] [--min-gap-log2 <f>] [--seed <n>] [--max-rows <n>]\n              [--json] [--out <path>]                  # execution-backed ordering gate (docs/REPLAY.md)\n  aqo exec validate <file.qon> [--trials <n>] [--seed <n>] [--json] [--out <path>]\n                                                       # model-vs-measured calibration\n  aqo bench [--quick] [--threads <n>] [--out <path>]   # writes BENCH_optimizer.json\n  aqo trace-check <trace.jsonl>                        # validate a --trace-json journal\n  aqo trace view <trace.jsonl>                         # render per-request span trees\n  aqo top [--addr <host:port>] [--once] [--json] [--interval-ms <n>]\n                                                       # live dashboard from the `metrics` op\n  aqo analyze [--json] [--root <dir>] [--rule <id>] [--baseline <file>]\n              [--no-baseline] [--write-baseline]      # invariant linter (docs/ANALYSIS.md)\n  aqo reduce-3sat <file.cnf> [--a <int>] [--e <int>]\n  aqo clique <file.dimacs>\n  aqo --version | -V                                   # print version and exit\n\n--threads: 1 = sequential (default), 0 = one worker per hardware thread,\nk > 1 splits the exact DP's layers (QO_N) or the exhaustive search's root\nprefixes, i.e. its first relations (QO_H), across k workers (same optimum).\n--metrics prints a metrics summary to stderr; --trace-json writes the\nstructured event journal as JSON Lines; --report-json writes the driver\nreport as JSON (and routes through the driver)."
+    "usage:\n  aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]\n  aqo optimize <file.qon> [--method dp|ccp|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian] [--explain]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo serve [--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n            [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n            [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n            [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n            [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n                                                       # JSONL optimization service (docs/SERVING.md)\n  aqo request <addr> <optimize|explain|optimize-qoh|explain-qoh|clique|status|metrics|shutdown> [file]\n              [--id <n>] [--method <tier>] [--fallback <tier,tier,...>] [--timeout-ms <n>]\n              [--max-expansions <n>] [--threads <n>] [--no-cartesian] [--no-cache]\n  aqo loadgen [--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n              [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] [--out <path>]\n                                                       # writes BENCH_serve.json\n  aqo chaos [--quick] [--requests <n>] [--fault-count <n>] [--seed <n>] [--out <path>]\n                                                       # fault campaign, writes CHAOS.json (docs/ROBUSTNESS.md)\n  aqo replay extract <journal.jsonl> [--out <path>]    # journal -> aqo-workload/v1\n  aqo replay run <workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n                                                       # re-drive + diff, exit 1 on regression\n  aqo replay validate [<workload.jsonl>] [--quick] [--instance <file.qon>] [--trials <n>]\n              [--tolerance <f>] [--min-gap-log2 <f>] [--seed <n>] [--max-rows <n>]\n              [--json] [--out <path>]                  # execution-backed ordering gate (docs/REPLAY.md)\n  aqo exec validate <file.qon> [--trials <n>] [--seed <n>] [--json] [--out <path>]\n                                                       # model-vs-measured calibration\n  aqo bench [--quick] [--threads <n>] [--out <path>]   # writes BENCH_optimizer.json\n  aqo trace-check <trace.jsonl>                        # validate a --trace-json journal\n  aqo trace view <trace.jsonl>                         # render per-request span trees\n  aqo top [--addr <host:port>] [--once] [--json] [--interval-ms <n>]\n                                                       # live dashboard from the `metrics` op\n  aqo analyze [--json] [--root <dir>] [--rule <id>] [--baseline <file>]\n              [--no-baseline] [--write-baseline]      # invariant linter (docs/ANALYSIS.md)\n  aqo reduce-3sat <file.cnf> [--a <int>] [--e <int>]\n  aqo clique <file.dimacs>\n  aqo --version | -V                                   # print version and exit\n\n--threads: 1 = sequential (default), 0 = one worker per hardware thread,\nk > 1 splits the exact DP's layers (QO_N) or the exhaustive search's root\nprefixes, i.e. its first relations (QO_H), across k workers (same optimum).\n--metrics prints a metrics summary to stderr; --trace-json writes the\nstructured event journal as JSON Lines; --report-json writes the driver\nreport as JSON (and routes through the driver)."
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -329,40 +327,15 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
         } else {
             let mut rng = StdRng::seed_from_u64(0);
             let (label, sequence) = match method {
-                "dp" | "exhaustive" | "ccp" if inst.n() > method_max_n(method) => {
-                    let alt = if method == "ccp" || inst.n() > ccp::MAX_N {
-                        "use a polynomial method (greedy|ikkbz|sa|ga)".to_string()
-                    } else {
-                        format!(
-                            "use --method ccp for sparse no-cartesian instances up to \
-                             n = {} or a polynomial method (greedy|ikkbz|sa|ga)",
-                            ccp::MAX_N
-                        )
-                    };
+                "dp" | "ccp" | "exhaustive" if inst.n() > method_max_n(method, allow_cartesian) => {
                     return Err(CliError::Unsupported(format!(
-                        "--method {method} handles n <= {} (instance has n = {}); {alt}",
-                        method_max_n(method),
+                        "--method {method} handles n <= {} (instance has n = {}); \
+                         use a polynomial method (greedy|ikkbz|sa|ga)",
+                        method_max_n(method, allow_cartesian),
                         inst.n(),
                     )));
                 }
-                "ccp" if allow_cartesian => {
-                    return Err(CliError::usage(
-                        "optimize: --method ccp is exact only for the cartesian-free space; \
-                         add --no-cartesian (or use --method dp)"
-                            .to_string(),
-                    ));
-                }
-                "ccp" => {
-                    let o = ccp::optimize_two_phase::<BigRational>(
-                        &inst,
-                        threads,
-                        &aqo_core::Budget::unlimited(),
-                    )
-                    .expect("unlimited budget cannot be exceeded")
-                    .ok_or_else(infeasible_qon)?;
-                    ("exact (DPccp connected-subgraph DP)", o.sequence)
-                }
-                "dp" => {
+                "dp" | "ccp" => {
                     let opts = engine::DpOptions { allow_cartesian, threads };
                     let o = engine::optimize_two_phase::<BigRational>(
                         &inst,
@@ -372,11 +345,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
                     .expect("unlimited budget cannot be exceeded")
                     .ok_or_else(infeasible_qon)?;
                     ("exact (two-phase subset DP)", o.sequence)
-                }
-                "bnb" => {
-                    let o = branch_bound::optimize::<BigRational>(&inst, allow_cartesian)
-                        .ok_or_else(infeasible_qon)?;
-                    ("exact (branch & bound)", o.sequence)
                 }
                 "exhaustive" => {
                     ("exact (exhaustive)", exhaustive::optimize::<BigRational>(&inst).sequence)
@@ -421,13 +389,13 @@ fn infeasible_qon() -> CliError {
     CliError::Infeasible("no cartesian-free sequence exists".into())
 }
 
-/// Largest `n` each subset-mask exact method accepts; beyond it the CLI
-/// rejects with a structured error instead of letting mask arithmetic
-/// wrap or an internal assert panic.
-fn method_max_n(method: &str) -> usize {
+/// Largest `n` each exact method accepts; beyond it the CLI rejects with
+/// a structured error instead of letting mask arithmetic wrap or an
+/// internal assert panic. `dp` and `ccp` name the one engine, capped by
+/// the request's mode.
+fn method_max_n(method: &str, allow_cartesian: bool) -> usize {
     match method {
-        "dp" => dp::MAX_N,
-        "ccp" => ccp::MAX_N,
+        "dp" | "ccp" => engine::max_n(allow_cartesian),
         "exhaustive" => exhaustive::MAX_N,
         _ => usize::MAX,
     }

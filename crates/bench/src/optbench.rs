@@ -17,18 +17,18 @@
 //! `algo = "ccp"` cells (connected-subgraph DP on the sparse families,
 //! reaching past the dense engine's practical range — chain `n = 25`
 //! against `2^25` all-subsets states) and an optional `note` field for
-//! cell-level caveats. Branch-and-bound cells are sequential only (it has
-//! no parallel variant). Every ccp cell is verified three ways
+//! cell-level caveats. A ccp cell is the engine in its connected mode
+//! (cartesian products disallowed). Every ccp cell is verified three ways
 //! before it is recorded: log-domain cost agreement with the sequential
 //! `dp` oracle, exact recosting of the returned sequence, and
-//! `optimizer.ccp.subsets_expanded` equal to the instance's true
+//! `optimizer.engine.subsets_expanded` equal to the instance's true
 //! connected-subgraph count.
 
 use aqo_bignum::{BigRational, LogNum};
 use aqo_core::budget::Budget;
 use aqo_core::qon::QoNInstance;
 use aqo_core::workloads;
-use aqo_optimizer::{branch_bound, ccp, dp, engine};
+use aqo_optimizer::{ccp, dp, engine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -51,8 +51,7 @@ pub struct BenchRecord {
     pub family: &'static str,
     /// Relation count.
     pub n: usize,
-    /// Algorithm identifier (`dp`, `engine`, `engine-two-phase`, `ccp`,
-    /// `bnb`; `bnb` cells are `seq` only).
+    /// Algorithm identifier (`dp`, `engine`, `engine-two-phase`, `ccp`).
     pub algo: &'static str,
     /// Scalar backend (`lognum` or `rational`).
     pub scalar: &'static str,
@@ -96,8 +95,6 @@ struct Family {
     lognum_ns: &'static [usize],
     /// Sizes for the exact pair (sequential `dp` vs `engine-two-phase`).
     exact_ns: &'static [usize],
-    /// Sizes for the (sequential) branch-and-bound cell.
-    bnb_ns: &'static [usize],
     /// Sizes for the connected-subgraph DP (cartesian-free, exact). The
     /// state space is the connected-subgraph count, so sparse families
     /// reach well past the dense tiers' `2^n` wall (chain `n = 25` holds
@@ -106,8 +103,8 @@ struct Family {
 }
 
 const QUICK: &[Family] = &[
-    Family { name: "chain", lognum_ns: &[9, 11], exact_ns: &[8], bnb_ns: &[7], ccp_ns: &[11] },
-    Family { name: "cycle", lognum_ns: &[9], exact_ns: &[8], bnb_ns: &[], ccp_ns: &[] },
+    Family { name: "chain", lognum_ns: &[9, 11], exact_ns: &[8], ccp_ns: &[11] },
+    Family { name: "cycle", lognum_ns: &[9], exact_ns: &[8], ccp_ns: &[] },
 ];
 
 const FULL: &[Family] = &[
@@ -115,18 +112,11 @@ const FULL: &[Family] = &[
         name: "chain",
         lognum_ns: &[12, 14, 16, 18],
         exact_ns: &[12, 14],
-        bnb_ns: &[10],
         ccp_ns: &[18, 20, 22, 25],
     },
-    Family { name: "star", lognum_ns: &[12, 14], exact_ns: &[12], bnb_ns: &[], ccp_ns: &[] },
-    Family {
-        name: "cycle",
-        lognum_ns: &[12, 16, 18],
-        exact_ns: &[12],
-        bnb_ns: &[10],
-        ccp_ns: &[18, 22],
-    },
-    Family { name: "clique", lognum_ns: &[12, 14], exact_ns: &[12], bnb_ns: &[], ccp_ns: &[14] },
+    Family { name: "star", lognum_ns: &[12, 14], exact_ns: &[12], ccp_ns: &[] },
+    Family { name: "cycle", lognum_ns: &[12, 16, 18], exact_ns: &[12], ccp_ns: &[18, 22] },
+    Family { name: "clique", lognum_ns: &[12, 14], exact_ns: &[12], ccp_ns: &[14] },
 ];
 
 fn instance(family: &str, n: usize, seed: u64) -> QoNInstance {
@@ -253,33 +243,11 @@ pub fn run(cfg: &BenchConfig) -> Vec<BenchRecord> {
                 note: None,
             });
         }
-        for &n in fam.bnb_ns {
-            let inst = instance(fam.name, n, 42 + n as u64);
-            let (run, metrics) =
-                capture_metrics(|| branch_bound::optimize::<BigRational>(&inst, true));
-            run.expect("connected");
-            let ms = median_ms(samples, || {
-                branch_bound::optimize::<BigRational>(&inst, true)
-            });
-            records.push(BenchRecord {
-                family: fam.name,
-                n,
-                algo: "bnb",
-                scalar: "rational",
-                mode: "seq",
-                threads: 1,
-                median_ms: ms,
-                samples,
-                speedup: None,
-                metrics,
-                note: None,
-            });
-        }
         for &n in fam.ccp_ns {
             let inst = instance(fam.name, n, 42 + n as u64);
             // Sequential dp oracle, run in the log domain *outside* the
             // metric capture (so the cell's counters are purely
-            // `optimizer.ccp.*`). At chain n = 25 the exact-rational dp
+            // `optimizer.engine.*`). At chain n = 25 the exact-rational dp
             // table would be gigabytes; LogNum keeps the oracle cheap
             // while still pinning the argmin to ~1e-6 bits.
             let oracle = dp::optimize::<LogNum>(&inst, false)
@@ -297,7 +265,7 @@ pub fn run(cfg: &BenchConfig) -> Vec<BenchRecord> {
             assert_eq!(recost, seq_opt.cost, "{} n={n}: ccp recost mismatch", fam.name);
             let expanded = seq_metrics
                 .iter()
-                .find(|(k, _)| k == "optimizer.ccp.subsets_expanded")
+                .find(|(k, _)| k == "optimizer.engine.subsets_expanded")
                 .map(|(_, v)| *v);
             assert_eq!(
                 expanded,
@@ -415,7 +383,7 @@ mod tests {
         let records = run(&cfg);
         assert!(!records.is_empty());
         // Every parallel record carries a positive speedup and pairs with a
-        // sequential one; bnb cells are sequential only.
+        // sequential one.
         for r in &records {
             assert!(r.median_ms >= 0.0);
             match r.mode {
@@ -427,10 +395,7 @@ mod tests {
                 other => panic!("unknown mode {other}"),
             }
         }
-        let seq = records
-            .iter()
-            .filter(|r| r.mode == "seq" && r.algo != "bnb")
-            .count();
+        let seq = records.iter().filter(|r| r.mode == "seq").count();
         let par = records.iter().filter(|r| r.mode == "par").count();
         assert_eq!(seq, par);
         // The quick profile exercises a ccp cell; its expansion counter
@@ -444,7 +409,7 @@ mod tests {
         let expanded = ccp_cell
             .metrics
             .iter()
-            .find(|(k, _)| k == "optimizer.ccp.subsets_expanded")
+            .find(|(k, _)| k == "optimizer.engine.subsets_expanded")
             .map(|(_, v)| *v);
         assert_eq!(expanded, Some(66));
         assert!(ccp_cell.note.is_some());

@@ -64,7 +64,7 @@ fn optimize_with_threads_matches_sequential_cost() {
     let (ok, seq_out, err) = aqo(&["optimize", path.to_str().unwrap(), "--threads", "1"]);
     assert!(ok, "stderr: {err}");
     for threads in ["2", "0"] {
-        for method in ["dp", "bnb", "exhaustive"] {
+        for method in ["dp", "ccp", "exhaustive"] {
             let (ok, par_out, err) = aqo(&[
                 "optimize",
                 path.to_str().unwrap(),
@@ -109,8 +109,9 @@ fn bench_quick_writes_wellformed_json() {
         "dp cross-check run captured counters: {json}"
     );
     assert!(
-        json.contains("\"algo\": \"ccp\"") && json.contains("optimizer.ccp.subsets_expanded"),
-        "v3 benches a ccp cell with its counters: {json}"
+        json.contains("\"algo\": \"ccp\"")
+            && json.contains("\"optimizer.engine.subsets_expanded\": 66"),
+        "v3 benches a ccp cell (chain n = 11: 66 connected subsets) with its counters: {json}"
     );
     // Structural sanity: balanced braces/brackets, non-empty records array.
     assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -386,43 +387,30 @@ fn unknown_subcommand_is_named_in_the_error() {
 }
 
 #[test]
-fn ccp_method_matches_dp_and_enforces_no_cartesian() {
+fn ccp_and_dp_print_identical_output_in_both_modes() {
     let (ok, instance, _) = aqo(&["gen", "cycle", "9", "17"]);
     assert!(ok);
     let dir = std::env::temp_dir().join("aqo_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cycle9.qon");
     std::fs::write(&path, &instance).unwrap();
-    let cost_of = |s: &str| {
-        s.lines()
-            .find(|l| l.starts_with("cost"))
-            .map(|l| l.split(':').nth(1).unwrap().trim().to_string())
-            .expect("cost line")
-    };
 
-    let (ok, dp_out, err) =
-        aqo(&["optimize", path.to_str().unwrap(), "--method", "dp", "--no-cartesian"]);
-    assert!(ok, "stderr: {err}");
-    for threads in ["1", "2"] {
-        let (ok, ccp_out, err) = aqo(&[
-            "optimize",
-            path.to_str().unwrap(),
-            "--method",
-            "ccp",
-            "--no-cartesian",
-            "--threads",
-            threads,
-        ]);
-        assert!(ok, "ccp --threads {threads} failed: {err}");
-        assert_eq!(cost_of(&dp_out), cost_of(&ccp_out), "ccp must be exact");
+    // `ccp` is an alias of `dp`: one engine, whose state space follows
+    // --no-cartesian.
+    for mode in [&[][..], &["--no-cartesian"][..]] {
+        let run = |method: &str, threads: &str| {
+            let mut args = vec!["optimize", path.to_str().unwrap(), "--method", method];
+            args.extend_from_slice(mode);
+            args.extend_from_slice(&["--threads", threads]);
+            let (ok, out, err) = aqo(&args);
+            assert!(ok, "{method} {mode:?} --threads {threads} failed: {err}");
+            out
+        };
+        let dp_out = run("dp", "1");
+        for threads in ["1", "2"] {
+            assert_eq!(dp_out, run("ccp", threads), "{mode:?} --threads {threads}");
+        }
     }
-
-    // Without --no-cartesian the connected-only enumeration would not be
-    // exact, so the CLI must refuse up front (usage error, banner shown).
-    let (ok, _, err) = aqo(&["optimize", path.to_str().unwrap(), "--method", "ccp"]);
-    assert!(!ok);
-    assert!(err.contains("--no-cartesian"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
 }
 
 #[test]
@@ -430,33 +418,38 @@ fn oversized_instances_get_structured_rejections_not_mask_wraparound() {
     let dir = std::env::temp_dir().join("aqo_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
 
-    // n = 28: over the dp cap, inside the ccp cap. dp must refuse with a
-    // structured error (no usage banner — the invocation was fine); ccp
-    // must just answer.
+    // n = 28: over the all-subsets cap, inside the connected-mode cap.
+    // With cartesian products both names must refuse with a structured
+    // error (no usage banner — the invocation was fine); without them
+    // they just answer.
     let (ok, instance, _) = aqo(&["gen", "chain", "28", "5"]);
     assert!(ok);
     let p28 = dir.join("chain28.qon");
     std::fs::write(&p28, &instance).unwrap();
-    let (ok, _, err) =
-        aqo(&["optimize", p28.to_str().unwrap(), "--method", "dp", "--no-cartesian"]);
-    assert!(!ok);
-    assert!(err.contains("handles n <="), "{err}");
-    assert!(!err.contains("usage:"), "not a usage error: {err}");
-    let (ok, out, err) =
-        aqo(&["optimize", p28.to_str().unwrap(), "--method", "ccp", "--no-cartesian"]);
-    assert!(ok, "ccp handles the 28-chain: {err}");
-    assert!(out.contains("DPccp"), "{out}");
+    for method in ["dp", "ccp"] {
+        let (ok, _, err) = aqo(&["optimize", p28.to_str().unwrap(), "--method", method]);
+        assert!(!ok, "{method} must reject the 28-chain with cartesian products");
+        assert!(err.contains("handles n <= 25"), "{method}: {err}");
+        assert!(!err.contains("usage:"), "not a usage error: {err}");
+        let (ok, out, err) =
+            aqo(&["optimize", p28.to_str().unwrap(), "--method", method, "--no-cartesian"]);
+        assert!(ok, "{method} --no-cartesian handles the 28-chain: {err}");
+        assert!(out.contains("exact"), "{out}");
+    }
 
-    // n = 33: past every u32-mask method, including ccp.
+    // n = 33: past the u32 masks in both modes, under both names.
     let (ok, instance, _) = aqo(&["gen", "chain", "33", "5"]);
     assert!(ok);
     let p33 = dir.join("chain33.qon");
     std::fs::write(&p33, &instance).unwrap();
     for method in ["dp", "ccp"] {
-        let (ok, _, err) =
-            aqo(&["optimize", p33.to_str().unwrap(), "--method", method, "--no-cartesian"]);
-        assert!(!ok, "{method} must reject n = 33");
-        assert!(err.contains("handles n <="), "{method}: {err}");
+        for mode in [&[][..], &["--no-cartesian"][..]] {
+            let mut args = vec!["optimize", p33.to_str().unwrap(), "--method", method];
+            args.extend_from_slice(mode);
+            let (ok, _, err) = aqo(&args);
+            assert!(!ok, "{method} {mode:?} must reject n = 33");
+            assert!(err.contains("handles n <="), "{method} {mode:?}: {err}");
+        }
     }
     // The polynomial methods still answer at n = 33.
     let (ok, _, err) =

@@ -59,20 +59,26 @@ fn tiny_timeout_on_clique_degrades_and_exits_zero() {
 
 #[test]
 fn injected_dp_panic_still_exits_zero_with_valid_plan() {
-    let path = gen_instance("clique", 8, 3);
+    let path = gen_instance("chain", 8, 3);
     let out = run_checked(
         aqo()
-            .args(["optimize", path.to_str().unwrap(), "--max-expansions", "100000000"])
+            .args(["optimize", path.to_str().unwrap(), "--fallback", "dp,ikkbz,greedy"])
             .env("AQO_FAULTS", "qon::dp=panic"),
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stdout.contains("driver (bnb tier)"), "stdout: {stdout}");
+    assert!(stdout.contains("driver (ikkbz tier)"), "stdout: {stdout}");
     assert!(stderr.contains("dp attempt 1: panic"), "stderr: {stderr}");
 
-    // The surviving exact tier answers with the true optimum: compare
-    // against a plain `--method dp` run of the same instance.
-    let direct = run_checked(aqo().args(["optimize", path.to_str().unwrap(), "--method", "dp"]));
+    // IKKBZ is optimal on acyclic graphs: it answers with the
+    // cartesian-free optimum of a direct DP run.
+    let direct = run_checked(aqo().args([
+        "optimize",
+        path.to_str().unwrap(),
+        "--method",
+        "dp",
+        "--no-cartesian",
+    ]));
     assert_eq!(stdout_cost(&out), stdout_cost(&direct));
 }
 
@@ -95,14 +101,14 @@ fn generous_budget_matches_direct_dp_bit_for_bit() {
 #[test]
 fn custom_fallback_chain_is_respected() {
     let path = gen_instance("chain", 9, 1);
-    // Chain without dp: bnb answers under a generous budget.
+    // Chain without dp: ikkbz answers.
     let out = run_checked(aqo().args([
         "optimize",
         path.to_str().unwrap(),
         "--fallback",
-        "bnb,greedy",
+        "ikkbz,greedy",
     ]));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("driver (bnb tier)"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("driver (ikkbz tier)"));
 
     // An unknown tier is a usage error: nonzero exit, usage on stderr.
     let bad = aqo()

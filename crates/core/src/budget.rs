@@ -1,7 +1,7 @@
 //! Cooperative resource budgets for the exponential optimizers.
 //!
-//! Every exact algorithm in this workspace — subset DP, branch-and-bound,
-//! exhaustive enumeration — is exponential in the number of relations;
+//! Every exact algorithm in this workspace — subset DP, exhaustive
+//! enumeration — is exponential in the number of relations;
 //! that is the whole point of the paper. A production front end therefore
 //! needs a way to *bound* them: a [`Budget`] carries a wall-clock deadline,
 //! an expansion (search-node) cap, a memory-estimate cap, and an external

@@ -1,7 +1,7 @@
 //! Budgeted, cancellable optimization driver with graceful degradation.
 //!
 //! The optimizers in [`aqo_optimizer`] are a bestiary: exponential exact
-//! algorithms (subset DP, branch-and-bound, exhaustive enumeration) next to
+//! algorithms (subset DP, exhaustive enumeration) next to
 //! polynomial heuristics. This crate wraps them behind a single entry point
 //! per problem — [`optimize_qon`] and [`optimize_qoh`] — that
 //!
@@ -13,17 +13,17 @@
 //! * retries transient injected failures (see [`aqo_core::faults`]) a
 //!   bounded number of times with doubling backoff;
 //! * on failure, degrades down a configurable fallback chain
-//!   (`dp → bnb → ikkbz → greedy` for QO_N, `exhaustive → greedy` for
+//!   (`dp → ikkbz → greedy` for QO_N, `exhaustive → greedy` for
 //!   QO_H) until some tier answers;
 //! * returns a [`DriverReport`] recording which tier answered, whether it
 //!   is exact, how much budget was consumed, and every failure swallowed on
 //!   the way down.
 //!
 //! The budget is *shared* across tiers: when the deadline trips in the DP
-//! tier, branch-and-bound trips on its first checkpoint too, and the chain
-//! falls through to the polynomial tiers, which run unbudgeted and always
-//! terminate. A chain that ends in `greedy` therefore answers every
-//! connected instance — degraded, but never hung.
+//! tier, or the instance is past the DP's cap, the chain falls through to
+//! the polynomial tiers, which run unbudgeted and always terminate. A
+//! chain that ends in `greedy` therefore answers every connected instance
+//! — degraded, but never hung.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,7 @@ use aqo_core::faults::{self, with_quiet_panics};
 use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
 use aqo_optimizer::pipeline::QohPlan;
-use aqo_optimizer::{branch_bound, engine, exhaustive, greedy, ikkbz, pipeline, Optimum};
+use aqo_optimizer::{engine, exhaustive, greedy, ikkbz, pipeline, Optimum};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -105,8 +105,6 @@ pub enum QonTier {
     /// when they are not (DPccp, reported as `ccp`, `n ≤ 32` — polynomial
     /// memory on chains/cycles/sparse graphs).
     Dp,
-    /// Branch-and-bound DFS (exact, low memory, worst-case exponential).
-    BranchBound,
     /// IKKBZ (polynomial; exact only on acyclic query graphs, panics on
     /// cyclic ones — the driver degrades past that panic).
     Ikkbz,
@@ -123,7 +121,6 @@ impl QonTier {
         match self {
             QonTier::Dp if allow_cartesian => "dp",
             QonTier::Dp => "ccp",
-            QonTier::BranchBound => "bnb",
             QonTier::Ikkbz => "ikkbz",
             QonTier::Greedy => "greedy",
         }
@@ -131,28 +128,26 @@ impl QonTier {
 
     /// Whether the tier's answer is provably optimal for every instance.
     pub fn is_exact(self) -> bool {
-        matches!(self, QonTier::Dp | QonTier::BranchBound)
+        matches!(self, QonTier::Dp)
     }
 
-    /// The default chain: `dp → bnb → ikkbz → greedy`. `bnb` is the only
-    /// exact tier past the DP's cap (cartesian products admissible and
-    /// `n > 25`).
+    /// The default chain: `dp → ikkbz → greedy`. Past the DP's cap the
+    /// answer comes from the polynomial tiers.
     pub fn default_chain() -> Vec<QonTier> {
-        vec![QonTier::Dp, QonTier::BranchBound, QonTier::Ikkbz, QonTier::Greedy]
+        vec![QonTier::Dp, QonTier::Ikkbz, QonTier::Greedy]
     }
 
-    /// Parses a comma-separated chain spec such as `dp,bnb,greedy`. `dp`
+    /// Parses a comma-separated chain spec such as `dp,ikkbz,greedy`. `dp`
     /// and `ccp` both name the exact DP; a tier named twice runs once.
     pub fn parse_chain(spec: &str) -> Result<Vec<QonTier>, String> {
         let mut chain = Vec::new();
         for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
             let tier = match name {
                 "dp" | "ccp" => QonTier::Dp,
-                "bnb" => QonTier::BranchBound,
                 "ikkbz" => QonTier::Ikkbz,
                 "greedy" => QonTier::Greedy,
                 other => {
-                    return Err(format!("unknown tier `{other}` (dp|ccp|bnb|ikkbz|greedy)"))
+                    return Err(format!("unknown tier `{other}` (dp|ccp|ikkbz|greedy)"))
                 }
             };
             if !chain.contains(&tier) {
@@ -415,7 +410,6 @@ fn qon_tier_span(tier: QonTier, allow_cartesian: bool) -> aqo_obs::Span {
     match tier {
         QonTier::Dp if allow_cartesian => aqo_obs::span("tier.dp"),
         QonTier::Dp => aqo_obs::span("tier.ccp"),
-        QonTier::BranchBound => aqo_obs::span("tier.bnb"),
         QonTier::Ikkbz => aqo_obs::span("tier.ikkbz"),
         QonTier::Greedy => aqo_obs::span("tier.greedy"),
     }
@@ -473,10 +467,6 @@ pub fn optimize_qon(
             QonTier::Dp => {
                 let opts = engine::DpOptions { allow_cartesian: allow, threads: cfg.threads };
                 engine::optimize_two_phase::<BigRational>(inst, &opts, budget)
-                    .map_err(TierFailure::Budget)
-            }
-            QonTier::BranchBound => {
-                branch_bound::optimize_with_budget::<BigRational>(inst, allow, budget)
                     .map_err(TierFailure::Budget)
             }
             QonTier::Ikkbz => Ok(Some(ikkbz::optimize(inst))),

@@ -51,7 +51,7 @@ impl fmt::Display for TierFailure {
 /// One failed attempt at one tier.
 #[derive(Clone, Debug)]
 pub struct Attempt {
-    /// Name of the tier (`dp`, `bnb`, `ikkbz`, `greedy`, `exhaustive`).
+    /// Name of the tier (`dp`, `ccp`, `ikkbz`, `greedy`, `exhaustive`).
     pub tier: &'static str,
     /// 1-based attempt number at that tier (> 1 only after retries).
     pub attempt: u32,
@@ -178,8 +178,8 @@ mod tests {
     #[test]
     fn to_json_with_failures_parses() {
         let report = DriverReport {
-            tier: "bnb",
-            exact: true,
+            tier: "ikkbz",
+            exact: false,
             expansions: 42,
             memory_bytes: 1024,
             elapsed: Duration::from_millis(7),
@@ -194,7 +194,7 @@ mod tests {
             ],
         };
         let doc = json::parse(&report.to_json()).expect("report JSON parses");
-        assert_eq!(doc.get("tier").and_then(JsonValue::as_str), Some("bnb"));
+        assert_eq!(doc.get("tier").and_then(JsonValue::as_str), Some("ikkbz"));
         assert_eq!(doc.get("retries").and_then(JsonValue::as_num), Some(1.0));
         let failures = doc.get("failures").and_then(JsonValue::as_arr).expect("failures array");
         assert_eq!(failures.len(), 2);

@@ -60,39 +60,58 @@ fn clique_with_tiny_deadline_degrades_to_heuristic() {
     let outcome = optimize_qon(&inst, &cfg).expect("greedy tier always answers");
     assert_eq!(outcome.report.tier, "greedy");
     assert!(!outcome.report.exact);
-    // Every stronger tier's failure is on the record: dp and bnb tripped
-    // the deadline, ikkbz panicked on the cyclic graph.
+    // Every stronger tier's failure is on the record: dp tripped the
+    // deadline, ikkbz panicked on the cyclic graph.
     let failed: Vec<&str> = outcome.report.failures.iter().map(|a| a.tier).collect();
-    assert_eq!(failed, ["dp", "bnb", "ikkbz"]);
+    assert_eq!(failed, ["dp", "ikkbz"]);
     assert!(matches!(
         outcome.report.failures[0].failure,
         aqo_driver::TierFailure::Budget(_)
     ));
     assert!(matches!(
         outcome.report.failures[1].failure,
-        aqo_driver::TierFailure::Budget(_)
-    ));
-    assert!(matches!(
-        outcome.report.failures[2].failure,
         aqo_driver::TierFailure::Panic(_)
     ));
     assert_valid_sequence(&inst, &outcome);
 }
 
 #[test]
-fn injected_dp_panic_degrades_to_branch_and_bound() {
+fn injected_dp_panic_degrades_to_the_polynomial_tiers() {
     let _guard = fault_guard();
     faults::clear();
     faults::arm("qon::dp", faults::FaultKind::Panic, 1);
     let inst = clique_instance(8, 3);
-    let outcome = optimize_qon(&inst, &QonDriverConfig::default()).expect("bnb answers");
+    let outcome = optimize_qon(&inst, &QonDriverConfig::default()).expect("greedy answers");
     faults::clear();
-    assert_eq!(outcome.report.tier, "bnb");
-    assert!(outcome.report.exact);
+    // ikkbz panics on the cyclic graph, so greedy answers.
+    assert_eq!(outcome.report.tier, "greedy");
+    assert!(!outcome.report.exact);
+    let failed: Vec<(&str, &str)> =
+        outcome.report.failures.iter().map(|a| (a.tier, a.failure.kind_str())).collect();
+    assert_eq!(failed, [("dp", "panic"), ("ikkbz", "panic")]);
     assert_valid_sequence(&inst, &outcome);
-    // bnb is exact too, so the answer still matches the DP optimum.
+    // A heuristic answer can only be weakly worse than the DP optimum.
     let direct = dp::optimize::<BigRational>(&inst, true).unwrap();
-    assert_eq!(outcome.optimum.cost, direct.cost);
+    assert!(outcome.optimum.cost >= direct.cost);
+}
+
+#[test]
+fn chain_past_the_dp_cap_goes_straight_to_ikkbz() {
+    let _guard = fault_guard();
+    // n = 26 with cartesian products admissible is past the exact DP's
+    // cap: the DP declines at once and the deadline is left to the
+    // polynomial tiers. IKKBZ answers the acyclic chain.
+    let inst = chain_qon_instance(aqo_optimizer::dp::MAX_N + 1, 21);
+    let cfg = QonDriverConfig {
+        budget: BudgetSpec { timeout: Some(Duration::from_secs(5)), ..BudgetSpec::unlimited() },
+        ..QonDriverConfig::default()
+    };
+    let outcome = optimize_qon(&inst, &cfg).expect("ikkbz answers");
+    assert_eq!(outcome.report.tier, "ikkbz");
+    let failed: Vec<(&str, &str)> =
+        outcome.report.failures.iter().map(|a| (a.tier, a.failure.kind_str())).collect();
+    assert_eq!(failed, [("dp", "unsupported")]);
+    assert_valid_sequence(&inst, &outcome);
 }
 
 #[test]
@@ -151,9 +170,10 @@ fn exhausted_retries_degrade_instead_of_failing() {
         retry: RetryPolicy { max_retries: 1, initial_backoff: Duration::from_millis(1) },
         ..QonDriverConfig::default()
     };
-    let outcome = optimize_qon(&inst, &cfg).expect("bnb answers");
+    let outcome = optimize_qon(&inst, &cfg).expect("greedy answers");
     faults::clear();
-    assert_eq!(outcome.report.tier, "bnb");
+    // ikkbz panics on the cyclic graph, so greedy answers.
+    assert_eq!(outcome.report.tier, "greedy");
     // dp was attempted twice (initial + one retry), then abandoned.
     let dp_attempts =
         outcome.report.failures.iter().filter(|a| a.tier == "dp").count();
@@ -164,13 +184,13 @@ fn exhausted_retries_degrade_instead_of_failing() {
 fn every_tier_armed_means_driver_error() {
     let _guard = fault_guard();
     faults::clear();
-    for site in ["qon::dp", "qon::bnb", "qon::ikkbz", "qon::greedy"] {
+    for site in ["qon::dp", "qon::ikkbz", "qon::greedy"] {
         faults::arm(site, faults::FaultKind::Panic, 100);
     }
     let inst = clique_instance(6, 2);
     let err = optimize_qon(&inst, &QonDriverConfig::default()).unwrap_err();
     faults::clear();
-    assert_eq!(err.failures.len(), 4);
+    assert_eq!(err.failures.len(), 3);
     let msg = err.to_string();
     assert!(msg.contains("every tier failed"), "unexpected message: {msg}");
 }

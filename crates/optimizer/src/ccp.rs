@@ -1,41 +1,22 @@
-//! DPccp: exact join ordering by connected-subgraph enumeration.
+//! DPccp's state space: the connected subgraphs of the query graph.
 //!
 //! Moerkotte & Neumann's DPccp observation, specialized to QO_N's
 //! left-deep sequences: under the no-cartesian-product rule a join
 //! sequence is feasible exactly when every prefix induces a *connected*
-//! subgraph of the query graph, so the subset DP of [`crate::dp`] /
-//! [`crate::engine`] only ever needs DP states for connected subgraphs.
-//! This tier enumerates them directly — breadth-first `csg` expansion of
-//! each frontier set `S` by its neighborhood `N(S)∖S` over the per-vertex
-//! neighbour bitmasks (the csg/cmp recurrence; for left-deep plans the
-//! complement part of each pair is the single joined-in vertex, so the
-//! `cmp` side degenerates into the neighbour scan of the DP transition) —
-//! and runs the engine's layer-parallel two-phase DP over just those
-//! states. A chain has `n(n+1)/2` connected subsets and a cycle
+//! subgraph of the query graph, so the subset DP only ever needs DP states
+//! for connected subgraphs. [`crate::engine`] enumerates them directly
+//! (`FrontierMode::Connected`) whenever a request disallows cartesian
+//! products. A chain has `n(n+1)/2` connected subsets and a cycle
 //! `n(n−1)+1`, versus `2^n − 1` subsets overall: on the paper's §6 sparse
 //! families the state space collapses from exponential to quadratic, which
-//! is what pushes exact optimization past n=25 (see BENCH_optimizer.json
-//! `algo=ccp` rows).
+//! is what pushes exact optimization past n=25.
 //!
-//! **Cartesian-free only.** With cartesian products admissible, an
-//! optimal sequence may pass through *disconnected* prefixes even on a
-//! connected graph (a star whose hub dwarfs its satellites: joining two
-//! cheap satellites first — a cartesian product — can undercut every
-//! connected order). Restricting to connected states would silently
-//! return a non-optimal "exact" answer, so this module simply does not
-//! accept an `allow_cartesian` flag; callers that need cartesian products
-//! use [`crate::engine`].
-//!
-//! This is [`crate::engine::optimize_two_phase`] with
-//! `allow_cartesian = false` (same frontier, same plan), reporting under
-//! the `optimizer.ccp.*` counters instead of `optimizer.engine.*`. The
-//! driver's exact tier calls the engine in both modes and reports its
-//! cartesian-free answers as tier `ccp`. `optimizer.ccp.subsets_expanded` counts
-//! every connected subgraph the enumeration touches (singletons included),
-//! so it equals [`connected_subset_count`] exactly — property-tested
-//! against a brute-force connectivity scan in `tests/prop_ccp.rs`.
+//! This module keeps the connected mode's cap, [`connected_subset_count`]
+//! (the mode's exact DP state count, and so the value of
+//! `optimizer.engine.subsets_expanded` after a cartesian-free run), and
+//! [`optimize_two_phase`], a forward to the engine.
 
-use crate::engine::{nbr_masks, two_phase_impl, FrontierMode, Frontiers, Tier};
+use crate::engine::{self, nbr_masks, FrontierMode, Frontiers};
 use crate::Optimum;
 use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::qon::QoNInstance;
@@ -48,25 +29,19 @@ use aqo_core::CostScalar;
 /// wraparound.
 pub const MAX_N: usize = 32;
 
-/// Exact QO_N optimization over the cartesian-free sequence space by
-/// connected-subgraph DP: log-domain phase A for a candidate plan and
-/// pruning estimates, exact phase B in the caller's scalar `S`. Returns
-/// `None` when the query graph is disconnected (no cartesian-free
-/// sequence exists). Cost is identical to
-/// `dp::optimize::<S>(inst, false)` for every thread count.
+/// [`engine::optimize_two_phase`] over the cartesian-free sequence space.
 pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     inst: &QoNInstance,
     threads: usize,
     budget: &Budget,
 ) -> Result<Option<Optimum<S>>, BudgetExceeded> {
-    let n = inst.n();
-    assert!((1..=MAX_N).contains(&n), "ccp is for n in 1..={MAX_N}");
-    two_phase_impl(inst, FrontierMode::Connected, false, threads, budget, Tier::Ccp)
+    engine::optimize_two_phase(inst, &engine::DpOptions { allow_cartesian: false, threads }, budget)
 }
 
 /// Number of connected subgraphs of the instance's query graph
-/// (singletons included) — the exact DP state count of this tier, and
-/// the value `optimizer.ccp.subsets_expanded` reports after a run.
+/// (singletons included) — the exact DP state count of the connected
+/// mode, and the value `optimizer.engine.subsets_expanded` reports after
+/// a cartesian-free run.
 pub fn connected_subset_count(inst: &QoNInstance) -> u64 {
     let nbr = nbr_masks(inst);
     // analyze:allow(no-unwrap-in-lib) -- an unlimited budget never trips,

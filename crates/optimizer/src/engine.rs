@@ -169,54 +169,14 @@ pub(crate) enum FrontierMode {
     Connected,
 }
 
-/// Which counter family a run reports under: the engine entry points or
-/// the direct DPccp entry point ([`crate::ccp`]). Both share this
-/// machinery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Tier {
-    Engine,
-    Ccp,
-}
-
-impl Tier {
-    fn record_run(self) {
-        match self {
-            Tier::Engine => aqo_obs::counter_handle!("optimizer.engine.runs").inc(),
-            Tier::Ccp => aqo_obs::counter_handle!("optimizer.ccp.runs").inc(),
-        }
-    }
-
-    fn record_log_layer(self, width: usize, k: usize) {
-        match self {
-            Tier::Engine => {
-                aqo_obs::counter_handle!("optimizer.engine.subsets_expanded").add(width as u64);
-                aqo_obs::counter_handle!("optimizer.engine.transitions").add((width * k) as u64);
-            }
-            Tier::Ccp => {
-                aqo_obs::counter_handle!("optimizer.ccp.subsets_expanded").add(width as u64);
-                aqo_obs::counter_handle!("optimizer.ccp.transitions").add((width * k) as u64);
-            }
-        }
-    }
-
-    /// The ccp counters count singletons too, so their expansion total equals
-    /// the number of connected subgraphs of the query graph exactly.
-    fn record_singletons(self, n: usize) {
-        if let Tier::Ccp = self {
-            aqo_obs::counter_handle!("optimizer.ccp.subsets_expanded").add(n as u64);
-        }
-    }
-
-    fn record_exact_layer(self, recosted: u64, pruned: u64) {
-        match self {
-            Tier::Engine => {
-                aqo_obs::counter_handle!("optimizer.engine.exact_recosts").add(recosted);
-                aqo_obs::counter_handle!("optimizer.engine.pruned").add(pruned);
-            }
-            Tier::Ccp => {
-                aqo_obs::counter_handle!("optimizer.ccp.exact_recosts").add(recosted);
-                aqo_obs::counter_handle!("optimizer.ccp.pruned").add(pruned);
-            }
+impl FrontierMode {
+    /// The mode a request needs: every subset is reachable when cartesian
+    /// products are admissible, only connected subgraphs when they are not.
+    pub(crate) fn of(allow_cartesian: bool) -> FrontierMode {
+        if allow_cartesian {
+            FrontierMode::AllSubsets
+        } else {
+            FrontierMode::Connected
         }
     }
 }
@@ -507,7 +467,6 @@ fn log_phase(
     allow_cartesian: bool,
     threads: usize,
     budget: &Budget,
-    tier: Tier,
 ) -> Result<LogDp, BudgetExceeded> {
     let _span = aqo_obs::span("engine.log_phase");
     let n = inst.n();
@@ -525,7 +484,9 @@ fn log_phase(
     let mut nlog_cur: Vec<LogNum> = Vec::new();
     let mut results: Vec<(LogNum, LogNum, u8)> = Vec::new();
     let mut scratch_charged = 0usize;
-    tier.record_singletons(n);
+    // Singletons are DP states too: with them the count equals
+    // `Frontiers::total_subsets()` in both modes.
+    aqo_obs::counter_handle!("optimizer.engine.subsets_expanded").add(n as u64);
 
     for k in 2..=n {
         let targets = frontiers.layer(k);
@@ -610,7 +571,8 @@ fn log_phase(
         // once per layer on the coordinating thread — deterministic for
         // every thread count, zero cost inside the worker hot loop.
         if aqo_obs::enabled() {
-            tier.record_log_layer(width, k);
+            aqo_obs::counter_handle!("optimizer.engine.subsets_expanded").add(width as u64);
+            aqo_obs::counter_handle!("optimizer.engine.transitions").add((width * k) as u64);
             let chunk = width.div_ceil(threads.max(1));
             let chunks = if chunk >= width { 1 } else { width.div_ceil(chunk) };
             aqo_obs::journal::event(
@@ -788,7 +750,6 @@ fn exact_phase(
     threads: usize,
     budget: &Budget,
     prune: Option<(&[Vec<LogNum>], f64)>,
-    tier: Tier,
 ) -> Result<Option<(BigUint, JoinSequence)>, BudgetExceeded> {
     let _span = aqo_obs::span("engine.exact_phase");
     let n = view.rows.n;
@@ -890,7 +851,8 @@ fn exact_phase(
                 }
                 None => recosted = width as u64,
             }
-            tier.record_exact_layer(recosted, pruned);
+            aqo_obs::counter_handle!("optimizer.engine.exact_recosts").add(recosted);
+            aqo_obs::counter_handle!("optimizer.engine.pruned").add(pruned);
             aqo_obs::journal::event(
                 "dp_layer",
                 vec![
@@ -922,87 +884,14 @@ fn certified_exact_phase(
     est: &[Vec<LogNum>],
     bound: f64,
     candidate: &BigUint,
-    tier: Tier,
 ) -> Result<(Option<(BigUint, JoinSequence)>, bool), BudgetExceeded> {
     let pruned =
-        exact_phase(view, frontiers, allow_cartesian, threads, budget, Some((est, bound)), tier)?;
+        exact_phase(view, frontiers, allow_cartesian, threads, budget, Some((est, bound)))?;
     if pruned.as_ref().is_some_and(|(cost, _)| cost <= candidate) {
         return Ok((pruned, false));
     }
-    let full = exact_phase(view, frontiers, allow_cartesian, threads, budget, None, tier)?;
+    let full = exact_phase(view, frontiers, allow_cartesian, threads, budget, None)?;
     Ok((full, true))
-}
-
-/// The shared log-phase-only path behind [`optimize_log_parallel`].
-fn log_impl(
-    inst: &QoNInstance,
-    mode: FrontierMode,
-    allow_cartesian: bool,
-    threads: usize,
-    budget: &Budget,
-    tier: Tier,
-) -> Result<Option<Optimum<LogNum>>, BudgetExceeded> {
-    let n = inst.n();
-    let nbr = nbr_masks(inst);
-    let frontiers = Frontiers::build(n, &nbr, mode, budget)?;
-    let log = log_phase(inst, &frontiers, &nbr, allow_cartesian, threads, budget, tier)?;
-    if frontiers.layer(n).is_empty() || unreached(log.dp[n][0]) {
-        return Ok(None);
-    }
-    let cost = log.dp[n][0];
-    Ok(reconstruct_order(&frontiers, &log.parent, n).map(|sequence| Optimum { sequence, cost }))
-}
-
-/// The shared two-phase path behind [`optimize_two_phase`] and
-/// [`crate::ccp::optimize_two_phase`].
-pub(crate) fn two_phase_impl<S: CostScalar + Send + Sync>(
-    inst: &QoNInstance,
-    mode: FrontierMode,
-    allow_cartesian: bool,
-    threads: usize,
-    budget: &Budget,
-    tier: Tier,
-) -> Result<Option<Optimum<S>>, BudgetExceeded> {
-    let _span = aqo_obs::span("engine.two_phase");
-    let n = inst.n();
-    if n == 1 {
-        return Ok(Some(Optimum { sequence: JoinSequence::identity(1), cost: S::zero() }));
-    }
-    tier.record_run();
-    let threads = resolve_threads(threads);
-    let nbr = nbr_masks(inst);
-    let frontiers = Frontiers::build(n, &nbr, mode, budget)?;
-    let log = log_phase(inst, &frontiers, &nbr, allow_cartesian, threads, budget, tier)?;
-    if frontiers.layer(n).is_empty() || unreached(log.dp[n][0]) {
-        // Unreachable full set is a combinatorial fact (disconnected graph
-        // under the no-cartesian rule), identical in both scalars.
-        return Ok(None);
-    }
-    let Some(candidate) = reconstruct_order(&frontiers, &log.parent, n) else {
-        return Ok(None);
-    };
-    let view = ScaledView::build(inst, &nbr);
-    let candidate_cost = view.path_cost(candidate.order());
-    let (bound, margin) = prune_bound(n, log.max_log2, &candidate_cost, &view.scale);
-    aqo_obs::journal::event(
-        "engine_bound",
-        vec![("bound_log2", bound.into()), ("margin_bits", margin.into())],
-    );
-    let (opt, fell_back) = certified_exact_phase(
-        &view,
-        &frontiers,
-        allow_cartesian,
-        threads,
-        budget,
-        &log.dp,
-        bound,
-        &candidate_cost,
-        tier,
-    )?;
-    if fell_back {
-        aqo_obs::counter_handle!("optimizer.engine.prune_fallbacks").inc();
-    }
-    Ok(opt.map(|(cost, sequence)| Optimum { sequence, cost: S::from_ratio(&view.unscale(cost)) }))
 }
 
 /// Per-vertex neighbour bitmasks of the query graph.
@@ -1028,9 +917,14 @@ pub fn optimize_log_parallel(
         return Ok(Some(Optimum { sequence: JoinSequence::identity(1), cost: LogNum::ZERO }));
     }
     let threads = resolve_threads(opts.threads);
-    let mode =
-        if opts.allow_cartesian { FrontierMode::AllSubsets } else { FrontierMode::Connected };
-    log_impl(inst, mode, opts.allow_cartesian, threads, budget, Tier::Engine)
+    let nbr = nbr_masks(inst);
+    let frontiers = Frontiers::build(n, &nbr, FrontierMode::of(opts.allow_cartesian), budget)?;
+    let log = log_phase(inst, &frontiers, &nbr, opts.allow_cartesian, threads, budget)?;
+    if frontiers.layer(n).is_empty() || unreached(log.dp[n][0]) {
+        return Ok(None);
+    }
+    let cost = log.dp[n][0];
+    Ok(reconstruct_order(&frontiers, &log.parent, n).map(|sequence| Optimum { sequence, cost }))
 }
 
 /// The two-phase engine: log-domain phase A for a candidate and per-subset
@@ -1056,11 +950,47 @@ pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     budget: &Budget,
 ) -> Result<Option<Optimum<S>>, BudgetExceeded> {
     let n = inst.n();
-    let cap = max_n(opts.allow_cartesian);
+    let allow_cartesian = opts.allow_cartesian;
+    let cap = max_n(allow_cartesian);
     assert!((1..=cap).contains(&n), "engine DP is for n in 1..={cap}");
-    let mode =
-        if opts.allow_cartesian { FrontierMode::AllSubsets } else { FrontierMode::Connected };
-    two_phase_impl(inst, mode, opts.allow_cartesian, opts.threads, budget, Tier::Engine)
+    let _span = aqo_obs::span("engine.two_phase");
+    if n == 1 {
+        return Ok(Some(Optimum { sequence: JoinSequence::identity(1), cost: S::zero() }));
+    }
+    aqo_obs::counter_handle!("optimizer.engine.runs").inc();
+    let threads = resolve_threads(opts.threads);
+    let nbr = nbr_masks(inst);
+    let frontiers = Frontiers::build(n, &nbr, FrontierMode::of(allow_cartesian), budget)?;
+    let log = log_phase(inst, &frontiers, &nbr, allow_cartesian, threads, budget)?;
+    if frontiers.layer(n).is_empty() || unreached(log.dp[n][0]) {
+        // Unreachable full set is a combinatorial fact (disconnected graph
+        // under the no-cartesian rule), identical in both scalars.
+        return Ok(None);
+    }
+    let Some(candidate) = reconstruct_order(&frontiers, &log.parent, n) else {
+        return Ok(None);
+    };
+    let view = ScaledView::build(inst, &nbr);
+    let candidate_cost = view.path_cost(candidate.order());
+    let (bound, margin) = prune_bound(n, log.max_log2, &candidate_cost, &view.scale);
+    aqo_obs::journal::event(
+        "engine_bound",
+        vec![("bound_log2", bound.into()), ("margin_bits", margin.into())],
+    );
+    let (opt, fell_back) = certified_exact_phase(
+        &view,
+        &frontiers,
+        allow_cartesian,
+        threads,
+        budget,
+        &log.dp,
+        bound,
+        &candidate_cost,
+    )?;
+    if fell_back {
+        aqo_obs::counter_handle!("optimizer.engine.prune_fallbacks").inc();
+    }
+    Ok(opt.map(|(cost, sequence)| Optimum { sequence, cost: S::from_ratio(&view.unscale(cost)) }))
 }
 
 #[cfg(test)]
@@ -1206,16 +1136,14 @@ mod tests {
     }
 
     /// Phase A's estimates, the candidate's scaled cost and the prune
-    /// bound, exactly as [`two_phase_impl`] derives them.
+    /// bound, exactly as [`optimize_two_phase`] derives them.
     fn phase_a_and_bound(inst: &QoNInstance, allow_cartesian: bool) -> (Frontiers, LogDp, f64) {
         let n = inst.n();
         let nbr = nbr_masks(inst);
-        let mode =
-            if allow_cartesian { FrontierMode::AllSubsets } else { FrontierMode::Connected };
         let budget = Budget::unlimited();
-        let frontiers = Frontiers::build(n, &nbr, mode, &budget).unwrap();
-        let log =
-            log_phase(inst, &frontiers, &nbr, allow_cartesian, 1, &budget, Tier::Engine).unwrap();
+        let frontiers =
+            Frontiers::build(n, &nbr, FrontierMode::of(allow_cartesian), &budget).unwrap();
+        let log = log_phase(inst, &frontiers, &nbr, allow_cartesian, 1, &budget).unwrap();
         let candidate = reconstruct_order(&frontiers, &log.parent, n).unwrap();
         let view = ScaledView::build(inst, &nbr);
         let scaled = view.path_cost(candidate.order());
@@ -1284,7 +1212,6 @@ mod tests {
                 &log.dp,
                 bound,
                 candidate,
-                Tier::Engine,
             )
             .unwrap();
             let (cost, sequence) = opt.unwrap();

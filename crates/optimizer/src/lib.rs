@@ -11,13 +11,12 @@
 //!     (left-deep plans), exact for the QO_N cost model since both `N(X)`
 //!     and `min_k w_{jk}` depend on the prefix only through its *set*;
 //!     the reference oracle for the engine;
-//!   - [`branch_bound`] — DFS with the admissible partial-cost bound;
 //!   - [`engine`] — the layer-parallel, allocation-lean two-phase
 //!     (log-domain then exact) subset DP engine over sparse per-layer
 //!     frontiers: the one exact QO_N DP the driver and service run;
-//!   - [`ccp`] — DPccp: the engine's DP restricted to *connected
-//!     subgraphs only*, exact for the cartesian-free sequence space and
-//!     polynomially sized on the paper's §6 sparse families;
+//!   - [`ccp`] — DPccp's state space, the connected subgraphs the
+//!     engine enumerates for cartesian-free requests (polynomially many
+//!     on the paper's §6 sparse families), and its count;
 //!   - [`pipeline`] — QO_H: optimal pipeline decomposition of a given
 //!     sequence by interval DP with per-fragment optimal memory allocation;
 //!   - [`star`] — SQO−CP: subset DP over satellites, plus an exhaustive
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod branch_bound;
 pub mod ccp;
 pub mod dp;
 pub mod engine;

@@ -1,12 +1,14 @@
-//! Properties of the DPccp tier (ISSUE satellite: connected-subgraph
+//! Properties of the engine's connected mode (DPccp: connected-subgraph
 //! enumeration correctness).
 //!
 //! Two families of checks:
 //!
-//! 1. **Enumeration exactness** — `optimizer.ccp.subsets_expanded` (and
+//! 1. **Enumeration exactness** — `optimizer.engine.subsets_expanded` after
+//!    a cartesian-free run (and
 //!    [`aqo_optimizer::ccp::connected_subset_count`]) must equal a
 //!    brute-force scan that tests every one of the `2^n − 1` nonempty
-//!    subsets for induced connectivity. The DP is only exact because the
+//!    subsets for induced connectivity; with cartesian products it is
+//!    `2^n − 1` itself. The DP is only exact because the
 //!    frontier covers *every* connected subgraph; an off-by-one here is a
 //!    silent wrong answer, not a crash.
 //! 2. **Cost agreement** — the plan cost returned by `ccp` equals the
@@ -125,24 +127,26 @@ fn brute_force_connected_count(g: &Graph) -> u64 {
     count
 }
 
-/// Runs `ccp` with metrics collection on; returns the plan (if feasible)
-/// and the `optimizer.ccp.subsets_expanded` counter. Caller holds
-/// [`OBS_LOCK`].
-fn ccp_run_with_counter(
+/// Runs the engine with metrics collection on; returns the plan (if
+/// feasible) and the `optimizer.engine.subsets_expanded` counter. Caller
+/// holds [`OBS_LOCK`].
+fn run_with_counter(
     inst: &QoNInstance,
+    allow_cartesian: bool,
     threads: usize,
 ) -> (Option<aqo_optimizer::Optimum<BigRational>>, u64) {
     aqo_obs::reset_metrics();
     aqo_obs::journal::clear();
     aqo_obs::set_enabled(true);
-    let opt = ccp::optimize_two_phase::<BigRational>(inst, threads, &Budget::unlimited())
+    let opts = engine::DpOptions { allow_cartesian, threads };
+    let opt = engine::optimize_two_phase::<BigRational>(inst, &opts, &Budget::unlimited())
         .expect("unlimited budget cannot be exceeded");
     aqo_obs::set_enabled(false);
     let expanded = aqo_obs::counters_snapshot()
         .into_iter()
-        .find(|(name, _)| name == "optimizer.ccp.subsets_expanded")
+        .find(|(name, _)| name == "optimizer.engine.subsets_expanded")
         .map(|(_, v)| v)
-        .expect("ccp run emits its expansion counter");
+        .expect("an engine run emits its expansion counter");
     aqo_obs::reset_metrics();
     aqo_obs::journal::clear();
     (opt, expanded)
@@ -165,8 +169,11 @@ fn subsets_expanded_equals_brute_force_on_fixed_families() {
         }
         let inst = instance_from_graph(g, 23);
         assert_eq!(ccp::connected_subset_count(&inst), expect);
-        let (_, expanded) = ccp_run_with_counter(&inst, 2);
+        let (_, expanded) = run_with_counter(&inst, false, 2);
         assert_eq!(expanded, expect, "counter diverged from brute force");
+        // With cartesian products every nonempty subset is a state.
+        let (_, expanded) = run_with_counter(&inst, true, 2);
+        assert_eq!(expanded, (1u64 << inst.n()) - 1, "all-subsets count");
     }
 }
 
@@ -183,7 +190,7 @@ proptest! {
         let expect = brute_force_connected_count(&g);
         let inst = instance_from_graph(g, seed ^ 0xabcd);
         prop_assert_eq!(ccp::connected_subset_count(&inst), expect);
-        let (opt, expanded) = ccp_run_with_counter(&inst, 1);
+        let (opt, expanded) = run_with_counter(&inst, false, 1);
         prop_assert_eq!(expanded, expect);
         // The generator always builds a spanning tree, so a cartesian-free
         // sequence exists and the tier must find one.

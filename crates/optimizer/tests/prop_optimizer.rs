@@ -7,7 +7,7 @@ use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
 use aqo_core::{AccessCostMatrix, CostScalar, JoinSequence, SelectivityMatrix};
 use aqo_graph::Graph;
-use aqo_optimizer::{branch_bound, dp, exhaustive, greedy, pipeline, star};
+use aqo_optimizer::{dp, exhaustive, greedy, pipeline, star};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -67,12 +67,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn dp_equals_exhaustive_equals_bnb(inst in qon_instance()) {
+    fn dp_equals_exhaustive(inst in qon_instance()) {
         let ex = exhaustive::optimize::<BigRational>(&inst);
         let d = dp::optimize::<BigRational>(&inst, true).unwrap();
-        let bb = branch_bound::optimize::<BigRational>(&inst, true).unwrap();
         prop_assert_eq!(&ex.cost, &d.cost);
-        prop_assert_eq!(&ex.cost, &bb.cost);
         // The reported sequences achieve the reported costs.
         let d_recost: BigRational = inst.total_cost(&d.sequence);
         prop_assert_eq!(&d_recost, &d.cost);

@@ -246,14 +246,14 @@ mod tests {
     fn sample_entry(id: u64) -> RecordedRequest {
         RecordedRequest {
             id,
-            problem: if id % 2 == 0 { Problem::Qon } else { Problem::Qoh },
+            problem: if id.is_multiple_of(2) { Problem::Qon } else { Problem::Qoh },
             instance: format!("qon\nvertices 1\nsize 0 {id}\n"),
-            method: (id % 3 == 0).then(|| "dp".to_string()),
+            method: id.is_multiple_of(3).then(|| "dp".to_string()),
             fallback: None,
             timeout_ms: (id % 2 == 1).then_some(250),
             max_expansions: None,
-            threads: if id % 4 == 0 { 4 } else { 1 },
-            allow_cartesian: id % 2 == 0,
+            threads: if id.is_multiple_of(4) { 4 } else { 1 },
+            allow_cartesian: id.is_multiple_of(2),
             fingerprint: 0xfeed_0000 + id,
             tier: "dp".into(),
             exact: true,

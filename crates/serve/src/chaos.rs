@@ -309,7 +309,6 @@ impl Pool {
 fn template(site: &str) -> (Problem, Option<&'static str>, bool) {
     match site {
         "qon::dp" => (Problem::Qon, Some("dp,greedy"), false),
-        "qon::bnb" => (Problem::Qon, Some("bnb,greedy"), false),
         "qon::ikkbz" => (Problem::Qon, Some("ikkbz,greedy"), false),
         "qon::greedy" => (Problem::Qon, Some("greedy"), false),
         "qoh::exhaustive" => (Problem::Qoh, Some("exhaustive,greedy"), false),

@@ -102,7 +102,7 @@ pub struct Request {
     pub instance: Option<String>,
     /// Single-tier method selection (mutually exclusive with `fallback`).
     pub method: Option<String>,
-    /// Fallback-chain spec, e.g. `"dp,bnb,greedy"`.
+    /// Fallback-chain spec, e.g. `"dp,ikkbz,greedy"`.
     pub fallback: Option<String>,
     /// Per-request wall-clock budget in milliseconds.
     pub timeout_ms: Option<u64>,

@@ -124,7 +124,6 @@ fn every_event_of_a_served_request_carries_its_trace_id_at_any_pool_size() {
             let request_scoped = t.starts_with("tier_")
                 || t.starts_with("span")
                 || t.starts_with("dp_")
-                || t.starts_with("bnb_")
                 || t == "engine_bound"
                 || t == "budget"
                 || t == "budget_charge"
