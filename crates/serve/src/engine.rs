@@ -487,3 +487,39 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         "non-string panic payload".to_string()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fingerprint_of(problem: Problem, text: &str, allow_cartesian: bool) -> u64 {
+        let mut req = Request::new(Op::Optimize, problem);
+        req.instance = Some(text.to_string());
+        req.allow_cartesian = allow_cartesian;
+        match Engine::new(4, None).handle(&req) {
+            Reply::Ok(ok) => ok.fingerprint,
+            other => panic!("unexpected reply {}", other.to_json_line()),
+        }
+    }
+
+    /// The cache key is the request-knob prefix followed by the canonical
+    /// encoding; its FNV-1a is the `fingerprint` every reply, snapshot and
+    /// journal carries, so these values are pinned.
+    #[test]
+    fn cache_key_fingerprints_are_pinned() {
+        let qon = "qon\nvertices 3\nsize 0 10\nsize 1 20\nsize 2 30\n\
+                   edge 1 2 2/20 2 3\nedge 0 1 1/2 5 10\n";
+        let qoh = "qoh\nvertices 3\nmemory 6000\nsize 0 10\nsize 1 20\nsize 2 30\n\
+                   edge 0 1 1/2\nedge 2 1 1/10\n";
+        let got = [
+            fingerprint_of(Problem::Qon, qon, true),
+            fingerprint_of(Problem::Qon, qon, false),
+            fingerprint_of(Problem::Qoh, qoh, true),
+        ];
+        assert_eq!(
+            got,
+            [0x8683_d6e3_43b1_cad1, 0x1e86_99c0_ae80_93fe, 0x11f0_0f75_b5d4_e727],
+            "{got:#018x?}"
+        );
+    }
+}
