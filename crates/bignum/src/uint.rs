@@ -173,14 +173,9 @@ impl BigUint {
     /// Division by a single limb.
     fn div_rem_limb(&self, d: u64) -> (BigUint, u64) {
         debug_assert!(d != 0);
-        let mut q = vec![0u64; self.limbs.len()];
-        let mut rem = 0u128;
-        for (i, &l) in self.limbs.iter().enumerate().rev() {
-            let cur = (rem << 64) | l as u128;
-            q[i] = (cur / d as u128) as u64;
-            rem = cur % d as u128;
-        }
-        (BigUint::from_limbs(q), rem as u64)
+        let mut q = self.limbs.clone();
+        let r = div_rem_limb_in_place(&mut q, d);
+        (BigUint { limbs: q }, r)
     }
 
     /// Knuth Algorithm D (TAOCP Vol. 2, 4.3.1) for multi-limb divisors.
@@ -410,23 +405,48 @@ impl BigUint {
         hi
     }
 
-    /// Parses a decimal string (no sign, no separators).
+    /// Parses a decimal string: ASCII digits only (no sign, no
+    /// separators, no whitespace).
+    ///
+    /// Up to 19 digits is one `u64`; longer strings fold 19-digit chunks
+    /// into the limbs in place (`acc = acc·10^19 + chunk`).
     pub fn from_decimal(s: &str) -> Result<BigUint, ParseBigUintError> {
-        if s.is_empty() {
+        let bytes = s.as_bytes();
+        if bytes.is_empty() || !bytes.iter().all(u8::is_ascii_digit) {
             return Err(ParseBigUintError);
         }
-        let mut acc = BigUint::zero();
-        // Consume 19 digits at a time (10^19 < 2^64).
-        let bytes = s.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            let take = (bytes.len() - i).min(19);
-            let chunk = &s[i..i + take];
-            let v: u64 = chunk.parse().map_err(|_| ParseBigUintError)?;
-            acc = acc * BigUint::from(10u64.pow(take as u32)) + BigUint::from(v);
-            i += take;
+        let digits = |chunk: &[u8]| chunk.iter().fold(0u64, |v, &d| v * 10 + u64::from(d - b'0'));
+        // The leading chunk takes the remainder, so every later chunk is a
+        // full 19 digits (10^19 < 2^64).
+        let lead = match bytes.len() % DECIMAL_CHUNK_DIGITS {
+            0 => DECIMAL_CHUNK_DIGITS,
+            r => r,
+        };
+        let mut limbs = Vec::with_capacity(bytes.len() / DECIMAL_CHUNK_DIGITS + 1);
+        mul_add_limb(&mut limbs, 0, digits(&bytes[..lead]));
+        for chunk in bytes[lead..].chunks_exact(DECIMAL_CHUNK_DIGITS) {
+            mul_add_limb(&mut limbs, DECIMAL_CHUNK, digits(chunk));
         }
-        Ok(acc)
+        Ok(BigUint { limbs })
+    }
+}
+
+/// Decimal digits per `u64` chunk in decimal parsing and formatting.
+const DECIMAL_CHUNK_DIGITS: usize = 19;
+/// `10^19`, the largest power of ten below `2^64`.
+const DECIMAL_CHUNK: u64 = 10_000_000_000_000_000_000;
+
+/// `limbs = limbs·m + a` in place, keeping the no-trailing-zero invariant
+/// (an empty `limbs` is zero, so `m` is irrelevant there).
+fn mul_add_limb(limbs: &mut Vec<u64>, m: u64, a: u64) {
+    let mut carry = u128::from(a);
+    for l in limbs.iter_mut() {
+        let cur = u128::from(*l) * u128::from(m) + carry;
+        *l = cur as u64;
+        carry = cur >> 64;
+    }
+    if carry != 0 {
+        limbs.push(carry as u64);
     }
 }
 
@@ -930,24 +950,49 @@ impl MulAssign<&BigUint> for BigUint {
 
 impl fmt::Display for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.pad_integral(true, "", "0");
+        match self.limbs[..] {
+            [] => f.pad_integral(true, "", "0"),
+            [v] => fmt::Display::fmt(&v, f),
+            _ => {
+                // Peel off 19 decimal digits at a time from a scratch copy,
+                // writing them right to left into one digit buffer (a
+                // limb is below 10^20, so 20 digits per limb always fit).
+                let mut rest = self.limbs.clone();
+                let mut buf = vec![0u8; 20 * rest.len()];
+                let mut start = buf.len();
+                loop {
+                    let mut chunk = div_rem_limb_in_place(&mut rest, DECIMAL_CHUNK);
+                    // Inner chunks are zero-padded to 19 digits; the most
+                    // significant one (nonzero, as the value is) is not.
+                    let width = if rest.is_empty() { 0 } else { DECIMAL_CHUNK_DIGITS };
+                    let mut written = 0;
+                    while chunk != 0 || written < width {
+                        start -= 1;
+                        buf[start] = b'0' + (chunk % 10) as u8;
+                        chunk /= 10;
+                        written += 1;
+                    }
+                    if rest.is_empty() {
+                        break;
+                    }
+                }
+                let digits = std::str::from_utf8(&buf[start..]).map_err(|_| fmt::Error)?;
+                f.pad_integral(true, "", digits)
+            }
         }
-        // Peel off 19 decimal digits at a time.
-        const CHUNK: u64 = 10_000_000_000_000_000_000;
-        let mut rest = self.clone();
-        let mut parts: Vec<u64> = Vec::new();
-        while !rest.is_zero() {
-            let (q, r) = rest.div_rem_limb(CHUNK);
-            parts.push(r);
-            rest = q;
-        }
-        let mut s = parts.pop().unwrap().to_string();
-        for p in parts.iter().rev() {
-            s.push_str(&format!("{p:019}"));
-        }
-        f.pad_integral(true, "", &s)
     }
+}
+
+/// `limbs /= d` in place (renormalized); returns the remainder.
+fn div_rem_limb_in_place(limbs: &mut Vec<u64>, d: u64) -> u64 {
+    let mut rem = 0u128;
+    for l in limbs.iter_mut().rev() {
+        let cur = (rem << 64) | u128::from(*l);
+        *l = (cur / u128::from(d)) as u64;
+        rem = cur % u128::from(d);
+    }
+    trim(limbs);
+    rem as u64
 }
 
 impl fmt::Debug for BigUint {
@@ -1079,6 +1124,32 @@ mod tests {
         assert!(BigUint::from_decimal("").is_err());
         assert!(BigUint::from_decimal("12a").is_err());
         assert!(BigUint::from_decimal("-5").is_err());
+        assert!(BigUint::from_decimal(" 5").is_err());
+        assert!(BigUint::from_decimal("٣").is_err(), "non-ASCII digit");
+    }
+
+    #[test]
+    fn parse_rejects_plus_signs() {
+        // `u64::from_str` takes a leading `+`; a decimal literal must not,
+        // neither at the start nor at a 19-digit chunk boundary.
+        assert!(BigUint::from_decimal("+5").is_err());
+        assert!(BigUint::from_decimal("+").is_err());
+        assert!(BigUint::from_decimal("1234567890123456789+5").is_err());
+        assert!(BigUint::from_decimal("+1234567890123456789012").is_err());
+        assert_eq!(
+            BigUint::from_decimal("123456789012345678905").unwrap(),
+            big(123_456_789_012_345_678_905)
+        );
+    }
+
+    #[test]
+    fn display_honours_width_and_sign_flags() {
+        for v in [big(7), big(u128::MAX), big(1u128 << 64)] {
+            let d = v.to_string();
+            assert_eq!(format!("{v:>45}"), format!("{d:>45}"));
+            assert_eq!(format!("{v:045}"), format!("{:045}", d.parse::<u128>().unwrap()));
+            assert_eq!(format!("{v:+}"), format!("+{d}"));
+        }
     }
 
     #[test]

@@ -157,6 +157,37 @@ proptest! {
     }
 
     #[test]
+    fn decimal_roundtrip_at_chunk_widths(
+        digits in prop::collection::vec(0u8..10, 1..4),
+        width in 0usize..7,
+    ) {
+        // 19 digits is the largest one-chunk literal, 20 the first to
+        // cross a chunk boundary; the rest straddle two and three chunks.
+        let width = [19usize, 20, 38, 39, 40, 57, 58][width];
+        let mut s: String =
+            (0..width).map(|i| char::from(b'0' + digits[i % digits.len()])).collect();
+        if s.starts_with('0') {
+            s.replace_range(..1, "1");
+        }
+        let v = BigUint::from_decimal(&s).unwrap();
+        prop_assert_eq!(v.to_string(), s);
+    }
+
+    #[test]
+    fn decimal_roundtrip_multi_limb(limbs in prop::collection::vec(any::<u64>(), 2..12)) {
+        let v = BigUint::from_limbs(limbs);
+        let s = v.to_string();
+        prop_assert_eq!(BigUint::from_decimal(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn decimal_display_of_two_limbs_matches_u128(x in any::<u128>()) {
+        let v = BigUint::from(x);
+        prop_assert_eq!(v.to_string(), x.to_string());
+        prop_assert_eq!(BigUint::from_decimal(&x.to_string()).unwrap(), v);
+    }
+
+    #[test]
     fn shift_is_pow2_mul(a in biguint(), k in 0u64..200) {
         prop_assert_eq!(&a << k, &a * &BigUint::from(2u64).pow(k));
     }

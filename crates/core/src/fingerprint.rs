@@ -22,7 +22,11 @@
 
 use crate::qoh::QoHInstance;
 use crate::qon::QoNInstance;
+use crate::SelectivityMatrix;
+use aqo_bignum::BigUint;
+use aqo_graph::Graph;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -68,16 +72,64 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-fn finish_canonical(header: String, mut edge_records: Vec<String>) -> String {
-    // Sorting the records is what buys order independence: the hash of
-    // the joined encoding cannot depend on enumeration order.
-    edge_records.sort_unstable();
-    let mut out = header;
-    for r in edge_records {
-        out.push_str(&r);
+/// Appends `s_ab` as `numer/denom`, always both, even for an integer.
+/// Every edge of a valid instance has an explicit entry; the matrix's
+/// default `1` stands in otherwise.
+fn write_selectivity(out: &mut String, sel: &SelectivityMatrix, a: usize, b: usize) {
+    match sel.entry(a, b) {
+        Some(s) => {
+            let _ = write!(out, "{}/{}", s.numer(), s.denom());
+        }
+        None => out.push_str("1/1"),
+    }
+}
+
+/// Appends the edge records of `graph`, one per edge with endpoints
+/// normalized `a < b` and the records sorted as bytes — the sort is what
+/// buys order independence. `record(out, a, b)` renders one record's
+/// fields after `e a b `. Records are rendered once into a scratch buffer
+/// and only their byte ranges are sorted.
+fn write_edge_records(
+    out: &mut String,
+    graph: &Graph,
+    mut record: impl FnMut(&mut String, usize, usize),
+) {
+    let mut records = String::with_capacity(graph.m() * 32);
+    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(graph.m());
+    for (u, v) in graph.edges() {
+        let (a, b) = if u < v { (u, v) } else { (v, u) };
+        let start = records.len();
+        let _ = write!(records, "e {a} {b} ");
+        record(&mut records, a, b);
+        ranges.push(start..records.len());
+    }
+    ranges.sort_unstable_by(|x, y| records[x.clone()].cmp(&records[y.clone()]));
+    out.reserve(records.len() + ranges.len());
+    for r in ranges {
+        out.push_str(&records[r]);
         out.push('\n');
     }
-    out
+}
+
+/// Appends `t i t_i` for every relation.
+fn write_sizes(out: &mut String, sizes: &[BigUint]) {
+    for (i, t) in sizes.iter().enumerate() {
+        let _ = writeln!(out, "t {i} {t}");
+    }
+}
+
+/// Appends the canonical encoding of a QO_N instance to `out` (see
+/// [`canonical_qon`]), so a caller can put its own prefix in front of it
+/// in one buffer.
+pub fn write_canonical_qon(out: &mut String, inst: &QoNInstance) {
+    let _ = writeln!(out, "qon {}", inst.n());
+    write_sizes(out, inst.sizes());
+    write_edge_records(out, inst.graph(), |out, a, b| {
+        write_selectivity(out, inst.selectivity(), a, b);
+        // The two access costs follow in the normalized `(a,b), (b,a)`
+        // order.
+        let _ = write!(out, " {} {}", inst.w(a, b), inst.w(b, a));
+    });
 }
 
 /// Canonical encoding of a QO_N instance (see module docs). Stable across
@@ -85,40 +137,29 @@ fn finish_canonical(header: String, mut edge_records: Vec<String>) -> String {
 /// because every component (sizes, selectivities, access costs) is spelled
 /// out exactly.
 pub fn canonical_qon(inst: &QoNInstance) -> String {
-    let mut out = String::with_capacity(64 + inst.n() * 24);
-    let _ = writeln!(out, "qon {}", inst.n());
-    for (i, t) in inst.sizes().iter().enumerate() {
-        let _ = writeln!(out, "t {i} {t}");
-    }
-    let mut records = Vec::new();
-    for (u, v) in inst.graph().edges() {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let s = inst.selectivity().get(a, b);
-        // Endpoints normalized `a < b`; the two access costs follow in
-        // the normalized `(a,b), (b,a)` order.
-        records
-            .push(format!("e {a} {b} {}/{} {} {}", s.numer(), s.denom(), inst.w(a, b), inst.w(b, a)));
-    }
-    finish_canonical(out, records)
+    let mut out = String::new();
+    write_canonical_qon(&mut out, inst);
+    out
 }
 
-/// Canonical encoding of a QO_H instance (see module docs).
-pub fn canonical_qoh(inst: &QoHInstance) -> String {
-    let mut out = String::with_capacity(64 + inst.n() * 24);
+/// Appends the canonical encoding of a QO_H instance to `out` (see
+/// [`canonical_qoh`]).
+pub fn write_canonical_qoh(out: &mut String, inst: &QoHInstance) {
     let (en, ed) = inst.eta();
     let _ = writeln!(out, "qoh {}", inst.n());
     let _ = writeln!(out, "m {}", inst.memory());
     let _ = writeln!(out, "eta {en}/{ed}");
-    for (i, t) in inst.sizes().iter().enumerate() {
-        let _ = writeln!(out, "t {i} {t}");
-    }
-    let mut records = Vec::new();
-    for (u, v) in inst.graph().edges() {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let s = inst.selectivity().get(a, b);
-        records.push(format!("e {a} {b} {}/{}", s.numer(), s.denom()));
-    }
-    finish_canonical(out, records)
+    write_sizes(out, inst.sizes());
+    write_edge_records(out, inst.graph(), |out, a, b| {
+        write_selectivity(out, inst.selectivity(), a, b);
+    });
+}
+
+/// Canonical encoding of a QO_H instance (see module docs).
+pub fn canonical_qoh(inst: &QoHInstance) -> String {
+    let mut out = String::new();
+    write_canonical_qoh(&mut out, inst);
+    out
 }
 
 /// 64-bit FNV-1a fingerprint of a QO_N instance's canonical encoding.

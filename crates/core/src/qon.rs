@@ -120,10 +120,7 @@ impl QoNInstance {
             return Err(InvalidQonInstance::ZeroCardinality(i));
         }
         for (u, v) in graph.edges() {
-            if !selectivity.has_entry(u, v) {
-                return Err(InvalidQonInstance::MissingSelectivity(u, v));
-            }
-            let s = selectivity.get(u, v);
+            let s = selectivity.entry(u, v).ok_or(InvalidQonInstance::MissingSelectivity(u, v))?;
             for (j, k) in [(u, v), (v, u)] {
                 let w = access_cost
                     .get(j, k)
@@ -160,9 +157,9 @@ impl QoNInstance {
         &self.selectivity
     }
 
-    /// `w(j, k)` with the non-edge default `t_j`.
-    pub fn w(&self, j: usize, k: usize) -> BigUint {
-        self.access_cost.get_or(j, k, &self.sizes[j])
+    /// `w(j, k)` with the non-edge default `t_j`, borrowed.
+    pub fn w(&self, j: usize, k: usize) -> &BigUint {
+        self.access_cost.get(j, k).unwrap_or(&self.sizes[j])
     }
 
     /// Evaluates the full cost accounting of `z` over scalar backend `S`.
@@ -182,9 +179,9 @@ impl QoNInstance {
             // min_{v_k ∈ X} w_{j,k}: stored entries on edges, t_j otherwise.
             let nbrs_in_prefix: Vec<usize> =
                 self.graph.neighbors(j).iter().filter(|&k| prefix.contains(k)).collect();
-            let mut w_min: Option<BigUint> = if nbrs_in_prefix.len() < i {
+            let mut w_min: Option<&BigUint> = if nbrs_in_prefix.len() < i {
                 // Some prefix member is a non-neighbour: default w = t_j.
-                Some(self.sizes[j].clone())
+                Some(&self.sizes[j])
             } else {
                 None
             };
@@ -196,7 +193,7 @@ impl QoNInstance {
                 });
             }
             let w_min = w_min.expect("prefix nonempty");
-            let h = nx.mul(&S::from_count(&w_min));
+            let h = nx.mul(&S::from_count(w_min));
             total = total.add(&h);
             per_join.push(h);
             // N(Xv_j) = N(X)·t_j·∏ s_{jk}.

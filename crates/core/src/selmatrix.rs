@@ -32,13 +32,22 @@ impl SelectivityMatrix {
     /// Sets `s_{uv} = s_{vu} = s`. Panics unless `0 < s ≤ 1` and `u ≠ v`.
     pub fn set(&mut self, u: usize, v: usize, s: BigRational) {
         assert!(u != v, "selectivity of a vertex with itself");
-        assert!(s.is_positive() && s <= BigRational::one(), "selectivity must be in (0, 1]");
+        // The denominator is positive, so `s ≤ 1` is `numer ≤ denom`.
+        assert!(
+            s.is_positive() && s.numer().magnitude() <= s.denom(),
+            "selectivity must be in (0, 1]"
+        );
         self.entries.insert(key(u, v), s);
     }
 
     /// `s_{uv}` (`1` if unset).
     pub fn get(&self, u: usize, v: usize) -> BigRational {
-        self.entries.get(&key(u, v)).cloned().unwrap_or_else(BigRational::one)
+        self.entry(u, v).cloned().unwrap_or_else(BigRational::one)
+    }
+
+    /// The explicit entry for `{u, v}`, borrowed; `None` if unset.
+    pub fn entry(&self, u: usize, v: usize) -> Option<&BigRational> {
+        self.entries.get(&key(u, v))
     }
 
     /// Whether an explicit entry exists for `{u, v}`.
@@ -81,13 +90,8 @@ impl AccessCostMatrix {
         self.entries.insert((j, k), w);
     }
 
-    /// `w(j, k)`: the stored entry, or `t_j` (the default for non-edges),
-    /// where `t_j` is supplied by the caller via `default_tj`.
-    pub fn get_or(&self, j: usize, k: usize, default_tj: &BigUint) -> BigUint {
-        self.entries.get(&(j, k)).cloned().unwrap_or_else(|| default_tj.clone())
-    }
-
-    /// The stored directional entry, if any.
+    /// The stored directional entry, if any (a non-edge's `w(j, k)` is
+    /// `t_j`, which only the instance knows: see `QoNInstance::w`).
     pub fn get(&self, j: usize, k: usize) -> Option<&BigUint> {
         self.entries.get(&(j, k))
     }
@@ -137,10 +141,8 @@ mod tests {
         let mut w = AccessCostMatrix::new();
         w.set(1, 2, BigUint::from(10u64));
         w.set(2, 1, BigUint::from(99u64));
-        let t = BigUint::from(1000u64);
-        assert_eq!(w.get_or(1, 2, &t), BigUint::from(10u64));
-        assert_eq!(w.get_or(2, 1, &t), BigUint::from(99u64));
-        assert_eq!(w.get_or(1, 3, &t), t);
+        assert_eq!(w.get(1, 2), Some(&BigUint::from(10u64)));
+        assert_eq!(w.get(2, 1), Some(&BigUint::from(99u64)));
         assert_eq!(w.get(1, 3), None);
     }
 }

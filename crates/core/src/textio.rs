@@ -52,7 +52,9 @@ fn write_ratio(out: &mut String, r: &BigRational) {
     }
 }
 
-fn parse_ratio(tok: &str, line: usize) -> Result<BigRational, ParseError> {
+/// Parses a selectivity `num/den` (or a bare integer) and checks it lies
+/// in `(0, 1]` — in integers, before the fraction is reduced.
+fn parse_selectivity(tok: &str, line: usize) -> Result<BigRational, ParseError> {
     let (num, den) = match tok.split_once('/') {
         Some((n, d)) => (n, Some(d)),
         None => (tok, None),
@@ -66,6 +68,9 @@ fn parse_ratio(tok: &str, line: usize) -> Result<BigRational, ParseError> {
     };
     if d.is_zero() {
         return Err(err(line, "zero denominator"));
+    }
+    if n.is_zero() || n > d {
+        return Err(err(line, "selectivity out of (0, 1]"));
     }
     Ok(BigRational::new(BigInt::from(n), d))
 }
@@ -106,8 +111,8 @@ pub fn qon_from_text(input: &str) -> Result<QoNInstance, ParseError> {
     let mut sel = SelectivityMatrix::new();
     let mut acc = AccessCostMatrix::new();
     for (ln, line) in lines {
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        match toks.as_slice() {
+        let (toks, len) = tokens(line);
+        match &toks[..len] {
             ["vertices", v] => {
                 let v = parse_usize(v, ln)?;
                 n = Some(v);
@@ -131,10 +136,7 @@ pub fn qon_from_text(input: &str) -> Result<QoNInstance, ParseError> {
                 if u >= g.n() || v >= g.n() {
                     return Err(err(ln, "edge endpoint out of range"));
                 }
-                let sv = parse_ratio(s, ln)?;
-                if !sv.is_positive() || sv > BigRational::one() {
-                    return Err(err(ln, "selectivity out of (0, 1]"));
-                }
+                let sv = parse_selectivity(s, ln)?;
                 g.add_edge(u, v);
                 sel.set(u, v, sv);
                 acc.set(u, v, parse_uint(wuv, ln)?);
@@ -183,8 +185,8 @@ pub fn qoh_from_text(input: &str) -> Result<QoHInstance, ParseError> {
     let mut memory: Option<BigUint> = None;
     let mut eta = (1u32, 2u32);
     for (ln, line) in lines {
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        match toks.as_slice() {
+        let (toks, len) = tokens(line);
+        match &toks[..len] {
             ["vertices", v] => {
                 let v = parse_usize(v, ln)?;
                 sizes = vec![None; v];
@@ -214,10 +216,7 @@ pub fn qoh_from_text(input: &str) -> Result<QoHInstance, ParseError> {
                 if u >= g.n() || v >= g.n() {
                     return Err(err(ln, "edge endpoint out of range"));
                 }
-                let sv = parse_ratio(s, ln)?;
-                if !sv.is_positive() || sv > BigRational::one() {
-                    return Err(err(ln, "selectivity out of (0, 1]"));
-                }
+                let sv = parse_selectivity(s, ln)?;
                 g.add_edge(u, v);
                 sel.set(u, v, sv);
             }
@@ -243,6 +242,19 @@ pub fn qoh_from_text(input: &str) -> Result<QoHInstance, ParseError> {
         return Err(err(0, "eta must be a fraction in (0, 1)"));
     }
     Ok(QoHInstance::with_eta(graph, sizes, sel, memory, eta))
+}
+
+/// The whitespace-separated tokens of `line` and their count, without
+/// allocating. The longest record has six tokens, so a seventh only has to
+/// make the line unrecognized: the rest are not looked at.
+fn tokens(line: &str) -> ([&str; 7], usize) {
+    let mut toks = [""; 7];
+    let mut len = 0;
+    for (slot, tok) in toks.iter_mut().zip(line.split_whitespace()) {
+        *slot = tok;
+        len += 1;
+    }
+    (toks, len)
 }
 
 fn numbered(input: &str) -> impl Iterator<Item = (usize, &str)> {

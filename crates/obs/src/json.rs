@@ -1,11 +1,15 @@
 //! Minimal hand-rolled JSON: string escaping for the encoder side and a
-//! recursive-descent parser for the validator side (`aqo trace-check`).
+//! recursive-descent parser for the reading side. The parser validates
+//! journals and bench documents (`aqo trace-check`) and parses every
+//! request line the server reads (`aqo_serve::proto::Request::parse`), so
+//! it runs in time linear in its input.
 //!
 //! The parser accepts standard JSON (RFC 8259) minus two conveniences we
 //! never emit: no `\uXXXX` surrogate-pair recombination beyond the basic
-//! plane is attempted, and numbers parse through `f64`. That is exactly
-//! enough to validate our own journal and bench documents without pulling
-//! in a dependency.
+//! plane is attempted, and numbers parse through `f64` — except a plain
+//! run of decimal digits that fits in `u64`, which is kept exactly
+//! ([`JsonValue::Uint`]) so ids and counters above 2^53 survive. That is
+//! exactly enough for our own documents without pulling in a dependency.
 
 /// Appends `s` to `out` as a quoted, escaped JSON string.
 pub fn escape_into(out: &mut String, s: &str) {
@@ -31,7 +35,9 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number, via `f64`.
+    /// A number written as decimal digits only that fits in `u64`, exact.
+    Uint(u64),
+    /// Any other number, via `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -61,7 +67,18 @@ impl JsonValue {
     /// The numeric payload, if this is a number.
     pub fn as_num(&self) -> Option<f64> {
         match self {
+            JsonValue::Uint(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The exact value of a number written as decimal digits only that
+    /// fits in `u64`; `None` for every other value (negative, fractional,
+    /// exponent form, out of range, or not a number).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Uint(n) => Some(*n),
             _ => None,
         }
     }
@@ -139,6 +156,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     let text = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| format!("bad number bytes at byte {start}"))?;
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::Uint(n));
+        }
+    }
     text.parse::<f64>()
         .map(JsonValue::Num)
         .map_err(|_| format!("bad number `{text}` at byte {start}"))
@@ -181,15 +203,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Advance one whole UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next `"` or `\` at once.
+                // Both are ASCII, so in text that came in as `&str` the
+                // run ends on a character boundary and is valid UTF-8.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .ok_or("unterminated string")?;
+                let text = std::str::from_utf8(&bytes[*pos..*pos + run])
                     .map_err(|_| "invalid UTF-8 in string")?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| format!("unterminated string at byte {}", *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -277,5 +301,18 @@ mod tests {
         assert_eq!(parse(" { } ").unwrap(), JsonValue::Obj(vec![]));
         assert_eq!(parse("[]").unwrap(), JsonValue::Arr(vec![]));
         assert_eq!(parse("42").unwrap().as_num(), Some(42.0));
+    }
+
+    #[test]
+    fn digit_literals_are_exact_u64() {
+        let exact = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(exact("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(exact("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(exact("0"), Some(0));
+        for inexact in ["18446744073709551616", "1e30", "1.5", "1.0", "-3", "2E3"] {
+            assert_eq!(exact(inexact), None, "{inexact}");
+            assert!(parse(inexact).unwrap().as_num().is_some(), "{inexact} is still a number");
+        }
+        assert_eq!(parse("9007199254740993").unwrap().as_num(), Some(9_007_199_254_740_992.0));
     }
 }

@@ -386,7 +386,7 @@ impl<'a> LogView<'a> {
                 if j == k {
                     continue;
                 }
-                wlog[j * n + k] = <LogNum as CostScalar>::from_count(&inst.w(j, k));
+                wlog[j * n + k] = <LogNum as CostScalar>::from_count(inst.w(j, k));
                 wmax = wmax.max(wlog[j * n + k].log2().abs());
                 if inst.graph().has_edge(j, k) {
                     slog[j * n + k] =
@@ -612,7 +612,7 @@ impl<'a> AccessRows<'a> {
         let mut rank: Vec<u32> = Vec::with_capacity(n * n);
         for j in 0..n {
             let row: Vec<BigUint> = (0..n)
-                .map(|k| if k == j { inst.sizes()[j].clone() } else { inst.w(j, k) })
+                .map(|k| if k == j { inst.sizes()[j].clone() } else { inst.w(j, k).clone() })
                 .collect();
             let mut by_value: Vec<usize> = (0..n).collect();
             by_value.sort_by(|&a, &b| row[a].cmp(&row[b]));
@@ -1120,7 +1120,7 @@ mod tests {
                     continue;
                 }
                 let w = members.iter().map(|&k| inst.w(j, k)).min().expect("nonempty prefix");
-                let cand = &cost + &(&size[mask] * &BigRational::from(w));
+                let cand = &cost + &(&size[mask] * &BigRational::from(w.clone()));
                 let next = mask | 1 << j;
                 if dp[next].as_ref().is_none_or(|cur| cand < *cur) {
                     dp[next] = Some(cand);

@@ -117,7 +117,7 @@ fn linearize_subtrees(
     for &c in &children[v] {
         let mut chain = linearize_subtrees(inst, c, parent, children);
         // Prepend c's own module and normalize rank violations.
-        let w = BigRational::from(inst.w(c, parent[c]));
+        let w = BigRational::from(inst.w(c, parent[c]).clone());
         let f = BigRational::from(inst.sizes()[c].clone())
             * inst.selectivity().get(c, parent[c]);
         let mut head = Module::single(c, w, f);

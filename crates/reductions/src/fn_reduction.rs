@@ -143,8 +143,8 @@ mod tests {
         assert_eq!(r.w, BigUint::from(16u64).pow(3));
         // Every edge has w = t/a in both directions.
         for (u, v) in g.edges() {
-            assert_eq!(r.instance.w(u, v), r.w);
-            assert_eq!(r.instance.w(v, u), r.w);
+            assert_eq!(r.instance.w(u, v), &r.w);
+            assert_eq!(r.instance.w(v, u), &r.w);
         }
     }
 

@@ -15,7 +15,7 @@
 
 use crate::cache::{CachedPlan, PlanCache};
 use crate::proto::{ErrReply, ErrorKind, OkReply, Op, Problem, Reply, Request};
-use aqo_core::fingerprint::{canonical_qoh, canonical_qon, fnv1a};
+use aqo_core::fingerprint::{fnv1a, write_canonical_qoh, write_canonical_qon};
 use aqo_core::{explain, faults, textio, CostScalar};
 use aqo_driver::{BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -202,8 +202,9 @@ impl Engine {
         };
         // The canonical key carries every request knob that changes the
         // answer; budget and chain do not (only exact plans are cached).
-        let key =
-            format!("qon cart={} {}", u8::from(req.allow_cartesian), canonical_qon(&inst));
+        let mut key = String::with_capacity(text.len() + 16);
+        key.push_str(if req.allow_cartesian { "qon cart=1 " } else { "qon cart=0 " });
+        write_canonical_qon(&mut key, &inst);
         let hash = fnv1a(key.as_bytes());
         if Self::caching(req) {
             if let Some(hit) = self.cache.lookup(hash, &key) {
@@ -279,7 +280,9 @@ impl Engine {
             Ok(i) => i,
             Err(e) => return err(req, ErrorKind::Parse, format!("instance: {e}")),
         };
-        let key = format!("qoh {}", canonical_qoh(&inst));
+        let mut key = String::with_capacity(text.len() + 8);
+        key.push_str("qoh ");
+        write_canonical_qoh(&mut key, &inst);
         let hash = fnv1a(key.as_bytes());
         if Self::caching(req) {
             if let Some(hit) = self.cache.lookup(hash, &key) {

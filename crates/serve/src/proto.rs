@@ -152,13 +152,15 @@ impl Request {
             None => Problem::Qon,
             Some(p) => Problem::parse(p).ok_or_else(|| format!("unknown problem `{p}`"))?,
         };
+        // Integer fields are read exactly from their digits: anything but
+        // a plain decimal literal within `u64` (a sign, a fraction, an
+        // exponent, a value past `u64::MAX`) is rejected, never rounded.
         let u64_field = |key: &str| -> Result<Option<u64>, String> {
             match doc.get(key) {
                 None | Some(JsonValue::Null) => Ok(None),
                 Some(v) => v
-                    .as_num()
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .map(|n| Some(n as u64))
+                    .as_u64()
+                    .map(Some)
                     .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
             }
         };
@@ -580,6 +582,29 @@ mod tests {
         )
         .is_err());
         assert!(Request::parse("{\"op\": \"optimize\", \"instance\": \"x\", \"id\": -3}").is_err());
+    }
+
+    #[test]
+    fn integer_fields_are_exact() {
+        let parse = |field: &str, value: &str| {
+            Request::parse(&format!("{{\"op\": \"status\", \"{field}\": {value}}}"))
+        };
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        assert_eq!(parse("id", "9007199254740993").unwrap().id, 9_007_199_254_740_993);
+        assert_eq!(parse("id", "18446744073709551615").unwrap().id, u64::MAX);
+        let max = parse("timeout_ms", "18446744073709551615").unwrap();
+        assert_eq!(max.timeout_ms, Some(u64::MAX));
+        assert_eq!(
+            parse("max_expansions", "9007199254740993").unwrap().max_expansions,
+            Some(9_007_199_254_740_993)
+        );
+        for field in ["id", "timeout_ms", "max_expansions", "threads"] {
+            for bad in ["1e30", "1.5", "18446744073709551616", "-1", "\"7\"", "1e3", "2.0"] {
+                let e = parse(field, bad).unwrap_err();
+                let want = format!("`{field}` must be a non-negative integer");
+                assert_eq!(e, want, "{field}: {bad}");
+            }
+        }
     }
 
     #[test]

@@ -168,6 +168,9 @@ fn render_back(doc: &JsonValue) -> String {
             JsonValue::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
+            JsonValue::Uint(n) => {
+                let _ = write!(out, "{n}");
+            }
             JsonValue::Num(n) => {
                 if n.fract() == 0.0 {
                     let _ = write!(out, "{}", *n as i64);
