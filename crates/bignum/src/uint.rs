@@ -25,9 +25,22 @@ const KARATSUBA_THRESHOLD: usize = 32;
 /// Invariant: `limbs` never has a trailing (most-significant) zero limb, so
 /// the representation of every value is unique and `Eq`/`Ord` can compare
 /// limb vectors directly.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(PartialEq, Eq, Hash, Default)]
 pub struct BigUint {
     limbs: Vec<u64>,
+}
+
+impl Clone for BigUint {
+    fn clone(&self) -> Self {
+        BigUint { limbs: self.limbs.clone() }
+    }
+
+    /// Copies into `self`'s limb buffer, which grows only when `source`
+    /// has more limbs than it holds: a hot loop can refill one value
+    /// without allocating (the derived `clone_from` is `*self = clone()`).
+    fn clone_from(&mut self, source: &Self) {
+        self.limbs.clone_from(&source.limbs);
+    }
 }
 
 impl BigUint {

@@ -142,6 +142,23 @@ proptest! {
         prop_assert_eq!(&s - &b, a);
     }
 
+    /// `clone_from` in both directions between two values, so the source
+    /// is longer than the destination in one and shorter in the other.
+    #[test]
+    fn clone_from_matches_clone(a in biguint(), b in biguint()) {
+        for (dst, src) in [(&a, &b), (&b, &a)] {
+            let mut out = dst.clone();
+            let buffer = out.limbs().as_ptr();
+            out.clone_from(src);
+            prop_assert_eq!(&out, src);
+            prop_assert_eq!(out.limbs(), src.limbs());
+            prop_assert!(out.limbs().last() != Some(&0), "trailing zero limb");
+            if !dst.is_zero() && dst.limbs().len() >= src.limbs().len() {
+                prop_assert_eq!(out.limbs().as_ptr(), buffer, "buffer not reused");
+            }
+        }
+    }
+
     #[test]
     fn div_rem_invariant(a in biguint(), b in biguint()) {
         prop_assume!(!b.is_zero());

@@ -376,12 +376,15 @@ pub struct ScaledView<'a> {
     scaled_sizes: Vec<BigUint>,
     /// `room_v`; zero when `hjmin(t_v) = t_v` and the join cannot grow.
     rooms: Vec<BigUint>,
-    /// The neighbours `k` of each relation with `(p, q)` of edge `{v, k}`.
-    edges: Vec<Vec<(usize, BigUint, BigUint)>>,
+    /// The neighbours `k` of each relation with `(p, q)` of edge `{v, k}`,
+    /// borrowed from the instance's selectivities.
+    edges: Vec<Vec<(usize, &'a BigUint, &'a BigUint)>>,
 }
 
-/// Position `j` of a sequence prefix under a [`ScaledView`].
-#[derive(Debug)]
+/// Position `j` of a sequence prefix under a [`ScaledView`]. A search
+/// keeps one per depth and refills it with [`ScaledView::step_into`], so
+/// its buffers outlive the prefixes that use them.
+#[derive(Debug, Default)]
 pub struct ScaledStep {
     /// `K·N_j`.
     size: BigUint,
@@ -392,6 +395,30 @@ pub struct ScaledStep {
     slope: BigUint,
 }
 
+/// The working values of [`ScaledView::last_fragments`]. The caller owns
+/// them and passes the same scratch to every call, so a search refills
+/// these buffers instead of allocating new ones per prefix.
+#[derive(Debug, Default)]
+pub struct FragmentScratch {
+    /// `Σ hjmin` of the fragment's inner relations.
+    need: BigUint,
+    /// `Σ t` of the same.
+    sizes: BigUint,
+    /// `Σ K·t`, the cost of building them.
+    builds: BigUint,
+    /// `M − Σ hjmin`, not yet handed out.
+    leftover: BigUint,
+    /// `room − leftover` of the join that is partly filled.
+    part: BigUint,
+    /// `K·` the fragment's cost, handed to `each`.
+    cost: BigUint,
+    /// Target of the fused multiply-add, swapped with `cost`.
+    spare: BigUint,
+    /// Positions of the fragment's joins that can grow, steepest slope
+    /// first.
+    growth: Vec<usize>,
+}
+
 impl<'a> ScaledView<'a> {
     /// Computes `K` and the per-relation tables.
     pub fn new(inst: &'a QoHInstance) -> Self {
@@ -399,10 +426,11 @@ impl<'a> ScaledView<'a> {
         let mut scale = BigUint::one();
         let mut edges = vec![Vec::new(); n];
         for (u, v) in inst.graph.edges() {
-            let s = inst.selectivity.get(u, v);
+            // An edge without an entry has selectivity 1: no factor at all.
+            let Some(s) = inst.selectivity.entry(u, v) else { continue };
             let (p, q) = (s.numer().magnitude(), s.denom());
-            edges[u].push((v, p.clone(), q.clone()));
-            edges[v].push((u, p.clone(), q.clone()));
+            edges[u].push((v, p, q));
+            edges[v].push((u, p, q));
             scale *= q;
         }
         let rooms: Vec<BigUint> = (0..n).map(|v| &inst.sizes[v] - &inst.hjmins[v]).collect();
@@ -423,36 +451,51 @@ impl<'a> ScaledView<'a> {
         BigRational::new(BigInt::from(scaled), self.scale.clone())
     }
 
-    /// The step that appends `v` at position `prefix.len()`, after the
-    /// relations `prefix` whose last step is `last`.
-    pub fn step(&self, last: Option<&ScaledStep>, v: usize, prefix: &[usize]) -> ScaledStep {
+    /// Writes into `out` the step that appends `v` at position
+    /// `prefix.len()`, after the relations `prefix` whose last step is
+    /// `last`. Only `out`'s buffers are written: once they have grown to
+    /// the sizes a search meets, a step allocates nothing.
+    pub fn step_into(
+        &self,
+        out: &mut ScaledStep,
+        last: Option<&ScaledStep>,
+        v: usize,
+        prefix: &[usize],
+    ) {
+        // `clone_from` a zero empties a buffer and keeps it.
+        let zero = BigUint::zero();
         let Some(last) = last else {
-            let size = self.scaled_sizes[v].clone();
-            return ScaledStep { size, weight: BigUint::zero(), slope: BigUint::zero() };
+            out.size.clone_from(&self.scaled_sizes[v]);
+            out.weight.clone_from(&zero);
+            out.slope.clone_from(&zero);
+            return;
         };
-        let mut size = last.size.clone();
+        let size = &mut out.size;
+        size.clone_from(&last.size);
         let joined = || self.edges[v].iter().filter(|(k, _, _)| prefix.contains(k));
         for (_, _, q) in joined() {
             size.div_exact_assign(q);
         }
-        size *= &self.inst.sizes[v];
+        *size *= &self.inst.sizes[v];
         for (_, p, _) in joined().filter(|(_, p, _)| !p.is_one()) {
-            size *= p;
+            *size *= p;
         }
-        let weight = &last.size + &self.scaled_sizes[v];
-        let mut slope = BigUint::zero();
-        if !self.rooms[v].is_zero() {
-            slope.clone_from(&weight);
-            slope.div_exact_assign(&self.rooms[v]);
+        out.weight.clone_from(&last.size);
+        out.weight += &self.scaled_sizes[v];
+        if self.rooms[v].is_zero() {
+            out.slope.clone_from(&zero);
+        } else {
+            out.slope.clone_from(&out.weight);
+            out.slope.div_exact_assign(&self.rooms[v]);
         }
-        ScaledStep { size, weight, slope }
     }
 
     /// `K·` the cost of every feasible fragment `(i, d)` ending at the last
     /// position `d` of the prefix `order` (with its `steps`) under its
     /// optimal allocation, passed to `each(i, cost)` for `i = d` down to 1
-    /// until `Σ hjmin` exceeds `M`. `each` may take the value: it is a
-    /// scratch buffer, refilled for the next `i`.
+    /// until `Σ hjmin` exceeds `M`. `cost` is a buffer of the caller's
+    /// `scratch`: `each` may swap it for another buffer, and whichever
+    /// buffer is left there is refilled for the next `i`.
     ///
     /// The allocation is [`QoHInstance::optimal_allocation`]'s greedy:
     /// `hjmin` for every join, then the leftover to the joins in order of
@@ -464,21 +507,24 @@ impl<'a> ScaledView<'a> {
         &self,
         order: &[usize],
         steps: &[ScaledStep],
-        growth: &mut Vec<usize>,
+        scratch: &mut FragmentScratch,
         mut each: impl FnMut(usize, &mut BigUint),
     ) {
         let d = order.len() - 1;
-        let (mut need, mut sizes, mut builds) = (BigUint::zero(), BigUint::zero(), BigUint::zero());
-        let mut cost = BigUint::zero();
+        let FragmentScratch { need, sizes, builds, leftover, part, cost, spare, growth } = scratch;
+        let zero = BigUint::zero();
+        need.clone_from(&zero);
+        sizes.clone_from(&zero);
+        builds.clone_from(&zero);
         growth.clear();
         for i in (1..=d).rev() {
             let v = order[i];
-            need += &self.inst.hjmins[v];
-            if need > self.inst.memory {
+            *need += &self.inst.hjmins[v];
+            if *need > self.inst.memory {
                 return;
             }
-            sizes += &self.inst.sizes[v];
-            builds += &self.scaled_sizes[v];
+            *sizes += &self.inst.sizes[v];
+            *builds += &self.scaled_sizes[v];
             if !self.rooms[v].is_zero() {
                 let slope = &steps[i].slope;
                 let at = growth.iter().position(|&j| steps[j].slope <= *slope);
@@ -486,25 +532,29 @@ impl<'a> ScaledView<'a> {
             }
             // Read the input, write the output, build every inner relation.
             cost.clone_from(&steps[i - 1].size);
-            cost += &steps[d].size;
-            cost += &builds;
+            *cost += &steps[d].size;
+            *cost += &*builds;
             // `hjmin + room = t`, so with `Σ t ≤ M` every join is filled
             // and spills nothing.
-            if sizes > self.inst.memory {
-                let mut leftover = &self.inst.memory - &need;
+            if *sizes > self.inst.memory {
+                leftover.clone_from(&self.inst.memory);
+                *leftover -= &*need;
                 for &j in growth.iter() {
                     let room = &self.rooms[order[j]];
                     if leftover.is_zero() {
-                        cost += &steps[j].weight;
-                    } else if *room <= leftover {
-                        leftover -= room;
+                        *cost += &steps[j].weight;
+                    } else if *room <= *leftover {
+                        *leftover -= room;
                     } else {
-                        cost += &(&steps[j].slope * &(room - &leftover));
-                        leftover = BigUint::zero();
+                        part.clone_from(room);
+                        *part -= &*leftover;
+                        spare.set_mul_add(cost, &steps[j].slope, part);
+                        std::mem::swap(cost, spare);
+                        leftover.clone_from(&zero);
                     }
                 }
             }
-            each(i, &mut cost);
+            each(i, cost);
         }
     }
 }

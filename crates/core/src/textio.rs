@@ -80,7 +80,14 @@ fn parse_uint(tok: &str, line: usize) -> Result<BigUint, ParseError> {
 }
 
 fn parse_usize(tok: &str, line: usize) -> Result<usize, ParseError> {
-    tok.parse().map_err(|_| err(line, format!("bad index {tok}")))
+    parse_machine(tok).ok_or_else(|| err(line, format!("bad index {tok}")))
+}
+
+/// A decimal integer of ASCII digits only that fits `T`. `T::from_str`
+/// alone would also take a leading `+`.
+fn parse_machine<T: std::str::FromStr>(tok: &str) -> Option<T> {
+    let digits = !tok.is_empty() && tok.bytes().all(|b| b.is_ascii_digit());
+    digits.then(|| tok.parse().ok()).flatten()
 }
 
 /// Serializes a QO_N instance.
@@ -194,10 +201,10 @@ pub fn qoh_from_text(input: &str) -> Result<QoHInstance, ParseError> {
             }
             ["memory", m] => memory = Some(parse_uint(m, ln)?),
             ["eta", num, den] => {
-                eta = (
-                    parse_usize(num, ln)? as u32,
-                    parse_usize(den, ln)? as u32,
-                );
+                let term = |tok: &str| {
+                    parse_machine::<u32>(tok).ok_or_else(|| err(ln, format!("bad eta term {tok}")))
+                };
+                eta = (term(num)?, term(den)?);
             }
             ["size", i, t] => {
                 let i = parse_usize(i, ln)?;
@@ -349,6 +356,34 @@ mod tests {
         assert_eq!(e.line, 5);
         assert!(qon_from_text("nope\n").is_err());
         assert!(qon_from_text("qon\nvertices 1\n").is_err(), "missing size");
+    }
+
+    #[test]
+    fn indices_and_eta_terms_are_plain_digits_within_range() {
+        let qon = |body: &str| qon_from_text(&format!("qon\n{body}"));
+        let qoh = |body: &str| qoh_from_text(&format!("qoh\nmemory 100\n{body}"));
+        let base = "vertices 2\nsize 0 10\nsize 1 10\n";
+        assert!(qon(&format!("{base}edge 0 1 1/2 5 5\n")).is_ok());
+        assert!(qoh(&format!("{base}edge 0 1 1/2\neta 1 2\n")).is_ok());
+        for (bad, tok) in [
+            ("vertices +2\nsize 0 10\nsize 1 10\n", "+2"),
+            ("vertices 2\nsize +0 10\nsize 1 10\n", "+0"),
+            ("vertices 2\nsize -0 10\nsize 1 10\n", "-0"),
+        ] {
+            assert_eq!(qon(bad).unwrap_err().message, format!("bad index {tok}"));
+            assert_eq!(qoh(bad).unwrap_err().message, format!("bad index {tok}"));
+        }
+        let e = qon(&format!("{base}edge 0 +1 1/2 5 5\n")).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (5, "bad index +1"));
+        let e = qoh(&format!("{base}edge 0 +1 1/2\n")).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (6, "bad index +1"));
+        // 2^32 + 1 wrapped to 1 under a plain cast: η would read 1/2.
+        let e = qoh(&format!("{base}eta 4294967297 2\n")).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (6, "bad eta term 4294967297"));
+        let e = qoh(&format!("{base}eta 1 4294967297\n")).unwrap_err();
+        assert_eq!(e.message, "bad eta term 4294967297");
+        assert_eq!(qoh(&format!("{base}eta +1 2\n")).unwrap_err().message, "bad eta term +1");
+        assert!(qoh(&format!("{base}eta 1 4294967295\n")).is_ok(), "u32::MAX is in range");
     }
 
     #[test]

@@ -141,10 +141,10 @@ struct ExactView<'a, S> {
 }
 
 impl<'a, S: CostScalar> ExactView<'a, S> {
-    fn build(inst: &QoNInstance, nbr: &'a [u32]) -> ExactView<'a, S> {
+    fn build(inst: &'a QoNInstance, nbr: &'a [u32]) -> ExactView<'a, S> {
         let n = inst.n();
         let rows = AccessRows::build(inst, nbr);
-        let wexs = rows.w.iter().map(S::from_count).collect();
+        let wexs = rows.w.iter().map(|w| S::from_count(w)).collect();
         let sels = (0..n * n)
             .map(|i| {
                 let (j, k) = (i / n, i % n);

@@ -388,9 +388,12 @@ impl<'a> LogView<'a> {
                 }
                 wlog[j * n + k] = <LogNum as CostScalar>::from_count(inst.w(j, k));
                 wmax = wmax.max(wlog[j * n + k].log2().abs());
-                if inst.graph().has_edge(j, k) {
-                    slog[j * n + k] =
-                        <LogNum as CostScalar>::from_ratio(&inst.selectivity().get(j, k));
+                if !inst.graph().has_edge(j, k) {
+                    continue;
+                }
+                // An edge without an entry has selectivity 1, as `slog` holds.
+                if let Some(sel) = inst.selectivity().entry(j, k) {
+                    slog[j * n + k] = <LogNum as CostScalar>::from_ratio(sel);
                     if j < k {
                         max_log2 += slog[j * n + k].log2().abs();
                     }
@@ -569,10 +572,13 @@ fn log_phase(
         std::mem::swap(&mut nlog_prev, &mut nlog_cur);
         // Layer stats are pure functions of the layer geometry, recorded
         // once per layer on the coordinating thread — deterministic for
-        // every thread count, zero cost inside the worker hot loop.
+        // every thread count, zero cost inside the worker hot loop. Journal
+        // fields are built only while the journal keeps them.
         if aqo_obs::enabled() {
             aqo_obs::counter_handle!("optimizer.engine.subsets_expanded").add(width as u64);
             aqo_obs::counter_handle!("optimizer.engine.transitions").add((width * k) as u64);
+        }
+        if aqo_obs::journal::capturing() {
             let chunk = width.div_ceil(threads.max(1));
             let chunks = if chunk >= width { 1 } else { width.div_ceil(chunk) };
             aqo_obs::journal::event(
@@ -591,13 +597,14 @@ fn log_phase(
 
 /// The exact access-cost rows of an instance, shared by phase B and the
 /// reference [`crate::dp`]: `w*(j,k)` row-major with `t_j` on the
-/// diagonal, plus each row's rank order, so picking `min_{k ∈ S} w*(j,k)`
-/// compares `u32` ranks instead of big numbers.
+/// diagonal, borrowed from the instance, plus each row's rank order, so
+/// picking `min_{k ∈ S} w*(j,k)` compares `u32` ranks instead of big
+/// numbers.
 pub(crate) struct AccessRows<'a> {
     pub(crate) n: usize,
     pub(crate) nbr: &'a [u32],
     /// `w*(j,k)` row-major; the diagonal holds `t_j`.
-    pub(crate) w: Vec<BigUint>,
+    pub(crate) w: Vec<&'a BigUint>,
     /// Rank of `w[j·n + k]` within row `j` by exact value: equal values
     /// share a rank, so the least rank always selects the least value.
     rank: Vec<u32>,
@@ -606,23 +613,21 @@ pub(crate) struct AccessRows<'a> {
 impl<'a> AccessRows<'a> {
     /// The rows of `inst`, over its neighbour bitmasks `nbr`
     /// ([`nbr_masks`]).
-    pub(crate) fn build(inst: &QoNInstance, nbr: &'a [u32]) -> AccessRows<'a> {
+    pub(crate) fn build(inst: &'a QoNInstance, nbr: &'a [u32]) -> AccessRows<'a> {
         let n = inst.n();
-        let mut w: Vec<BigUint> = Vec::with_capacity(n * n);
-        let mut rank: Vec<u32> = Vec::with_capacity(n * n);
+        let mut w: Vec<&BigUint> = Vec::with_capacity(n * n);
+        let mut rank = vec![0u32; n * n];
+        let mut by_value: Vec<usize> = Vec::with_capacity(n);
         for j in 0..n {
-            let row: Vec<BigUint> = (0..n)
-                .map(|k| if k == j { inst.sizes()[j].clone() } else { inst.w(j, k).clone() })
-                .collect();
-            let mut by_value: Vec<usize> = (0..n).collect();
-            by_value.sort_by(|&a, &b| row[a].cmp(&row[b]));
-            let mut r = vec![0u32; n];
+            let row = j * n;
+            w.extend((0..n).map(|k| if k == j { &inst.sizes()[j] } else { inst.w(j, k) }));
+            by_value.clear();
+            by_value.extend(0..n);
+            by_value.sort_by(|&a, &b| w[row + a].cmp(w[row + b]));
             for pair in by_value.windows(2) {
-                let step = u32::from(row[pair[0]] != row[pair[1]]);
-                r[pair[1]] = r[pair[0]] + step;
+                let step = u32::from(w[row + pair[0]] != w[row + pair[1]]);
+                rank[row + pair[1]] = rank[row + pair[0]] + step;
             }
-            w.extend(row);
-            rank.extend(r);
         }
         AccessRows { n, nbr, w, rank }
     }
@@ -656,64 +661,63 @@ impl<'a> AccessRows<'a> {
 /// rationals.
 struct ScaledView<'a> {
     rows: AccessRows<'a>,
-    /// Selectivity numerators and denominators row-major; `1` off the
-    /// query graph.
-    p: Vec<BigUint>,
-    q: Vec<BigUint>,
+    /// `(p_e, q_e)` of the edge `{j, k}` at `j·n + k`, borrowed from the
+    /// instance; `None` off the query graph (and for an edge without an
+    /// entry, whose selectivity is 1).
+    pq: Vec<Option<(&'a BigUint, &'a BigUint)>>,
     /// `D`.
     scale: BigUint,
 }
 
 impl<'a> ScaledView<'a> {
-    fn build(inst: &QoNInstance, nbr: &'a [u32]) -> ScaledView<'a> {
+    fn build(inst: &'a QoNInstance, nbr: &'a [u32]) -> ScaledView<'a> {
         let n = inst.n();
-        let mut p = vec![BigUint::one(); n * n];
-        let mut q = vec![BigUint::one(); n * n];
+        let mut pq = vec![None; n * n];
         let mut scale = BigUint::one();
         for (u, v) in inst.graph().edges() {
-            let s = inst.selectivity().get(u, v);
+            let Some(s) = inst.selectivity().entry(u, v) else { continue };
             for (j, k) in [(u, v), (v, u)] {
-                p[j * n + k] = s.numer().magnitude().clone();
-                q[j * n + k] = s.denom().clone();
+                pq[j * n + k] = Some((s.numer().magnitude(), s.denom()));
             }
             scale *= s.denom();
         }
-        ScaledView { rows: AccessRows::build(inst, nbr), p, q, scale }
+        ScaledView { rows: AccessRows::build(inst, nbr), pq, scale }
     }
 
     /// `min_{k ∈ s} w*(j,k)` (unscaled: it multiplies a scaled `D·N(s)`).
     #[inline]
     fn wmin(&self, j: usize, s: u32) -> &BigUint {
-        &self.rows.w[self.rows.wmin_at(j, s)]
+        self.rows.w[self.rows.wmin_at(j, s)]
     }
 
     /// `D·N({v}) = D·t_v`.
     fn scaled_size(&self, v: usize) -> BigUint {
-        &self.scale * &self.rows.w[v * self.rows.n + v]
+        &self.scale * self.rows.w[v * self.rows.n + v]
     }
 
-    /// `D·N(s ∪ {j})` from `ns = D·N(s)`: exact divisions by the `q_e` of
-    /// the edges from `j` into `s` (each is a factor of `ns`, since those
-    /// edges are not inside `s`), then times `t_j` and their `p_e`.
-    fn extend_n(&self, ns: &BigUint, j: usize, s: u32) -> BigUint {
+    /// `nn = D·N(s)` becomes `D·N(s ∪ {j})` in place: exact divisions by
+    /// the `q_e` of the edges from `j` into `s` (each is a factor of `nn`,
+    /// since those edges are not inside `s`), then times `t_j` and their
+    /// `p_e`.
+    fn extend_n(&self, nn: &mut BigUint, j: usize, s: u32) {
         let row = j * self.rows.n;
-        let mut nn = ns.clone();
         let mut bits = self.rows.nbr[j] & s;
         while bits != 0 {
             let v = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            nn.div_exact_assign(&self.q[row + v]);
-        }
-        nn *= &self.rows.w[row + j];
-        let mut bits = self.rows.nbr[j] & s;
-        while bits != 0 {
-            let v = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if !self.p[row + v].is_one() {
-                nn *= &self.p[row + v];
+            if let Some((_, q)) = self.pq[row + v] {
+                nn.div_exact_assign(q);
             }
         }
-        nn
+        *nn *= self.rows.w[row + j];
+        let mut bits = self.rows.nbr[j] & s;
+        while bits != 0 {
+            let v = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if let Some((p, _)) = self.pq[row + v].filter(|(p, _)| !p.is_one()) {
+                *nn *= p;
+            }
+        }
     }
 
     /// `D·C(order)`, the scaled cost of one join sequence.
@@ -724,7 +728,7 @@ impl<'a> ScaledView<'a> {
         for &j in &order[1..] {
             next.set_mul_add(&cost, &ns, self.wmin(j, s));
             std::mem::swap(&mut cost, &mut next);
-            ns = self.extend_n(&ns, j, s);
+            self.extend_n(&mut ns, j, s);
             s |= 1 << j;
         }
         cost
@@ -737,8 +741,16 @@ impl<'a> ScaledView<'a> {
 }
 
 /// One phase-B frontier entry: `D·dp[T]`, `D·N(T)` and the relation
-/// joined last. `None` when pruned or unreachable.
-type ScaledEntry = Option<(BigUint, BigUint, u8)>;
+/// joined last, valid only while `live` (not pruned, reachable). A layer
+/// buffer keeps its entries from layer to layer, so phase B refills their
+/// big numbers in place.
+#[derive(Default)]
+struct ScaledEntry {
+    cost: BigUint,
+    size: BigUint,
+    last: u8,
+    live: bool,
+}
 
 /// Phase B: the exact DP over the same frontiers in scaled integers,
 /// layer-parallel, skipping every entry whose phase-A estimate exceeds
@@ -759,8 +771,14 @@ fn exact_phase(
     budget.charge_memory(((3 * n * n + n) * std::mem::size_of::<BigUint>()) as u64)?;
     budget.checkpoint()?;
 
-    let mut prev: Vec<ScaledEntry> =
-        (0..n).map(|v| Some((BigUint::zero(), view.scaled_size(v), u8::MAX))).collect();
+    let singleton = |v| ScaledEntry {
+        cost: BigUint::zero(),
+        size: view.scaled_size(v),
+        last: u8::MAX,
+        live: true,
+    };
+    let mut prev: Vec<ScaledEntry> = (0..n).map(singleton).collect();
+    // Entries past a layer's width keep their buffers for a wider layer.
     let mut cur: Vec<ScaledEntry> = Vec::new();
     let mut parent_layers: Vec<Vec<u8>> = vec![Vec::new(); n + 1];
     parent_layers[1] = vec![u8::MAX; n];
@@ -777,20 +795,23 @@ fn exact_phase(
         let grow = (2 * width * entry).saturating_sub(charged);
         budget.charge_memory((width + grow) as u64)?;
         charged = charged.max(2 * width * entry);
-        cur.clear();
-        cur.resize(width, None);
+        if cur.len() < width {
+            cur.resize_with(width, ScaledEntry::default);
+        }
         let prev_layer = frontiers.layer(k - 1);
         let est = prune.map(|(layers, bound)| (&layers[k], bound));
         let prev_ref: &[ScaledEntry] = &prev;
 
-        par_chunks_zip(threads, targets, &mut cur, |offset, ts, res| {
+        par_chunks_zip(threads, targets, &mut cur[..width], |offset, ts, res| {
             let mut ranks = [u32::MAX; 32];
             // The running minimum and the candidate under test: each
             // candidate is formed in `scratch` and swapped in when it wins,
-            // so the transition loop allocates nothing.
+            // and the winner is swapped into its entry, so the transition
+            // loop allocates nothing once the buffers have grown.
             let mut best = BigUint::zero();
             let mut scratch = BigUint::zero();
             for (i, &tm) in ts.iter().enumerate() {
+                res[i].live = false;
                 if let Some((est, bound)) = est {
                     if est[offset + i].log2() > bound {
                         budget.tick_n(1)?;
@@ -807,12 +828,15 @@ fn exact_phase(
                     if r == u32::MAX {
                         continue;
                     }
-                    let Some((dps, ns, _)) = prev_ref[r as usize].as_ref() else { continue };
+                    let pred = &prev_ref[r as usize];
+                    if !pred.live {
+                        continue;
+                    }
                     let s = tm & !(1u32 << j);
                     if !allow_cartesian && nbr[j] & s == 0 {
                         continue;
                     }
-                    scratch.set_mul_add(dps, ns, view.wmin(j, s));
+                    scratch.set_mul_add(&pred.cost, &pred.size, view.wmin(j, s));
                     // `<=`: among equal costs the highest `j` wins, the
                     // predecessor `dp` keeps (it visits `T∖{j}` in
                     // ascending mask order, i.e. `j` descending, under a
@@ -823,16 +847,20 @@ fn exact_phase(
                     }
                 }
                 // N(T) once per subset, from the winning parent only.
-                res[i] = winner.and_then(|(j, r)| {
-                    let (_, ns, _) = prev_ref[r].as_ref()?;
-                    let s = tm & !(1u32 << j);
-                    Some((best.clone(), view.extend_n(ns, j, s), j as u8))
-                });
+                if let Some((j, r)) = winner {
+                    let out = &mut res[i];
+                    std::mem::swap(&mut out.cost, &mut best);
+                    out.size.clone_from(&prev_ref[r].size);
+                    view.extend_n(&mut out.size, j, tm & !(1u32 << j));
+                    out.last = j as u8;
+                    out.live = true;
+                }
             }
             Ok(())
         })?;
 
-        parent_layers[k] = cur.iter().map(|e| e.as_ref().map_or(u8::MAX, |e| e.2)).collect();
+        let layer = &cur[..width];
+        parent_layers[k] = layer.iter().map(|e| if e.live { e.last } else { u8::MAX }).collect();
         std::mem::swap(&mut prev, &mut cur);
         // Prune/recost counts are a pure function of the phase-A estimates
         // and the bound — replayed here on the coordinating thread so the
@@ -853,20 +881,25 @@ fn exact_phase(
             }
             aqo_obs::counter_handle!("optimizer.engine.exact_recosts").add(recosted);
             aqo_obs::counter_handle!("optimizer.engine.pruned").add(pruned);
-            aqo_obs::journal::event(
-                "dp_layer",
-                vec![
-                    ("phase", "exact".into()),
-                    ("k", k.into()),
-                    ("width", width.into()),
-                    ("recosted", recosted.into()),
-                    ("pruned", pruned.into()),
-                ],
-            );
+            if aqo_obs::journal::capturing() {
+                aqo_obs::journal::event(
+                    "dp_layer",
+                    vec![
+                        ("phase", "exact".into()),
+                        ("k", k.into()),
+                        ("width", width.into()),
+                        ("recosted", recosted.into()),
+                        ("pruned", pruned.into()),
+                    ],
+                );
+            }
         }
     }
 
-    let Some((cost, _, _)) = prev.swap_remove(0) else { return Ok(None) };
+    if !prev[0].live {
+        return Ok(None);
+    }
+    let cost = std::mem::take(&mut prev[0].cost);
     Ok(reconstruct_order(frontiers, &parent_layers, n).map(|sequence| (cost, sequence)))
 }
 
@@ -973,10 +1006,12 @@ pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     let view = ScaledView::build(inst, &nbr);
     let candidate_cost = view.path_cost(candidate.order());
     let (bound, margin) = prune_bound(n, log.max_log2, &candidate_cost, &view.scale);
-    aqo_obs::journal::event(
-        "engine_bound",
-        vec![("bound_log2", bound.into()), ("margin_bits", margin.into())],
-    );
+    if aqo_obs::journal::capturing() {
+        aqo_obs::journal::event(
+            "engine_bound",
+            vec![("bound_log2", bound.into()), ("margin_bits", margin.into())],
+        );
+    }
     let (opt, fell_back) = certified_exact_phase(
         &view,
         &frontiers,

@@ -14,7 +14,7 @@
 
 use aqo_bignum::{BigRational, BigUint};
 use aqo_core::budget::{Budget, BudgetExceeded};
-use aqo_core::qoh::{PipelineDecomposition, QoHInstance, ScaledStep, ScaledView};
+use aqo_core::qoh::{FragmentScratch, PipelineDecomposition, QoHInstance, ScaledStep, ScaledView};
 use aqo_core::JoinSequence;
 
 /// Largest `n` the exhaustive search accepts (`9! = 362,880` sequences).
@@ -65,7 +65,11 @@ impl ScaledPlan {
 }
 
 /// The decomposition DP along a sequence prefix `z_0 … z_d`, extended and
-/// shortened one relation at a time.
+/// shortened one relation at a time. `steps` and `dp` keep one entry per
+/// depth ever reached, past the live depth `order.len()` too: a `push`
+/// refills the entry of its depth in place and a `pop` only shortens the
+/// prefix, so a search allocates its big numbers once per depth, not once
+/// per prefix.
 struct PrefixDp<'v, 'a> {
     view: &'v ScaledView<'a>,
     order: Vec<usize>,
@@ -74,12 +78,13 @@ struct PrefixDp<'v, 'a> {
     /// `K·dp[k]`: the cheapest execution of `J_1 … J_k` (`dp[0] = 0`), and
     /// the start of its last fragment.
     dp: Vec<(BigUint, usize)>,
-    growth: Vec<usize>,
+    scratch: FragmentScratch,
 }
 
 impl<'v, 'a> PrefixDp<'v, 'a> {
     fn new(view: &'v ScaledView<'a>) -> Self {
-        PrefixDp { view, order: vec![], steps: vec![], dp: vec![], growth: vec![] }
+        let scratch = FragmentScratch::default();
+        PrefixDp { view, order: vec![], steps: vec![], dp: vec![], scratch }
     }
 
     /// Appends `v` as `z_d` and computes `dp[d] = min_i dp[i−1] + frag(i, d)`,
@@ -87,37 +92,42 @@ impl<'v, 'a> PrefixDp<'v, 'a> {
     /// buildable, which makes the singleton fragment `(d, d)` feasible.
     fn push(&mut self, v: usize) {
         let d = self.order.len();
-        self.steps.push(self.view.step(self.steps.last(), v, &self.order));
-        self.order.push(v);
-        if d == 0 {
+        if self.steps.len() == d {
+            self.steps.push(ScaledStep::default());
             self.dp.push((BigUint::zero(), 0));
+        }
+        let (done, step) = self.steps.split_at_mut(d);
+        self.view.step_into(&mut step[0], done.last(), v, &self.order);
+        self.order.push(v);
+        let (dp, slot) = self.dp.split_at_mut(d);
+        let slot = &mut slot[0];
+        if d == 0 {
+            *slot = (BigUint::zero(), 0);
             return;
         }
-        let dp = &self.dp;
-        let mut best: Option<(BigUint, usize)> = None;
-        self.view.last_fragments(&self.order, &self.steps, &mut self.growth, |i, cost| {
+        let mut won = None;
+        let steps = &self.steps[..=d];
+        self.view.last_fragments(&self.order, steps, &mut self.scratch, |i, cost| {
             *cost += &dp[i - 1].0;
-            // `i` falls, so `<=` leaves the lowest `i` of equal cost.
-            if best.as_ref().is_none_or(|(b, _)| *cost <= *b) {
-                best = Some((std::mem::take(cost), i));
+            // `i` falls, so `<=` leaves the lowest `i` of equal cost. The
+            // slot's old buffer goes back to the scratch for the next `i`.
+            if won.is_none() || *cost <= slot.0 {
+                std::mem::swap(cost, &mut slot.0);
+                won = Some(i);
             }
         });
-        self.dp.push(best.expect("the singleton fragment of a buildable relation is feasible"));
+        slot.1 = won.expect("the singleton fragment of a buildable relation is feasible");
     }
 
     fn pop(&mut self) {
         self.order.pop();
-        self.steps.pop();
-        self.dp.pop();
     }
 
     /// Makes the prefix `order`, keeping the positions it shares with the
     /// current one.
     fn set(&mut self, order: &[usize]) {
         let keep = self.order.iter().zip(order).take_while(|(a, b)| a == b).count();
-        while self.order.len() > keep {
-            self.pop();
-        }
+        self.order.truncate(keep);
         order[keep..].iter().for_each(|&v| self.push(v));
     }
 
@@ -145,15 +155,28 @@ pub fn best_decomposition(
     inst: &QoHInstance,
     z: &JoinSequence,
 ) -> Option<(PipelineDecomposition, BigRational)> {
-    assert!(z.len() >= 2, "need at least one join");
-    if !inst.sequence_feasible(z) {
-        return None;
-    }
+    best_decompositions(inst, std::slice::from_ref(z)).pop().flatten()
+}
+
+/// [`best_decomposition`] of each of `orders` in turn, all on one prefix
+/// DP: a sequence keeps the DP rows of the prefix it shares with the
+/// feasible sequence before it, and every row reuses its buffers.
+pub fn best_decompositions(
+    inst: &QoHInstance,
+    orders: &[JoinSequence],
+) -> Vec<Option<(PipelineDecomposition, BigRational)>> {
     let view = ScaledView::new(inst);
     let mut dp = PrefixDp::new(&view);
-    dp.set(z.order());
-    let plan = dp.plan().unscale(&view);
-    Some((plan.decomposition, plan.cost))
+    let decompose = |z: &JoinSequence| {
+        assert!(z.len() >= 2, "need at least one join");
+        if !inst.sequence_feasible(z) {
+            return None;
+        }
+        dp.set(z.order());
+        let plan = dp.plan().unscale(&view);
+        Some((plan.decomposition, plan.cost))
+    };
+    orders.iter().map(decompose).collect()
 }
 
 /// Exhaustive QO_H optimum: every sequence (`n ≤ `[`MAX_N`]), each with its

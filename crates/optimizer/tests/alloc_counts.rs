@@ -1,0 +1,130 @@
+//! Heap allocations of the exact searches, counted by a global allocator
+//! that tallies every allocation and reallocation made on the calling
+//! thread. The searches run on one thread here, so a count covers a whole
+//! search and nothing else the test harness does meanwhile.
+//!
+//! The bounds leave headroom over the measured counts (see CHANGES.md):
+//! they catch a search that allocates per prefix or per subset again, not
+//! a few more buffers.
+
+use aqo_bignum::{BigRational, BigUint};
+use aqo_core::budget::Budget;
+use aqo_core::qoh::QoHInstance;
+use aqo_core::workloads::{self, WorkloadParams};
+use aqo_optimizer::{engine, pipeline};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// Const-initialized and without a destructor, so reading or bumping
+    /// it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are this allocator's; counting touches only a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller meets `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller meets `GlobalAlloc::realloc`'s contract, and
+        // `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller meets `GlobalAlloc::dealloc`'s contract, and
+        // `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the allocations it made on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// A chain of `n` relations shaped as the benchmark's QO_H workload:
+/// default workload parameters and memory the product of all sizes, so
+/// every sequence is feasible and the search is full.
+fn qoh_chain(n: usize, seed: u64) -> QoHInstance {
+    let base = workloads::chain(n, &WorkloadParams::default(), &mut StdRng::seed_from_u64(seed));
+    let memory = base.sizes().iter().fold(BigUint::one(), |acc, t| &acc * t);
+    QoHInstance::new(
+        base.graph().clone(),
+        base.sizes().to_vec(),
+        base.selectivity().clone(),
+        memory,
+    )
+}
+
+/// Allocations of one single-threaded exhaustive QO_H search.
+fn exhaustive_allocations(inst: &QoHInstance) -> u64 {
+    let (plan, count) = allocations(|| {
+        pipeline::optimize_exhaustive_par_with_budget(inst, 1, &Budget::unlimited())
+    });
+    assert!(plan.expect("unlimited budget").is_some(), "every sequence is feasible");
+    count
+}
+
+#[test]
+fn qoh_exhaustive_chain5_allocates_per_depth_not_per_prefix() {
+    // 120 sequences and 325 prefix pushes per search.
+    for seed in 0..4 {
+        let count = exhaustive_allocations(&qoh_chain(5, seed));
+        assert!(count <= 150, "seed {seed}: {count} allocations");
+    }
+}
+
+#[test]
+fn qoh_exhaustive_allocations_do_not_scale_with_n_factorial() {
+    // A 7-chain has 5040 sequences and 13,699 prefix pushes: fewer
+    // allocations than sequences means none is made per prefix.
+    for seed in 0..2 {
+        let five = exhaustive_allocations(&qoh_chain(5, seed));
+        let seven = exhaustive_allocations(&qoh_chain(7, seed));
+        assert!(seven <= 3 * five, "seed {seed}: n=7 {seven} vs n=5 {five} allocations");
+        assert!(seven < 5040, "seed {seed}: {seven} allocations for 5040 sequences");
+    }
+}
+
+#[test]
+fn qon_two_phase_clique9_allocates_per_layer_not_per_subset() {
+    // 511 subsets; `qon-dense`'s shape: cartesian products allowed.
+    let opts = engine::DpOptions { allow_cartesian: true, threads: 1 };
+    for seed in 0..4 {
+        let inst =
+            workloads::clique(9, &WorkloadParams::default(), &mut StdRng::seed_from_u64(seed));
+        let (opt, count) = allocations(|| {
+            engine::optimize_two_phase::<BigRational>(&inst, &opts, &Budget::unlimited())
+        });
+        assert!(opt.expect("unlimited budget").is_some());
+        assert!(count <= 250, "seed {seed}: {count} allocations");
+    }
+}

@@ -7,7 +7,7 @@ use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
 use aqo_core::{AccessCostMatrix, CostScalar, JoinSequence, SelectivityMatrix};
 use aqo_graph::Graph;
-use aqo_optimizer::{dp, exhaustive, greedy, pipeline, star};
+use aqo_optimizer::{dp, engine, exhaustive, greedy, pipeline, star};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -494,6 +494,86 @@ proptest! {
             let reference = pipeline::best_decomposition_bruteforce(&inst, &g.sequence)
                 .map(|(d, c)| (d.fragments().to_vec(), c));
             prop_assert_eq!(Some((g.decomposition.fragments().to_vec(), g.cost)), reference);
+        }
+    }
+}
+
+/// A series of `len` permutations of `0..n`, each keeping a prefix of
+/// random length of the one before and shuffling the rest: one prefix DP
+/// walking it moves forward and back, reusing rows a longer or a shorter
+/// prefix left behind.
+fn prefix_walk(n: usize, len: usize, seed: u64) -> Vec<JoinSequence> {
+    let mut state = seed | 1;
+    let mut next = move |m: usize| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize % m
+    };
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut walk = Vec::with_capacity(len);
+    for _ in 0..len {
+        let keep = next(n + 1);
+        for i in (keep + 1..n).rev() {
+            let j = keep + next(i - keep + 1);
+            order.swap(i, j);
+        }
+        walk.push(JoinSequence::new(order.clone()));
+    }
+    walk
+}
+
+type Decomposition = Option<(Vec<(usize, usize)>, BigRational)>;
+
+fn decomposition(d: Option<(aqo_core::qoh::PipelineDecomposition, BigRational)>) -> Decomposition {
+    d.map(|(d, c)| (d.fragments().to_vec(), c))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn scaled_reuse_prefix_dp_matches_fresh_runs(
+        n in 2usize..=7,
+        shape in 0u8..4,
+        regime in 0u8..4,
+        eta in 0u8..3,
+        ties in any::<bool>(),
+        seed in any::<u64>(),
+        len in 1usize..8,
+    ) {
+        let inst = qoh_varied(n, shape, regime, eta, ties, seed);
+        let walk = prefix_walk(n, len, seed.rotate_left(17));
+        let reused = pipeline::best_decompositions(&inst, &walk);
+        prop_assert_eq!(reused.len(), walk.len());
+        for (z, got) in walk.iter().zip(reused) {
+            let got = decomposition(got);
+            prop_assert_eq!(&got, &decomposition(pipeline::best_decomposition(&inst, z)));
+            prop_assert_eq!(
+                &got,
+                &decomposition(pipeline::best_decomposition_bruteforce(&inst, z))
+            );
+        }
+    }
+
+    #[test]
+    fn scaled_reuse_engine_interleaves_instances(
+        a in qon_instance(),
+        b in qon_instance(),
+        allow_cartesian in any::<bool>(),
+        threads in 1usize..=2,
+    ) {
+        let instances = [&a, &b];
+        let plan = |o: aqo_optimizer::Optimum<BigRational>| (o.sequence.order().to_vec(), o.cost);
+        let want =
+            instances.map(|inst| dp::optimize::<BigRational>(inst, allow_cartesian).map(plan));
+        let opts = engine::DpOptions { allow_cartesian, threads };
+        for i in [0usize, 1, 1, 0, 1, 0] {
+            let got = engine::optimize_two_phase::<BigRational>(
+                instances[i],
+                &opts,
+                &Budget::unlimited(),
+            )
+            .expect("unlimited budget cannot be exceeded");
+            prop_assert_eq!(&got.map(plan), &want[i], "instance {}", i);
         }
     }
 }

@@ -124,28 +124,32 @@ impl Engine {
             // Successful optimize/explain responses journal the full plan
             // observation so `aqo replay extract` can rebuild a workload
             // baseline from the journal alone (`order`/`decomposition` are
-            // comma-joined strings — journal values carry no arrays).
-            let mut fields = vec![
-                ("id", req.id.into()),
-                ("op", req.op.name().into()),
-                ("problem", req.problem.name().into()),
-                ("ok", reply.is_ok().into()),
-                ("cached", matches!(&reply, Reply::Ok(r) if r.cached).into()),
-                ("us", us.into()),
-            ];
-            if let Reply::Ok(ok) = &reply {
-                fields.push(("fingerprint", format!("{:#018x}", ok.fingerprint).into()));
-                fields.push(("tier", ok.tier.clone().into()));
-                fields.push(("exact", ok.exact.into()));
-                fields.push(("degraded", ok.degraded.into()));
-                fields.push(("cost", ok.cost.clone().into()));
-                fields.push(("cost_log2", ok.cost_log2.into()));
-                fields.push(("order", join_indices(&ok.order).into()));
-                if let Some(frags) = &ok.decomposition {
-                    fields.push(("decomposition", join_fragments(frags).into()));
+            // comma-joined strings — journal values carry no arrays). The
+            // journal drops events while capture is off: build no fields
+            // for it then.
+            if aqo_obs::journal::capturing() {
+                let mut fields = vec![
+                    ("id", req.id.into()),
+                    ("op", req.op.name().into()),
+                    ("problem", req.problem.name().into()),
+                    ("ok", reply.is_ok().into()),
+                    ("cached", matches!(&reply, Reply::Ok(r) if r.cached).into()),
+                    ("us", us.into()),
+                ];
+                if let Reply::Ok(ok) = &reply {
+                    fields.push(("fingerprint", format!("{:#018x}", ok.fingerprint).into()));
+                    fields.push(("tier", ok.tier.clone().into()));
+                    fields.push(("exact", ok.exact.into()));
+                    fields.push(("degraded", ok.degraded.into()));
+                    fields.push(("cost", ok.cost.clone().into()));
+                    fields.push(("cost_log2", ok.cost_log2.into()));
+                    fields.push(("order", join_indices(&ok.order).into()));
+                    if let Some(frags) = &ok.decomposition {
+                        fields.push(("decomposition", join_fragments(frags).into()));
+                    }
                 }
+                aqo_obs::journal::event("serve_response", fields);
             }
-            aqo_obs::journal::event("serve_response", fields);
         }
         reply
     }

@@ -812,6 +812,11 @@ impl Server {
         self.requests.fetch_add(1, Ordering::Relaxed);
         if aqo_obs::enabled() {
             aqo_obs::counter(&format!("serve.requests.{}", req.op.name())).inc();
+            // The journal drops events while capture is off (`aqo serve`
+            // without `--trace-json`): build no fields for it then.
+            if !aqo_obs::journal::capturing() {
+                return;
+            }
             let mut fields = vec![
                 ("id", req.id.into()),
                 ("op", req.op.name().into()),
