@@ -452,9 +452,9 @@ struct MetricUse {
 }
 
 /// Extracts metric registrations (`counter(…)`, `counter_handle!(…)`,
-/// `gauge(…)`, `histogram(…)`, `span(…)`) from the scanned sources,
-/// skipping `aqo-obs` itself (the registry's internals and its unit tests
-/// use throwaway names).
+/// `gauge(…)`, `histogram(…)`, `histogram_handle!(…)`, `span(…)`) from the
+/// scanned sources, skipping `aqo-obs` itself (the registry's internals
+/// and its unit tests use throwaway names).
 fn collect_metric_uses(models: &[SourceModel]) -> Vec<MetricUse> {
     let mut out = Vec::new();
     for m in models {
@@ -467,6 +467,7 @@ fn collect_metric_uses(models: &[SourceModel]) -> Vec<MetricUse> {
             }
             let triggers = [
                 ("counter_handle!", MetricKind::Metric),
+                ("histogram_handle!", MetricKind::Metric),
                 ("counter(", MetricKind::Metric),
                 ("gauge(", MetricKind::Metric),
                 ("histogram(", MetricKind::Metric),

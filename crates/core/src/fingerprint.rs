@@ -22,9 +22,7 @@
 
 use crate::qoh::QoHInstance;
 use crate::qon::QoNInstance;
-use crate::SelectivityMatrix;
 use aqo_bignum::BigUint;
-use aqo_graph::Graph;
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -72,35 +70,21 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Appends `s_ab` as `numer/denom`, always both, even for an integer.
-/// Every edge of a valid instance has an explicit entry; the matrix's
-/// default `1` stands in otherwise.
-fn write_selectivity(out: &mut String, sel: &SelectivityMatrix, a: usize, b: usize) {
-    match sel.entry(a, b) {
-        Some(s) => {
-            let _ = write!(out, "{}/{}", s.numer(), s.denom());
-        }
-        None => out.push_str("1/1"),
-    }
-}
-
-/// Appends the edge records of `graph`, one per edge with endpoints
-/// normalized `a < b` and the records sorted as bytes — the sort is what
-/// buys order independence. `record(out, a, b)` renders one record's
-/// fields after `e a b `. Records are rendered once into a scratch buffer
-/// and only their byte ranges are sorted.
-fn write_edge_records(
+/// Appends one record per edge, endpoints `a < b`, sorted as bytes — the
+/// sort is what buys order independence. `record(out, edge)` renders one
+/// record, starting `e a b `; the selectivity follows as `numer/denom`,
+/// always both, even for an integer. Records are rendered once into a
+/// scratch buffer and only their byte ranges are sorted.
+fn write_edge_records<E>(
     out: &mut String,
-    graph: &Graph,
-    mut record: impl FnMut(&mut String, usize, usize),
+    edges: impl ExactSizeIterator<Item = E>,
+    mut record: impl FnMut(&mut String, E),
 ) {
-    let mut records = String::with_capacity(graph.m() * 32);
-    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(graph.m());
-    for (u, v) in graph.edges() {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
+    let mut records = String::with_capacity(edges.len() * 32);
+    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(edges.len());
+    for edge in edges {
         let start = records.len();
-        let _ = write!(records, "e {a} {b} ");
-        record(&mut records, a, b);
+        record(&mut records, edge);
         ranges.push(start..records.len());
     }
     ranges.sort_unstable_by(|x, y| records[x.clone()].cmp(&records[y.clone()]));
@@ -124,11 +108,8 @@ fn write_sizes(out: &mut String, sizes: &[BigUint]) {
 pub fn write_canonical_qon(out: &mut String, inst: &QoNInstance) {
     let _ = writeln!(out, "qon {}", inst.n());
     write_sizes(out, inst.sizes());
-    write_edge_records(out, inst.graph(), |out, a, b| {
-        write_selectivity(out, inst.selectivity(), a, b);
-        // The two access costs follow in the normalized `(a,b), (b,a)`
-        // order.
-        let _ = write!(out, " {} {}", inst.w(a, b), inst.w(b, a));
+    write_edge_records(out, inst.edges(), |out, (a, b, s, [w_ab, w_ba])| {
+        let _ = write!(out, "e {a} {b} {}/{} {w_ab} {w_ba}", s.numer(), s.denom());
     });
 }
 
@@ -150,8 +131,8 @@ pub fn write_canonical_qoh(out: &mut String, inst: &QoHInstance) {
     let _ = writeln!(out, "m {}", inst.memory());
     let _ = writeln!(out, "eta {en}/{ed}");
     write_sizes(out, inst.sizes());
-    write_edge_records(out, inst.graph(), |out, a, b| {
-        write_selectivity(out, inst.selectivity(), a, b);
+    write_edge_records(out, inst.edges(), |out, (a, b, s)| {
+        let _ = write!(out, "e {a} {b} {}/{}", s.numer(), s.denom());
     });
 }
 

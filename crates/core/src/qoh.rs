@@ -97,7 +97,7 @@ impl QoHInstance {
     pub fn with_eta(
         graph: Graph,
         sizes: Vec<BigUint>,
-        selectivity: crate::SelectivityMatrix,
+        mut selectivity: crate::SelectivityMatrix,
         memory: BigUint,
         eta: (u32, u32),
     ) -> Self {
@@ -107,8 +107,9 @@ impl QoHInstance {
             assert!(!t.is_zero(), "relation {i} has zero cardinality");
         }
         assert!(eta.0 > 0 && eta.0 < eta.1, "η must be in (0, 1)");
-        for (u, v) in graph.edges() {
-            assert!(selectivity.has_entry(u, v), "edge ({u},{v}) lacks a selectivity entry");
+        selectivity.align_to(&graph);
+        for (e, (u, v)) in graph.edges().enumerate() {
+            assert!(selectivity.covers(e, (u, v)), "edge ({u},{v}) lacks a selectivity entry");
         }
         assert!(!memory.is_zero(), "zero memory");
         let hjmins = sizes.iter().map(|t| t.root_pow_ceil(eta.0, eta.1)).collect();
@@ -130,9 +131,15 @@ impl QoHInstance {
         &self.sizes
     }
 
-    /// The selectivity matrix.
+    /// The selectivity matrix, one entry per query edge.
     pub fn selectivity(&self) -> &crate::SelectivityMatrix {
         &self.selectivity
+    }
+
+    /// The query edges `(u, v, s_uv)`, `u < v`, in the order of
+    /// `Graph::edges()`.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (usize, usize, &BigRational)> + '_ {
+        self.selectivity.entries().iter().map(|(u, v, s)| (*u, *v, s))
     }
 
     /// Total memory `M` available to each pipeline.
@@ -174,27 +181,22 @@ impl QoHInstance {
         h_with(m, b_r, b_s, &self.hjmin(b_s))
     }
 
-    /// `N_d` from `N_{d−1}` when relation `j` joins the relations in
-    /// `prefix`: `N_d = N_{d−1} · t_j · ∏_{k ∈ prefix} s_{jk}`.
-    pub fn next_intermediate<S: CostScalar>(&self, prev: &S, j: usize, prefix: &[usize]) -> S {
-        let mut nx = prev.mul(&S::from_count(&self.sizes[j]));
-        for k in self.graph.neighbors(j).iter() {
-            if prefix.contains(&k) {
-                nx = nx.mul(&S::from_ratio(&self.selectivity.get(j, k)));
-            }
-        }
-        nx
-    }
-
     /// Intermediate sizes `N_0 … N_{n−1}` of `z` (same product estimate as
-    /// QO_N; `intermediates[i]` is the paper's `N_i`).
+    /// QO_N, `N_i = N_{i−1}·t_j·∏ s_{jk}` over the prefix's `k`;
+    /// `intermediates[i]` is the paper's `N_i`).
     pub fn intermediates<S: CostScalar>(&self, z: &JoinSequence) -> Vec<S> {
         let n = self.n();
         assert_eq!(z.len(), n);
-        let mut out = Vec::with_capacity(n);
+        let mut out: Vec<S> = Vec::with_capacity(n);
         out.push(S::from_count(&self.sizes[z.at(0)]));
         for i in 1..n {
-            out.push(self.next_intermediate(&out[i - 1], z.at(i), z.prefix(i)));
+            let j = z.at(i);
+            let mut nx = out[i - 1].mul(&S::from_count(&self.sizes[j]));
+            let in_prefix = self.graph.neighbors(j).iter().filter(|k| z.prefix(i).contains(k));
+            for e in in_prefix.filter_map(|k| self.selectivity.index(j, k)) {
+                nx = nx.mul(&S::from_ratio(&self.selectivity.entries()[e].2));
+            }
+            out.push(nx);
         }
         out
     }
@@ -425,9 +427,7 @@ impl<'a> ScaledView<'a> {
         let n = inst.n();
         let mut scale = BigUint::one();
         let mut edges = vec![Vec::new(); n];
-        for (u, v) in inst.graph.edges() {
-            // An edge without an entry has selectivity 1: no factor at all.
-            let Some(s) = inst.selectivity.entry(u, v) else { continue };
+        for (u, v, s) in inst.edges() {
             let (p, q) = (s.numer().magnitude(), s.denom());
             edges[u].push((v, p, q));
             edges[v].push((u, p, q));

@@ -12,7 +12,7 @@
 //! `N(Xv_j) = N(X)·t_j·∏_{v_i ∈ X} s_{ij}` (§2.1.2).
 
 use crate::{CostScalar, JoinSequence};
-use aqo_bignum::BigUint;
+use aqo_bignum::{BigRational, BigUint};
 use aqo_graph::{BitSet, Graph};
 
 /// An instance of the QO_N problem.
@@ -20,8 +20,10 @@ use aqo_graph::{BitSet, Graph};
 pub struct QoNInstance {
     graph: Graph,
     sizes: Vec<BigUint>,
+    /// The edge table: entry `e` is edge `e` of `graph.edges()`.
     selectivity: crate::SelectivityMatrix,
-    access_cost: crate::AccessCostMatrix,
+    /// `[w(u,v), w(v,u)]` of edge `e = {u, v}`, `u < v`.
+    access: Vec<[BigUint; 2]>,
 }
 
 /// The first invariant of §2.1.1 a candidate QO_N instance violates
@@ -105,11 +107,12 @@ impl QoNInstance {
     ///   keeps every entry in `(0, 1]`);
     /// * every graph edge `{j,k}` has both directional access costs, with
     ///   `t_j·s_{jk} ≤ w(j,k) ≤ t_j` (and symmetrically);
-    /// * non-edges take the defaults `s = 1`, `w(j,k) = t_j`.
+    /// * non-edges take the defaults `s = 1`, `w(j,k) = t_j`; entries `set`
+    ///   there are dropped.
     pub fn try_new(
         graph: Graph,
         sizes: Vec<BigUint>,
-        selectivity: crate::SelectivityMatrix,
+        mut selectivity: crate::SelectivityMatrix,
         access_cost: crate::AccessCostMatrix,
     ) -> Result<Self, InvalidQonInstance> {
         let n = graph.n();
@@ -119,14 +122,30 @@ impl QoNInstance {
         if let Some(i) = sizes.iter().position(BigUint::is_zero) {
             return Err(InvalidQonInstance::ZeroCardinality(i));
         }
-        for (u, v) in graph.edges() {
-            let s = selectivity.entry(u, v).ok_or(InvalidQonInstance::MissingSelectivity(u, v))?;
+        selectivity.align_to(&graph);
+        // Fold the access costs onto the table, later `set`s winning; a
+        // pair off the query graph has no slot and is dropped.
+        let mut slots = vec![[None, None]; selectivity.entries().len()];
+        for (j, k, w) in access_cost.entries {
+            if let Some(e) = selectivity.index(j, k) {
+                slots[e][usize::from(j > k)] = Some(w);
+            }
+        }
+        // `w·q` and `t_j·p`, written into two reused buffers.
+        let (zero, mut wq, mut tp) = (BigUint::zero(), BigUint::zero(), BigUint::zero());
+        for (e, (u, v)) in graph.edges().enumerate() {
+            if !selectivity.covers(e, (u, v)) {
+                return Err(InvalidQonInstance::MissingSelectivity(u, v));
+            }
+            let s = &selectivity.entries()[e].2;
             for (j, k) in [(u, v), (v, u)] {
-                let w = access_cost
-                    .get(j, k)
+                let w = slots[e][usize::from(j > k)]
+                    .as_ref()
                     .ok_or(InvalidQonInstance::MissingAccessCost(j, k))?;
                 // t_j·p/q ≤ w ≤ t_j in integers, for s = p/q > 0.
-                if w * s.denom() < &sizes[j] * s.numer().magnitude() {
+                wq.set_mul_add(&zero, w, s.denom());
+                tp.set_mul_add(&zero, &sizes[j], s.numer().magnitude());
+                if wq < tp {
                     return Err(InvalidQonInstance::AccessCostBelow(j, k));
                 }
                 if w > &sizes[j] {
@@ -134,7 +153,9 @@ impl QoNInstance {
                 }
             }
         }
-        Ok(QoNInstance { graph, sizes, selectivity, access_cost })
+        // Every slot is filled: the loop above returned otherwise.
+        let access = slots.into_iter().filter_map(|[a, b]| Some([a?, b?])).collect();
+        Ok(QoNInstance { graph, sizes, selectivity, access })
     }
 
     /// Number of relations `n`.
@@ -152,14 +173,29 @@ impl QoNInstance {
         &self.sizes
     }
 
-    /// The selectivity matrix `S`.
+    /// The selectivity matrix `S`, one entry per query edge.
     pub fn selectivity(&self) -> &crate::SelectivityMatrix {
         &self.selectivity
     }
 
+    /// The query edges `(u, v, s_uv, [w(u,v), w(v,u)])`, `u < v`, in the
+    /// order of `Graph::edges()`: each vertex meets its edges in ascending
+    /// order of the other endpoint.
+    pub fn edges(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (usize, usize, &BigRational, &[BigUint; 2])> + '_ {
+        self.selectivity.entries().iter().zip(&self.access).map(|((u, v, s), w)| (*u, *v, s, w))
+    }
+
     /// `w(j, k)` with the non-edge default `t_j`, borrowed.
     pub fn w(&self, j: usize, k: usize) -> &BigUint {
-        self.access_cost.get(j, k).unwrap_or(&self.sizes[j])
+        self.edge(j, k).map_or(&self.sizes[j], |(_, w)| w)
+    }
+
+    /// `(s_jk, w(j, k))` of the edge `{j, k}`; `None` off the query graph.
+    fn edge(&self, j: usize, k: usize) -> Option<(&BigRational, &BigUint)> {
+        let e = self.selectivity.index(j, k)?;
+        Some((&self.selectivity.entries()[e].2, &self.access[e][usize::from(j > k)]))
     }
 
     /// Evaluates the full cost accounting of `z` over scalar backend `S`.
@@ -176,31 +212,20 @@ impl QoNInstance {
         let mut total = S::zero();
         for i in 1..n {
             let j = z.at(i);
-            // min_{v_k ∈ X} w_{j,k}: stored entries on edges, t_j otherwise.
-            let nbrs_in_prefix: Vec<usize> =
-                self.graph.neighbors(j).iter().filter(|&k| prefix.contains(k)).collect();
-            let mut w_min: Option<&BigUint> = if nbrs_in_prefix.len() < i {
-                // Some prefix member is a non-neighbour: default w = t_j.
-                Some(&self.sizes[j])
-            } else {
-                None
-            };
-            for &k in &nbrs_in_prefix {
-                let w = self.w(j, k);
-                w_min = Some(match w_min {
-                    None => w,
-                    Some(cur) => cur.min(w),
-                });
+            // min_{v_k ∈ X} w_{j,k} and N(Xv_j) = N(X)·t_j·∏ s_{jk} in one
+            // pass over j's edges into X. A non-neighbour in X offers t_j,
+            // and t_j bounds every w(j,k) (§2.1.1), so t_j starts the min.
+            let mut w_min = &self.sizes[j];
+            let mut next = nx.mul(&S::from_count(&self.sizes[j]));
+            let in_prefix = self.graph.neighbors(j).iter().filter(|&k| prefix.contains(k));
+            for (s, w) in in_prefix.filter_map(|k| self.edge(j, k)) {
+                w_min = w_min.min(w);
+                next = next.mul(&S::from_ratio(s));
             }
-            let w_min = w_min.expect("prefix nonempty");
             let h = nx.mul(&S::from_count(w_min));
             total = total.add(&h);
             per_join.push(h);
-            // N(Xv_j) = N(X)·t_j·∏ s_{jk}.
-            nx = nx.mul(&S::from_count(&self.sizes[j]));
-            for &k in &nbrs_in_prefix {
-                nx = nx.mul(&S::from_ratio(&self.selectivity.get(j, k)));
-            }
+            nx = next;
             intermediates.push(nx.clone());
             prefix.insert(j);
         }

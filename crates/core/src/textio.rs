@@ -97,10 +97,10 @@ pub fn qon_to_text(inst: &QoNInstance) -> String {
     for (i, t) in inst.sizes().iter().enumerate() {
         let _ = writeln!(out, "size {i} {t}");
     }
-    for (u, v) in inst.graph().edges() {
+    for (u, v, s, [w_uv, w_vu]) in inst.edges() {
         let _ = write!(out, "edge {u} {v} ");
-        write_ratio(&mut out, &inst.selectivity().get(u, v));
-        let _ = writeln!(out, " {} {}", inst.w(u, v), inst.w(v, u));
+        write_ratio(&mut out, s);
+        let _ = writeln!(out, " {w_uv} {w_vu}");
     }
     out
 }
@@ -171,9 +171,9 @@ pub fn qoh_to_text(inst: &QoHInstance) -> String {
     for (i, t) in inst.sizes().iter().enumerate() {
         let _ = writeln!(out, "size {i} {t}");
     }
-    for (u, v) in inst.graph().edges() {
+    for (u, v, s) in inst.edges() {
         let _ = write!(out, "edge {u} {v} ");
-        write_ratio(&mut out, &inst.selectivity().get(u, v));
+        write_ratio(&mut out, s);
         out.push('\n');
     }
     out

@@ -91,11 +91,8 @@ pub fn star(n: usize, params: &WorkloadParams, rng: &mut impl Rng) -> QoNInstanc
     let mut sizes = inst.sizes().to_vec();
     sizes[0] = BigUint::from(params.max_rows);
     // Rebuild with the adjusted fact size (access costs must re-lower-bound).
-    let sels: Vec<(usize, usize, BigRational)> = inst
-        .graph()
-        .edges()
-        .map(|(u, v)| (u, v, inst.selectivity().get(u, v)))
-        .collect();
+    let sels: Vec<(usize, usize, BigRational)> =
+        inst.edges().map(|(u, v, s, _)| (u, v, s.clone())).collect();
     inst = finish(inst.graph().clone(), sizes, sels);
     inst
 }

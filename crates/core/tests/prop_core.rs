@@ -7,6 +7,7 @@ use aqo_core::qon::QoNInstance;
 use aqo_core::{AccessCostMatrix, CostScalar, JoinSequence, SelectivityMatrix};
 use aqo_graph::Graph;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A random connected QO_N instance on `n` vertices, sizes in [2, 64],
 /// selectivities 1/d with d in [2, 16], w set to the lower bound t·s
@@ -48,6 +49,63 @@ fn qon_instance() -> impl Strategy<Value = (QoNInstance, u64)> {
     })
 }
 
+/// One builder call of [`set_sequence`].
+#[derive(Clone, Debug)]
+enum SetCall {
+    /// `SelectivityMatrix::set(u, v, 1/d)`.
+    Sel(usize, usize, u64),
+    /// `AccessCostMatrix::set(j, k, w)`.
+    Access(usize, usize, u64),
+}
+
+/// A random graph on `n` vertices, sizes, and a `set` sequence that covers
+/// every edge and then keeps going at random: pairs in either orientation,
+/// out of edge order, overwritten, and off the query graph. Sizes are even
+/// in [16, 64], selectivities `1/d` with `d` in [2, 16] and access costs in
+/// `[t_j/2, t_j]`, so every value is valid whichever `set` ends up last.
+fn set_sequence() -> impl Strategy<Value = (Graph, Vec<BigUint>, Vec<SetCall>)> {
+    (3usize..8, any::<u64>(), 0usize..40).prop_map(|(n, seed, extra)| {
+        let mut state = seed | 1;
+        let mut next = move |m: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % m as u64) as usize
+        };
+        let mut g = Graph::new(n);
+        for _ in 0..2 * n {
+            let (u, v) = (next(n), next(n));
+            if u != v {
+                g.add_edge(u, v);
+            }
+        }
+        let t: Vec<u64> = (0..n).map(|_| 2 * (8 + next(25)) as u64).collect();
+        let mut calls = Vec::new();
+        let mut edges: Vec<(usize, usize)> = g.edges().collect();
+        // Cover every edge, in a shuffled order and orientation.
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, next(i + 1));
+        }
+        let access = |j: usize, r: usize| t[j] / 2 + (r as u64 % (t[j] / 2 + 1));
+        for &(u, v) in &edges {
+            let (a, b) = if next(2) == 0 { (u, v) } else { (v, u) };
+            calls.push(SetCall::Sel(a, b, 2 + next(15) as u64));
+            calls.push(SetCall::Access(b, a, access(b, next(64))));
+            calls.push(SetCall::Access(a, b, access(a, next(64))));
+        }
+        for _ in 0..extra {
+            let (u, v) = (next(n), next(n));
+            if u == v {
+                continue;
+            }
+            calls.push(if next(2) == 0 {
+                SetCall::Sel(u, v, 2 + next(15) as u64)
+            } else {
+                SetCall::Access(u, v, access(u, next(64)))
+            });
+        }
+        (g, t.into_iter().map(BigUint::from).collect(), calls)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -65,6 +123,64 @@ proptest! {
         let log: LogNum = inst.total_cost(&z);
         let d = (CostScalar::log2(&exact) - CostScalar::log2(&log)).abs();
         prop_assert!(d < 1e-6, "log2 mismatch {d}");
+    }
+
+    #[test]
+    fn edge_table_matches_a_last_write_model((g, t, calls) in set_sequence()) {
+        let unit = |d: u64| BigRational::new(BigInt::one(), BigUint::from(d));
+        let (mut sel, mut acc) = (SelectivityMatrix::new(), AccessCostMatrix::new());
+        let mut sel_model: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        let mut w_model: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        for call in &calls {
+            match *call {
+                SetCall::Sel(u, v, d) => {
+                    sel.set(u, v, unit(d));
+                    sel_model.insert((u.min(v), u.max(v)), d);
+                }
+                SetCall::Access(j, k, w) => {
+                    acc.set(j, k, BigUint::from(w));
+                    w_model.insert((j, k), w);
+                }
+            }
+        }
+        let inst = QoNInstance::new(g.clone(), t.clone(), sel, acc);
+        // The table holds exactly the model's entries on the query edges.
+        let table: Vec<(usize, usize, BigRational)> =
+            inst.edges().map(|(u, v, s, _)| (u, v, s.clone())).collect();
+        let expected: Vec<(usize, usize, BigRational)> = sel_model
+            .iter()
+            .filter(|&(&(u, v), _)| g.has_edge(u, v))
+            .map(|(&(u, v), &d)| (u, v, unit(d)))
+            .collect();
+        prop_assert_eq!(&table, &expected);
+        // `w(j, k)`: the last `set` on an edge, `t_j` off the query graph.
+        let n = g.n();
+        for (j, t_j) in t.iter().enumerate() {
+            for k in (0..n).filter(|&k| k != j) {
+                let want = match w_model.get(&(j, k)) {
+                    Some(&w) if g.has_edge(j, k) => BigUint::from(w),
+                    _ => t_j.clone(),
+                };
+                prop_assert_eq!(inst.w(j, k), &want, "w({}, {})", j, k);
+            }
+        }
+        // The same instance from the model's final values, set once each
+        // in edge order, has the same text and canonical key.
+        let (mut sel, mut acc) = (SelectivityMatrix::new(), AccessCostMatrix::new());
+        for (u, v, s) in expected {
+            sel.set(u, v, s);
+            for (j, k) in [(u, v), (v, u)] {
+                acc.set(j, k, BigUint::from(w_model[&(j, k)]));
+            }
+        }
+        let clean = QoNInstance::new(g, t, sel, acc);
+        let text = aqo_core::textio::qon_to_text(&inst);
+        prop_assert_eq!(&text, &aqo_core::textio::qon_to_text(&clean));
+        let back = aqo_core::textio::qon_from_text(&text).unwrap();
+        prop_assert_eq!(&aqo_core::textio::qon_to_text(&back), &text);
+        let key = aqo_core::fingerprint::canonical_qon(&inst);
+        prop_assert_eq!(&key, &aqo_core::fingerprint::canonical_qon(&clean));
+        prop_assert_eq!(&key, &aqo_core::fingerprint::canonical_qon(&back));
     }
 
     #[test]

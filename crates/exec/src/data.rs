@@ -46,8 +46,7 @@ impl Database {
             .collect();
         let mut columns = HashMap::new();
         let mut domains = HashMap::new();
-        for (u, v) in inst.graph().edges() {
-            let s = inst.selectivity().get(u, v);
+        for (u, v, s, _) in inst.edges() {
             // d = round(1/s); the declared selectivity is then exactly 1/d
             // when s is a unit fraction (the common case in this repo).
             let d = s.recip().to_f64().round() as u64;

@@ -365,6 +365,16 @@ macro_rules! counter_handle {
     }};
 }
 
+/// Caches a [`Histogram`] handle in a function-local static, as
+/// [`counter_handle!`] does for counters.
+#[macro_export]
+macro_rules! histogram_handle {
+    ($name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| $crate::histogram($name))
+    }};
+}
+
 /// One metric's value at snapshot time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotValue {
@@ -609,6 +619,18 @@ mod tests {
         counter_handle!("obs-test.macro").add(2);
         counter_handle!("obs-test.macro").add(2);
         assert_eq!(counter("obs-test.macro").get(), 4);
+        set_enabled(false);
+        reset_metrics();
+    }
+
+    #[test]
+    fn histogram_handle_macro_caches() {
+        let _g = lock();
+        set_enabled(true);
+        histogram_handle!("obs-test.macro_us").record(3);
+        histogram_handle!("obs-test.macro_us").record(5);
+        let h = histogram("obs-test.macro_us");
+        assert_eq!(h.stats(), (2, 8, 5));
         set_enabled(false);
         reset_metrics();
     }

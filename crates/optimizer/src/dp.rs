@@ -145,16 +145,12 @@ impl<'a, S: CostScalar> ExactView<'a, S> {
         let n = inst.n();
         let rows = AccessRows::build(inst, nbr);
         let wexs = rows.w.iter().map(|w| S::from_count(w)).collect();
-        let sels = (0..n * n)
-            .map(|i| {
-                let (j, k) = (i / n, i % n);
-                if j != k && inst.graph().has_edge(j, k) {
-                    S::from_ratio(&inst.selectivity().get(j, k))
-                } else {
-                    S::one()
-                }
-            })
-            .collect();
+        let mut sels = vec![S::one(); n * n];
+        for (u, v, s, _) in inst.edges() {
+            let s = S::from_ratio(s);
+            sels[v * n + u] = s.clone();
+            sels[u * n + v] = s;
+        }
         ExactView { rows, wexs, sels }
     }
 

@@ -64,6 +64,7 @@ use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::parallel::{par_chunks_zip, resolve_threads};
 use aqo_core::qon::QoNInstance;
 use aqo_core::{CostScalar, JoinSequence};
+use std::sync::LazyLock;
 
 /// The largest `n` the engine accepts in the mode `allow_cartesian`
 /// selects: [`crate::dp::MAX_N`] for all subsets (a `2^n` frontier is
@@ -377,30 +378,22 @@ impl<'a> LogView<'a> {
         let n = inst.n();
         let tlog: Vec<LogNum> =
             inst.sizes().iter().map(<LogNum as CostScalar>::from_count).collect();
-        let mut wlog = vec![LogNum::INFINITY; n * n];
+        // `w*` defaults to `t_j` off the query graph; the edges overwrite.
+        let mut wlog: Vec<LogNum> = (0..n * n)
+            .map(|i| if i / n == i % n { LogNum::INFINITY } else { tlog[i / n] })
+            .collect();
         let mut slog = vec![LogNum::ONE; n * n];
         let mut max_log2 = tlog.iter().map(|t| t.log2().abs()).sum::<f64>();
-        let mut wmax = 0f64;
-        for j in 0..n {
-            for k in 0..n {
-                if j == k {
-                    continue;
-                }
-                wlog[j * n + k] = <LogNum as CostScalar>::from_count(inst.w(j, k));
-                wmax = wmax.max(wlog[j * n + k].log2().abs());
-                if !inst.graph().has_edge(j, k) {
-                    continue;
-                }
-                // An edge without an entry has selectivity 1, as `slog` holds.
-                if let Some(sel) = inst.selectivity().entry(j, k) {
-                    slog[j * n + k] = <LogNum as CostScalar>::from_ratio(sel);
-                    if j < k {
-                        max_log2 += slog[j * n + k].log2().abs();
-                    }
-                }
-            }
+        for (u, v, s, [w_uv, w_vu]) in inst.edges() {
+            let s = <LogNum as CostScalar>::from_ratio(s);
+            wlog[u * n + v] = <LogNum as CostScalar>::from_count(w_uv);
+            wlog[v * n + u] = <LogNum as CostScalar>::from_count(w_vu);
+            (slog[u * n + v], slog[v * n + u]) = (s, s);
+            max_log2 += s.log2().abs();
         }
-        max_log2 += wmax + (n as f64).log2();
+        // The diagonal's `+inf` is never selected: leave it out.
+        let finite = wlog.iter().map(|w| w.log2().abs()).filter(|x| x.is_finite());
+        max_log2 += finite.fold(0f64, f64::max) + (n as f64).log2();
         LogView { nbr, tlog, wlog, slog, max_log2 }
     }
 }
@@ -615,12 +608,17 @@ impl<'a> AccessRows<'a> {
     /// ([`nbr_masks`]).
     pub(crate) fn build(inst: &'a QoNInstance, nbr: &'a [u32]) -> AccessRows<'a> {
         let n = inst.n();
-        let mut w: Vec<&BigUint> = Vec::with_capacity(n * n);
+        // `t_j` fills row `j`, the diagonal and the non-edges; the edges
+        // overwrite.
+        let mut w: Vec<&BigUint> =
+            inst.sizes().iter().flat_map(|t| std::iter::repeat_n(t, n)).collect();
         let mut rank = vec![0u32; n * n];
         let mut by_value: Vec<usize> = Vec::with_capacity(n);
+        for (u, v, _, [w_uv, w_vu]) in inst.edges() {
+            (w[u * n + v], w[v * n + u]) = (w_uv, w_vu);
+        }
         for j in 0..n {
             let row = j * n;
-            w.extend((0..n).map(|k| if k == j { &inst.sizes()[j] } else { inst.w(j, k) }));
             by_value.clear();
             by_value.extend(0..n);
             by_value.sort_by(|&a, &b| w[row + a].cmp(w[row + b]));
@@ -653,6 +651,9 @@ impl<'a> AccessRows<'a> {
     }
 }
 
+/// `p_e = q_e = 1`: the selectivity of a pair off the query graph.
+static ONE: LazyLock<BigUint> = LazyLock::new(BigUint::one);
+
 /// Phase B's integer view of an instance. With each edge selectivity
 /// reduced to `p_e/q_e` and the scale `D = ∏_e q_e` over the query edges,
 /// `D·N(S) = ∏_{v∈S} t_v · ∏_{e⊆S} p_e · ∏_{e⊄S} q_e` is an integer, and
@@ -662,9 +663,8 @@ impl<'a> AccessRows<'a> {
 struct ScaledView<'a> {
     rows: AccessRows<'a>,
     /// `(p_e, q_e)` of the edge `{j, k}` at `j·n + k`, borrowed from the
-    /// instance; `None` off the query graph (and for an edge without an
-    /// entry, whose selectivity is 1).
-    pq: Vec<Option<(&'a BigUint, &'a BigUint)>>,
+    /// instance; `(1, 1)` off the query graph.
+    pq: Vec<(&'a BigUint, &'a BigUint)>,
     /// `D`.
     scale: BigUint,
 }
@@ -672,13 +672,12 @@ struct ScaledView<'a> {
 impl<'a> ScaledView<'a> {
     fn build(inst: &'a QoNInstance, nbr: &'a [u32]) -> ScaledView<'a> {
         let n = inst.n();
-        let mut pq = vec![None; n * n];
+        let one: &BigUint = &ONE;
+        let mut pq = vec![(one, one); n * n];
         let mut scale = BigUint::one();
-        for (u, v) in inst.graph().edges() {
-            let Some(s) = inst.selectivity().entry(u, v) else { continue };
-            for (j, k) in [(u, v), (v, u)] {
-                pq[j * n + k] = Some((s.numer().magnitude(), s.denom()));
-            }
+        for (u, v, s, _) in inst.edges() {
+            let pq_e = (s.numer().magnitude(), s.denom());
+            (pq[u * n + v], pq[v * n + u]) = (pq_e, pq_e);
             scale *= s.denom();
         }
         ScaledView { rows: AccessRows::build(inst, nbr), pq, scale }
@@ -705,16 +704,15 @@ impl<'a> ScaledView<'a> {
         while bits != 0 {
             let v = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if let Some((_, q)) = self.pq[row + v] {
-                nn.div_exact_assign(q);
-            }
+            nn.div_exact_assign(self.pq[row + v].1);
         }
         *nn *= self.rows.w[row + j];
         let mut bits = self.rows.nbr[j] & s;
         while bits != 0 {
             let v = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if let Some((p, _)) = self.pq[row + v].filter(|(p, _)| !p.is_one()) {
+            let p = self.pq[row + v].0;
+            if !p.is_one() {
                 *nn *= p;
             }
         }
@@ -1142,6 +1140,10 @@ mod tests {
         let full = (1usize << n) - 1;
         let mut dp: Vec<Option<BigRational>> = vec![None; full + 1];
         let mut size: Vec<BigRational> = vec![BigRational::zero(); full + 1];
+        let mut sel = vec![BigRational::one(); n * n];
+        for (u, v, s, _) in inst.edges() {
+            (sel[u * n + v], sel[v * n + u]) = (s.clone(), s.clone());
+        }
         for v in 0..n {
             dp[1 << v] = Some(BigRational::zero());
             size[1 << v] = BigRational::from(inst.sizes()[v].clone());
@@ -1162,7 +1164,7 @@ mod tests {
                 }
                 let mut grown = &size[mask] * &BigRational::from(inst.sizes()[j].clone());
                 for &v in members.iter().filter(|&&v| inst.graph().has_edge(j, v)) {
-                    grown = &grown * &inst.selectivity().get(j, v);
+                    grown = &grown * &sel[j * n + v];
                 }
                 size[next] = grown;
             }

@@ -42,23 +42,27 @@ fn greedy_by(
     let mut in_prefix = BitSet::new(n);
     in_prefix.insert(start);
     let mut n_x = LogNum::from_log2(inst.sizes()[start].log2());
+    // Each vertex's edges as `(k, log₂ w(j,k), log₂ s_jk)`, `k` ascending.
+    let mut adj: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); n];
+    for (u, v, s, [w_uv, w_vu]) in inst.edges() {
+        adj[u].push((v, w_uv.log2(), s.log2()));
+        adj[v].push((u, w_vu.log2(), s.log2()));
+    }
 
     while order.len() < n {
         let mut best: Option<(LogNum, usize, LogNum, LogNum)> = None; // (score, j, new_n, step)
-        for j in 0..n {
+        for (j, edges) in adj.iter().enumerate() {
             if in_prefix.contains(j) {
                 continue;
             }
             let mut nbr = 0usize;
             let mut w_min: Option<LogNum> = None;
             let mut new_n = n_x * LogNum::from_log2(inst.sizes()[j].log2());
-            for k in inst.graph().neighbors(j).iter() {
-                if in_prefix.contains(k) {
-                    nbr += 1;
-                    let w = LogNum::from_log2(inst.w(j, k).log2());
-                    w_min = Some(w_min.map_or(w, |cur| cur.min(w)));
-                    new_n = new_n * LogNum::from_log2(inst.selectivity().get(j, k).log2());
-                }
+            for &(_, w, s) in edges.iter().filter(|&&(k, _, _)| in_prefix.contains(k)) {
+                nbr += 1;
+                let w = LogNum::from_log2(w);
+                w_min = Some(w_min.map_or(w, |cur| cur.min(w)));
+                new_n = new_n * LogNum::from_log2(s);
             }
             if nbr == 0 && !allow_cartesian {
                 continue;

@@ -75,29 +75,34 @@ pub fn optimize(inst: &QoNInstance) -> Optimum<BigRational> {
     best.expect("n >= 1")
 }
 
-/// Optimal sequence among those starting at `root`.
+/// Optimal sequence among those starting at `root`; the query graph must
+/// be a tree, as [`optimize`] checks.
 pub fn linearize(inst: &QoNInstance, root: usize) -> JoinSequence {
     let n = inst.n();
     if n == 1 {
         return JoinSequence::identity(1);
     }
-    // Build the rooted tree.
+    // Root the tree: `parent[v]` is `v`'s neighbour towards `root`.
     let mut parent = vec![usize::MAX; n];
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+    parent[root] = root;
     let mut stack = vec![root];
-    let mut seen = vec![false; n];
-    seen[root] = true;
     while let Some(u) = stack.pop() {
         for v in inst.graph().neighbors(u).iter() {
-            if !seen[v] {
-                seen[v] = true;
+            if parent[v] == usize::MAX {
                 parent[v] = u;
-                children[u].push(v);
                 stack.push(v);
             }
         }
     }
-    let chain = linearize_subtrees(inst, root, &parent, &children);
+    // Each edge gives its child `c` its own module, `w(c, p(c))` and
+    // `f_c = t_c·s_{c,p(c)}`; child lists come out ascending, as edges do.
+    let mut children: Vec<Vec<Module>> = vec![Vec::new(); n];
+    for (u, v, s, [w_uv, w_vu]) in inst.edges() {
+        let (c, p, w) = if parent[v] == u { (v, u, w_vu) } else { (u, v, w_uv) };
+        let f = &BigRational::from(inst.sizes()[c].clone()) * s;
+        children[p].push(Module::single(c, BigRational::from(w.clone()), f));
+    }
+    let chain = linearize_subtrees(&mut children, root);
     let mut order = Vec::with_capacity(n);
     order.push(root);
     for m in chain {
@@ -106,21 +111,14 @@ pub fn linearize(inst: &QoNInstance, root: usize) -> JoinSequence {
     JoinSequence::new(order)
 }
 
-/// Linearizes the children subtrees of `v` into one rank-ascending chain.
-fn linearize_subtrees(
-    inst: &QoNInstance,
-    v: usize,
-    parent: &[usize],
-    children: &[Vec<usize>],
-) -> VecDeque<Module> {
-    let mut chains: Vec<VecDeque<Module>> = Vec::with_capacity(children[v].len());
-    for &c in &children[v] {
-        let mut chain = linearize_subtrees(inst, c, parent, children);
-        // Prepend c's own module and normalize rank violations.
-        let w = BigRational::from(inst.w(c, parent[c]).clone());
-        let f = BigRational::from(inst.sizes()[c].clone())
-            * inst.selectivity().get(c, parent[c]);
-        let mut head = Module::single(c, w, f);
+/// Linearizes the children subtrees of `v` into one rank-ascending chain;
+/// `children[c]` holds the modules of `c`'s children, taken on the way.
+fn linearize_subtrees(children: &mut [Vec<Module>], v: usize) -> VecDeque<Module> {
+    let own = std::mem::take(&mut children[v]);
+    let mut chains: Vec<VecDeque<Module>> = Vec::with_capacity(own.len());
+    for mut head in own {
+        let mut chain = linearize_subtrees(children, head.nodes[0]);
+        // Prepend the child's own module and normalize rank violations.
         while let Some(first) = chain.front() {
             if head.rank_le(first) {
                 break;

@@ -295,6 +295,12 @@ pub fn optimize_greedy(inst: &QoHInstance) -> Option<QohPlan> {
     // Greedy: append the relation minimizing the resulting intermediate
     // (log-domain), among adjacency-connected candidates when any exist.
     let mut log_n = inst.sizes()[start].log2();
+    // Each vertex's edges as `(k, log₂ s_jk)`, `k` ascending.
+    let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    for (u, v, s) in inst.edges() {
+        adj[u].push((v, s.log2()));
+        adj[v].push((u, s.log2()));
+    }
     while order.len() < n {
         let mut best: Option<(f64, usize)> = None;
         let connected_exists = (0..n).any(|j| {
@@ -308,12 +314,8 @@ pub fn optimize_greedy(inst: &QoHInstance) -> Option<QohPlan> {
             if connected_exists && !adjacent {
                 continue;
             }
-            let mut cand = log_n + inst.sizes()[j].log2();
-            for k in inst.graph().neighbors(j).iter() {
-                if used[k] {
-                    cand += inst.selectivity().get(j, k).log2();
-                }
-            }
+            let linked = adj[j].iter().filter(|&&(k, _)| used[k]);
+            let cand = linked.fold(log_n + inst.sizes()[j].log2(), |c, &(_, s)| c + s);
             if best.is_none_or(|(b, _)| cand < b) {
                 best = Some((cand, j));
             }

@@ -10,6 +10,7 @@
 use aqo_bignum::{BigRational, BigUint};
 use aqo_core::budget::Budget;
 use aqo_core::qoh::QoHInstance;
+use aqo_core::textio;
 use aqo_core::workloads::{self, WorkloadParams};
 use aqo_optimizer::{engine, pipeline};
 use rand::rngs::StdRng;
@@ -125,6 +126,21 @@ fn qon_two_phase_clique9_allocates_per_layer_not_per_subset() {
             engine::optimize_two_phase::<BigRational>(&inst, &opts, &Budget::unlimited())
         });
         assert!(opt.expect("unlimited budget").is_some());
+        assert!(count <= 250, "seed {seed}: {count} allocations");
+    }
+}
+
+#[test]
+fn qon_from_text_chain28_allocates_per_edge_not_per_probe() {
+    // `serve-hot`'s shape: a chain of 28 relations, 27 edge lines. 205
+    // allocations today; 310 with hash-map storage and allocating bound
+    // checks.
+    for seed in 0..4 {
+        let inst =
+            workloads::chain(28, &WorkloadParams::default(), &mut StdRng::seed_from_u64(seed));
+        let text = textio::qon_to_text(&inst);
+        let (parsed, count) = allocations(|| textio::qon_from_text(&text));
+        assert_eq!(textio::qon_to_text(&parsed.expect("round trip")), text);
         assert!(count <= 250, "seed {seed}: {count} allocations");
     }
 }

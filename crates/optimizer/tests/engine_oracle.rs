@@ -109,8 +109,7 @@ fn engine_matches_dp_with_general_selectivity_fractions() {
     let mut unit = 0usize;
     for seed in 0..16u64 {
         let inst = fractional_instance(seed, 6 + seed as usize % 4);
-        for (u, v) in inst.graph().edges() {
-            let s = inst.selectivity().get(u, v);
+        for (_, _, s, _) in inst.edges() {
             numerators += usize::from(!s.numer().magnitude().is_one());
             unit += usize::from(s.denom().is_one());
         }

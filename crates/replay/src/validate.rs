@@ -228,10 +228,10 @@ fn push_plan(out: &mut String, p: &PlanMeasurement) {
 pub fn executable(inst: &QoNInstance, max_rows: u64) -> bool {
     let cap = max_rows.min(MAX_TUPLES as u64);
     inst.sizes().iter().all(|t| matches!(t.to_u64(), Some(v) if v <= cap))
-        && inst.graph().edges().all(|(u, v)| {
+        && inst.edges().all(|(_, _, s, _)| {
             // The executor needs d = 1/s in machine range; our families
             // always use unit-fraction selectivities.
-            inst.selectivity().get(u, v).recip().to_f64() <= MAX_TUPLES as f64
+            s.recip().to_f64() <= MAX_TUPLES as f64
         })
 }
 

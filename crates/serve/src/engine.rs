@@ -115,7 +115,7 @@ impl Engine {
             ok.elapsed_us = us;
         }
         if aqo_obs::enabled() {
-            aqo_obs::histogram("serve.request_us").record(us);
+            aqo_obs::histogram_handle!("serve.request_us").record(us);
             if reply.is_ok() {
                 aqo_obs::counter_handle!("serve.responses.ok").inc();
             } else {

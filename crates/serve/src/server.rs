@@ -811,7 +811,14 @@ impl Server {
         // ordering: Relaxed — statistics counter only.
         self.requests.fetch_add(1, Ordering::Relaxed);
         if aqo_obs::enabled() {
-            aqo_obs::counter(&format!("serve.requests.{}", req.op.name())).inc();
+            match req.op {
+                Op::Optimize => aqo_obs::counter_handle!("serve.requests.optimize"),
+                Op::Explain => aqo_obs::counter_handle!("serve.requests.explain"),
+                Op::Status => aqo_obs::counter_handle!("serve.requests.status"),
+                Op::Metrics => aqo_obs::counter_handle!("serve.requests.metrics"),
+                Op::Shutdown => aqo_obs::counter_handle!("serve.requests.shutdown"),
+            }
+            .inc();
             // The journal drops events while capture is off (`aqo serve`
             // without `--trace-json`): build no fields for it then.
             if !aqo_obs::journal::capturing() {
