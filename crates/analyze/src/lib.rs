@@ -4,18 +4,18 @@
 //! The paper's guarantees (QO_N/QO_H cost semantics, reduction soundness)
 //! are only as trustworthy as the code's invariants, and the workspace
 //! documents several that ordinary tests rarely catch being broken:
-//! library code must not unwind, exact-cost paths must not drift into
-//! floats, relaxed atomics must be justified, the metric catalog must
-//! match the code, and every search entry point must be cancellable.
-//! This crate enforces all of that mechanically:
+//! exact-cost paths must not drift into floats, relaxed atomics must be
+//! justified, the metric catalog must match the code, every search entry
+//! point must be cancellable, and the serve hot path must neither panic
+//! nor deadlock. This crate enforces all of that mechanically (that the
+//! panic-free crates' library code does not unwind is clippy's job, see
+//! `docs/ANALYSIS.md`):
 //!
 //! * [`scanner`] — a hand-rolled Rust token scanner (same no-dependency
 //!   policy as `aqo_obs::json`) producing per-line code/comment/string
 //!   views, test-region marks, and `analyze:allow` suppression ranges;
 //! * [`rules`] — the rule catalog (see `docs/ANALYSIS.md` for rationale
-//!   and examples);
-//! * [`baseline`] — the committed-baseline gate: only *regressions*
-//!   against `analyze-baseline.json` fail.
+//!   and examples); any finding fails the gate.
 //!
 //! Two front ends share [`cli_main`]: the `aqo-analyze` binary
 //! (`cargo run -p aqo-analyze`) and the `aqo analyze` subcommand. The
@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod error_kinds;
 pub mod locks;
@@ -35,13 +34,9 @@ pub mod rules;
 pub mod scanner;
 pub mod symbols;
 
-use baseline::Baseline;
 use rules::{Finding, Severity};
 use scanner::SourceModel;
 use std::path::{Path, PathBuf};
-
-/// Default baseline filename, resolved relative to the workspace root.
-pub const BASELINE_FILE: &str = "analyze-baseline.json";
 
 /// Everything that can go wrong while analyzing.
 #[derive(Debug)]
@@ -53,7 +48,7 @@ pub enum AnalyzeError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A malformed baseline document or bad invocation.
+    /// A bad invocation.
     Invalid(String),
 }
 
@@ -164,13 +159,13 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders the full report (findings + gate outcome) as one JSON
-/// document, schema `aqo-analyze/v2`: v1 plus per-finding `chain` /
-/// `cycle` witness arrays (present only when non-empty).
-pub fn render_json(findings: &[Finding], gate: &baseline::Gate) -> String {
+/// Renders the findings as one JSON document, schema `aqo-analyze/v3`:
+/// `findings` (with per-finding `chain` / `cycle` witness arrays, present
+/// only when non-empty) and their `total`.
+pub fn render_json(findings: &[Finding]) -> String {
     use aqo_obs::json::escape_into;
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"aqo-analyze/v2\",\n  \"findings\": [");
+    out.push_str("{\n  \"schema\": \"aqo-analyze/v3\",\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str("    {\"rule\": ");
@@ -195,20 +190,7 @@ pub fn render_json(findings: &[Finding], gate: &baseline::Gate) -> String {
         }
         out.push('}');
     }
-    out.push_str("\n  ],\n  \"regressions\": [");
-    for (i, (rule, path, found, allowed)) in gate.regressions.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\"rule\": ");
-        escape_into(&mut out, rule);
-        out.push_str(", \"path\": ");
-        escape_into(&mut out, path);
-        out.push_str(&format!(", \"found\": {found}, \"allowed\": {allowed}}}"));
-    }
-    out.push_str(&format!(
-        "\n  ],\n  \"stale\": {},\n  \"total\": {}\n}}\n",
-        gate.stale.len(),
-        findings.len()
-    ));
+    out.push_str(&format!("\n  ],\n  \"total\": {}\n}}\n", findings.len()));
     out
 }
 
@@ -216,9 +198,6 @@ pub fn render_json(findings: &[Finding], gate: &baseline::Gate) -> String {
 struct Options {
     root: Option<PathBuf>,
     json: bool,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
     rule: Option<String>,
     explain: Option<String>,
 }
@@ -227,9 +206,6 @@ fn parse_options(args: &[String]) -> Result<Options, AnalyzeError> {
     let mut opts = Options {
         root: None,
         json: false,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
         rule: None,
         explain: None,
     };
@@ -242,14 +218,8 @@ fn parse_options(args: &[String]) -> Result<Options, AnalyzeError> {
         };
         match args[i].as_str() {
             "--json" => opts.json = true,
-            "--no-baseline" => opts.no_baseline = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--root" => {
                 opts.root = Some(PathBuf::from(value(i)?));
-                i += 1;
-            }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(value(i)?));
                 i += 1;
             }
             "--rule" => {
@@ -277,8 +247,7 @@ fn parse_options(args: &[String]) -> Result<Options, AnalyzeError> {
             other => {
                 return Err(AnalyzeError::Invalid(format!(
                     "analyze: unknown flag `{other}` (flags: --json --root <dir> \
-                     --baseline <file> --no-baseline --write-baseline --rule <id> \
-                     --explain <id>)"
+                     --rule <id> --explain <id>)"
                 )))
             }
         }
@@ -287,9 +256,9 @@ fn parse_options(args: &[String]) -> Result<Options, AnalyzeError> {
     Ok(opts)
 }
 
-/// The shared CLI entry point. Returns the process exit code: `0` clean,
-/// `1` baseline regressions, `2` bad invocation or I/O trouble. Output
-/// goes to stdout (report) and stderr (gate summary).
+/// The shared CLI entry point. Returns the process exit code: `0` no
+/// findings, `1` any finding, `2` bad invocation or I/O trouble. Output
+/// goes to stdout (report) and stderr (summary).
 pub fn cli_main(args: &[String]) -> i32 {
     match cli_inner(args) {
         Ok(code) => code,
@@ -334,56 +303,18 @@ fn cli_inner(args: &[String]) -> Result<i32, AnalyzeError> {
         findings.retain(|f| f.rule == rule.as_str());
     }
 
-    let baseline_path = opts.baseline.clone().unwrap_or_else(|| root.join(BASELINE_FILE));
-    let baseline = if opts.no_baseline {
-        Baseline::empty()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text).map_err(AnalyzeError::Invalid)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::empty(),
-            Err(e) => return Err(io_err(&baseline_path, e)),
-        }
-    };
-
-    if opts.write_baseline {
-        let fresh = Baseline::from_findings(&findings);
-        std::fs::write(&baseline_path, fresh.to_json())
-            .map_err(|e| io_err(&baseline_path, e))?;
-        eprintln!(
-            "aqo-analyze: wrote {} ({} entries, {} findings)",
-            baseline_path.display(),
-            fresh.len(),
-            findings.len()
-        );
-        return Ok(0);
-    }
-
-    let gate = baseline.gate(&findings);
     if opts.json {
-        print!("{}", render_json(&findings, &gate));
+        print!("{}", render_json(&findings));
     } else {
         print!("{}", render_text(&findings));
     }
     let errors = findings.iter().filter(|f| f.severity == Severity::Error).count();
     let warnings = findings.len() - errors;
     eprintln!(
-        "aqo-analyze: {} findings ({errors} errors, {warnings} warnings); \
-         baseline {} entries, {} regressions, {} stale",
-        findings.len(),
-        baseline.len(),
-        gate.regressions.len(),
-        gate.stale.len()
+        "aqo-analyze: {} findings ({errors} errors, {warnings} warnings)",
+        findings.len()
     );
-    for (rule, path, found, allowed) in &gate.regressions {
-        eprintln!("aqo-analyze: REGRESSION [{rule}] {path}: {found} findings (baseline {allowed})");
-    }
-    if !gate.stale.is_empty() {
-        eprintln!(
-            "aqo-analyze: note: {} baseline entries are stale; refresh with --write-baseline",
-            gate.stale.len()
-        );
-    }
-    Ok(if gate.regressions.is_empty() { 0 } else { 1 })
+    Ok(if findings.is_empty() { 0 } else { 1 })
 }
 
 #[cfg(test)]
@@ -398,26 +329,25 @@ mod tests {
         assert_eq!(ok.rule.as_deref(), Some("ordering-audit"));
         assert!(parse_options(&["--rule".into(), "nope".into()]).is_err());
         assert!(parse_options(&["--frobnicate".into()]).is_err());
-        assert!(parse_options(&["--baseline".into()]).is_err());
+        assert!(parse_options(&["--root".into()]).is_err());
     }
 
     #[test]
     fn json_report_parses() {
         let mut finding = rules::Finding::new(
-            "no-unwrap-in-lib",
+            "panic-path",
             Severity::Error,
-            "crates/core/src/x.rs",
+            "crates/serve/src/x.rs",
             7,
             "a \"quoted\" message",
         );
         finding.chain = vec!["server.rs:Server::handle".into(), "engine.rs:solve".into()];
         let findings = vec![finding];
-        let gate = Baseline::empty().gate(&findings);
-        let doc = render_json(&findings, &gate);
+        let doc = render_json(&findings);
         let parsed = aqo_obs::json::parse(&doc).expect("report is valid JSON");
         assert_eq!(
             parsed.get("schema").and_then(aqo_obs::json::JsonValue::as_str),
-            Some("aqo-analyze/v2")
+            Some("aqo-analyze/v3")
         );
         let f0 = &parsed.get("findings").and_then(aqo_obs::json::JsonValue::as_arr).unwrap()[0];
         assert_eq!(
@@ -429,9 +359,6 @@ mod tests {
             parsed.get("findings").and_then(aqo_obs::json::JsonValue::as_arr).map(<[_]>::len),
             Some(1)
         );
-        assert_eq!(
-            parsed.get("regressions").and_then(aqo_obs::json::JsonValue::as_arr).map(<[_]>::len),
-            Some(1)
-        );
+        assert_eq!(parsed.get("total").and_then(aqo_obs::json::JsonValue::as_u64), Some(1));
     }
 }

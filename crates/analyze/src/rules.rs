@@ -4,8 +4,8 @@
 
 use crate::scanner::SourceModel;
 
-/// How bad a finding is. The baseline gate treats both identically (any
-/// new finding is a regression); severity is for human triage.
+/// How bad a finding is. The gate treats both identically (any finding
+/// fails it); severity is for human triage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// A violated invariant (panic path, float in exact code, …).
@@ -26,7 +26,7 @@ impl std::fmt::Display for Severity {
 /// One rule violation, anchored to a file and line.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`no-unwrap-in-lib`, …).
+    /// Rule id (`ordering-audit`, …).
     pub rule: &'static str,
     /// Error or warning.
     pub severity: Severity,
@@ -66,8 +66,7 @@ impl Finding {
 }
 
 /// Rule ids in catalog order.
-pub const RULE_IDS: [&str; 9] = [
-    "no-unwrap-in-lib",
+pub const RULE_IDS: [&str; 8] = [
     "ordering-audit",
     "no-float-in-exact",
     "counter-catalog-sync",
@@ -92,16 +91,7 @@ pub struct RuleDoc {
 }
 
 /// The rule catalog, one entry per id in [`RULE_IDS`] order.
-pub const RULE_DOCS: [RuleDoc; 9] = [
-    RuleDoc {
-        id: "no-unwrap-in-lib",
-        severity: Severity::Error,
-        summary: "no unwrap/expect/panic!/todo! in non-test code of the panic-free crates",
-        detail: "The driver's catch_unwind tier isolation and the paper's cost-semantics \
-                 claims both assume library code reports failure as values, not unwinds. \
-                 Return a Result, or add `// analyze:allow(no-unwrap-in-lib) -- <why>` \
-                 when the panic is provably unreachable.",
-    },
+pub const RULE_DOCS: [RuleDoc; 8] = [
     RuleDoc {
         id: "ordering-audit",
         severity: Severity::Error,
@@ -147,8 +137,7 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
                  from the serve entry points (request/connection/worker/writer fns), \
                  stops at catch_unwind containment, and prints the full offending call \
                  chain. Fix by returning an error, containing the unwind, or \
-                 `// analyze:allow(panic-path) -- <why>` at the panic site (an existing \
-                 no-unwrap-in-lib allow carries over).",
+                 `// analyze:allow(panic-path) -- <why>` at the panic site.",
     },
     RuleDoc {
         id: "lock-order",
@@ -161,7 +150,7 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
                  static, tracks guard liveness per function (let-bound guards live to \
                  end of block or drop(); temporaries to end of statement), propagates \
                  acquisitions through the call graph, and fails on any cycle with a \
-                 witness. Never baseline a cycle — fix the order or restructure.",
+                 witness. Never allow a cycle — fix the order or restructure.",
     },
     RuleDoc {
         id: "blocking-under-lock",
@@ -187,9 +176,6 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
     },
 ];
 
-/// Crates whose `src/` trees must stay panic-free (`no-unwrap-in-lib`).
-const PANIC_FREE_CRATES: [&str; 5] = ["core", "bignum", "optimizer", "obs", "driver"];
-
 /// Exact-cost modules for `no-float-in-exact`: QO_N/QO_H cost semantics
 /// and the exact big-number backends. `lognum.rs` is the log-domain prune
 /// representation — floats are its whole point — so it is out of scope.
@@ -207,12 +193,11 @@ pub struct RuleContext {
     pub analysis_doc: Option<String>,
 }
 
-/// Runs every rule — the five lexical ones and the four graph passes —
+/// Runs every rule — the four lexical ones and the four graph passes —
 /// over the scanned workspace.
 pub fn run_all(models: &[SourceModel], ctx: &RuleContext) -> Vec<Finding> {
     let mut findings = Vec::new();
     for m in models {
-        findings.extend(no_unwrap_in_lib(m));
         findings.extend(ordering_audit(m));
         findings.extend(no_float_in_exact(m));
         findings.extend(budget_hook_coverage(m));
@@ -237,13 +222,6 @@ pub fn run_all(models: &[SourceModel], ctx: &RuleContext) -> Vec<Finding> {
     findings
 }
 
-/// Whether `rel_path` is non-test library code of a panic-free crate.
-fn in_panic_free_scope(rel_path: &str) -> bool {
-    PANIC_FREE_CRATES
-        .iter()
-        .any(|c| rel_path.starts_with(&format!("crates/{c}/src/")))
-}
-
 /// True when `code[idx..]` matches `pat` at an identifier boundary (the
 /// char before is not part of an identifier).
 fn token_at(code: &str, idx: usize) -> bool {
@@ -266,55 +244,6 @@ pub(crate) fn token_matches<'a>(code: &'a str, pat: &str) -> impl Iterator<Item 
             return Some(idx);
         }
     })
-}
-
-/// **no-unwrap-in-lib** — `unwrap()` / `expect(` / `panic!` /
-/// `unreachable!` in non-test code of the panic-free crates. The driver's
-/// `catch_unwind` tier isolation and the paper's cost-semantics claims
-/// both assume library code reports failure as values, not unwinds.
-pub fn no_unwrap_in_lib(m: &SourceModel) -> Vec<Finding> {
-    const RULE: &str = "no-unwrap-in-lib";
-    if !in_panic_free_scope(&m.rel_path) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, line) in m.lines.iter().enumerate() {
-        if line.in_test || m.is_allowed(RULE, idx + 1) {
-            continue;
-        }
-        for (needle, label) in [
-            (".unwrap()", "`unwrap()`"),
-            (".expect(", "`expect()`"),
-            (".expect_err(", "`expect_err()`"),
-            ("panic!", "`panic!`"),
-            ("unreachable!", "`unreachable!`"),
-            ("todo!", "`todo!`"),
-            ("unimplemented!", "`unimplemented!`"),
-        ] {
-            // The `.…(` anchor keeps `unwrap_or_else` / `unwrap_or` out;
-            // token_matches guards the macro names against suffix hits.
-            let hit = if needle.starts_with('.') {
-                line.code.contains(needle)
-            } else {
-                token_matches(&line.code, needle).next().is_some()
-            };
-            if hit {
-                out.push(Finding::new(
-                    RULE,
-                    Severity::Error,
-                    m.rel_path.clone(),
-                    idx + 1,
-                    format!(
-                        "{label} in library code can unwind across the driver's \
-                         isolation boundary; return a Result or add \
-                         `// analyze:allow({RULE}) -- <why>`"
-                    ),
-                ));
-                break; // one finding per line is enough
-            }
-        }
-    }
-    out
 }
 
 /// **ordering-audit** — every `Ordering::Relaxed` in a file that uses
@@ -727,17 +656,6 @@ mod tests {
         assert!(metric_matches("faults.hit.*", "faults.hit.*"));
         assert!(metric_matches("budget.exceeded.*", "budget.exceeded.deadline"));
         assert!(!metric_matches("a.b", "a.c"));
-    }
-
-    #[test]
-    fn unwrap_rule_respects_scope_tests_and_allows() {
-        let src = "fn f() {\n    x.unwrap();\n    y.unwrap_or_else(|e| e.into_inner());\n    z.unwrap(); // analyze:allow(no-unwrap-in-lib) -- invariant: nonempty\n}\n#[cfg(test)]\nmod tests {\n    fn t() { q.unwrap(); }\n}\n";
-        let in_scope = SourceModel::scan("crates/core/src/x.rs", src);
-        let hits = no_unwrap_in_lib(&in_scope);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 2);
-        let out_of_scope = SourceModel::scan("crates/bench/src/x.rs", src);
-        assert!(no_unwrap_in_lib(&out_of_scope).is_empty());
     }
 
     #[test]

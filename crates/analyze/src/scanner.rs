@@ -7,7 +7,7 @@
 //!   *contents* blanked (the delimiting quotes survive, so `foo("bar")`
 //!   scans as `foo("")`). Rules pattern-match on this view only, which is
 //!   what keeps `panic!` inside a doc comment or a format string from
-//!   tripping `no-unwrap-in-lib`.
+//!   tripping `panic-path`.
 //! * **comment** — the comment text of the line (`//`, `///`, `/* */`,
 //!   nested block comments included). Allow directives and ordering
 //!   justifications are read from here.
@@ -532,19 +532,19 @@ mod tests {
 
     #[test]
     fn allow_on_code_line_covers_that_line_only() {
-        let src = "let a = x.unwrap(); // analyze:allow(no-unwrap-in-lib) -- checked above\nlet b = y.unwrap();\n";
+        let src = "let a = x.unwrap(); // analyze:allow(panic-path) -- checked above\nlet b = y.unwrap();\n";
         let m = SourceModel::scan("x.rs", src);
-        assert!(m.is_allowed("no-unwrap-in-lib", 1));
-        assert!(!m.is_allowed("no-unwrap-in-lib", 2));
+        assert!(m.is_allowed("panic-path", 1));
+        assert!(!m.is_allowed("panic-path", 2));
         assert!(!m.is_allowed("other-rule", 1));
     }
 
     #[test]
     fn allow_on_own_line_covers_next_block() {
-        let src = "// analyze:allow(no-unwrap-in-lib) -- documented panic\nfn f() {\n    x.unwrap();\n}\nfn g() { y.unwrap(); }\n";
+        let src = "// analyze:allow(panic-path) -- documented panic\nfn f() {\n    x.unwrap();\n}\nfn g() { y.unwrap(); }\n";
         let m = SourceModel::scan("x.rs", src);
-        assert!(m.is_allowed("no-unwrap-in-lib", 3));
-        assert!(!m.is_allowed("no-unwrap-in-lib", 5));
+        assert!(m.is_allowed("panic-path", 3));
+        assert!(!m.is_allowed("panic-path", 5));
     }
 
     #[test]

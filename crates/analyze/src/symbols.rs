@@ -53,9 +53,7 @@ pub struct PanicSite {
     pub line: usize,
     /// Human label, e.g. `` `unwrap()` ``.
     pub label: String,
-    /// Suppressed by `analyze:allow(panic-path)` — or by an existing
-    /// `analyze:allow(no-unwrap-in-lib)`, so a justification written for
-    /// the lexical rule carries over to the reachability rule.
+    /// Suppressed by `analyze:allow(panic-path)`.
     pub allowed: bool,
 }
 
@@ -537,7 +535,7 @@ pub(crate) fn receiver_chain(bytes: &[char], dot: usize) -> Vec<String> {
     }
 }
 
-/// Panic tokens: the lexical `no-unwrap-in-lib` set plus indexing.
+/// Panic tokens: the panicking calls and macros, plus indexing below.
 const PANIC_NEEDLES: [(&str, &str); 7] = [
     (".unwrap()", "`unwrap()`"),
     (".expect(", "`expect()`"),
@@ -553,8 +551,7 @@ fn collect_panics(m: &SourceModel, line_no: usize, out: &mut Vec<PanicSite>) {
     if line.in_test {
         return;
     }
-    let allowed =
-        m.is_allowed("panic-path", line_no) || m.is_allowed("no-unwrap-in-lib", line_no);
+    let allowed = m.is_allowed("panic-path", line_no);
     for (needle, label) in PANIC_NEEDLES {
         let hit = if needle.starts_with('.') {
             line.code.contains(needle)

@@ -1,18 +1,18 @@
-//! Fixture: exercises no-unwrap-in-lib, ordering-audit and
-//! counter-catalog-sync (hits, allow suppressions, test regions).
-//! Scanned as text only — never compiled.
+//! Fixture: exercises ordering-audit and counter-catalog-sync (hits,
+//! allow suppressions, test regions). Scanned as text only — never
+//! compiled.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub fn unwrap_hit(x: Option<u32>) -> u32 {
-    x.unwrap() // no-unwrap-in-lib hit
+// An unwrap outside every serve entry point's call graph: no rule here
+// flags it. In the real workspace clippy's `unwrap_used` guards the
+// panic-free crates' library code; this fixture is never compiled, so
+// nothing checks it here.
+pub fn unwrap_unreached(x: Option<u32>) -> u32 {
+    x.unwrap()
 }
 
-pub fn unwrap_allowed(x: Option<u32>) -> u32 {
-    x.unwrap() // analyze:allow(no-unwrap-in-lib) -- fixture: invariant holds
-}
-
-// A string literal mentioning .unwrap() must not trip the rule.
+// A string literal mentioning .unwrap() is not a panic site.
 pub const DOC: &str = "call .unwrap() at your own risk";
 
 pub fn atomics(a: &AtomicU64) {

@@ -1,10 +1,8 @@
 //! Integration tests over the committed fixture workspace in
-//! `tests/fixtures/ws/`, which exercises every rule three ways: a plain
-//! hit, an `analyze:allow` suppression, and a baseline suppression. Plus
-//! the self-check: the real workspace must gate clean against the real
-//! committed `analyze-baseline.json`.
+//! `tests/fixtures/ws/`, which exercises every rule two ways: a plain hit
+//! and an `analyze:allow` suppression. Plus the self-check: the real
+//! workspace must have zero findings.
 
-use aqo_analyze::baseline::Baseline;
 use aqo_analyze::rules::Severity;
 use std::path::{Path, PathBuf};
 
@@ -29,8 +27,6 @@ fn fixture_findings_hit_every_rule_and_respect_allows() {
         .map(|f| (f.rule.to_string(), f.path.clone(), f.line))
         .collect();
     let want: Vec<(String, String, usize)> = [
-        ("no-unwrap-in-lib", "crates/core/src/legacy.rs", 5),
-        ("no-unwrap-in-lib", "crates/core/src/lib.rs", 8),
         ("ordering-audit", "crates/core/src/lib.rs", 19),
         ("ordering-audit", "crates/core/src/lib.rs", 22),
         ("counter-catalog-sync", "crates/core/src/lib.rs", 28),
@@ -94,41 +90,19 @@ fn fixture_witnesses_name_the_cycle_and_the_chain() {
 }
 
 #[test]
-fn fixture_baseline_gates_legacy_but_not_new_findings() {
-    let root = fixture_root();
-    let findings = aqo_analyze::analyze(&root).expect("fixture scan");
-    let text = std::fs::read_to_string(root.join(aqo_analyze::BASELINE_FILE)).expect("baseline");
-    let baseline = Baseline::parse(&text).expect("baseline parses");
-    let gate = baseline.gate(&findings);
-
-    // legacy.rs is allowed by the baseline: it must NOT be a regression.
-    assert!(
-        !gate.regressions.iter().any(|(_, p, _, _)| p.contains("legacy.rs")),
-        "{:?}",
-        gate.regressions
-    );
-    // Everything else is new relative to the baseline.
-    assert_eq!(gate.regressions.len(), 10, "{:?}", gate.regressions);
-    // The baseline's gone.rs entry no longer matches anything: stale.
-    assert_eq!(gate.stale.len(), 1, "{:?}", gate.stale);
-    assert!(gate.stale[0].1.contains("gone.rs"));
-}
-
-#[test]
 fn cli_exit_codes() {
     let root = fixture_root();
     let s = |v: &str| v.to_string();
-    // Regressions against the fixture baseline: exit 1.
+    // Any finding: exit 1.
     assert_eq!(aqo_analyze::cli_main(&[s("--root"), s(root.to_str().unwrap())]), 1);
     // Bad flag / bad rule: exit 2.
     assert_eq!(aqo_analyze::cli_main(&[s("--frobnicate")]), 2);
     assert_eq!(aqo_analyze::cli_main(&[s("--rule"), s("nope")]), 2);
-    // A rule with findings and no baseline: exit 1.
+    // A rule with findings: exit 1.
     assert_eq!(
         aqo_analyze::cli_main(&[
             s("--root"),
             s(root.to_str().unwrap()),
-            s("--no-baseline"),
             s("--rule"),
             s("no-float-in-exact"),
         ]),
@@ -158,53 +132,15 @@ fn explain_and_analysis_doc_cover_every_rule() {
     }
 }
 
+/// The self-check the CI gate relies on: the real workspace has zero
+/// findings.
 #[test]
-fn write_baseline_then_gate_is_clean() {
-    let root = fixture_root();
-    let tmp = std::env::temp_dir()
-        .join(format!("aqo-analyze-fixture-baseline-{}.json", std::process::id()));
-    let s = |v: &str| v.to_string();
-    let path = tmp.to_str().unwrap();
-    // Capture the current findings as a fresh baseline…
-    assert_eq!(
-        aqo_analyze::cli_main(&[
-            s("--root"),
-            s(root.to_str().unwrap()),
-            s("--write-baseline"),
-            s("--baseline"),
-            s(path),
-        ]),
-        0
-    );
-    // …then gating against it is clean (exit 0), JSON mode included.
-    assert_eq!(
-        aqo_analyze::cli_main(&[
-            s("--root"),
-            s(root.to_str().unwrap()),
-            s("--baseline"),
-            s(path),
-            s("--json"),
-        ]),
-        0
-    );
-    let _ = std::fs::remove_file(&tmp);
-}
-
-/// The self-check the CI gate relies on: the real workspace, gated
-/// against the real committed baseline, has zero regressions.
-#[test]
-fn real_workspace_gates_clean_against_committed_baseline() {
-    let root = real_root();
-    let findings = aqo_analyze::analyze(&root).expect("workspace scan");
-    let text = std::fs::read_to_string(root.join(aqo_analyze::BASELINE_FILE))
-        .expect("committed analyze-baseline.json at the workspace root");
-    let baseline = Baseline::parse(&text).expect("committed baseline parses");
-    let gate = baseline.gate(&findings);
+fn real_workspace_has_zero_findings() {
+    let findings = aqo_analyze::analyze(&real_root()).expect("workspace scan");
     assert!(
-        gate.regressions.is_empty(),
-        "lint regressions against the committed baseline:\n{:#?}\n\
-         fix the findings or (for sanctioned violations) refresh with\n\
-         `cargo run -p aqo-analyze -- --write-baseline`",
-        gate.regressions
+        findings.is_empty(),
+        "analyzer findings on the workspace (fix them, or justify a \
+         sanctioned one with `// analyze:allow(<rule>) -- <why>`):\n{}",
+        aqo_analyze::render_text(&findings)
     );
 }

@@ -39,6 +39,7 @@
 //! a journal without external tools.
 
 use aqo_bignum::{BigRational, BigUint};
+use aqo_core::budget::run_unlimited;
 use aqo_core::{faults, textio, workloads, CostScalar};
 use aqo_driver::{BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
 use aqo_optimizer::{engine, exhaustive, genetic, greedy, ikkbz, local_search, pipeline};
@@ -107,7 +108,7 @@ impl CliError {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // The linter front end owns its own flags and exit codes (0 clean,
-    // 1 baseline regressions, 2 bad invocation); findings are expected
+    // 1 any finding, 2 bad invocation); findings are expected
     // output, so the usage banner must not follow them.
     if args.first().map(String::as_str) == Some("analyze") {
         return ExitCode::from(aqo_analyze::cli_main(&args[1..]) as u8);
@@ -134,15 +135,11 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]\n  aqo optimize <file.qon> [--method dp|ccp|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian] [--explain]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo serve [--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n            [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n            [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n            [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n            [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n                                                       # JSONL optimization service (docs/SERVING.md)\n  aqo request <addr> <optimize|explain|optimize-qoh|explain-qoh|clique|status|metrics|shutdown> [file]\n              [--id <n>] [--method <tier>] [--fallback <tier,tier,...>] [--timeout-ms <n>]\n              [--max-expansions <n>] [--threads <n>] [--no-cartesian] [--no-cache]\n  aqo loadgen [--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n              [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] [--out <path>]\n                                                       # writes BENCH_serve.json\n  aqo chaos [--quick] [--requests <n>] [--fault-count <n>] [--seed <n>] [--out <path>]\n                                                       # fault campaign, writes CHAOS.json (docs/ROBUSTNESS.md)\n  aqo replay extract <journal.jsonl> [--out <path>]    # journal -> aqo-workload/v1\n  aqo replay run <workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n                                                       # re-drive + diff, exit 1 on regression\n  aqo replay validate [<workload.jsonl>] [--quick] [--instance <file.qon>] [--trials <n>]\n              [--tolerance <f>] [--min-gap-log2 <f>] [--seed <n>] [--max-rows <n>]\n              [--json] [--out <path>]                  # execution-backed ordering gate (docs/REPLAY.md)\n  aqo exec validate <file.qon> [--trials <n>] [--seed <n>] [--json] [--out <path>]\n                                                       # model-vs-measured calibration\n  aqo bench [--quick] [--threads <n>] [--out <path>]   # writes BENCH_optimizer.json\n  aqo trace-check <trace.jsonl>                        # validate a --trace-json journal\n  aqo trace view <trace.jsonl>                         # render per-request span trees\n  aqo top [--addr <host:port>] [--once] [--json] [--interval-ms <n>]\n                                                       # live dashboard from the `metrics` op\n  aqo analyze [--json] [--root <dir>] [--rule <id>] [--baseline <file>]\n              [--no-baseline] [--write-baseline]      # invariant linter (docs/ANALYSIS.md)\n  aqo reduce-3sat <file.cnf> [--a <int>] [--e <int>]\n  aqo clique <file.dimacs>\n  aqo --version | -V                                   # print version and exit\n\n--threads: 1 = sequential (default), 0 = one worker per hardware thread,\nk > 1 splits the exact DP's layers (QO_N) or the exhaustive search's root\nprefixes, i.e. its first relations (QO_H), across k workers (same optimum).\n--metrics prints a metrics summary to stderr; --trace-json writes the\nstructured event journal as JSON Lines; --report-json writes the driver\nreport as JSON (and routes through the driver)."
+    "usage:\n  aqo gen <chain|star|snowflake|cycle|clique|grid> <n> [seed]\n  aqo optimize <file.qon> [--method dp|ccp|exhaustive|greedy|ikkbz|sa|ga] [--no-cartesian] [--explain]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo optimize-qoh <file.qoh> [--method exhaustive|greedy]\n               [--threads <n>] [--timeout-ms <n>] [--max-expansions <n>] [--fallback <tier,tier,...>]\n               [--metrics] [--trace-json <path>] [--report-json <path>]\n  aqo serve [--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n            [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n            [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n            [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n            [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n                                                       # JSONL optimization service (docs/SERVING.md)\n  aqo request <addr> <optimize|explain|optimize-qoh|explain-qoh|clique|status|metrics|shutdown> [file]\n              [--id <n>] [--method <tier>] [--fallback <tier,tier,...>] [--timeout-ms <n>]\n              [--max-expansions <n>] [--threads <n>] [--no-cartesian] [--no-cache]\n  aqo loadgen [--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n              [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] [--out <path>]\n                                                       # writes BENCH_serve.json\n  aqo chaos [--quick] [--requests <n>] [--fault-count <n>] [--seed <n>] [--out <path>]\n                                                       # fault campaign, writes CHAOS.json (docs/ROBUSTNESS.md)\n  aqo replay extract <journal.jsonl> [--out <path>]    # journal -> aqo-workload/v1\n  aqo replay run <workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n                                                       # re-drive + diff, exit 1 on regression\n  aqo replay validate [<workload.jsonl>] [--quick] [--instance <file.qon>] [--trials <n>]\n              [--tolerance <f>] [--min-gap-log2 <f>] [--seed <n>] [--max-rows <n>]\n              [--json] [--out <path>]                  # execution-backed ordering gate (docs/REPLAY.md)\n  aqo exec validate <file.qon> [--trials <n>] [--seed <n>] [--json] [--out <path>]\n                                                       # model-vs-measured calibration\n  aqo bench [--quick] [--threads <n>] [--out <path>]   # writes BENCH_optimizer.json\n  aqo trace-check <trace.jsonl>                        # validate a --trace-json journal\n  aqo trace view <trace.jsonl>                         # render per-request span trees\n  aqo top [--addr <host:port>] [--once] [--json] [--interval-ms <n>]\n                                                       # live dashboard from the `metrics` op\n  aqo analyze [--json] [--root <dir>] [--rule <id>] [--explain <id>]\n                                                       # invariant linter (docs/ANALYSIS.md)\n  aqo reduce-3sat <file.cnf> [--a <int>] [--e <int>]\n  aqo clique <file.dimacs>\n  aqo --version | -V                                   # print version and exit\n\n--threads: 1 = sequential (default), 0 = one worker per hardware thread,\nk > 1 splits the exact DP's layers (QO_N) or the exhaustive search's root\nprefixes, i.e. its first relations (QO_H), across k workers (same optimum).\n--metrics prints a metrics summary to stderr; --trace-json writes the\nstructured event journal as JSON Lines; --report-json writes the driver\nreport as JSON (and routes through the driver)."
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
-
-/// As [`flag_value`], but a flag present without a following value is a
-/// usage error rather than silently absent.
+/// The value following flag `name`, if the flag is present; a flag
+/// present without a following value is a usage error.
 fn required_flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, CliError> {
     match args.iter().position(|a| a == name) {
         None => Ok(None),
@@ -282,8 +279,9 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
     let path = args.first().ok_or_else(|| CliError::usage("optimize: missing file"))?;
     // Flags are validated before the file is touched: a malformed
     // invocation is a usage error regardless of what the operand holds.
-    let method_given = flag_value(args, "--method").is_some();
-    let method = flag_value(args, "--method").unwrap_or("dp");
+    let method_flag = required_flag_value(args, "--method")?;
+    let method_given = method_flag.is_some();
+    let method = method_flag.unwrap_or("dp");
     let allow_cartesian = !args.iter().any(|a| a == "--no-cartesian");
     let threads = threads_flag(args)?;
     let obs = obs_flags(args)?;
@@ -337,12 +335,9 @@ fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
                 }
                 "dp" | "ccp" => {
                     let opts = engine::DpOptions { allow_cartesian, threads };
-                    let o = engine::optimize_two_phase::<BigRational>(
-                        &inst,
-                        &opts,
-                        &aqo_core::Budget::unlimited(),
-                    )
-                    .expect("unlimited budget cannot be exceeded")
+                    let o = run_unlimited(|b| {
+                        engine::optimize_two_phase::<BigRational>(&inst, &opts, b)
+                    })
                     .ok_or_else(infeasible_qon)?;
                     ("exact (two-phase subset DP)", o.sequence)
                 }
@@ -403,8 +398,9 @@ fn method_max_n(method: &str, allow_cartesian: bool) -> usize {
 
 fn cmd_optimize_qoh(args: &[String]) -> Result<(), CliError> {
     let path = args.first().ok_or_else(|| CliError::usage("optimize-qoh: missing file"))?;
-    let method_given = flag_value(args, "--method").is_some();
-    let method = flag_value(args, "--method").unwrap_or("greedy");
+    let method_flag = required_flag_value(args, "--method")?;
+    let method_given = method_flag.is_some();
+    let method = method_flag.unwrap_or("greedy");
     let threads = threads_flag(args)?;
     let obs = obs_flags(args)?;
     let dflags = driver_flags(args)?;
@@ -450,12 +446,9 @@ fn cmd_optimize_qoh(args: &[String]) -> Result<(), CliError> {
                     inst.n(),
                 )));
             }
-            "exhaustive" => pipeline::optimize_exhaustive_par_with_budget(
-                &inst,
-                threads,
-                &aqo_core::Budget::unlimited(),
-            )
-            .expect("unlimited budget cannot be exceeded"),
+            "exhaustive" => run_unlimited(|b| {
+                pipeline::optimize_exhaustive_par_with_budget(&inst, threads, b)
+            }),
             "greedy" => pipeline::optimize_greedy(&inst),
             other => {
                 return Err(CliError::usage(format!("optimize-qoh: unknown method {other}")))
@@ -746,13 +739,15 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_reduce_3sat(args: &[String]) -> Result<(), CliError> {
     let path = args.first().ok_or_else(|| CliError::usage("reduce-3sat: missing file"))?;
+    let a_flag = required_flag_value(args, "--a")?;
+    let e_flag = required_flag_value(args, "--e")?;
     let text = read_file(path)?;
     let f = aqo_sat::dimacs::from_dimacs(&text)
         .map_err(|e| CliError::Parse { path: path.to_string(), message: e.to_string() })?;
     if !f.is_3cnf() {
         return Err(CliError::Infeasible("formula is not 3CNF".into()));
     }
-    let a: u64 = flag_value(args, "--a")
+    let a: u64 = a_flag
         .map_or(Ok(4), str::parse)
         .map_err(|_| CliError::usage("bad --a"))?;
     let red_g = aqo_reductions::clique_reduction::sat_to_clique(&f);
@@ -763,7 +758,7 @@ fn cmd_reduce_3sat(args: &[String]) -> Result<(), CliError> {
         red_g.graph.n(),
         red_g.satisfiable_omega
     );
-    let e: u64 = flag_value(args, "--e")
+    let e: u64 = e_flag
         .map_or(Ok(red_g.satisfiable_omega as u64 - 2), str::parse)
         .map_err(|_| CliError::usage("bad --e"))?;
     let red = aqo_reductions::fn_reduction::reduce(&red_g.graph, &BigUint::from(a), e);

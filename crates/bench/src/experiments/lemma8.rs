@@ -7,7 +7,7 @@
 
 use crate::table::{cell, log2_cell, verdict, Table};
 use aqo_bignum::{BigRational, BigUint};
-use aqo_core::budget::Budget;
+use aqo_core::budget::run_unlimited;
 use aqo_core::CostScalar;
 use aqo_graph::{clique, generators};
 use aqo_optimizer::{dp, engine};
@@ -40,10 +40,10 @@ pub fn run() -> Vec<Table> {
         let red = fn_reduction::reduce(&g, &a, e);
         let lb = BigRational::from(fn_reduction::lemma8_lower_bound(&a, e, omega, n as u64));
         let opts = engine::DpOptions { allow_cartesian: true, threads: 0 };
-        let opt =
-            engine::optimize_two_phase::<BigRational>(&red.instance, &opts, &Budget::unlimited())
-                .expect("unlimited budget")
-                .expect("cartesian products allowed: always feasible");
+        let opt = run_unlimited(|b| {
+            engine::optimize_two_phase::<BigRational>(&red.instance, &opts, b)
+        })
+        .expect("cartesian products allowed: always feasible");
         let mode = if n <= DP_CROSS_CHECK_MAX_N {
             let reference = dp::optimize::<BigRational>(&red.instance, true).expect("connected");
             assert_eq!(reference.cost, opt.cost, "engine and dp disagree at n = {n}");

@@ -155,6 +155,33 @@ fn value_flags_without_value_are_usage_errors() {
     assert!(err.contains("requires a value"), "stderr was {err}");
 }
 
+/// `--method`, `--a` and `--e` given last, without their value, are usage
+/// errors (exit 1) rather than silently running with the default.
+#[test]
+fn method_and_reduction_flags_without_value_are_usage_errors() {
+    let dir = std::env::temp_dir().join("aqo_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let qon = dir.join("nomethod.qon");
+    let (ok, instance, _) = aqo(&["gen", "chain", "5", "1"]);
+    assert!(ok);
+    std::fs::write(&qon, &instance).unwrap();
+    let cnf = dir.join("novalue.cnf");
+    std::fs::write(&cnf, "p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n").unwrap();
+    let (qon, cnf) = (qon.to_str().unwrap(), cnf.to_str().unwrap());
+
+    for args in [
+        ["optimize", qon, "--method"],
+        ["optimize-qoh", qon, "--method"],
+        ["reduce-3sat", cnf, "--a"],
+        ["reduce-3sat", cnf, "--e"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_aqo")).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr was {stderr}");
+        assert!(stderr.contains("requires a value"), "{args:?}: stderr was {stderr}");
+    }
+}
+
 #[test]
 fn trace_json_and_metrics_roundtrip_through_trace_check() {
     let dir = std::env::temp_dir().join("aqo_cli_test");
@@ -328,17 +355,18 @@ fn reduce_3sat_emits_instance() {
 
 #[test]
 fn analyze_subcommand_gates_clean_and_emits_json() {
-    // From inside the workspace the linter finds the root and the
-    // committed baseline by itself; the tree must gate clean.
+    // From inside the workspace the linter finds the root by itself; the
+    // tree must have no findings.
     let out = Command::new(env!("CARGO_BIN_EXE_aqo"))
         .args(["analyze", "--json"])
         .output()
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "analyze regressed: {stderr}");
+    assert!(out.status.success(), "analyze found problems: {stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"schema\": \"aqo-analyze/v2\""), "{stdout}");
-    assert!(stderr.contains("0 regressions"), "{stderr}");
+    assert!(stdout.contains("\"schema\": \"aqo-analyze/v3\""), "{stdout}");
+    assert!(stdout.contains("\"total\": 0"), "{stdout}");
+    assert!(stderr.contains("0 findings"), "{stderr}");
 
     // Linter usage errors exit 2 and do NOT print the aqo usage banner
     // (findings and linter flags are aqo-analyze's own surface).
@@ -350,6 +378,13 @@ fn analyze_subcommand_gates_clean_and_emits_json() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("usage:"), "{stderr}");
     assert!(stderr.contains("unknown flag"), "{stderr}");
+
+    // The baseline flags are gone with the baseline gate.
+    let out = Command::new(env!("CARGO_BIN_EXE_aqo"))
+        .args(["analyze", "--write-baseline"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]

@@ -163,8 +163,8 @@ impl Eq for LogNum {}
 
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for LogNum {
+    #[expect(clippy::expect_used, reason = "the NaN-free invariant is enforced at construction")]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Safe: the NaN-free invariant is enforced at construction.
         self.log2.partial_cmp(&other.log2).expect("LogNum is NaN-free")
     }
 }

@@ -194,6 +194,7 @@ impl BigUint {
     /// Knuth Algorithm D (TAOCP Vol. 2, 4.3.1) for multi-limb divisors.
     fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         // Normalize so the divisor's top limb has its high bit set.
+        #[expect(clippy::unwrap_used, reason = "div_rem sends only multi-limb divisors here")]
         let shift = divisor.limbs.last().unwrap().leading_zeros() as u64;
         let u = self << shift; // dividend
         let v = divisor << shift; // divisor
@@ -722,6 +723,10 @@ impl Add<&BigUint> for &BigUint {
 
 impl Sub<&BigUint> for &BigUint {
     type Output = BigUint;
+    #[expect(
+        clippy::expect_used,
+        reason = "`-` on naturals is defined only for rhs <= self; checked_sub is the fallible form"
+    )]
     fn sub(self, rhs: &BigUint) -> BigUint {
         self.checked_sub(rhs).expect("BigUint subtraction underflow")
     }

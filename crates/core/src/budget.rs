@@ -112,6 +112,18 @@ pub struct Budget {
     memory_bytes: AtomicU64,
 }
 
+/// Runs `search` under [`Budget::unlimited`] and returns its result: the
+/// unbudgeted twin of a `*_with_budget` entry point, e.g.
+/// `run_unlimited(|b| optimize_with_budget(inst, b))`.
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "an unlimited budget never trips, so the search's only error path is unreachable"
+)]
+pub fn run_unlimited<T>(search: impl FnOnce(&Budget) -> Result<T, BudgetExceeded>) -> T {
+    search(&Budget::unlimited()).expect("unlimited budget cannot be exceeded")
+}
+
 impl Default for Budget {
     fn default() -> Self {
         Self::unlimited()

@@ -239,8 +239,11 @@ pub fn fail_point(site: &str) -> Result<(), InjectedFault> {
         );
     }
     match action {
-        // analyze:allow(no-unwrap-in-lib) -- the documented effect of an
-        // armed Panic fault; every fail_point caller wraps in catch_unwind.
+        #[expect(
+            clippy::panic,
+            reason = "the documented effect of an armed Panic fault; every fail_point caller \
+                      wraps in catch_unwind"
+        )]
         FaultKind::Panic => panic!("injected panic at fail point `{site}`"),
         FaultKind::Error => Err(InjectedFault { site: site.to_string() }),
         FaultKind::Delay(d) => {

@@ -57,6 +57,7 @@ impl JoinSequence {
     }
 
     /// Position of vertex `v` in the sequence.
+    #[expect(clippy::expect_used, reason = "a vertex outside the sequence is a caller bug")]
     pub fn position_of(&self, v: usize) -> usize {
         self.order.iter().position(|&u| u == v).expect("vertex in sequence")
     }

@@ -89,6 +89,7 @@ pub struct QonCost<S> {
 impl QoNInstance {
     /// Builds and validates an instance, panicking with the violated
     /// invariant's message (see [`QoNInstance::try_new`]).
+    #[expect(clippy::panic, reason = "the documented panicking twin of try_new")]
     pub fn new(
         graph: Graph,
         sizes: Vec<BigUint>,

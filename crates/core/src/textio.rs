@@ -158,6 +158,7 @@ pub fn qon_from_text(input: &str) -> Result<QoNInstance, ParseError> {
         .enumerate()
         .map(|(i, s)| s.ok_or_else(|| err(0, format!("missing size for vertex {i}"))))
         .collect::<Result<_, _>>()?;
+    #[expect(clippy::expect_used, reason = "the graph is set together with n, checked above")]
     let graph = graph.expect("set with n");
     debug_assert_eq!(graph.n(), n);
     QoNInstance::try_new(graph, sizes, sel, acc).map_err(|e| err(0, e.to_string()))

@@ -23,6 +23,17 @@
 //! `DESIGN.md` §10 for the architecture.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod journal;
@@ -312,9 +323,11 @@ pub fn counter(name: &str) -> Counter {
         .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
     {
         Metric::Counter(c) => c.clone(),
-        // analyze:allow(no-unwrap-in-lib) -- documented API panic: a
-        // name registered under two metric kinds is a programming
-        // error (see the `# Panics` section), not a runtime condition.
+        #[expect(
+            clippy::panic,
+            reason = "documented API panic: a name registered under two metric kinds is a \
+                      programming error (see the `# Panics` section), not a runtime condition"
+        )]
         other => panic!("metric `{name}` already registered as {other:?}"),
     }
 }
@@ -330,9 +343,11 @@ pub fn gauge(name: &str) -> Gauge {
         .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0)))))
     {
         Metric::Gauge(g) => g.clone(),
-        // analyze:allow(no-unwrap-in-lib) -- documented API panic: a
-        // name registered under two metric kinds is a programming
-        // error (see the `# Panics` section), not a runtime condition.
+        #[expect(
+            clippy::panic,
+            reason = "documented API panic: a name registered under two metric kinds is a \
+                      programming error (see the `# Panics` section), not a runtime condition"
+        )]
         other => panic!("metric `{name}` already registered as {other:?}"),
     }
 }
@@ -348,9 +363,11 @@ pub fn histogram(name: &str) -> Histogram {
         .or_insert_with(|| Metric::Histogram(Histogram(Arc::new(HistogramInner::new()))))
     {
         Metric::Histogram(h) => h.clone(),
-        // analyze:allow(no-unwrap-in-lib) -- documented API panic: a
-        // name registered under two metric kinds is a programming
-        // error (see the `# Panics` section), not a runtime condition.
+        #[expect(
+            clippy::panic,
+            reason = "documented API panic: a name registered under two metric kinds is a \
+                      programming error (see the `# Panics` section), not a runtime condition"
+        )]
         other => panic!("metric `{name}` already registered as {other:?}"),
     }
 }

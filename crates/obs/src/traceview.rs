@@ -209,8 +209,10 @@ pub fn render(text: &str) -> Result<String, String> {
         for id in &ids {
             let parent = spans[id].parent;
             if parent != 0 && spans.contains_key(&parent) {
-                // analyze:allow(no-unwrap-in-lib) -- key membership
-                // checked on the line above; BTreeMap cannot lose it.
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "key membership checked on the line above; BTreeMap cannot lose it"
+                )]
                 spans.get_mut(&parent).unwrap().children.push(*id);
             } else {
                 roots.push(*id);

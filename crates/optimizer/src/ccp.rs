@@ -18,7 +18,7 @@
 
 use crate::engine::{self, nbr_masks, FrontierMode, Frontiers};
 use crate::Optimum;
-use aqo_core::budget::{Budget, BudgetExceeded};
+use aqo_core::budget::{run_unlimited, Budget, BudgetExceeded};
 use aqo_core::qon::QoNInstance;
 use aqo_core::CostScalar;
 
@@ -44,10 +44,7 @@ pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
 /// a cartesian-free run.
 pub fn connected_subset_count(inst: &QoNInstance) -> u64 {
     let nbr = nbr_masks(inst);
-    // analyze:allow(no-unwrap-in-lib) -- an unlimited budget never trips,
-    // so the build's only error path is unreachable here.
-    Frontiers::build(inst.n(), &nbr, FrontierMode::Connected, &Budget::unlimited())
-        .expect("unlimited budget")
+    run_unlimited(|b| Frontiers::build(inst.n(), &nbr, FrontierMode::Connected, b))
         .total_subsets()
 }
 

@@ -18,7 +18,7 @@
 
 use crate::engine::{nbr_masks, AccessRows};
 use crate::Optimum;
-use aqo_core::budget::{Budget, BudgetExceeded};
+use aqo_core::budget::{run_unlimited, Budget, BudgetExceeded};
 use aqo_core::qon::QoNInstance;
 use aqo_core::{CostScalar, JoinSequence};
 
@@ -31,8 +31,7 @@ pub const MAX_N: usize = 25;
 /// query-graph edge into the prefix are considered; returns `None` when no
 /// such sequence exists (disconnected query graph).
 pub fn optimize<S: CostScalar>(inst: &QoNInstance, allow_cartesian: bool) -> Option<Optimum<S>> {
-    optimize_with_budget(inst, allow_cartesian, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
+    run_unlimited(|b| optimize_with_budget(inst, allow_cartesian, b))
 }
 
 /// As [`optimize`], under a cooperative [`Budget`]: the transition loop
@@ -77,6 +76,7 @@ pub fn optimize_with_budget<S: CostScalar>(
         let (dp_lo, dp_hi) = dp.split_at_mut(mask + 1);
         let (ns_lo, ns_hi) = nsize.split_at_mut(mask + 1);
         let Some(cost_s) = dp_lo[mask].as_ref() else { continue };
+        #[expect(clippy::expect_used, reason = "N(S) is set together with dp[S]")]
         let n_s = ns_lo[mask].as_ref().expect("N(S) set with dp");
         subsets_expanded += 1;
         let s = mask as u32;

@@ -2,7 +2,7 @@
 //! oracle for tests and experiments (nothing on the request path calls it).
 
 use crate::Optimum;
-use aqo_core::budget::{Budget, BudgetExceeded};
+use aqo_core::budget::{run_unlimited, Budget, BudgetExceeded};
 use aqo_core::join::permutations;
 use aqo_core::qon::QoNInstance;
 use aqo_core::{CostScalar, JoinSequence};
@@ -22,12 +22,12 @@ fn flush_perms_costed(costed: u64) {
 /// Finds an optimal sequence by trying every permutation. Panics for
 /// `n > `[`MAX_N`] — use [`crate::dp`] instead.
 pub fn optimize<S: CostScalar>(inst: &QoNInstance) -> Optimum<S> {
-    optimize_with_budget(inst, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
+    run_unlimited(|b| optimize_with_budget(inst, b))
 }
 
 /// As [`optimize`], under a cooperative [`Budget`] ticked once per
 /// permutation.
+#[expect(clippy::expect_used, reason = "n >= 1 is asserted, so there is at least one permutation")]
 pub fn optimize_with_budget<S: CostScalar>(
     inst: &QoNInstance,
     budget: &Budget,
@@ -56,8 +56,7 @@ pub fn optimize_with_budget<S: CostScalar>(
 /// As [`optimize`], restricted to sequences without cartesian products.
 /// Returns `None` when every sequence has one (disconnected query graph).
 pub fn optimize_no_cartesian<S: CostScalar>(inst: &QoNInstance) -> Option<Optimum<S>> {
-    optimize_no_cartesian_with_budget(inst, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
+    run_unlimited(|b| optimize_no_cartesian_with_budget(inst, b))
 }
 
 /// As [`optimize_no_cartesian`], under a cooperative [`Budget`] ticked

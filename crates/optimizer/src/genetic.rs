@@ -47,6 +47,10 @@ fn order_crossover(a: &[usize], b: &[usize], rng: &mut impl Rng) -> Vec<usize> {
         used[a[i]] = true;
     }
     let mut fill = b.iter().copied().filter(|&v| !used[v]);
+    #[expect(
+        clippy::expect_used,
+        reason = "b is a permutation, so exactly the unused values fill the empty slots"
+    )]
     for slot in child.iter_mut() {
         if *slot == usize::MAX {
             *slot = fill.next().expect("exactly n-unused values");
@@ -100,6 +104,7 @@ pub fn optimize(inst: &QoNInstance, params: &GaParams, rng: &mut impl Rng) -> Jo
     JoinSequence::new(best.0)
 }
 
+#[expect(clippy::expect_used, reason = "scores are NaN-free costs of a nonempty population")]
 fn argmin(scores: &[f64]) -> usize {
     scores
         .iter()
@@ -109,6 +114,7 @@ fn argmin(scores: &[f64]) -> usize {
         .expect("nonempty population")
 }
 
+#[expect(clippy::expect_used, reason = "k.max(1) >= 1 rounds run and the first sets best")]
 fn tournament<'a>(
     population: &'a [Vec<usize>],
     scores: &[f64],

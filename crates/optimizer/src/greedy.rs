@@ -71,6 +71,7 @@ fn greedy_by(
                 let tj = LogNum::from_log2(inst.sizes()[j].log2());
                 w_min = Some(w_min.map_or(tj, |cur| cur.min(tj)));
             }
+            #[expect(clippy::expect_used, reason = "the prefix is nonempty, so w_min is set")]
             let step = n_x * w_min.expect("prefix nonempty");
             let sc = score(inst, &order, j, new_n, step);
             if best.as_ref().is_none_or(|(b, _, _, _)| sc < *b) {

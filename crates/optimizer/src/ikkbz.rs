@@ -59,6 +59,7 @@ impl Module {
 // analyze:allow(budget-hook-coverage) -- IKKBZ is O(n^2 log n) per root
 // (polynomial, no search-space explosion); a cancel hook would cost more
 // than the longest possible run.
+#[expect(clippy::expect_used, reason = "n >= 1 is asserted, so some root sets best")]
 pub fn optimize(inst: &QoNInstance) -> Optimum<BigRational> {
     let n = inst.n();
     assert!(n >= 1, "empty instance");
@@ -123,6 +124,7 @@ fn linearize_subtrees(children: &mut [Vec<Module>], v: usize) -> VecDeque<Module
             if head.rank_le(first) {
                 break;
             }
+            #[expect(clippy::expect_used, reason = "front() returned Some on the loop condition")]
             let first = chain.pop_front().expect("front exists");
             head = head.merge(first);
         }
@@ -149,6 +151,7 @@ fn merge_by_rank(mut a: VecDeque<Module>, mut b: VecDeque<Module>) -> VecDeque<M
                 out.extend(a);
                 return out;
             }
+            #[expect(clippy::expect_used, reason = "both fronts were just matched as Some")]
             (Some(x), Some(y)) => {
                 if x.rank_le(y) {
                     out.push_back(a.pop_front().expect("front"));

@@ -13,7 +13,7 @@
 //! the one rational `K·C/K`.
 
 use aqo_bignum::{BigRational, BigUint};
-use aqo_core::budget::{Budget, BudgetExceeded};
+use aqo_core::budget::{run_unlimited, Budget, BudgetExceeded};
 use aqo_core::qoh::{FragmentScratch, PipelineDecomposition, QoHInstance, ScaledStep, ScaledView};
 use aqo_core::JoinSequence;
 
@@ -90,6 +90,10 @@ impl<'v, 'a> PrefixDp<'v, 'a> {
     /// Appends `v` as `z_d` and computes `dp[d] = min_i dp[i−1] + frag(i, d)`,
     /// the lowest `i` winning ties. Past the first position `v` must be
     /// buildable, which makes the singleton fragment `(d, d)` feasible.
+    #[expect(
+        clippy::expect_used,
+        reason = "the singleton fragment of a buildable relation is feasible"
+    )]
     fn push(&mut self, v: usize) {
         let d = self.order.len();
         if self.steps.len() == d {
@@ -182,8 +186,7 @@ pub fn best_decompositions(
 /// Exhaustive QO_H optimum: every sequence (`n ≤ `[`MAX_N`]), each with its
 /// optimal decomposition. Returns `None` when no sequence is feasible.
 pub fn optimize_exhaustive(inst: &QoHInstance) -> Option<QohPlan> {
-    optimize_exhaustive_with_budget(inst, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
+    run_unlimited(|b| optimize_exhaustive_with_budget(inst, b))
 }
 
 /// As [`optimize_exhaustive`], under a cooperative [`Budget`] ticked once
@@ -286,6 +289,7 @@ pub fn optimize_greedy(inst: &QoHInstance) -> Option<QohPlan> {
         return None;
     }
     let mut order: Vec<usize> = Vec::with_capacity(n);
+    #[expect(clippy::expect_used, reason = "n >= 2 is asserted above")]
     let start = unbuildable.first().copied().unwrap_or_else(|| {
         (0..n).min_by(|&a, &b| inst.sizes()[a].cmp(&inst.sizes()[b])).expect("n >= 2")
     });

@@ -9,13 +9,12 @@
 //! `(m+1)! · 2^m` plans serves as the test oracle.
 
 use aqo_bignum::BigRational;
-use aqo_core::budget::{Budget, BudgetExceeded};
+use aqo_core::budget::{run_unlimited, Budget, BudgetExceeded};
 use aqo_core::sqo::{JoinMethod, SqoCpInstance, StarPlan};
 
 /// The exact optimum: best feasible plan and its cost.
 pub fn optimize(inst: &SqoCpInstance) -> (StarPlan, BigRational) {
-    optimize_with_budget(inst, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
+    run_unlimited(|b| optimize_with_budget(inst, b))
 }
 
 /// As [`optimize`], under a cooperative [`Budget`]: the `2^m`-entry tables
@@ -117,11 +116,16 @@ pub fn optimize_with_budget(
     }
 
     // Reconstruct.
+    #[expect(
+        clippy::expect_used,
+        reason = "each satellite can join any state, so the full state is reached"
+    )]
     let cost = dp[full].clone().expect("full state reachable");
     let mut order_rev: Vec<usize> = Vec::new();
     let mut methods_rev: Vec<JoinMethod> = Vec::new();
     let mut set = full;
     loop {
+        #[expect(clippy::expect_used, reason = "every reached state records its provenance")]
         match from[set].clone().expect("reached state has provenance") {
             From::Step { sat, method } => {
                 order_rev.push(sat);
@@ -146,12 +150,15 @@ pub fn optimize_with_budget(
 /// Exhaustive oracle: every feasible order and every method vector
 /// (`m ≤ 7`).
 pub fn optimize_exhaustive(inst: &SqoCpInstance) -> (StarPlan, BigRational) {
-    optimize_exhaustive_with_budget(inst, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
+    run_unlimited(|b| optimize_exhaustive_with_budget(inst, b))
 }
 
 /// As [`optimize_exhaustive`], under a cooperative [`Budget`] ticked once
 /// per (order, method-vector) candidate.
+#[expect(
+    clippy::expect_used,
+    reason = "m >= 1 is asserted, so some order starts at R_0 and is costed"
+)]
 pub fn optimize_exhaustive_with_budget(
     inst: &SqoCpInstance,
     budget: &Budget,
@@ -161,6 +168,7 @@ pub fn optimize_exhaustive_with_budget(
     let mut best: Option<(StarPlan, BigRational)> = None;
     let mut plans_costed = 0u64;
     for perm in aqo_core::join::permutations(m + 1) {
+        #[expect(clippy::expect_used, reason = "a permutation of 0..=m contains 0")]
         let pos0 = perm.iter().position(|&v| v == 0).expect("0 present");
         if pos0 > 1 {
             continue; // cartesian product
