@@ -1,29 +1,36 @@
-//! Regenerates every experiment of EXPERIMENTS.md.
-//!
-//! ```text
-//! experiments              # run everything, plain text
-//! experiments E6 F1        # run selected ids
-//! experiments --markdown   # emit the EXPERIMENTS.md body
-//! experiments --list       # list experiment ids
-//! ```
+//! Regenerates every experiment of EXPERIMENTS.md: all of them by
+//! default, the named ids otherwise; `--markdown` emits the EXPERIMENTS.md
+//! body and `--list` lists the ids.
 
+use aqo_bench::cli::{self, Args, CliError, Command, Run};
 use aqo_bench::registry;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let list = args.iter().any(|a| a == "--list");
-    let selected: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+/// The binary's one command, in the same table form as `aqo`'s.
+static COMMANDS: &[Command] =
+    &[Command { path: &[], synopsis: "[--markdown] [--list] [id...]", run: Run::Args(run) }];
 
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli::main("experiments", None, COMMANDS, &args)
+}
+
+fn run(args: &Args) -> Result<(), CliError> {
     let experiments = registry();
-    if list {
+    let ids: Vec<&str> = experiments.iter().map(|e| e.id).collect();
+    if let Some(unknown) = args.operands().iter().find(|id| !ids.contains(&id.as_str())) {
+        let valid = ids.join(", ");
+        return Err(CliError::Usage(format!("unknown experiment `{unknown}` (valid: {valid})")));
+    }
+    if args.flag("--list") {
         for e in &experiments {
             println!("{:4}  {}", e.id, e.paper_ref);
         }
-        return;
+        return Ok(());
     }
 
+    let markdown = args.flag("--markdown");
     if markdown {
         println!("# EXPERIMENTS — paper vs. measured\n");
         println!(
@@ -37,7 +44,7 @@ fn main() {
 
     let total = Instant::now();
     for e in &experiments {
-        if !selected.is_empty() && !selected.iter().any(|s| s.as_str() == e.id) {
+        if !args.operands().is_empty() && !args.operands().iter().any(|id| id == e.id) {
             continue;
         }
         let t0 = Instant::now();
@@ -57,4 +64,5 @@ fn main() {
         }
     }
     eprintln!("total: {:.2?}", total.elapsed());
+    Ok(())
 }

@@ -1,7 +1,9 @@
 //! End-to-end tests of the `aqo` CLI binary: generate → optimize round
 //! trips through the on-disk formats.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn aqo(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_aqo"))
@@ -512,4 +514,123 @@ fn oversized_instances_get_structured_rejections_not_mask_wraparound() {
     assert!(!err.contains("usage:") && !err.contains("panicked"), "{err}");
     let (ok, _, err) = aqo(&["optimize-qoh", p10.to_str().unwrap(), "--method", "greedy"]);
     assert!(ok, "greedy at n = 10: {err}");
+}
+
+/// A fresh, empty scratch directory for one test.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs `bin` in `dir` and returns (exit code, stdout, stderr). A child
+/// still running after 20 s is killed and fails the test, so a command
+/// that starts serving or benchmarking instead of rejecting its command
+/// line cannot hang the suite.
+fn run_in(bin: &str, dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let mut child = Command::new(bin)
+        .args(args)
+        .current_dir(dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("child status").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`{args:?}` was still running after 20 s");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("child output");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Every command `aqo --help` lists rejects an unknown flag by name and
+/// answers `--help` with its synopsis, and neither writes a file: `bench`,
+/// `chaos` and `loadgen` would write their default output files, `serve`
+/// and `top` would run until killed.
+#[test]
+fn every_command_rejects_unknown_flags_and_answers_help() {
+    let dir = fresh_dir("aqo_cli_every_command");
+    let aqo = env!("CARGO_BIN_EXE_aqo");
+    let (code, banner, err) = run_in(aqo, &dir, &["--help"]);
+    assert_eq!(code, Some(0), "{err}");
+    let paths: Vec<Vec<&str>> = banner
+        .lines()
+        .filter_map(|line| line.strip_prefix("  aqo "))
+        .map(|line| {
+            line.split_whitespace().take_while(|w| !w.starts_with(['<', '[', '-', '#'])).collect()
+        })
+        .filter(|path: &Vec<&str>| !path.is_empty())
+        .collect();
+    assert_eq!(paths.len(), 18, "{banner}");
+    for path in &paths {
+        let (code, out, err) = run_in(aqo, &dir, &[&path[..], &["--bogus"]].concat());
+        // `aqo analyze` owns its flags and its exit codes (2: bad flag).
+        let want = if path == &["analyze"] { 2 } else { 1 };
+        assert_eq!(code, Some(want), "{path:?} --bogus: {out}{err}");
+        assert!(err.contains("`--bogus`"), "{path:?} --bogus: {err}");
+
+        let (code, out, err) = run_in(aqo, &dir, &[&path[..], &["--help"]].concat());
+        assert_eq!(code, Some(0), "{path:?} --help: {err}");
+        let want = format!("usage: aqo {}", path.join(" "));
+        assert!(out.starts_with(&want), "{path:?} --help: {out}");
+    }
+
+    let experiments = env!("CARGO_BIN_EXE_experiments");
+    let (code, _, err) = run_in(experiments, &dir, &["--markdwon"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("unknown flag `--markdwon`"), "{err}");
+    let (code, _, err) = run_in(experiments, &dir, &["E99"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("unknown experiment `E99`") && err.contains("E1, E2"), "{err}");
+    let (code, out, err) = run_in(experiments, &dir, &["--help"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.starts_with("usage: experiments [--markdown]"), "{out}");
+
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "rejected or --help invocations wrote files: {left:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The synopsis parser: a repeated flag, an extra operand, a flag-shaped
+/// value and a thread count over the cap are usage errors before any work
+/// starts; operands may follow flags.
+#[test]
+fn command_lines_are_checked_against_the_synopsis() {
+    let dir = fresh_dir("aqo_cli_synopsis");
+    let aqo = env!("CARGO_BIN_EXE_aqo");
+    let (_, instance, _) = run_in(aqo, &dir, &["gen", "chain", "5", "1"]);
+    std::fs::write(dir.join("c5.qon"), instance).unwrap();
+
+    for (args, message) in [
+        (
+            &["optimize", "c5.qon", "--method", "greedy", "--method", "dp"][..],
+            "--method given twice",
+        ),
+        (&["gen", "chain", "5", "1", "2"], "unexpected operand `2`"),
+        (&["optimize", "c5.qon", "extra.qon"], "unexpected operand `extra.qon`"),
+        (&["optimize", "c5.qon", "--trace-json", "--metrics"], "--trace-json requires a value"),
+        (&["optimize"], "missing operand <file.qon>"),
+        (&["optimize", "c5.qon", "--threads", "65"], "--threads 65"),
+    ] {
+        let (code, _, err) = run_in(aqo, &dir, args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(err.contains(message) && err.contains("usage: aqo "), "{args:?}: {err}");
+        assert!(!err.contains("  aqo gen"), "{args:?} prints only its own synopsis: {err}");
+    }
+    assert!(!dir.join("--metrics").exists(), "a flag was taken as the journal path");
+
+    let (code, out, err) = run_in(aqo, &dir, &["optimize", "--metrics", "c5.qon"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.contains("cost") && err.contains("metrics:"), "{out}{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -20,6 +20,11 @@
 //! guarantees every worker is joined before the call returns, so a tripped
 //! budget can never leak a thread.
 
+/// Largest worker count a serve request or a command line may ask for.
+/// Both input boundaries reject more, because [`par_chunks_zip`] spawns
+/// one scoped OS thread per chunk of every DP layer.
+pub const MAX_THREADS: usize = 64;
+
 /// Number of hardware threads, with a fallback of 1 when the platform
 /// cannot say.
 pub fn available_threads() -> usize {

@@ -11,6 +11,7 @@
 //! clique). Budget limits, method/fallback-chain selection, and cache
 //! participation ride along per request.
 
+use aqo_core::parallel::MAX_THREADS;
 use aqo_obs::json::{self, JsonValue};
 use std::fmt::Write as _;
 
@@ -108,7 +109,8 @@ pub struct Request {
     pub timeout_ms: Option<u64>,
     /// Per-request cap on cooperative expansion ticks.
     pub max_expansions: Option<u64>,
-    /// Worker threads for the exact tiers (1 = sequential, 0 = auto).
+    /// Worker threads for the exact tiers (1 = sequential, 0 = auto, at
+    /// most [`MAX_THREADS`]).
     pub threads: usize,
     /// Whether cartesian-product sequences are admissible (QO_N only).
     pub allow_cartesian: bool,
@@ -189,7 +191,12 @@ impl Request {
             fallback: str_field("fallback")?,
             timeout_ms: u64_field("timeout_ms")?,
             max_expansions: u64_field("max_expansions")?,
-            threads: u64_field("threads")?.unwrap_or(1) as usize,
+            threads: match u64_field("threads")?.unwrap_or(1) {
+                t if t > MAX_THREADS as u64 => {
+                    return Err(format!("`threads` must be at most {MAX_THREADS}"))
+                }
+                t => t as usize,
+            },
             allow_cartesian: bool_field("allow_cartesian", true)?,
             use_cache: bool_field("cache", true)?,
         };
@@ -605,6 +612,10 @@ mod tests {
                 assert_eq!(e, want, "{field}: {bad}");
             }
         }
+        // One worker thread per chunk: a worker count past the cap is
+        // refused before it can reach the pool.
+        assert_eq!(parse("threads", "64").unwrap().threads, 64);
+        assert_eq!(parse("threads", "65").unwrap_err(), "`threads` must be at most 64");
     }
 
     #[test]
