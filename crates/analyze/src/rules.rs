@@ -381,13 +381,16 @@ struct MetricUse {
 }
 
 /// Extracts metric registrations (`counter(…)`, `counter_handle!(…)`,
-/// `gauge(…)`, `histogram(…)`, `histogram_handle!(…)`, `span(…)`) from the
-/// scanned sources, skipping `aqo-obs` itself (the registry's internals
-/// and its unit tests use throwaway names).
+/// `gauge(…)`, `gauge_handle!(…)`, `histogram(…)`, `histogram_handle!(…)`,
+/// `span(…)`) from the scanned sources, skipping `aqo-obs` itself (the
+/// registry's internals and its unit tests use throwaway names) except
+/// its fail points, which emit metrics like any instrumented crate.
 fn collect_metric_uses(models: &[SourceModel]) -> Vec<MetricUse> {
     let mut out = Vec::new();
     for m in models {
-        if !m.rel_path.ends_with(".rs") || m.rel_path.starts_with("crates/obs/src/") {
+        let obs_internal = m.rel_path.starts_with("crates/obs/src/")
+            && m.rel_path != "crates/obs/src/faults.rs";
+        if !m.rel_path.ends_with(".rs") || obs_internal {
             continue;
         }
         for (idx, line) in m.lines.iter().enumerate() {
@@ -396,6 +399,7 @@ fn collect_metric_uses(models: &[SourceModel]) -> Vec<MetricUse> {
             }
             let triggers = [
                 ("counter_handle!", MetricKind::Metric),
+                ("gauge_handle!", MetricKind::Metric),
                 ("histogram_handle!", MetricKind::Metric),
                 ("counter(", MetricKind::Metric),
                 ("gauge(", MetricKind::Metric),

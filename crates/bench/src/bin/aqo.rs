@@ -6,14 +6,16 @@
 //! edge format for graphs. `--threads` is 1 (sequential) by default, 0 for
 //! one worker per hardware thread and at most [`MAX_THREADS`]; every count
 //! finds the same optimum. `AQO_FAULTS` arms the fault-injection sites of
-//! [`aqo_core::faults`].
+//! [`aqo_obs::faults`].
 
 use aqo_bench::cli::{self, read_file, write_file, Args, CliError, Command, Run};
+use aqo_bench::{out, outln};
 use aqo_bignum::{BigRational, BigUint};
 use aqo_core::budget::run_unlimited;
 use aqo_core::parallel::MAX_THREADS;
-use aqo_core::{faults, textio, workloads, CostScalar};
+use aqo_core::{textio, workloads, CostScalar};
 use aqo_driver::{BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
+use aqo_obs::faults;
 use aqo_optimizer::{engine, exhaustive, genetic, greedy, ikkbz, local_search, pipeline};
 use aqo_serve::chaos::ChaosConfig;
 use rand::rngs::StdRng;
@@ -215,7 +217,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
         "grid" => workloads::grid(n.div_ceil(2), 2, &params, &mut rng),
         other => return Err(CliError::Usage(format!("gen: unknown shape {other}"))),
     };
-    print!("{}", textio::qon_to_text(&inst));
+    out!("{}", textio::qon_to_text(&inst))?;
     Ok(())
 }
 
@@ -283,13 +285,13 @@ fn cmd_optimize(args: &Args) -> Result<(), CliError> {
     };
 
     let cost: BigRational = inst.total_cost(&sequence);
-    println!("method : {label}");
-    println!("order  : {:?}", sequence.order());
-    println!("cost   : {cost}");
-    println!("log2   : {:.3}", CostScalar::log2(&cost));
+    outln!("method : {label}")?;
+    outln!("order  : {:?}", sequence.order())?;
+    outln!("cost   : {cost}")?;
+    outln!("log2   : {:.3}", CostScalar::log2(&cost))?;
     if args.flag("--explain") {
-        println!();
-        print!("{}", aqo_core::explain::explain_qon(&inst, &sequence));
+        outln!()?;
+        out!("{}", aqo_core::explain::explain_qon(&inst, &sequence))?;
     }
     finish_obs(args)
 }
@@ -344,17 +346,17 @@ fn cmd_optimize_qoh(args: &Args) -> Result<(), CliError> {
         (method.to_string(), plan)
     };
 
-    println!("method        : {label}");
-    println!("order         : {:?}", plan.sequence.order());
-    println!("decomposition : {:?}", plan.decomposition.fragments());
-    println!("cost          : {}", plan.cost);
-    println!("log2          : {:.3}", plan.cost.log2());
+    outln!("method        : {label}")?;
+    outln!("order         : {:?}", plan.sequence.order())?;
+    outln!("decomposition : {:?}", plan.decomposition.fragments())?;
+    outln!("cost          : {}", plan.cost)?;
+    outln!("log2          : {:.3}", plan.cost.log2())?;
     if args.flag("--explain") {
         if let Some(text) =
             aqo_core::explain::explain_qoh(&inst, &plan.sequence, &plan.decomposition)
         {
-            println!();
-            print!("{text}");
+            outln!()?;
+            out!("{text}")?;
         }
     }
     finish_obs(args)
@@ -384,9 +386,9 @@ fn cmd_trace_check(args: &Args) -> Result<(), CliError> {
         total += 1;
     }
     for (etype, n) in &counts {
-        println!("{etype:<18} {n}");
+        outln!("{etype:<18} {n}")?;
     }
-    println!("{:<18} {total}", "total");
+    outln!("{:<18} {total}", "total")?;
     let driver_routed = ["tier_start", "tier_failure", "retry", "fallback", "fault_injected"]
         .iter()
         .any(|etype| counts.contains_key(*etype));
@@ -400,12 +402,12 @@ fn cmd_trace_check(args: &Args) -> Result<(), CliError> {
     // (schema v1, or collection off) passes with a zero report.
     let report = aqo_obs::traceview::check(&text).map_err(|e| CliError::parse(path, e))?;
     if report.traces > 0 {
-        println!(
+        outln!(
             "traces {} spans {} traced-events {}",
             report.traces, report.spans, report.traced_events
-        );
+        )?;
     }
-    println!("ok");
+    outln!("ok")?;
     Ok(())
 }
 
@@ -417,9 +419,9 @@ fn cmd_trace_view(args: &Args) -> Result<(), CliError> {
     let rendered =
         aqo_obs::traceview::render(&read_file(path)?).map_err(|e| CliError::parse(path, e))?;
     if rendered.is_empty() {
-        println!("(no traced spans in journal)");
+        outln!("(no traced spans in journal)")?;
     } else {
-        print!("{rendered}");
+        out!("{rendered}")?;
     }
     Ok(())
 }
@@ -546,16 +548,16 @@ fn cmd_top(args: &Args) -> Result<(), CliError> {
     loop {
         let line = poll()?;
         if json {
-            println!("{line}");
+            outln!("{line}")?;
         } else {
             let snap = TopSnapshot::parse(&line)
                 .map_err(|e| CliError::Failed(format!("bad metrics reply: {e}")))?;
             if !once {
                 // ANSI clear-screen + home, like `top`.
-                print!("\x1b[2J\x1b[H");
+                out!("\x1b[2J\x1b[H")?;
             }
-            println!("aqo top — {addr}");
-            print!("{}", snap.render(prev.as_ref()));
+            outln!("aqo top — {addr}")?;
+            out!("{}", snap.render(prev.as_ref()))?;
             prev = Some(snap);
         }
         if once {
@@ -580,12 +582,12 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
     write_file(out, aqo_bench::optbench::to_json(&cfg, &records))?;
     for r in &records {
         let speedup = r.speedup.map_or(String::new(), |s| format!("  speedup {s:.2}x"));
-        println!(
+        outln!(
             "{:<7} n={:<2} {:<16} {:<8} {:<3} {:>10.3} ms{speedup}",
             r.family, r.n, r.algo, r.scalar, r.mode, r.median_ms
-        );
+        )?;
     }
-    println!("wrote {out} ({} records)", records.len());
+    outln!("wrote {out} ({} records)", records.len())?;
     Ok(())
 }
 
@@ -611,7 +613,7 @@ fn cmd_reduce_3sat(args: &Args) -> Result<(), CliError> {
         "f_N: a = {a}, e = {e}; K(a,e) has {} bits",
         aqo_reductions::fn_reduction::k_bound(&BigUint::from(a), e).bits()
     );
-    print!("{}", textio::qon_to_text(&red.instance));
+    out!("{}", textio::qon_to_text(&red.instance))?;
     Ok(())
 }
 
@@ -620,11 +622,11 @@ fn cmd_clique(args: &Args) -> Result<(), CliError> {
     let g = aqo_graph::io::from_dimacs(&read_file(path)?).map_err(|e| CliError::parse(path, e))?;
     let upper = aqo_graph::coloring::clique_upper_bound(&g);
     let c = aqo_graph::clique::max_clique(&g);
-    println!("n      : {}", g.n());
-    println!("m      : {}", g.m());
-    println!("omega  : {}", c.len());
-    println!("bound  : {upper} (colouring/degeneracy upper bound)");
-    println!("clique : {c:?}");
+    outln!("n      : {}", g.n())?;
+    outln!("m      : {}", g.m())?;
+    outln!("omega  : {}", c.len())?;
+    outln!("bound  : {upper} (colouring/degeneracy upper bound)")?;
+    outln!("clique : {c:?}")?;
     Ok(())
 }
 
@@ -729,7 +731,7 @@ fn cmd_request(args: &Args) -> Result<(), CliError> {
     req.allow_cartesian = !args.flag("--no-cartesian");
     req.use_cache = !args.flag("--no-cache");
     let line = aqo_serve::client::oneshot(addr, &req).map_err(|e| CliError::io(addr, e))?;
-    println!("{line}");
+    outln!("{line}")?;
     let doc = aqo_obs::json::parse(&line)
         .map_err(|e| CliError::Failed(format!("unparseable response: {e}")))?;
     if !matches!(doc.get("ok"), Some(aqo_obs::json::JsonValue::Bool(true))) {
@@ -766,16 +768,16 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     }
     for s in &report.scenarios {
         let verdict = if s.passed { "pass" } else { "FAIL" };
-        println!("scenario {:<20} {verdict} — {}", s.name, s.detail);
+        outln!("scenario {:<20} {verdict} — {}", s.name, s.detail)?;
     }
-    println!(
+    outln!(
         "cells={} requests={} violations={} pool_intact={}",
         report.cells.len(),
         report.cells.iter().map(|c| c.requests).sum::<usize>(),
         report.total_violations(),
         report.pool_intact(),
-    );
-    println!("wrote {out}");
+    )?;
+    outln!("wrote {out}")?;
     finish_obs(args)?;
     if report.total_violations() > 0 {
         return Err(CliError::Failed(format!(
@@ -819,10 +821,10 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
         let workload =
             aqo_replay::Workload::new("loadgen", Some(cfg.seed), report.recorded.clone());
         write_file(path, workload.to_jsonl())?;
-        println!("recorded {} request(s) to {path}", workload.entries.len());
+        outln!("recorded {} request(s) to {path}", workload.entries.len())?;
     }
     for l in &report.levels {
-        println!(
+        outln!(
             "c={:<2} requests={} errors={} wrong_cost={} p50={}us p99={}us \
              throughput={:.1}rps cache_hit_rate={:.2}",
             l.concurrency,
@@ -833,9 +835,9 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
             l.p99_us,
             l.throughput_rps,
             l.cache_hit_rate
-        );
+        )?;
     }
-    println!("wrote {out}");
+    outln!("wrote {out}")?;
     // Wrong costs are the one thing a cache-fronted service must never
     // produce; surface them as a hard failure for CI.
     if report.total_wrong_cost() > 0 {
@@ -853,7 +855,7 @@ fn cmd_replay_extract(args: &Args) -> Result<(), CliError> {
     let (workload, stats) =
         aqo_replay::extract::extract(&read_file(path)?).map_err(|e| CliError::parse(path, e))?;
     write_file(out, workload.to_jsonl())?;
-    println!(
+    outln!(
         "extracted {} request(s) to {out} (skipped: {} error, {} degraded, {} unreplayable, \
          {} unpaired)",
         stats.extracted,
@@ -861,7 +863,7 @@ fn cmd_replay_extract(args: &Args) -> Result<(), CliError> {
         stats.skipped_degraded,
         stats.skipped_unreplayable,
         stats.skipped_unpaired
-    );
+    )?;
     Ok(())
 }
 
@@ -898,7 +900,7 @@ fn cmd_replay_run(args: &Args) -> Result<(), CliError> {
     match args.value("--out") {
         Some(out) => {
             write_file(out, &json)?;
-            println!(
+            outln!(
                 "replayed {} request(s): {} regression(s), {} improvement(s), {} plan change(s), \
                  {} tier change(s), {} error(s); wrote {out}",
                 report.replayed,
@@ -907,9 +909,9 @@ fn cmd_replay_run(args: &Args) -> Result<(), CliError> {
                 report.plan_changes,
                 report.tier_changes,
                 report.errors
-            );
+            )?;
         }
-        None => print!("{json}"),
+        None => out!("{json}")?,
     }
     finish_obs(args)?;
     if report.gate_failures() > 0 {
@@ -962,10 +964,10 @@ fn cmd_replay_validate(args: &Args) -> Result<(), CliError> {
         }
     };
     if args.flag("--json") {
-        print!("{}", report.to_json());
+        out!("{}", report.to_json())?;
     } else {
         for inst in &report.instances {
-            println!(
+            outln!(
                 "validate {:<16} n={} plans={} capped={} pairs={} violations={}",
                 inst.name,
                 inst.n,
@@ -973,10 +975,10 @@ fn cmd_replay_validate(args: &Args) -> Result<(), CliError> {
                 inst.plans_capped,
                 inst.pairs_checked,
                 inst.violations
-            );
+            )?;
         }
         for v in &report.violations {
-            println!(
+            outln!(
                 "VIOLATION {}: model prefers {:?} ({:.2} bits) over {:?} ({:.2} bits) but it \
                  measured {:.1}x the work ({:.1} vs {:.1})",
                 v.instance,
@@ -987,19 +989,19 @@ fn cmd_replay_validate(args: &Args) -> Result<(), CliError> {
                 v.ratio,
                 v.cheaper.measured_work,
                 v.dearer.measured_work
-            );
+            )?;
         }
-        println!(
+        outln!(
             "checked {} pair(s) across {} instance(s), {} skipped: {}",
             report.pairs_checked,
             report.instances.len(),
             report.skipped,
             if report.passed() { "pass" } else { "FAIL" }
-        );
+        )?;
     }
     if let Some(out) = args.value("--out") {
         write_file(out, report.to_json())?;
-        println!("wrote {out}");
+        outln!("wrote {out}")?;
     }
     if !report.passed() {
         return Err(CliError::Failed(format!(
@@ -1051,24 +1053,24 @@ fn cmd_exec_validate(args: &Args) -> Result<(), CliError> {
         match args.value("--out") {
             Some(file) => {
                 write_file(file, &out)?;
-                println!("wrote {file}");
+                outln!("wrote {file}")?;
             }
-            None => print!("{out}"),
+            None => out!("{out}")?,
         }
     } else {
-        println!("plan {:?} (tier {}, {} trial(s))", z.order(), outcome.report.tier, cal.trials);
-        println!(
+        outln!("plan {:?} (tier {}, {} trial(s))", z.order(), outcome.report.tier, cal.trials)?;
+        outln!(
             "predicted cost {:.1}, measured work {:.1} (relative error {:.3})",
             cal.predicted_cost,
             cal.measured_work,
             cal.cost_error()
-        );
+        )?;
         for (i, (p, m)) in
             cal.predicted_intermediates.iter().zip(&cal.measured_intermediates).enumerate()
         {
-            println!("N_{i}: predicted {p:.1}, measured {m:.1}");
+            outln!("N_{i}: predicted {p:.1}, measured {m:.1}")?;
         }
-        println!("worst intermediate error {:.3}", cal.worst_intermediate_error(1.0));
+        outln!("worst intermediate error {:.3}", cal.worst_intermediate_error(1.0))?;
     }
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! body and `--list` lists the ids.
 
 use aqo_bench::cli::{self, Args, CliError, Command, Run};
-use aqo_bench::registry;
+use aqo_bench::{out, outln, registry};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -25,21 +25,21 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
     if args.flag("--list") {
         for e in &experiments {
-            println!("{:4}  {}", e.id, e.paper_ref);
+            outln!("{:4}  {}", e.id, e.paper_ref)?;
         }
         return Ok(());
     }
 
     let markdown = args.flag("--markdown");
     if markdown {
-        println!("# EXPERIMENTS — paper vs. measured\n");
-        println!(
+        outln!("# EXPERIMENTS — paper vs. measured\n")?;
+        outln!(
             "Regenerate with `cargo run --release -p aqo-bench --bin experiments -- --markdown`."
-        );
-        println!("The paper (PODS 2002) has no numbered tables or figures; every experiment");
-        println!("below reproduces one lemma/theorem, as indexed in DESIGN.md §6. A row saying");
-        println!("`holds` is an inequality certified in exact rational arithmetic (or, where");
-        println!("noted, measured by an exact optimizer).\n");
+        )?;
+        outln!("The paper (PODS 2002) has no numbered tables or figures; every experiment")?;
+        outln!("below reproduces one lemma/theorem, as indexed in DESIGN.md §6. A row saying")?;
+        outln!("`holds` is an inequality certified in exact rational arithmetic (or, where")?;
+        outln!("noted, measured by an exact optimizer).\n")?;
     }
 
     let total = Instant::now();
@@ -51,15 +51,15 @@ fn run(args: &Args) -> Result<(), CliError> {
         let tables = (e.run)();
         let elapsed = t0.elapsed();
         if markdown {
-            println!("## {} — {}\n", e.id, e.paper_ref);
+            outln!("## {} — {}\n", e.id, e.paper_ref)?;
             for t in &tables {
-                print!("{}", t.render_markdown());
+                out!("{}", t.render_markdown())?;
             }
-            println!("*Regenerated in {elapsed:.2?}.*\n");
+            outln!("*Regenerated in {elapsed:.2?}.*\n")?;
         } else {
-            println!("### {} — {} ({elapsed:.2?})\n", e.id, e.paper_ref);
+            outln!("### {} — {} ({elapsed:.2?})\n", e.id, e.paper_ref)?;
             for t in &tables {
-                println!("{}", t.render_text());
+                outln!("{}", t.render_text())?;
             }
         }
     }

@@ -10,8 +10,14 @@
 //! missing or extra operand are usage errors. Operands may come before or
 //! after flags. `<command> --help` prints the row's synopsis, `--help`
 //! alone every row.
+//!
+//! Handlers print through [`out!`](crate::out) and
+//! [`outln!`](crate::outln), which return the write's outcome: a reader
+//! that closes the pipe early (`aqo gen clique 150 1 | head -c 10`) ends
+//! the command quietly with exit 0, where `println!` would panic.
 
 use std::fmt;
+use std::io::Write;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -24,12 +30,15 @@ pub enum CliError {
     /// does not read or parse, no feasible plan, an instance past a
     /// method's size cap, a driver or remote error, a gate that tripped.
     Failed(String),
+    /// Standard output was closed by its reader; not an error to report.
+    Closed,
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Usage(msg) | CliError::Failed(msg) => f.write_str(msg),
+            CliError::Closed => f.write_str("standard output closed"),
         }
     }
 }
@@ -61,6 +70,38 @@ pub fn read_file(path: &str) -> Result<String, CliError> {
 /// Writes `contents` to the file at `path`.
 pub fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
     std::fs::write(path, contents).map_err(|e| CliError::Failed(format!("writing {path}: {e}")))
+}
+
+/// Writes `args` to standard output: the one writer behind [`out!`] and
+/// [`outln!`]. A closed pipe is [`CliError::Closed`].
+pub fn write_stdout(args: fmt::Arguments<'_>) -> Result<(), CliError> {
+    std::io::stdout().lock().write_fmt(args).map_err(stdout_error)
+}
+
+fn stdout_error(e: std::io::Error) -> CliError {
+    match e.kind() {
+        std::io::ErrorKind::BrokenPipe => CliError::Closed,
+        _ => CliError::Failed(format!("writing standard output: {e}")),
+    }
+}
+
+/// `print!` through [`write_stdout`]: returns `Result<(), CliError>`.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`]: returns `Result<(), CliError>`.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// One row of a binary's command table.
@@ -187,20 +228,18 @@ fn banner(prog: &str, version: Option<&str>, commands: &[Command]) -> String {
 /// Runs the command `args` selects from `commands` and maps its outcome
 /// to an exit code: 0 on success, 1 on any error. A usage error prints the
 /// command's synopsis after it; an unknown or missing command prints every
-/// one. `AQO_FAULTS` arms its fault sites before a handler runs. With a
-/// `version`, `--version`/`-V` prints it.
+/// one. `AQO_FAULTS` arms its fault sites in the root obs scope before a
+/// handler runs. With a `version`, `--version`/`-V` prints it.
 pub fn main(prog: &str, version: Option<&str>, commands: &[Command], args: &[String]) -> ExitCode {
     let first = args.first().map(String::as_str);
     if let (Some(version), Some("--version" | "-V")) = (version, first) {
-        println!("{prog} {version}");
-        return ExitCode::SUCCESS;
+        return exit_code(crate::outln!("{prog} {version}"), "");
     }
     let selects =
         |c: &&Command| args.len() >= c.path.len() && c.path.iter().zip(args).all(|(p, a)| p == a);
     let Some(cmd) = commands.iter().find(selects) else {
         if matches!(first, Some("--help" | "-h")) {
-            println!("{}", banner(prog, version, commands));
-            return ExitCode::SUCCESS;
+            return exit_code(crate::outln!("{}", banner(prog, version, commands)), "");
         }
         let group = commands.iter().any(|c| c.path.len() > 1 && Some(c.path[0]) == first);
         let words = args[..args.len().min(1 + usize::from(group))].join(" ");
@@ -214,20 +253,26 @@ pub fn main(prog: &str, version: Option<&str>, commands: &[Command], args: &[Str
     };
     let rest = &args[cmd.path.len()..];
     if rest.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage: {}", usage_line(prog, cmd));
-        return ExitCode::SUCCESS;
+        return exit_code(crate::outln!("usage: {}", usage_line(prog, cmd)), "");
     }
     let handler = match cmd.run {
         Run::Own(run) => return ExitCode::from(run(rest)),
         Run::Args(handler) => handler,
     };
     let result = parse(cmd.synopsis, rest).and_then(|args| {
-        aqo_core::faults::load_env().map_err(|e| CliError::Failed(format!("AQO_FAULTS: {e}")))?;
+        aqo_obs::faults::load_env().map_err(|e| CliError::Failed(format!("AQO_FAULTS: {e}")))?;
         handler(&args)
     });
-    match result {
-        Ok(()) => return ExitCode::SUCCESS,
-        Err(e @ CliError::Usage(_)) => eprintln!("error: {e}\n\nusage: {}", usage_line(prog, cmd)),
+    exit_code(result, &usage_line(prog, cmd))
+}
+
+/// The exit code for a command's outcome once standard output is flushed:
+/// 0 on success and when the reader closed standard output, else 1 with
+/// the error on stderr (and `usage` after a usage error).
+fn exit_code(result: Result<(), CliError>, usage: &str) -> ExitCode {
+    match result.and_then(|()| std::io::stdout().flush().map_err(stdout_error)) {
+        Ok(()) | Err(CliError::Closed) => return ExitCode::SUCCESS,
+        Err(e @ CliError::Usage(_)) => eprintln!("error: {e}\n\nusage: {usage}"),
         Err(e) => eprintln!("error: {e}"),
     }
     ExitCode::FAILURE

@@ -72,21 +72,14 @@ pub struct BenchRecord {
     pub note: Option<&'static str>,
 }
 
-/// Runs `f` once with metric collection enabled and returns its result
-/// together with the nonzero counters it produced. The registry and the
-/// journal are cleared on both sides and collection is restored to its
-/// prior state, so the timed runs that follow measure the disabled path.
+/// Runs `f` once in a fresh scope with metric collection enabled and
+/// returns its result together with the nonzero counters it produced. The
+/// caller's scope is untouched, so the timed runs that follow measure its
+/// (disabled) path.
 fn capture_metrics<R>(f: impl FnOnce() -> R) -> (R, Vec<(String, u64)>) {
-    let was_enabled = aqo_obs::enabled();
-    aqo_obs::reset_metrics();
-    aqo_obs::journal::clear();
+    let _scope = aqo_obs::Scope::new().install();
     aqo_obs::set_enabled(true);
-    let r = f();
-    aqo_obs::set_enabled(was_enabled);
-    let counters = aqo_obs::counters_snapshot();
-    aqo_obs::reset_metrics();
-    aqo_obs::journal::clear();
-    (r, counters)
+    (f(), aqo_obs::counters_snapshot())
 }
 
 struct Family {

@@ -389,6 +389,26 @@ fn analyze_subcommand_gates_clean_and_emits_json() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// A reader that closes the pipe early, as `aqo gen clique 150 1 | head
+/// -c 10` does, ends the command quietly with exit 0: the instance text is
+/// far larger than the pipe buffer, so the write hits the closed pipe.
+#[test]
+fn closed_stdout_pipe_exits_zero_without_a_panic() {
+    use std::io::Read;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_aqo"))
+        .args(["gen", "clique", "150", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut head = [0u8; 10];
+    child.stdout.take().expect("piped stdout").read_exact(&mut head).expect("10 bytes");
+    let out = child.wait_with_output().expect("child exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
 #[test]
 fn version_flag_prints_version_and_exits_zero() {
     for flag in ["--version", "-V"] {

@@ -34,7 +34,6 @@
 
 pub mod budget;
 pub mod explain;
-pub mod faults;
 pub mod fingerprint;
 pub mod interleave;
 pub mod join;

@@ -46,9 +46,10 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// thread (a 1-thread pool spawns nothing). A worker panic is re-raised
 /// here after every other worker has been joined.
 ///
-/// The caller's [`aqo_obs::trace`] context (if any) is propagated to
-/// every spawned worker, so journal events and spans emitted inside the
-/// pool keep the surrounding request's trace id.
+/// The caller's [`aqo_obs::Context`] — its scope and trace position — is
+/// installed on every spawned worker, so metrics, journal events, spans
+/// and fail points inside the pool act on the caller's scope and keep the
+/// surrounding request's trace id.
 pub fn run_workers<R, F>(threads: usize, worker: F) -> Vec<R>
 where
     R: Send,
@@ -58,13 +59,13 @@ where
     if threads == 1 {
         return vec![worker(0)];
     }
-    let trace = aqo_obs::trace::current();
+    let ctx = &aqo_obs::Context::capture();
     std::thread::scope(|scope| {
         let worker = &worker;
         let handles: Vec<_> = (1..threads)
             .map(|t| {
                 scope.spawn(move || {
-                    let _trace = trace.map(aqo_obs::trace::install);
+                    let _ctx = ctx.install();
                     worker(t)
                 })
             })
@@ -90,7 +91,8 @@ where
 /// thread via `f(offset, item_chunk, out_chunk)`. Errors are collected
 /// after all workers have been joined; the error of the lowest-offset
 /// failing chunk is returned, so the outcome is deterministic for a given
-/// chunking.
+/// chunking. The caller's [`aqo_obs::Context`] is installed on every
+/// worker, as in [`run_workers`].
 pub fn par_chunks_zip<I, O, E, F>(
     threads: usize,
     items: &[I],
@@ -111,7 +113,7 @@ where
     if chunk >= items.len() {
         return f(0, items, out);
     }
-    let trace = aqo_obs::trace::current();
+    let ctx = &aqo_obs::Context::capture();
     std::thread::scope(|scope| {
         let f = &f;
         let mut handles = Vec::new();
@@ -120,7 +122,7 @@ where
             let off = offset;
             offset += ic.len();
             handles.push(scope.spawn(move || {
-                let _trace = trace.map(aqo_obs::trace::install);
+                let _ctx = ctx.install();
                 f(off, ic, oc)
             }));
         }

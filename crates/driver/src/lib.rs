@@ -10,7 +10,7 @@
 //!   memory cap, cancel token);
 //! * isolates panics with `catch_unwind` and treats them like any other
 //!   tier failure;
-//! * retries transient injected failures (see [`aqo_core::faults`]) a
+//! * retries transient injected failures (see [`aqo_obs::faults`]) a
 //!   bounded number of times with doubling backoff;
 //! * on failure, degrades down a configurable fallback chain
 //!   (`dp → ikkbz → greedy` for QO_N, `exhaustive → greedy` for
@@ -45,9 +45,9 @@ pub use report::{Attempt, DriverError, DriverReport, TierFailure};
 
 use aqo_bignum::BigRational;
 use aqo_core::budget::{Budget, CancelToken};
-use aqo_core::faults::{self, with_quiet_panics};
 use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
+use aqo_obs::faults::{self, with_quiet_panics};
 use aqo_optimizer::pipeline::QohPlan;
 use aqo_optimizer::{engine, exhaustive, greedy, ikkbz, pipeline, Optimum};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,7 +91,7 @@ impl BudgetSpec {
 }
 
 /// Bounded retry with doubling backoff, applied only to *transient*
-/// failures (injected errors from the [`aqo_core::faults`] layer). Budget
+/// failures (injected errors from the [`aqo_obs::faults`] layer). Budget
 /// trips and panics never retry: they degrade immediately.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
@@ -343,7 +343,7 @@ fn drive<T, Tier: Copy>(
                 Ok(Ok(Some(answer))) => {
                     if aqo_obs::enabled() {
                         aqo_obs::counter_handle!("driver.tier_success").inc();
-                        aqo_obs::counter(&format!("driver.tier_success.{}", name(tier))).inc();
+                        tier_success(name(tier)).inc();
                         aqo_obs::journal::event(
                             "tier_success",
                             vec![("tier", name(tier).into()), ("attempt", attempt.into())],
@@ -412,6 +412,19 @@ fn drive<T, Tier: Copy>(
         }
     }
     Err(DriverError { failures })
+}
+
+/// The `driver.tier_success.<tier>` counter, one cached handle per tier
+/// name, so an answered request formats no metric name.
+fn tier_success(tier: &str) -> aqo_obs::Counter {
+    match tier {
+        "dp" => aqo_obs::counter_handle!("driver.tier_success.dp"),
+        "ccp" => aqo_obs::counter_handle!("driver.tier_success.ccp"),
+        "ikkbz" => aqo_obs::counter_handle!("driver.tier_success.ikkbz"),
+        "greedy" => aqo_obs::counter_handle!("driver.tier_success.greedy"),
+        "exhaustive" => aqo_obs::counter_handle!("driver.tier_success.exhaustive"),
+        other => aqo_obs::counter(&format!("driver.tier_success.{other}")),
+    }
 }
 
 /// Per-tier span for QO_N attempts, timing each tier's execution inside

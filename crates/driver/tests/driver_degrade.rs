@@ -6,31 +6,24 @@
 //!     from the next tier;
 //! (c) a generous budget reproduces `dp::optimize` bit for bit.
 //!
-//! Fault sites are process-global, and every driver call passes through
-//! them, so every test here serializes on [`FAULT_LOCK`]: one test's
-//! armed `qon::dp` must never fire inside another test's driver call.
+//! Tests that arm fault sites arm them in a scope of their own, so one
+//! test's armed `qon::dp` never fires inside another test's driver call.
 
 use aqo_bignum::{BigInt, BigRational, BigUint};
 use aqo_core::budget::CancelToken;
 use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
-use aqo_core::{faults, workloads, SelectivityMatrix};
+use aqo_core::{workloads, SelectivityMatrix};
 use aqo_driver::{
     optimize_qoh, optimize_qon, BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier,
     RetryPolicy,
 };
 use aqo_graph::Graph;
+use aqo_obs::faults;
 use aqo_optimizer::dp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn fault_guard() -> MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn clique_instance(n: usize, seed: u64) -> QoNInstance {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -51,7 +44,6 @@ fn assert_valid_sequence(inst: &QoNInstance, outcome: &aqo_driver::QonOutcome) {
 
 #[test]
 fn clique_with_tiny_deadline_degrades_to_heuristic() {
-    let _guard = fault_guard();
     let inst = clique_instance(14, 7);
     let cfg = QonDriverConfig {
         budget: BudgetSpec { timeout: Some(Duration::ZERO), ..BudgetSpec::unlimited() },
@@ -77,12 +69,10 @@ fn clique_with_tiny_deadline_degrades_to_heuristic() {
 
 #[test]
 fn injected_dp_panic_degrades_to_the_polynomial_tiers() {
-    let _guard = fault_guard();
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     faults::arm("qon::dp", faults::FaultKind::Panic, 1);
     let inst = clique_instance(8, 3);
     let outcome = optimize_qon(&inst, &QonDriverConfig::default()).expect("greedy answers");
-    faults::clear();
     // ikkbz panics on the cyclic graph, so greedy answers.
     assert_eq!(outcome.report.tier, "greedy");
     assert!(!outcome.report.exact);
@@ -97,7 +87,6 @@ fn injected_dp_panic_degrades_to_the_polynomial_tiers() {
 
 #[test]
 fn chain_past_the_dp_cap_goes_straight_to_ikkbz() {
-    let _guard = fault_guard();
     // n = 26 with cartesian products admissible is past the exact DP's
     // cap: the DP declines at once and the deadline is left to the
     // polynomial tiers. IKKBZ answers the acyclic chain.
@@ -116,7 +105,6 @@ fn chain_past_the_dp_cap_goes_straight_to_ikkbz() {
 
 #[test]
 fn generous_budget_is_bit_identical_to_direct_dp() {
-    let _guard = fault_guard();
     let inst = clique_instance(10, 11);
     let cfg = QonDriverConfig {
         budget: BudgetSpec {
@@ -137,8 +125,7 @@ fn generous_budget_is_bit_identical_to_direct_dp() {
 
 #[test]
 fn transient_injected_error_is_retried_then_succeeds() {
-    let _guard = fault_guard();
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     // Two spurious errors, then the site passes: with two retries allowed,
     // the dp tier itself still answers.
     faults::arm("qon::dp", faults::FaultKind::Error, 2);
@@ -149,7 +136,6 @@ fn transient_injected_error_is_retried_then_succeeds() {
     };
     let outcome = optimize_qon(&inst, &cfg).expect("third attempt succeeds");
     assert_eq!(faults::hits("qon::dp"), 3);
-    faults::clear();
     assert_eq!(outcome.report.tier, "dp");
     assert_eq!(outcome.report.retries, 2);
     assert_eq!(outcome.report.failures.len(), 2);
@@ -162,8 +148,7 @@ fn transient_injected_error_is_retried_then_succeeds() {
 
 #[test]
 fn exhausted_retries_degrade_instead_of_failing() {
-    let _guard = fault_guard();
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     faults::arm("qon::dp", faults::FaultKind::Error, 100);
     let inst = clique_instance(7, 6);
     let cfg = QonDriverConfig {
@@ -171,7 +156,6 @@ fn exhausted_retries_degrade_instead_of_failing() {
         ..QonDriverConfig::default()
     };
     let outcome = optimize_qon(&inst, &cfg).expect("greedy answers");
-    faults::clear();
     // ikkbz panics on the cyclic graph, so greedy answers.
     assert_eq!(outcome.report.tier, "greedy");
     // dp was attempted twice (initial + one retry), then abandoned.
@@ -182,14 +166,12 @@ fn exhausted_retries_degrade_instead_of_failing() {
 
 #[test]
 fn every_tier_armed_means_driver_error() {
-    let _guard = fault_guard();
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     for site in ["qon::dp", "qon::ikkbz", "qon::greedy"] {
         faults::arm(site, faults::FaultKind::Panic, 100);
     }
     let inst = clique_instance(6, 2);
     let err = optimize_qon(&inst, &QonDriverConfig::default()).unwrap_err();
-    faults::clear();
     assert_eq!(err.failures.len(), 3);
     let msg = err.to_string();
     assert!(msg.contains("every tier failed"), "unexpected message: {msg}");
@@ -197,7 +179,6 @@ fn every_tier_armed_means_driver_error() {
 
 #[test]
 fn pre_cancelled_token_skips_budgeted_tiers() {
-    let _guard = fault_guard();
     let token = CancelToken::new();
     token.cancel();
     let inst = clique_instance(9, 4);
@@ -222,7 +203,6 @@ fn chain_qon_instance(n: usize, seed: u64) -> QoNInstance {
 
 #[test]
 fn ccp_tier_answers_past_the_dp_cap_on_sparse_no_cartesian() {
-    let _guard = fault_guard();
     // n = 26 is over dp::MAX_N, but without cartesian products the exact
     // tier enumerates connected subgraphs only: it answers at once,
     // exactly, and reports itself as ccp.
@@ -239,7 +219,6 @@ fn ccp_tier_answers_past_the_dp_cap_on_sparse_no_cartesian() {
 
 #[test]
 fn dp_and_ccp_name_one_tier_reported_by_mode() {
-    let _guard = fault_guard();
     assert_eq!(QonTier::parse_chain("dp,ccp,greedy").unwrap(), [QonTier::Dp, QonTier::Greedy]);
     assert_eq!(QonTier::parse_chain("ccp").unwrap(), [QonTier::Dp]);
     let inst = chain_qon_instance(8, 22);
@@ -261,7 +240,6 @@ fn dp_and_ccp_name_one_tier_reported_by_mode() {
 
 #[test]
 fn n_over_mask_width_degrades_every_mask_tier_with_unsupported() {
-    let _guard = fault_guard();
     // n = 33 overflows the u32 masks of the exact DP in both modes; the
     // chain must degrade to the polynomial tiers with structured
     // failures, not wrap masks or hit an assert-turned-panic.
@@ -287,7 +265,6 @@ fn n_over_mask_width_degrades_every_mask_tier_with_unsupported() {
 
 #[test]
 fn mask_tiers_accept_exactly_their_documented_caps() {
-    let _guard = fault_guard();
     // Boundary: n == ccp::MAX_N (32) is in range for the connected mode
     // and out of range for all subsets; n == dp::MAX_N is in range for
     // all subsets. Tiny deadline keeps the in-range attempts cheap — a
@@ -325,7 +302,6 @@ fn qoh_chain_instance(n: usize) -> QoHInstance {
 
 #[test]
 fn qoh_driver_degrades_from_exhaustive_to_greedy() {
-    let _guard = fault_guard();
     let inst = qoh_chain_instance(6);
     // Unlimited: the exhaustive tier answers and is exact.
     let exact = optimize_qoh(&inst, &QohDriverConfig::default()).expect("feasible");
@@ -347,7 +323,6 @@ fn qoh_driver_degrades_from_exhaustive_to_greedy() {
 
 #[test]
 fn qoh_exhaustive_over_its_cap_degrades_with_unsupported() {
-    let _guard = fault_guard();
     // n = 10 is past the exhaustive search's cap: a structured failure, not
     // a caught panic, and greedy answers.
     let n = aqo_optimizer::pipeline::MAX_N + 1;

@@ -3,18 +3,16 @@
 //! retry path journals one `retry` per spurious failure, and the
 //! machine-readable [`DriverReport::to_json`] names each injected attempt.
 //!
-//! Fault sites and the metrics registry are both process-global, so every
-//! test here serializes on [`OBS_LOCK`].
+//! Each test arms its faults and reads its counters and journal in a
+//! scope of its own.
 
-use aqo_core::{faults, workloads};
+use aqo_core::workloads;
 use aqo_driver::{optimize_qon, QonDriverConfig, RetryPolicy};
+use aqo_obs::faults;
 use aqo_obs::journal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 use std::time::Duration;
-
-static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn counter_value(counters: &[(String, u64)], name: &str) -> u64 {
     counters.iter().find(|(k, _)| k == name).map_or(0, |(_, v)| *v)
@@ -22,10 +20,7 @@ fn counter_value(counters: &[(String, u64)], name: &str) -> u64 {
 
 #[test]
 fn injected_faults_are_counted_per_site_and_journaled() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faults::clear();
-    aqo_obs::reset_metrics();
-    journal::clear();
+    let _scope = aqo_obs::Scope::new().install();
     // The CLI arms sites through the same spec parser (`AQO_FAULTS`).
     assert_eq!(faults::load_spec("qon::dp=err*2"), Ok(1));
     aqo_obs::set_enabled(true);
@@ -38,11 +33,8 @@ fn injected_faults_are_counted_per_site_and_journaled() {
     };
     let outcome = optimize_qon(&inst, &cfg).expect("third attempt passes the fail point");
 
-    aqo_obs::set_enabled(false);
-    faults::clear();
     let counters = aqo_obs::counters_snapshot();
     let events = journal::drain();
-    aqo_obs::reset_metrics();
 
     // Two fires, then the third (successful) attempt still *hits* the
     // armed site.
@@ -74,10 +66,7 @@ fn injected_faults_are_counted_per_site_and_journaled() {
 
 #[test]
 fn disabled_collection_leaves_no_trace() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faults::clear();
-    aqo_obs::reset_metrics();
-    journal::clear();
+    let _scope = aqo_obs::Scope::new().install();
     assert!(!aqo_obs::enabled());
     faults::arm("qon::dp", faults::FaultKind::Error, 1);
 
@@ -88,7 +77,6 @@ fn disabled_collection_leaves_no_trace() {
         ..QonDriverConfig::default()
     };
     optimize_qon(&inst, &cfg).expect("retry succeeds");
-    faults::clear();
 
     assert!(aqo_obs::counters_snapshot().is_empty(), "no counters while disabled");
     assert!(journal::drain().is_empty(), "no events while disabled");

@@ -7,16 +7,13 @@
 
 use aqo_bignum::BigRational;
 use aqo_core::qon::QoNInstance;
-use aqo_core::{faults, workloads};
+use aqo_core::workloads;
 use aqo_driver::{optimize_qon, QonDriverConfig};
+use aqo_obs::faults;
 use aqo_optimizer::dp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
-
-/// Fault sites are process-global; tests touching them serialize here.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn instance(shape: u8, n: usize, seed: u64) -> QoNInstance {
     let params = workloads::WorkloadParams::default();
@@ -51,9 +48,6 @@ proptest! {
         n in 4usize..9,
         seed in any::<u64>(),
     ) {
-        // Hold the lock so concurrently running fault tests cannot arm
-        // `qon::dp` under us.
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let inst = instance(shape, n, seed);
         let outcome = optimize_qon(&inst, &QonDriverConfig::default())
             .expect("default chain ends in greedy");
@@ -74,15 +68,13 @@ proptest! {
         seed in any::<u64>(),
         kind in any::<bool>(),
     ) {
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        faults::clear();
+        let _scope = aqo_obs::Scope::new().install();
         let fault =
             if kind { faults::FaultKind::Panic } else { faults::FaultKind::Error };
         faults::arm("qon::dp", fault, u64::MAX);
         let inst = instance(shape, n, seed);
-        let outcome = optimize_qon(&inst, &QonDriverConfig::default());
-        faults::clear();
-        let outcome = outcome.expect("lower tiers answer");
+        let outcome = optimize_qon(&inst, &QonDriverConfig::default())
+            .expect("lower tiers answer");
         prop_assert!(outcome.report.tier != "dp");
         prop_assert!(!outcome.report.failures.is_empty());
         prop_assert!(is_permutation(outcome.optimum.sequence.order(), inst.n()));

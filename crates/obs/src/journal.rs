@@ -2,18 +2,21 @@
 //!
 //! Events are appended by instrumentation sites while collection is
 //! [`enabled`](crate::enabled) and drained once at the end of a run (the
-//! CLI's `--trace-json`). Appends take a global mutex — every emitting
-//! site is *cold* (per tier attempt, per DP layer, per budget trip, per
-//! span), never per search node, so contention is irrelevant; the hot
-//! loops accumulate into locals and emit one event per run instead.
+//! CLI's `--trace-json`). Each [`Scope`](crate::Scope) has its own
+//! journal: buffer, sequence counter and capture switch. Appends take the
+//! buffer's mutex — every emitting site is *cold* (per tier attempt, per
+//! DP layer, per budget trip, per span), never per search node, so
+//! contention is irrelevant; the hot loops accumulate into locals and emit
+//! one event per run instead.
 //!
 //! Each event serializes as one JSON object per line with the reserved
-//! keys `seq` (global append order), `us` (microseconds since the first
-//! event of the process) and `type`, followed by the event's own fields.
+//! keys `seq` (append order within the scope), `us` (microseconds since
+//! the first event of the process, in any scope) and `type`, followed by
+//! the event's own fields.
 
 use crate::json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// A field value in a journal event.
@@ -82,7 +85,7 @@ impl From<String> for Value {
 /// One journal entry.
 #[derive(Clone, Debug)]
 pub struct Event {
-    /// Global append order (gap-free per process, monotone).
+    /// Append order (gap-free per scope, monotone).
     pub seq: u64,
     /// Microseconds since the journal epoch (first use in this process).
     pub us: u64,
@@ -97,39 +100,52 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn events() -> MutexGuard<'static, Vec<Event>> {
-    static EVENTS: OnceLock<Mutex<Vec<Event>>> = OnceLock::new();
-    EVENTS.get_or_init(|| Mutex::new(Vec::new())).lock().unwrap_or_else(|e| e.into_inner())
+/// One scope's journal.
+#[derive(Debug)]
+pub(crate) struct Journal {
+    events: Mutex<Vec<Event>>,
+    seq: AtomicU64,
+    /// Capture switch, independent of the metrics flag: a long-running
+    /// server wants live counters and quantiles ([`crate::set_enabled`]
+    /// on) without an unbounded in-memory event buffer. On by default, so
+    /// `set_enabled(true)` alone captures.
+    capture: AtomicBool,
 }
 
-static SEQ: AtomicU64 = AtomicU64::new(0);
+impl Default for Journal {
+    fn default() -> Self {
+        Journal { events: Mutex::default(), seq: AtomicU64::new(0), capture: AtomicBool::new(true) }
+    }
+}
 
-/// Journal capture switch, independent of the metrics flag: a
-/// long-running server wants live counters and quantiles
-/// ([`crate::set_enabled`] on) without an unbounded in-memory event
-/// buffer. Defaults to on, so `set_enabled(true)` alone behaves exactly
-/// as before this flag existed.
-static CAPTURE: AtomicBool = AtomicBool::new(true);
+impl Journal {
+    fn events(&self) -> std::sync::MutexGuard<'_, Vec<Event>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
-/// Turns journal event capture on or off (metrics keep collecting either
-/// way). On is the default.
+/// Turns journal event capture on or off in the current scope (metrics
+/// keep collecting either way). On is the default.
 pub fn set_capture(on: bool) {
     // ordering: see `crate::set_enabled` — flag toggles carry no
     // dependent data.
-    CAPTURE.store(on, Ordering::Relaxed);
+    crate::scope::with(|s| s.journal.capture.store(on, Ordering::Relaxed));
 }
 
-/// Whether journal events are being buffered (requires both
-/// [`crate::enabled`] and the capture switch).
+/// Whether journal events are being buffered in the current scope
+/// (requires both [`crate::enabled`] and the capture switch).
 pub fn capturing() -> bool {
-    crate::enabled() && CAPTURE.load(Ordering::Relaxed) // ordering: see `set_capture`
+    crate::scope::with(|s| {
+        // ordering: see `set_capture`.
+        s.enabled.load(Ordering::Relaxed) && s.journal.capture.load(Ordering::Relaxed)
+    })
 }
 
-/// Appends an event (no-op while collection is disabled or capture is
-/// off). While a [`crate::trace`] context is active on this thread, the
-/// event is stamped with `trace_id` and `parent_span_id` fields
-/// (journal schema v2); without one the line is byte-identical to
-/// schema v1.
+/// Appends an event to the current scope's journal (no-op while
+/// collection is disabled or capture is off). While a [`crate::trace`]
+/// context is active on this thread, the event is stamped with `trace_id`
+/// and `parent_span_id` fields (journal schema v2); without one the line
+/// is byte-identical to schema v1.
 pub fn event(etype: &'static str, mut fields: Vec<(&'static str, Value)>) {
     if !capturing() {
         return;
@@ -139,28 +155,21 @@ pub fn event(etype: &'static str, mut fields: Vec<(&'static str, Value)>) {
         fields.push(("parent_span_id", Value::U64(parent_span_id)));
     }
     let us = epoch().elapsed().as_micros() as u64;
-    let mut events = events();
-    // ordering: seq is claimed *under the events lock* so buffer order
-    // always agrees with seq order even with concurrent emitters (the
-    // lock provides all inter-thread ordering; the atomic only supplies
-    // uniqueness). Verified exhaustively in tests/model_journal.rs.
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    events.push(Event { seq, us, etype, fields });
+    crate::scope::with(|s| {
+        let mut events = s.journal.events();
+        // ordering: seq is claimed *under the events lock* so buffer order
+        // always agrees with seq order even with concurrent emitters (the
+        // lock provides all inter-thread ordering; the atomic only supplies
+        // uniqueness). Verified exhaustively in tests/model_journal.rs.
+        let seq = s.journal.seq.fetch_add(1, Ordering::Relaxed);
+        events.push(Event { seq, us, etype, fields });
+    });
 }
 
-/// Removes and returns every buffered event, in append order.
+/// Removes and returns every event buffered in the current scope, in
+/// append order.
 pub fn drain() -> Vec<Event> {
-    std::mem::take(&mut *events())
-}
-
-/// Clones every buffered event without removing it.
-pub fn snapshot_events() -> Vec<Event> {
-    events().clone()
-}
-
-/// Discards every buffered event.
-pub fn clear() {
-    events().clear();
+    crate::scope::with(|s| std::mem::take(&mut *s.journal.events()))
 }
 
 /// Serializes events as JSON Lines (one object per line, trailing

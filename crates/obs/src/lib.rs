@@ -1,7 +1,6 @@
 //! `aqo-obs` — zero-dependency observability for the aqo workspace.
 //!
-//! Three facilities, all process-global and safe under `std::thread::scope`
-//! workers:
+//! Three facilities, safe under `std::thread::scope` workers:
 //!
 //! * a **metrics registry** of named [`Counter`]s, [`Gauge`]s and
 //!   [`Histogram`]s backed by relaxed atomics (no locks on the update
@@ -13,10 +12,18 @@
 //!   Lines through the hand-rolled encoder in [`json`] (same
 //!   no-serde policy as the rest of the workspace).
 //!
-//! Everything is gated on one global flag: when [`enabled`] is `false`
-//! (the default) every metric mutation and journal append reduces to a
-//! single relaxed atomic load and a predictable branch, so instrumented
-//! hot loops keep their uninstrumented performance. Instrumentation sites
+//! None of them is process-global: each belongs to a [`Scope`], and every
+//! free function here acts on the current thread's scope — the process's
+//! root scope unless [`Scope::install`] bound another. A test or bench cell
+//! installs a fresh scope and reads back only its own counters, journal
+//! and armed faults; [`Context`] carries the scope into spawned workers.
+//! The [`faults`] module's armed fail points live in the same scope.
+//!
+//! Everything is gated on the scope's enabled flag: when [`enabled`] is
+//! `false` (the default) every metric mutation and journal append reduces
+//! to a thread-local read, one relaxed atomic load and a predictable
+//! branch, so instrumented hot loops keep their uninstrumented
+//! performance. Instrumentation sites
 //! in the optimizers additionally accumulate into plain locals and flush
 //! once per run/worker, so the per-iteration cost is zero even when
 //! enabled — see `docs/OBSERVABILITY.md` for the catalog and
@@ -36,48 +43,66 @@
 )]
 #![warn(missing_docs)]
 
+pub mod faults;
 pub mod journal;
 pub mod json;
+mod scope;
 pub mod series;
 pub mod trace;
 pub mod traceview;
 
-use std::collections::BTreeMap;
+pub use scope::{Context, HandleCache, Scope, ScopeGuard};
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Whether instrumentation is collecting. One relaxed load; this is the
-/// entire cost of a disabled metric mutation or journal append.
+/// Whether the current scope is collecting. One thread-local read and one
+/// relaxed load; this is the entire cost of a disabled metric mutation or
+/// journal append.
 #[inline]
 pub fn enabled() -> bool {
     // ordering: a standalone on/off flag sampled per operation; no data
     // is published under it, and stale reads only delay when collection
     // starts/stops by one operation.
-    ENABLED.load(Ordering::Relaxed)
+    scope::with(|s| s.enabled.load(Ordering::Relaxed))
 }
 
-/// Turns collection on or off globally. Off is the default.
+/// Turns collection on or off in the current scope. Off is the default.
 pub fn set_enabled(on: bool) {
     // ordering: see `enabled` — flag toggles carry no dependent data.
-    ENABLED.store(on, Ordering::Relaxed);
+    scope::with(|s| s.enabled.store(on, Ordering::Relaxed));
+}
+
+/// A registered metric's value next to the enabled flag of the scope it
+/// belongs to, so an update checks that flag without a thread-local read.
+#[derive(Debug)]
+struct Slot<T> {
+    on: Arc<AtomicBool>,
+    value: T,
+}
+
+impl<T> Slot<T> {
+    #[inline]
+    fn on(&self) -> bool {
+        self.on.load(Ordering::Relaxed) // ordering: see `enabled`
+    }
 }
 
 /// A monotonically increasing counter. Handles are cheap `Arc` clones of
-/// the registered atomic; updates are relaxed adds guarded by [`enabled`].
+/// the registered atomic; updates are relaxed adds guarded by the enabled
+/// flag of the scope the counter is registered in.
 #[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Arc<Slot<AtomicU64>>);
 
 impl Counter {
     /// Adds `n` (no-op while collection is disabled).
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
+        if self.0.on() {
             // ordering: independent monotone sum; aggregate readers run
             // after `thread::scope` join, which already orders them.
-            self.0.fetch_add(n, Ordering::Relaxed);
+            self.0.value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -89,22 +114,22 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed) // ordering: see `add`
+        self.0.value.load(Ordering::Relaxed) // ordering: see `add`
     }
 }
 
 /// A last-written-wins (or running-max) value.
 #[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
+pub struct Gauge(Arc<Slot<AtomicU64>>);
 
 impl Gauge {
     /// Stores `v` (no-op while collection is disabled).
     #[inline]
     pub fn set(&self, v: u64) {
-        if enabled() {
+        if self.0.on() {
             // ordering: last-written-wins by contract; no reader infers
             // anything beyond the gauge value itself.
-            self.0.store(v, Ordering::Relaxed);
+            self.0.value.store(v, Ordering::Relaxed);
         }
     }
 
@@ -121,8 +146,8 @@ impl Gauge {
     /// state lock, which also rules the race out — audited for ISSUE 8.)
     #[inline]
     pub fn set_max(&self, v: u64) {
-        if enabled() {
-            self.0.fetch_max(v, Ordering::Relaxed); // ordering: see `set`
+        if self.0.on() {
+            self.0.value.fetch_max(v, Ordering::Relaxed); // ordering: see `set`
         }
     }
 
@@ -131,8 +156,8 @@ impl Gauge {
     /// `set(get() + n)`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed); // ordering: see `set`
+        if self.0.on() {
+            self.0.value.fetch_add(n, Ordering::Relaxed); // ordering: see `set`
         }
     }
 
@@ -141,13 +166,13 @@ impl Gauge {
     /// zero clamps instead of wrapping to `u64::MAX`.
     #[inline]
     pub fn sub(&self, n: u64) {
-        if enabled() {
+        if self.0.on() {
             // ordering: see `set`; the CAS only needs the value, not any
             // other memory.
-            let mut cur = self.0.load(Ordering::Relaxed);
+            let mut cur = self.0.value.load(Ordering::Relaxed);
             loop {
                 let next = cur.saturating_sub(n);
-                match self.0.compare_exchange_weak(
+                match self.0.value.compare_exchange_weak(
                     cur,
                     next,
                     Ordering::Relaxed, // ordering: see `set`
@@ -162,44 +187,41 @@ impl Gauge {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed) // ordering: see `set`
+        self.0.value.load(Ordering::Relaxed) // ordering: see `set`
     }
 }
 
-/// Bucket count for [`Histogram`]: log-bucketed with **2 sub-buckets per
-/// octave**. Bucket 0 holds zero; for `v >= 1` with `k = floor(log2 v)`,
-/// the index is `1 + 2k + half` where `half` is the bit below the
-/// leading bit (so each power-of-two range `[2^k, 2^(k+1))` splits into
-/// two equal halves). 128 buckets cover the full `u64` range; the
-/// half-octave resolution bounds quantile error to about ±17%.
-const HIST_BUCKETS: usize = 128;
+/// Sub-bucket bits of [`Histogram`]: each octave `[2^k, 2^(k+1))` splits
+/// into `2^SUB_BITS` equal buckets, so a bucket's midpoint is within
+/// 1/16 of every value in it. Values below `2^SUB_BITS` get one bucket
+/// each.
+const SUB_BITS: u32 = 3;
+const SUB: usize = 1 << SUB_BITS;
 
-/// Bucket index for sample `v` (see [`HIST_BUCKETS`]).
+/// Bucket count for [`Histogram`]: the exact small values, then
+/// `2^SUB_BITS` buckets for each octave up to `2^63`.
+const HIST_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
+
+/// Bucket index for sample `v` (see [`SUB_BITS`]).
 #[inline]
 fn hist_bucket(v: u64) -> usize {
-    if v == 0 {
-        return 0;
+    if v < SUB as u64 {
+        return v as usize;
     }
-    let k = 63 - v.leading_zeros() as usize;
-    let half = if k >= 1 { ((v >> (k - 1)) & 1) as usize } else { 0 };
-    (1 + 2 * k + half).min(HIST_BUCKETS - 1)
+    let k = 63 - v.leading_zeros();
+    let sub = ((v >> (k - SUB_BITS)) as usize) & (SUB - 1);
+    ((k - SUB_BITS + 1) as usize * SUB + sub).min(HIST_BUCKETS - 1)
 }
 
 /// Representative value (midpoint) of bucket `idx`, used when reading
 /// quantiles back out.
 fn hist_bucket_rep(idx: usize) -> u64 {
-    if idx == 0 {
-        return 0;
+    if idx < SUB {
+        return idx as u64;
     }
-    let k = (idx - 1) / 2;
-    let half = ((idx - 1) % 2) as u64;
-    if k == 0 {
-        return 1;
-    }
-    // Bucket spans [low, low + width): low = (2 + half) << (k-1).
-    let low = (2 + half) << (k - 1);
-    let width = 1u64 << (k - 1);
-    low + width / 2
+    let shift = (idx / SUB - 1) as u32;
+    let low = ((SUB + idx % SUB) as u64) << shift;
+    low + (1u64 << shift) / 2
 }
 
 #[derive(Debug)]
@@ -222,33 +244,38 @@ impl HistogramInner {
 }
 
 /// A histogram over `u64` samples (span timers record microseconds) with
-/// half-octave log buckets plus exact count/sum/max, and approximate
+/// eighth-octave log buckets plus exact count/sum/max, and approximate
 /// quantiles via [`quantile`](Histogram::quantile).
 #[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistogramInner>);
+pub struct Histogram(Arc<Slot<HistogramInner>>);
 
 impl Histogram {
     /// A fresh, **unregistered** histogram for offline aggregation (the
     /// loadgen computes latency quantiles through one of these without
-    /// touching the global registry or the enabled flag).
+    /// touching any scope's registry or enabled flag). It belongs to no
+    /// scope, so only [`record_always`](Histogram::record_always) fills it.
     pub fn detached() -> Histogram {
-        Histogram(Arc::new(HistogramInner::new()))
+        Histogram::new(Arc::default())
+    }
+
+    fn new(on: Arc<AtomicBool>) -> Histogram {
+        Histogram(Arc::new(Slot { on, value: HistogramInner::new() }))
     }
 
     /// Records one sample (no-op while collection is disabled).
     #[inline]
     pub fn record(&self, v: u64) {
-        if !enabled() {
+        if !self.0.on() {
             return;
         }
         self.record_always(v);
     }
 
-    /// Records one sample unconditionally, ignoring the global enabled
+    /// Records one sample unconditionally, ignoring the scope's enabled
     /// flag. For [`detached`](Histogram::detached) histograms.
     #[inline]
     pub fn record_always(&self, v: u64) {
-        let h = &*self.0;
+        let h = &self.0.value;
         // ordering: the four fields are independent monotone aggregates;
         // `stats` makes no cross-field consistency claim (a snapshot may
         // observe a sample's count before its sum), so nothing here
@@ -263,7 +290,7 @@ impl Histogram {
 
     /// `(count, sum, max)` so far.
     pub fn stats(&self) -> (u64, u64, u64) {
-        let h = &*self.0;
+        let h = &self.0.value;
         (
             // ordering: aggregate reads; see `record` for why no acquire.
             h.count.load(Ordering::Relaxed),
@@ -274,10 +301,10 @@ impl Histogram {
 
     /// The approximate `q`-quantile (`0.0 < q <= 1.0`) of the samples so
     /// far: the midpoint of the bucket containing the rank-`ceil(q·count)`
-    /// sample, capped at the exact observed max. 0 when empty. Half-octave
-    /// buckets bound the relative error to about ±17%.
+    /// sample, capped at the exact observed max. 0 when empty. The bucket
+    /// width bounds the relative error to 1/16.
     pub fn quantile(&self, q: f64) -> u64 {
-        let h = &*self.0;
+        let h = &self.0.value;
         let count = h.count.load(Ordering::Relaxed); // ordering: see `stats`
         if count == 0 {
             return 0;
@@ -298,98 +325,79 @@ impl Histogram {
 }
 
 #[derive(Clone, Debug)]
-enum Metric {
+pub(crate) enum Metric {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
 }
 
-fn registry() -> MutexGuard<'static, BTreeMap<String, Metric>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, Metric>>> = OnceLock::new();
-    REGISTRY
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// Gets or creates the metric `name` in the current scope's registry;
+/// `kind` picks the handle out of it.
+fn registered<T: Clone>(
+    name: &str,
+    new: fn(Arc<AtomicBool>) -> Metric,
+    kind: fn(&Metric) -> Option<&T>,
+) -> T {
+    scope::with(|s| {
+        let mut reg = s.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        if !reg.contains_key(name) {
+            reg.insert(name.to_string(), new(Arc::clone(&s.enabled)));
+        }
+        match reg.get(name).and_then(kind) {
+            Some(handle) => handle.clone(),
+            #[expect(
+                clippy::panic,
+                reason = "documented API panic: a name registered under two metric kinds is a \
+                          programming error (see the `# Panics` sections), not a runtime condition"
+            )]
+            None => panic!("metric `{name}` already registered as {:?}", reg.get(name)),
+        }
+    })
 }
 
-/// Gets or creates the counter named `name`.
+/// Gets or creates the counter named `name` in the current scope.
 ///
 /// # Panics
 /// If `name` is already registered as a different metric kind.
 pub fn counter(name: &str) -> Counter {
-    let mut reg = registry();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-    {
-        Metric::Counter(c) => c.clone(),
-        #[expect(
-            clippy::panic,
-            reason = "documented API panic: a name registered under two metric kinds is a \
-                      programming error (see the `# Panics` section), not a runtime condition"
-        )]
-        other => panic!("metric `{name}` already registered as {other:?}"),
-    }
+    registered(
+        name,
+        |on| Metric::Counter(Counter(Arc::new(Slot { on, value: AtomicU64::new(0) }))),
+        |m| match m {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        },
+    )
 }
 
-/// Gets or creates the gauge named `name`.
+/// Gets or creates the gauge named `name` in the current scope.
 ///
 /// # Panics
 /// If `name` is already registered as a different metric kind.
 pub fn gauge(name: &str) -> Gauge {
-    let mut reg = registry();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0)))))
-    {
-        Metric::Gauge(g) => g.clone(),
-        #[expect(
-            clippy::panic,
-            reason = "documented API panic: a name registered under two metric kinds is a \
-                      programming error (see the `# Panics` section), not a runtime condition"
-        )]
-        other => panic!("metric `{name}` already registered as {other:?}"),
-    }
+    registered(
+        name,
+        |on| Metric::Gauge(Gauge(Arc::new(Slot { on, value: AtomicU64::new(0) }))),
+        |m| match m {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        },
+    )
 }
 
-/// Gets or creates the histogram named `name`.
+/// Gets or creates the histogram named `name` in the current scope.
 ///
 /// # Panics
 /// If `name` is already registered as a different metric kind.
 pub fn histogram(name: &str) -> Histogram {
-    let mut reg = registry();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Histogram(Histogram(Arc::new(HistogramInner::new()))))
-    {
-        Metric::Histogram(h) => h.clone(),
-        #[expect(
-            clippy::panic,
-            reason = "documented API panic: a name registered under two metric kinds is a \
-                      programming error (see the `# Panics` section), not a runtime condition"
-        )]
-        other => panic!("metric `{name}` already registered as {other:?}"),
-    }
-}
-
-/// Caches a [`Counter`] handle in a function-local static, so repeated
-/// passes through an instrumentation site skip the registry lock.
-#[macro_export]
-macro_rules! counter_handle {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::Counter> = ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::counter($name))
-    }};
-}
-
-/// Caches a [`Histogram`] handle in a function-local static, as
-/// [`counter_handle!`] does for counters.
-#[macro_export]
-macro_rules! histogram_handle {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::histogram($name))
-    }};
+    registered(
+        name,
+        |on| Metric::Histogram(Histogram::new(on)),
+        |m| match m {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        },
+    )
 }
 
 /// One metric's value at snapshot time.
@@ -427,66 +435,48 @@ pub struct MetricSnapshot {
     pub value: SnapshotValue,
 }
 
-/// Every registered metric, sorted by name.
+/// Every metric registered in the current scope, sorted by name.
 pub fn snapshot() -> Vec<MetricSnapshot> {
-    registry()
-        .iter()
-        .map(|(name, m)| MetricSnapshot {
-            name: name.clone(),
-            value: match m {
-                Metric::Counter(c) => SnapshotValue::Counter(c.get()),
-                Metric::Gauge(g) => SnapshotValue::Gauge(g.get()),
-                Metric::Histogram(h) => {
-                    let (count, sum, max) = h.stats();
-                    SnapshotValue::Histogram {
-                        count,
-                        sum,
-                        max,
-                        p50: h.quantile(0.50),
-                        p90: h.quantile(0.90),
-                        p99: h.quantile(0.99),
-                        p999: h.quantile(0.999),
+    scope::with(|s| {
+        let reg = s.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        reg.iter()
+            .map(|(name, m)| MetricSnapshot {
+                name: name.clone(),
+                value: match m {
+                    Metric::Counter(c) => SnapshotValue::Counter(c.get()),
+                    Metric::Gauge(g) => SnapshotValue::Gauge(g.get()),
+                    Metric::Histogram(h) => {
+                        let (count, sum, max) = h.stats();
+                        SnapshotValue::Histogram {
+                            count,
+                            sum,
+                            max,
+                            p50: h.quantile(0.50),
+                            p90: h.quantile(0.90),
+                            p99: h.quantile(0.99),
+                            p999: h.quantile(0.999),
+                        }
                     }
-                }
-            },
-        })
-        .collect()
+                },
+            })
+            .collect()
+    })
 }
 
-/// Every counter with a nonzero total, sorted by name. The deterministic
-/// subset of the registry — what the bench harness embeds per data point.
+/// Every counter with a nonzero total in the current scope, sorted by
+/// name. The deterministic subset of the registry — what the bench
+/// harness embeds per data point.
 pub fn counters_snapshot() -> Vec<(String, u64)> {
-    registry()
-        .iter()
-        .filter_map(|(name, m)| match m {
-            Metric::Counter(c) if c.get() > 0 => Some((name.clone(), c.get())),
+    snapshot()
+        .into_iter()
+        .filter_map(|m| match m.value {
+            SnapshotValue::Counter(v) if v > 0 => Some((m.name, v)),
             _ => None,
         })
         .collect()
 }
 
-/// Zeroes every registered metric (handles stay valid — they share the
-/// same atomics). Does not touch the journal; see [`journal::clear`].
-pub fn reset_metrics() {
-    for m in registry().values() {
-        // ordering: resets run between measurement phases with no
-        // concurrent writers by contract; zeroing carries no payload.
-        match m {
-            Metric::Counter(c) => c.0.store(0, Ordering::Relaxed), // ordering: see above
-            Metric::Gauge(g) => g.0.store(0, Ordering::Relaxed), // ordering: see above
-            Metric::Histogram(h) => {
-                h.0.count.store(0, Ordering::Relaxed); // ordering: see above
-                h.0.sum.store(0, Ordering::Relaxed); // ordering: see above
-                h.0.max.store(0, Ordering::Relaxed); // ordering: see above
-                for b in &h.0.buckets {
-                    b.store(0, Ordering::Relaxed); // ordering: see above
-                }
-            }
-        }
-    }
-}
-
-/// Renders the registry as a human-readable summary table (the CLI's
+/// Renders the current scope's registry as a human-readable summary table (the CLI's
 /// `--metrics` output). Zero-valued counters and empty histograms are
 /// omitted; lines are sorted by metric name so the output is
 /// byte-deterministic for a given registry state and diffs cleanly
@@ -595,85 +585,112 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    // The registry and flag are process-global; serialize tests touching
-    // them.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// Installs a fresh scope with collection on.
+    fn collecting() -> ScopeGuard {
+        let guard = Scope::new().install();
+        set_enabled(true);
+        guard
     }
 
     #[test]
     fn disabled_counter_does_not_move() {
-        let _g = lock();
-        set_enabled(false);
+        let _scope = Scope::new().install();
         let c = counter("obs-test.disabled");
-        let before = c.get();
         c.add(5);
-        assert_eq!(c.get(), before);
-    }
-
-    #[test]
-    fn counter_accumulates_and_resets() {
-        let _g = lock();
-        set_enabled(true);
-        let c = counter("obs-test.counter");
-        let before = c.get();
-        c.add(3);
-        c.inc();
-        assert_eq!(c.get(), before + 4);
-        set_enabled(false);
-        reset_metrics();
         assert_eq!(c.get(), 0);
     }
 
     #[test]
+    fn counter_accumulates_and_resets() {
+        let _scope = collecting();
+        let c = counter("obs-test.counter");
+        c.add(3);
+        c.inc();
+        assert_eq!(c.get(), 4);
+        // A fresh scope is the reset: the same name starts at zero there.
+        let _fresh = collecting();
+        assert_eq!(counter("obs-test.counter").get(), 0);
+        assert_eq!(c.get(), 4, "the first scope keeps its count");
+    }
+
+    #[test]
     fn counter_handle_macro_caches() {
-        let _g = lock();
-        set_enabled(true);
+        let _scope = collecting();
         counter_handle!("obs-test.macro").add(2);
         counter_handle!("obs-test.macro").add(2);
         assert_eq!(counter("obs-test.macro").get(), 4);
-        set_enabled(false);
-        reset_metrics();
+        gauge_handle!("obs-test.macro_gauge").set(7);
+        gauge_handle!("obs-test.macro_gauge").add(1);
+        assert_eq!(gauge("obs-test.macro_gauge").get(), 8);
     }
 
     #[test]
     fn histogram_handle_macro_caches() {
-        let _g = lock();
-        set_enabled(true);
+        let _scope = collecting();
         histogram_handle!("obs-test.macro_us").record(3);
         histogram_handle!("obs-test.macro_us").record(5);
-        let h = histogram("obs-test.macro_us");
-        assert_eq!(h.stats(), (2, 8, 5));
-        set_enabled(false);
-        reset_metrics();
+        assert_eq!(histogram("obs-test.macro_us").stats(), (2, 8, 5));
+    }
+
+    /// One cached-handle site, run under two scopes in turn and on two
+    /// threads at once, lands in whichever scope is current each time.
+    #[test]
+    fn one_handle_site_lands_in_each_scope() {
+        fn bump() {
+            counter_handle!("obs-test.site").inc();
+        }
+        let (a, b) = (Scope::new(), Scope::new());
+        for s in [&a, &b] {
+            let _g = s.install();
+            set_enabled(true);
+        }
+        {
+            let _g = a.install();
+            bump();
+            bump();
+        }
+        {
+            let _g = b.install();
+            bump();
+        }
+        {
+            let _g = a.install();
+            bump();
+        }
+        std::thread::scope(|t| {
+            for s in [&a, &b] {
+                t.spawn(move || {
+                    let _g = s.install();
+                    bump();
+                });
+            }
+        });
+        for (s, want) in [(&a, 4), (&b, 2)] {
+            let _g = s.install();
+            assert_eq!(counter("obs-test.site").get(), want);
+        }
+        assert!(counters_snapshot().is_empty(), "the root scope saw none of it");
     }
 
     #[test]
     fn counters_visible_from_scoped_threads() {
-        let _g = lock();
-        set_enabled(true);
-        let c = counter("obs-test.scoped");
-        c.add(0);
-        reset_metrics();
+        let _scope = collecting();
+        let ctx = Context::capture();
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| counter("obs-test.scoped").add(10));
+                s.spawn(|| {
+                    let _g = ctx.install();
+                    counter("obs-test.scoped").add(10);
+                });
             }
         });
-        assert_eq!(c.get(), 40);
-        set_enabled(false);
-        reset_metrics();
+        assert_eq!(counter("obs-test.scoped").get(), 40);
     }
 
     #[test]
     fn histogram_stats_and_summary() {
-        let _g = lock();
-        set_enabled(true);
-        reset_metrics();
+        let _scope = collecting();
         let h = histogram("obs-test.hist");
         h.record(1);
         h.record(7);
@@ -683,16 +700,11 @@ mod tests {
         let table = render_summary();
         assert!(table.contains("obs-test.hist"), "{table}");
         assert!(table.contains("count=3"), "{table}");
-        set_enabled(false);
-        reset_metrics();
     }
 
     #[test]
     fn span_records_histogram_and_event() {
-        let _g = lock();
-        set_enabled(true);
-        reset_metrics();
-        journal::clear();
+        let _scope = collecting();
         {
             let _s = span("obs-test-span");
         }
@@ -701,8 +713,6 @@ mod tests {
         let events = journal::drain();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].etype, "span");
-        set_enabled(false);
-        reset_metrics();
     }
 
     #[test]
@@ -717,20 +727,23 @@ mod tests {
         let (p50, p90, p99, p999) =
             (h.quantile(0.50), h.quantile(0.90), h.quantile(0.99), h.quantile(0.999));
         assert!(p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= max);
-        // Half-octave buckets: each estimate within ±25% of the exact
-        // rank value (bucket midpoint error is < 17%, rank rounding adds
-        // a little).
-        assert!((375..=625).contains(&p50), "p50={p50}");
-        assert!((675..=1000).contains(&p90), "p90={p90}");
-        assert!((742..=1000).contains(&p99), "p99={p99}");
+        // Eighth-octave buckets: each estimate within 1/16 of the exact
+        // rank value.
+        assert!((469..=532).contains(&p50), "p50={p50}");
+        assert!((843..=957).contains(&p90), "p90={p90}");
+        assert!((928..=1000).contains(&p99), "p99={p99}");
         // The max cap keeps tail quantiles from overshooting the data.
         assert!(p999 <= 1000, "p999={p999}");
         // Single-sample histogram: every quantile is that sample's bucket,
-        // capped at max.
-        let one = Histogram::detached();
-        one.record_always(7);
-        assert_eq!(one.quantile(0.5), 7);
-        assert_eq!(one.quantile(0.999), 7);
+        // capped at max, so within 1/16 of the sample.
+        for v in [7u64, 11_182, 10_240, 1 << 40] {
+            let one = Histogram::detached();
+            one.record_always(v);
+            for q in [0.5, 0.9, 0.99, 0.999] {
+                let got = one.quantile(q);
+                assert!(got <= v && (v - got) * 16 <= v, "v={v} q={q} got {got}");
+            }
+        }
     }
 
     #[test]
@@ -742,22 +755,25 @@ mod tests {
             let b = hist_bucket(v);
             assert!(b >= prev, "bucket index not monotone at {v}");
             prev = b;
-            if b < HIST_BUCKETS - 1 {
-                assert_eq!(hist_bucket(hist_bucket_rep(b)), b, "rep of bucket {b} escapes it");
-            }
+        }
+        for b in 0..HIST_BUCKETS {
+            assert_eq!(hist_bucket(hist_bucket_rep(b)), b, "rep of bucket {b} escapes it");
         }
         assert_eq!(hist_bucket(0), 0);
         assert_eq!(hist_bucket(1), 1);
-        assert_eq!(hist_bucket(2), 3);
-        assert_eq!(hist_bucket(3), 4);
+        assert_eq!(hist_bucket(7), 7);
+        assert_eq!(hist_bucket(8), 8);
+        assert_eq!(hist_bucket(15), 15);
+        assert_eq!(hist_bucket(16), 16);
+        assert_eq!(hist_bucket(17), 16);
+        assert_eq!(hist_bucket(18), 17);
+        assert_eq!(hist_bucket(11_182), 90);
+        assert_eq!(hist_bucket(u64::MAX), HIST_BUCKETS - 1);
     }
 
     #[test]
     fn traced_spans_nest_and_stamp_events() {
-        let _g = lock();
-        set_enabled(true);
-        reset_metrics();
-        journal::clear();
+        let _scope = collecting();
         let tid = trace::next_trace_id();
         {
             let _t = trace::install(trace::TraceHandle::root(tid));
@@ -765,7 +781,6 @@ mod tests {
             journal::event("obs_test_mark", vec![]);
             let _inner = span("obs-test-inner");
         }
-        set_enabled(false);
         let events = journal::drain();
         // span_start(outer), mark, span_start(inner), span(inner), span(outer)
         let types: Vec<&str> = events.iter().map(|e| e.etype).collect();
@@ -800,15 +815,11 @@ mod tests {
         let report = traceview::check(&jsonl).expect("nesting check");
         assert_eq!(report.spans, 2);
         assert_eq!(report.traces, 1);
-        reset_metrics();
     }
 
     #[test]
     fn capture_gate_stops_events_not_metrics() {
-        let _g = lock();
-        set_enabled(true);
-        reset_metrics();
-        journal::clear();
+        let _scope = collecting();
         journal::set_capture(false);
         counter("obs-test.gated").inc();
         journal::event("obs_test_gated", vec![]);
@@ -817,64 +828,65 @@ mod tests {
         journal::set_capture(true);
         journal::event("obs_test_gated", vec![]);
         assert_eq!(journal::drain().len(), 1);
-        set_enabled(false);
-        reset_metrics();
     }
 
     #[test]
     fn series_rings_fill_and_wrap() {
-        let _g = lock();
-        set_enabled(true);
-        reset_metrics();
-        series::reset_series();
+        let _scope = collecting();
         let c = counter("obs-test.series.ctr");
-        gauge("obs-test.series.gauge").set(5);
+        let g = gauge("obs-test.series.gauge");
+        g.set(5);
         let h = histogram("obs-test.series.hist");
         h.record(10);
         c.add(3);
         series::sample_tick();
         c.add(2);
         series::sample_tick();
-        let snap = series::series_snapshot();
         let get = |name: &str| -> Vec<f64> {
-            snap.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone()).unwrap_or_default()
+            series::series_snapshot()
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v)
+                .unwrap_or_default()
         };
         assert_eq!(get("obs-test.series.ctr"), vec![3.0, 2.0], "counter deltas per tick");
         assert_eq!(get("obs-test.series.gauge"), vec![5.0, 5.0], "gauge level per tick");
         assert_eq!(get("obs-test.series.hist.p50").len(), 2, "histogram quantile series");
         // Rings cap at SERIES_SLOTS, dropping oldest.
         for i in 0..(series::SERIES_SLOTS + 10) {
-            series::record_point("obs-test.series.ring", i as f64);
+            g.set(i as u64);
+            series::sample_tick();
         }
-        let ring = series::series_snapshot()
-            .into_iter()
-            .find(|(n, _)| n == "obs-test.series.ring")
-            .map(|(_, v)| v)
-            .unwrap_or_default();
+        let ring = get("obs-test.series.gauge");
         assert_eq!(ring.len(), series::SERIES_SLOTS);
         assert_eq!(ring[0], 10.0, "oldest points dropped");
         assert_eq!(*ring.last().unwrap(), (series::SERIES_SLOTS + 9) as f64);
-        series::reset_series();
-        set_enabled(false);
-        reset_metrics();
     }
 
     #[test]
     fn snapshot_is_sorted_and_typed() {
-        let _g = lock();
-        set_enabled(true);
-        reset_metrics();
+        let _scope = collecting();
         counter("obs-test.z").inc();
         gauge("obs-test.a").set(9);
         let snap = snapshot();
         let names: Vec<&str> = snap.iter().map(|s| s.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-        assert!(snap
-            .iter()
-            .any(|s| s.name == "obs-test.a" && s.value == SnapshotValue::Gauge(9)));
-        set_enabled(false);
-        reset_metrics();
+        assert_eq!(names, vec!["obs-test.a", "obs-test.z"]);
+        assert_eq!(snap[0].value, SnapshotValue::Gauge(9));
+    }
+
+    /// The root scope is what a thread without an installed scope reports
+    /// into; no other test in this binary touches it.
+    #[test]
+    fn uninstalled_threads_share_the_root_scope() {
+        std::thread::spawn(|| {
+            set_enabled(true);
+            counter("obs-test.root").inc();
+        })
+        .join()
+        .unwrap();
+        let root = std::thread::spawn(counters_snapshot).join().unwrap();
+        assert_eq!(root, vec![("obs-test.root".to_string(), 1)]);
+        let _scope = Scope::new().install();
+        assert!(!enabled() && counters_snapshot().is_empty(), "a fresh scope starts empty");
     }
 }

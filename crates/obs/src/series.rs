@@ -1,4 +1,5 @@
-//! Fixed-size time-series rings over the metrics registry.
+//! Fixed-size time-series rings over the metrics registry, one set per
+//! [`Scope`](crate::Scope).
 //!
 //! A [`sample_tick`] — driven by the serve sampler thread at
 //! `--obs-interval-ms` — walks the registry snapshot and appends one
@@ -9,29 +10,21 @@
 //! sampling once a second holds the last ~4 minutes at a fixed few KB
 //! per metric regardless of uptime.
 //!
-//! Everything lives behind one mutex, taken once per tick and once per
-//! [`series_snapshot`]; there is no per-request cost at all.
+//! A scope's rings live behind one mutex, taken once per tick and once
+//! per [`series_snapshot`]; there is no per-request cost at all.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::PoisonError;
 
 /// Ring capacity: each series keeps the most recent 256 points.
 pub const SERIES_SLOTS: usize = 256;
 
-struct Store {
+/// One scope's rings.
+#[derive(Debug, Default)]
+pub(crate) struct Store {
     rings: BTreeMap<String, VecDeque<f64>>,
     /// Counter totals at the previous tick, for delta computation.
     last_counters: BTreeMap<String, u64>,
-}
-
-fn store() -> MutexGuard<'static, Store> {
-    static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-    STORE
-        .get_or_init(|| {
-            Mutex::new(Store { rings: BTreeMap::new(), last_counters: BTreeMap::new() })
-        })
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
 }
 
 fn push(rings: &mut BTreeMap<String, VecDeque<f64>>, name: &str, v: f64) {
@@ -44,22 +37,21 @@ fn push(rings: &mut BTreeMap<String, VecDeque<f64>>, name: &str, v: f64) {
     ring.push_back(v);
 }
 
-/// Appends one point to the series named `name` (creating it on first
-/// use). Exposed for callers that sample something outside the registry.
-pub fn record_point(name: &str, v: f64) {
-    push(&mut store().rings, name, v);
-}
-
-/// Samples the whole registry once: counter deltas, gauge levels, and
-/// histogram p50/p99 per metric with any activity. Metrics that have
-/// never moved produce no series (so an idle server's snapshot stays
-/// small); once a series exists it receives a point on every tick.
+/// Samples the current scope's registry once: counter deltas, gauge
+/// levels, and histogram p50/p99 per metric with any activity. Metrics
+/// that have never moved produce no series (so an idle server's snapshot
+/// stays small); once a series exists it receives a point on every tick.
 pub fn sample_tick() {
     // Read the registry before taking the store lock; the two locks are
     // never held together (no ordering to get wrong).
     let snap = crate::snapshot();
-    let mut st = store();
-    let st = &mut *st;
+    crate::scope::with(|s| {
+        let mut st = s.series.lock().unwrap_or_else(PoisonError::into_inner);
+        tick_into(&mut st, snap);
+    });
+}
+
+fn tick_into(st: &mut Store, snap: Vec<crate::MetricSnapshot>) {
     for m in snap {
         match m.value {
             crate::SnapshotValue::Counter(total) => {
@@ -88,18 +80,11 @@ pub fn sample_tick() {
     }
 }
 
-/// Every series, sorted by name, each oldest point first.
+/// Every series of the current scope, sorted by name, each oldest point
+/// first.
 pub fn series_snapshot() -> Vec<(String, Vec<f64>)> {
-    store()
-        .rings
-        .iter()
-        .map(|(name, ring)| (name.clone(), ring.iter().copied().collect()))
-        .collect()
-}
-
-/// Discards every series and counter baseline (test isolation).
-pub fn reset_series() {
-    let mut st = store();
-    st.rings.clear();
-    st.last_counters.clear();
+    crate::scope::with(|s| {
+        let st = s.series.lock().unwrap_or_else(PoisonError::into_inner);
+        st.rings.iter().map(|(name, ring)| (name.clone(), ring.iter().copied().collect())).collect()
+    })
 }

@@ -85,6 +85,7 @@ fn fetch_add_holds_under_every_interleaving() {
 /// implementation matches the modeled single-RMW semantics.
 #[test]
 fn real_gauge_add_sub_balance() {
+    let _scope = aqo_obs::Scope::new().install();
     aqo_obs::set_enabled(true);
     let g = aqo_obs::gauge("model-gauge.level");
     g.set(0);
@@ -102,5 +103,4 @@ fn real_gauge_add_sub_balance() {
     g.set(5);
     g.sub(100);
     assert_eq!(g.get(), 0, "sub saturates at zero");
-    aqo_obs::set_enabled(false);
 }

@@ -139,11 +139,13 @@ fn seq_under_lock_holds_under_every_interleaving() {
 /// matches the modeled protocol.
 #[test]
 fn real_journal_buffer_order_agrees_with_seq_order() {
+    let _scope = aqo_obs::Scope::new().install();
     aqo_obs::set_enabled(true);
-    aqo_obs::journal::clear();
+    let ctx = aqo_obs::Context::capture();
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
+                let _ctx = ctx.install();
                 for _ in 0..250 {
                     aqo_obs::journal::event("model_stress", vec![]);
                 }

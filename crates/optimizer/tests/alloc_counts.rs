@@ -144,3 +144,19 @@ fn qon_from_text_chain28_allocates_per_edge_not_per_probe() {
         assert!(count <= 250, "seed {seed}: {count} allocations");
     }
 }
+
+#[test]
+fn cached_handles_in_a_scope_allocate_nothing_after_the_first() {
+    let _scope = aqo_obs::Scope::new().install();
+    aqo_obs::set_enabled(true);
+    let bump = |v: u64| {
+        aqo_obs::counter_handle!("alloc-test.counter").add(v);
+        aqo_obs::histogram_handle!("alloc-test.us").record(v);
+    };
+    // The first pass registers both metrics and fills both caches.
+    bump(0);
+    let ((), count) = allocations(|| (1..=1000).for_each(bump));
+    assert_eq!(count, 0, "1,000 cached-handle updates allocated");
+    assert_eq!(aqo_obs::counter("alloc-test.counter").get(), 500_500);
+    assert_eq!(aqo_obs::histogram("alloc-test.us").stats().0, 1001);
+}

@@ -22,11 +22,6 @@ use aqo_core::{AccessCostMatrix, SelectivityMatrix};
 use aqo_graph::Graph;
 use aqo_optimizer::{ccp, dp, engine};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// The metrics registry and enable flag are process-global; every test
-/// that reads counters serializes on this lock.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn instance_from_graph(g: Graph, seed: u64) -> QoNInstance {
     let n = g.n();
@@ -127,34 +122,29 @@ fn brute_force_connected_count(g: &Graph) -> u64 {
     count
 }
 
-/// Runs the engine with metrics collection on; returns the plan (if
-/// feasible) and the `optimizer.engine.subsets_expanded` counter. Caller
-/// holds [`OBS_LOCK`].
+/// Runs the engine with metrics collection on in a fresh scope; returns
+/// the plan (if feasible) and the `optimizer.engine.subsets_expanded`
+/// counter.
 fn run_with_counter(
     inst: &QoNInstance,
     allow_cartesian: bool,
     threads: usize,
 ) -> (Option<aqo_optimizer::Optimum<BigRational>>, u64) {
-    aqo_obs::reset_metrics();
-    aqo_obs::journal::clear();
+    let _scope = aqo_obs::Scope::new().install();
     aqo_obs::set_enabled(true);
     let opts = engine::DpOptions { allow_cartesian, threads };
     let opt = engine::optimize_two_phase::<BigRational>(inst, &opts, &Budget::unlimited())
         .expect("unlimited budget cannot be exceeded");
-    aqo_obs::set_enabled(false);
     let expanded = aqo_obs::counters_snapshot()
         .into_iter()
         .find(|(name, _)| name == "optimizer.engine.subsets_expanded")
         .map(|(_, v)| v)
         .expect("an engine run emits its expansion counter");
-    aqo_obs::reset_metrics();
-    aqo_obs::journal::clear();
     (opt, expanded)
 }
 
 #[test]
 fn subsets_expanded_equals_brute_force_on_fixed_families() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cases: Vec<(Graph, u64)> = vec![
         (chain(9), 45),           // n(n+1)/2
         (cycle(9), 73),           // n(n−1)+1
@@ -185,8 +175,7 @@ proptest! {
         seed in any::<u64>(),
         n in 3usize..=11,
     ) {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let g = sparse(n, seed);
+            let g = sparse(n, seed);
         let expect = brute_force_connected_count(&g);
         let inst = instance_from_graph(g, seed ^ 0xabcd);
         prop_assert_eq!(ccp::connected_subset_count(&inst), expect);
@@ -203,11 +192,7 @@ proptest! {
         n in 3usize..=9,
         family in 0usize..4,
     ) {
-        // Takes the lock although it reads no counters: its ccp runs
-        // would otherwise land in the counters the other tests read while
-        // they hold collection on.
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let g = match family {
+            let g = match family {
             0 => chain(n),
             1 => cycle(n),
             2 => clique(n),

@@ -9,12 +9,6 @@ use aqo_core::{AccessCostMatrix, CostScalar, JoinSequence, SelectivityMatrix};
 use aqo_graph::Graph;
 use aqo_optimizer::{dp, engine, exhaustive, greedy, pipeline, star};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Metrics are process-global: tests here that run the exhaustive QO_H
-/// search (which flushes sequence counters) serialize on this lock, so a
-/// counter read sees only its own run.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Strategy: a connected QO_N instance on 3..=7 vertices.
 fn qon_instance() -> impl Strategy<Value = QoNInstance> {
@@ -125,7 +119,6 @@ proptest! {
 
     #[test]
     fn qoh_greedy_never_beats_exhaustive(inst in qoh_instance()) {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let greedy = pipeline::optimize_greedy(&inst);
         let exact = pipeline::optimize_exhaustive(&inst);
         match (greedy, exact) {
@@ -249,18 +242,17 @@ fn per_permutation_reference(inst: &QoHInstance) -> Option<PlanParts> {
     best
 }
 
-/// Runs the exhaustive search with metrics on; returns the plan and the
-/// `(sequences_costed, sequences_infeasible)` counters. Caller holds
-/// [`OBS_LOCK`].
+/// Runs the exhaustive search with metrics on in a fresh scope; returns
+/// the plan and the `(sequences_costed, sequences_infeasible)` counters,
+/// which the workers report into that scope at any thread count.
 fn exhaustive_with_counters(
     inst: &QoHInstance,
     threads: usize,
 ) -> (Option<pipeline::QohPlan>, (u64, u64)) {
-    aqo_obs::reset_metrics();
+    let _scope = aqo_obs::Scope::new().install();
     aqo_obs::set_enabled(true);
     let plan = pipeline::optimize_exhaustive_par_with_budget(inst, threads, &Budget::unlimited())
         .expect("unlimited budget cannot be exceeded");
-    aqo_obs::set_enabled(false);
     let counter = |name: &str| {
         aqo_obs::counters_snapshot().into_iter().find(|(n, _)| n == name).map_or(0, |(_, v)| v)
     };
@@ -268,7 +260,6 @@ fn exhaustive_with_counters(
         counter("optimizer.pipeline.sequences_costed"),
         counter("optimizer.pipeline.sequences_infeasible"),
     );
-    aqo_obs::reset_metrics();
     (plan, tally)
 }
 
@@ -277,7 +268,6 @@ fn exhaustive_with_counters(
 /// sequences); at 1, 2 and 4 threads; counting n! sequences; and ticking
 /// the budget exactly n! times.
 fn check_prefix_search(inst: &QoHInstance, regime: u8, brute: bool) {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let n = inst.n();
     let fact: u64 = (1..=n as u64).product();
     let expect = per_permutation_reference(inst);
@@ -485,7 +475,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let inst = qoh_varied(n, shape, regime, eta, ties, seed);
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let want = bruteforce_optimum(&inst);
         prop_assert_eq!(pipeline::optimize_exhaustive(&inst).map(parts), want);
         // The greedy reuses one prefix DP across its swaps; the plan it

@@ -2,7 +2,7 @@
 //! (`CHAOS.json`, schema `aqo-chaos/v1`).
 //!
 //! The campaign boots a real in-process server on `127.0.0.1:0` and
-//! sweeps the full fail-point catalog ([`aqo_core::faults::CATALOG`])
+//! sweeps the full fail-point catalog ([`aqo_obs::faults::CATALOG`])
 //! against every fault mode (`err`, `panic`, `delay`): one **cell** per
 //! `site × mode` pair. A cell arms the site with a bounded fire count,
 //! fires a handful of requests at the live server through the plain
@@ -38,6 +38,10 @@
 //! reloads the server's own shutdown snapshot, then truncates and
 //! garbage-fills it to prove restart survives both.
 //!
+//! The campaign arms, reads and disarms fail points in the caller's
+//! [`aqo_obs::Scope`], which is also the scope its server is built in and
+//! reports into, so a campaign arms only its own server.
+//!
 //! Everything is countdown-based and seeded — no randomness, no timing
 //! dependence in the verdicts — so a red campaign reproduces.
 
@@ -47,9 +51,9 @@ use crate::proto::{ErrorKind, Op, Problem, Request};
 use crate::server::{ServeConfig, Server};
 use crate::snapshot;
 use aqo_bignum::BigUint;
-use aqo_core::faults::{self, FaultKind, SiteInfo, CATALOG};
 use aqo_core::fingerprint::fnv1a;
 use aqo_core::{textio, workloads};
+use aqo_obs::faults::{self, FaultKind, SiteInfo, CATALOG};
 use aqo_obs::json::{self, JsonValue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -9,15 +9,16 @@
 //!
 //! Failure containment: the whole of request handling runs under
 //! `catch_unwind`, and the `serve::request` fail point
-//! ([`aqo_core::faults`]) fires *inside* that guard — an injected panic
+//! ([`aqo_obs::faults`]) fires *inside* that guard — an injected panic
 //! or error therefore produces a structured error response instead of a
 //! dead worker or a dropped connection.
 
 use crate::cache::{CachedPlan, PlanCache};
 use crate::proto::{ErrReply, ErrorKind, OkReply, Op, Problem, Reply, Request};
 use aqo_core::fingerprint::{fnv1a, write_canonical_qoh, write_canonical_qon};
-use aqo_core::{explain, faults, textio, CostScalar};
+use aqo_core::{explain, textio, CostScalar};
 use aqo_driver::{BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
+use aqo_obs::faults;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 

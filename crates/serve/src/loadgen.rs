@@ -392,7 +392,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         }
         // Quantiles come from the same log-bucketed histogram the live
         // `metrics` op uses, so offline BENCH numbers and online `aqo top`
-        // numbers share one definition (half-octave resolution).
+        // numbers share one definition (eighth-octave resolution).
         let hist = aqo_obs::Histogram::detached();
         let mut answered = 0usize;
         for t in &tallies {

@@ -23,11 +23,15 @@
 //!   connection threads notice via their read timeout and hang up, and
 //!   [`Server::run`] returns a [`ServiceReport`] summary. The CLI then
 //!   flushes the trace journal exactly as `aqo optimize` does.
+//! * **Observability scope**: a server reports into the
+//!   [`aqo_obs::Scope`] it was built in. Every thread it runs on —
+//!   acceptor, connections, pool, sampler — installs that scope, so its
+//!   metrics, journal, series and armed fail points are that scope's.
 
 use crate::engine::{Degrade, Engine};
 use crate::proto::{ErrReply, ErrorKind, Op, Reply, Request, StatusReply};
-use aqo_core::faults;
 use aqo_core::parallel;
+use aqo_obs::faults;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -258,6 +262,8 @@ struct QueueState {
 /// return the [`ServiceReport`].
 pub struct Server {
     engine: Engine,
+    /// The scope the server was built in; installed on all its threads.
+    scope: aqo_obs::Scope,
     workers: usize,
     max_inflight: usize,
     idle_timeout: Option<Duration>,
@@ -285,10 +291,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds a server; `cfg.threads == 0` resolves to the hardware
-    /// thread count. When `cfg.snapshot_path` names an existing snapshot
-    /// the plan cache is warm-loaded from it (salvaging what survives of
-    /// a truncated or corrupt file).
+    /// Builds a server in the current [`aqo_obs::Scope`]; `cfg.threads ==
+    /// 0` resolves to the hardware thread count. When `cfg.snapshot_path`
+    /// names an existing snapshot the plan cache is warm-loaded from it
+    /// (salvaging what survives of a truncated or corrupt file).
     pub fn new(cfg: &ServeConfig) -> Self {
         let engine = Engine::new(cfg.cache_capacity, cfg.default_timeout);
         if let Some(path) = &cfg.snapshot_path {
@@ -310,6 +316,7 @@ impl Server {
         }
         Server {
             engine,
+            scope: aqo_obs::Scope::current(),
             workers: parallel::resolve_threads(cfg.threads),
             max_inflight: cfg.max_inflight.max(1),
             idle_timeout: cfg.idle_timeout,
@@ -347,17 +354,23 @@ impl Server {
 
     /// Serves `listener` until shutdown; returns the final summary.
     pub fn run(&self, listener: &TcpListener) -> std::io::Result<ServiceReport> {
+        let _obs = self.scope.install();
         listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
             // The worker pool runs inside one scoped thread; run_workers
-            // fans it out to `self.workers` OS threads and joins them.
+            // fans it out to `self.workers` OS threads (carrying the obs
+            // scope along) and joins them.
             let pool = scope.spawn(|| {
+                let _obs = self.scope.install();
                 parallel::run_workers(self.workers, |_t| self.worker_loop());
             });
             // The sampler is scoped too: it exits on the shutdown flag and
             // the scope joins it after the drain.
             if let Some(interval) = self.obs_interval {
-                scope.spawn(move || self.sampler_loop(interval));
+                scope.spawn(move || {
+                    let _obs = self.scope.install();
+                    self.sampler_loop(interval)
+                });
             }
             let mut accept_err = None;
             loop {
@@ -375,6 +388,7 @@ impl Server {
                         // whole server down, so contain it (the network
                         // fault sites can panic by design).
                         scope.spawn(move || {
+                            let _obs = self.scope.install();
                             let _ = faults::with_quiet_panics(|| {
                                 catch_unwind(AssertUnwindSafe(|| self.serve_connection(stream)))
                             });
@@ -460,6 +474,7 @@ impl Server {
     /// Serves newline-delimited requests on stdin/stdout, sequentially
     /// (scripting/debug transport — no pool, no admission, same engine).
     pub fn run_stdio(&self) -> ServiceReport {
+        let _obs = self.scope.install();
         let stdin = std::io::stdin();
         let out: SharedWriter = ConnWriter::plain(Box::new(std::io::stdout()));
         let mut line = String::new();
@@ -593,13 +608,13 @@ impl Server {
     }
 
     /// Publishes queue gauges from values captured under the state lock.
-    /// Takes values, not the guard: the registry lookup inside
-    /// [`aqo_obs::gauge`] acquires the obs registry lock, and the queue
-    /// lock must never nest over obs locks.
+    /// Takes values, not the guard: a handle's first lookup acquires the
+    /// obs registry lock, and the queue lock must never nest over obs
+    /// locks.
     fn publish_gauges(&self, queued: usize, executing: usize) {
         if aqo_obs::enabled() {
-            aqo_obs::gauge("serve.queue_depth").set(queued as u64);
-            aqo_obs::gauge("serve.inflight").set((queued + executing) as u64);
+            aqo_obs::gauge_handle!("serve.queue_depth").set(queued as u64);
+            aqo_obs::gauge_handle!("serve.inflight").set((queued + executing) as u64);
         }
     }
 

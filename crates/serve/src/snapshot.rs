@@ -39,8 +39,8 @@
 //! path over a good file.
 
 use crate::cache::{CachedPlan, PlanCache};
-use aqo_core::faults;
 use aqo_core::fingerprint::fnv1a;
+use aqo_obs::faults;
 use aqo_obs::json::{self, JsonValue};
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -246,18 +246,6 @@ pub fn load(path: &Path, cache: &PlanCache) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Fault sites are process-global: every test here holds this lock
-    /// from a cleared registry to its end, so one test's `faults::clear`
-    /// never disarms a site another test armed mid-test.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-    fn exclusive_faults() -> MutexGuard<'static, ()> {
-        let guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        faults::clear();
-        guard
-    }
 
     fn plan(tag: &str, frags: Option<Vec<(usize, usize)>>) -> CachedPlan {
         CachedPlan {
@@ -288,7 +276,6 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips() {
-        let _faults = exclusive_faults();
         let path = tmpfile("roundtrip.snap");
         let cache = populated(5);
         assert_eq!(save(&path, &cache).expect("save"), 5);
@@ -305,7 +292,6 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_salvages_intact_lines() {
-        let _faults = exclusive_faults();
         let path = tmpfile("truncated.snap");
         let cache = populated(6);
         save(&path, &cache).expect("save");
@@ -321,7 +307,6 @@ mod tests {
 
     #[test]
     fn garbage_snapshot_is_an_error_not_a_panic() {
-        let _faults = exclusive_faults();
         let path = tmpfile("garbage.snap");
         std::fs::write(&path, "!!! not a snapshot\nstill not\n").expect("write garbage");
         let restored = PlanCache::new(64);
@@ -331,7 +316,6 @@ mod tests {
 
     #[test]
     fn interior_corruption_skips_only_the_bad_line() {
-        let _faults = exclusive_faults();
         let path = tmpfile("interior.snap");
         save(&path, &populated(4)).expect("save");
         let text = std::fs::read_to_string(&path).expect("read");
@@ -345,13 +329,12 @@ mod tests {
 
     #[test]
     fn injected_torn_write_leaves_previous_snapshot_intact() {
-        let _faults = exclusive_faults();
+        let _scope = aqo_obs::Scope::new().install();
         let path = tmpfile("torn.snap");
         save(&path, &populated(3)).expect("first save");
         faults::arm("serve::storage::snapshot_write", faults::FaultKind::Error, 1);
         let bigger = populated(8);
         assert!(save(&path, &bigger).is_err(), "torn write reports failure");
-        faults::clear();
         // The rename never happened: the original 3-entry snapshot loads.
         let restored = PlanCache::new(64);
         assert_eq!(load(&path, &restored).expect("old snapshot"), 3);
@@ -359,18 +342,16 @@ mod tests {
 
     #[test]
     fn injected_load_fault_forces_salvage_with_identical_result() {
-        let _faults = exclusive_faults();
+        let _scope = aqo_obs::Scope::new().install();
         let path = tmpfile("salvage-forced.snap");
         save(&path, &populated(4)).expect("save");
         faults::arm("serve::storage::snapshot_load", faults::FaultKind::Error, 1);
         let restored = PlanCache::new(64);
         assert_eq!(load(&path, &restored).expect("salvage path"), 4);
-        faults::clear();
     }
 
     #[test]
     fn empty_cache_snapshot_loads_as_zero() {
-        let _faults = exclusive_faults();
         let path = tmpfile("empty.snap");
         save(&path, &PlanCache::new(8)).expect("save empty");
         assert_eq!(load(&path, &PlanCache::new(8)).expect("load empty"), 0);

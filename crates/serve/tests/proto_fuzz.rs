@@ -8,12 +8,8 @@
 //! garbage, oversized lines, and a held-open partial line — and must
 //! answer each abuse with a structured error (or a deliberate eviction)
 //! while staying serviceable for the next well-formed request.
-//!
-//! The fault registry and obs switch are process-global, so the
-//! server-level tests serialize on one mutex (each test binary is its
-//! own process, so this does not contend with `serve_e2e`).
 
-use aqo_core::{faults, textio, workloads};
+use aqo_core::{textio, workloads};
 use aqo_obs::json::{self, JsonValue};
 use aqo_serve::{Op, Problem, Request, ServeConfig, Server};
 use rand::rngs::StdRng;
@@ -21,10 +17,7 @@ use rand::SeedableRng;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn qon_text(n: usize, seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -228,8 +221,6 @@ fn shutdown(addr: &str) {
 
 #[test]
 fn invalid_utf8_line_gets_structured_parse_error() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
     let report = with_server(&ServeConfig::default(), |addr| {
         let mut conn = RawConn::connect(addr);
         // A line that is not UTF-8 at all: lossy decoding turns it into
@@ -250,8 +241,6 @@ fn invalid_utf8_line_gets_structured_parse_error() {
 
 #[test]
 fn interleaved_garbage_leaves_valid_requests_unharmed() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
     let text = qon_text(5, 23);
     let report = with_server(&ServeConfig::default(), |addr| {
         let mut conn = RawConn::connect(addr);
@@ -280,8 +269,6 @@ fn interleaved_garbage_leaves_valid_requests_unharmed() {
 
 #[test]
 fn oversized_line_is_evicted_and_server_stays_up() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
     let cfg = ServeConfig { max_line_bytes: 512, ..ServeConfig::default() };
     let report = with_server(&cfg, |addr| {
         let mut conn = RawConn::connect(addr);
@@ -306,8 +293,6 @@ fn oversized_line_is_evicted_and_server_stays_up() {
 
 #[test]
 fn slow_loris_partial_line_is_evicted_within_the_deadline() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
     let cfg = ServeConfig {
         conn_timeout: Duration::from_millis(20),
         read_deadline: Some(Duration::from_millis(150)),

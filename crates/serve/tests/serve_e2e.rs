@@ -3,20 +3,18 @@
 //! `status`, admission-control overload, fault injection producing
 //! structured errors, idle shutdown, and the drain on `shutdown`.
 //!
-//! The fault registry and the obs switch are process-global, so the tests
-//! serialize on one mutex.
+//! Each test builds its server in a fresh obs scope, so the faults it
+//! arms fire only in its own server.
 
-use aqo_core::faults::{self, FaultKind};
 use aqo_core::{textio, workloads};
+use aqo_obs::faults::{self, FaultKind};
 use aqo_obs::json::{self, JsonValue};
 use aqo_serve::{Client, Op, Problem, Request, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::TcpListener;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Barrier;
 use std::time::Duration;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn qon_text(n: usize, seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -56,8 +54,7 @@ where
 
 #[test]
 fn second_identical_request_is_served_from_cache() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     let text = qon_text(6, 7);
     let report = with_server(&ServeConfig::default(), |addr, _| {
         let mut client = Client::connect(addr).expect("connect");
@@ -93,8 +90,7 @@ fn second_identical_request_is_served_from_cache() {
 
 #[test]
 fn overload_produces_structured_rejections_and_in_flight_work_drains() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     // One worker, one admission slot, and every request pinned at 200ms:
     // while the first executes, concurrent arrivals must be rejected with
     // the structured `overloaded` error, not queued without bound.
@@ -133,15 +129,13 @@ fn overload_produces_structured_rejections_and_in_flight_work_drains() {
         assert!(overloaded >= 1, "at least one concurrent request is shed");
         aqo_serve::client::oneshot(addr, &shutdown_req(99)).expect("shutdown");
     });
-    faults::clear();
     assert_eq!(report.reason, "shutdown");
     assert_eq!(report.overloaded as usize + report.ok as usize, 4);
 }
 
 #[test]
 fn injected_fault_becomes_structured_error_and_worker_survives() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     faults::arm("serve::request", FaultKind::Error, 1);
     let text = qon_text(5, 13);
     let report = with_server(&ServeConfig::default(), |addr, _| {
@@ -159,15 +153,13 @@ fn injected_fault_becomes_structured_error_and_worker_survives() {
         assert!(matches!(doc.get("ok"), Some(JsonValue::Bool(true))));
         client.roundtrip(&shutdown_req(3)).expect("shutdown");
     });
-    faults::clear();
     assert_eq!(report.errors, 1);
     assert_eq!(report.ok, 1);
 }
 
 #[test]
 fn injected_panic_is_contained_as_structured_error() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     faults::arm("serve::request", FaultKind::Panic, 1);
     let text = qon_text(5, 17);
     let report = with_server(&ServeConfig::default(), |addr, _| {
@@ -185,15 +177,13 @@ fn injected_panic_is_contained_as_structured_error() {
         ));
         client.roundtrip(&shutdown_req(3)).expect("shutdown");
     });
-    faults::clear();
     assert_eq!(report.errors, 1);
     assert_eq!(report.ok, 1);
 }
 
 #[test]
 fn degradation_ladder_tags_replies_under_load() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     // One worker, every request pinned at 150ms: enqueueing 6 distinct
     // instances drives the in-flight count through the ladder
     // thresholds, so later arrivals must be answered from a weaker
@@ -235,7 +225,6 @@ fn degradation_ladder_tags_replies_under_load() {
         assert!(degraded >= 1, "concurrent arrivals ride the ladder: {replies:?}");
         aqo_serve::client::oneshot(addr, &shutdown_req(99)).expect("shutdown");
     });
-    faults::clear();
     assert_eq!(report.reason, "shutdown");
     assert_eq!(report.ok, 6, "every request was answered");
     assert_eq!(report.overloaded, 0);
@@ -244,8 +233,7 @@ fn degradation_ladder_tags_replies_under_load() {
 
 #[test]
 fn torn_reply_write_is_retried_transparently() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     // The first reply write is torn mid-line and the connection dropped;
     // the retrying client must classify the EOF as transient, reconnect,
     // and get the full answer on the second attempt.
@@ -262,15 +250,13 @@ fn torn_reply_write_is_retried_transparently() {
         assert!(matches!(json::parse(&again).expect("parses").get("ok"), Some(JsonValue::Bool(true))));
         client.roundtrip(&shutdown_req(3)).expect("shutdown");
     });
-    faults::clear();
     assert_eq!(report.reason, "shutdown");
     assert!(report.ok >= 2, "both requests were answered (the torn one possibly twice)");
 }
 
 #[test]
 fn idle_timeout_shuts_the_server_down() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    faults::clear();
+    let _scope = aqo_obs::Scope::new().install();
     let cfg =
         ServeConfig { idle_timeout: Some(Duration::from_millis(150)), ..ServeConfig::default() };
     let report = with_server(&cfg, |addr, _| {
@@ -280,4 +266,48 @@ fn idle_timeout_shuts_the_server_down() {
         // No further traffic: the idle clock runs out on its own.
     });
     assert_eq!(report.reason, "idle");
+}
+
+/// Two servers run at once, each built in a scope of its own:
+/// `serve::request` armed in one scope fails only that server's request,
+/// and each scope's counters count only its own server's replies.
+#[test]
+fn servers_in_two_scopes_keep_faults_and_metrics_apart() {
+    let text = qon_text(5, 31);
+    let (up, answered) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|t| {
+        for armed in [true, false] {
+            let (text, up, answered) = (&text, &up, &answered);
+            t.spawn(move || {
+                let _scope = aqo_obs::Scope::new().install();
+                aqo_obs::set_enabled(true);
+                if armed {
+                    faults::arm("serve::request", FaultKind::Error, u64::MAX);
+                }
+                let mut reply = String::new();
+                let report = with_server(&ServeConfig::default(), |addr, _| {
+                    up.wait();
+                    reply = aqo_serve::client::oneshot(addr, &optimize_req(1, text))
+                        .unwrap_or_default();
+                    answered.wait();
+                    aqo_serve::client::oneshot(addr, &shutdown_req(2)).expect("shutdown");
+                });
+                let doc = json::parse(&reply).expect("reply parses");
+                let kind = doc.get("error").and_then(|e| e.get("kind"));
+                match armed {
+                    true => assert_eq!(kind.and_then(JsonValue::as_str), Some("injected")),
+                    false => assert!(kind.is_none(), "unarmed server answers: {reply}"),
+                }
+                assert_eq!((report.ok, report.errors), if armed { (0, 1) } else { (1, 0) });
+                assert_eq!(faults::hits("serve::request"), u64::from(armed));
+                let counters = aqo_obs::counters_snapshot();
+                let count = |name: &str| {
+                    counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+                };
+                assert_eq!(count("serve.responses.error"), u64::from(armed));
+                assert_eq!(count("serve.responses.ok"), u64::from(!armed));
+                assert_eq!(count("serve.requests.optimize"), 1);
+            });
+        }
+    });
 }

@@ -30,10 +30,11 @@ fn optimize_req(id: u64, text: &str) -> Request {
     req
 }
 
-/// Serves exactly one optimize request on a `threads`-worker pool and
-/// returns the journal produced, as parsed JSON lines.
+/// Serves exactly one optimize request on a `threads`-worker pool, in a
+/// fresh obs scope, and returns the journal produced, as parsed JSON lines.
 fn serve_one_request(threads: usize, text: &str) -> Vec<JsonValue> {
-    aqo_obs::journal::drain(); // isolate this run's events
+    let _scope = aqo_obs::Scope::new().install();
+    aqo_obs::set_enabled(true);
     let cfg = ServeConfig {
         threads,
         // No sampler: its ticks are timing-dependent and would make the
@@ -73,8 +74,6 @@ fn etype(doc: &JsonValue) -> String {
 
 #[test]
 fn every_event_of_a_served_request_carries_its_trace_id_at_any_pool_size() {
-    aqo_obs::set_enabled(true);
-    aqo_obs::journal::set_capture(true);
     let text = qon_text(6, 7);
     let mut profiles: Vec<Vec<String>> = Vec::new();
     for threads in [1usize, 2, 4] {
