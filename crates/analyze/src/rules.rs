@@ -365,7 +365,7 @@ fn normalize_metric(name: &str) -> String {
 enum MetricKind {
     /// Counter/gauge/histogram registration.
     Metric,
-    /// `span(…)` name (cataloged in the span-names paragraph).
+    /// `span!(…)` name (cataloged in the span-names paragraph).
     Span,
     /// `journal::event("type", …)` event type (Journal events table).
     Event,
@@ -382,7 +382,7 @@ struct MetricUse {
 
 /// Extracts metric registrations (`counter(…)`, `counter_handle!(…)`,
 /// `gauge(…)`, `gauge_handle!(…)`, `histogram(…)`, `histogram_handle!(…)`,
-/// `span(…)`) from the scanned sources, skipping `aqo-obs` itself (the
+/// `span!(…)`) from the scanned sources, skipping `aqo-obs` itself (the
 /// registry's internals and its unit tests use throwaway names) except
 /// its fail points, which emit metrics like any instrumented crate.
 fn collect_metric_uses(models: &[SourceModel]) -> Vec<MetricUse> {

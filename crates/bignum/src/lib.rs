@@ -14,8 +14,9 @@
 //! * [`BigRational`] — always-reduced rationals, the workhorse of the exact
 //!   cost models (selectivities are reciprocals, so intermediate sizes are
 //!   rationals);
-//! * [`LogNum`] — a fast `f64` log₂-domain companion used by heuristics and
-//!   by figures; cross-validated against the exact types in tests;
+//! * [`LogNum`] — a fast companion (an `f64` mantissa times a coarse power
+//!   of two, so no overflow) used by the subset DP, heuristics and
+//!   figures; cross-validated against the exact types in tests;
 //! * [`fixed`] — rigorous fixed-point evaluation of `e^x` needed by the
 //!   PARTITION → SPPCS reduction of Appendix A (`g_q(x) = 2^q·f_q(e^{x/2K})`).
 //!

@@ -1,72 +1,166 @@
-//! `f64` log₂-domain non-negative numbers.
+//! Fast non-negative reals over an unbounded exponent range.
 //!
-//! [`LogNum`] stores `log₂(x)` for a non-negative real `x`, with
-//! `-inf` representing exact zero. Multiplication and division become
-//! addition and subtraction; addition uses a stable log-sum-exp. This is the
-//! fast companion of [`BigRational`](crate::BigRational): the subset-DP
-//! optimizer and the heuristics run in log domain and the winners are
+//! [`LogNum`] stores a non-negative real as an `f64` mantissa `m` times a
+//! *coarse* power of two: `x = m · 2^(512·e)` with `m ∈ [2^-256, 2^256)`
+//! and an `i64` exponent `e`. Exact zero and `+∞` are the sentinels
+//! `m = 0` and `m = +∞`, both with `e = 0`. The window is so wide that
+//! the values the optimizers meet almost never leave `e = 0`, so `add`,
+//! `mul`, `div` and `cmp` are one `f64` operation plus a range check on
+//! the result's binary exponent. Aligning unequal exponents and moving a
+//! result back into the window are exact rescales by `2^±512`, done on an
+//! out-of-line slow path. Each of the three arithmetic operations
+//! therefore rounds exactly once, to a relative error ≤ 2⁻⁵³, at every
+//! magnitude; no operation calls `exp2`, `log2` or `ln_1p`. Those appear
+//! only in the conversions [`LogNum::from_log2`], [`LogNum::log2`] and
+//! [`LogNum::powi`].
+//!
+//! This is the fast companion of [`BigRational`](crate::BigRational): the
+//! subset-DP optimizer and the heuristics run in it and the winners are
 //! re-costed exactly.
 
+use crate::BigUint;
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, Div, Mul};
 
-/// A non-negative real number stored as its base-2 logarithm.
+/// A non-negative real number: an `f64` mantissa in `[2^-256, 2^256)`
+/// times `2^(512·e)` for an `i64` exponent `e`.
+///
+/// Every value has exactly one representation, so the derived equality is
+/// value equality.
 #[derive(Clone, Copy, PartialEq)]
 pub struct LogNum {
-    log2: f64,
+    /// In `[2^-256, 2^256)`; `0` for zero and `+∞` for infinity.
+    m: f64,
+    /// The coarse exponent; `0` for both sentinels.
+    e: i64,
+}
+
+/// `2^k` for `-1022 <= k <= 1023`, built from its bits.
+const fn pow2(k: i32) -> f64 {
+    f64::from_bits(((1023 + k) as u64) << 52)
+}
+
+/// Bits per coarse exponent step.
+const STEP: i64 = 512;
+/// The window's bounds and the exact rescale between adjacent exponents.
+const LO: f64 = pow2(-256);
+const HI: f64 = pow2(256);
+const UP: f64 = pow2(512);
+const DOWN: f64 = pow2(-512);
+/// Coarse exponents beyond this saturate to zero or infinity in
+/// [`LogNum::from_log2`], keeping every exponent sum far from overflow.
+const E_MAX: i64 = 1 << 52;
+
+/// Whether `m` lies in the window `[2^-256, 2^256)`: its biased binary
+/// exponent in `[1023 − 256, 1023 + 256)`. Zero, `+∞`, NaN and negative
+/// values all fail, so a single unsigned compare guards every fast path.
+#[inline(always)]
+fn in_window(m: f64) -> bool {
+    (m.to_bits() >> 52).wrapping_sub(1023 - 256) < 512
+}
+
+/// `m · 2^(512·e)` for a finite positive `m`, moved into the window by
+/// exact rescales (any finite `f64` is at most five steps away).
+#[cold]
+fn normalize(mut m: f64, mut e: i64) -> LogNum {
+    while m >= HI {
+        m *= DOWN;
+        e += 1;
+    }
+    while m < LO {
+        m *= UP;
+        e -= 1;
+    }
+    LogNum { m, e }
 }
 
 impl LogNum {
     /// Exact zero.
-    pub const ZERO: LogNum = LogNum { log2: f64::NEG_INFINITY };
+    pub const ZERO: LogNum = LogNum { m: 0.0, e: 0 };
     /// One.
-    pub const ONE: LogNum = LogNum { log2: 0.0 };
+    pub const ONE: LogNum = LogNum { m: 1.0, e: 0 };
     /// Positive infinity (useful as an "unreached" optimizer sentinel).
-    pub const INFINITY: LogNum = LogNum { log2: f64::INFINITY };
+    pub const INFINITY: LogNum = LogNum { m: f64::INFINITY, e: 0 };
 
-    /// Builds from a base-2 logarithm.
-    #[inline]
+    /// Builds from a base-2 logarithm (`-inf` gives zero, `+inf`
+    /// infinity). One `exp2` of the fractional part within the window,
+    /// so the value carries the logarithm's own rounding.
     pub fn from_log2(log2: f64) -> Self {
         debug_assert!(!log2.is_nan());
-        LogNum { log2 }
+        let e = (log2 / STEP as f64).round();
+        if e > E_MAX as f64 {
+            return LogNum::INFINITY;
+        }
+        if e < -E_MAX as f64 {
+            return LogNum::ZERO;
+        }
+        // Exact: `e·512` is a multiple of `log2`'s ulp at this magnitude.
+        normalize((log2 - e * STEP as f64).exp2(), e as i64)
     }
 
     /// Builds from a plain value (must be non-negative and not NaN).
     pub fn from_value(v: f64) -> Self {
         assert!(v >= 0.0 && !v.is_nan(), "LogNum requires a non-negative value");
-        LogNum { log2: v.log2() }
+        if v == 0.0 || v == f64::INFINITY {
+            return LogNum { m: v, e: 0 };
+        }
+        normalize(v, 0)
     }
 
-    /// The stored base-2 logarithm (`-inf` for zero).
+    /// Builds from an arbitrary-precision integer, correctly rounded: its
+    /// top 64 bits with a sticky bit for the rest, one `u64 → f64`
+    /// rounding, then exact rescales.
+    pub fn from_uint(v: &BigUint) -> Self {
+        let (top, shift) = v.top_u64_sticky();
+        if top == 0 {
+            return LogNum::ZERO;
+        }
+        let e = (shift / STEP as u64) as i64;
+        // `top < 2^64` and the remainder is below 512: `m < 2^576`.
+        normalize(top as f64 * pow2((shift % STEP as u64) as i32), e)
+    }
+
+    /// The base-2 logarithm (`-inf` for zero, `+inf` for infinity).
     #[inline]
     pub fn log2(self) -> f64 {
-        self.log2
+        self.m.log2() + self.e as f64 * STEP as f64
     }
 
-    /// Back to a plain `f64` (may overflow to `inf`).
+    /// Back to a plain `f64` (may overflow to `inf` or underflow to `0`).
     pub fn to_f64(self) -> f64 {
-        self.log2.exp2()
+        match self.e {
+            0 => self.m,
+            1 => self.m * UP,
+            2 => self.m * UP * UP,
+            -1 => self.m * DOWN,
+            -2 => self.m * DOWN * DOWN,
+            e if e > 0 => f64::INFINITY,
+            _ => 0.0,
+        }
     }
 
     /// Whether this is exact zero.
     #[inline]
     pub fn is_zero(self) -> bool {
-        self.log2 == f64::NEG_INFINITY
+        self.m == 0.0
     }
 
     /// Whether this is finite and nonzero.
     pub fn is_finite_positive(self) -> bool {
-        self.log2.is_finite()
+        self.m > 0.0 && self.m.is_finite()
     }
 
-    /// `self^k` for an integer power.
+    /// `self^k` for an integer power, through the logarithm.
     pub fn powi(self, k: i64) -> LogNum {
-        if self.is_zero() {
-            return if k == 0 { LogNum::ONE } else { LogNum::ZERO };
+        if k == 0 {
+            return LogNum::ONE;
         }
-        LogNum { log2: self.log2 * k as f64 }
+        if self.is_zero() {
+            return LogNum::ZERO;
+        }
+        LogNum::from_log2(self.log2() * k as f64)
     }
 
     /// The smaller of two values.
@@ -100,14 +194,45 @@ impl From<u64> for LogNum {
     }
 }
 
+/// The slow path of [`Mul`]: a sentinel operand or a product outside the
+/// window.
+#[cold]
+#[inline(never)]
+fn mul_slow(a: LogNum, b: LogNum) -> LogNum {
+    if a.is_zero() || b.is_zero() {
+        LogNum::ZERO
+    } else if a.m == f64::INFINITY || b.m == f64::INFINITY {
+        LogNum::INFINITY
+    } else {
+        normalize(a.m * b.m, a.e + b.e)
+    }
+}
+
 impl Mul for LogNum {
     type Output = LogNum;
     #[inline]
     fn mul(self, rhs: LogNum) -> LogNum {
-        if self.is_zero() || rhs.is_zero() {
-            return LogNum::ZERO;
+        let m = self.m * rhs.m;
+        if in_window(m) {
+            return LogNum { m, e: self.e + rhs.e };
         }
-        LogNum { log2: self.log2 + rhs.log2 }
+        mul_slow(self, rhs)
+    }
+}
+
+/// The slow path of [`Div`]: a sentinel operand or a quotient outside the
+/// window. `∞/∞` stays `∞`.
+#[cold]
+#[inline(never)]
+fn div_slow(a: LogNum, b: LogNum) -> LogNum {
+    if a.is_zero() {
+        LogNum::ZERO
+    } else if a.m == f64::INFINITY {
+        LogNum::INFINITY
+    } else if b.m == f64::INFINITY {
+        LogNum::ZERO
+    } else {
+        normalize(a.m / b.m, a.e - b.e)
     }
 }
 
@@ -116,28 +241,49 @@ impl Div for LogNum {
     #[inline]
     fn div(self, rhs: LogNum) -> LogNum {
         assert!(!rhs.is_zero(), "LogNum division by zero");
-        if self.is_zero() {
-            return LogNum::ZERO;
+        let m = self.m / rhs.m;
+        if in_window(m) {
+            return LogNum { m, e: self.e - rhs.e };
         }
-        LogNum { log2: self.log2 - rhs.log2 }
+        div_slow(self, rhs)
+    }
+}
+
+/// The slow path of [`Add`]: a sentinel operand, unequal exponents, or a
+/// sum outside the window. The smaller operand is aligned to the larger's
+/// exponent by an exact `2^-512` rescale; two or more steps below, it is
+/// under `2^-512` of the larger and vanishes in the rounding.
+#[cold]
+#[inline(never)]
+fn add_slow(a: LogNum, b: LogNum) -> LogNum {
+    if a.is_zero() {
+        return b;
+    }
+    if b.is_zero() {
+        return a;
+    }
+    if a.m == f64::INFINITY || b.m == f64::INFINITY {
+        return LogNum::INFINITY;
+    }
+    let (hi, lo) = if a.e >= b.e { (a, b) } else { (b, a) };
+    match hi.e - lo.e {
+        0 => normalize(hi.m + lo.m, hi.e),
+        1 => normalize(hi.m + lo.m * DOWN, hi.e),
+        _ => hi,
     }
 }
 
 impl Add for LogNum {
     type Output = LogNum;
-    /// Stable log-sum-exp: `log₂(2^a + 2^b) = max + log₂(1 + 2^(min−max))`.
+    #[inline]
     fn add(self, rhs: LogNum) -> LogNum {
-        if self.is_zero() {
-            return rhs;
+        if self.e == rhs.e {
+            let m = self.m + rhs.m;
+            if in_window(m) {
+                return LogNum { m, e: self.e };
+            }
         }
-        if rhs.is_zero() {
-            return self;
-        }
-        let (hi, lo) = if self.log2 >= rhs.log2 { (self.log2, rhs.log2) } else { (rhs.log2, self.log2) };
-        if hi.is_infinite() {
-            return LogNum { log2: hi };
-        }
-        LogNum { log2: hi + (lo - hi).exp2().ln_1p() / std::f64::consts::LN_2 }
+        add_slow(self, rhs)
     }
 }
 
@@ -153,7 +299,22 @@ impl Product for LogNum {
     }
 }
 
+/// The slow path of [`Ord`]: unequal exponents. Zero and infinity carry
+/// `e = 0`, so they rank by class; two finite positive values rank by
+/// exponent, since their windows do not overlap.
+#[cold]
+#[inline(never)]
+fn cmp_slow(a: LogNum, b: LogNum) -> Ordering {
+    let class = |x: LogNum| match x.m {
+        0.0 => 0u8,
+        f64::INFINITY => 2,
+        _ => 1,
+    };
+    class(a).cmp(&class(b)).then(a.e.cmp(&b.e))
+}
+
 impl PartialOrd for LogNum {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -163,26 +324,38 @@ impl Eq for LogNum {}
 
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for LogNum {
-    #[expect(clippy::expect_used, reason = "the NaN-free invariant is enforced at construction")]
+    /// Equal exponents compare mantissas: one `f64` compare on values
+    /// that are never NaN.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.log2.partial_cmp(&other.log2).expect("LogNum is NaN-free")
+        if self.e != other.e {
+            return cmp_slow(*self, *other);
+        }
+        if self.m < other.m {
+            Ordering::Less
+        } else if self.m > other.m {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
     }
 }
 
 impl fmt::Debug for LogNum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LogNum(2^{:.4})", self.log2)
+        write!(f, "LogNum(2^{:.4})", self.log2())
     }
 }
 
 impl fmt::Display for LogNum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let log2 = self.log2();
         if self.is_zero() {
             write!(f, "0")
-        } else if self.log2.abs() < 40.0 {
+        } else if log2.abs() < 40.0 {
             write!(f, "{:.4}", self.to_f64())
         } else {
-            write!(f, "2^{:.2}", self.log2)
+            write!(f, "2^{:.2}", log2)
         }
     }
 }

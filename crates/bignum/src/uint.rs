@@ -94,6 +94,23 @@ impl BigUint {
         }
     }
 
+    /// The top 64 significant bits and the shift they stand at:
+    /// `self ≈ top · 2^shift`. Any nonzero bit below the window is folded
+    /// into `top`'s lowest bit (a sticky bit), so rounding `top` to fewer
+    /// bits rounds `self` itself correctly. A value of at most 64 bits
+    /// comes back whole with shift `0`; zero is `(0, 0)`.
+    pub(crate) fn top_u64_sticky(&self) -> (u64, u64) {
+        let n = self.limbs.len();
+        if n < 2 {
+            return (self.limbs.first().copied().unwrap_or(0), 0);
+        }
+        let (hi, lo) = (self.limbs[n - 1], self.limbs[n - 2]);
+        let lz = hi.leading_zeros();
+        let top = if lz == 0 { hi } else { hi << lz | lo >> (64 - lz) };
+        let dropped = lo << lz != 0 || self.limbs[..n - 2].iter().any(|&l| l != 0);
+        (top | u64::from(dropped), (n as u64 - 1) * 64 - u64::from(lz))
+    }
+
     /// Value of bit `i` (little-endian bit order).
     pub fn bit(&self, i: u64) -> bool {
         let limb = (i / 64) as usize;

@@ -405,3 +405,188 @@ fn add_assign_carries_into_a_new_limb() {
     w += &BigUint::from_limbs(vec![u64::MAX; 2]);
     assert_eq!(w, BigUint::one() << 128u64);
 }
+
+/// `2^k` as an exact [`BigRational`].
+fn pow2_rational(k: i64) -> BigRational {
+    let p = BigUint::one() << k.unsigned_abs();
+    if k >= 0 {
+        BigRational::from(p)
+    } else {
+        BigRational::new(BigInt::one(), p)
+    }
+}
+
+/// `2^k` as a [`LogNum`], exactly: a power of two converts and divides
+/// without rounding.
+fn pow2_lognum(k: i64) -> LogNum {
+    let p = LogNum::from_uint(&(BigUint::one() << k.unsigned_abs()));
+    if k >= 0 {
+        p
+    } else {
+        LogNum::ONE / p
+    }
+}
+
+/// The exact value of a finite `LogNum`: divided by the power of two
+/// nearest it (an exact rescale), it is an `f64` near one, whose bits are
+/// read off exactly.
+fn exact_of(x: LogNum) -> BigRational {
+    if x.is_zero() {
+        return BigRational::zero();
+    }
+    let k = x.log2().round() as i64;
+    let y = (x / pow2_lognum(k)).to_f64();
+    let bits = y.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i64 - 1075;
+    let mant = (bits & ((1 << 52) - 1)) | 1 << 52;
+    &BigRational::from(mant) * &pow2_rational(exp + k)
+}
+
+/// Binary exponents around which a `LogNum` changes its coarse exponent
+/// (`2^(512·e ± 256)`), and the middle of the first window.
+const LOGNUM_EDGES: [i64; 7] = [0, 256, -256, 768, -768, 1280, -1280];
+
+/// The `LogNum` `m·2^k` and its exact value (`m < 2^53`, so the value is
+/// representable).
+fn lognum_exact(m: u64, k: i64) -> (LogNum, BigRational) {
+    let exact = &BigRational::from(m) * &pow2_rational(k);
+    (LogNum::from_uint(&BigUint::from(m)) * pow2_lognum(k), exact)
+}
+
+/// A `LogNum` operand and its exact value, with magnitude `2^bits`:
+/// `bits` within 40 of a coarse-exponent edge half the time, anywhere in
+/// `±3000` otherwise; zero and `2^52·2^k` now and then.
+fn lognum_operand() -> impl Strategy<Value = (LogNum, BigRational)> {
+    let parts = (0u8..8, 1u64..1 << 53, 0usize..LOGNUM_EDGES.len(), -40i64..40, -3000i64..3000);
+    parts.prop_map(|(kind, m, edge, near, far)| {
+        let m = match kind {
+            0 => 0,
+            1 => 1 << 52,
+            _ => m,
+        };
+        let bits = if kind % 2 == 0 { LOGNUM_EDGES[edge] + near } else { far };
+        lognum_exact(m, bits - 64 + i64::from(m.leading_zeros()))
+    })
+}
+
+/// Two operands straddling the same coarse-exponent edge, within 54 bits
+/// of it: their sums, products and quotients cross between windows.
+fn lognum_straddling_pair() -> impl Strategy<Value = [(LogNum, BigRational); 2]> {
+    let parts = (0usize..LOGNUM_EDGES.len(), 1u64..1 << 53, 1u64..1 << 53, -54i64..54, -54i64..54);
+    parts.prop_map(|(edge, ma, mb, da, db)| {
+        let at = |m: u64, d: i64| LOGNUM_EDGES[edge] + d - 64 + i64::from(m.leading_zeros());
+        [lognum_exact(ma, at(ma, da)), lognum_exact(mb, at(mb, db))]
+    })
+}
+
+/// `|got − want| ≤ 2⁻⁵²·want`.
+fn within_2_pow_52(got: LogNum, want: &BigRational) -> bool {
+    let err = (&exact_of(got) - want).abs();
+    &err * &pow2_rational(52) <= *want
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn lognum_operands_are_exact((a, ea) in lognum_operand()) {
+        prop_assert_eq!(exact_of(a), ea);
+    }
+
+    #[test]
+    fn lognum_ops_round_once((a, ea) in lognum_operand(), (b, eb) in lognum_operand()) {
+        prop_assert!(within_2_pow_52(a + b, &(&ea + &eb)));
+        prop_assert!(within_2_pow_52(a * b, &(&ea * &eb)));
+        if !b.is_zero() {
+            prop_assert!(within_2_pow_52(a / b, &(&ea / &eb)));
+        }
+    }
+
+    #[test]
+    fn lognum_ops_round_once_across_window_edges([(a, ea), (b, eb)] in lognum_straddling_pair()) {
+        prop_assert!(within_2_pow_52(a + b, &(&ea + &eb)));
+        prop_assert!(within_2_pow_52(a * b, &(&ea * &eb)));
+        prop_assert!(within_2_pow_52(a / b, &(&ea / &eb)));
+        prop_assert_eq!(a.cmp(&b), ea.cmp(&eb));
+    }
+
+    #[test]
+    fn lognum_order_agrees_with_exact_values(
+        (a, ea) in lognum_operand(),
+        (b, eb) in lognum_operand(),
+        (c, ec) in lognum_operand(),
+    ) {
+        prop_assert_eq!(a.cmp(&b), ea.cmp(&eb));
+        prop_assert_eq!(a == b, ea == eb);
+        // A rounded result against an exact value: the order holds
+        // whenever they differ by more than the rounding.
+        for (got, want) in [(a + b, &ea + &eb), (a * b, &ea * &eb)] {
+            let gap = &(&want - &ec).abs() * &pow2_rational(52);
+            if gap > want && gap > ec {
+                prop_assert_eq!(got.cmp(&c), want.cmp(&ec));
+            }
+        }
+    }
+
+    #[test]
+    fn lognum_zero_and_infinity((a, _) in lognum_operand()) {
+        let (zero, inf) = (LogNum::ZERO, LogNum::INFINITY);
+        prop_assert_eq!(zero + a, a);
+        prop_assert_eq!(a + zero, a);
+        prop_assert_eq!(a * zero, zero);
+        prop_assert_eq!(zero * inf, zero);
+        prop_assert_eq!(a + inf, inf);
+        prop_assert!(zero <= a && a < inf);
+        if !a.is_zero() {
+            prop_assert!(zero < a);
+            prop_assert_eq!(a * inf, inf);
+            prop_assert_eq!(zero / a, zero);
+            prop_assert_eq!(a / inf, zero);
+            prop_assert_eq!(inf / a, inf);
+            prop_assert!(a.is_finite_positive());
+        }
+        prop_assert_eq!(zero.log2(), f64::NEG_INFINITY);
+        prop_assert_eq!(inf.log2(), f64::INFINITY);
+    }
+
+    #[test]
+    fn lognum_log2_round_trips(near in -2000.0f64..2000.0, far in -1e7f64..1e7, pick in 0u8..2) {
+        let l = if pick == 0 { near } else { far };
+        let back = LogNum::from_log2(l).log2();
+        prop_assert!((back - l).abs() <= (l.abs() * 2f64.powi(-50)).max(1e-12), "{l} -> {back}");
+    }
+
+    #[test]
+    fn lognum_log2_matches_exact_values((a, ea) in lognum_operand()) {
+        prop_assume!(!a.is_zero());
+        prop_assert!((a.log2() - ea.log2()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn lognum_from_uint_rounds_halfway_cases_correctly(
+        m in 1u64 << 52..1 << 53,
+        shift in 11u64..300,
+        above in 0u8..2,
+    ) {
+        // Halfway between `m·2^(shift+1)` and `(m+1)·2^(shift+1)`, plus
+        // one when `above`: that one bit lies below the top 64 and only
+        // the sticky bit carries it.
+        let v = (BigUint::from(2 * m + 1) << shift) + BigUint::from(u64::from(above));
+        let up = above == 1 || m % 2 == 1;
+        let want = BigRational::from(BigUint::from(m + u64::from(up)) << (shift + 1));
+        prop_assert_eq!(exact_of(LogNum::from_uint(&v)), want);
+    }
+
+    #[test]
+    fn lognum_from_uint_rounds_once(v in biguint()) {
+        let got = LogNum::from_uint(&v);
+        if v.is_zero() {
+            prop_assert!(got.is_zero());
+        } else {
+            // Correct rounding: within half an ulp, 2⁻⁵³ relative.
+            let want = BigRational::from(v);
+            let err = (&exact_of(got) - &want).abs();
+            prop_assert!(&err * &pow2_rational(53) <= want);
+        }
+    }
+}

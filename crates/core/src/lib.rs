@@ -14,7 +14,7 @@
 //!
 //! Costs are evaluated generically over a [`scalar::CostScalar`]: the exact
 //! backend ([`aqo_bignum::BigRational`]) is used for every certified
-//! inequality, and the log-domain backend ([`aqo_bignum::LogNum`]) powers
+//! inequality, and the fast float backend ([`aqo_bignum::LogNum`]) powers
 //! the optimizers. The two agree to floating-point precision (tested by
 //! property tests).
 

@@ -2,11 +2,11 @@
 
 use aqo_bignum::{BigRational, BigUint, LogNum};
 
-/// A non-negative cost scalar: exact ([`BigRational`]) or log-domain
-/// ([`LogNum`]).
+/// A non-negative cost scalar: exact ([`BigRational`]) or a fast float
+/// with an unbounded exponent ([`LogNum`]).
 ///
 /// The reductions produce costs like `α^{Θ(n²)}` with `α = 4^{n^{1/δ}}`;
-/// the exact backend certifies inequalities, the log backend keeps the
+/// the exact backend certifies inequalities, the float backend keeps the
 /// subset-DP optimizer fast. Implementations must preserve the semiring
 /// structure and the ordering.
 pub trait CostScalar: Clone + PartialOrd {
@@ -72,19 +72,11 @@ impl CostScalar for LogNum {
         LogNum::ONE
     }
     fn from_count(v: &BigUint) -> Self {
-        if v.is_zero() {
-            LogNum::ZERO
-        } else {
-            LogNum::from_log2(v.log2())
-        }
+        LogNum::from_uint(v)
     }
     fn from_ratio(r: &BigRational) -> Self {
         assert!(!r.is_negative(), "cost scalars are non-negative");
-        if r.is_zero() {
-            LogNum::ZERO
-        } else {
-            LogNum::from_log2(r.log2())
-        }
+        LogNum::from_uint(r.numer().magnitude()) / LogNum::from_uint(r.denom())
     }
     fn add(&self, other: &Self) -> Self {
         *self + *other

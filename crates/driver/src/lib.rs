@@ -432,10 +432,10 @@ fn tier_success(tier: &str) -> aqo_obs::Counter {
 /// catalog scanner and the `span.<name>` histograms see every variant).
 fn qon_tier_span(tier: QonTier, allow_cartesian: bool) -> aqo_obs::Span {
     match tier {
-        QonTier::Dp if allow_cartesian => aqo_obs::span("tier.dp"),
-        QonTier::Dp => aqo_obs::span("tier.ccp"),
-        QonTier::Ikkbz => aqo_obs::span("tier.ikkbz"),
-        QonTier::Greedy => aqo_obs::span("tier.greedy"),
+        QonTier::Dp if allow_cartesian => aqo_obs::span!("tier.dp"),
+        QonTier::Dp => aqo_obs::span!("tier.ccp"),
+        QonTier::Ikkbz => aqo_obs::span!("tier.ikkbz"),
+        QonTier::Greedy => aqo_obs::span!("tier.greedy"),
     }
 }
 
@@ -443,8 +443,8 @@ fn qon_tier_span(tier: QonTier, allow_cartesian: bool) -> aqo_obs::Span {
 /// same histogram, distinguishable by the surrounding driver span).
 fn qoh_tier_span(tier: QohTier) -> aqo_obs::Span {
     match tier {
-        QohTier::Exhaustive => aqo_obs::span("tier.exhaustive"),
-        QohTier::Greedy => aqo_obs::span("tier.greedy"),
+        QohTier::Exhaustive => aqo_obs::span!("tier.exhaustive"),
+        QohTier::Greedy => aqo_obs::span!("tier.greedy"),
     }
 }
 
@@ -465,7 +465,7 @@ pub fn optimize_qon(
     inst: &QoNInstance,
     cfg: &QonDriverConfig,
 ) -> Result<QonOutcome, DriverError> {
-    let _span = aqo_obs::span("driver.optimize_qon");
+    let _span = aqo_obs::span!("driver.optimize_qon");
     let budget = cfg.budget.build(cfg.cancel.clone());
     let allow = cfg.allow_cartesian;
     drive(
@@ -508,7 +508,7 @@ pub fn optimize_qoh(
     inst: &QoHInstance,
     cfg: &QohDriverConfig,
 ) -> Result<QohOutcome, DriverError> {
-    let _span = aqo_obs::span("driver.optimize_qoh");
+    let _span = aqo_obs::span!("driver.optimize_qoh");
     let budget = cfg.budget.build(cfg.cancel.clone());
     drive(
         &cfg.chain,

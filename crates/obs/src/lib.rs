@@ -509,7 +509,7 @@ pub fn render_summary() -> String {
     out
 }
 
-/// A live span timer: created by [`span`], it records its wall time into
+/// A live span timer: created by [`span!`], it records its wall time into
 /// the `span.<name>` histogram and emits a `span` journal event on drop.
 /// Inert (no clock read at all) when collection is disabled at creation.
 ///
@@ -523,62 +523,74 @@ pub fn render_summary() -> String {
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
-    start: Option<Instant>,
+    /// The start time and the `span.<name>` histogram, when enabled.
+    live: Option<(Instant, Histogram)>,
     /// Minted span id when traced; 0 when untraced.
     span_id: u64,
 }
 
-/// Starts a span named `name`. Hold the returned guard for the measured
-/// region; drop ends it.
-pub fn span(name: &'static str) -> Span {
-    let start = enabled().then(Instant::now);
-    let mut span_id = 0;
-    if start.is_some() && trace::active() {
-        span_id = trace::next_span_id();
-        // Emit before pushing so the start event's auto-attached
-        // `parent_span_id` is this span's parent, not itself.
-        journal::event(
-            "span_start",
-            vec![
-                ("name", journal::Value::from(name)),
-                ("span_id", journal::Value::from(span_id)),
-            ],
-        );
-        trace::push_span(span_id);
+/// Starts a span named `$name`, a string literal. Hold the returned
+/// [`Span`] guard for the measured region; drop ends it. The
+/// `span.<name>` histogram handle is cached per call site and scope, as
+/// [`histogram_handle!`] caches it, so closing a span allocates nothing
+/// and takes no registry lock while the journal is off.
+#[macro_export]
+macro_rules! span {
+    ($name:literal) => {
+        $crate::Span::start($name, || $crate::histogram_handle!(concat!("span.", $name)))
+    };
+}
+
+impl Span {
+    /// The expansion behind [`span!`]: `histogram` yields the span's
+    /// histogram and is called only while collection is enabled.
+    #[doc(hidden)]
+    pub fn start(name: &'static str, histogram: impl FnOnce() -> Histogram) -> Span {
+        let live = enabled().then(|| (Instant::now(), histogram()));
+        let mut span_id = 0;
+        if live.is_some() && trace::active() {
+            span_id = trace::next_span_id();
+            // Emit before pushing so the start event's auto-attached
+            // `parent_span_id` is this span's parent, not itself.
+            if journal::capturing() {
+                journal::event(
+                    "span_start",
+                    vec![
+                        ("name", journal::Value::from(name)),
+                        ("span_id", journal::Value::from(span_id)),
+                    ],
+                );
+            }
+            trace::push_span(span_id);
+        }
+        Span { name, live, span_id }
     }
-    Span { name, start, span_id }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let us = start.elapsed().as_micros() as u64;
-            histogram(&format!("span.{}", self.name)).record(us);
-            if self.span_id != 0 {
-                // Pop first so the end event parents to this span's
-                // parent — symmetric with `span_start`.
-                trace::pop_span(self.span_id);
-                // `dur_us`, not `us`: the serialized line already carries
-                // the reserved `us` timestamp key, and the journal parser
-                // returns the first match for a duplicated key.
-                journal::event(
-                    "span",
-                    vec![
-                        ("name", journal::Value::from(self.name)),
-                        ("span_id", journal::Value::from(self.span_id)),
-                        ("dur_us", journal::Value::from(us)),
-                    ],
-                );
-            } else {
-                journal::event(
-                    "span",
-                    vec![
-                        ("name", journal::Value::from(self.name)),
-                        ("us", journal::Value::from(us)),
-                    ],
-                );
-            }
+        let Some((start, histogram)) = self.live.take() else { return };
+        let us = start.elapsed().as_micros() as u64;
+        histogram.record(us);
+        if self.span_id != 0 {
+            // Pop first so the end event parents to this span's parent —
+            // symmetric with `span_start`.
+            trace::pop_span(self.span_id);
         }
+        if !journal::capturing() {
+            return;
+        }
+        let mut fields = vec![("name", journal::Value::from(self.name))];
+        if self.span_id != 0 {
+            // `dur_us`, not `us`: the serialized line already carries the
+            // reserved `us` timestamp key, and the journal parser returns
+            // the first match for a duplicated key.
+            fields.push(("span_id", journal::Value::from(self.span_id)));
+            fields.push(("dur_us", journal::Value::from(us)));
+        } else {
+            fields.push(("us", journal::Value::from(us)));
+        }
+        journal::event("span", fields);
     }
 }
 
@@ -706,7 +718,7 @@ mod tests {
     fn span_records_histogram_and_event() {
         let _scope = collecting();
         {
-            let _s = span("obs-test-span");
+            let _s = span!("obs-test-span");
         }
         let (count, _, _) = histogram("span.obs-test-span").stats();
         assert_eq!(count, 1);
@@ -777,9 +789,9 @@ mod tests {
         let tid = trace::next_trace_id();
         {
             let _t = trace::install(trace::TraceHandle::root(tid));
-            let _outer = span("obs-test-outer");
+            let _outer = span!("obs-test-outer");
             journal::event("obs_test_mark", vec![]);
-            let _inner = span("obs-test-inner");
+            let _inner = span!("obs-test-inner");
         }
         let events = journal::drain();
         // span_start(outer), mark, span_start(inner), span(inner), span(outer)

@@ -43,7 +43,7 @@ pub fn optimize_with_budget<S: CostScalar>(
     allow_cartesian: bool,
     budget: &Budget,
 ) -> Result<Option<Optimum<S>>, BudgetExceeded> {
-    let _span = aqo_obs::span("dp.optimize");
+    let _span = aqo_obs::span!("dp.optimize");
     let n = inst.n();
     assert!((1..=MAX_N).contains(&n), "subset DP is for n in 1..={MAX_N}");
     if n == 1 {

@@ -27,31 +27,34 @@
 //!    the combinatorial number system (all-subsets mode, `O(k)` for all
 //!    `k` predecessors of a target together) or a binary search in the
 //!    sorted previous layer (connected mode) — no dense mask→rank table.
-//! 3. **Two-phase costing.** Phase A runs the whole DP in the `f64`
-//!    log-domain [`LogNum`] scalar, producing a candidate plan and, per
-//!    frontier entry, a log-domain estimate of the cheapest way to reach
-//!    it. Phase B re-runs the DP exactly, but *prunes* every subset whose
-//!    phase-A estimate exceeds the exact candidate cost by more than
-//!    `prune_margin`, a per-request bound on phase A's accumulated
-//!    rounding error. Costs only grow along a sequence, so every subset
-//!    whose exact best prefix cost is at most the optimum — ties included —
-//!    survives; on realistic instances nothing else does, which removes
-//!    almost all big-number arithmetic (DESIGN.md §9). Phase B runs on
-//!    integers with one scale: with `D = ∏_e q_e` over the query edges'
-//!    reduced selectivities `p_e/q_e`, every `D·N(S)` and `D·dp[S]` is a
-//!    [`BigUint`], so a transition is one fused multiply-add and one
-//!    integer compare — no GCD, no cross-multiplication — and the answer
-//!    is the single rational `D·dp[full] / D`. If pruning ever lost the
+//! 3. **Two-phase costing.** Phase A runs the whole DP in [`LogNum`], an
+//!    `f64` mantissa with a coarse exponent whose every operation rounds
+//!    once and calls no transcendental function, producing a candidate
+//!    plan and, per frontier entry, an estimate of the cheapest way to
+//!    reach it. Phase B re-runs the DP exactly, but *prunes* every subset
+//!    whose phase-A estimate exceeds the exact candidate cost times
+//!    `1 + prune_margin`, a relative bound on phase A's accumulated
+//!    rounding error that depends on `n` only. Costs only grow along a
+//!    sequence, so every subset whose exact best prefix cost is at most
+//!    the optimum — ties included — survives; on realistic instances
+//!    nothing else does, which removes almost all big-number arithmetic
+//!    (DESIGN.md §9). Phase B runs on integers with one scale: with
+//!    `D = ∏_e q_e` over the query edges' reduced selectivities
+//!    `p_e/q_e`, every `D·N(S)` and `D·dp[S]` is a [`BigUint`], so a
+//!    transition is one fused multiply-add and one integer compare — no
+//!    GCD, no cross-multiplication — and the answer is the single
+//!    rational `D·dp[full] / D`. If pruning ever lost the
 //!    optimum (phase B finds no plan, or one dearer than the candidate),
 //!    phase B reruns unpruned and `optimizer.engine.prune_fallbacks`
 //!    counts it.
 //!
-//! The per-transition access cost `min_{k ∈ S} w*(j,k)` is computed
-//! directly from the neighbour bitmasks — `w(j,k)` over `nbr(j) ∩ S`,
-//! with the default `t_j` competing whenever `S` holds a non-neighbour of
-//! `j` — instead of through the incremental min-weight tables the dense
-//! engine used to carry (two `widest·n` [`LogNum`] generations, the
-//! dominant share of its 2.5× memory overhead over the sequential DP).
+//! The per-transition access cost `min_{k ∈ S} w*(j,k)` is read off row
+//! `j` kept in ascending value order — one entry per neighbour `k`, one
+//! for the default `t_j` that any non-neighbour in `S` offers — by
+//! stopping at the first entry `S` meets, one or two steps on a dense
+//! `S`. It replaced the incremental min-weight tables the dense engine
+//! used to carry (two `widest·n` [`LogNum`] generations, the dominant
+//! share of its 2.5× memory overhead over the sequential DP).
 //!
 //! Cancellation and deadlines keep working mid-layer: every worker ticks
 //! the shared [`Budget`] (atomic interior) and unwinds with
@@ -78,70 +81,59 @@ pub fn max_n(allow_cartesian: bool) -> usize {
     }
 }
 
-/// Worst-case error of one phase-A step, in units `U` (see
-/// [`prune_margin`]), *including* the conversion of the operand it
-/// brings in. Per primitive, with `U ≥ 2⁻⁵²`:
+/// Worst-case roundings of one phase-A step (see [`prune_margin`]),
+/// *including* the conversion of the operand it brings in. Every
+/// [`LogNum`] `add`, `mul` and `div` rounds its `f64` mantissa once, to a
+/// relative error ≤ u = 2⁻⁵³; moving between coarse exponents rescales by
+/// `2^±512` exactly, and an addend two or more exponents below the other
+/// is under `2^-512` of it, so dropping it is that same single rounding.
+/// [`LogNum::from_uint`] rounds correctly (one rounding), a selectivity
+/// `p/q` takes three (`p`, `q`, the division).
 ///
-/// * `f64` add/sub (IEEE round-to-nearest): ½ ulp of a result within
-///   `±L`, so ≤ ½U; the difference `lo − hi` inside a log-sum-exp can
-///   reach `2L`, so ≤ U;
-/// * `exp2` (libm, result in `(0, 1]`): ≤ 1 ulp ≤ 2⁻⁵² ≤ U;
-/// * `ln_1p` (libm, result in `[0, ln 2]`): ≤ 1 ulp ≤ 2⁻⁵³ ≤ U;
-/// * `BigUint::log2`: the top 128 bits stand for the value (relative
-///   error < 2⁻⁶³), one `u128 → f64` rounding (2⁻⁵³ relative, so
-///   < 2⁻⁵² bits after the log), one libm `log2` (≤ 1 ulp ≤ U) and one
-///   exact-integer add (≤ ½U): ≤ 3U.
-///
-/// Steps: a LogNum multiply by a size `t` or access cost `w` is one `f64`
-/// add (½U) plus the operand's `BigUint::log2` (3U): 3½U. A multiply by a
-/// selectivity is ½U plus `log2 p − log2 q` (3U + 3U + ½U): 7U. A LogNum
-/// add `hi + ln_1p(exp2(lo − hi))/ln 2` has slope ≤ ½ in `lo − hi`
-/// (½U), relative `exp2` error damped by `x/((1+x) ln 2) ≤ 0.73`
-/// (0.73U), `ln_1p` (U), the `ln 2` constant and the division (U), and
-/// the final add (½U): under 4U. Both the LogNum add and `min` are
-/// 1-Lipschitz in the sup norm, so input errors pass through them
-/// without growing and a path's error is at most the sum of its steps.
-const PHASE_A_ULPS_PER_OP: f64 = 7.0;
+/// Steps: a multiply by a size `t` or access cost `w` is its conversion
+/// and the product, 2 roundings; a multiply by a selectivity is 3 + 1 = 4;
+/// an add is 1. Add, multiply and `min` of positive values with relative
+/// errors `(1 + δ)` keep the largest input error and add their own, so a
+/// path's error is at most the product of its steps' factors.
+const PHASE_A_ROUNDINGS_PER_STEP: f64 = 4.0;
 
-/// Multiplier on the derived error bound in [`prune_margin`]: a libm
-/// that misses its documented accuracy by up to 4× still prunes safely.
+/// Multiplier on the derived first-order bound in [`prune_margin`]: it
+/// covers the second-order terms (the bound is `(1 + u)^R − 1` for `R`
+/// roundings, and `R·u < 2⁻⁴⁰` here) many times over.
 const PRUNE_SAFETY_FACTOR: f64 = 4.0;
 
-/// The phase-B pruning margin, in bits, for an `n`-relation request:
-/// every subset whose phase-A estimate exceeds `log₂(candidate) + margin`
+/// The phase-B pruning margin for an `n`-relation request, relative:
+/// every subset whose phase-A estimate exceeds `candidate·(1 + margin)`
 /// is skipped.
 ///
-/// Error bound. Let `L ≥ 1` bound every `|log₂|` phase A meets, and
-/// `U = 2^(⌈log₂ L⌉ − 52)`, which is at least one ulp of every `f64` of
-/// magnitude ≤ L. A phase-A path to a subset `T` takes at most
-/// `K = n + n(n−1)/2 + 2n` LogNum steps: ≤ n multiplies by a size `t_v`
-/// and ≤ n(n−1)/2 by a selectivity (building `N(S)`), and per layer one
-/// multiply by an access cost `w*` and one add. Each step errs by at
-/// most [`PHASE_A_ULPS_PER_OP`]·U, so the estimate `est(T)` is within
-/// `7K·U` of `log₂ dp[T]`, the exact best prefix cost. The bound's
-/// `log₂(candidate)` is `log₂(D·C) − log₂(D)` on two exact integers (two
-/// `BigUint::log2` and one subtraction, under 7U), and adding the margin
-/// rounds once more (½U). So with `margin ≥ 7(K + 2)·U`,
+/// Error bound. A phase-A path to a subset `T` takes at most
+/// `K = n + n(n−1)/2 + 2n` [`LogNum`] steps: ≤ n multiplies by a size
+/// `t_v` and ≤ n(n−1)/2 by a selectivity (building `N(S)`), and per layer
+/// one multiply by an access cost `w*` and one add. Each step rounds at
+/// most [`PHASE_A_ROUNDINGS_PER_STEP`] times, each rounding a factor in
+/// `[1 − u, 1 + u]` with `u = 2⁻⁵³`, so the estimate satisfies
+/// `est(T) ≤ dp[T]·(1 + u)^(4K)`, with `dp[T]` the exact best prefix
+/// cost. The bound `candidate·(1 + margin)` is `D·C / D` on two exact
+/// integers (two conversions and a division, three roundings) times the
+/// `f64` `1 + margin` (one rounding) in one multiply (one more), so it is
+/// at least `C·(1 + margin)·(1 − u)^5`. With
+/// `margin ≥ (1 + u)^(4K) / (1 − u)^5 − 1 ≈ 4(K + 2)·u`,
 /// `dp[T] ≤ optimum ≤ candidate` implies `est(T) ≤ bound`: every subset
 /// that can prefix an optimal plan, or tie with one, is recosted. The
-/// margin applies [`PRUNE_SAFETY_FACTOR`] on top.
-///
-/// `max_log2` is phase A's a-priori magnitude bound (the `|log₂|` of
-/// every size and selectivity summed, plus the largest access cost's and
-/// `log₂ n`); `candidate` and `scale` are the candidate's scaled cost
-/// `D·C` and `D`.
-pub(crate) fn prune_margin(n: usize, max_log2: f64, candidate: &BigUint, scale: &BigUint) -> f64 {
-    let l = max_log2.max(candidate.log2()).max(scale.log2()).max(1.0);
-    let ulp = (l.log2().ceil() - 52.0).exp2();
-    let ops = (n + n * (n - 1) / 2 + 2 * n) as f64;
-    PRUNE_SAFETY_FACTOR * PHASE_A_ULPS_PER_OP * (ops + 2.0) * ulp
+/// margin applies [`PRUNE_SAFETY_FACTOR`] on top. No magnitude enters:
+/// the error is relative at every scale.
+pub(crate) fn prune_margin(n: usize) -> f64 {
+    let steps = (n + n * (n - 1) / 2 + 2 * n) as f64;
+    PRUNE_SAFETY_FACTOR * PHASE_A_ROUNDINGS_PER_STEP * (steps + 2.0) * f64::EPSILON / 2.0
 }
 
-/// The phase-B prune bound `log₂(candidate) + margin`, in bits, and the
-/// margin itself, from the candidate's scaled cost `D·C` and the scale `D`.
-fn prune_bound(n: usize, max_log2: f64, candidate: &BigUint, scale: &BigUint) -> (f64, f64) {
-    let margin = prune_margin(n, max_log2, candidate, scale);
-    ((candidate.log2() - scale.log2()) + margin, margin)
+/// The phase-B prune bound `candidate·(1 + margin)` and the margin in
+/// bits, `log₂(1 + margin)`, from the candidate's scaled cost `D·C` and
+/// the scale `D`.
+fn prune_bound(n: usize, candidate: &BigUint, scale: &BigUint) -> (LogNum, f64) {
+    let margin = prune_margin(n);
+    let cost = LogNum::from_uint(candidate) / LogNum::from_uint(scale);
+    (cost * LogNum::from_value(1.0 + margin), margin.ln_1p() / std::f64::consts::LN_2)
 }
 
 /// Knobs for the engine.
@@ -357,58 +349,56 @@ fn pred_ranks(
     k
 }
 
-/// Precomputed log-domain view of an instance: the call's neighbour
-/// bitmasks and the `t`, `w*`, `s` scalars converted to [`LogNum`] once,
-/// so the phase-A hot loop allocates nothing and touches no big numbers.
+/// Precomputed [`LogNum`] view of an instance: the call's neighbour
+/// bitmasks and the `t`, `w*`, `s` scalars converted once, so the phase-A
+/// hot loop allocates nothing and touches no big numbers.
 struct LogView<'a> {
     nbr: &'a [u32],
     tlog: Vec<LogNum>,
-    /// `w*(j,k)` row-major; diagonal entries are `+inf` (never selected).
-    wlog: Vec<LogNum>,
+    /// Row `j` of `w*` in ascending value order, `n` slots per row: one
+    /// `(1 << k, w(j,k))` per neighbour `k` and one `(!nbr(j), t_j)` for
+    /// the default access path, which every non-neighbour offers. Unused
+    /// slots are `(0, +inf)` and never match.
+    wrows: Vec<(u32, LogNum)>,
     /// Selectivities row-major; `1` off the query graph.
     slog: Vec<LogNum>,
-    /// An upper bound on every `|log₂|` phase A meets: each value it
-    /// forms is a sum of distinct `log₂ t_v` and `log₂ s_e`, plus one
-    /// `log₂ w*`, or a LogNum sum of fewer than `n` such terms.
-    max_log2: f64,
 }
 
 impl<'a> LogView<'a> {
     fn build(inst: &QoNInstance, nbr: &'a [u32]) -> LogView<'a> {
         let n = inst.n();
-        let tlog: Vec<LogNum> =
-            inst.sizes().iter().map(<LogNum as CostScalar>::from_count).collect();
-        // `w*` defaults to `t_j` off the query graph; the edges overwrite.
-        let mut wlog: Vec<LogNum> = (0..n * n)
-            .map(|i| if i / n == i % n { LogNum::INFINITY } else { tlog[i / n] })
-            .collect();
+        let tlog: Vec<LogNum> = inst.sizes().iter().map(LogNum::from_uint).collect();
+        let mut wrows = vec![(0u32, LogNum::INFINITY); n * n];
+        let mut len = vec![1usize; n];
+        for (j, &t) in tlog.iter().enumerate() {
+            wrows[j * n] = (!nbr[j], t);
+        }
         let mut slog = vec![LogNum::ONE; n * n];
-        let mut max_log2 = tlog.iter().map(|t| t.log2().abs()).sum::<f64>();
         for (u, v, s, [w_uv, w_vu]) in inst.edges() {
             let s = <LogNum as CostScalar>::from_ratio(s);
-            wlog[u * n + v] = <LogNum as CostScalar>::from_count(w_uv);
-            wlog[v * n + u] = <LogNum as CostScalar>::from_count(w_vu);
             (slog[u * n + v], slog[v * n + u]) = (s, s);
-            max_log2 += s.log2().abs();
+            for (j, k, w) in [(u, v, w_uv), (v, u, w_vu)] {
+                wrows[j * n + len[j]] = (1 << k, LogNum::from_uint(w));
+                len[j] += 1;
+            }
         }
-        // The diagonal's `+inf` is never selected: leave it out.
-        let finite = wlog.iter().map(|w| w.log2().abs()).filter(|x| x.is_finite());
-        max_log2 += finite.fold(0f64, f64::max) + (n as f64).log2();
-        LogView { nbr, tlog, wlog, slog, max_log2 }
+        for (row, &l) in wrows.chunks_exact_mut(n).zip(&len) {
+            row[..l].sort_by_key(|&(_, w)| w);
+        }
+        LogView { nbr, tlog, wrows, slog }
     }
 }
 
-/// Phase-A output: per-layer log-domain cost estimates, frontier-aligned,
-/// the winning predecessor per entry, and the view's magnitude bound.
+/// Phase-A output: per-layer [`LogNum`] cost estimates, frontier-aligned,
+/// and the winning predecessor per entry.
 struct LogDp {
     dp: Vec<Vec<LogNum>>,
     parent: Vec<Vec<u8>>,
-    max_log2: f64,
 }
 
 #[inline]
 fn unreached(v: LogNum) -> bool {
-    v.log2() == f64::INFINITY
+    v == LogNum::INFINITY
 }
 
 /// Walks parent pointers down the frontiers from the full set. `None`
@@ -435,23 +425,14 @@ fn reconstruct_order(frontiers: &Frontiers, parent: &[Vec<u8>], n: usize) -> Opt
     Some(JoinSequence::new(order))
 }
 
-/// `min_{k ∈ S} w*(j,k)` straight off the neighbour bitmask: edges of `j`
-/// inside `s` contribute `w(j,k)`; any non-neighbour in `s` lets the
-/// default access path `t_j` compete. Replaces the dense engine's
-/// incremental min-weight tables.
+/// `min_{k ∈ S} w*(j,k)`: row `j` in ascending value order, stopping at
+/// the first entry `s` meets — a neighbour of `j` inside `s`, or the
+/// default `t_j` once `s` holds a non-neighbour. On a dense `s` that is
+/// the first or second entry.
 #[inline]
 fn wmin_log(view: &LogView, n: usize, j: usize, s: u32) -> LogNum {
-    let mut wmin = LogNum::INFINITY;
-    let mut bits = view.nbr[j] & s;
-    while bits != 0 {
-        let k = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        wmin = wmin.min(view.wlog[j * n + k]);
-    }
-    if s & !view.nbr[j] != 0 {
-        wmin = wmin.min(view.tlog[j]);
-    }
-    wmin
+    let row = &view.wrows[j * n..(j + 1) * n];
+    row.iter().find(|&&(mask, _)| s & mask != 0).map_or(LogNum::INFINITY, |&(_, w)| w)
 }
 
 /// Phase A: the subset DP in log domain over the sparse frontiers,
@@ -464,12 +445,13 @@ fn log_phase(
     threads: usize,
     budget: &Budget,
 ) -> Result<LogDp, BudgetExceeded> {
-    let _span = aqo_obs::span("engine.log_phase");
+    let _span = aqo_obs::span!("engine.log_phase");
     let n = inst.n();
     let view = LogView::build(inst, nbr);
     let binom = Binom::build(n);
-    // The n×n log-domain view tables, charged before the layer loop.
-    budget.charge_memory(((2 * n * n + n) * std::mem::size_of::<LogNum>()) as u64)?;
+    // The view's n×n tables and sizes, charged before the layer loop.
+    let row_bytes = std::mem::size_of::<(u32, LogNum)>() + std::mem::size_of::<LogNum>();
+    budget.charge_memory((n * n * row_bytes + n * std::mem::size_of::<LogNum>()) as u64)?;
     budget.checkpoint()?;
 
     let mut dp_layers: Vec<Vec<LogNum>> = vec![Vec::new(); n + 1];
@@ -585,22 +567,25 @@ fn log_phase(
             );
         }
     }
-    Ok(LogDp { dp: dp_layers, parent: parent_layers, max_log2: view.max_log2 })
+    Ok(LogDp { dp: dp_layers, parent: parent_layers })
 }
 
 /// The exact access-cost rows of an instance, shared by phase B and the
 /// reference [`crate::dp`]: `w*(j,k)` row-major with `t_j` on the
-/// diagonal, borrowed from the instance, plus each row's rank order, so
-/// picking `min_{k ∈ S} w*(j,k)` compares `u32` ranks instead of big
-/// numbers.
+/// diagonal, borrowed from the instance, plus each row's entries in value
+/// order, so picking `min_{k ∈ S} w*(j,k)` stops at the first entry `S`
+/// meets instead of comparing big numbers.
 pub(crate) struct AccessRows<'a> {
     pub(crate) n: usize,
     pub(crate) nbr: &'a [u32],
     /// `w*(j,k)` row-major; the diagonal holds `t_j`.
     pub(crate) w: Vec<&'a BigUint>,
-    /// Rank of `w[j·n + k]` within row `j` by exact value: equal values
-    /// share a rank, so the least rank always selects the least value.
-    rank: Vec<u32>,
+    /// Row `j` in ascending exact value, `n` slots per row, as
+    /// `(mask, index into w)`: `(!nbr(j), j·n + j)` for the default `t_j`,
+    /// which every non-neighbour offers, and `(1 << k, j·n + k)` per
+    /// neighbour `k`. Equal values keep the default first, then ascending
+    /// `k`. Unused slots have mask `0` and never match.
+    by_value: Vec<(u32, u32)>,
 }
 
 impl<'a> AccessRows<'a> {
@@ -612,42 +597,32 @@ impl<'a> AccessRows<'a> {
         // overwrite.
         let mut w: Vec<&BigUint> =
             inst.sizes().iter().flat_map(|t| std::iter::repeat_n(t, n)).collect();
-        let mut rank = vec![0u32; n * n];
-        let mut by_value: Vec<usize> = Vec::with_capacity(n);
         for (u, v, _, [w_uv, w_vu]) in inst.edges() {
             (w[u * n + v], w[v * n + u]) = (w_uv, w_vu);
         }
-        for j in 0..n {
-            let row = j * n;
-            by_value.clear();
-            by_value.extend(0..n);
-            by_value.sort_by(|&a, &b| w[row + a].cmp(w[row + b]));
-            for pair in by_value.windows(2) {
-                let step = u32::from(w[row + pair[0]] != w[row + pair[1]]);
-                rank[row + pair[1]] = rank[row + pair[0]] + step;
+        let mut by_value = vec![(0u32, 0u32); n * n];
+        for (j, row) in by_value.chunks_exact_mut(n).enumerate() {
+            let at = |k: usize| (j * n + k) as u32;
+            row[0] = (!nbr[j], at(j));
+            let mut len = 1;
+            for k in (0..n).filter(|&k| nbr[j] >> k & 1 == 1) {
+                row[len] = (1 << k, at(k));
+                len += 1;
             }
+            // Stable: ties keep the default first, then ascending `k`.
+            row[..len].sort_by(|a, b| w[a.1 as usize].cmp(w[b.1 as usize]));
         }
-        AccessRows { n, nbr, w, rank }
+        AccessRows { n, nbr, w, by_value }
     }
 
     /// The index into [`AccessRows::w`] of `min_{k ∈ s} w*(j,k)` for a
     /// nonempty `s ∌ j`: edges of `j` inside `s` offer `w(j,k)`, and any
     /// non-neighbour in `s` lets the default access path `t_j` compete.
+    /// Among equal values the default wins, then the lowest `k`.
     #[inline]
     pub(crate) fn wmin_at(&self, j: usize, s: u32) -> usize {
-        let row = j * self.n;
-        let mut best = row + j;
-        let mut best_rank = if s & !self.nbr[j] != 0 { self.rank[best] } else { u32::MAX };
-        let mut bits = self.nbr[j] & s;
-        while bits != 0 {
-            let k = row + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if self.rank[k] < best_rank {
-                best_rank = self.rank[k];
-                best = k;
-            }
-        }
-        best
+        let row = &self.by_value[j * self.n..(j + 1) * self.n];
+        row.iter().find(|&&(mask, _)| s & mask != 0).map_or(j * self.n + j, |&(_, at)| at as usize)
     }
 }
 
@@ -759,9 +734,9 @@ fn exact_phase(
     allow_cartesian: bool,
     threads: usize,
     budget: &Budget,
-    prune: Option<(&[Vec<LogNum>], f64)>,
+    prune: Option<(&[Vec<LogNum>], LogNum)>,
 ) -> Result<Option<(BigUint, JoinSequence)>, BudgetExceeded> {
-    let _span = aqo_obs::span("engine.exact_phase");
+    let _span = aqo_obs::span!("engine.exact_phase");
     let n = view.rows.n;
     let nbr = view.rows.nbr;
     let binom = Binom::build(n);
@@ -811,7 +786,7 @@ fn exact_phase(
             for (i, &tm) in ts.iter().enumerate() {
                 res[i].live = false;
                 if let Some((est, bound)) = est {
-                    if est[offset + i].log2() > bound {
+                    if est[offset + i] > bound {
                         budget.tick_n(1)?;
                         continue; // provably off every improving path
                     }
@@ -868,7 +843,7 @@ fn exact_phase(
             match est {
                 Some((est, bound)) => {
                     for e in est {
-                        if e.log2() > bound {
+                        if *e > bound {
                             pruned += 1;
                         } else {
                             recosted += 1;
@@ -913,7 +888,7 @@ fn certified_exact_phase(
     threads: usize,
     budget: &Budget,
     est: &[Vec<LogNum>],
-    bound: f64,
+    bound: LogNum,
     candidate: &BigUint,
 ) -> Result<(Option<(BigUint, JoinSequence)>, bool), BudgetExceeded> {
     let pruned =
@@ -984,7 +959,7 @@ pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     let allow_cartesian = opts.allow_cartesian;
     let cap = max_n(allow_cartesian);
     assert!((1..=cap).contains(&n), "engine DP is for n in 1..={cap}");
-    let _span = aqo_obs::span("engine.two_phase");
+    let _span = aqo_obs::span!("engine.two_phase");
     if n == 1 {
         return Ok(Some(Optimum { sequence: JoinSequence::identity(1), cost: S::zero() }));
     }
@@ -1003,11 +978,11 @@ pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     };
     let view = ScaledView::build(inst, &nbr);
     let candidate_cost = view.path_cost(candidate.order());
-    let (bound, margin) = prune_bound(n, log.max_log2, &candidate_cost, &view.scale);
+    let (bound, margin_bits) = prune_bound(n, &candidate_cost, &view.scale);
     if aqo_obs::journal::capturing() {
         aqo_obs::journal::event(
             "engine_bound",
-            vec![("bound_log2", bound.into()), ("margin_bits", margin.into())],
+            vec![("bound_log2", bound.log2().into()), ("margin_bits", margin_bits.into())],
         );
     }
     let (opt, fell_back) = certified_exact_phase(
@@ -1174,7 +1149,7 @@ mod tests {
 
     /// Phase A's estimates, the candidate's scaled cost and the prune
     /// bound, exactly as [`optimize_two_phase`] derives them.
-    fn phase_a_and_bound(inst: &QoNInstance, allow_cartesian: bool) -> (Frontiers, LogDp, f64) {
+    fn phase_a_and_bound(inst: &QoNInstance, allow_cartesian: bool) -> (Frontiers, LogDp, LogNum) {
         let n = inst.n();
         let nbr = nbr_masks(inst);
         let budget = Budget::unlimited();
@@ -1186,7 +1161,7 @@ mod tests {
         let scaled = view.path_cost(candidate.order());
         let exact: BigRational = inst.total_cost(&candidate);
         assert_eq!(view.unscale(scaled.clone()), exact, "scaled candidate cost");
-        let (bound, margin) = prune_bound(n, log.max_log2, &scaled, &view.scale);
+        let (bound, margin) = prune_bound(n, &scaled, &view.scale);
         assert!(margin > 0.0 && margin < 1e-6, "margin {margin} bits");
         (frontiers, log, bound)
     }
@@ -1217,11 +1192,11 @@ mod tests {
                             continue;
                         }
                         tied += usize::from(*cost == opt);
-                        let est = log.dp[k][r].log2();
+                        let est = log.dp[k][r];
                         assert!(
                             est <= bound,
                             "instance {i} allow {allow}: subset {m:b} costs <= the optimum \
-                             but its estimate {est} exceeds the bound {bound}"
+                             but its estimate {est:?} exceeds the bound {bound:?}"
                         );
                     }
                 }
@@ -1239,7 +1214,7 @@ mod tests {
         let view = ScaledView::build(&inst, &nbr);
         let candidate = reconstruct_order(&frontiers, &log.parent, inst.n()).unwrap();
         let scaled = view.path_cost(candidate.order());
-        let run = |bound: f64, candidate: &BigUint| {
+        let run = |bound: LogNum, candidate: &BigUint| {
             let (opt, fell_back) = certified_exact_phase(
                 &view,
                 &frontiers,
@@ -1258,7 +1233,7 @@ mod tests {
         };
         assert!(!run(bound, &scaled), "a sound bound needs no rerun");
         // Everything pruned: phase B finds no plan and reruns unpruned.
-        assert!(run(f64::NEG_INFINITY, &scaled));
+        assert!(run(LogNum::ZERO, &scaled));
         // A pruned answer dearer than the candidate is rejected too.
         assert!(run(bound, &BigUint::zero()));
     }
@@ -1441,6 +1416,77 @@ mod tests {
                 assert_eq!(shifted & (shifted + 1), 0, "mask {m:b} not contiguous");
             }
         }
+    }
+
+    /// Access costs tied on purpose: sizes 8 or 12, selectivity 1/2 and
+    /// each `w(j,k)` drawn from `{t_j/2, 3t_j/4, t_j}`, so neighbours tie
+    /// with each other and with the default `t_j`.
+    fn tied_access_instance(seed: u64, n: usize, extra_edges: usize) -> QoNInstance {
+        let base = random_instance(seed, n, extra_edges);
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let g = base.graph().clone();
+        let sizes: Vec<BigUint> = (0..n).map(|_| BigUint::from(8 + 4 * (next() % 2))).collect();
+        let sel = BigRational::new(BigInt::one(), BigUint::from(2u64));
+        let mut s = SelectivityMatrix::new();
+        let mut w = AccessCostMatrix::new();
+        for (u, v) in g.edges().collect::<Vec<_>>() {
+            s.set(u, v, sel.clone());
+            for (j, k) in [(u, v), (v, u)] {
+                let quarters = 2 + next() % 3;
+                w.set(j, k, &(&sizes[j] * &BigUint::from(quarters)) / &BigUint::from(4u64));
+            }
+        }
+        QoNInstance::new(g, sizes, s, w)
+    }
+
+    /// The full scan the early exits replace: every neighbour of `j` in
+    /// `s`, and the default `t_j` when `s` holds a non-neighbour; the
+    /// default wins ties, then the lowest `k`. The index into
+    /// [`AccessRows::w`].
+    fn wmin_full_scan(inst: &QoNInstance, nbr: &[u32], j: usize, s: u32) -> usize {
+        let n = inst.n();
+        let mut best = (s & !nbr[j] != 0).then_some(j);
+        for k in (0..n).filter(|&k| (nbr[j] & s) >> k & 1 == 1) {
+            if best.is_none_or(|b| inst.w(j, k) < inst.w(j, b)) {
+                best = Some(k);
+            }
+        }
+        j * n + best.expect("nonempty s")
+    }
+
+    #[test]
+    fn early_exit_wmin_matches_a_full_scan() {
+        let n = 8;
+        let mut instances = vec![chain_instance(n), random_instance(7, n, 6)];
+        instances.extend(uniform_family(n));
+        instances.extend((0..4u64).map(|seed| tied_access_instance(seed, n, 5)));
+        let full = (1u32 << n) - 1;
+        let (mut with_default, mut without_default) = (0usize, 0usize);
+        for inst in &instances {
+            let nbr = nbr_masks(inst);
+            let view = LogView::build(inst, &nbr);
+            let rows = AccessRows::build(inst, &nbr);
+            for j in 0..n {
+                // Every nonempty mask without `j`: with and without a
+                // non-neighbour of `j`.
+                for s in (1..=full).filter(|s| s >> j & 1 == 0) {
+                    let want = wmin_full_scan(inst, &nbr, j, s);
+                    assert_eq!(rows.wmin_at(j, s), want, "j {j} s {s:b}");
+                    let got = wmin_log(&view, n, j, s);
+                    assert_eq!(got, LogNum::from_uint(rows.w[want]), "j {j} s {s:b}");
+                    if s & !nbr[j] != 0 {
+                        with_default += 1;
+                    } else {
+                        without_default += 1;
+                    }
+                }
+            }
+        }
+        assert!(with_default > 0 && without_default > 0);
     }
 
     #[test]

@@ -41,12 +41,14 @@ fn greedy_by(
     let mut order = vec![start];
     let mut in_prefix = BitSet::new(n);
     in_prefix.insert(start);
-    let mut n_x = LogNum::from_log2(inst.sizes()[start].log2());
-    // Each vertex's edges as `(k, log₂ w(j,k), log₂ s_jk)`, `k` ascending.
-    let mut adj: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); n];
+    let sizes: Vec<LogNum> = inst.sizes().iter().map(LogNum::from_uint).collect();
+    let mut n_x = sizes[start];
+    // Each vertex's edges as `(k, w(j,k), s_jk)`, `k` ascending.
+    let mut adj: Vec<Vec<(usize, LogNum, LogNum)>> = vec![Vec::new(); n];
     for (u, v, s, [w_uv, w_vu]) in inst.edges() {
-        adj[u].push((v, w_uv.log2(), s.log2()));
-        adj[v].push((u, w_vu.log2(), s.log2()));
+        let s = <LogNum as CostScalar>::from_ratio(s);
+        adj[u].push((v, LogNum::from_uint(w_uv), s));
+        adj[v].push((u, LogNum::from_uint(w_vu), s));
     }
 
     while order.len() < n {
@@ -57,19 +59,17 @@ fn greedy_by(
             }
             let mut nbr = 0usize;
             let mut w_min: Option<LogNum> = None;
-            let mut new_n = n_x * LogNum::from_log2(inst.sizes()[j].log2());
+            let mut new_n = n_x * sizes[j];
             for &(_, w, s) in edges.iter().filter(|&&(k, _, _)| in_prefix.contains(k)) {
                 nbr += 1;
-                let w = LogNum::from_log2(w);
                 w_min = Some(w_min.map_or(w, |cur| cur.min(w)));
-                new_n = new_n * LogNum::from_log2(s);
+                new_n = new_n * s;
             }
             if nbr == 0 && !allow_cartesian {
                 continue;
             }
             if nbr < order.len() {
-                let tj = LogNum::from_log2(inst.sizes()[j].log2());
-                w_min = Some(w_min.map_or(tj, |cur| cur.min(tj)));
+                w_min = Some(w_min.map_or(sizes[j], |cur| cur.min(sizes[j])));
             }
             #[expect(clippy::expect_used, reason = "the prefix is nonempty, so w_min is set")]
             let step = n_x * w_min.expect("prefix nonempty");

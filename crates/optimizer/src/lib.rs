@@ -12,7 +12,7 @@
 //!     and `min_k w_{jk}` depend on the prefix only through its *set*;
 //!     the reference oracle for the engine;
 //!   - [`engine`] — the layer-parallel, allocation-lean two-phase
-//!     (log-domain then exact) subset DP engine over sparse per-layer
+//!     ([`aqo_bignum::LogNum`] then exact) subset DP engine over sparse per-layer
 //!     frontiers: the one exact QO_N DP the driver and service run;
 //!   - [`ccp`] — DPccp's state space, the connected subgraphs the
 //!     engine enumerates for cartesian-free requests (polynomially many
@@ -66,7 +66,7 @@ pub struct Optimum<S> {
 
 impl<S: CostScalar> Optimum<S> {
     /// Re-costs the winning sequence under another backend (typically: the
-    /// search ran in log domain, the report needs exact arithmetic).
+    /// search ran in [`aqo_bignum::LogNum`], the report needs exact arithmetic).
     pub fn recost<T: CostScalar>(&self, inst: &aqo_core::qon::QoNInstance) -> Optimum<T> {
         Optimum { sequence: self.sequence.clone(), cost: inst.total_cost(&self.sequence) }
     }

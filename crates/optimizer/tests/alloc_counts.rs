@@ -160,3 +160,17 @@ fn cached_handles_in_a_scope_allocate_nothing_after_the_first() {
     assert_eq!(aqo_obs::counter("alloc-test.counter").get(), 500_500);
     assert_eq!(aqo_obs::histogram("alloc-test.us").stats().0, 1001);
 }
+
+#[test]
+fn closed_spans_in_a_scope_allocate_nothing_after_the_first() {
+    let _scope = aqo_obs::Scope::new().install();
+    aqo_obs::set_enabled(true);
+    // As under `aqo serve` without `--trace-json`: metrics on, journal off.
+    aqo_obs::journal::set_capture(false);
+    let close = || drop(aqo_obs::span!("alloc-test.span"));
+    // The first span registers `span.alloc-test.span` and fills its cache.
+    close();
+    let ((), count) = allocations(|| (0..1000).for_each(|_| close()));
+    assert_eq!(count, 0, "1,000 closed spans allocated");
+    assert_eq!(aqo_obs::histogram("span.alloc-test.span").stats().0, 1001);
+}

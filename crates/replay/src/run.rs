@@ -250,7 +250,7 @@ where
                 aqo_obs::trace::next_trace_id(),
             ))
         });
-        let _span = aqo_obs::span("replay.request");
+        let _span = aqo_obs::span!("replay.request");
         if traced {
             aqo_obs::counter_handle!("replay.requests").inc();
         }

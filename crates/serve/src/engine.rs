@@ -94,7 +94,7 @@ impl Engine {
     /// cheaper one (unless the client pinned `method`/`fallback`, which is
     /// respected) and the reply is tagged `"degraded": true`.
     pub fn handle_degraded(&self, req: &Request, degrade: Degrade) -> Reply {
-        let _span = aqo_obs::span("serve.request");
+        let _span = aqo_obs::span!("serve.request");
         let t0 = Instant::now();
         let outcome = faults::with_quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
