@@ -882,7 +882,7 @@ fn cmd_replay_run(args: &Args) -> Result<(), CliError> {
             let backend = aqo_replay::run::live_backend(addr).map_err(CliError::Failed)?;
             aqo_replay::run::run(&workload, &rcfg, backend)
         }
-        None => aqo_replay::run::run(&workload, &rcfg, aqo_replay::run::driver_backend()),
+        None => aqo_replay::run::run(&workload, &rcfg, aqo_replay::run::engine_backend()),
     };
     for d in &report.diffs {
         eprintln!(

@@ -72,7 +72,9 @@ impl Default for SaParams {
 }
 
 /// Simulated annealing with swap/relocate moves. Accepts a worse order with
-/// probability `exp(−Δlog₂/T)`.
+/// probability `exp(−Δlog₂/T)`. Every step draws the same random numbers
+/// whatever the costs are, so two instances of the same size consume the
+/// RNG identically and a sub-ulp change in a cost cannot fork the walk.
 pub fn simulated_annealing(
     inst: &QoNInstance,
     params: &SaParams,
@@ -104,8 +106,10 @@ pub fn simulated_annealing(
             cand.insert(j, v);
         }
         let c = cost_log2(inst, &cand);
-        let delta = c - cur_cost;
-        if delta <= 0.0 || rng.gen_bool((-delta / temp.max(1e-9)).exp().clamp(0.0, 1.0)) {
+        // One uniform draw `u` per step, accepted when
+        // `u < exp(−max(Δ, 0)/T)`: an improvement is accepted because
+        // `u < 1`, not because the draw was skipped.
+        if rng.gen_bool((-(c - cur_cost).max(0.0) / temp.max(1e-9)).exp()) {
             cur = cand;
             cur_cost = c;
             if cur_cost < best_cost {
@@ -128,11 +132,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn cycle(n: usize) -> QoNInstance {
+    /// A cycle whose relation `i` has `2 + step·i` tuples.
+    fn cycle(n: usize, step: u64) -> QoNInstance {
         let mut g = Graph::new(n);
         let mut s = SelectivityMatrix::new();
         let mut w = AccessCostMatrix::new();
-        let sizes: Vec<BigUint> = (0..n).map(|i| BigUint::from(2 + 5 * i as u64)).collect();
+        let sizes: Vec<BigUint> = (0..n).map(|i| BigUint::from(2 + step * i as u64)).collect();
         for v in 0..n {
             let u = (v + 1) % n;
             g.add_edge(u.min(v), u.max(v));
@@ -148,7 +153,7 @@ mod tests {
 
     #[test]
     fn hill_climb_reaches_optimum_on_small() {
-        let inst = cycle(6);
+        let inst = cycle(6, 5);
         let mut rng = StdRng::seed_from_u64(42);
         let z = hill_climb(&inst, 4, &mut rng);
         let hc: BigRational = inst.total_cost(&z);
@@ -161,7 +166,7 @@ mod tests {
 
     #[test]
     fn annealing_improves_over_random() {
-        let inst = cycle(8);
+        let inst = cycle(8, 5);
         let mut rng = StdRng::seed_from_u64(7);
         let random = crate::greedy::random_sequence(8, &mut rng);
         let rc: BigRational = inst.total_cost(&random);
@@ -179,9 +184,33 @@ mod tests {
         assert!(best_sa <= CostScalar::log2(&rc) + 1e-9);
     }
 
+    /// Counts the words drawn from the wrapped generator.
+    struct Counting {
+        inner: StdRng,
+        draws: usize,
+    }
+
+    impl rand::RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn annealing_draws_do_not_depend_on_costs() {
+        let params = SaParams { iterations: 2000, ..Default::default() };
+        let draws = |inst: &QoNInstance| {
+            let mut rng = Counting { inner: StdRng::seed_from_u64(11), draws: 0 };
+            simulated_annealing(inst, &params, &mut rng);
+            rng.draws
+        };
+        assert_eq!(draws(&cycle(8, 5)), draws(&cycle(8, 1000)));
+    }
+
     #[test]
     fn tiny_instances_handled() {
-        let inst = cycle(3);
+        let inst = cycle(3, 5);
         let mut rng = StdRng::seed_from_u64(1);
         let z = simulated_annealing(&inst, &SaParams::default(), &mut rng);
         assert_eq!(z.len(), 3);

@@ -12,8 +12,9 @@
 
 use crate::workload::Workload;
 use aqo_obs::json::{self, JsonValue};
-use aqo_serve::proto::Problem;
-use aqo_serve::record::RecordedRequest;
+use aqo_serve::cache::CachedPlan;
+use aqo_serve::proto::{Op, Problem, Request};
+use aqo_serve::record::{fingerprint_field, RecordedRequest};
 use std::collections::HashMap;
 
 /// What extraction kept and what it dropped (and why).
@@ -33,26 +34,13 @@ pub struct ExtractStats {
     pub skipped_unpaired: usize,
 }
 
-/// The request-side fields harvested from a `serve_request` event.
-struct RequestSide {
-    id: u64,
-    problem: Problem,
-    instance: String,
-    method: Option<String>,
-    fallback: Option<String>,
-    timeout_ms: Option<u64>,
-    max_expansions: Option<u64>,
-    threads: usize,
-    allow_cartesian: bool,
-}
-
 /// Parses a journal (JSONL text) into a workload plus skip statistics.
 /// Journal lines that are not serve request/response events are ignored;
 /// malformed JSON lines are an error (a journal that does not parse is
 /// worth failing loudly on, not silently under-extracting).
 pub fn extract(journal: &str) -> Result<(Workload, ExtractStats), String> {
     let mut stats = ExtractStats::default();
-    let mut pending: HashMap<u64, RequestSide> = HashMap::new();
+    let mut pending: HashMap<u64, Request> = HashMap::new();
     let mut entries: Vec<RecordedRequest> = Vec::new();
     for (ln, line) in journal.lines().enumerate() {
         if line.trim().is_empty() {
@@ -72,48 +60,27 @@ pub fn extract(journal: &str) -> Result<(Workload, ExtractStats), String> {
 }
 
 fn trace_id(doc: &JsonValue) -> Option<u64> {
-    doc.get("trace_id").and_then(JsonValue::as_num).filter(|n| *n > 0.0).map(|n| n as u64)
+    doc.get("trace_id").and_then(JsonValue::as_u64).filter(|&t| t > 0)
 }
 
-fn u64_of(doc: &JsonValue, key: &str) -> Option<u64> {
-    doc.get(key).and_then(JsonValue::as_num).filter(|n| *n >= 0.0 && n.fract() == 0.0).map(|n| n as u64)
-}
-
-fn harvest_request(doc: &JsonValue, pending: &mut HashMap<u64, RequestSide>) {
+fn harvest_request(doc: &JsonValue, pending: &mut HashMap<u64, Request>) {
     if doc.get("op").and_then(JsonValue::as_str) != Some("optimize") {
         // Control ops and explain are counted once, on the response side,
         // to avoid double-counting a skipped request/response pair.
         return;
     }
-    let problem = match doc.get("problem").and_then(JsonValue::as_str) {
-        Some("qon") => Problem::Qon,
-        Some("qoh") => Problem::Qoh,
-        _ => return,
-    };
-    let (Some(tid), Some(instance)) =
-        (trace_id(doc), doc.get("instance").and_then(JsonValue::as_str))
-    else {
-        return;
-    };
-    pending.insert(
-        tid,
-        RequestSide {
-            id: u64_of(doc, "id").unwrap_or(0),
-            problem,
-            instance: instance.to_string(),
-            method: doc.get("method").and_then(JsonValue::as_str).map(str::to_string),
-            fallback: doc.get("fallback").and_then(JsonValue::as_str).map(str::to_string),
-            timeout_ms: u64_of(doc, "timeout_ms"),
-            max_expansions: u64_of(doc, "max_expansions"),
-            threads: u64_of(doc, "threads").unwrap_or(1) as usize,
-            allow_cartesian: !matches!(doc.get("allow_cartesian"), Some(JsonValue::Bool(false))),
-        },
-    );
+    let Some(tid) = trace_id(doc) else { return };
+    match Request::from_fields(doc, Op::Optimize) {
+        Ok(req) if matches!(req.problem, Problem::Qon | Problem::Qoh) => {
+            pending.insert(tid, req);
+        }
+        _ => {}
+    }
 }
 
 fn harvest_response(
     doc: &JsonValue,
-    pending: &mut HashMap<u64, RequestSide>,
+    pending: &mut HashMap<u64, Request>,
     entries: &mut Vec<RecordedRequest>,
     stats: &mut ExtractStats,
 ) {
@@ -121,12 +88,9 @@ fn harvest_response(
         stats.skipped_unreplayable += 1;
         return;
     }
-    let req = match trace_id(doc).and_then(|tid| pending.remove(&tid)) {
-        Some(r) => r,
-        None => {
-            stats.skipped_unpaired += 1;
-            return;
-        }
+    let Some(request) = trace_id(doc).and_then(|tid| pending.remove(&tid)) else {
+        stats.skipped_unpaired += 1;
+        return;
     };
     if !matches!(doc.get("ok"), Some(JsonValue::Bool(true))) {
         stats.skipped_errors += 1;
@@ -136,69 +100,28 @@ fn harvest_response(
         stats.skipped_degraded += 1;
         return;
     }
-    let observation = (|| -> Option<(u64, String, String, f64, Vec<usize>)> {
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .and_then(|s| u64::from_str_radix(s.strip_prefix("0x")?, 16).ok())?;
-        let tier = doc.get("tier").and_then(JsonValue::as_str)?.to_string();
-        let cost = doc.get("cost").and_then(JsonValue::as_str)?.to_string();
-        let cost_log2 = doc.get("cost_log2").and_then(JsonValue::as_num)?;
-        let order = doc
-            .get("order")
-            .and_then(JsonValue::as_str)?
-            .split(',')
-            .filter(|t| !t.is_empty())
-            .map(|t| t.parse::<usize>().ok())
-            .collect::<Option<Vec<usize>>>()?;
-        Some((fingerprint, tier, cost, cost_log2, order))
-    })();
-    let Some((fingerprint, tier, cost, cost_log2, order)) = observation else {
+    let (Some(fingerprint), Ok(plan)) = (fingerprint_field(doc), CachedPlan::from_fields(doc))
+    else {
         // A response from a build that predates plan-carrying events:
         // nothing to baseline against.
         stats.skipped_unreplayable += 1;
         return;
     };
-    let decomposition = doc.get("decomposition").and_then(JsonValue::as_str).and_then(|s| {
-        s.split(',')
-            .filter(|t| !t.is_empty())
-            .map(|t| {
-                let (lo, hi) = t.split_once('-')?;
-                Some((lo.parse().ok()?, hi.parse().ok()?))
-            })
-            .collect::<Option<Vec<(usize, usize)>>>()
-    });
     // The handling latency is the event's *second* `us` field: the first
     // is the journal's reserved line timestamp (the event field rides
     // after it, same key — see `aqo_obs::journal`).
     let latency_us = match doc {
-        JsonValue::Obj(fields) => fields
-            .iter()
-            .rfind(|(k, _)| k == "us")
-            .and_then(|(_, v)| v.as_num())
-            .map(|n| n as u64)
-            .unwrap_or(0),
+        JsonValue::Obj(fields) => {
+            fields.iter().rfind(|(k, _)| k == "us").and_then(|(_, v)| v.as_u64()).unwrap_or(0)
+        }
         _ => 0,
     };
     entries.push(RecordedRequest {
-        id: req.id,
-        problem: req.problem,
-        instance: req.instance,
-        method: req.method,
-        fallback: req.fallback,
-        timeout_ms: req.timeout_ms,
-        max_expansions: req.max_expansions,
-        threads: req.threads,
-        allow_cartesian: req.allow_cartesian,
+        request,
         fingerprint,
-        tier,
-        exact: matches!(doc.get("exact"), Some(JsonValue::Bool(true))),
         cached: matches!(doc.get("cached"), Some(JsonValue::Bool(true))),
-        cost,
-        cost_log2,
-        order,
-        decomposition,
         latency_us,
+        plan,
     });
     stats.extracted += 1;
 }
@@ -235,22 +158,42 @@ mod tests {
         assert_eq!(w.entries.len(), 2);
 
         let qon = &w.entries[0];
-        assert_eq!(qon.id, 0);
-        assert_eq!(qon.method.as_deref(), Some("dp"));
+        assert_eq!(qon.request.id, 0);
+        assert_eq!(qon.request.method.as_deref(), Some("dp"));
         assert_eq!(qon.fingerprint, 0xaa);
-        assert_eq!(qon.cost, "5");
-        assert_eq!(qon.order, vec![0]);
+        assert_eq!(qon.plan.cost, "5");
+        assert_eq!(qon.plan.order, vec![0]);
         assert_eq!(qon.latency_us, 900, "latency is the second `us` field");
 
         let qoh = &w.entries[1];
-        assert_eq!(qoh.problem, Problem::Qoh);
+        assert_eq!(qoh.request.problem, Problem::Qoh);
         assert!(qoh.cached);
-        assert_eq!(qoh.order, vec![1, 0]);
-        assert_eq!(qoh.decomposition.as_deref(), Some(&[(1, 1), (2, 2)][..]));
+        assert_eq!(qoh.plan.order, vec![1, 0]);
+        assert_eq!(qoh.plan.decomposition.as_deref(), Some(&[(1, 1), (2, 2)][..]));
 
         // The extracted workload serializes and re-parses cleanly.
         let text = w.to_jsonl();
         assert_eq!(Workload::parse(&text).expect("round trip"), w);
+    }
+
+    /// 2^53 + 1 is the first integer an `f64` cannot hold: a recorded id
+    /// or budget must come back digit for digit from a journal
+    /// `serve_request` event and from a workload entry.
+    #[test]
+    fn recorded_integers_are_read_exactly() {
+        const BIG: u64 = 9_007_199_254_740_993;
+        let journal = concat!(
+            "{\"seq\": 1, \"us\": 10, \"type\": \"serve_request\", \"id\": 9007199254740993, \"op\": \"optimize\", \"problem\": \"qon\", \"instance\": \"qon\\nvertices 1\\nsize 0 5\\n\", \"max_expansions\": 9007199254740993, \"trace_id\": 7, \"parent_span_id\": 0}\n",
+            "{\"seq\": 2, \"us\": 20, \"type\": \"serve_response\", \"id\": 9007199254740993, \"op\": \"optimize\", \"problem\": \"qon\", \"ok\": true, \"cached\": false, \"us\": 9, \"fingerprint\": \"0x00000000000000aa\", \"tier\": \"dp\", \"exact\": true, \"degraded\": false, \"cost\": \"5\", \"cost_log2\": 2.322, \"order\": \"0\", \"trace_id\": 7, \"parent_span_id\": 0}\n",
+        );
+        let (w, _) = extract(journal).expect("extracts");
+        let from_journal = &w.entries[0].request;
+        assert_eq!((from_journal.id, from_journal.max_expansions), (BIG, Some(BIG)));
+        let text = w.to_jsonl();
+        assert!(text.contains("\"id\": 9007199254740993"), "{text}");
+        let back = Workload::parse(&text).expect("workload parses");
+        let from_workload = &back.entries[0].request;
+        assert_eq!((from_workload.id, from_workload.max_expansions), (BIG, Some(BIG)));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   ([`aqo_serve::record`]), or after the fact from a serve trace
 //!   journal with [`extract::extract`].
 //! - **Replay** ([`run`]) — re-drives every recorded request against the
-//!   current build (in-process sequential driver, or a live server via
-//!   the existing client) and diffs cost (exact, `aqo_bignum`
+//!   current build (in-process through serve's `Engine`, or a live
+//!   server via the existing client) and diffs cost (exact, `aqo_bignum`
 //!   comparison), plan shape, tier, and latency quantiles against the
 //!   baseline. The deterministic `aqo-replay/v1` report lists every diff;
 //!   any cost/plan regression fails the gate.

@@ -10,37 +10,21 @@
 //! must be deterministic). Tier changes at equal cost/shape are
 //! informational — fallback-chain tuning legitimately moves them.
 //!
-//! Two backends re-drive requests: the in-process sequential driver
-//! ([`driver_backend`], the default — hermetic, what CI gates on) and a
+//! Two backends re-drive requests, and both read the reply back through
+//! the same capture `serve --record` uses: serve's own [`Engine`],
+//! in-process with the plan cache off and no default deadline
+//! ([`engine_backend`], the default — hermetic, what CI gates on), and a
 //! live server over the existing client ([`live_backend`], `--addr`).
 
 use crate::workload::Workload;
 use aqo_bignum::{BigInt, BigRational, BigUint};
-use aqo_core::{textio, CostScalar};
-use aqo_driver::{BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
+use aqo_core::CostScalar;
 use aqo_serve::client::{Client, RetryConfig};
-use aqo_serve::proto::Problem;
-use aqo_serve::record::{capture_from_json, RecordedRequest};
+use aqo_serve::record::{capture, capture_from_json, RecordedRequest};
+use aqo_serve::{Engine, Reply};
 use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// What one re-driven request produced.
-#[derive(Clone, Debug)]
-pub struct Observed {
-    /// Tier that produced the plan.
-    pub tier: String,
-    /// Whether the plan is exact.
-    pub exact: bool,
-    /// Exact cost string (decimal or `num/den`).
-    pub cost: String,
-    /// The join sequence.
-    pub order: Vec<usize>,
-    /// QO_H pipeline fragments.
-    pub decomposition: Option<Vec<(usize, usize)>>,
-    /// Wall-clock for the re-drive, microseconds.
-    pub latency_us: u64,
-}
 
 /// How a replayed request diverged from its baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,7 +211,7 @@ pub fn parse_cost(s: &str) -> Result<BigRational, String> {
 /// event.
 pub fn run<F>(workload: &Workload, cfg: &ReplayConfig, mut backend: F) -> ReplayReport
 where
-    F: FnMut(&RecordedRequest) -> Result<Observed, String>,
+    F: FnMut(&RecordedRequest) -> Result<RecordedRequest, String>,
 {
     let mut report = ReplayReport {
         source: workload.source.clone(),
@@ -295,22 +279,26 @@ where
 }
 
 /// Diffs one re-driven answer against its baseline; `None` = no diff.
-fn classify(entry: &RecordedRequest, outcome: &Result<Observed, String>) -> Option<RequestDiff> {
+fn classify(
+    entry: &RecordedRequest,
+    outcome: &Result<RecordedRequest, String>,
+) -> Option<RequestDiff> {
+    let (base, id) = (&entry.plan, entry.request.id);
     let diff = |kind: DiffKind, new_cost: &str, new_tier: &str, detail: String| RequestDiff {
-        id: entry.id,
+        id,
         fingerprint: entry.fingerprint,
         kind,
-        baseline_cost: entry.cost.clone(),
+        baseline_cost: base.cost.clone(),
         new_cost: new_cost.to_string(),
-        baseline_tier: entry.tier.clone(),
+        baseline_tier: base.tier.clone(),
         new_tier: new_tier.to_string(),
         detail,
     };
     let obs = match outcome {
-        Ok(o) => o,
+        Ok(o) => &o.plan,
         Err(e) => return Some(diff(DiffKind::Error, "", "", format!("re-drive failed: {e}"))),
     };
-    let base_cost = match parse_cost(&entry.cost) {
+    let base_cost = match parse_cost(&base.cost) {
         Ok(c) => c,
         Err(e) => {
             return Some(diff(DiffKind::Error, &obs.cost, &obs.tier, format!("baseline: {e}")))
@@ -342,23 +330,23 @@ fn classify(entry: &RecordedRequest, outcome: &Result<Observed, String>) -> Opti
             ))
         }
         Ordering::Equal => {
-            if obs.order != entry.order || obs.decomposition != entry.decomposition {
+            if obs.order != base.order || obs.decomposition != base.decomposition {
                 return Some(diff(
                     DiffKind::PlanChange,
                     &obs.cost,
                     &obs.tier,
                     format!(
                         "equal cost, different plan: {:?} vs baseline {:?}",
-                        obs.order, entry.order
+                        obs.order, base.order
                     ),
                 ));
             }
-            if obs.tier != entry.tier {
+            if obs.tier != base.tier {
                 return Some(diff(
                     DiffKind::TierChange,
                     &obs.cost,
                     &obs.tier,
-                    format!("tier {} now answers (was {})", obs.tier, entry.tier),
+                    format!("tier {} now answers (was {})", obs.tier, base.tier),
                 ));
             }
             None
@@ -366,70 +354,17 @@ fn classify(entry: &RecordedRequest, outcome: &Result<Observed, String>) -> Opti
     }
 }
 
-/// The in-process backend: rebuilds the driver configuration a request's
-/// knobs describe and runs the sequential driver directly — no server,
-/// no transport, fully hermetic.
-pub fn driver_backend() -> impl FnMut(&RecordedRequest) -> Result<Observed, String> {
-    |entry: &RecordedRequest| {
-        let t0 = Instant::now();
-        let spec = entry.method.as_deref().or(entry.fallback.as_deref());
-        let budget = BudgetSpec {
-            timeout: entry.timeout_ms.map(std::time::Duration::from_millis),
-            max_expansions: entry.max_expansions,
-            max_memory_bytes: None,
-        };
-        match entry.problem {
-            Problem::Qon => {
-                let inst =
-                    textio::qon_from_text(&entry.instance).map_err(|e| format!("instance: {e}"))?;
-                let chain = match spec {
-                    Some(s) => QonTier::parse_chain(s)?,
-                    None => QonTier::default_chain(),
-                };
-                let cfg = QonDriverConfig {
-                    budget,
-                    chain,
-                    allow_cartesian: entry.allow_cartesian,
-                    threads: entry.threads,
-                    ..QonDriverConfig::default()
-                };
-                let outcome =
-                    aqo_driver::optimize_qon(&inst, &cfg).map_err(|e| e.to_string())?;
-                Ok(Observed {
-                    tier: outcome.report.tier.to_string(),
-                    exact: outcome.report.exact,
-                    cost: outcome.optimum.cost.to_string(),
-                    order: outcome.optimum.sequence.order().to_vec(),
-                    decomposition: None,
-                    latency_us: t0.elapsed().as_micros() as u64,
-                })
-            }
-            Problem::Qoh => {
-                let inst =
-                    textio::qoh_from_text(&entry.instance).map_err(|e| format!("instance: {e}"))?;
-                let chain = match spec {
-                    Some(s) => QohTier::parse_chain(s)?,
-                    None => QohTier::default_chain(),
-                };
-                let cfg = QohDriverConfig {
-                    budget,
-                    chain,
-                    threads: entry.threads,
-                    ..QohDriverConfig::default()
-                };
-                let outcome =
-                    aqo_driver::optimize_qoh(&inst, &cfg).map_err(|e| e.to_string())?;
-                Ok(Observed {
-                    tier: outcome.report.tier.to_string(),
-                    exact: outcome.report.exact,
-                    cost: outcome.plan.cost.to_string(),
-                    order: outcome.plan.sequence.order().to_vec(),
-                    decomposition: Some(outcome.plan.decomposition.fragments().to_vec()),
-                    latency_us: t0.elapsed().as_micros() as u64,
-                })
-            }
-            Problem::Clique => Err("clique entries are not replayable".into()),
-        }
+/// The in-process backend: serve's [`Engine`] with the plan cache off
+/// and no default deadline answers each recorded request — no server, no
+/// transport, fully hermetic.
+pub fn engine_backend() -> impl FnMut(&RecordedRequest) -> Result<RecordedRequest, String> {
+    let engine = Engine::new(0, None);
+    move |entry: &RecordedRequest| {
+        let reply = engine.handle(&entry.request);
+        capture(&entry.request, &reply).ok_or_else(|| match &reply {
+            Reply::Err(e) => format!("{} error: {}", e.kind.as_str(), e.message),
+            other => format!("unreplayable reply: {}", other.to_json_line()),
+        })
     }
 }
 
@@ -438,14 +373,13 @@ pub fn driver_backend() -> impl FnMut(&RecordedRequest) -> Result<Observed, Stri
 /// round trip.
 pub fn live_backend(
     addr: &str,
-) -> Result<impl FnMut(&RecordedRequest) -> Result<Observed, String>, String> {
+) -> Result<impl FnMut(&RecordedRequest) -> Result<RecordedRequest, String>, String> {
     let retry = RetryConfig::default();
     let mut client = Client::connect_with_timeout(addr, retry.read_timeout)
         .map_err(|e| format!("connect {addr}: {e}"))?;
     Ok(move |entry: &RecordedRequest| {
-        let req = Workload::request_for(entry);
         let t0 = Instant::now();
-        let line = client.roundtrip_retry(&req, &retry).map_err(|e| {
+        let line = client.roundtrip_retry(&entry.request, &retry).map_err(|e| {
             let _ = client.reconnect();
             format!("roundtrip: {e}")
         })?;
@@ -454,76 +388,60 @@ pub fn live_backend(
         if !matches!(doc.get("ok"), Some(aqo_obs::json::JsonValue::Bool(true))) {
             return Err(format!("server error: {line}"));
         }
-        let rec = capture_from_json(&req, &doc, latency_us)
-            .ok_or_else(|| format!("unreplayable reply: {line}"))?;
-        Ok(Observed {
-            tier: rec.tier,
-            exact: rec.exact,
-            cost: rec.cost,
-            order: rec.order,
-            decomposition: rec.decomposition,
-            latency_us,
-        })
+        capture_from_json(&entry.request, &doc, latency_us)
+            .ok_or_else(|| format!("unreplayable reply: {line}"))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqo_serve::cache::CachedPlan;
+    use aqo_serve::proto::{Op, Problem, Request};
 
     fn entry(cost: &str, order: Vec<usize>, tier: &str) -> RecordedRequest {
+        let mut request = Request::new(Op::Optimize, Problem::Qon);
+        request.id = 1;
+        request.instance = Some("qon\nvertices 1\nsize 0 5\n".into());
         RecordedRequest {
-            id: 1,
-            problem: Problem::Qon,
-            instance: "qon\nvertices 1\nsize 0 5\n".into(),
-            method: None,
-            fallback: None,
-            timeout_ms: None,
-            max_expansions: None,
-            threads: 1,
-            allow_cartesian: true,
+            request,
             fingerprint: 0xab,
-            tier: tier.into(),
-            exact: true,
             cached: false,
-            cost: cost.into(),
-            cost_log2: 0.0,
-            order,
-            decomposition: None,
             latency_us: 50,
+            plan: CachedPlan {
+                tier: tier.into(),
+                exact: true,
+                order,
+                cost: cost.into(),
+                cost_log2: 0.0,
+                decomposition: None,
+            },
         }
     }
 
-    fn observed(cost: &str, order: Vec<usize>, tier: &str) -> Observed {
-        Observed {
-            tier: tier.into(),
-            exact: true,
-            cost: cost.into(),
-            order,
-            decomposition: None,
-            latency_us: 10,
-        }
+    fn observed(cost: &str, order: Vec<usize>, tier: &str) -> Result<RecordedRequest, String> {
+        Ok(RecordedRequest { latency_us: 10, ..entry(cost, order, tier) })
     }
 
     #[test]
     fn exact_cost_comparison_classifies_diffs() {
         // 10/4 == 5/2: different strings, same rational — no diff.
         let e = entry("10/4", vec![0, 1], "dp");
-        assert!(classify(&e, &Ok(observed("5/2", vec![0, 1], "dp"))).is_none());
+        assert!(classify(&e, &observed("5/2", vec![0, 1], "dp")).is_none());
         // Strictly larger — regression.
-        let d = classify(&e, &Ok(observed("11/4", vec![0, 1], "dp"))).unwrap();
+        let d = classify(&e, &observed("11/4", vec![0, 1], "dp")).unwrap();
         assert_eq!(d.kind, DiffKind::CostRegression);
         assert!(d.kind.is_regression());
         // Strictly smaller — improvement, not a gate failure.
-        let d = classify(&e, &Ok(observed("9/4", vec![0, 1], "dp"))).unwrap();
+        let d = classify(&e, &observed("9/4", vec![0, 1], "dp")).unwrap();
         assert_eq!(d.kind, DiffKind::CostImprovement);
         assert!(!d.kind.is_regression());
         // Equal cost, different order — plan change (gate failure).
-        let d = classify(&e, &Ok(observed("5/2", vec![1, 0], "dp"))).unwrap();
+        let d = classify(&e, &observed("5/2", vec![1, 0], "dp")).unwrap();
         assert_eq!(d.kind, DiffKind::PlanChange);
         assert!(d.kind.is_regression());
         // Equal everything, different tier — informational.
-        let d = classify(&e, &Ok(observed("5/2", vec![0, 1], "ccp"))).unwrap();
+        let d = classify(&e, &observed("5/2", vec![0, 1], "ccp")).unwrap();
         assert_eq!(d.kind, DiffKind::TierChange);
         assert!(!d.kind.is_regression());
         // Backend failure — error (gate failure).
@@ -544,9 +462,9 @@ mod tests {
             ],
         );
         let mut answers = vec![
-            Ok(observed("4", vec![0], "dp")),   // match
-            Ok(observed("5", vec![0], "dp")),   // regression
-            Err("transport down".to_string()),  // error
+            observed("4", vec![0], "dp"),      // match
+            observed("5", vec![0], "dp"),      // regression
+            Err("transport down".to_string()), // error
         ]
         .into_iter();
         let report = run(&w, &ReplayConfig { strip_timing: true }, |_| answers.next().unwrap());
@@ -570,25 +488,29 @@ mod tests {
     }
 
     #[test]
-    fn driver_backend_reproduces_recorded_baselines() {
-        // Drive a real instance through the driver twice: the second run
+    fn engine_backend_reproduces_recorded_baselines() {
+        // Answer a real instance through the engine twice: the second run
         // must replay the first with zero diffs.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let params = aqo_core::workloads::WorkloadParams::default();
         let mut rng = StdRng::seed_from_u64(7);
         let inst = aqo_core::workloads::chain(6, &params, &mut rng);
-        let text = textio::qon_to_text(&inst);
-        let mut backend = driver_backend();
+        let mut backend = engine_backend();
         let mut e = entry("0", vec![], "dp");
-        e.instance = text;
-        let first = backend(&e).expect("first drive");
-        e.cost = first.cost.clone();
-        e.order = first.order.clone();
-        e.tier = first.tier.clone();
+        e.request.instance = Some(aqo_core::textio::qon_to_text(&inst));
+        e.plan = backend(&e).expect("first drive").plan;
         let w = Workload::new("test", None, vec![e]);
         let report = run(&w, &ReplayConfig { strip_timing: true }, backend);
         assert_eq!(report.gate_failures(), 0, "diffs: {:?}", report.diffs);
         assert!(report.diffs.is_empty());
+    }
+
+    #[test]
+    fn engine_backend_reports_error_replies() {
+        let mut e = entry("1", vec![0], "dp");
+        e.request.instance = Some("not an instance".into());
+        let err = engine_backend()(&e).unwrap_err();
+        assert!(err.starts_with("parse error: instance:"), "{err}");
     }
 }

@@ -371,19 +371,20 @@ pub fn validate_workload(workload: &Workload, cfg: &ValidateConfig) -> Result<Va
     let mut report = ValidateReport::new(*cfg);
     let mut seen = std::collections::HashSet::new();
     for entry in &workload.entries {
-        if entry.problem != aqo_serve::proto::Problem::Qon || !seen.insert(entry.fingerprint) {
-            if entry.problem != aqo_serve::proto::Problem::Qon {
+        let req = &entry.request;
+        if req.problem != aqo_serve::proto::Problem::Qon || !seen.insert(entry.fingerprint) {
+            if req.problem != aqo_serve::proto::Problem::Qon {
                 report.skipped += 1;
             }
             continue;
         }
-        let inst = textio::qon_from_text(&entry.instance)
-            .map_err(|e| format!("request {}: {e}", entry.id))?;
+        let inst = textio::qon_from_text(req.instance.as_deref().unwrap_or_default())
+            .map_err(|e| format!("request {}: {e}", req.id))?;
         if !executable(&inst, cfg.max_rows) {
             report.skipped += 1;
             continue;
         }
-        validate_instance(&format!("request-{}", entry.id), &inst, cfg, &mut report);
+        validate_instance(&format!("request-{}", req.id), &inst, cfg, &mut report);
     }
     Ok(report)
 }
@@ -446,29 +447,29 @@ mod tests {
 
     #[test]
     fn workload_mode_skips_oversized_and_dedups() {
+        use aqo_serve::cache::CachedPlan;
+        use aqo_serve::proto::{Op, Problem, Request};
         use aqo_serve::record::RecordedRequest;
-        use aqo_serve::proto::Problem;
         let small = "qon\nvertices 2\nsize 0 10\nsize 1 10\nedge 0 1 1/5 2 2\n";
         let huge = "qon\nvertices 2\nsize 0 4000000000000\nsize 1 10\nedge 0 1 1/5 800000000000 2\n";
-        let entry = |id: u64, fp: u64, inst: &str| RecordedRequest {
-            id,
-            problem: Problem::Qon,
-            instance: inst.into(),
-            method: None,
-            fallback: None,
-            timeout_ms: None,
-            max_expansions: None,
-            threads: 1,
-            allow_cartesian: true,
-            fingerprint: fp,
-            tier: "dp".into(),
-            exact: true,
-            cached: false,
-            cost: "1".into(),
-            cost_log2: 0.0,
-            order: vec![0, 1],
-            decomposition: None,
-            latency_us: 1,
+        let entry = |id: u64, fp: u64, inst: &str| {
+            let mut request = Request::new(Op::Optimize, Problem::Qon);
+            request.id = id;
+            request.instance = Some(inst.into());
+            RecordedRequest {
+                request,
+                fingerprint: fp,
+                cached: false,
+                latency_us: 1,
+                plan: CachedPlan {
+                    tier: "dp".into(),
+                    exact: true,
+                    order: vec![0, 1],
+                    cost: "1".into(),
+                    cost_log2: 0.0,
+                    decomposition: None,
+                },
+            }
         };
         let w = Workload::new(
             "test",

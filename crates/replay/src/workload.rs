@@ -11,8 +11,9 @@
 //! extract` — agree by construction on what a baseline is.
 
 use aqo_obs::json::{self, JsonValue};
+use aqo_serve::cache::{write_fragments, write_order, CachedPlan};
 use aqo_serve::proto::{Op, Problem, Request};
-use aqo_serve::record::RecordedRequest;
+use aqo_serve::record::{fingerprint_field, RecordedRequest};
 use std::fmt::Write as _;
 
 /// The format's schema tag (header `schema` field).
@@ -65,177 +66,60 @@ impl Workload {
             .and_then(JsonValue::as_str)
             .ok_or_else(|| format!("line {}: header has no `source`", ln + 1))?
             .to_string();
-        let seed = doc
-            .get("seed")
-            .and_then(JsonValue::as_num)
-            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-            .map(|n| n as u64);
+        let seed = doc.get("seed").and_then(JsonValue::as_u64);
         let mut entries = Vec::new();
         for (ln, line) in lines {
-            entries.push(
-                parse_entry(line).map_err(|e| format!("line {}: {e}", ln + 1))?,
-            );
+            entries.push(parse_entry(line).map_err(|e| format!("line {}: {e}", ln + 1))?);
         }
         Ok(Workload { source, seed, entries })
     }
-
-    /// Rebuilds the wire request a recorded entry corresponds to, for
-    /// re-driving it against a live server or the in-process driver.
-    pub fn request_for(entry: &RecordedRequest) -> Request {
-        let mut req = Request::new(Op::Optimize, entry.problem);
-        req.id = entry.id;
-        req.instance = Some(entry.instance.clone());
-        req.method = entry.method.clone();
-        req.fallback = entry.fallback.clone();
-        req.timeout_ms = entry.timeout_ms;
-        req.max_expansions = entry.max_expansions;
-        req.threads = entry.threads;
-        req.allow_cartesian = entry.allow_cartesian;
-        req
-    }
 }
 
-/// One entry as a JSON line (defaults omitted, like the wire protocol).
+/// One entry as a JSON line: the request (knobs at their defaults
+/// omitted, like the wire protocol) and its observed baseline.
 fn entry_to_jsonl(out: &mut String, e: &RecordedRequest) {
+    let req = &e.request;
     let _ = write!(
         out,
         "{{\"id\": {}, \"problem\": \"{}\", \"fingerprint\": \"{:#018x}\", \"instance\": ",
-        e.id,
-        e.problem.name(),
+        req.id,
+        req.problem.name(),
         e.fingerprint
     );
-    json::escape_into(out, &e.instance);
-    if let Some(m) = &e.method {
-        out.push_str(", \"method\": ");
-        json::escape_into(out, m);
-    }
-    if let Some(f) = &e.fallback {
-        out.push_str(", \"fallback\": ");
-        json::escape_into(out, f);
-    }
-    if let Some(t) = e.timeout_ms {
-        let _ = write!(out, ", \"timeout_ms\": {t}");
-    }
-    if let Some(x) = e.max_expansions {
-        let _ = write!(out, ", \"max_expansions\": {x}");
-    }
-    if e.threads != 1 {
-        let _ = write!(out, ", \"threads\": {}", e.threads);
-    }
-    if !e.allow_cartesian {
-        out.push_str(", \"allow_cartesian\": false");
-    }
+    json::escape_into(out, req.instance.as_deref().unwrap_or_default());
+    req.write_knobs(out);
+    let plan = &e.plan;
     out.push_str(", \"baseline\": {\"tier\": ");
-    json::escape_into(out, &e.tier);
-    let _ = write!(out, ", \"exact\": {}, \"cached\": {}, \"cost\": ", e.exact, e.cached);
-    json::escape_into(out, &e.cost);
-    let _ = write!(out, ", \"cost_log2\": {:.3}, \"order\": [", e.cost_log2);
-    for (i, v) in e.order.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    if let Some(frags) = &e.decomposition {
-        out.push_str(", \"decomposition\": [");
-        for (i, (lo, hi)) in frags.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{lo}, {hi}]");
-        }
-        out.push(']');
+    json::escape_into(out, &plan.tier);
+    let _ = write!(out, ", \"exact\": {}, \"cached\": {}, \"cost\": ", plan.exact, e.cached);
+    json::escape_into(out, &plan.cost);
+    let _ = write!(out, ", \"cost_log2\": {:.3}, \"order\": ", plan.cost_log2);
+    write_order(out, &plan.order);
+    if let Some(frags) = &plan.decomposition {
+        out.push_str(", \"decomposition\": ");
+        write_fragments(out, frags);
     }
     let _ = writeln!(out, ", \"latency_us\": {}}}}}", e.latency_us);
 }
 
+/// Reads one entry: an optimize request (entries carry no `op`) plus its
+/// baseline.
 fn parse_entry(line: &str) -> Result<RecordedRequest, String> {
-    let doc = json::parse(line).map_err(|e| e.to_string())?;
-    let u64_field = |v: &JsonValue, what: &str| -> Result<u64, String> {
-        v.as_num()
-            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("`{what}` must be a non-negative integer"))
-    };
-    let id = u64_field(doc.get("id").ok_or("entry has no `id`")?, "id")?;
-    let problem = match doc.get("problem").and_then(JsonValue::as_str) {
-        Some("qon") => Problem::Qon,
-        Some("qoh") => Problem::Qoh,
-        other => return Err(format!("unreplayable problem `{}`", other.unwrap_or("?"))),
-    };
-    let fingerprint = doc
-        .get("fingerprint")
-        .and_then(JsonValue::as_str)
-        .and_then(|s| u64::from_str_radix(s.strip_prefix("0x")?, 16).ok())
-        .ok_or("bad `fingerprint`")?;
-    let instance = doc
-        .get("instance")
-        .and_then(JsonValue::as_str)
-        .ok_or("entry has no `instance`")?
-        .to_string();
-    let opt_str = |key: &str| {
-        doc.get(key).and_then(JsonValue::as_str).map(str::to_string)
-    };
-    let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-        match doc.get(key) {
-            None | Some(JsonValue::Null) => Ok(None),
-            Some(v) => u64_field(v, key).map(Some),
-        }
-    };
+    let doc = json::parse(line)?;
+    let request = Request::from_fields(&doc, Op::Optimize)?;
+    if !matches!(request.problem, Problem::Qon | Problem::Qoh) {
+        return Err(format!("unreplayable problem `{}`", request.problem.name()));
+    }
     let base = doc.get("baseline").ok_or("entry has no `baseline`")?;
-    let tier =
-        base.get("tier").and_then(JsonValue::as_str).ok_or("baseline has no `tier`")?.to_string();
-    let cost =
-        base.get("cost").and_then(JsonValue::as_str).ok_or("baseline has no `cost`")?.to_string();
-    let cost_log2 =
-        base.get("cost_log2").and_then(JsonValue::as_num).ok_or("baseline has no `cost_log2`")?;
-    let order = base
-        .get("order")
-        .and_then(JsonValue::as_arr)
-        .ok_or("baseline has no `order`")?
-        .iter()
-        .map(|v| v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0).map(|n| n as usize))
-        .collect::<Option<Vec<usize>>>()
-        .ok_or("bad `order` element")?;
-    let decomposition = match base.get("decomposition").and_then(JsonValue::as_arr) {
-        None => None,
-        Some(frags) => Some(
-            frags
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr().filter(|p| p.len() == 2)?;
-                    let lo = pair[0].as_num().filter(|n| n.fract() == 0.0)? as usize;
-                    let hi = pair[1].as_num().filter(|n| n.fract() == 0.0)? as usize;
-                    Some((lo, hi))
-                })
-                .collect::<Option<Vec<(usize, usize)>>>()
-                .ok_or("bad `decomposition` element")?,
-        ),
-    };
-    let latency_us = match base.get("latency_us") {
-        None => 0,
-        Some(v) => u64_field(v, "latency_us")?,
-    };
     Ok(RecordedRequest {
-        id,
-        problem,
-        instance,
-        method: opt_str("method"),
-        fallback: opt_str("fallback"),
-        timeout_ms: opt_u64("timeout_ms")?,
-        max_expansions: opt_u64("max_expansions")?,
-        threads: opt_u64("threads")?.unwrap_or(1) as usize,
-        allow_cartesian: !matches!(doc.get("allow_cartesian"), Some(JsonValue::Bool(false))),
-        fingerprint,
-        tier,
-        exact: matches!(base.get("exact"), Some(JsonValue::Bool(true))),
+        request,
+        fingerprint: fingerprint_field(&doc).ok_or("bad `fingerprint`")?,
         cached: matches!(base.get("cached"), Some(JsonValue::Bool(true))),
-        cost,
-        cost_log2,
-        order,
-        decomposition,
-        latency_us,
+        latency_us: match base.get("latency_us") {
+            None => 0,
+            Some(v) => v.as_u64().ok_or("`latency_us` must be a non-negative integer")?,
+        },
+        plan: CachedPlan::from_fields(base).map_err(|e| format!("baseline: {e}"))?,
     })
 }
 
@@ -244,25 +128,29 @@ mod tests {
     use super::*;
 
     fn sample_entry(id: u64) -> RecordedRequest {
+        let mut request = Request::new(
+            Op::Optimize,
+            if id.is_multiple_of(2) { Problem::Qon } else { Problem::Qoh },
+        );
+        request.id = id;
+        request.instance = Some(format!("qon\nvertices 1\nsize 0 {id}\n"));
+        request.method = id.is_multiple_of(3).then(|| "dp".to_string());
+        request.timeout_ms = (id % 2 == 1).then_some(250);
+        request.threads = if id.is_multiple_of(4) { 4 } else { 1 };
+        request.allow_cartesian = id.is_multiple_of(2);
         RecordedRequest {
-            id,
-            problem: if id.is_multiple_of(2) { Problem::Qon } else { Problem::Qoh },
-            instance: format!("qon\nvertices 1\nsize 0 {id}\n"),
-            method: id.is_multiple_of(3).then(|| "dp".to_string()),
-            fallback: None,
-            timeout_ms: (id % 2 == 1).then_some(250),
-            max_expansions: None,
-            threads: if id.is_multiple_of(4) { 4 } else { 1 },
-            allow_cartesian: id.is_multiple_of(2),
+            request,
             fingerprint: 0xfeed_0000 + id,
-            tier: "dp".into(),
-            exact: true,
             cached: id % 2 == 1,
-            cost: format!("{}/3", id + 7),
-            cost_log2: 4.125,
-            decomposition: (id % 2 == 1).then(|| vec![(1, 1), (2, 3)]),
-            order: vec![2, 0, 1],
             latency_us: 100 + id,
+            plan: CachedPlan {
+                tier: "dp".into(),
+                exact: true,
+                order: vec![2, 0, 1],
+                cost: format!("{}/3", id + 7),
+                cost_log2: 4.125,
+                decomposition: (id % 2 == 1).then(|| vec![(1, 1), (2, 3)]),
+            },
         }
     }
 
@@ -277,30 +165,36 @@ mod tests {
         assert_eq!(back.to_jsonl(), text);
     }
 
+    /// The committed capture pins the `aqo-workload/v1` bytes: reading it
+    /// and writing it back must reproduce the file exactly.
+    #[test]
+    fn committed_workload_rewrites_byte_for_byte() {
+        let text = include_str!("../../../workloads/mixed-200.jsonl");
+        let w = Workload::parse(text).expect("committed workload parses");
+        assert_eq!(w.entries.len(), 200);
+        assert_eq!(w.to_jsonl(), text);
+    }
+
     #[test]
     fn rejects_bad_headers_and_entries() {
         assert!(Workload::parse("").is_err());
         assert!(Workload::parse("{\"schema\": \"nope\", \"source\": \"x\"}").is_err());
         let w = Workload::new("serve", None, vec![sample_entry(0)]);
         let mut text = w.to_jsonl();
-        text.push_str("{\"id\": 9, \"problem\": \"clique\"}\n");
+        text.push_str("{\"id\": 9, \"problem\": \"clique\", \"instance\": \"p edge 1 0\"}\n");
         let err = Workload::parse(&text).unwrap_err();
         assert!(err.contains("line 3"), "error names the line: {err}");
+        assert!(err.contains("unreplayable problem `clique`"), "{err}");
     }
 
     #[test]
     fn request_round_trips_the_knobs() {
         let entry = sample_entry(3);
-        let req = Workload::request_for(&entry);
-        assert_eq!(req.id, 3);
-        assert_eq!(req.op, Op::Optimize);
-        assert_eq!(req.problem, Problem::Qoh);
-        assert_eq!(req.method.as_deref(), Some("dp"));
-        assert_eq!(req.timeout_ms, Some(250));
-        assert_eq!(req.instance.as_deref(), Some(entry.instance.as_str()));
-        // The wire line re-parses to the same request (proto round trip).
-        let back = Request::parse(&req.to_json_line()).expect("wire round trip");
-        assert_eq!(back.timeout_ms, req.timeout_ms);
-        assert_eq!(back.method, req.method);
+        let text = Workload::new("serve", None, vec![entry.clone()]).to_jsonl();
+        let line = text.lines().nth(1).expect("one entry line");
+        // An entry line is a wire request without `op`: the wire parser
+        // reads it back to the recorded request once the op is added.
+        let wire = line.replacen('{', "{\"op\": \"optimize\", ", 1);
+        assert_eq!(Request::parse(&wire).expect("wire request"), entry.request);
     }
 }

@@ -23,6 +23,8 @@
 //! so a hit can answer any later request for the same key, whatever that
 //! request's budget or chain was.
 
+use aqo_obs::json::JsonValue;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -42,6 +44,81 @@ pub struct CachedPlan {
     pub cost_log2: f64,
     /// QO_H pipeline fragments, if the problem has a decomposition.
     pub decomposition: Option<Vec<(usize, usize)>>,
+}
+
+impl CachedPlan {
+    /// Reads the plan fields of a JSON object: a snapshot entry, a reply
+    /// document, a workload baseline or a journal `serve_response` event.
+    /// Index lists are JSON arrays, or in journal events (whose values
+    /// carry no arrays) comma-joined strings: `"2,0,1"`, `"1-1,2-3"`.
+    pub fn from_fields(doc: &JsonValue) -> Result<CachedPlan, String> {
+        let field = |key: &str| doc.get(key).ok_or_else(|| format!("no `{key}`"));
+        let text = |key: &str| {
+            field(key)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("`{key}` must be a string"))
+        };
+        let order = match field("order")? {
+            JsonValue::Str(s) => split_list(s, |t| t.parse().ok()),
+            v => v.as_arr().and_then(|items| items.iter().map(index).collect()),
+        }
+        .ok_or("bad `order` element")?;
+        let fragments = |v: &JsonValue| match v {
+            JsonValue::Str(s) => split_list(s, |t| {
+                let (lo, hi) = t.split_once('-')?;
+                Some((lo.parse().ok()?, hi.parse().ok()?))
+            }),
+            v => v.as_arr().and_then(|pairs| {
+                pairs
+                    .iter()
+                    .map(|pair| match pair.as_arr()? {
+                        [lo, hi] => Some((index(lo)?, index(hi)?)),
+                        _ => None,
+                    })
+                    .collect()
+            }),
+        };
+        let decomposition = match doc.get("decomposition") {
+            None | Some(JsonValue::Null) => None,
+            Some(v) => Some(fragments(v).ok_or("bad `decomposition` element")?),
+        };
+        Ok(CachedPlan {
+            tier: text("tier")?,
+            exact: matches!(doc.get("exact"), Some(JsonValue::Bool(true))),
+            order,
+            cost: text("cost")?,
+            cost_log2: field("cost_log2")?.as_num().ok_or("`cost_log2` must be a number")?,
+            decomposition,
+        })
+    }
+}
+
+fn index(v: &JsonValue) -> Option<usize> {
+    v.as_u64().and_then(|n| usize::try_from(n).ok())
+}
+
+fn split_list<T>(s: &str, item: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
+    s.split(',').filter(|t| !t.is_empty()).map(item).collect()
+}
+
+/// Appends a join order as a JSON array: `[2, 0, 1]`.
+pub fn write_order(out: &mut String, order: &[usize]) {
+    out.push('[');
+    for (i, v) in order.iter().enumerate() {
+        let _ = write!(out, "{}{v}", if i > 0 { ", " } else { "" });
+    }
+    out.push(']');
+}
+
+/// Appends QO_H pipeline fragments as a JSON array of pairs:
+/// `[[1, 1], [2, 3]]`.
+pub fn write_fragments(out: &mut String, frags: &[(usize, usize)]) {
+    out.push('[');
+    for (i, (lo, hi)) in frags.iter().enumerate() {
+        let _ = write!(out, "{}[{lo}, {hi}]", if i > 0 { ", " } else { "" });
+    }
+    out.push(']');
 }
 
 /// One occupied cache slot.

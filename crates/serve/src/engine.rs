@@ -214,7 +214,7 @@ impl Engine {
         if Self::caching(req) {
             if let Some(hit) = self.cache.lookup(hash, &key) {
                 // A cached exact plan is free: no reason to degrade it.
-                return ok_from_cache(req, hash, hit);
+                return Reply::Ok(ok_reply(req, hash, true, hit));
             }
         }
         let degrade = Self::effective_degrade(req, degrade);
@@ -242,41 +242,17 @@ impl Engine {
             Ok(o) => o,
             Err(e) => return err(req, ErrorKind::Driver, e.to_string()),
         };
-        let order = outcome.optimum.sequence.order().to_vec();
-        let cost = outcome.optimum.cost;
-        let cost_log2 = CostScalar::log2(&cost);
         let explain_text =
             (req.op == Op::Explain).then(|| explain::explain_qon(&inst, &outcome.optimum.sequence));
-        if Self::caching(req) && outcome.report.exact {
-            self.cache.insert(
-                hash,
-                key,
-                CachedPlan {
-                    tier: outcome.report.tier.to_string(),
-                    exact: true,
-                    order: order.clone(),
-                    cost: cost.to_string(),
-                    cost_log2,
-                    decomposition: None,
-                },
-            );
-        }
-        Reply::Ok(Box::new(OkReply {
-            id: req.id,
-            op: req.op,
-            problem: req.problem,
-            fingerprint: hash,
-            cached: false,
+        let plan = CachedPlan {
             tier: outcome.report.tier.to_string(),
             exact: outcome.report.exact,
-            degraded: degrade != Degrade::Full,
-            order,
-            cost: cost.to_string(),
-            cost_log2,
+            order: outcome.optimum.sequence.order().to_vec(),
+            cost: outcome.optimum.cost.to_string(),
+            cost_log2: CostScalar::log2(&outcome.optimum.cost),
             decomposition: None,
-            explain: explain_text,
-            elapsed_us: 0,
-        }))
+        };
+        self.answer(req, hash, key, plan, degrade, explain_text)
     }
 
     fn solve_qoh(&self, req: &Request, degrade: Degrade) -> Reply {
@@ -291,7 +267,7 @@ impl Engine {
         let hash = fnv1a(key.as_bytes());
         if Self::caching(req) {
             if let Some(hit) = self.cache.lookup(hash, &key) {
-                return ok_from_cache(req, hash, hit);
+                return Reply::Ok(ok_reply(req, hash, true, hit));
             }
         }
         let degrade = Self::effective_degrade(req, degrade);
@@ -318,44 +294,20 @@ impl Engine {
             Ok(o) => o,
             Err(e) => return err(req, ErrorKind::Driver, e.to_string()),
         };
-        let order = outcome.plan.sequence.order().to_vec();
-        let fragments: Vec<(usize, usize)> = outcome.plan.decomposition.fragments().to_vec();
-        let cost_log2 = outcome.plan.cost.log2();
         let explain_text = (req.op == Op::Explain)
             .then(|| {
                 explain::explain_qoh(&inst, &outcome.plan.sequence, &outcome.plan.decomposition)
             })
             .flatten();
-        if Self::caching(req) && outcome.report.exact {
-            self.cache.insert(
-                hash,
-                key,
-                CachedPlan {
-                    tier: outcome.report.tier.to_string(),
-                    exact: true,
-                    order: order.clone(),
-                    cost: outcome.plan.cost.to_string(),
-                    cost_log2,
-                    decomposition: Some(fragments.clone()),
-                },
-            );
-        }
-        Reply::Ok(Box::new(OkReply {
-            id: req.id,
-            op: req.op,
-            problem: req.problem,
-            fingerprint: hash,
-            cached: false,
+        let plan = CachedPlan {
             tier: outcome.report.tier.to_string(),
             exact: outcome.report.exact,
-            degraded: degrade != Degrade::Full,
-            order,
+            order: outcome.plan.sequence.order().to_vec(),
             cost: outcome.plan.cost.to_string(),
-            cost_log2,
-            decomposition: Some(fragments),
-            explain: explain_text,
-            elapsed_us: 0,
-        }))
+            cost_log2: outcome.plan.cost.log2(),
+            decomposition: Some(outcome.plan.decomposition.fragments().to_vec()),
+        };
+        self.answer(req, hash, key, plan, degrade, explain_text)
     }
 
     fn solve_clique(&self, req: &Request) -> Reply {
@@ -381,7 +333,7 @@ impl Engine {
         let hash = fnv1a(key.as_bytes());
         if Self::caching(req) {
             if let Some(hit) = self.cache.lookup(hash, &key) {
-                return ok_from_cache(req, hash, hit);
+                return Reply::Ok(ok_reply(req, hash, true, hit));
             }
         }
         let clique = aqo_graph::clique::max_clique(&g);
@@ -393,36 +345,35 @@ impl Engine {
                 aqo_graph::coloring::clique_upper_bound(&g)
             )
         });
-        if Self::caching(req) {
-            self.cache.insert(
-                hash,
-                key,
-                CachedPlan {
-                    tier: "clique".into(),
-                    exact: true,
-                    order: clique.clone(),
-                    cost: omega.to_string(),
-                    cost_log2: omega as f64,
-                    decomposition: None,
-                },
-            );
-        }
-        Reply::Ok(Box::new(OkReply {
-            id: req.id,
-            op: req.op,
-            problem: req.problem,
-            fingerprint: hash,
-            cached: false,
+        let plan = CachedPlan {
             tier: "clique".into(),
             exact: true,
-            degraded: false,
             order: clique,
             cost: omega.to_string(),
             cost_log2: omega as f64,
             decomposition: None,
-            explain: explain_text,
-            elapsed_us: 0,
-        }))
+        };
+        self.answer(req, hash, key, plan, Degrade::Full, explain_text)
+    }
+
+    /// Caches an exact freshly computed plan (when the request caches)
+    /// and builds its reply.
+    fn answer(
+        &self,
+        req: &Request,
+        hash: u64,
+        key: String,
+        plan: CachedPlan,
+        degrade: Degrade,
+        explain: Option<String>,
+    ) -> Reply {
+        if Self::caching(req) && plan.exact {
+            self.cache.insert(hash, key, plan.clone());
+        }
+        let mut ok = ok_reply(req, hash, false, plan);
+        ok.degraded = degrade != Degrade::Full;
+        ok.explain = explain;
+        Reply::Ok(ok)
     }
 }
 
@@ -442,24 +393,24 @@ fn err(req: &Request, kind: ErrorKind, message: String) -> Reply {
     Reply::Err(ErrReply::new(req.id, kind, message))
 }
 
-/// Builds the reply for a cache hit: copy-only, no recomputation.
-fn ok_from_cache(req: &Request, fingerprint: u64, hit: CachedPlan) -> Reply {
-    Reply::Ok(Box::new(OkReply {
+/// The reply carrying `plan`: copy-only, no recomputation.
+fn ok_reply(req: &Request, fingerprint: u64, cached: bool, plan: CachedPlan) -> Box<OkReply> {
+    Box::new(OkReply {
         id: req.id,
         op: req.op,
         problem: req.problem,
         fingerprint,
-        cached: true,
-        tier: hit.tier,
-        exact: hit.exact,
+        cached,
+        tier: plan.tier,
+        exact: plan.exact,
         degraded: false,
-        order: hit.order,
-        cost: hit.cost,
-        cost_log2: hit.cost_log2,
-        decomposition: hit.decomposition,
+        order: plan.order,
+        cost: plan.cost,
+        cost_log2: plan.cost_log2,
+        decomposition: plan.decomposition,
         explain: None,
         elapsed_us: 0,
-    }))
+    })
 }
 
 /// `[2, 0, 1]` → `"2,0,1"` for journal fields (no array values).

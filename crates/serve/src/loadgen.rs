@@ -388,7 +388,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
             for t in &tallies {
                 recorded.extend(t.recorded.iter().cloned());
             }
-            recorded.sort_by_key(|r| r.id);
+            recorded.sort_by_key(|r| r.request.id);
         }
         // Quantiles come from the same log-bucketed histogram the live
         // `metrics` op uses, so offline BENCH numbers and online `aqo top`

@@ -11,6 +11,7 @@
 //! clique). Budget limits, method/fallback-chain selection, and cache
 //! participation ride along per request.
 
+use crate::cache::{write_fragments, write_order};
 use aqo_core::parallel::MAX_THREADS;
 use aqo_obs::json::{self, JsonValue};
 use std::fmt::Write as _;
@@ -91,7 +92,7 @@ impl Problem {
 
 /// A parsed request line. Constructed by [`Request::parse`] on the server
 /// side, or directly (then [`Request::to_json_line`]) on the client side.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Request {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub id: u64,
@@ -150,6 +151,14 @@ impl Request {
             .and_then(JsonValue::as_str)
             .ok_or_else(|| "request has no `op` field".to_string())?;
         let op = Op::parse(op_name).ok_or_else(|| format!("unknown op `{op_name}`"))?;
+        Request::from_fields(&doc, op)
+    }
+
+    /// Reads an `op` request from the fields of a JSON object: a wire
+    /// line, a workload entry or a journal `serve_request` event. Keys
+    /// that are not request fields are ignored; absent knobs take their
+    /// defaults.
+    pub fn from_fields(doc: &JsonValue, op: Op) -> Result<Request, String> {
         let problem = match doc.get("problem").and_then(JsonValue::as_str) {
             None => Problem::Qon,
             Some(p) => Problem::parse(p).ok_or_else(|| format!("unknown problem `{p}`"))?,
@@ -209,6 +218,41 @@ impl Request {
         Ok(req)
     }
 
+    /// The knobs that differ from their defaults, as `(key, value)` pairs
+    /// in wire order. Every writer of requests — the wire line, workload
+    /// entries, the `serve_request` journal event — omits a knob at its
+    /// default, and [`Request::from_fields`] reapplies it.
+    pub fn knobs(&self) -> impl Iterator<Item = (&'static str, Knob<'_>)> {
+        [
+            ("method", self.method.as_deref().map(Knob::Str)),
+            ("fallback", self.fallback.as_deref().map(Knob::Str)),
+            ("timeout_ms", self.timeout_ms.map(Knob::Uint)),
+            ("max_expansions", self.max_expansions.map(Knob::Uint)),
+            ("threads", (self.threads != 1).then_some(Knob::Uint(self.threads as u64))),
+            ("allow_cartesian", (!self.allow_cartesian).then_some(Knob::Bool(false))),
+            ("cache", (!self.use_cache).then_some(Knob::Bool(false))),
+        ]
+        .into_iter()
+        .filter_map(|(key, value)| Some((key, value?)))
+    }
+
+    /// Appends `, "key": value` to a JSON object for every non-default
+    /// knob.
+    pub fn write_knobs(&self, out: &mut String) {
+        for (key, value) in self.knobs() {
+            let _ = write!(out, ", \"{key}\": ");
+            match value {
+                Knob::Str(s) => json::escape_into(out, s),
+                Knob::Uint(n) => {
+                    let _ = write!(out, "{n}");
+                }
+                Knob::Bool(b) => {
+                    let _ = write!(out, "{b}");
+                }
+            }
+        }
+    }
+
     /// Serializes the request as one JSON line (no trailing newline).
     /// Fields at their defaults are omitted, so round-tripping through
     /// [`Request::parse`] is the identity on the semantic content.
@@ -221,31 +265,30 @@ impl Request {
             out.push_str(", \"instance\": ");
             json::escape_into(&mut out, inst);
         }
-        if let Some(m) = &self.method {
-            out.push_str(", \"method\": ");
-            json::escape_into(&mut out, m);
-        }
-        if let Some(f) = &self.fallback {
-            out.push_str(", \"fallback\": ");
-            json::escape_into(&mut out, f);
-        }
-        if let Some(t) = self.timeout_ms {
-            let _ = write!(out, ", \"timeout_ms\": {t}");
-        }
-        if let Some(e) = self.max_expansions {
-            let _ = write!(out, ", \"max_expansions\": {e}");
-        }
-        if self.threads != 1 {
-            let _ = write!(out, ", \"threads\": {}", self.threads);
-        }
-        if !self.allow_cartesian {
-            out.push_str(", \"allow_cartesian\": false");
-        }
-        if !self.use_cache {
-            out.push_str(", \"cache\": false");
-        }
+        self.write_knobs(&mut out);
         out.push('}');
         out
+    }
+}
+
+/// A request knob's value, borrowed from the [`Request`].
+#[derive(Clone, Copy, Debug)]
+pub enum Knob<'a> {
+    /// `method`, `fallback`.
+    Str(&'a str),
+    /// `timeout_ms`, `max_expansions`, `threads`.
+    Uint(u64),
+    /// `allow_cartesian`, `cache`.
+    Bool(bool),
+}
+
+impl From<Knob<'_>> for aqo_obs::journal::Value {
+    fn from(knob: Knob<'_>) -> Self {
+        match knob {
+            Knob::Str(s) => s.into(),
+            Knob::Uint(n) => n.into(),
+            Knob::Bool(b) => b.into(),
+        }
     }
 }
 
@@ -459,26 +502,14 @@ impl Reply {
                 if r.degraded {
                     out.push_str(", \"degraded\": true");
                 }
-                out.push_str(", \"order\": [");
-                for (i, v) in r.order.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{v}");
-                }
-                out.push(']');
+                out.push_str(", \"order\": ");
+                write_order(&mut out, &r.order);
                 out.push_str(", \"cost\": ");
                 json::escape_into(&mut out, &r.cost);
                 let _ = write!(out, ", \"cost_log2\": {:.3}", r.cost_log2);
                 if let Some(frags) = &r.decomposition {
-                    out.push_str(", \"decomposition\": [");
-                    for (i, (lo, hi)) in frags.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(out, "[{lo}, {hi}]");
-                    }
-                    out.push(']');
+                    out.push_str(", \"decomposition\": ");
+                    write_fragments(&mut out, frags);
                 }
                 if let Some(text) = &r.explain {
                     out.push_str(", \"explain\": ");

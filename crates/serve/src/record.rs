@@ -16,52 +16,28 @@
 //! degraded (the baseline would reflect overload, not the build), and
 //! never clique (there is no execution story for clique plans).
 
+use crate::cache::CachedPlan;
 use crate::proto::{Op, Problem, Reply, Request};
 use aqo_obs::json::JsonValue;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// One replayable observation: what was asked, and what the build
-/// answered. Field names mirror the wire protocol; `latency_us` is the
-/// server-side handling time (`elapsed_us`) for serve-recorded entries
-/// and the client-observed round trip for loadgen-recorded ones.
+/// One replayable observation: the request, and what the build answered.
+/// `latency_us` is the server-side handling time (`elapsed_us`) for
+/// serve-recorded entries and the client-observed round trip for
+/// loadgen-recorded ones.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecordedRequest {
-    /// Request id as seen on the wire.
-    pub id: u64,
-    /// Problem family (`Qon` or `Qoh`; clique is never recorded).
-    pub problem: Problem,
-    /// Inline instance text.
-    pub instance: String,
-    /// Single-tier method pin, if the request carried one.
-    pub method: Option<String>,
-    /// Fallback-chain pin, if the request carried one.
-    pub fallback: Option<String>,
-    /// Per-request wall-clock budget.
-    pub timeout_ms: Option<u64>,
-    /// Per-request expansion budget.
-    pub max_expansions: Option<u64>,
-    /// Worker threads for exact tiers.
-    pub threads: usize,
-    /// Whether cartesian sequences were admissible.
-    pub allow_cartesian: bool,
+    /// The optimize request as it arrived (`Qon` or `Qoh`; clique is
+    /// never recorded).
+    pub request: Request,
     /// Canonical instance fingerprint from the reply.
     pub fingerprint: u64,
-    /// Tier that produced the plan.
-    pub tier: String,
-    /// Whether the plan is exact.
-    pub exact: bool,
     /// Whether the reply came from the plan cache.
     pub cached: bool,
-    /// Exact cost as a decimal/rational string.
-    pub cost: String,
-    /// `log2` of the cost.
-    pub cost_log2: f64,
-    /// The join sequence.
-    pub order: Vec<usize>,
-    /// QO_H pipeline fragments.
-    pub decomposition: Option<Vec<(usize, usize)>>,
     /// Observed latency in microseconds.
     pub latency_us: u64,
+    /// The plan the reply carried.
+    pub plan: CachedPlan,
 }
 
 /// Shared buffer of recorded observations. A leaf lock: nothing — obs
@@ -79,38 +55,35 @@ pub fn drain(sink: &RecordSink) -> Vec<RecordedRequest> {
     std::mem::take(&mut *sink.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
+/// Whether `req` can be replayed at all: optimize (explain replies are
+/// about the walkthrough text) of a QO_N/QO_H instance (clique has no
+/// execution story).
+fn replayable(req: &Request) -> bool {
+    req.op == Op::Optimize && matches!(req.problem, Problem::Qon | Problem::Qoh)
+}
+
 /// Builds the recorded observation for one request/reply pair, or `None`
 /// when the pair is not replayable: errors (nothing to diff against),
 /// explain/status/control ops, degraded replies (the chain that ran was
 /// overload-chosen, not request-chosen), and clique (no execution story).
 pub fn capture(req: &Request, reply: &Reply) -> Option<RecordedRequest> {
     let Reply::Ok(ok) = reply else { return None };
-    if req.op != Op::Optimize || ok.degraded {
+    if !replayable(req) || ok.degraded {
         return None;
     }
-    if !matches!(req.problem, Problem::Qon | Problem::Qoh) {
-        return None;
-    }
-    let instance = req.instance.clone()?;
     Some(RecordedRequest {
-        id: req.id,
-        problem: req.problem,
-        instance,
-        method: req.method.clone(),
-        fallback: req.fallback.clone(),
-        timeout_ms: req.timeout_ms,
-        max_expansions: req.max_expansions,
-        threads: req.threads,
-        allow_cartesian: req.allow_cartesian,
+        request: req.clone(),
         fingerprint: ok.fingerprint,
-        tier: ok.tier.clone(),
-        exact: ok.exact,
         cached: ok.cached,
-        cost: ok.cost.clone(),
-        cost_log2: ok.cost_log2,
-        order: ok.order.clone(),
-        decomposition: ok.decomposition.clone(),
         latency_us: ok.elapsed_us,
+        plan: CachedPlan {
+            tier: ok.tier.clone(),
+            exact: ok.exact,
+            order: ok.order.clone(),
+            cost: ok.cost.clone(),
+            cost_log2: ok.cost_log2,
+            decomposition: ok.decomposition.clone(),
+        },
     })
 }
 
@@ -124,65 +97,26 @@ pub fn capture_from_json(
     doc: &JsonValue,
     latency_us: u64,
 ) -> Option<RecordedRequest> {
-    if req.op != Op::Optimize || !matches!(req.problem, Problem::Qon | Problem::Qoh) {
+    if !replayable(req)
+        || !matches!(doc.get("ok"), Some(JsonValue::Bool(true)))
+        || matches!(doc.get("degraded"), Some(JsonValue::Bool(true)))
+    {
         return None;
     }
-    if !matches!(doc.get("ok"), Some(JsonValue::Bool(true))) {
-        return None;
-    }
-    if matches!(doc.get("degraded"), Some(JsonValue::Bool(true))) {
-        return None;
-    }
-    let instance = req.instance.clone()?;
-    let fingerprint = doc
-        .get("fingerprint")
-        .and_then(JsonValue::as_str)
-        .and_then(|s| u64::from_str_radix(s.strip_prefix("0x")?, 16).ok())?;
-    let tier = doc.get("tier").and_then(JsonValue::as_str)?.to_string();
-    let exact = matches!(doc.get("exact"), Some(JsonValue::Bool(true)));
-    let cached = matches!(doc.get("cached"), Some(JsonValue::Bool(true)));
-    let cost = doc.get("cost").and_then(JsonValue::as_str)?.to_string();
-    let cost_log2 = doc.get("cost_log2").and_then(JsonValue::as_num)?;
-    let order = doc
-        .get("order")
-        .and_then(JsonValue::as_arr)?
-        .iter()
-        .map(|v| v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0).map(|n| n as usize))
-        .collect::<Option<Vec<usize>>>()?;
-    let decomposition = match doc.get("decomposition").and_then(JsonValue::as_arr) {
-        None => None,
-        Some(frags) => Some(
-            frags
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr().filter(|p| p.len() == 2)?;
-                    let lo = pair[0].as_num().filter(|n| n.fract() == 0.0)? as usize;
-                    let hi = pair[1].as_num().filter(|n| n.fract() == 0.0)? as usize;
-                    Some((lo, hi))
-                })
-                .collect::<Option<Vec<(usize, usize)>>>()?,
-        ),
-    };
     Some(RecordedRequest {
-        id: req.id,
-        problem: req.problem,
-        instance,
-        method: req.method.clone(),
-        fallback: req.fallback.clone(),
-        timeout_ms: req.timeout_ms,
-        max_expansions: req.max_expansions,
-        threads: req.threads,
-        allow_cartesian: req.allow_cartesian,
-        fingerprint,
-        tier,
-        exact,
-        cached,
-        cost,
-        cost_log2,
-        order,
-        decomposition,
+        request: req.clone(),
+        fingerprint: fingerprint_field(doc)?,
+        cached: matches!(doc.get("cached"), Some(JsonValue::Bool(true))),
         latency_us,
+        plan: CachedPlan::from_fields(doc).ok()?,
     })
+}
+
+/// The `"0x…"` fingerprint field of a reply, journal event or workload
+/// entry.
+pub fn fingerprint_field(doc: &JsonValue) -> Option<u64> {
+    let hex = doc.get("fingerprint")?.as_str()?.strip_prefix("0x")?;
+    u64::from_str_radix(hex, 16).ok()
 }
 
 #[cfg(test)]
@@ -216,10 +150,9 @@ mod tests {
         req.instance = Some("qon\nvertices 1\nsize 0 5\n".into());
         req.method = Some("dp".into());
         let rec = capture(&req, &ok_reply(&req)).expect("captured");
-        assert_eq!(rec.id, 3);
-        assert_eq!(rec.method.as_deref(), Some("dp"));
-        assert_eq!(rec.cost, "42");
-        assert_eq!(rec.order, vec![1, 0]);
+        assert_eq!(rec.request, req);
+        assert_eq!(rec.plan.cost, "42");
+        assert_eq!(rec.plan.order, vec![1, 0]);
         assert_eq!(rec.latency_us, 17);
     }
 
@@ -272,7 +205,7 @@ mod tests {
             sink.lock().unwrap().push(rec);
         }
         let drained = drain(&sink);
-        assert_eq!(drained.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(drained.iter().map(|r| r.request.id).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(drain(&sink).is_empty(), "drain empties the sink");
     }
 }

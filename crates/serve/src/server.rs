@@ -852,24 +852,7 @@ impl Server {
                 if let Some(inst) = &req.instance {
                     fields.push(("instance", inst.clone().into()));
                 }
-                if let Some(m) = &req.method {
-                    fields.push(("method", m.clone().into()));
-                }
-                if let Some(f) = &req.fallback {
-                    fields.push(("fallback", f.clone().into()));
-                }
-                if let Some(t) = req.timeout_ms {
-                    fields.push(("timeout_ms", t.into()));
-                }
-                if let Some(e) = req.max_expansions {
-                    fields.push(("max_expansions", e.into()));
-                }
-                if req.threads != 1 {
-                    fields.push(("threads", req.threads.into()));
-                }
-                if !req.allow_cartesian {
-                    fields.push(("allow_cartesian", false.into()));
-                }
+                fields.extend(req.knobs().map(|(key, value)| (key, value.into())));
             }
             aqo_obs::journal::event("serve_request", fields);
         }

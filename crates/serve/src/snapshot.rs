@@ -38,10 +38,10 @@
 //! snapshot_load` discredits the header checksum, forcing the salvage
 //! path over a good file.
 
-use crate::cache::{CachedPlan, PlanCache};
+use crate::cache::{write_fragments, write_order, CachedPlan, PlanCache};
 use aqo_core::fingerprint::fnv1a;
 use aqo_obs::faults;
-use aqo_obs::json::{self, JsonValue};
+use aqo_obs::json;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -57,25 +57,14 @@ fn entry_json(key: &str, plan: &CachedPlan) -> String {
     s.push_str(", \"tier\": ");
     json::escape_into(&mut s, &plan.tier);
     let _ = write!(s, ", \"exact\": {}", plan.exact);
-    s.push_str(", \"order\": [");
-    for (i, v) in plan.order.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{v}");
-    }
-    s.push_str("], \"cost\": ");
+    s.push_str(", \"order\": ");
+    write_order(&mut s, &plan.order);
+    s.push_str(", \"cost\": ");
     json::escape_into(&mut s, &plan.cost);
     let _ = write!(s, ", \"cost_log2\": {}", plan.cost_log2);
     if let Some(frags) = &plan.decomposition {
-        s.push_str(", \"decomposition\": [");
-        for (i, (lo, hi)) in frags.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "[{lo}, {hi}]");
-        }
-        s.push(']');
+        s.push_str(", \"decomposition\": ");
+        write_fragments(&mut s, frags);
     }
     s.push('}');
     s
@@ -85,36 +74,7 @@ fn entry_json(key: &str, plan: &CachedPlan) -> String {
 fn entry_parse(data: &str) -> Option<(String, CachedPlan)> {
     let doc = json::parse(data).ok()?;
     let key = doc.get("key")?.as_str()?.to_string();
-    let order: Vec<usize> = doc
-        .get("order")?
-        .as_arr()?
-        .iter()
-        .map(|v| v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0).map(|n| n as usize))
-        .collect::<Option<_>>()?;
-    let decomposition = match doc.get("decomposition") {
-        None | Some(JsonValue::Null) => None,
-        Some(v) => Some(
-            v.as_arr()?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr()?;
-                    match pair {
-                        [lo, hi] => Some((lo.as_num()? as usize, hi.as_num()? as usize)),
-                        _ => None,
-                    }
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
-    };
-    let plan = CachedPlan {
-        tier: doc.get("tier")?.as_str()?.to_string(),
-        exact: matches!(doc.get("exact"), Some(JsonValue::Bool(true))),
-        order,
-        cost: doc.get("cost")?.as_str()?.to_string(),
-        cost_log2: doc.get("cost_log2")?.as_num()?,
-        decomposition,
-    };
-    Some((key, plan))
+    Some((key, CachedPlan::from_fields(&doc).ok()?))
 }
 
 /// Renders one self-validating snapshot line for `data`.
