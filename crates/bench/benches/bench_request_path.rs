@@ -3,6 +3,11 @@
 //! canonical cache key with its FNV-1a fingerprint. A cache hit costs
 //! exactly these three plus the lookup, so their sum bounds a hit's
 //! latency from below.
+//!
+//! `hit_front_end` times what a hit pays after the JSON line: parse the
+//! instance, build its key, hash it, drop both. It cycles a pool of 64
+//! distinct texts, as perfbench does, since a loop over one text lets
+//! caches and branch predictors learn it.
 
 use aqo_core::fingerprint::{fnv1a, write_canonical_qon};
 use aqo_core::{textio, workloads};
@@ -21,6 +26,29 @@ fn cases() -> Vec<(&'static str, String)> {
         ("clique9", textio::qon_to_text(&workloads::clique(9, &params, &mut rng))),
         ("chain28", textio::qon_to_text(&workloads::chain(28, &params, &mut rng))),
     ]
+}
+
+/// Distinct texts of each served shape: cliques n = 9 (`qon-dense`, whose
+/// key allows cartesian products) and chains and cycles n = 28
+/// (`serve-hot`, whose key does not).
+fn pools() -> Vec<(&'static str, &'static str, Vec<String>)> {
+    const POOL: u64 = 64;
+    let params = workloads::WorkloadParams::default();
+    let text = |inst| textio::qon_to_text(&inst);
+    let clique9 = (0..POOL)
+        .map(|i| text(workloads::clique(9, &params, &mut StdRng::seed_from_u64(i))))
+        .collect();
+    let chain28 = (0..POOL)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(i);
+            text(if i % 2 == 0 {
+                workloads::chain(28, &params, &mut rng)
+            } else {
+                workloads::cycle(28, &params, &mut rng)
+            })
+        })
+        .collect();
+    vec![("clique9", "qon cart=1 ", clique9), ("chain28", "qon cart=0 ", chain28)]
 }
 
 fn bench_request_path(c: &mut Criterion) {
@@ -44,6 +72,19 @@ fn bench_request_path(c: &mut Criterion) {
                 let mut key = String::with_capacity(text.len() + 16);
                 key.push_str("qon cart=1 ");
                 write_canonical_qon(&mut key, black_box(&inst));
+                fnv1a(key.as_bytes())
+            })
+        });
+    }
+    for (name, prefix, pool) in pools() {
+        let mut next = pool.iter().cycle();
+        g.bench_function(format!("hit_front_end/{name}"), |b| {
+            b.iter(|| {
+                let text = next.next().expect("the pool is not empty");
+                let inst = textio::qon_from_text(black_box(text)).expect("generated text parses");
+                let mut key = String::with_capacity(text.len() + 16);
+                key.push_str(prefix);
+                write_canonical_qon(&mut key, &inst);
                 fnv1a(key.as_bytes())
             })
         });

@@ -57,7 +57,7 @@ pub mod fixed;
 pub use int::{BigInt, Sign};
 pub use lognum::LogNum;
 pub use rational::BigRational;
-pub use uint::BigUint;
+pub use uint::{write_u64, BigUint};
 
 /// Convenience: `2^k` as a [`BigUint`].
 pub fn pow2(k: u64) -> BigUint {

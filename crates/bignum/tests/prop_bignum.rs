@@ -590,3 +590,169 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The inline/heap boundary: a value of up to four limbs is stored inline,
+// a longer one on the heap, and a heap value that shrinks keeps its buffer.
+// ---------------------------------------------------------------------------
+
+/// A value of 0–6 limbs, each all ones, zero, one or random, so that
+/// carries and borrows run across the fourth limb in both directions.
+fn boundary_operand() -> impl Strategy<Value = BigUint> {
+    let limb = (0u8..4, any::<u64>()).prop_map(|(kind, x)| match kind {
+        0 => u64::MAX,
+        1 => 0,
+        2 => 1,
+        _ => x,
+    });
+    (0usize..7, prop::collection::vec(limb, 6..7))
+        .prop_map(|(len, limbs)| BigUint::from_limbs(limbs[..len].to_vec()))
+}
+
+/// `v` held in a heap buffer of seven limbs, however short `v` is: a
+/// spilled value refilled by `clone_from` keeps its buffer.
+fn spilled(v: &BigUint) -> BigUint {
+    let mut out = BigUint::from_limbs(vec![u64::MAX; 7]);
+    out.clone_from(v);
+    out
+}
+
+fn hash_of(v: &BigUint) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Equal as values, as limb slices, in order and in hash.
+fn same_value(x: &BigUint, y: &BigUint) -> bool {
+    x == y && x.limbs() == y.limbs() && x.cmp(y).is_eq() && hash_of(x) == hash_of(y)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn inline_values_equal_their_spilled_copies(a in boundary_operand(), b in boundary_operand()) {
+        let (sa, sb) = (spilled(&a), spilled(&b));
+        prop_assert!(same_value(&a, &sa));
+        prop_assert_eq!(a.cmp(&b), sa.cmp(&sb));
+        prop_assert_eq!(a.cmp(&b), sa.cmp(&b));
+        prop_assert_eq!(a.cmp(&b), a.cmp(&sb));
+        prop_assert_eq!(a == b, sa == b);
+    }
+
+    #[test]
+    fn inline_operators_match_spilled_operands(a in boundary_operand(), b in boundary_operand()) {
+        let (sa, sb) = (spilled(&a), spilled(&b));
+        prop_assert!(same_value(&(&a + &b), &(&sa + &sb)));
+        prop_assert!(same_value(&(&a * &b), &(&sa * &sb)));
+        let (hi, lo) = if a >= b { (&a, &b) } else { (&b, &a) };
+        prop_assert!(same_value(&(hi - lo), &(&spilled(hi) - &spilled(lo))));
+        prop_assert!(same_value(&(&(hi - lo) + lo), hi));
+        if !b.is_zero() {
+            let (q, r) = a.div_rem(&b);
+            let (sq, sr) = sa.div_rem(&sb);
+            prop_assert!(same_value(&q, &sq) && same_value(&r, &sr));
+            prop_assert!(same_value(&(&(&q * &b) + &r), &a));
+        }
+        prop_assert!(same_value(&a.gcd(&b), &sa.gcd(&sb)));
+    }
+
+    #[test]
+    fn inline_shifts_cross_the_boundary(a in boundary_operand(), k in 0u64..200) {
+        let sa = spilled(&a);
+        let up = &a << k;
+        prop_assert!(same_value(&up, &(&sa << k)));
+        prop_assert!(same_value(&(&up >> k), &a));
+        prop_assert!(same_value(&(&a >> k), &(&sa >> k)));
+        prop_assert!(same_value(&up, &(&a * &BigUint::from(2u64).pow(k))));
+    }
+
+    #[test]
+    fn inline_assign_ops_match_operators(a in boundary_operand(), b in boundary_operand()) {
+        // Into an inline destination and into a spilled one.
+        for mut v in [a.clone(), spilled(&a)] {
+            v += &b;
+            prop_assert!(same_value(&v, &(&a + &b)));
+            v -= &b;
+            prop_assert!(same_value(&v, &a));
+            v *= &b;
+            prop_assert!(same_value(&v, &(&a * &b)));
+        }
+        let (hi, lo) = if a >= b { (&a, &b) } else { (&b, &a) };
+        for mut w in [hi.clone(), spilled(hi)] {
+            w -= lo;
+            prop_assert!(same_value(&w, &(hi - lo)));
+            w -= &w.clone();
+            prop_assert!(w.is_zero() && same_value(&w, &BigUint::zero()));
+        }
+    }
+
+    #[test]
+    fn inline_kernels_match_operators(
+        a in boundary_operand(),
+        b in boundary_operand(),
+        c in boundary_operand(),
+    ) {
+        let want = &a + &(&b * &c);
+        for mut out in [BigUint::zero(), spilled(&c), BigUint::from_limbs(vec![u64::MAX; 7])] {
+            out.set_mul_add(&a, &b, &c);
+            prop_assert!(same_value(&out, &want));
+        }
+        if !b.is_zero() {
+            let p = &a * &b;
+            for mut q in [p.clone(), spilled(&p)] {
+                q.div_exact_assign(&b);
+                prop_assert!(same_value(&q, &a));
+            }
+        }
+    }
+
+    #[test]
+    fn inline_clone_from_crosses_the_boundary(a in boundary_operand(), b in boundary_operand()) {
+        for mut dst in [a.clone(), spilled(&a)] {
+            dst.clone_from(&b);
+            prop_assert!(same_value(&dst, &b));
+            dst.clone_from(&a);
+            prop_assert!(same_value(&dst, &a));
+        }
+    }
+
+    #[test]
+    fn inline_small_values_match_u128(x in any::<u64>(), y in any::<u64>(), k in 0u64..64) {
+        let (bx, by) = (BigUint::from(x), BigUint::from(y));
+        let (x, y) = (u128::from(x), u128::from(y));
+        prop_assert_eq!(&bx + &by, BigUint::from(x + y));
+        prop_assert_eq!(&bx * &by, BigUint::from(x * y));
+        prop_assert_eq!(&bx << k, BigUint::from(x << k));
+        prop_assert_eq!((&bx * &by).to_u128(), Some(x * y));
+        if let (Some(q), Some(r)) = (x.checked_div(y), x.checked_rem(y)) {
+            prop_assert_eq!(bx.div_rem(&by), (BigUint::from(q), BigUint::from(r)));
+        }
+        prop_assert_eq!(bx.cmp(&by), x.cmp(&y));
+    }
+}
+
+#[test]
+fn inline_carry_and_borrow_at_four_limbs() {
+    let four = BigUint::from_limbs(vec![u64::MAX; 4]);
+    let one = BigUint::one();
+    let five = &four + &one;
+    assert_eq!(five, BigUint::one() << 256u64);
+    assert_eq!(five.limbs(), [0, 0, 0, 0, 1]);
+    let mut v = four.clone();
+    v += &one;
+    assert_eq!(v, five);
+    // A spilled value shrinking back below five limbs keeps its buffer and
+    // still equals, orders and hashes as the fresh value.
+    v -= &one;
+    assert!(same_value(&v, &four));
+    v -= &four;
+    assert!(same_value(&v, &BigUint::zero()));
+    let three = BigUint::from_limbs(vec![u64::MAX; 3]);
+    let mut w = &three + &one;
+    assert_eq!(w.limbs(), [0, 0, 0, 1]);
+    w -= &one;
+    assert!(same_value(&w, &three));
+}

@@ -22,8 +22,7 @@
 
 use crate::qoh::QoHInstance;
 use crate::qon::QoNInstance;
-use aqo_bignum::BigUint;
-use std::fmt::Write as _;
+use aqo_bignum::{write_u64, BigRational, BigUint};
 use std::ops::Range;
 
 /// FNV-1a 64-bit offset basis.
@@ -95,21 +94,45 @@ fn write_edge_records<E>(
     }
 }
 
-/// Appends `t i t_i` for every relation.
+/// Appends `t i t_i` for every relation. Every number in the encoding
+/// goes through a digit writer, not `fmt`.
 fn write_sizes(out: &mut String, sizes: &[BigUint]) {
     for (i, t) in sizes.iter().enumerate() {
-        let _ = writeln!(out, "t {i} {t}");
+        out.push_str("t ");
+        write_u64(out, i as u64);
+        out.push(' ');
+        t.write_decimal(out);
+        out.push('\n');
     }
+}
+
+/// Appends `e a b numer/denom` (selectivities are positive, so the
+/// numerator is its magnitude).
+fn write_edge(out: &mut String, a: usize, b: usize, s: &BigRational) {
+    out.push_str("e ");
+    write_u64(out, a as u64);
+    out.push(' ');
+    write_u64(out, b as u64);
+    out.push(' ');
+    s.numer().magnitude().write_decimal(out);
+    out.push('/');
+    s.denom().write_decimal(out);
 }
 
 /// Appends the canonical encoding of a QO_N instance to `out` (see
 /// [`canonical_qon`]), so a caller can put its own prefix in front of it
 /// in one buffer.
 pub fn write_canonical_qon(out: &mut String, inst: &QoNInstance) {
-    let _ = writeln!(out, "qon {}", inst.n());
+    out.push_str("qon ");
+    write_u64(out, inst.n() as u64);
+    out.push('\n');
     write_sizes(out, inst.sizes());
     write_edge_records(out, inst.edges(), |out, (a, b, s, [w_ab, w_ba])| {
-        let _ = write!(out, "e {a} {b} {}/{} {w_ab} {w_ba}", s.numer(), s.denom());
+        write_edge(out, a, b, s);
+        for w in [w_ab, w_ba] {
+            out.push(' ');
+            w.write_decimal(out);
+        }
     });
 }
 
@@ -127,13 +150,17 @@ pub fn canonical_qon(inst: &QoNInstance) -> String {
 /// [`canonical_qoh`]).
 pub fn write_canonical_qoh(out: &mut String, inst: &QoHInstance) {
     let (en, ed) = inst.eta();
-    let _ = writeln!(out, "qoh {}", inst.n());
-    let _ = writeln!(out, "m {}", inst.memory());
-    let _ = writeln!(out, "eta {en}/{ed}");
+    out.push_str("qoh ");
+    write_u64(out, inst.n() as u64);
+    out.push_str("\nm ");
+    inst.memory().write_decimal(out);
+    out.push_str("\neta ");
+    write_u64(out, en.into());
+    out.push('/');
+    write_u64(out, ed.into());
+    out.push('\n');
     write_sizes(out, inst.sizes());
-    write_edge_records(out, inst.edges(), |out, (a, b, s)| {
-        let _ = write!(out, "e {a} {b} {}/{}", s.numer(), s.denom());
-    });
+    write_edge_records(out, inst.edges(), |out, (a, b, s)| write_edge(out, a, b, s));
 }
 
 /// Canonical encoding of a QO_H instance (see module docs).

@@ -24,6 +24,11 @@ impl SelectivityMatrix {
         Self::default()
     }
 
+    /// Empty matrix with room for `edges` entries.
+    pub fn with_capacity(edges: usize) -> Self {
+        SelectivityMatrix { entries: Vec::with_capacity(edges) }
+    }
+
     /// Sets `s_{uv} = s_{vu} = s`; a later `set` of the same pair wins.
     /// Panics unless `0 < s ≤ 1` and `u ≠ v`.
     pub fn set(&mut self, u: usize, v: usize, s: BigRational) {
@@ -40,7 +45,11 @@ impl SelectivityMatrix {
     /// `(u, v)`, the last `set` of each pair kept, pairs off the graph
     /// dropped. Entry `e` is then edge `e`, unless an edge lacks an entry.
     pub(crate) fn align_to(&mut self, graph: &Graph) {
-        self.entries.sort_by_key(|&(u, v, _)| (u, v));
+        // Text lists edges in order, and an ordered table needs no
+        // sort (nor the scratch buffer a stable sort allocates).
+        if !self.entries.is_sorted_by_key(|&(u, v, _)| (u, v)) {
+            self.entries.sort_by_key(|&(u, v, _)| (u, v));
+        }
         // `dedup_by` keeps the first of a run; swapping moves the later
         // `set` into the kept slot.
         self.entries.dedup_by(|later, kept| {
@@ -92,6 +101,11 @@ impl AccessCostMatrix {
     /// Empty matrix (all pairs defaulted).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty matrix with room for `entries` directional entries.
+    pub fn with_capacity(entries: usize) -> Self {
+        AccessCostMatrix { entries: Vec::with_capacity(entries) }
     }
 
     /// Sets the directional entry `w(j, k) = w`; a later `set` of the same

@@ -52,7 +52,9 @@ impl Workload {
         out
     }
 
-    /// Parses a workload file. Errors carry 1-based line numbers.
+    /// Parses a workload file. Errors carry 1-based line numbers. The
+    /// header's `requests` count must match the entries that follow, so a
+    /// truncated capture is an error, not a smaller workload.
     pub fn parse(text: &str) -> Result<Workload, String> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let (ln, header) = lines.next().ok_or("empty workload file")?;
@@ -67,9 +69,19 @@ impl Workload {
             .ok_or_else(|| format!("line {}: header has no `source`", ln + 1))?
             .to_string();
         let seed = doc.get("seed").and_then(JsonValue::as_u64);
+        let declared = doc
+            .get("requests")
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("line {}: header has no `requests` count", ln + 1))?;
         let mut entries = Vec::new();
         for (ln, line) in lines {
             entries.push(parse_entry(line).map_err(|e| format!("line {}: {e}", ln + 1))?);
+        }
+        if entries.len() as u64 != declared {
+            return Err(format!(
+                "header declares {declared} request(s) but the file holds {}",
+                entries.len()
+            ));
         }
         Ok(Workload { source, seed, entries })
     }
@@ -173,6 +185,20 @@ mod tests {
         let w = Workload::parse(text).expect("committed workload parses");
         assert_eq!(w.entries.len(), 200);
         assert_eq!(w.to_jsonl(), text);
+    }
+
+    /// A capture cut short replays nothing: the first 51 lines of the
+    /// committed workload (the header still says 200) are an error naming
+    /// both counts, as is a header without a count.
+    #[test]
+    fn truncated_workload_is_an_error() {
+        let text = include_str!("../../../workloads/mixed-200.jsonl");
+        let prefix: String = text.lines().take(51).map(|l| format!("{l}\n")).collect();
+        let err = Workload::parse(&prefix).unwrap_err();
+        assert_eq!(err, "header declares 200 request(s) but the file holds 50");
+        let headless = text.replacen(", \"requests\": 200", "", 1);
+        let err = Workload::parse(&headless).unwrap_err();
+        assert_eq!(err, "line 1: header has no `requests` count");
     }
 
     #[test]
