@@ -126,7 +126,9 @@ impl QoNInstance {
         selectivity.align_to(&graph);
         // Fold the access costs onto the table, later `set`s winning; a
         // pair off the query graph has no slot and is dropped.
-        let mut slots = vec![[None, None]; selectivity.entries().len()];
+        // Built in place: `vec![x; n]` would clone `x` into every slot.
+        let mut slots: Vec<[Option<BigUint>; 2]> =
+            (0..selectivity.entries().len()).map(|_| [None, None]).collect();
         for (j, k, w) in access_cost.entries {
             if let Some(e) = selectivity.index(j, k) {
                 slots[e][usize::from(j > k)] = Some(w);
