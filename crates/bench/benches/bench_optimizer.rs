@@ -2,6 +2,7 @@
 
 use aqo_bignum::{BigInt, BigRational, BigUint, LogNum};
 use aqo_core::qon::QoNInstance;
+use aqo_core::workloads::{self, WorkloadParams};
 use aqo_core::{AccessCostMatrix, SelectivityMatrix};
 use aqo_graph::generators;
 use aqo_core::budget::Budget;
@@ -85,6 +86,26 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two-phase engine over `qon-dense`'s shape, 64 distinct clique-9
+/// instances cycled: one instance repeated lets caches and branch
+/// predictors learn it and flatters every figure.
+fn bench_engine_cycled(c: &mut Criterion) {
+    let params = WorkloadParams::default();
+    let pool: Vec<QoNInstance> = (0..64)
+        .map(|seed| workloads::clique(9, &params, &mut StdRng::seed_from_u64(seed)))
+        .collect();
+    let opts = DpOptions { allow_cartesian: true, threads: 1 };
+    let mut group = c.benchmark_group("engine");
+    let mut next = pool.iter().cycle();
+    group.bench_function("two_phase_cycled/clique9", |b| {
+        b.iter(|| {
+            let inst = next.next().expect("a cycled pool never ends");
+            engine::optimize_two_phase::<BigRational>(black_box(inst), &opts, &Budget::unlimited())
+        });
+    });
+    group.finish();
+}
+
 fn bench_ikkbz(c: &mut Criterion) {
     let mut group = c.benchmark_group("ikkbz_trees");
     for n in [20usize, 60, 120] {
@@ -116,6 +137,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_dp, bench_engine, bench_ikkbz
+    targets = bench_dp, bench_engine, bench_engine_cycled, bench_ikkbz
 }
 criterion_main!(benches);

@@ -17,6 +17,9 @@
 //! * [`LogNum`] — a fast companion (an `f64` mantissa times a coarse power
 //!   of two, so no overflow) used by the subset DP, heuristics and
 //!   figures; cross-validated against the exact types in tests;
+//! * [`FixedUint`] — an integer of exactly `L` limbs, inline and `Copy`,
+//!   that panics on overflow: the QO_N engine's exact phase runs on it
+//!   once a bit bound says its values fit;
 //! * [`fixed`] — rigorous fixed-point evaluation of `e^x` needed by the
 //!   PARTITION → SPPCS reduction of Appendix A (`g_q(x) = 2^q·f_q(e^{x/2K})`).
 //!
@@ -47,6 +50,7 @@
 )]
 #![warn(missing_docs)]
 
+mod fixed_uint;
 mod int;
 mod lognum;
 mod rational;
@@ -54,6 +58,7 @@ mod uint;
 
 pub mod fixed;
 
+pub use fixed_uint::FixedUint;
 pub use int::{BigInt, Sign};
 pub use lognum::LogNum;
 pub use rational::BigRational;

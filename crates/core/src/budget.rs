@@ -295,13 +295,16 @@ impl Budget {
         // ordering: see `tick` — self-contained counter arithmetic.
         let total = self.memory_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
         // Charges happen once per table/phase, never per expansion, so the
-        // journal append is off the hot path.
+        // journal append is off the hot path. Its fields are built only
+        // while the journal keeps them.
         if aqo_obs::enabled() {
             aqo_obs::counter_handle!("budget.memory_charged_bytes").add(bytes);
-            aqo_obs::journal::event(
-                "budget_charge",
-                vec![("bytes", bytes.into()), ("total", total.into())],
-            );
+            if aqo_obs::journal::capturing() {
+                aqo_obs::journal::event(
+                    "budget_charge",
+                    vec![("bytes", bytes.into()), ("total", total.into())],
+                );
+            }
         }
         if let Some(cap) = self.max_memory_bytes {
             if total > cap {
@@ -314,9 +317,9 @@ impl Budget {
     /// Emits a `budget` journal event attributing the expansions and memory
     /// consumed so far to `label` (the driver calls this after each tier so
     /// the journal records where the shared budget went). No-op while
-    /// collection is disabled.
+    /// the journal is not capturing.
     pub fn observe(&self, label: &str) {
-        if aqo_obs::enabled() {
+        if aqo_obs::journal::capturing() {
             aqo_obs::journal::event(
                 "budget",
                 vec![

@@ -205,12 +205,21 @@ pub fn qon_from_text(input: &str) -> Result<QoNInstance, ParseError> {
     QoNInstance::try_new(graph, sizes, sel, acc).map_err(|e| err(0, e.to_string()))
 }
 
-/// Serializes a QO_H instance.
+/// Serializes a QO_H instance. The `eta` line is written only for an η
+/// other than the default 1/2, so default-η text is unchanged.
 pub fn qoh_to_text(inst: &QoHInstance) -> String {
     let mut out = start_text("qoh", inst.n());
     out.push_str("memory ");
     inst.memory().write_decimal(&mut out);
     out.push('\n');
+    let (num, den) = inst.eta();
+    if (num, den) != (1, 2) {
+        out.push_str("eta ");
+        write_u64(&mut out, num.into());
+        out.push(' ');
+        write_u64(&mut out, den.into());
+        out.push('\n');
+    }
     write_sizes(&mut out, inst.sizes());
     for (u, v, s) in inst.edges() {
         write_edge(&mut out, u, v, s);
@@ -316,6 +325,7 @@ fn numbered(input: &str) -> impl Iterator<Item = (usize, &str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qoh::PipelineDecomposition;
     use crate::JoinSequence;
 
     fn chain() -> QoNInstance {
@@ -381,6 +391,63 @@ mod tests {
         let a: Vec<BigRational> = inst.intermediates(&z);
         let b: Vec<BigRational> = back.intermediates(&z);
         assert_eq!(a, b);
+    }
+
+    /// The cheapest plan cost over every sequence and every pipeline
+    /// decomposition, each fragment under its optimal allocation.
+    fn qoh_exhaustive_optimum(inst: &QoHInstance) -> Option<BigRational> {
+        let n = inst.n();
+        let mut best: Option<BigRational> = None;
+        for perm in crate::join::permutations(n) {
+            let z = JoinSequence::new(perm);
+            // Bit `c` of `cuts` ends a fragment after join `J_{c+1}`.
+            for cuts in 0..1u32 << (n - 2) {
+                let mut fragments = Vec::new();
+                let mut start = 1;
+                for k in 1..n {
+                    if k == n - 1 || cuts >> (k - 1) & 1 == 1 {
+                        fragments.push((start, k));
+                        start = k + 1;
+                    }
+                }
+                let decomp = PipelineDecomposition::new(n, fragments);
+                if let Some(c) = inst.plan_cost_optimal_alloc(&z, &decomp) {
+                    if best.as_ref().is_none_or(|b| c < *b) {
+                        best = Some(c);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn qoh_roundtrip_keeps_a_non_default_eta() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let mut s = SelectivityMatrix::new();
+        s.set(0, 1, BigRational::new(BigInt::one(), BigUint::from(4u64)));
+        s.set(1, 2, BigRational::new(BigInt::one(), BigUint::from(8u64)));
+        s.set(2, 3, BigRational::new(BigInt::one(), BigUint::from(2u64)));
+        let sizes: Vec<BigUint> = [100u64, 400, 90, 250].map(BigUint::from).to_vec();
+        let memory = BigUint::from(64u64);
+        let inst =
+            QoHInstance::with_eta(g.clone(), sizes.clone(), s.clone(), memory.clone(), (2, 3));
+        let text = qoh_to_text(&inst);
+        assert!(text.contains("\neta 2 3\n"), "{text}");
+        let back = qoh_from_text(&text).unwrap();
+        assert_eq!(back.eta(), (2, 3));
+        let b = BigUint::from(1000u64);
+        assert_eq!(back.hjmin(&b), inst.hjmin(&b));
+        assert_eq!(back.hjmin(&b), BigUint::from(100u64));
+        let opt = qoh_exhaustive_optimum(&inst);
+        assert!(opt.is_some());
+        assert_eq!(qoh_exhaustive_optimum(&back), opt);
+        // η matters on this instance: read back at 1/2, it would answer
+        // differently.
+        let default_eta = QoHInstance::new(g, sizes, s, memory);
+        assert_ne!(qoh_exhaustive_optimum(&default_eta), opt);
+        // Default-η text carries no `eta` line.
+        assert!(!qoh_to_text(&default_eta).contains("eta"));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!     (left-deep plans), exact for the QO_N cost model since both `N(X)`
 //!     and `min_k w_{jk}` depend on the prefix only through its *set*;
 //!     the reference oracle for the engine;
-//!   - [`engine`] — the layer-parallel, allocation-lean two-phase
-//!     ([`aqo_bignum::LogNum`] then exact) subset DP engine over sparse per-layer
-//!     frontiers: the one exact QO_N DP the driver and service run;
+//!   - [`engine`] — the allocation-lean two-phase subset DP engine over
+//!     sparse per-layer frontiers ([`aqo_bignum::LogNum`], layer-parallel,
+//!     then exact on the prune's survivors only): the one exact QO_N DP
+//!     the driver and service run;
 //!   - [`ccp`] — DPccp's state space, the connected subgraphs the
 //!     engine enumerates for cartesian-free requests (polynomially many
 //!     on the paper's §6 sparse families), and its count;

@@ -120,8 +120,10 @@ fn qoh_exhaustive_allocations_do_not_scale_with_n_factorial() {
 #[test]
 fn qon_two_phase_clique9_allocates_per_layer_not_per_subset() {
     // 511 subsets; `qon-dense`'s shape: cartesian products allowed.
-    // 139–149 allocations today; 166–200 while every value had a heap
-    // buffer.
+    // 86–91 allocations today, since phase B keeps entries for the
+    // survivors of the prune only, in fixed-width limbs; 139–149 while it
+    // kept one `BigUint` entry per subset, 166–200 while every value had
+    // a heap buffer.
     let opts = engine::DpOptions { allow_cartesian: true, threads: 1 };
     for seed in 0..4 {
         let inst =
@@ -130,7 +132,30 @@ fn qon_two_phase_clique9_allocates_per_layer_not_per_subset() {
             engine::optimize_two_phase::<BigRational>(&inst, &opts, &Budget::unlimited())
         });
         assert!(opt.expect("unlimited budget").is_some());
-        assert!(count <= 190, "seed {seed}: {count} allocations");
+        assert!(count <= 95, "seed {seed}: {count} allocations");
+    }
+}
+
+#[test]
+fn qon_two_phase_with_metrics_on_allocates_no_more_than_with_them_off() {
+    // As under `aqo serve` without `--trace-json`: metrics on, journal
+    // off. Nothing may build journal fields that nobody keeps.
+    let opts = engine::DpOptions { allow_cartesian: true, threads: 1 };
+    for seed in 0..4 {
+        let inst =
+            workloads::clique(9, &WorkloadParams::default(), &mut StdRng::seed_from_u64(seed));
+        let run = || engine::optimize_two_phase::<BigRational>(&inst, &opts, &Budget::unlimited());
+        // Each scope's first run registers its metrics and fills the
+        // handle caches; the second is counted.
+        let counted = |metrics: bool| {
+            let _scope = aqo_obs::Scope::new().install();
+            aqo_obs::set_enabled(metrics);
+            aqo_obs::journal::set_capture(false);
+            run().expect("unlimited budget");
+            allocations(run).1
+        };
+        let (off, on) = (counted(false), counted(true));
+        assert!(on <= off, "seed {seed}: {on} allocations with metrics on, {off} with them off");
     }
 }
 

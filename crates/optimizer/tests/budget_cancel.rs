@@ -106,3 +106,34 @@ fn expansion_cap_shared_by_workers_trips_once() {
         err.expansions
     );
 }
+
+/// A completed clique-9 two-phase run's expansions (`qon-dense`'s shape):
+/// one per subset of phase A's `k`-layers times `k`, then in phase B one
+/// per pruned target and `k` per recosted one. Pruned ticks are added in
+/// blocks, so the cap must still trip exactly at the total.
+#[test]
+fn expansion_cap_at_the_total_succeeds_and_one_below_fails() {
+    use aqo_core::workloads::{self, WorkloadParams};
+    use rand::{rngs::StdRng, SeedableRng};
+    // Totals of the engine that recosted and ticked every phase-B target
+    // one by one.
+    const TOTALS: [u64; 4] = [2903, 2949, 2908, 2951];
+    let opts = engine::DpOptions { allow_cartesian: true, threads: 1 };
+    for (seed, total) in (0u64..).zip(TOTALS) {
+        let inst =
+            workloads::clique(9, &WorkloadParams::default(), &mut StdRng::seed_from_u64(seed));
+        let budget = Budget::unlimited();
+        let want = engine::optimize_two_phase::<BigRational>(&inst, &opts, &budget)
+            .expect("unlimited budget")
+            .expect("a clique has a plan");
+        assert_eq!(budget.expansions_used(), total, "seed {seed}");
+        let exact = Budget::unlimited().with_max_expansions(total);
+        let got = engine::optimize_two_phase::<BigRational>(&inst, &opts, &exact)
+            .expect("a cap at the total suffices")
+            .expect("a clique has a plan");
+        assert_eq!((got.cost, got.sequence), (want.cost, want.sequence), "seed {seed}");
+        let short = Budget::unlimited().with_max_expansions(total - 1);
+        let err = engine::optimize_two_phase::<BigRational>(&inst, &opts, &short).unwrap_err();
+        assert_eq!(err.kind, BudgetKind::Expansions, "seed {seed}");
+    }
+}
