@@ -46,19 +46,21 @@ fn bench_dp(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two-phase engine, sequential against one worker per hardware
+/// thread: the request path's exact DP, so any speedup here is one a
+/// `threads` request can see.
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_engine");
     for n in [10usize, 14, 18] {
         let inst = instance(n, 1);
-        for threads in [1usize, 0] {
-            let label = if threads == 1 { "seq" } else { "auto" };
+        for (label, threads) in [("seq", 1usize), ("auto", 0)] {
             let opts = DpOptions { allow_cartesian: true, threads };
             group.bench_with_input(
-                BenchmarkId::new(format!("lognum_{label}"), n),
+                BenchmarkId::new(format!("two_phase_exact_{label}"), n),
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        engine::optimize_log_parallel(
+                        engine::optimize_two_phase::<BigRational>(
                             black_box(&inst),
                             &opts,
                             &Budget::unlimited(),
@@ -66,21 +68,6 @@ fn bench_engine(c: &mut Criterion) {
                     });
                 },
             );
-            if n <= 14 {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("two_phase_exact_{label}"), n),
-                    &n,
-                    |b, _| {
-                        b.iter(|| {
-                            engine::optimize_two_phase::<BigRational>(
-                                black_box(&inst),
-                                &opts,
-                                &Budget::unlimited(),
-                            )
-                        });
-                    },
-                );
-            }
         }
     }
     group.finish();

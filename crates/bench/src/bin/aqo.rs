@@ -103,11 +103,6 @@ static COMMANDS: &[Command] = &[
         run: Run::Args(cmd_exec_validate),
     },
     Command {
-        path: &["bench"],
-        synopsis: "[--quick] [--threads <n>] [--out <path>]  # writes BENCH_optimizer.json",
-        run: Run::Args(cmd_bench),
-    },
-    Command {
         path: &["trace-check"],
         synopsis: "<trace.jsonl>  # validate a --trace-json journal",
         run: Run::Args(cmd_trace_check),
@@ -565,30 +560,6 @@ fn cmd_top(args: &Args) -> Result<(), CliError> {
         }
         std::thread::sleep(interval);
     }
-}
-
-fn cmd_bench(args: &Args) -> Result<(), CliError> {
-    let quick = args.flag("--quick");
-    // Benches default to auto so the recorded speedup reflects the machine.
-    let threads = thread_count(args, 0)?;
-    let out = args.value("--out").unwrap_or("BENCH_optimizer.json");
-    let cfg = aqo_bench::optbench::BenchConfig { quick, threads };
-    eprintln!(
-        "bench: {} profile, {} worker thread(s)",
-        if quick { "quick" } else { "full" },
-        aqo_core::parallel::resolve_threads(threads),
-    );
-    let records = aqo_bench::optbench::run(&cfg);
-    write_file(out, aqo_bench::optbench::to_json(&cfg, &records))?;
-    for r in &records {
-        let speedup = r.speedup.map_or(String::new(), |s| format!("  speedup {s:.2}x"));
-        outln!(
-            "{:<7} n={:<2} {:<16} {:<8} {:<3} {:>10.3} ms{speedup}",
-            r.family, r.n, r.algo, r.scalar, r.mode, r.median_ms
-        )?;
-    }
-    outln!("wrote {out} ({} records)", records.len())?;
-    Ok(())
 }
 
 fn cmd_reduce_3sat(args: &Args) -> Result<(), CliError> {

@@ -11,7 +11,6 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod optbench;
 pub mod table;
 
 pub use table::Table;

@@ -86,42 +86,6 @@ fn optimize_with_threads_matches_sequential_cost() {
 }
 
 #[test]
-fn bench_quick_writes_wellformed_json() {
-    let dir = std::env::temp_dir().join("aqo_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let out_path = dir.join("BENCH_optimizer.json");
-    let (ok, stdout, err) = aqo(&[
-        "bench",
-        "--quick",
-        "--threads",
-        "2",
-        "--out",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(ok, "bench failed: {err}");
-    assert!(stdout.contains("wrote"), "stdout: {stdout}");
-    let json = std::fs::read_to_string(&out_path).expect("bench JSON written");
-    assert!(json.contains("\"schema\": \"aqo-bench-optimizer/v3\""), "json: {json}");
-    assert!(json.contains("\"records\""));
-    assert!(json.contains("\"median_ms\""));
-    assert!(json.contains("\"speedup\""));
-    assert!(json.contains("\"metrics\""), "v2+ records embed metrics: {json}");
-    assert!(
-        json.contains("optimizer.dp.subsets_expanded"),
-        "dp cross-check run captured counters: {json}"
-    );
-    assert!(
-        json.contains("\"algo\": \"ccp\"")
-            && json.contains("\"optimizer.engine.subsets_expanded\": 66"),
-        "v3 benches a ccp cell (chain n = 11: 66 connected subsets) with its counters: {json}"
-    );
-    // Structural sanity: balanced braces/brackets, non-empty records array.
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert_eq!(json.matches('[').count(), json.matches(']').count());
-    assert!(json.matches("\"family\"").count() >= 4, "too few records: {json}");
-}
-
-#[test]
 fn unknown_subcommand_fails_with_usage() {
     let (ok, _, err) = aqo(&["frobnicate"]);
     assert!(!ok);
@@ -152,9 +116,6 @@ fn value_flags_without_value_are_usage_errors() {
         assert!(!ok, "optimize-qoh {flag} without value should fail");
         assert!(err.contains("requires a value"), "{flag}: stderr was {err}");
     }
-    let (ok, _, err) = aqo(&["bench", "--out"]);
-    assert!(!ok, "--out without value should fail");
-    assert!(err.contains("requires a value"), "stderr was {err}");
 }
 
 /// `--method`, `--a` and `--e` given last, without their value, are usage
@@ -428,7 +389,7 @@ fn bare_invocation_prints_full_synopsis() {
     // service surface, so operators can discover it from the banner.
     for cmd in [
         "aqo gen", "aqo optimize", "aqo optimize-qoh", "aqo serve", "aqo request",
-        "aqo loadgen", "aqo bench", "aqo trace-check", "aqo analyze", "aqo reduce-3sat",
+        "aqo loadgen", "aqo trace-check", "aqo analyze", "aqo reduce-3sat",
         "aqo clique", "--version",
     ] {
         assert!(err.contains(cmd), "synopsis is missing `{cmd}`:\n{err}");
@@ -574,9 +535,9 @@ fn run_in(bin: &str, dir: &Path, args: &[&str]) -> (Option<i32>, String, String)
 }
 
 /// Every command `aqo --help` lists rejects an unknown flag by name and
-/// answers `--help` with its synopsis, and neither writes a file: `bench`,
-/// `chaos` and `loadgen` would write their default output files, `serve`
-/// and `top` would run until killed.
+/// answers `--help` with its synopsis, and neither writes a file: `chaos`
+/// and `loadgen` would write their default output files, `serve` and
+/// `top` would run until killed.
 #[test]
 fn every_command_rejects_unknown_flags_and_answers_help() {
     let dir = fresh_dir("aqo_cli_every_command");
@@ -591,7 +552,7 @@ fn every_command_rejects_unknown_flags_and_answers_help() {
         })
         .filter(|path: &Vec<&str>| !path.is_empty())
         .collect();
-    assert_eq!(paths.len(), 18, "{banner}");
+    assert_eq!(paths.len(), 17, "{banner}");
     for path in &paths {
         let (code, out, err) = run_in(aqo, &dir, &[&path[..], &["--bogus"]].concat());
         // `aqo analyze` owns its flags and its exit codes (2: bad flag).

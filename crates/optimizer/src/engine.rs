@@ -150,12 +150,6 @@ pub struct DpOptions {
     pub threads: usize,
 }
 
-impl Default for DpOptions {
-    fn default() -> Self {
-        DpOptions { allow_cartesian: true, threads: 0 }
-    }
-}
-
 /// How the per-layer frontiers are populated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum FrontierMode {
@@ -1128,32 +1122,6 @@ pub(crate) fn nbr_masks(inst: &QoNInstance) -> Vec<u32> {
         .collect()
 }
 
-/// Phase A alone: the layer-parallel log-domain DP. Fast and allocation
-/// free in the hot loop, but subject to `f64` rounding like any
-/// [`LogNum`] optimizer; use [`optimize_two_phase`] when exact optimality
-/// must be certified.
-pub fn optimize_log_parallel(
-    inst: &QoNInstance,
-    opts: &DpOptions,
-    budget: &Budget,
-) -> Result<Option<Optimum<LogNum>>, BudgetExceeded> {
-    let n = inst.n();
-    let cap = max_n(opts.allow_cartesian);
-    assert!((1..=cap).contains(&n), "engine DP is for n in 1..={cap}");
-    if n == 1 {
-        return Ok(Some(Optimum { sequence: JoinSequence::identity(1), cost: LogNum::ZERO }));
-    }
-    let threads = resolve_threads(opts.threads);
-    let nbr = nbr_masks(inst);
-    let frontiers = Frontiers::build(n, &nbr, FrontierMode::of(opts.allow_cartesian), budget)?;
-    let log = log_phase(inst, &frontiers, &nbr, opts.allow_cartesian, threads, budget)?;
-    if frontiers.layer(n).is_empty() || unreached(log.dp[n][0]) {
-        return Ok(None);
-    }
-    let cost = log.dp[n][0];
-    Ok(reconstruct_order(&frontiers, &log.parent, n).map(|sequence| Optimum { sequence, cost }))
-}
-
 /// The two-phase engine: log-domain phase A for a candidate and per-subset
 /// pruning estimates, exact phase B (in the caller's scalar `S`) that
 /// verifies or repairs the candidate and returns the certified optimum.
@@ -1510,14 +1478,17 @@ mod tests {
         for seed in [3u64, 11, 29] {
             let inst = random_instance(seed, 8, 6);
             let seq = dp::optimize::<LogNum>(&inst, true).unwrap();
+            let (n, budget, nbr) = (inst.n(), Budget::unlimited(), nbr_masks(&inst));
+            let frontiers = Frontiers::build(n, &nbr, FrontierMode::AllSubsets, &budget).unwrap();
             let mut baseline: Option<(u64, Vec<usize>)> = None;
             for threads in [1usize, 2, 3, 7] {
-                let opts = DpOptions { allow_cartesian: true, threads };
-                let par =
-                    optimize_log_parallel(&inst, &opts, &Budget::unlimited()).unwrap().unwrap();
+                // Phase A alone: the candidate `optimize_two_phase` starts from.
+                let log = log_phase(&inst, &frontiers, &nbr, true, threads, &budget).unwrap();
+                let cost = log.dp[n][0];
+                let order = reconstruct_order(&frontiers, &log.parent, n).unwrap();
                 // The engine evaluates the same canonical recurrence for any
                 // thread count: bit-identical cost AND identical plan.
-                let fp = (par.cost.log2().to_bits(), par.sequence.order().to_vec());
+                let fp = (cost.log2().to_bits(), order.order().to_vec());
                 match &baseline {
                     None => baseline = Some(fp),
                     Some(b) => assert_eq!(*b, fp, "seed {seed} threads {threads}"),
@@ -1526,9 +1497,9 @@ mod tests {
                 // order of the f64 products differs, so agreement is to
                 // float precision, not to the bit.
                 assert!(
-                    (par.cost.log2() - seq.cost.log2()).abs() < 1e-9,
+                    (cost.log2() - seq.cost.log2()).abs() < 1e-9,
                     "seed {seed}: engine {} vs dp {}",
-                    par.cost.log2(),
+                    cost.log2(),
                     seq.cost.log2()
                 );
             }
@@ -1564,13 +1535,10 @@ mod tests {
             SelectivityMatrix::new(),
             AccessCostMatrix::new(),
         );
-        let opt = optimize_two_phase::<BigRational>(
-            &inst,
-            &DpOptions::default(),
-            &Budget::unlimited(),
-        )
-        .unwrap()
-        .unwrap();
+        let opts = DpOptions { allow_cartesian: true, threads: 1 };
+        let opt = optimize_two_phase::<BigRational>(&inst, &opts, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         assert!(opt.cost.is_zero());
     }
 

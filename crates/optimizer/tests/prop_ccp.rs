@@ -147,6 +147,7 @@ fn run_with_counter(
 fn subsets_expanded_equals_brute_force_on_fixed_families() {
     let cases: Vec<(Graph, u64)> = vec![
         (chain(9), 45),           // n(n+1)/2
+        (chain(11), 66),
         (cycle(9), 73),           // n(n−1)+1
         (clique(8), 255),         // 2^n − 1
         (sparse(10, 3), 0),       // closed form unknown: brute force below

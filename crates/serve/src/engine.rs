@@ -15,6 +15,7 @@
 
 use crate::cache::{CachedPlan, PlanCache};
 use crate::proto::{ErrReply, ErrorKind, OkReply, Op, Problem, Reply, Request};
+use aqo_bignum::write_u64;
 use aqo_core::fingerprint::{fnv1a, write_canonical_qoh, write_canonical_qon};
 use aqo_core::{explain, textio, CostScalar};
 use aqo_driver::{BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier};
@@ -319,16 +320,19 @@ impl Engine {
             Ok(g) => g,
             Err(e) => return err(req, ErrorKind::Parse, format!("instance: {e}")),
         };
-        // Canonical DIMACS identity: vertex count plus the sorted,
-        // endpoint-normalized edge list (same construction as
-        // `aqo_core::fingerprint`, specialized to unweighted graphs).
-        let mut edges: Vec<(usize, usize)> =
-            g.edges().map(|(u, v)| if u < v { (u, v) } else { (v, u) }).collect();
-        edges.sort_unstable();
-        edges.dedup();
-        let mut key = format!("clique {}\n", g.n());
-        for (u, v) in &edges {
-            key.push_str(&format!("e {u} {v}\n"));
+        // Canonical DIMACS identity: vertex count plus the edge list,
+        // which `Graph::edges` yields once per edge, as `u < v`, in
+        // ascending order (same construction as `aqo_core::fingerprint`,
+        // specialized to unweighted graphs).
+        let mut key = String::from("clique ");
+        write_u64(&mut key, g.n() as u64);
+        key.push('\n');
+        for (u, v) in g.edges() {
+            key.push_str("e ");
+            write_u64(&mut key, u as u64);
+            key.push(' ');
+            write_u64(&mut key, v as u64);
+            key.push('\n');
         }
         let hash = fnv1a(key.as_bytes());
         if Self::caching(req) {
@@ -470,14 +474,23 @@ mod tests {
                    edge 1 2 2/20 2 3\nedge 0 1 1/2 5 10\n";
         let qoh = "qoh\nvertices 3\nmemory 6000\nsize 0 10\nsize 1 20\nsize 2 30\n\
                    edge 0 1 1/2\nedge 2 1 1/10\n";
+        // Edges out of order, one given backwards and one twice: the key
+        // holds each edge once, as `u < v`, in ascending order.
+        let clique = "p edge 4 5\ne 3 4\ne 2 1\ne 1 3\ne 1 2\ne 2 3\n";
         let got = [
             fingerprint_of(Problem::Qon, qon, true),
             fingerprint_of(Problem::Qon, qon, false),
             fingerprint_of(Problem::Qoh, qoh, true),
+            fingerprint_of(Problem::Clique, clique, true),
         ];
         assert_eq!(
             got,
-            [0x8683_d6e3_43b1_cad1, 0x1e86_99c0_ae80_93fe, 0x11f0_0f75_b5d4_e727],
+            [
+                0x8683_d6e3_43b1_cad1,
+                0x1e86_99c0_ae80_93fe,
+                0x11f0_0f75_b5d4_e727,
+                0xaf8d_da97_149a_6ebd,
+            ],
             "{got:#018x?}"
         );
     }
