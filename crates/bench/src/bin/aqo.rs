@@ -51,8 +51,8 @@ static COMMANDS: &[Command] = &[
         synopsis: "[--addr <host:port>] [--stdio] [--threads <n>] [--max-inflight <n>]\n\
                    [--cache-cap <n>] [--idle-timeout-ms <n>] [--default-timeout-ms <n>]\n\
                    [--conn-timeout-ms <n>] [--read-deadline-ms <n>] [--max-line-bytes <n>]\n\
-                   [--no-degrade] [--cache-snapshot <path>] [--obs-interval-ms <n>]\n\
-                   [--record <path>] [--metrics] [--trace-json <path>] [--report-json <path>]\n\
+                   [--cache-snapshot <path>] [--obs-interval-ms <n>] [--record <path>]\n\
+                   [--metrics] [--trace-json <path>] [--report-json <path>]\n\
                    # JSONL optimization service (docs/SERVING.md)",
         run: Run::Args(cmd_serve),
     },
@@ -66,9 +66,9 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         path: &["loadgen"],
-        synopsis: "[--addr <host:port>] [--requests <n>] [--concurrency <c1,c2,...>]\n\
-                   [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>] \
-                   [--out <path>]\n# writes BENCH_serve.json",
+        synopsis: "[--addr <host:port>] [--requests <n>] [--concurrency <n>]\n\
+                   [--mix qon|qoh|mixed] [--pool <n>] [--seed <n>] [--record <path>]\n\
+                   # check a live server's answers against the sequential driver",
         run: Run::Args(cmd_loadgen),
     },
     Command {
@@ -85,7 +85,7 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         path: &["replay", "run"],
-        synopsis: "<workload.jsonl> [--addr <host:port>] [--strip-timing] [--out <path>]\n\
+        synopsis: "<workload.jsonl> [--addr <host:port>] [--out <path>]\n\
                    [--metrics] [--trace-json <path>]  # re-drive + diff, exit 1 on regression",
         run: Run::Args(cmd_replay_run),
     },
@@ -625,7 +625,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         max_line_bytes: args
             .u64("--max-line-bytes")?
             .map_or(defaults.max_line_bytes, |v| v as usize),
-        degrade: !args.flag("--no-degrade"),
         snapshot_path: args.value("--cache-snapshot").map(std::path::PathBuf::from),
         // 0 disables the time-series sampler; stdio mode never samples.
         obs_interval: match args.u64("--obs-interval-ms")? {
@@ -763,13 +762,7 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
     let mut cfg = aqo_serve::loadgen::LoadgenConfig::default();
     cfg.addr = args.value("--addr").map_or(cfg.addr, str::to_string);
     cfg.requests = args.u64("--requests")?.map_or(cfg.requests, |n| n as usize);
-    if let Some(spec) = args.value("--concurrency") {
-        let bad = |s: &str| CliError::Usage(format!("bad --concurrency value `{s}`"));
-        cfg.concurrency = spec
-            .split(',')
-            .map(|s| s.trim().parse().map_err(|_| bad(s)))
-            .collect::<Result<_, _>>()?;
-    }
+    cfg.concurrency = args.u64("--concurrency")?.map_or(cfg.concurrency, |c| c as usize);
     if let Some(m) = args.value("--mix") {
         cfg.mix = aqo_serve::loadgen::Mix::parse(m)
             .ok_or_else(|| CliError::Usage(format!("bad --mix `{m}` (qon|qoh|mixed)")))?;
@@ -778,43 +771,28 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
     cfg.seed = args.u64("--seed")?.unwrap_or(cfg.seed);
     let record_path = args.value("--record");
     cfg.record = record_path.is_some();
-    let out = args.value("--out").unwrap_or("BENCH_serve.json");
-    eprintln!(
-        "loadgen: {} request(s) per level, levels {:?}, mix {}, against {}",
-        cfg.requests,
-        cfg.concurrency,
-        cfg.mix.name(),
-        cfg.addr
-    );
     let report = aqo_serve::loadgen::run(&cfg).map_err(CliError::Failed)?;
-    write_file(out, report.to_json())?;
     if let Some(path) = record_path {
-        let workload =
-            aqo_replay::Workload::new("loadgen", Some(cfg.seed), report.recorded.clone());
+        let workload = aqo_replay::Workload::new("loadgen", Some(cfg.seed), report.recorded);
         write_file(path, workload.to_jsonl())?;
         outln!("recorded {} request(s) to {path}", workload.entries.len())?;
     }
-    for l in &report.levels {
-        outln!(
-            "c={:<2} requests={} errors={} wrong_cost={} p50={}us p99={}us \
-             throughput={:.1}rps cache_hit_rate={:.2}",
-            l.concurrency,
-            l.requests,
-            l.errors,
-            l.wrong_cost,
-            l.p50_us,
-            l.p99_us,
-            l.throughput_rps,
-            l.cache_hit_rate
-        )?;
-    }
-    outln!("wrote {out}")?;
-    // Wrong costs are the one thing a cache-fronted service must never
-    // produce; surface them as a hard failure for CI.
-    if report.total_wrong_cost() > 0 {
+    outln!(
+        "requests={} errors={} wrong_cost={} degraded={} cached={}",
+        report.requests,
+        report.errors,
+        report.wrong_cost,
+        report.degraded,
+        report.cached
+    )?;
+    // A wrong cost is the one thing a cache-fronted service must never
+    // produce; an error, or a run that compared nothing, means the oracle
+    // did not look.
+    let checked = report.requests - report.errors - report.degraded;
+    if report.wrong_cost > 0 || report.errors > 0 || checked == 0 {
         return Err(CliError::Failed(format!(
-            "loadgen: {} wrong-cost response(s)",
-            report.total_wrong_cost()
+            "loadgen: {} wrong-cost response(s), {} error(s), {checked} answer(s) checked",
+            report.wrong_cost, report.errors
         )));
     }
     Ok(())
@@ -840,7 +818,6 @@ fn cmd_replay_extract(args: &Args) -> Result<(), CliError> {
 
 fn cmd_replay_run(args: &Args) -> Result<(), CliError> {
     let path = args.operand(0);
-    let rcfg = aqo_replay::ReplayConfig { strip_timing: args.flag("--strip-timing") };
     let workload =
         aqo_replay::Workload::parse(&read_file(path)?).map_err(|e| CliError::parse(path, e))?;
     // Counters/spans are always live for a replay run (it is a gate, and
@@ -851,9 +828,9 @@ fn cmd_replay_run(args: &Args) -> Result<(), CliError> {
     let report = match args.value("--addr") {
         Some(addr) => {
             let backend = aqo_replay::run::live_backend(addr).map_err(CliError::Failed)?;
-            aqo_replay::run::run(&workload, &rcfg, backend)
+            aqo_replay::run::run(&workload, backend)
         }
-        None => aqo_replay::run::run(&workload, &rcfg, aqo_replay::run::engine_backend()),
+        None => aqo_replay::run::run(&workload, aqo_replay::run::engine_backend()),
     };
     for d in &report.diffs {
         eprintln!(

@@ -535,9 +535,9 @@ fn run_in(bin: &str, dir: &Path, args: &[&str]) -> (Option<i32>, String, String)
 }
 
 /// Every command `aqo --help` lists rejects an unknown flag by name and
-/// answers `--help` with its synopsis, and neither writes a file: `chaos`
-/// and `loadgen` would write their default output files, `serve` and
-/// `top` would run until killed.
+/// answers `--help` with its synopsis, and neither writes a file nor
+/// runs: `chaos` would write its default output file, `loadgen` would
+/// send requests, `serve` and `top` would run until killed.
 #[test]
 fn every_command_rejects_unknown_flags_and_answers_help() {
     let dir = fresh_dir("aqo_cli_every_command");

@@ -14,16 +14,16 @@ fn aqo(args: &[&str]) -> (bool, String, String) {
     )
 }
 
-/// Spawns `aqo serve` on an OS-assigned port and scrapes the port from
-/// the startup line on stderr.
-fn spawn_serve(extra: &[&str]) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_aqo"))
-        .args(["serve", "--addr", "127.0.0.1:0"])
-        .args(extra)
-        .stderr(Stdio::piped())
-        .stdout(Stdio::null())
-        .spawn()
-        .expect("serve spawns");
+/// Spawns `aqo serve` on an OS-assigned port, with `faults` as its
+/// `AQO_FAULTS`, and scrapes the port from the startup line on stderr.
+fn spawn_serve(faults: Option<&str>, extra: &[&str]) -> (Child, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_aqo"));
+    cmd.args(["serve", "--addr", "127.0.0.1:0"]).args(extra);
+    if let Some(spec) = faults {
+        cmd.env("AQO_FAULTS", spec);
+    }
+    let mut child =
+        cmd.stderr(Stdio::piped()).stdout(Stdio::null()).spawn().expect("serve spawns");
     let stderr = child.stderr.take().expect("piped stderr");
     let mut lines = BufReader::new(stderr).lines();
     let addr = loop {
@@ -51,7 +51,7 @@ fn serve_request_loadgen_roundtrip() {
     assert!(ok);
     let qon_path = write_instance("chain6.qon", &qon);
 
-    let (mut child, addr) = spawn_serve(&["--threads", "2"]);
+    let (mut child, addr) = spawn_serve(None, &["--threads", "2"]);
 
     let (ok, out, err) = aqo(&["request", &addr, "optimize", &qon_path]);
     assert!(ok, "request failed: {err}");
@@ -70,7 +70,6 @@ fn serve_request_loadgen_roundtrip() {
 
     // A small loadgen against the same live server: zero wrong costs is
     // a hard exit-code requirement of the subcommand.
-    let out_path = write_instance("bench_cli.json", "");
     let (ok, out, err) = aqo(&[
         "loadgen",
         "--addr",
@@ -78,19 +77,14 @@ fn serve_request_loadgen_roundtrip() {
         "--requests",
         "6",
         "--concurrency",
-        "1,2",
+        "2",
         "--mix",
         "qon",
         "--pool",
         "2",
-        "--out",
-        &out_path,
     ]);
     assert!(ok, "loadgen failed: {err}");
-    assert!(out.contains("wrong_cost=0"), "loadgen saw wrong costs: {out}");
-    let bench = std::fs::read_to_string(&out_path).unwrap();
-    assert!(bench.contains("\"schema\": \"aqo-bench-serve/v2\""));
-    assert!(bench.contains("\"p999_us\""), "v2 rows carry tail quantiles: {bench}");
+    assert!(out.starts_with("requests=6 errors=0 wrong_cost=0 degraded=0 cached="), "{out}");
 
     let (ok, out, _) = aqo(&["request", &addr, "status"]);
     assert!(ok);
@@ -104,8 +98,28 @@ fn serve_request_loadgen_roundtrip() {
 }
 
 #[test]
+fn loadgen_fails_when_every_request_errors() {
+    // Every optimize attempt, retries included, answers an injected
+    // error: no answer reaches the oracle, so loadgen must fail even
+    // though no cost was wrong.
+    let (mut child, addr) = spawn_serve(Some("serve::request=err*1000"), &[]);
+    let (ok, out, err) = aqo(&[
+        "loadgen", "--addr", &addr, "--requests", "2", "--concurrency", "1", "--mix", "qon",
+        "--pool", "1",
+    ]);
+    // Shut the server down before asserting, so a failure leaves no
+    // process behind.
+    let (shut, _, _) = aqo(&["request", &addr, "shutdown"]);
+    child.wait().expect("serve exits");
+    assert!(shut);
+    assert!(!ok, "loadgen passed with nothing checked: {out}");
+    assert!(out.contains("requests=2 errors=2 wrong_cost=0"), "{out}");
+    assert!(err.contains("2 error(s)"), "{err}");
+}
+
+#[test]
 fn remote_errors_fail_without_usage_banner() {
-    let (mut child, addr) = spawn_serve(&[]);
+    let (mut child, addr) = spawn_serve(None, &[]);
     // A qoh payload declared as qon: the server answers a structured
     // parse/usage error; the client exits nonzero, repeats the error, and
     // must NOT dump the usage banner (the invocation itself was fine).

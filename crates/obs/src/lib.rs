@@ -250,14 +250,6 @@ impl HistogramInner {
 pub struct Histogram(Arc<Slot<HistogramInner>>);
 
 impl Histogram {
-    /// A fresh, **unregistered** histogram for offline aggregation (the
-    /// loadgen computes latency quantiles through one of these without
-    /// touching any scope's registry or enabled flag). It belongs to no
-    /// scope, so only [`record_always`](Histogram::record_always) fills it.
-    pub fn detached() -> Histogram {
-        Histogram::new(Arc::default())
-    }
-
     fn new(on: Arc<AtomicBool>) -> Histogram {
         Histogram(Arc::new(Slot { on, value: HistogramInner::new() }))
     }
@@ -268,13 +260,6 @@ impl Histogram {
         if !self.0.on() {
             return;
         }
-        self.record_always(v);
-    }
-
-    /// Records one sample unconditionally, ignoring the scope's enabled
-    /// flag. For [`detached`](Histogram::detached) histograms.
-    #[inline]
-    pub fn record_always(&self, v: u64) {
         let h = &self.0.value;
         // ordering: the four fields are independent monotone aggregates;
         // `stats` makes no cross-field consistency claim (a snapshot may
@@ -729,10 +714,12 @@ mod tests {
 
     #[test]
     fn quantiles_are_monotone_and_bucket_accurate() {
-        let h = Histogram::detached();
+        let _s = Scope::new().install();
+        set_enabled(true);
+        let h = histogram("quantiles");
         assert_eq!(h.quantile(0.5), 0, "empty histogram");
         for v in 1..=1000u64 {
-            h.record_always(v);
+            h.record(v);
         }
         let (count, sum, max) = h.stats();
         assert_eq!((count, sum, max), (1000, 500500, 1000));
@@ -749,8 +736,8 @@ mod tests {
         // Single-sample histogram: every quantile is that sample's bucket,
         // capped at max, so within 1/16 of the sample.
         for v in [7u64, 11_182, 10_240, 1 << 40] {
-            let one = Histogram::detached();
-            one.record_always(v);
+            let one = histogram(&format!("quantiles.one.{v}"));
+            one.record(v);
             for q in [0.5, 0.9, 0.99, 0.999] {
                 let got = one.quantile(q);
                 assert!(got <= v && (v - got) * 16 <= v, "v={v} q={q} got {got}");

@@ -24,7 +24,6 @@ use aqo_serve::record::{capture, capture_from_json, RecordedRequest};
 use aqo_serve::{Engine, Reply};
 use std::cmp::Ordering;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// How a replayed request diverged from its baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,29 +79,6 @@ pub struct RequestDiff {
     pub detail: String,
 }
 
-/// Latency quantiles, baseline vs re-driven (omitted from the report
-/// under `strip_timing`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LatencySummary {
-    /// Baseline (recorded) median, microseconds.
-    pub baseline_p50_us: u64,
-    /// Baseline 99th percentile.
-    pub baseline_p99_us: u64,
-    /// Re-driven median.
-    pub current_p50_us: u64,
-    /// Re-driven 99th percentile.
-    pub current_p99_us: u64,
-}
-
-/// Replay knobs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReplayConfig {
-    /// Drop latency numbers from the report so committed artifacts are
-    /// byte-identical across runs (solver output is deterministic; wall
-    /// clocks are not).
-    pub strip_timing: bool,
-}
-
 /// The `aqo-replay/v1` report.
 #[derive(Clone, Debug)]
 pub struct ReplayReport {
@@ -124,8 +100,6 @@ pub struct ReplayReport {
     pub errors: usize,
     /// Every divergent request, in workload order.
     pub diffs: Vec<RequestDiff>,
-    /// Latency quantiles (`None` under `strip_timing`).
-    pub latency: Option<LatencySummary>,
 }
 
 impl ReplayReport {
@@ -176,14 +150,6 @@ impl ReplayReport {
             out.push('}');
         }
         out.push_str(if self.diffs.is_empty() { "]" } else { "\n  ]" });
-        if let Some(l) = &self.latency {
-            let _ = write!(
-                out,
-                ",\n  \"latency\": {{\"baseline_p50_us\": {}, \"baseline_p99_us\": {}, \
-                 \"current_p50_us\": {}, \"current_p99_us\": {}}}",
-                l.baseline_p50_us, l.baseline_p99_us, l.current_p50_us, l.current_p99_us,
-            );
-        }
         out.push_str("\n}\n");
         out
     }
@@ -209,7 +175,7 @@ pub fn parse_cost(s: &str) -> Result<BigRational, String> {
 /// divergences. Each replayed request gets its own trace + `replay.request`
 /// span; every diff bumps `replay.diffs` and journals a `replay_diff`
 /// event.
-pub fn run<F>(workload: &Workload, cfg: &ReplayConfig, mut backend: F) -> ReplayReport
+pub fn run<F>(workload: &Workload, mut backend: F) -> ReplayReport
 where
     F: FnMut(&RecordedRequest) -> Result<RecordedRequest, String>,
 {
@@ -223,10 +189,7 @@ where
         tier_changes: 0,
         errors: 0,
         diffs: Vec::new(),
-        latency: None,
     };
-    let baseline_hist = aqo_obs::Histogram::detached();
-    let current_hist = aqo_obs::Histogram::detached();
     for entry in &workload.entries {
         let traced = aqo_obs::enabled();
         let _trace = traced.then(|| {
@@ -240,10 +203,6 @@ where
         }
         report.replayed += 1;
         let outcome = backend(entry);
-        if let Ok(obs) = &outcome {
-            baseline_hist.record_always(entry.latency_us);
-            current_hist.record_always(obs.latency_us);
-        }
         let Some(diff) = classify(entry, &outcome) else { continue };
         match diff.kind {
             DiffKind::CostRegression => report.cost_regressions += 1,
@@ -266,14 +225,6 @@ where
             );
         }
         report.diffs.push(diff);
-    }
-    if !cfg.strip_timing {
-        report.latency = Some(LatencySummary {
-            baseline_p50_us: baseline_hist.quantile(0.50),
-            baseline_p99_us: baseline_hist.quantile(0.99),
-            current_p50_us: current_hist.quantile(0.50),
-            current_p99_us: current_hist.quantile(0.99),
-        });
     }
     report
 }
@@ -369,8 +320,7 @@ pub fn engine_backend() -> impl FnMut(&RecordedRequest) -> Result<RecordedReques
 }
 
 /// The live backend: re-drives requests through an `aqo-serve` endpoint
-/// with the existing retrying client. Latency is the client-observed
-/// round trip.
+/// with the existing retrying client.
 pub fn live_backend(
     addr: &str,
 ) -> Result<impl FnMut(&RecordedRequest) -> Result<RecordedRequest, String>, String> {
@@ -378,17 +328,15 @@ pub fn live_backend(
     let mut client = Client::connect_with_timeout(addr, retry.read_timeout)
         .map_err(|e| format!("connect {addr}: {e}"))?;
     Ok(move |entry: &RecordedRequest| {
-        let t0 = Instant::now();
         let line = client.roundtrip_retry(&entry.request, &retry).map_err(|e| {
             let _ = client.reconnect();
             format!("roundtrip: {e}")
         })?;
-        let latency_us = t0.elapsed().as_micros() as u64;
         let doc = aqo_obs::json::parse(&line).map_err(|e| format!("reply: {e}"))?;
         if !matches!(doc.get("ok"), Some(aqo_obs::json::JsonValue::Bool(true))) {
             return Err(format!("server error: {line}"));
         }
-        capture_from_json(&entry.request, &doc, latency_us)
+        capture_from_json(&entry.request, &doc)
             .ok_or_else(|| format!("unreplayable reply: {line}"))
     })
 }
@@ -420,7 +368,7 @@ mod tests {
     }
 
     fn observed(cost: &str, order: Vec<usize>, tier: &str) -> Result<RecordedRequest, String> {
-        Ok(RecordedRequest { latency_us: 10, ..entry(cost, order, tier) })
+        Ok(entry(cost, order, tier))
     }
 
     #[test]
@@ -467,12 +415,11 @@ mod tests {
             Err("transport down".to_string()), // error
         ]
         .into_iter();
-        let report = run(&w, &ReplayConfig { strip_timing: true }, |_| answers.next().unwrap());
+        let report = run(&w, |_| answers.next().unwrap());
         assert_eq!(report.replayed, 3);
         assert_eq!(report.cost_regressions, 1);
         assert_eq!(report.errors, 1);
         assert_eq!(report.gate_failures(), 2);
-        assert!(report.latency.is_none(), "strip_timing drops latency");
         let json = report.to_json();
         let doc = aqo_obs::json::parse(&json).expect("report is valid JSON");
         assert_eq!(
@@ -484,7 +431,6 @@ mod tests {
             doc.get("diffs").and_then(aqo_obs::json::JsonValue::as_arr).map(<[_]>::len),
             Some(2)
         );
-        assert!(doc.get("latency").is_none());
     }
 
     #[test]
@@ -501,7 +447,7 @@ mod tests {
         e.request.instance = Some(aqo_core::textio::qon_to_text(&inst));
         e.plan = backend(&e).expect("first drive").plan;
         let w = Workload::new("test", None, vec![e]);
-        let report = run(&w, &ReplayConfig { strip_timing: true }, backend);
+        let report = run(&w, backend);
         assert_eq!(report.gate_failures(), 0, "diffs: {:?}", report.diffs);
         assert!(report.diffs.is_empty());
     }

@@ -744,7 +744,6 @@ pub fn run(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         conn_timeout: Duration::from_millis(20),
         read_deadline: Some(Duration::from_millis(400)),
         max_line_bytes: 4096,
-        degrade: true,
         snapshot_path: Some(snap_path.clone()),
         // Chaos runs sample aggressively so the series rings exercise
         // wraparound under fault churn.

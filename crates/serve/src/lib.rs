@@ -22,7 +22,8 @@
 //! `std::net::TcpListener` or stdio, parsed with `aqo_obs::json`. The
 //! wire protocol lives in [`proto`], the transport-free request handler
 //! in [`engine`], the blocking client in [`client`], and the
-//! benchmarking load generator behind `aqo loadgen` in [`loadgen`].
+//! concurrent oracle and workload recorder behind `aqo loadgen` in
+//! [`loadgen`].
 //! See `docs/SERVING.md` for the protocol reference.
 
 #![forbid(unsafe_code)]

@@ -11,7 +11,8 @@
 //! format; the dependency points the other way).
 //!
 //! The same capture rules serve the loadgen `--record` path, so journaled,
-//! served, and load-generated workloads agree on what is replayable:
+//! served, and load-generated workloads agree on what is replayable, and
+//! every path stores the server's own handling time as `latency_us`:
 //! optimize only (explain replies are about the walkthrough text), never
 //! degraded (the baseline would reflect overload, not the build), and
 //! never clique (there is no execution story for clique plans).
@@ -22,9 +23,6 @@ use aqo_obs::json::JsonValue;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One replayable observation: the request, and what the build answered.
-/// `latency_us` is the server-side handling time (`elapsed_us`) for
-/// serve-recorded entries and the client-observed round trip for
-/// loadgen-recorded ones.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecordedRequest {
     /// The optimize request as it arrived (`Qon` or `Qoh`; clique is
@@ -34,7 +32,8 @@ pub struct RecordedRequest {
     pub fingerprint: u64,
     /// Whether the reply came from the plan cache.
     pub cached: bool,
-    /// Observed latency in microseconds.
+    /// The server's handling time in microseconds (the reply's
+    /// `elapsed_us`), whichever path recorded it.
     pub latency_us: u64,
     /// The plan the reply carried.
     pub plan: CachedPlan,
@@ -88,15 +87,11 @@ pub fn capture(req: &Request, reply: &Reply) -> Option<RecordedRequest> {
 }
 
 /// As [`capture`], from a parsed client-side reply document instead of a
-/// server-side [`Reply`] — the loadgen path, where `latency_us` is the
-/// client-observed round trip. Applies the same skip rules (non-optimize,
-/// non-ok, degraded, clique) and additionally skips replies missing any
-/// plan field (a newer/older server this build cannot baseline against).
-pub fn capture_from_json(
-    req: &Request,
-    doc: &JsonValue,
-    latency_us: u64,
-) -> Option<RecordedRequest> {
+/// server-side [`Reply`] — the loadgen path. Applies the same skip rules
+/// (non-optimize, non-ok, degraded, clique) and additionally skips replies
+/// missing any plan field or `elapsed_us` (a newer/older server this build
+/// cannot baseline against).
+pub fn capture_from_json(req: &Request, doc: &JsonValue) -> Option<RecordedRequest> {
     if !replayable(req)
         || !matches!(doc.get("ok"), Some(JsonValue::Bool(true)))
         || matches!(doc.get("degraded"), Some(JsonValue::Bool(true)))
@@ -107,7 +102,7 @@ pub fn capture_from_json(
         request: req.clone(),
         fingerprint: fingerprint_field(doc)?,
         cached: matches!(doc.get("cached"), Some(JsonValue::Bool(true))),
-        latency_us,
+        latency_us: doc.get("elapsed_us")?.as_u64()?,
         plan: CachedPlan::from_fields(doc).ok()?,
     })
 }
@@ -190,7 +185,7 @@ mod tests {
         }
         let direct = capture(&req, &reply).expect("direct capture");
         let doc = aqo_obs::json::parse(&reply.to_json_line()).expect("reply parses");
-        let via_json = capture_from_json(&req, &doc, direct.latency_us).expect("json capture");
+        let via_json = capture_from_json(&req, &doc).expect("json capture");
         assert_eq!(via_json, direct);
     }
 

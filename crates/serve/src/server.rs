@@ -84,9 +84,6 @@ pub struct ServeConfig {
     pub read_deadline: Option<Duration>,
     /// Request-line size limit in bytes.
     pub max_line_bytes: usize,
-    /// Whether overload walks the graceful-degradation ladder before
-    /// shedding (`false`: shed at the cap exactly as before).
-    pub degrade: bool,
     /// Plan-cache snapshot file (`--cache-snapshot`): loaded on startup
     /// for a warm cache, rewritten atomically at shutdown.
     pub snapshot_path: Option<std::path::PathBuf>,
@@ -113,7 +110,6 @@ impl Default for ServeConfig {
             conn_timeout: DEFAULT_CONN_TIMEOUT,
             read_deadline: Some(DEFAULT_READ_DEADLINE),
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            degrade: true,
             snapshot_path: None,
             obs_interval: Some(Duration::from_secs(1)),
             record: None,
@@ -270,7 +266,6 @@ pub struct Server {
     conn_timeout: Duration,
     read_deadline: Option<Duration>,
     max_line_bytes: usize,
-    degrade: bool,
     snapshot_path: Option<std::path::PathBuf>,
     obs_interval: Option<Duration>,
     record: Option<crate::record::RecordSink>,
@@ -323,7 +318,6 @@ impl Server {
             conn_timeout: cfg.conn_timeout.max(Duration::from_millis(1)),
             read_deadline: cfg.read_deadline,
             max_line_bytes: cfg.max_line_bytes.max(1),
-            degrade: cfg.degrade,
             snapshot_path: cfg.snapshot_path.clone(),
             obs_interval: cfg.obs_interval,
             record: cfg.record.clone(),
@@ -799,9 +793,6 @@ impl Server {
     /// exponential exact tiers are dropped; from three quarters only the
     /// polynomial heuristics run; at the cap `submit` sheds instead.
     fn ladder_level(&self, inflight: usize) -> Degrade {
-        if !self.degrade {
-            return Degrade::Full;
-        }
         if inflight * 4 >= self.max_inflight * 3 {
             Degrade::Heavy
         } else if inflight * 2 >= self.max_inflight {
