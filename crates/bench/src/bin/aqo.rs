@@ -143,11 +143,13 @@ fn main() -> ExitCode {
     cli::main("aqo", Some(env!("CARGO_PKG_VERSION")), COMMANDS, &args)
 }
 
-/// `--threads`, refused past [`MAX_THREADS`] before any work starts.
-fn thread_count(args: &Args, default: usize) -> Result<usize, CliError> {
-    match args.u64("--threads")? {
+/// The count `flag` gives, or `default`: `--threads`, or `--concurrency`,
+/// which opens one thread per connection. Refused past [`MAX_THREADS`]
+/// before any work starts.
+fn capped_count(args: &Args, flag: &str, default: usize) -> Result<usize, CliError> {
+    match args.u64(flag)? {
         Some(t) if t > MAX_THREADS as u64 => {
-            Err(CliError::Usage(format!("--threads {t} is over the limit of {MAX_THREADS}")))
+            Err(CliError::Usage(format!("{flag} {t} is over the limit of {MAX_THREADS}")))
         }
         t => Ok(t.map_or(default, |t| t as usize)),
     }
@@ -222,7 +224,7 @@ fn cmd_optimize(args: &Args) -> Result<(), CliError> {
     // invocation is a usage error regardless of what the operand holds.
     let method = args.value("--method").unwrap_or("dp");
     let allow_cartesian = !args.flag("--no-cartesian");
-    let threads = thread_count(args, 1)?;
+    let threads = capped_count(args, "--threads", 1)?;
     let budget = driver_budget(args)?;
     let inst = textio::qon_from_text(&read_file(path)?).map_err(|e| CliError::parse(path, e))?;
     if collecting(args) {
@@ -306,7 +308,7 @@ fn method_max_n(method: &str, allow_cartesian: bool) -> usize {
 fn cmd_optimize_qoh(args: &Args) -> Result<(), CliError> {
     let path = args.operand(0);
     let method = args.value("--method").unwrap_or("greedy");
-    let threads = thread_count(args, 1)?;
+    let threads = capped_count(args, "--threads", 1)?;
     let budget = driver_budget(args)?;
     let inst = textio::qoh_from_text(&read_file(path)?).map_err(|e| CliError::parse(path, e))?;
     if collecting(args) {
@@ -608,7 +610,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let record_sink = record_path.map(|_| aqo_serve::record::new_sink());
     let defaults = aqo_serve::ServeConfig::default();
     let cfg = aqo_serve::ServeConfig {
-        threads: thread_count(args, 4)?,
+        threads: capped_count(args, "--threads", 4)?,
         max_inflight: args.u64("--max-inflight")?.map_or(64, |v| v as usize),
         cache_capacity: args.u64("--cache-cap")?.map_or(1024, |v| v as usize),
         idle_timeout: args.u64("--idle-timeout-ms")?.map(Duration::from_millis),
@@ -697,7 +699,7 @@ fn cmd_request(args: &Args) -> Result<(), CliError> {
     }
     req.timeout_ms = args.u64("--timeout-ms")?;
     req.max_expansions = args.u64("--max-expansions")?;
-    req.threads = thread_count(args, 1)?;
+    req.threads = capped_count(args, "--threads", 1)?;
     req.allow_cartesian = !args.flag("--no-cartesian");
     req.use_cache = !args.flag("--no-cache");
     let line = aqo_serve::client::oneshot(addr, &req).map_err(|e| CliError::io(addr, e))?;
@@ -762,7 +764,7 @@ fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
     let mut cfg = aqo_serve::loadgen::LoadgenConfig::default();
     cfg.addr = args.value("--addr").map_or(cfg.addr, str::to_string);
     cfg.requests = args.u64("--requests")?.map_or(cfg.requests, |n| n as usize);
-    cfg.concurrency = args.u64("--concurrency")?.map_or(cfg.concurrency, |c| c as usize);
+    cfg.concurrency = capped_count(args, "--concurrency", cfg.concurrency)?;
     if let Some(m) = args.value("--mix") {
         cfg.mix = aqo_serve::loadgen::Mix::parse(m)
             .ok_or_else(|| CliError::Usage(format!("bad --mix `{m}` (qon|qoh|mixed)")))?;

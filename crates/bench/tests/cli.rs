@@ -602,6 +602,8 @@ fn command_lines_are_checked_against_the_synopsis() {
         (&["optimize", "c5.qon", "--trace-json", "--metrics"], "--trace-json requires a value"),
         (&["optimize"], "missing operand <file.qon>"),
         (&["optimize", "c5.qon", "--threads", "65"], "--threads 65"),
+        // Refused before a connection or a thread is made: no server runs.
+        (&["loadgen", "--concurrency", "65"], "--concurrency 65 is over the limit of 64"),
     ] {
         let (code, _, err) = run_in(aqo, &dir, args);
         assert_eq!(code, Some(1), "{args:?}: {err}");

@@ -1,5 +1,7 @@
 //! Unsigned integers of a fixed number of limbs, for hot loops whose
-//! values have a bit bound known before the loop starts.
+//! values have a bit bound known before the loop starts: the QO_N
+//! engine's exact phase and the QO_H exhaustive search run on them
+//! through [`crate::ScaledInt`].
 
 use crate::uint::div_rem_limb;
 use crate::BigUint;
@@ -8,11 +10,11 @@ use std::fmt;
 
 /// An unsigned integer in exactly `L` little-endian 64-bit limbs.
 ///
-/// The QO_N engine's exact phase bounds the bits of every value it will
-/// compute before it starts, and runs on the narrowest width that holds
-/// them. A `FixedUint` lives inline, is `Copy`, and every operation runs
-/// over all `L` limbs with no length bookkeeping and no allocation. An
-/// operation whose result needs more than `L` limbs panics, as
+/// An exact search bounds the bits of every value it will compute before
+/// it starts, and runs on a width that holds them. A `FixedUint` lives
+/// inline, is `Copy`, and every operation runs over all `L` limbs with no
+/// length bookkeeping and no allocation. An operation whose result needs
+/// more than `L` limbs, or falls below zero, panics, as
 /// [`BigUint::div_exact_assign`] does on a remainder: the caller's bound
 /// is checked, never assumed.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,6 +50,43 @@ impl<const L: usize> FixedUint<L> {
             carry = (v >> 64) as u64;
         }
         assert!(carry == 0, "FixedUint overflow in a multiply-add");
+    }
+
+    /// The value as one limb; panics if it needs more.
+    pub(crate) fn low_limb(&self) -> u64 {
+        let (low, high) = self.0.split_first().unwrap_or((&0, &[]));
+        assert!(high.iter().all(|&l| l == 0), "FixedUint overflow: more than one limb");
+        *low
+    }
+
+    /// Whether the value is zero.
+    #[inline]
+    pub fn is_zero(&self) -> bool {
+        self.0.iter().all(|&l| l == 0)
+    }
+
+    /// `self += x`; panics if the sum needs more than `L` limbs.
+    #[inline]
+    pub fn add_assign(&mut self, x: &Self) {
+        let mut carry = false;
+        for (l, &y) in self.0.iter_mut().zip(&x.0) {
+            let (sum, c1) = l.overflowing_add(y);
+            let (sum, c2) = sum.overflowing_add(u64::from(carry));
+            (*l, carry) = (sum, c1 | c2);
+        }
+        assert!(!carry, "FixedUint overflow in an add");
+    }
+
+    /// `self −= x`; panics if `x > self`.
+    #[inline]
+    pub fn sub_assign(&mut self, x: &Self) {
+        let mut borrow = false;
+        for (l, &y) in self.0.iter_mut().zip(&x.0) {
+            let (diff, b1) = l.overflowing_sub(y);
+            let (diff, b2) = diff.overflowing_sub(u64::from(borrow));
+            (*l, borrow) = (diff, b1 | b2);
+        }
+        assert!(!borrow, "FixedUint underflow in a subtraction");
     }
 
     /// `self *= m`; panics if the product needs more than `L` limbs.
@@ -131,6 +170,39 @@ mod tests {
     fn carry_out_panics() {
         let mut x = FixedUint::<2>::from_big(&(BigUint::one() << 127));
         x.mul_assign_u64(2);
+    }
+
+    #[test]
+    fn add_and_sub_match_biguint() {
+        let a = (BigUint::one() << 191) + BigUint::from(u64::MAX);
+        let b = (BigUint::one() << 130) + BigUint::one();
+        let mut x = FixedUint::<4>::from_big(&a);
+        x.add_assign(&FixedUint::from_big(&b));
+        assert_eq!(x.to_big(), &a + &b);
+        x.sub_assign(&FixedUint::from_big(&a));
+        assert_eq!(x.to_big(), b);
+        assert!(!x.is_zero() && FixedUint::<4>::default().is_zero());
+        assert_eq!(FixedUint::<4>::from_big(&BigUint::from(7u64)).low_limb(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn add_carry_out_panics() {
+        let mut x = FixedUint::<2>::from_big(&(BigUint::one() << 127));
+        x.add_assign(&x.clone());
+    }
+
+    #[test]
+    #[should_panic(expected = "underflow")]
+    fn subtraction_below_zero_panics() {
+        let mut x = FixedUint::<2>::from_big(&(BigUint::one() << 64));
+        x.sub_assign(&FixedUint::from_big(&((BigUint::one() << 64) + BigUint::one())));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one limb")]
+    fn a_two_limb_low_limb_panics() {
+        FixedUint::<2>::from_big(&(BigUint::one() << 64)).low_limb();
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //!   of two, so no overflow) used by the subset DP, heuristics and
 //!   figures; cross-validated against the exact types in tests;
 //! * [`FixedUint`] — an integer of exactly `L` limbs, inline and `Copy`,
-//!   that panics on overflow: the QO_N engine's exact phase runs on it
-//!   once a bit bound says its values fit;
+//!   that panics on overflow;
+//! * [`ScaledInt`] — the integer interface of the exact searches' scaled
+//!   arithmetic (the QO_N engine's exact phase, the QO_H exhaustive
+//!   search), implemented by `FixedUint` for values a bit bound says fit
+//!   and by `BigUint` past it;
 //! * [`fixed`] — rigorous fixed-point evaluation of `e^x` needed by the
 //!   PARTITION → SPPCS reduction of Appendix A (`g_q(x) = 2^q·f_q(e^{x/2K})`).
 //!
@@ -54,6 +57,7 @@ mod fixed_uint;
 mod int;
 mod lognum;
 mod rational;
+mod scaled;
 mod uint;
 
 pub mod fixed;
@@ -62,6 +66,7 @@ pub use fixed_uint::FixedUint;
 pub use int::{BigInt, Sign};
 pub use lognum::LogNum;
 pub use rational::BigRational;
+pub use scaled::ScaledInt;
 pub use uint::{write_u64, BigUint};
 
 /// Convenience: `2^k` as a [`BigUint`].

@@ -26,7 +26,7 @@
 //! materialized input, run the pipelined joins, write the output.
 
 use crate::{CostScalar, JoinSequence};
-use aqo_bignum::{BigInt, BigRational, BigUint};
+use aqo_bignum::{BigInt, BigRational, BigUint, ScaledInt};
 use aqo_graph::Graph;
 
 /// An instance of the QO_H problem.
@@ -353,11 +353,61 @@ fn h_with<S: CostScalar>(m: &BigRational, b_r: &S, b_s: &BigUint, hj: &BigUint) 
     Some(b_r.add(&bs).mul(&S::from_ratio(&g)).add(&bs))
 }
 
-/// The instance scaled by one integer `K`, so that the exhaustive search's
-/// decomposition DP runs on `BigUint` with no rational arithmetic:
+/// `K = ∏_e q_e · ∏_{v : hjmin(t_v) < t_v} room_v`, the scale of a
+/// [`ScaledView`], where `p_e/q_e` is the reduced selectivity of edge `e`
+/// and `room_v = t_v − hjmin(t_v)`.
+pub fn scale_of(inst: &QoHInstance) -> BigUint {
+    let mut scale = BigUint::one();
+    for (_, _, s) in inst.edges() {
+        scale *= s.denom();
+    }
+    for (t, hjmin) in inst.sizes.iter().zip(&inst.hjmins) {
+        if hjmin < t {
+            scale *= &(t - hjmin);
+        }
+    }
+    scale
+}
+
+/// A bound on the bits of every value a [`ScaledView`] of `inst` with
+/// scale `K` computes, from bit lengths alone:
+/// `bits(K) + Σ_v bits(t_v) + bits(4n)`.
 ///
-/// `K = ∏_e q_e · ∏_{v : hjmin(t_v) < t_v} room_v`, where `p_e/q_e` is the
-/// reduced selectivity of edge `e` and `room_v = t_v − hjmin(t_v)`.
+/// Proof. Let `Q = ∏_v (t_v + 1) ≤ 2^(Σ bits(t_v))`; expanded, `Q` is the
+/// sum of `∏_{v∈S} t_v` over every set `S` of relations. Every
+/// selectivity is at most 1 (`p_e ≤ q_e`), so `N_j ≤ P_j`, the product of
+/// the sizes of `z_0 … z_j`. A scaled prefix cost, or a candidate
+/// `dp[i−1] + frag(i, d)` for one, is `K` times the cost of one
+/// decomposition of `J_1 … J_d`: its fragments read `N_{i−1}` and write
+/// `N_k` at distinct positions, and join `J_j` adds its build `t_{z_j}`
+/// and at most its spill weight `N_{j−1} + t_{z_j}`. That is at most
+/// `2·(Σ_{j<d} N_j + Σ_{1≤j≤d} t_{z_j}) + Σ_{1≤j≤d} N_j < 3Q`, as the
+/// prefixes and the singletons `{z_j}`, `j ≥ 1`, are distinct sets in
+/// `Q`'s expansion. Every partial sum on the way is smaller, and so are
+/// `K·N_j` (and the values [`ScaledView::step_into`] passes through: it
+/// divides before it multiplies, by factors of at least 1), `K·weight_j`,
+/// `K·slope_j`, `Σ K·t`, and `Σ t`, `Σ hjmin`, the leftover memory and
+/// `M` itself, which the view clamps at `Σ_v t_v`. So every value is
+/// below `3·K·Q < 2^(bits(K) + Σ bits(t_v) + 2)`, and `bits(4n) ≥ 3`.
+pub fn scaled_bits(inst: &QoHInstance, scale: &BigUint) -> u64 {
+    let n = 4 * inst.n() as u64;
+    scale.bits() + inst.sizes.iter().map(BigUint::bits).sum::<u64>()
+        + u64::from(u64::BITS - n.leading_zeros())
+}
+
+/// Whether every size and selectivity term of `inst` fits one limb, as a
+/// [`ScaledView`] on [`aqo_bignum::FixedUint`] needs. `hjmin(t)` and the
+/// room `t − hjmin(t)` are at most `t`, so they fit too.
+pub fn one_limb_factors(inst: &QoHInstance) -> bool {
+    let one_limb = |v: &BigUint| v.limbs().len() <= 1;
+    inst.sizes.iter().all(one_limb)
+        && inst.edges().all(|(_, _, s)| one_limb(s.numer().magnitude()) && one_limb(s.denom()))
+}
+
+/// The instance scaled by one integer `K` ([`scale_of`]), so that the
+/// exhaustive search's decomposition DP runs on integers `N` with no
+/// rational arithmetic: [`aqo_bignum::FixedUint`] when [`scaled_bits`]
+/// fits its width, [`BigUint`] past it.
 ///
 /// * `K·N_d = ∏_{room_v > 0} room_v · ∏_{e ∉ z_0…z_d} q_e · ∏ t · ∏_{e ∈ z_0…z_d} p_e`,
 ///   so appending a relation divides exactly by the `q_e` of its new edges.
@@ -368,77 +418,82 @@ fn h_with<S: CostScalar>(m: &BigRational, b_r: &S, b_s: &BigUint, hj: &BigUint) 
 ///   and `M` are integers already.
 ///
 /// `K > 0`, so scaled values compare as the rationals they stand for.
-/// Every division is [`BigUint::div_exact_assign`], which panics on a
-/// remainder: exactness is checked, not assumed.
-pub struct ScaledView<'a> {
+/// Every division is exact and panics on a remainder: exactness is
+/// checked, not assumed.
+pub struct ScaledView<'a, N: ScaledInt<'a>> {
     inst: &'a QoHInstance,
     /// `K`.
     scale: BigUint,
-    /// `K·t_v`.
-    scaled_sizes: Vec<BigUint>,
-    /// `room_v`; zero when `hjmin(t_v) = t_v` and the join cannot grow.
-    rooms: Vec<BigUint>,
-    /// The neighbours `k` of each relation with `(p, q)` of edge `{v, k}`,
-    /// borrowed from the instance's selectivities.
-    edges: Vec<Vec<(usize, &'a BigUint, &'a BigUint)>>,
+    relations: Vec<ScaledRelation<'a, N>>,
+    /// `M`, clamped at `Σ_v t_v`: `M` only meets `Σ hjmin` and `Σ t` of a
+    /// fragment, both at most `Σ_v t_v`, before a fragment with `Σ t > M`
+    /// hands out `M − Σ hjmin`.
+    memory: N,
 }
 
-/// Position `j` of a sequence prefix under a [`ScaledView`]. A search
-/// keeps one per depth and refills it with [`ScaledView::step_into`], so
-/// its buffers outlive the prefixes that use them.
-#[derive(Debug, Default)]
-pub struct ScaledStep {
-    /// `K·N_j`.
-    size: BigUint,
-    /// `K·weight_j`, the spill cost of join `J_j` at `hjmin`, all saved
-    /// when it is filled; zero at `j = 0`.
-    weight: BigUint,
-    /// `K·slope_j`, its saving per extra page; zero when it cannot grow.
-    slope: BigUint,
+/// One relation `v` of a [`ScaledView`].
+struct ScaledRelation<'a, N: ScaledInt<'a>> {
+    /// `t_v` as a factor.
+    t: N::Factor,
+    /// `t_v`, `K·t_v` and `hjmin(t_v)`.
+    size: N,
+    scaled_size: N,
+    hjmin: N,
+    /// `room_v`; zero when `hjmin(t_v) = t_v` and the join cannot grow.
+    room: N,
+    /// The neighbours `k` of `v` with `(p, q)` of edge `{v, k}`.
+    edges: Vec<(usize, N::Factor, N::Factor)>,
 }
 
 /// The working values of [`ScaledView::last_fragments`]. The caller owns
 /// them and passes the same scratch to every call, so a search refills
 /// these buffers instead of allocating new ones per prefix.
 #[derive(Debug, Default)]
-pub struct FragmentScratch {
+pub struct FragmentScratch<N> {
     /// `Σ hjmin` of the fragment's inner relations.
-    need: BigUint,
+    need: N,
     /// `Σ t` of the same.
-    sizes: BigUint,
+    sizes: N,
     /// `Σ K·t`, the cost of building them.
-    builds: BigUint,
+    builds: N,
     /// `M − Σ hjmin`, not yet handed out.
-    leftover: BigUint,
+    leftover: N,
     /// `room − leftover` of the join that is partly filled.
-    part: BigUint,
+    part: N,
     /// `K·` the fragment's cost, handed to `each`.
-    cost: BigUint,
+    cost: N,
     /// Target of the fused multiply-add, swapped with `cost`.
-    spare: BigUint,
+    spare: N,
+    /// `K·slope_j` by position `j`, once the fragment spills.
+    slopes: Vec<N>,
     /// Positions of the fragment's joins that can grow, steepest slope
-    /// first.
+    /// first, once the fragment spills.
     growth: Vec<usize>,
 }
 
-impl<'a> ScaledView<'a> {
-    /// Computes `K` and the per-relation tables.
-    pub fn new(inst: &'a QoHInstance) -> Self {
-        let n = inst.n();
-        let mut scale = BigUint::one();
-        let mut edges = vec![Vec::new(); n];
+impl<'a, N: ScaledInt<'a>> ScaledView<'a, N> {
+    /// The per-relation tables of `inst` scaled by `scale`, its
+    /// [`scale_of`].
+    pub fn new(inst: &'a QoHInstance, scale: BigUint) -> Self {
+        let mut edges = vec![Vec::new(); inst.n()];
         for (u, v, s) in inst.edges() {
-            let (p, q) = (s.numer().magnitude(), s.denom());
+            let (p, q) = (N::factor(s.numer().magnitude()), N::factor(s.denom()));
             edges[u].push((v, p, q));
             edges[v].push((u, p, q));
-            scale *= q;
         }
-        let rooms: Vec<BigUint> = (0..n).map(|v| &inst.sizes[v] - &inst.hjmins[v]).collect();
-        for room in rooms.iter().filter(|r| !r.is_zero()) {
-            scale *= room;
-        }
-        let scaled_sizes = inst.sizes.iter().map(|t| &scale * t).collect();
-        ScaledView { inst, scale, scaled_sizes, rooms, edges }
+        let relations = (inst.sizes.iter().zip(&inst.hjmins).zip(edges))
+            .map(|((t, hjmin), edges)| ScaledRelation {
+                t: N::factor(t),
+                size: N::from_big(t),
+                scaled_size: N::from_big(&(&scale * t)),
+                hjmin: N::from_big(hjmin),
+                room: N::from_big(&(t - hjmin)),
+                edges,
+            })
+            .collect();
+        let total = inst.sizes.iter().fold(BigUint::zero(), |acc, t| &acc + t);
+        let memory = N::from_big((&inst.memory).min(&total));
+        ScaledView { inst, scale, relations, memory }
     }
 
     /// The instance this view scales.
@@ -447,108 +502,95 @@ impl<'a> ScaledView<'a> {
     }
 
     /// The rational a scaled value stands for, in lowest terms.
-    pub fn unscale(&self, scaled: BigUint) -> BigRational {
-        BigRational::new(BigInt::from(scaled), self.scale.clone())
+    pub fn unscale(&self, scaled: &N) -> BigRational {
+        BigRational::new(BigInt::from(scaled.to_big()), self.scale.clone())
     }
 
-    /// Writes into `out` the step that appends `v` at position
-    /// `prefix.len()`, after the relations `prefix` whose last step is
-    /// `last`. Only `out`'s buffers are written: once they have grown to
-    /// the sizes a search meets, a step allocates nothing.
-    pub fn step_into(
-        &self,
-        out: &mut ScaledStep,
-        last: Option<&ScaledStep>,
-        v: usize,
-        prefix: &[usize],
-    ) {
-        // `clone_from` a zero empties a buffer and keeps it.
-        let zero = BigUint::zero();
+    /// Writes into `out` `K·N_d` of the prefix `prefix` extended by `v`
+    /// at position `d = prefix.len()`, from `last = K·N_{d−1}` (`None` at
+    /// `d = 0`). Only `out` is written: once its buffer has grown to the
+    /// sizes a search meets, a step allocates nothing.
+    pub fn step_into(&self, out: &mut N, last: Option<&N>, v: usize, prefix: &[usize]) {
+        let r = &self.relations[v];
         let Some(last) = last else {
-            out.size.clone_from(&self.scaled_sizes[v]);
-            out.weight.clone_from(&zero);
-            out.slope.clone_from(&zero);
+            out.clone_from(&r.scaled_size);
             return;
         };
-        let size = &mut out.size;
-        size.clone_from(&last.size);
-        let joined = || self.edges[v].iter().filter(|(k, _, _)| prefix.contains(k));
-        for (_, _, q) in joined() {
-            size.div_exact_assign(q);
-        }
-        *size *= &self.inst.sizes[v];
-        for (_, p, _) in joined().filter(|(_, p, _)| !p.is_one()) {
-            *size *= p;
-        }
-        out.weight.clone_from(&last.size);
-        out.weight += &self.scaled_sizes[v];
-        if self.rooms[v].is_zero() {
-            out.slope.clone_from(&zero);
-        } else {
-            out.slope.clone_from(&out.weight);
-            out.slope.div_exact_assign(&self.rooms[v]);
-        }
+        out.clone_from(last);
+        let joined = r.edges.iter().filter(|(k, _, _)| prefix.contains(k));
+        out.div_exact_product(joined.clone().map(|&(_, _, q)| q));
+        out.mul_product(std::iter::once(r.t).chain(joined.map(|&(_, p, _)| p)));
     }
 
     /// `K·` the cost of every feasible fragment `(i, d)` ending at the last
-    /// position `d` of the prefix `order` (with its `steps`) under its
-    /// optimal allocation, passed to `each(i, cost)` for `i = d` down to 1
-    /// until `Σ hjmin` exceeds `M`. `cost` is a buffer of the caller's
-    /// `scratch`: `each` may swap it for another buffer, and whichever
-    /// buffer is left there is refilled for the next `i`.
+    /// position `d` of the prefix `order` (with `steps[j] = K·N_j`) under
+    /// its optimal allocation, passed to `each(i, cost)` for `i = d` down
+    /// to 1 until `Σ hjmin` exceeds `M`. `cost` is a buffer of the
+    /// caller's `scratch`: `each` may swap it for another buffer, and
+    /// whichever buffer is left there is refilled for the next `i`.
     ///
     /// The allocation is [`QoHInstance::optimal_allocation`]'s greedy:
     /// `hjmin` for every join, then the leftover to the joins in order of
-    /// steepest slope, each up to its `room`. `growth` keeps the joins of
-    /// the current fragment in that order as `i` falls: a new join goes
-    /// before every join of equal slope, since equal slopes fill in join
-    /// order.
+    /// steepest slope, each up to its `room`. `hjmin + room = t`, so while
+    /// `Σ t ≤ M` every join is filled, and neither the slopes nor their
+    /// order are needed. The first `i` with `Σ t > M` computes the slopes
+    /// of `i ..= d` and inserts those joins from `d` down, and as `i` falls
+    /// further each new join is inserted the same way: before every join
+    /// of equal slope, since equal slopes fill in join order.
     pub fn last_fragments(
         &self,
         order: &[usize],
-        steps: &[ScaledStep],
-        scratch: &mut FragmentScratch,
-        mut each: impl FnMut(usize, &mut BigUint),
+        steps: &[N],
+        scratch: &mut FragmentScratch<N>,
+        mut each: impl FnMut(usize, &mut N),
     ) {
         let d = order.len() - 1;
-        let FragmentScratch { need, sizes, builds, leftover, part, cost, spare, growth } = scratch;
-        let zero = BigUint::zero();
+        let FragmentScratch { need, sizes, builds, leftover, part, cost, spare, slopes, growth } =
+            scratch;
+        let zero = N::default();
         need.clone_from(&zero);
         sizes.clone_from(&zero);
         builds.clone_from(&zero);
-        growth.clear();
+        let mut spills = false;
         for i in (1..=d).rev() {
-            let v = order[i];
-            *need += &self.inst.hjmins[v];
-            if *need > self.inst.memory {
+            let r = &self.relations[order[i]];
+            need.add_assign(&r.hjmin);
+            if *need > self.memory {
                 return;
             }
-            *sizes += &self.inst.sizes[v];
-            *builds += &self.scaled_sizes[v];
-            if !self.rooms[v].is_zero() {
-                let slope = &steps[i].slope;
-                let at = growth.iter().position(|&j| steps[j].slope <= *slope);
-                growth.insert(at.unwrap_or(growth.len()), i);
-            }
+            sizes.add_assign(&r.size);
+            builds.add_assign(&r.scaled_size);
             // Read the input, write the output, build every inner relation.
-            cost.clone_from(&steps[i - 1].size);
-            *cost += &steps[d].size;
-            *cost += &*builds;
-            // `hjmin + room = t`, so with `Σ t ≤ M` every join is filled
-            // and spills nothing.
-            if *sizes > self.inst.memory {
-                leftover.clone_from(&self.inst.memory);
-                *leftover -= &*need;
+            cost.clone_from(&steps[i - 1]);
+            cost.add_assign(&steps[d]);
+            cost.add_assign(builds);
+            if *sizes > self.memory {
+                if !spills {
+                    // The first spill: the joins past `i` enter first.
+                    spills = true;
+                    if slopes.len() <= d {
+                        slopes.resize_with(d + 1, N::default);
+                    }
+                    growth.clear();
+                    for j in (i + 1..=d).rev() {
+                        self.grow(order, steps, j, slopes, growth);
+                    }
+                }
+                self.grow(order, steps, i, slopes, growth);
+                leftover.clone_from(&self.memory);
+                leftover.sub_assign(need);
                 for &j in growth.iter() {
-                    let room = &self.rooms[order[j]];
+                    let rj = &self.relations[order[j]];
                     if leftover.is_zero() {
-                        *cost += &steps[j].weight;
-                    } else if *room <= *leftover {
-                        *leftover -= room;
+                        // Unfilled: it spills `K·weight_j`.
+                        cost.add_assign(&steps[j - 1]);
+                        cost.add_assign(&rj.scaled_size);
+                    } else if rj.room <= *leftover {
+                        leftover.sub_assign(&rj.room);
                     } else {
-                        part.clone_from(room);
-                        *part -= &*leftover;
-                        spare.set_mul_add(cost, &steps[j].slope, part);
+                        part.clone_from(&rj.room);
+                        part.sub_assign(leftover);
+                        spare.set_mul_add_small(cost, &slopes[j], part);
                         std::mem::swap(cost, spare);
                         leftover.clone_from(&zero);
                     }
@@ -556,6 +598,29 @@ impl<'a> ScaledView<'a> {
             }
             each(i, cost);
         }
+    }
+
+    /// If join `J_j` of `order` can grow, writes `K·slope_j`, its saving
+    /// per extra page, into `slopes[j]` and inserts `j` into `growth`
+    /// before every join of equal or lower slope.
+    fn grow(
+        &self,
+        order: &[usize],
+        steps: &[N],
+        j: usize,
+        slopes: &mut [N],
+        growth: &mut Vec<usize>,
+    ) {
+        let r = &self.relations[order[j]];
+        if r.room.is_zero() {
+            return;
+        }
+        let slope = &mut slopes[j];
+        slope.clone_from(&steps[j - 1]);
+        slope.add_assign(&r.scaled_size);
+        slope.div_exact_small(&r.room);
+        let at = growth.iter().position(|&k| slopes[k] <= slopes[j]);
+        growth.insert(at.unwrap_or(growth.len()), j);
     }
 }
 

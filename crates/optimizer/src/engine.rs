@@ -67,7 +67,7 @@
 //! worker before the error surfaces, so no threads outlive the call.
 
 use crate::Optimum;
-use aqo_bignum::{BigInt, BigRational, BigUint, FixedUint, LogNum};
+use aqo_bignum::{BigInt, BigRational, BigUint, FixedUint, LogNum, ScaledInt};
 use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::parallel::{par_chunks_zip, resolve_threads};
 use aqo_core::qon::QoNInstance;
@@ -628,128 +628,6 @@ impl<'a> AccessRows<'a> {
 /// `p_e = q_e = 1`: the selectivity of a pair off the query graph.
 static ONE: LazyLock<BigUint> = LazyLock::new(BigUint::one);
 
-/// The integers phase B computes in: `D`-scaled sizes and prefix costs,
-/// multiplied and divided by the instance's sizes, access costs and
-/// selectivity terms. Phase B has one body, monomorphized per
-/// implementation: [`FixedUint`] when [`phase_b_bits`] fits its width,
-/// and [`BigUint`] past it.
-trait ScaledInt<'a>: Clone + Default + Ord {
-    /// A size `t`, access cost `w` or selectivity term `p`/`q`.
-    type Factor: Copy;
-    fn factor(v: &'a BigUint) -> Self::Factor;
-    /// `f·g` as one factor, when it is one.
-    fn combine(f: Self::Factor, g: Self::Factor) -> Option<Self::Factor>;
-    fn from_big(v: &BigUint) -> Self;
-    fn to_big(&self) -> BigUint;
-    /// `self = a + b·c`.
-    fn set_mul_add(&mut self, a: &Self, b: &Self, c: Self::Factor);
-    fn mul_factor(&mut self, m: Self::Factor);
-    /// `self /= d` for a `d` that divides `self`; panics otherwise.
-    fn div_exact_factor(&mut self, d: Self::Factor);
-}
-
-impl<'a> ScaledInt<'a> for BigUint {
-    type Factor = &'a BigUint;
-
-    fn factor(v: &'a BigUint) -> &'a BigUint {
-        v
-    }
-
-    /// Only a factor of one combines, into the other: a `BigUint` product
-    /// would have nowhere to live.
-    fn combine(f: &'a BigUint, g: &'a BigUint) -> Option<&'a BigUint> {
-        if g.is_one() {
-            Some(f)
-        } else if f.is_one() {
-            Some(g)
-        } else {
-            None
-        }
-    }
-
-    fn from_big(v: &BigUint) -> BigUint {
-        v.clone()
-    }
-
-    fn to_big(&self) -> BigUint {
-        self.clone()
-    }
-
-    fn set_mul_add(&mut self, a: &BigUint, b: &BigUint, c: &'a BigUint) {
-        BigUint::set_mul_add(self, a, b, c);
-    }
-
-    fn mul_factor(&mut self, m: &'a BigUint) {
-        *self *= m;
-    }
-
-    fn div_exact_factor(&mut self, d: &'a BigUint) {
-        self.div_exact_assign(d);
-    }
-}
-
-impl<'a, const L: usize> ScaledInt<'a> for FixedUint<L> {
-    type Factor = u64;
-
-    /// Only one-limb instances run on a fixed width.
-    fn factor(v: &'a BigUint) -> u64 {
-        let limbs = v.limbs();
-        assert!(limbs.len() <= 1, "a fixed-width phase B needs one-limb factors");
-        limbs.first().copied().unwrap_or(0)
-    }
-
-    fn combine(f: u64, g: u64) -> Option<u64> {
-        f.checked_mul(g)
-    }
-
-    fn from_big(v: &BigUint) -> Self {
-        FixedUint::from_big(v)
-    }
-
-    fn to_big(&self) -> BigUint {
-        FixedUint::to_big(self)
-    }
-
-    #[inline]
-    fn set_mul_add(&mut self, a: &Self, b: &Self, c: u64) {
-        FixedUint::set_mul_add(self, a, b, c);
-    }
-
-    #[inline]
-    fn mul_factor(&mut self, m: u64) {
-        self.mul_assign_u64(m);
-    }
-
-    #[inline]
-    fn div_exact_factor(&mut self, d: u64) {
-        self.div_exact_assign_u64(d);
-    }
-}
-
-/// `op(x, f)` for the product of `factors`, applied in as few calls as
-/// [`ScaledInt::combine`] allows: consecutive factors are multiplied
-/// into one while their product is one factor.
-#[inline]
-fn apply_combined<'a, N: ScaledInt<'a>>(
-    x: &mut N,
-    factors: impl Iterator<Item = N::Factor>,
-    op: impl Fn(&mut N, N::Factor),
-) {
-    let mut acc: Option<N::Factor> = None;
-    for f in factors {
-        acc = Some(match acc {
-            None => f,
-            Some(a) => N::combine(a, f).unwrap_or_else(|| {
-                op(x, a);
-                f
-            }),
-        });
-    }
-    if let Some(a) = acc {
-        op(x, a);
-    }
-}
-
 /// The set bits of a mask, ascending.
 #[inline]
 fn bit_indices(mut bits: u32) -> impl Iterator<Item = usize> + Clone {
@@ -867,9 +745,8 @@ impl<'a, N: ScaledInt<'a>> ScaledView<'a, N> {
     fn extend_n(&self, nn: &mut N, j: usize, s: u32) {
         let row = j * self.rows.n;
         let joined = bit_indices(self.rows.nbr[j] & s);
-        apply_combined(nn, joined.clone().map(|v| self.pq[row + v].1), N::div_exact_factor);
-        let grow = std::iter::once(self.w[row + j]).chain(joined.map(|v| self.pq[row + v].0));
-        apply_combined(nn, grow, N::mul_factor);
+        nn.div_exact_product(joined.clone().map(|v| self.pq[row + v].1));
+        nn.mul_product(std::iter::once(self.w[row + j]).chain(joined.map(|v| self.pq[row + v].0)));
     }
 
     /// `D·C(order)`, the scaled cost of one join sequence.

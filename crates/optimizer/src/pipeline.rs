@@ -9,12 +9,14 @@
 //! prefix `z_0 … z_k`. The exhaustive search therefore walks prefixes depth
 //! first and extends the DP by one row per prefix, instead of redoing it
 //! for each of the `n!` sequences. The DP runs on integers scaled by one
-//! instance-wide `K` ([`aqo_core::qoh::ScaledView`]); the reported cost is
-//! the one rational `K·C/K`.
+//! instance-wide `K` ([`aqo_core::qoh::ScaledView`]): `FixedUint<4>` limbs
+//! when the bit bound [`qoh::scaled_bits`] fits them and every size and
+//! selectivity term fits one limb, `BigUint` otherwise, in one body. The
+//! reported cost is the one rational `K·C/K`.
 
-use aqo_bignum::{BigRational, BigUint};
+use aqo_bignum::{BigRational, BigUint, FixedUint, ScaledInt};
 use aqo_core::budget::{run_unlimited, Budget, BudgetExceeded};
-use aqo_core::qoh::{FragmentScratch, PipelineDecomposition, QoHInstance, ScaledStep, ScaledView};
+use aqo_core::qoh::{self, FragmentScratch, PipelineDecomposition, QoHInstance, ScaledView};
 use aqo_core::JoinSequence;
 
 /// Largest `n` the exhaustive search accepts (`9! = 362,880` sequences).
@@ -46,20 +48,39 @@ pub struct QohPlan {
     pub cost: BigRational,
 }
 
+/// The [`FixedUint`] width of the scaled search, in limbs. Every instance
+/// of the `qoh-exhaustive` pools at seeds 1 and 7 (chain 5, memory the
+/// product of the sizes) bounds at 128–222 bits; reduction instances,
+/// whose `K` reaches ~1,600 bits, run on [`BigUint`].
+const QOH_LIMBS: usize = 4;
+
+/// `K`, and whether the search runs on `FixedUint<QOH_LIMBS>`: its `64·L`
+/// bits hold [`qoh::scaled_bits`] and every size and selectivity term fits
+/// one limb. Otherwise it runs on [`BigUint`].
+fn scale_and_width(inst: &QoHInstance) -> (BigUint, bool) {
+    let scale = qoh::scale_of(inst);
+    let fits = qoh::one_limb_factors(inst)
+        && qoh::scaled_bits(inst, &scale) <= 64 * QOH_LIMBS as u64;
+    (scale, fits)
+}
+
 /// A plan whose cost is still scaled by the view's `K`.
-struct ScaledPlan {
-    cost: BigUint,
+struct ScaledPlan<N> {
+    cost: N,
     order: Vec<usize>,
     fragments: Vec<(usize, usize)>,
 }
 
-impl ScaledPlan {
-    fn unscale(self, view: &ScaledView) -> QohPlan {
+impl<N> ScaledPlan<N> {
+    fn unscale<'a>(self, view: &ScaledView<'a, N>) -> QohPlan
+    where
+        N: ScaledInt<'a>,
+    {
         let n = self.order.len();
         QohPlan {
             sequence: JoinSequence::new(self.order),
             decomposition: PipelineDecomposition::new(n, self.fragments),
-            cost: view.unscale(self.cost),
+            cost: view.unscale(&self.cost),
         }
     }
 }
@@ -68,23 +89,29 @@ impl ScaledPlan {
 /// shortened one relation at a time. `steps` and `dp` keep one entry per
 /// depth ever reached, past the live depth `order.len()` too: a `push`
 /// refills the entry of its depth in place and a `pop` only shortens the
-/// prefix, so a search allocates its big numbers once per depth, not once
-/// per prefix.
-struct PrefixDp<'v, 'a> {
-    view: &'v ScaledView<'a>,
+/// prefix, so a search on `BigUint` allocates its big numbers once per
+/// depth, not once per prefix.
+struct PrefixDp<'v, 'a, N: ScaledInt<'a>> {
+    view: &'v ScaledView<'a, N>,
     order: Vec<usize>,
-    /// `K·N_j`, `K·weight_j` and `K·slope_j` of every position.
-    steps: Vec<ScaledStep>,
+    /// `K·N_j` of every position.
+    steps: Vec<N>,
     /// `K·dp[k]`: the cheapest execution of `J_1 … J_k` (`dp[0] = 0`), and
     /// the start of its last fragment.
-    dp: Vec<(BigUint, usize)>,
-    scratch: FragmentScratch,
+    dp: Vec<(N, usize)>,
+    scratch: FragmentScratch<N>,
 }
 
-impl<'v, 'a> PrefixDp<'v, 'a> {
-    fn new(view: &'v ScaledView<'a>) -> Self {
-        let scratch = FragmentScratch::default();
-        PrefixDp { view, order: vec![], steps: vec![], dp: vec![], scratch }
+impl<'v, 'a, N: ScaledInt<'a>> PrefixDp<'v, 'a, N> {
+    fn new(view: &'v ScaledView<'a, N>) -> Self {
+        let n = view.instance().n();
+        PrefixDp {
+            view,
+            order: Vec::with_capacity(n),
+            steps: Vec::with_capacity(n),
+            dp: Vec::with_capacity(n),
+            scratch: FragmentScratch::default(),
+        }
     }
 
     /// Appends `v` as `z_d` and computes `dp[d] = min_i dp[i−1] + frag(i, d)`,
@@ -97,8 +124,8 @@ impl<'v, 'a> PrefixDp<'v, 'a> {
     fn push(&mut self, v: usize) {
         let d = self.order.len();
         if self.steps.len() == d {
-            self.steps.push(ScaledStep::default());
-            self.dp.push((BigUint::zero(), 0));
+            self.steps.push(N::default());
+            self.dp.push((N::default(), 0));
         }
         let (done, step) = self.steps.split_at_mut(d);
         self.view.step_into(&mut step[0], done.last(), v, &self.order);
@@ -106,13 +133,13 @@ impl<'v, 'a> PrefixDp<'v, 'a> {
         let (dp, slot) = self.dp.split_at_mut(d);
         let slot = &mut slot[0];
         if d == 0 {
-            *slot = (BigUint::zero(), 0);
+            *slot = (N::default(), 0);
             return;
         }
         let mut won = None;
         let steps = &self.steps[..=d];
         self.view.last_fragments(&self.order, steps, &mut self.scratch, |i, cost| {
-            *cost += &dp[i - 1].0;
+            cost.add_assign(&dp[i - 1].0);
             // `i` falls, so `<=` leaves the lowest `i` of equal cost. The
             // slot's old buffer goes back to the scratch for the next `i`.
             if won.is_none() || *cost <= slot.0 {
@@ -136,12 +163,12 @@ impl<'v, 'a> PrefixDp<'v, 'a> {
     }
 
     /// `K·` the cost of the full prefix.
-    fn cost(&self) -> &BigUint {
+    fn cost(&self) -> &N {
         &self.dp[self.order.len() - 1].0
     }
 
     /// The plan of the full prefix: its sequence, decomposition and cost.
-    fn plan(&self) -> ScaledPlan {
+    fn plan(&self) -> ScaledPlan<N> {
         let mut fragments = Vec::new();
         let mut k = self.order.len() - 1;
         while k >= 1 {
@@ -169,15 +196,27 @@ pub fn best_decompositions(
     inst: &QoHInstance,
     orders: &[JoinSequence],
 ) -> Vec<Option<(PipelineDecomposition, BigRational)>> {
-    let view = ScaledView::new(inst);
-    let mut dp = PrefixDp::new(&view);
+    let (scale, fits) = scale_and_width(inst);
+    if fits {
+        decompositions_in(&ScaledView::<FixedUint<QOH_LIMBS>>::new(inst, scale), orders)
+    } else {
+        decompositions_in(&ScaledView::<BigUint>::new(inst, scale), orders)
+    }
+}
+
+/// [`best_decompositions`] on `view`.
+fn decompositions_in<'a, N: ScaledInt<'a>>(
+    view: &ScaledView<'a, N>,
+    orders: &[JoinSequence],
+) -> Vec<Option<(PipelineDecomposition, BigRational)>> {
+    let mut dp = PrefixDp::new(view);
     let decompose = |z: &JoinSequence| {
         assert!(z.len() >= 2, "need at least one join");
-        if !inst.sequence_feasible(z) {
+        if !view.instance().sequence_feasible(z) {
             return None;
         }
         dp.set(z.order());
-        let plan = dp.plan().unscale(&view);
+        let plan = dp.plan().unscale(view);
         Some((plan.decomposition, plan.cost))
     };
     orders.iter().map(decompose).collect()
@@ -208,13 +247,29 @@ pub fn optimize_exhaustive_par_with_budget(
     threads: usize,
     budget: &Budget,
 ) -> Result<Option<QohPlan>, BudgetExceeded> {
-    use aqo_core::parallel::{resolve_threads, run_workers};
+    use aqo_core::parallel::resolve_threads;
     let n = inst.n();
     assert!((2..=MAX_N).contains(&n), "exhaustive QO_H search is for n in 2..={MAX_N}");
     let threads = resolve_threads(threads).min(n);
-    let view = ScaledView::new(inst);
-    let outcomes = run_workers(threads, |t| -> Result<Option<ScaledPlan>, BudgetExceeded> {
-        let (mut dp, mut best, mut tally) = (PrefixDp::new(&view), None, (0, 0));
+    let (scale, fits) = scale_and_width(inst);
+    if fits {
+        exhaustive_in(&ScaledView::<FixedUint<QOH_LIMBS>>::new(inst, scale), threads, budget)
+    } else {
+        exhaustive_in(&ScaledView::<BigUint>::new(inst, scale), threads, budget)
+    }
+}
+
+/// [`optimize_exhaustive_par_with_budget`] on `view`, with `threads`
+/// resolved.
+fn exhaustive_in<'a, N: ScaledInt<'a>>(
+    view: &ScaledView<'a, N>,
+    threads: usize,
+    budget: &Budget,
+) -> Result<Option<QohPlan>, BudgetExceeded> {
+    use aqo_core::parallel::run_workers;
+    let n = view.instance().n();
+    let outcomes = run_workers(threads, |t| -> Result<Option<ScaledPlan<N>>, BudgetExceeded> {
+        let (mut dp, mut best, mut tally) = (PrefixDp::new(view), None, (0, 0));
         for root in (t..n).step_by(threads) {
             dp.push(root);
             search(&mut dp, budget, &mut best, &mut tally)?;
@@ -223,24 +278,24 @@ pub fn optimize_exhaustive_par_with_budget(
         flush_sequence_counts(tally.0, tally.1);
         Ok(best)
     });
-    let mut best: Option<ScaledPlan> = None;
+    let mut best: Option<ScaledPlan<N>> = None;
     for plan in outcomes.into_iter().filter_map(Result::transpose) {
         let plan = plan?;
         if best.as_ref().is_none_or(|b| (&plan.cost, &plan.order) < (&b.cost, &b.order)) {
             best = Some(plan);
         }
     }
-    Ok(best.map(|plan| plan.unscale(&view)))
+    Ok(best.map(|plan| plan.unscale(view)))
 }
 
 /// Visits every completion of `dp`'s prefix in lexicographic order, keeping
 /// the first cheapest in `best` and counting `(costed, infeasible)`
 /// sequences in `tally`. A relation that cannot be built (`hjmin > M`) cuts
 /// its subtree of `(n−1−d)!` sequences, all ticked and counted infeasible.
-fn search(
-    dp: &mut PrefixDp,
+fn search<'a, N: ScaledInt<'a>>(
+    dp: &mut PrefixDp<'_, 'a, N>,
     budget: &Budget,
-    best: &mut Option<ScaledPlan>,
+    best: &mut Option<ScaledPlan<N>>,
     tally: &mut (u64, u64),
 ) -> Result<(), BudgetExceeded> {
     let inst = dp.view.instance();
@@ -280,6 +335,18 @@ fn search(
 // work (O(n^3) DP re-evaluations at worst); only the exponential searches
 // take a Budget.
 pub fn optimize_greedy(inst: &QoHInstance) -> Option<QohPlan> {
+    let (order, lo) = greedy_order(inst)?;
+    let (scale, fits) = scale_and_width(inst);
+    Some(if fits {
+        two_opt(&ScaledView::<FixedUint<QOH_LIMBS>>::new(inst, scale), &order, lo)
+    } else {
+        two_opt(&ScaledView::<BigUint>::new(inst, scale), &order, lo)
+    })
+}
+
+/// The greedy min-intermediate sequence of [`optimize_greedy`], and the
+/// first position its 2-opt may move.
+fn greedy_order(inst: &QoHInstance) -> Option<(Vec<usize>, usize)> {
     let n = inst.n();
     assert!(n >= 2);
     // Unbuildable relations (hjmin > M) can only ever be the outermost; more
@@ -330,14 +397,22 @@ pub fn optimize_greedy(inst: &QoHInstance) -> Option<QohPlan> {
         log_n = new_log;
     }
     // Only the unbuildable relation, if any, sits at position 0, and the
-    // swaps below never move it: every sequence they try is feasible.
-    // One view and one prefix DP serve every candidate; a swap at `i < j`
-    // keeps the DP rows of positions before `i`.
-    let view = ScaledView::new(inst);
-    let mut dp = PrefixDp::new(&view);
-    dp.set(&order);
+    // 2-opt never moves it: every sequence it tries is feasible.
+    Some((order, usize::from(!unbuildable.is_empty())))
+}
+
+/// The greedy's 2-opt from `order`: position swaps at `lo..n` until none
+/// improves. One prefix DP serves every candidate; a swap at `i < j`
+/// keeps the DP rows of positions before `i`.
+fn two_opt<'a, N: ScaledInt<'a>>(
+    view: &ScaledView<'a, N>,
+    order: &[usize],
+    lo: usize,
+) -> QohPlan {
+    let n = order.len();
+    let mut dp = PrefixDp::new(view);
+    dp.set(order);
     let mut best = dp.plan();
-    let lo = usize::from(!unbuildable.is_empty());
     loop {
         let mut improved = false;
         for i in lo..n {
@@ -355,7 +430,7 @@ pub fn optimize_greedy(inst: &QoHInstance) -> Option<QohPlan> {
             break;
         }
     }
-    Some(best.unscale(&view))
+    best.unscale(view)
 }
 
 /// Brute-force check helper: the best decomposition found by trying *every*
@@ -394,6 +469,7 @@ mod tests {
     use aqo_bignum::{BigInt, BigUint};
     use aqo_core::SelectivityMatrix;
     use aqo_graph::Graph;
+    use proptest::prelude::*;
 
     fn path(n: usize, mem: u64) -> QoHInstance {
         let mut g = Graph::new(n);
@@ -533,5 +609,187 @@ mod tests {
         );
         let plan = optimize_greedy(&inst).expect("feasible with big relation first");
         assert_eq!(plan.sequence.at(0), 0);
+    }
+
+    /// A random connected instance on `n` relations. With a `target`, its
+    /// [`qoh::scaled_bits`] is exactly that: sizes take about half of the
+    /// bits left after small denominators, and the first edge's
+    /// denominator makes `bits(K)` up to the rest. Without one, sizes
+    /// have up to 40 bits. With `wide`, one size or one denominator needs
+    /// two limbs. With `spill`, memory lies between `Σ hjmin` and `Σ t`,
+    /// so fragments hand out their leftover by slope; otherwise it is the
+    /// product of the sizes and every fragment fits.
+    fn qoh_with_bound(
+        seed: u64,
+        n: usize,
+        target: Option<u64>,
+        wide: bool,
+        spill: bool,
+    ) -> QoHInstance {
+        // SplitMix64: every output bit is usable, low ones included.
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ state >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ z >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ z >> 31
+        };
+        // A `b`-bit value with random low bits.
+        let with_bits = |r: u64, b: u64| 1u64 << (b - 1) | r & ((1u64 << (b - 1)) - 1);
+        let mut g = Graph::new(n);
+        for v in 1..n {
+            g.add_edge((next() % v as u64) as usize, v);
+        }
+        if next() % 2 == 0 && !g.has_edge(0, n - 1) {
+            g.add_edge(0, n - 1);
+        }
+        let edges: Vec<(usize, usize)> = g.edges().collect();
+        let mut qs: Vec<BigUint> =
+            edges.iter().map(|_| BigUint::from(with_bits(next(), 1 + next() % 12))).collect();
+        let size_bits = match target {
+            Some(t) => {
+                let n_bits = u64::from(u64::BITS - (4 * n as u64).leading_zeros());
+                let q_bits: u64 = qs[1..].iter().map(BigUint::bits).sum();
+                t.saturating_sub(n_bits + q_bits + 32) / 2
+            }
+            None => (0..n).map(|_| next() % 40 + 1).sum(),
+        };
+        let mut sizes: Vec<BigUint> = (0..n)
+            .map(|v| {
+                let b = (size_bits / n as u64 + u64::from((v as u64) < size_bits % n as u64))
+                    .clamp(1, 63);
+                BigUint::from(with_bits(next(), b))
+            })
+            .collect();
+        if wide {
+            let big = |x: &BigUint, low: u64| (x << 64) + BigUint::from(low);
+            if next() % 2 == 0 {
+                sizes[0] = big(&sizes[0], next());
+            } else {
+                qs[0] = big(&qs[0], next());
+            }
+        }
+        let build = |qs: &[BigUint], sizes: &[BigUint], memory: BigUint| {
+            let mut s = SelectivityMatrix::new();
+            for (&(u, v), q) in edges.iter().zip(qs) {
+                // `p` is 1 or `q − 1`, coprime to `q`.
+                let p = if q > &BigUint::from(2u64) && q.bits() % 2 == 0 {
+                    q - &BigUint::one()
+                } else {
+                    BigUint::one()
+                };
+                s.set(u, v, BigRational::new(BigInt::from(p), q.clone()));
+            }
+            QoHInstance::new(g.clone(), sizes.to_vec(), s, memory)
+        };
+        if let Some(t) = target {
+            // `K` without the first edge's `q`, which is 1 for now: pick
+            // `q` with `bits(K·q) = t − Σ bits(t_v) − bits(4n)`.
+            qs[0] = BigUint::one();
+            let draft = build(&qs, &sizes, BigUint::one());
+            let k0 = qoh::scale_of(&draft);
+            // `bits(1) = 1`.
+            let rest = t + 1 - qoh::scaled_bits(&draft, &BigUint::one());
+            let low = &(&(BigUint::one() << (rest - 1)) + &(&k0 - &BigUint::one())) / &k0;
+            let high = &(&(BigUint::one() << rest) - &BigUint::one()) / &k0;
+            let span = &(&high - &low) + &BigUint::one();
+            qs[0] = &low + &(&BigUint::from(next()) % &span);
+        }
+        let hjmin = |t: &BigUint| t.root_pow_ceil(1, 2);
+        let memory = if spill {
+            let lo = sizes.iter().fold(BigUint::zero(), |a, t| &a + &hjmin(t));
+            let hi = sizes.iter().fold(BigUint::zero(), |a, t| &a + t);
+            &lo + &(&BigUint::from(next()) % &(&(&hi - &lo) + &BigUint::one()))
+        } else {
+            sizes.iter().fold(BigUint::one(), |a, t| &a * t)
+        };
+        build(&qs, &sizes, memory)
+    }
+
+    /// `(order, fragments, cost)` of a plan.
+    type Parts = (Vec<usize>, Vec<(usize, usize)>, BigRational);
+
+    fn parts(plan: QohPlan) -> Parts {
+        (plan.sequence.order().to_vec(), plan.decomposition.fragments().to_vec(), plan.cost)
+    }
+
+    /// `(fragments, cost)` of a sequence's decomposition, if it has one.
+    type Decomposed = Option<(Vec<(usize, usize)>, BigRational)>;
+
+    fn decomposition_parts(d: Option<(PipelineDecomposition, BigRational)>) -> Decomposed {
+        d.map(|(d, c)| (d.fragments().to_vec(), c))
+    }
+
+    /// The exhaustive optimum, the greedy's plan and the decomposition of
+    /// every sequence in `perms`, all on `view`.
+    fn searches_in<'a, N: ScaledInt<'a>>(
+        view: &ScaledView<'a, N>,
+        perms: &[JoinSequence],
+    ) -> (Option<Parts>, Option<Parts>, Vec<Decomposed>) {
+        let exhaustive = exhaustive_in(view, 1, &Budget::unlimited()).unwrap().map(parts);
+        let greedy =
+            greedy_order(view.instance()).map(|(order, lo)| parts(two_opt(view, &order, lo)));
+        let each = decompositions_in(view, perms).into_iter().map(decomposition_parts).collect();
+        (exhaustive, greedy, each)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The scaled search on `FixedUint<QOH_LIMBS>`, where its bound
+        /// allows, and on `BigUint`, against the every-partition reference:
+        /// the exhaustive optimum, the greedy's decomposition and every
+        /// sequence's. Bounds of exactly `64·L` and `64·L + 1` land on both
+        /// sides of the width, a two-limb size or `q` forces `BigUint`, and
+        /// a memory between `Σ hjmin` and `Σ t` spills.
+        #[test]
+        fn scaled_width_matches_biguint_and_bruteforce(
+            seed in any::<u64>(),
+            n in 3usize..=5,
+            kind in 0usize..4,
+        ) {
+            let edge = 64 * QOH_LIMBS as u64;
+            let (target, wide, spill) = match kind {
+                0 => (Some(edge), false, seed % 2 == 0),
+                1 => (Some(edge + 1), false, seed % 2 == 0),
+                2 => (None, true, seed % 2 == 0),
+                _ => (None, false, true),
+            };
+            let inst = qoh_with_bound(seed, n, target, wide, spill);
+            let (scale, fits) = scale_and_width(&inst);
+            let bits = qoh::scaled_bits(&inst, &scale);
+            if let Some(target) = target {
+                prop_assert_eq!(bits, target);
+            }
+            prop_assert_eq!(fits, !wide && bits <= edge);
+            let perms: Vec<JoinSequence> =
+                aqo_core::join::permutations(n).map(JoinSequence::new).collect();
+            let each: Vec<_> = perms
+                .iter()
+                .map(|z| decomposition_parts(best_decomposition_bruteforce(&inst, z)))
+                .collect();
+            let mut optimum: Option<Parts> = None;
+            for (z, d) in perms.iter().zip(&each) {
+                if let Some((fragments, cost)) = d {
+                    if optimum.as_ref().is_none_or(|b| *cost < b.2) {
+                        optimum = Some((z.order().to_vec(), fragments.clone(), cost.clone()));
+                    }
+                }
+            }
+            prop_assert!(optimum.is_some());
+            let big = ScaledView::<BigUint>::new(&inst, scale.clone());
+            let mut runs = vec![searches_in(&big, &perms)];
+            if fits {
+                let view = ScaledView::<FixedUint<QOH_LIMBS>>::new(&inst, scale);
+                runs.push(searches_in(&view, &perms));
+            }
+            for (exhaustive, greedy, got) in runs {
+                prop_assert_eq!(&exhaustive, &optimum);
+                let (order, fragments, cost) = greedy.expect("a feasible sequence exists");
+                let at = perms.iter().position(|z| z.order() == order.as_slice()).unwrap();
+                prop_assert_eq!(Some((fragments, cost)), each[at].clone());
+                prop_assert_eq!(&got, &each);
+            }
+        }
     }
 }
