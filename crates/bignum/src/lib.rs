@@ -15,8 +15,9 @@
 //!   cost models (selectivities are reciprocals, so intermediate sizes are
 //!   rationals);
 //! * [`LogNum`] — a fast companion (an `f64` mantissa times a coarse power
-//!   of two, so no overflow) used by the subset DP, heuristics and
-//!   figures; cross-validated against the exact types in tests;
+//!   of two, so no overflow) used by the heuristics, the figures and the
+//!   subset DP's float pass wherever its values may leave the `f64`
+//!   range; cross-validated against the exact types in tests;
 //! * [`FixedUint`] — an integer of exactly `L` limbs, inline and `Copy`,
 //!   that panics on overflow;
 //! * [`ScaledInt`] — the integer interface of the exact searches' scaled

@@ -15,8 +15,11 @@
 //! [`LogNum::powi`].
 //!
 //! This is the fast companion of [`BigRational`](crate::BigRational): the
-//! subset-DP optimizer and the heuristics run in it and the winners are
-//! re-costed exactly.
+//! heuristics run in it and the winners are re-costed exactly. The exact
+//! engine's first phase runs in it only when a bit bound cannot prove that
+//! its values stay in the normal `f64` range (the reductions' costs reach
+//! `2^100000`); inside that range it runs on raw `f64`, which rounds
+//! exactly as `LogNum` does there, since every rescale is a power of two.
 
 use crate::BigUint;
 use std::cmp::Ordering;

@@ -45,6 +45,50 @@ impl BigRational {
         }
     }
 
+    /// `num / den` for a `den` already coprime to `num`, so no GCD runs.
+    /// The caller's proof keeps the `gcd = 1` invariant; debug builds
+    /// check it.
+    pub(crate) fn from_coprime(num: BigUint, den: BigUint) -> Self {
+        debug_assert!(num.gcd(&den).is_one(), "from_coprime: {num:?} and {den:?} are not coprime");
+        BigRational { num: BigInt::from(num), den }
+    }
+
+    /// `x / ∏ factors` in lowest terms, equal to [`BigRational::new`] on
+    /// the product, without a GCD of two big values. One-limb factors are
+    /// multiplied into `u64` chunks while the product fits; for each chunk
+    /// `f`, `g = gcd(x mod f, f)` is a machine-word GCD, `x` is divided
+    /// exactly by `g` and `f/g` is kept. Since `gcd(x/g, f/g) = 1` and
+    /// later steps only divide `x` further, the final `x` is coprime to
+    /// every kept `f/g`, so their product is the reduced denominator.
+    /// Factors of more than one limb are multiplied in whole and reduced
+    /// by [`BigRational::new`]. Panics on a zero factor.
+    pub fn from_scaled<'a>(mut x: BigUint, factors: impl IntoIterator<Item = &'a BigUint>) -> Self {
+        let (mut den, mut wide, mut chunk) = (BigUint::one(), BigUint::one(), 1u64);
+        let mut cancel = |x: &mut BigUint, f: u64| {
+            let g = x.gcd_word(f);
+            x.div_exact_assign(&BigUint::from(g));
+            den *= &BigUint::from(f / g);
+        };
+        for f in factors {
+            assert!(!f.is_zero(), "BigRational with zero denominator");
+            match *f.limbs() {
+                [q] => {
+                    chunk = chunk.checked_mul(q).unwrap_or_else(|| {
+                        cancel(&mut x, chunk);
+                        q
+                    });
+                }
+                _ => wide *= f,
+            }
+        }
+        cancel(&mut x, chunk);
+        if wide.is_one() {
+            BigRational::from_coprime(x, den)
+        } else {
+            BigRational::new(BigInt::from(x), &den * &wide)
+        }
+    }
+
     /// Builds the integer `v / 1`.
     pub fn from_int(v: impl Into<BigInt>) -> Self {
         BigRational { num: v.into(), den: BigUint::one() }
@@ -457,6 +501,13 @@ mod tests {
     fn min_max() {
         assert_eq!(rat(1, 2).min(rat(1, 3)), rat(1, 3));
         assert_eq!(rat(1, 2).max(rat(1, 3)), rat(1, 2));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not coprime")]
+    fn from_coprime_rejects_a_common_factor_in_debug_builds() {
+        let _ = BigRational::from_coprime(BigUint::from(6u64), BigUint::from(4u64));
     }
 
     #[test]

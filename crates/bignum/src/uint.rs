@@ -636,6 +636,12 @@ impl BigUint {
         gcd_nonzero(&self.limbs, &other.limbs)
     }
 
+    /// `gcd(self, d)` for a nonzero one-limb `d`: one remainder pass over
+    /// `self` (a mask for a power of two), then a machine-word GCD.
+    pub(crate) fn gcd_word(&self, d: u64) -> u64 {
+        gcd_u64(rem_limb(&self.limbs, d), d)
+    }
+
     /// Number of trailing zero bits; `0` for zero.
     pub fn trailing_zeros(&self) -> u64 {
         limbs_trailing_zeros(&self.limbs)

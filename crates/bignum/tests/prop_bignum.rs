@@ -396,6 +396,78 @@ proptest! {
     }
 }
 
+/// A denominator factor for `BigRational::from_scaled`: one, small,
+/// a power of two, `u64::MAX`, any word, or (rarely) two limbs.
+fn scale_factor() -> impl Strategy<Value = BigUint> {
+    (0u8..12, any::<u64>(), any::<u64>()).prop_map(|(kind, w, hi)| match kind {
+        0 => BigUint::one(),
+        1 | 2 => BigUint::from(2 + w % 1000),
+        3 | 4 => BigUint::from(1u64 << (w % 64)),
+        5 => BigUint::from(u64::MAX),
+        6..=10 => BigUint::from(w.max(1)),
+        _ => BigUint::from_limbs(vec![w, hi.max(1)]),
+    })
+}
+
+/// A factor list with repeats (each entry may copy an earlier one), and a
+/// numerator: zero, any value, or any value times a random sub-product of
+/// the factors, so that they share factors with it.
+fn scaled_fraction() -> impl Strategy<Value = (BigUint, Vec<BigUint>)> {
+    let picks = prop::collection::vec((scale_factor(), any::<u8>()), 0..14);
+    (picks, biguint(), 0u8..4, any::<u16>()).prop_map(|(picks, x, kind, keep)| {
+        let mut factors: Vec<BigUint> = Vec::new();
+        for (f, repeat) in picks {
+            let f = match repeat % 4 {
+                0 if !factors.is_empty() => factors[repeat as usize % factors.len()].clone(),
+                _ => f,
+            };
+            factors.push(f);
+        }
+        let shared = factors
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| keep >> (i % 16) & 1 == 1)
+            .fold(BigUint::one(), |acc, (_, f)| &acc * f);
+        let x = match kind {
+            0 => BigUint::zero(),
+            1 => x,
+            _ => &x * &shared,
+        };
+        (x, factors)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The exit reduction by word-sized chunks of the denominator equals
+    /// the GCD reduction of the whole fraction, bit for bit.
+    #[test]
+    fn from_scaled_matches_new((x, factors) in scaled_fraction()) {
+        let den = factors.iter().fold(BigUint::one(), |acc, f| &acc * f);
+        let want = BigRational::new(BigInt::from(x.clone()), den);
+        let got = BigRational::from_scaled(x, &factors);
+        prop_assert_eq!(got.numer(), want.numer());
+        prop_assert_eq!(got.denom(), want.denom());
+    }
+}
+
+#[test]
+fn from_scaled_splits_a_product_across_words() {
+    // 2^40 · 3^30 · 5^20 outgrows a word twice; the numerator shares some
+    // of every prime and one of u64::MAX's factors (3·5·17·257·641·…).
+    let factors: Vec<BigUint> = [1u64 << 40, 3u64.pow(30), 5u64.pow(20), u64::MAX, 1]
+        .into_iter()
+        .map(BigUint::from)
+        .collect();
+    let x = BigUint::from(6u64).pow(50) * BigUint::from(25u64 * 641);
+    let den = factors.iter().fold(BigUint::one(), |acc, f| &acc * f);
+    assert_eq!(
+        BigRational::from_scaled(x.clone(), &factors),
+        BigRational::new(BigInt::from(x), den)
+    );
+}
+
 #[test]
 fn add_assign_carries_into_a_new_limb() {
     let mut v = BigUint::from_limbs(vec![u64::MAX; 3]);

@@ -29,12 +29,17 @@
 //!    the combinatorial number system (all-subsets mode, `O(k)` for all
 //!    `k` predecessors of a target together) or a binary search in the
 //!    sorted previous layer (connected mode) — no dense mask→rank table.
-//! 3. **Two-phase costing.** Phase A runs the whole DP in [`LogNum`], an
-//!    `f64` mantissa with a coarse exponent whose every operation rounds
-//!    once and calls no transcendental function, producing a candidate
-//!    plan and, per frontier entry, an estimate of the cheapest way to
-//!    reach it. Phase B re-runs the DP exactly, but *prunes* every subset
-//!    whose phase-A estimate exceeds the exact candidate cost times
+//! 3. **Two-phase costing.** Phase A runs the whole DP in floating point,
+//!    producing a candidate plan and, per frontier entry, an estimate of
+//!    the cheapest way to reach it. Bit lengths alone prove, before it
+//!    starts, whether every value it will meet is zero, `+∞` or a normal
+//!    `f64` (`phase_a_exponents`); then it runs on raw `f64`, and
+//!    otherwise on [`LogNum`], an `f64` mantissa with a coarse exponent
+//!    whose every operation rounds once, which reaches the reductions'
+//!    `2^100000`. One body serves both, and inside the proven range they
+//!    round alike, so estimates, candidate and prune decisions are the
+//!    same bit for bit. Phase B re-runs the DP exactly, but *prunes*
+//!    every subset whose phase-A estimate exceeds the exact candidate cost times
 //!    `1 + prune_margin`, a relative bound on phase A's accumulated
 //!    rounding error that depends on `n` only. Costs only grow along a
 //!    sequence, so every subset whose exact best prefix cost is at most
@@ -46,9 +51,10 @@
 //!    `p_e/q_e`, every `D·N(S)` and `D·dp[S]` is an integer, so a
 //!    transition is one fused multiply-add and one integer compare — no
 //!    GCD, no cross-multiplication — and the answer is the single
-//!    rational `D·dp[full] / D`. A bit bound known before phase B picks
-//!    the integers: [`FixedUint`] limbs of a fixed width, or [`BigUint`]
-//!    past it (`phase_b_bits`). If pruning ever lost the
+//!    rational `D·dp[full] / D`, reduced by `D`'s own factors, the `q_e`,
+//!    in machine words (`BigRational::from_scaled`). A bit bound known
+//!    before phase B picks the integers: [`FixedUint`] limbs of a fixed
+//!    width, or [`BigUint`] past it (`phase_b_bits`). If pruning ever lost the
 //!    optimum (phase B finds no plan, or one dearer than the candidate),
 //!    phase B reruns unpruned and `optimizer.engine.prune_fallbacks`
 //!    counts it.
@@ -67,11 +73,12 @@
 //! worker before the error surfaces, so no threads outlive the call.
 
 use crate::Optimum;
-use aqo_bignum::{BigInt, BigRational, BigUint, FixedUint, LogNum, ScaledInt};
+use aqo_bignum::{BigRational, BigUint, FixedUint, LogNum, ScaledInt};
 use aqo_core::budget::{Budget, BudgetExceeded};
 use aqo_core::parallel::{par_chunks_zip, resolve_threads};
 use aqo_core::qon::QoNInstance;
 use aqo_core::{CostScalar, JoinSequence};
+use std::ops::{Add, Mul};
 use std::sync::LazyLock;
 
 /// The largest `n` the engine accepts in the mode `allow_cartesian`
@@ -348,56 +355,99 @@ fn pred_ranks(
     k
 }
 
-/// Precomputed [`LogNum`] view of an instance: the call's neighbour
-/// bitmasks and the `t`, `w*`, `s` scalars converted once, so the phase-A
-/// hot loop allocates nothing and touches no big numbers.
-struct LogView<'a> {
+/// The scalar phase A runs in: raw `f64` when [`phase_a_fits`] proves
+/// that every value it meets is zero, `+∞` or a normal `f64`, and
+/// [`LogNum`] otherwise. Inside that range `LogNum` rounds exactly as
+/// `f64` does (its rescales are exact powers of two), so both give the
+/// same estimates, parents and prune decisions, bit for bit.
+trait Estimate: Copy + PartialOrd + Add<Output = Self> + Mul<Output = Self> + Send + Sync {
+    const ZERO: Self;
+    const ONE: Self;
+    /// The unreached sentinel; never an operand of arithmetic.
+    const INFINITY: Self;
+    /// A value from its [`LogNum`] conversion, exactly inside the range.
+    fn from_log(v: LogNum) -> Self;
+}
+
+impl Estimate for f64 {
+    const ZERO: f64 = 0.0;
+    const ONE: f64 = 1.0;
+    const INFINITY: f64 = f64::INFINITY;
+    #[inline]
+    fn from_log(v: LogNum) -> f64 {
+        v.to_f64()
+    }
+}
+
+impl Estimate for LogNum {
+    const ZERO: LogNum = LogNum::ZERO;
+    const ONE: LogNum = LogNum::ONE;
+    const INFINITY: LogNum = LogNum::INFINITY;
+    #[inline]
+    fn from_log(v: LogNum) -> LogNum {
+        v
+    }
+}
+
+/// Precomputed phase-A view of an instance: the call's neighbour bitmasks
+/// and the `t`, `w*`, `s` scalars converted once (through [`LogNum`]'s
+/// conversions, so both scalars start from the same roundings), so the
+/// phase-A hot loop allocates nothing and touches no big numbers.
+struct LogView<'a, E> {
     nbr: &'a [u32],
-    tlog: Vec<LogNum>,
+    tlog: Vec<E>,
     /// Row `j` of `w*` in ascending value order, `n` slots per row: one
     /// `(1 << k, w(j,k))` per neighbour `k` and one `(!nbr(j), t_j)` for
     /// the default access path, which every non-neighbour offers. Unused
     /// slots are `(0, +inf)` and never match.
-    wrows: Vec<(u32, LogNum)>,
+    wrows: Vec<(u32, E)>,
     /// Selectivities row-major; `1` off the query graph.
-    slog: Vec<LogNum>,
+    slog: Vec<E>,
 }
 
-impl<'a> LogView<'a> {
-    fn build(inst: &QoNInstance, nbr: &'a [u32]) -> LogView<'a> {
+impl<'a, E: Estimate> LogView<'a, E> {
+    fn build(inst: &QoNInstance, nbr: &'a [u32]) -> LogView<'a, E> {
         let n = inst.n();
-        let tlog: Vec<LogNum> = inst.sizes().iter().map(LogNum::from_uint).collect();
-        let mut wrows = vec![(0u32, LogNum::INFINITY); n * n];
+        let of = |v: &BigUint| E::from_log(LogNum::from_uint(v));
+        let tlog: Vec<E> = inst.sizes().iter().map(of).collect();
+        let mut wrows = vec![(0u32, E::INFINITY); n * n];
         let mut len = vec![1usize; n];
         for (j, &t) in tlog.iter().enumerate() {
             wrows[j * n] = (!nbr[j], t);
         }
-        let mut slog = vec![LogNum::ONE; n * n];
+        let mut slog = vec![E::ONE; n * n];
         for (u, v, s, [w_uv, w_vu]) in inst.edges() {
-            let s = <LogNum as CostScalar>::from_ratio(s);
+            let s = E::from_log(<LogNum as CostScalar>::from_ratio(s));
             (slog[u * n + v], slog[v * n + u]) = (s, s);
             for (j, k, w) in [(u, v, w_uv), (v, u, w_vu)] {
-                wrows[j * n + len[j]] = (1 << k, LogNum::from_uint(w));
+                wrows[j * n + len[j]] = (1 << k, of(w));
                 len[j] += 1;
             }
         }
         for (row, &l) in wrows.chunks_exact_mut(n).zip(&len) {
-            row[..l].sort_by_key(|&(_, w)| w);
+            // Insertion sort: stable, short rows, and little code per scalar.
+            for i in 1..l {
+                let mut p = i;
+                while p > 0 && row[p].1 < row[p - 1].1 {
+                    row.swap(p, p - 1);
+                    p -= 1;
+                }
+            }
         }
         LogView { nbr, tlog, wrows, slog }
     }
 }
 
-/// Phase-A output: per-layer [`LogNum`] cost estimates, frontier-aligned,
-/// and the winning predecessor per entry.
-struct LogDp {
-    dp: Vec<Vec<LogNum>>,
+/// Phase-A output: per-layer cost estimates, frontier-aligned, and the
+/// winning predecessor per entry.
+struct LogDp<E> {
+    dp: Vec<Vec<E>>,
     parent: Vec<Vec<u8>>,
 }
 
 #[inline]
-fn unreached(v: LogNum) -> bool {
-    v == LogNum::INFINITY
+fn unreached<E: Estimate>(v: E) -> bool {
+    v == E::INFINITY
 }
 
 /// Walks parent pointers down the frontiers from the full set. `None`
@@ -429,37 +479,37 @@ fn reconstruct_order(frontiers: &Frontiers, parent: &[Vec<u8>], n: usize) -> Opt
 /// default `t_j` once `s` holds a non-neighbour. On a dense `s` that is
 /// the first or second entry.
 #[inline]
-fn wmin_log(view: &LogView, n: usize, j: usize, s: u32) -> LogNum {
+fn wmin_log<E: Estimate>(view: &LogView<E>, n: usize, j: usize, s: u32) -> E {
     let row = &view.wrows[j * n..(j + 1) * n];
-    row.iter().find(|&&(mask, _)| s & mask != 0).map_or(LogNum::INFINITY, |&(_, w)| w)
+    row.iter().find(|&&(mask, _)| s & mask != 0).map_or(E::INFINITY, |&(_, w)| w)
 }
 
-/// Phase A: the subset DP in log domain over the sparse frontiers,
+/// Phase A: the subset DP in `E` over the sparse frontiers,
 /// layer-parallel.
-fn log_phase(
+fn log_phase<E: Estimate>(
     inst: &QoNInstance,
     frontiers: &Frontiers,
     nbr: &[u32],
     allow_cartesian: bool,
     threads: usize,
     budget: &Budget,
-) -> Result<LogDp, BudgetExceeded> {
+) -> Result<LogDp<E>, BudgetExceeded> {
     let _span = aqo_obs::span!("engine.log_phase");
     let n = inst.n();
-    let view = LogView::build(inst, nbr);
+    let view = LogView::<E>::build(inst, nbr);
     let binom = Binom::build(n);
     // The view's n×n tables and sizes, charged before the layer loop.
-    let row_bytes = std::mem::size_of::<(u32, LogNum)>() + std::mem::size_of::<LogNum>();
-    budget.charge_memory((n * n * row_bytes + n * std::mem::size_of::<LogNum>()) as u64)?;
+    let row_bytes = std::mem::size_of::<(u32, E)>() + std::mem::size_of::<E>();
+    budget.charge_memory((n * n * row_bytes + n * std::mem::size_of::<E>()) as u64)?;
     budget.checkpoint()?;
 
-    let mut dp_layers: Vec<Vec<LogNum>> = vec![Vec::new(); n + 1];
+    let mut dp_layers: Vec<Vec<E>> = vec![Vec::new(); n + 1];
     let mut parent_layers: Vec<Vec<u8>> = vec![Vec::new(); n + 1];
-    dp_layers[1] = vec![LogNum::ZERO; n];
+    dp_layers[1] = vec![E::ZERO; n];
     parent_layers[1] = vec![u8::MAX; n];
-    let mut nlog_prev: Vec<LogNum> = view.tlog.clone();
-    let mut nlog_cur: Vec<LogNum> = Vec::new();
-    let mut results: Vec<(LogNum, LogNum, u8)> = Vec::new();
+    let mut nlog_prev: Vec<E> = view.tlog.clone();
+    let mut nlog_cur: Vec<E> = Vec::new();
+    let mut results: Vec<(E, E, u8)> = Vec::new();
     let mut scratch_charged = 0usize;
     // Singletons are DP states too: with them the count equals
     // `Frontiers::total_subsets()` in both modes.
@@ -473,15 +523,14 @@ fn log_phase(
         let width = targets.len();
         // Persistent per-layer tables plus the reusable worker scratch
         // (results + the rolling N(S) buffer), charged before resizing.
-        let persist = width * (std::mem::size_of::<LogNum>() + 1);
-        let scratch = width
-            * (std::mem::size_of::<(LogNum, LogNum, u8)>() + std::mem::size_of::<LogNum>());
+        let persist = width * (std::mem::size_of::<E>() + 1);
+        let scratch = width * (std::mem::size_of::<(E, E, u8)>() + std::mem::size_of::<E>());
         let grow = scratch.saturating_sub(scratch_charged);
         budget.charge_memory((persist + grow) as u64)?;
         scratch_charged = scratch_charged.max(scratch);
         results.clear();
-        results.resize(width, (LogNum::INFINITY, LogNum::ZERO, u8::MAX));
-        let dp_prev: &[LogNum] = &dp_layers[k - 1];
+        results.resize(width, (E::INFINITY, E::ZERO, u8::MAX));
+        let dp_prev: &[E] = &dp_layers[k - 1];
         let prev_layer = frontiers.layer(k - 1);
 
         par_chunks_zip(threads, targets, &mut results, |_, ts, res| {
@@ -492,8 +541,8 @@ fn log_phase(
                 // N(T), order-invariant, from the canonical parent: the
                 // lowest removed bit whose remainder is on the frontier
                 // (in all-subsets mode that is always the lowest bit).
-                let mut nl = LogNum::ZERO;
-                let mut best = LogNum::INFINITY;
+                let mut nl = E::ZERO;
+                let mut best = E::INFINITY;
                 let mut bj = u8::MAX;
                 let mut canonical = false;
                 let mut tb = tm;
@@ -649,26 +698,67 @@ fn scale_of(inst: &QoNInstance) -> BigUint {
     scale
 }
 
-/// A bound on the bits of every value phase B computes, from bit lengths
-/// alone: `bits(D) + Σ_v bits(t_v) + max bits(w*) + bits(n) + 1`.
+/// `Σ_v bits(t_v) + max bits(w*) + bits(n)`: every unscaled `N(S)`, prefix
+/// cost and candidate is below `2^cost_bits`.
 ///
 /// Proof. `p_e ≤ q_e` on every edge (an instance's access costs enforce
-/// `t_j·p_e/q_e ≤ w ≤ t_j`), so `D·N(S) = ∏_{v∈S} t_v · ∏_{e⊆S} p_e ·
-/// ∏_{e⊄S} q_e ≤ ∏_v t_v · D < 2^(Σ bits(t_v) + bits(D))`, and so is every
-/// value `extend_n` passes through: it divides before it multiplies, and
-/// each multiplier is at least 1. A scaled prefix cost, or a candidate
-/// `a + b·c` for one, is a sum of at most `n − 1` terms `D·N(S)·w*`, each
-/// below `2^(bits(D) + Σ bits(t_v) + max bits(w*))`, so below that times
+/// `t_j·p_e/q_e ≤ w ≤ t_j`), so `N(S) = ∏_{v∈S} t_v · ∏_{e⊆S} p_e/q_e ≤
+/// ∏_v t_v < 2^Σ bits(t_v)`. A prefix cost, or a candidate `a + b·c` for
+/// one, is a sum of at most `n − 1` terms `N(S)·w*`, each below
+/// `2^(Σ bits(t_v) + max bits(w*))`, so below that times
 /// `n − 1 < 2^bits(n)`. `w*` ranges over the access costs and the sizes
-/// `t_j` (the default access path). The `+ 1` is slack, and so is
-/// `max bits(w*)`: a term's `w*(j, S) ≤ t_j` with `j ∉ S`, so it is below
-/// `2^(bits(D) + Σ bits(t_v))` already.
-fn phase_b_bits(inst: &QoNInstance, scale: &BigUint) -> u64 {
+/// `t_j` (the default access path). `max bits(w*)` is slack: a term's
+/// `w*(j, S) ≤ t_j` with `j ∉ S`, so it is below `2^Σ bits(t_v)` already.
+fn cost_bits(inst: &QoNInstance) -> u64 {
     let sizes = inst.sizes().iter().map(BigUint::bits);
     let access = inst.edges().flat_map(|(_, _, _, w)| w.iter().map(BigUint::bits));
     let widest = sizes.clone().chain(access).max().unwrap_or(0);
     let n = inst.n() as u64;
-    scale.bits() + sizes.sum::<u64>() + widest + u64::from(u64::BITS - n.leading_zeros()) + 1
+    sizes.sum::<u64>() + widest + u64::from(u64::BITS - n.leading_zeros())
+}
+
+/// The largest exponent, at either end, that [`phase_a_exponents`] may
+/// name for phase A to run on raw `f64`. The normal range spans
+/// `[2^-1022, 2^1024)`; the rest covers phase A's rounding, a factor
+/// within `1 ± 2^-40` on every value ([`prune_margin`]), many times over.
+const PHASE_A_EXP_LIMIT: u64 = 1000;
+
+/// `(lo, hi)` from bit lengths alone: every positive value phase A
+/// computes or converts lies in `(2^-lo, 2^hi)` before rounding, with
+/// `lo = Σ_e bits(q_e) ≥ bits(D)` and `hi` = [`cost_bits`].
+///
+/// Proof. An instance has `t_v ≥ 1` and selectivities `p_e/q_e` in
+/// `(0, 1]`, so `1 ≤ p_e ≤ q_e < 2^lo`, and integer access costs
+/// `w ≥ t_j·p_e/q_e > 0`, so `w ≥ 1`. Hence `p_e/q_e ≥ 1/q_e`, and
+/// `N(S) = ∏_{v∈S} t_v · ∏_{e⊆S} p_e/q_e ≥ 1/∏_{e⊆S} q_e > 2^-lo`; so is
+/// every partial product on the way to it, since each selectivity still
+/// to come is at most 1, and every cost term `N(S)·w*`. From above,
+/// sizes and access costs are below `2^hi` and so are `N(S)` and every
+/// cost ([`cost_bits`]). Zero enters only as the singletons' cost and
+/// `+∞` only as the unreached sentinel; neither is an operand of a
+/// product, so no `0·∞` arises.
+fn phase_a_exponents(inst: &QoNInstance) -> (u64, u64) {
+    let lo = inst.edges().map(|(_, _, s, _)| s.denom().bits()).sum();
+    (lo, cost_bits(inst))
+}
+
+/// Whether phase A runs on raw `f64`: both [`phase_a_exponents`] are at
+/// most [`PHASE_A_EXP_LIMIT`]. Otherwise it runs on [`LogNum`], whose
+/// coarse exponent reaches the reductions' `2^100000`.
+fn phase_a_fits(inst: &QoNInstance) -> bool {
+    let (lo, hi) = phase_a_exponents(inst);
+    lo.max(hi) <= PHASE_A_EXP_LIMIT
+}
+
+/// A bound on the bits of every value phase B computes, from bit lengths
+/// alone: `bits(D) +` [`cost_bits`] `+ 1`.
+///
+/// Proof. Every scaled value is `D` times an unscaled one below
+/// `2^cost_bits`, and so is every value `extend_n` passes through: it
+/// divides before it multiplies, and each multiplier is at least 1, so it
+/// never exceeds `D·∏_v t_v`. The `+ 1` is slack.
+fn phase_b_bits(inst: &QoNInstance, scale: &BigUint) -> u64 {
+    scale.bits() + cost_bits(inst) + 1
 }
 
 /// The [`FixedUint`] width phase B runs at, in limbs. Both `qon-dense`
@@ -772,6 +862,74 @@ struct Survivor<N> {
     size: N,
 }
 
+/// Phase A's output in the scalar [`phase_a_fits`] picked.
+enum PhaseA {
+    F64(LogDp<f64>),
+    Log(LogDp<LogNum>),
+}
+
+impl PhaseA {
+    /// Phase A on raw `f64` when the instance's bit bounds allow it, on
+    /// [`LogNum`] otherwise.
+    fn run(
+        inst: &QoNInstance,
+        frontiers: &Frontiers,
+        nbr: &[u32],
+        allow_cartesian: bool,
+        threads: usize,
+        budget: &Budget,
+    ) -> Result<PhaseA, BudgetExceeded> {
+        Ok(if phase_a_fits(inst) {
+            PhaseA::F64(log_phase(inst, frontiers, nbr, allow_cartesian, threads, budget)?)
+        } else {
+            PhaseA::Log(log_phase(inst, frontiers, nbr, allow_cartesian, threads, budget)?)
+        })
+    }
+
+    fn parent(&self) -> &[Vec<u8>] {
+        match self {
+            PhaseA::F64(log) => &log.parent,
+            PhaseA::Log(log) => &log.parent,
+        }
+    }
+
+    /// Whether the full set, the one entry of layer `n`, was reached.
+    fn reached_full(&self, n: usize) -> bool {
+        match self {
+            PhaseA::F64(log) => !unreached(log.dp[n][0]),
+            PhaseA::Log(log) => !unreached(log.dp[n][0]),
+        }
+    }
+
+    /// Phase B's filter under `bound`. On the `f64` path the bound lies in
+    /// the same proven range as the estimates, so it converts exactly and
+    /// every decision is the one `LogNum` would make.
+    fn prune(&self, bound: LogNum) -> Prune<'_> {
+        match self {
+            PhaseA::F64(log) => Prune::F64(&log.dp, bound.to_f64()),
+            PhaseA::Log(log) => Prune::Log(&log.dp, bound),
+        }
+    }
+}
+
+/// Phase A's estimates and the prune bound, in the scalar phase A ran in.
+#[derive(Clone, Copy)]
+enum Prune<'r> {
+    F64(&'r [Vec<f64>], f64),
+    Log(&'r [Vec<LogNum>], LogNum),
+}
+
+impl Prune<'_> {
+    /// Whether target `i` of layer `k` is estimated above the bound.
+    #[inline]
+    fn exceeds(self, k: usize, i: usize) -> bool {
+        match self {
+            Prune::F64(est, bound) => est[k][i] > bound,
+            Prune::Log(est, bound) => est[k][i] > bound,
+        }
+    }
+}
+
 /// A dead slot in a layer's rank → survivor map: the target was pruned
 /// or is unreachable.
 const DEAD: u32 = u32::MAX;
@@ -792,7 +950,7 @@ fn exact_phase<'a, N: ScaledInt<'a>>(
     frontiers: &Frontiers,
     allow_cartesian: bool,
     budget: &Budget,
-    prune: Option<(&[Vec<LogNum>], LogNum)>,
+    prune: Option<Prune<'_>>,
 ) -> Result<Option<(N, JoinSequence)>, BudgetExceeded> {
     let _span = aqo_obs::span!("engine.exact_phase");
     let n = view.rows.n;
@@ -810,8 +968,9 @@ fn exact_phase<'a, N: ScaledInt<'a>>(
     // Entries past a layer's survivors keep their buffers for a later one.
     let mut cur: Vec<Survivor<N>> = Vec::new();
     let mut cur_slots: Vec<u32> = Vec::new();
-    let mut parent_layers: Vec<Vec<u8>> = vec![Vec::new(); n + 1];
-    parent_layers[1] = vec![u8::MAX; n];
+    // Layer `k`'s parent row is pushed as entry `k`.
+    let mut parent_layers: Vec<Vec<u8>> = Vec::with_capacity(n + 1);
+    parent_layers.extend([Vec::new(), vec![u8::MAX; n]]);
     let mut slots_charged = n;
     // The running minimum and the candidate under test: each candidate is
     // formed in `scratch` and swapped in when it wins, and the winner is
@@ -834,21 +993,18 @@ fn exact_phase<'a, N: ScaledInt<'a>>(
         let mut parent = vec![u8::MAX; width];
         cur_slots.clear();
         cur_slots.reserve(width);
-        let est = prune.map(|(layers, bound)| (&layers[k][..], bound));
         let (mut used, mut recosted, mut pending) = (0usize, 0u64, 0u64);
 
         for (i, &tm) in targets.iter().enumerate() {
-            if let Some((est, bound)) = est {
-                if est[i] > bound {
-                    // Provably off every improving path.
-                    cur_slots.push(DEAD);
-                    pending += 1;
-                    if pending == PRUNED_TICK_BLOCK {
-                        budget.tick_n(pending)?;
-                        pending = 0;
-                    }
-                    continue;
+            if prune.is_some_and(|p| p.exceeds(k, i)) {
+                // Provably off every improving path.
+                cur_slots.push(DEAD);
+                pending += 1;
+                if pending == PRUNED_TICK_BLOCK {
+                    budget.tick_n(pending)?;
+                    pending = 0;
                 }
+                continue;
             }
             recosted += 1;
             budget.tick_n(pending + k as u64)?;
@@ -897,7 +1053,7 @@ fn exact_phase<'a, N: ScaledInt<'a>>(
         }
         budget.tick_n(pending)?;
 
-        parent_layers[k] = parent;
+        parent_layers.push(parent);
         std::mem::swap(&mut prev, &mut cur);
         std::mem::swap(&mut prev_slots, &mut cur_slots);
         // Prune/recost counts are a pure function of the phase-A
@@ -928,20 +1084,19 @@ fn exact_phase<'a, N: ScaledInt<'a>>(
     Ok(reconstruct_order(frontiers, &parent_layers, n).map(|sequence| (cost, sequence)))
 }
 
-/// Phase B under the prune `bound`, checked against the candidate's
-/// scaled cost: a pruned run that finds no plan, or one dearer than the
-/// candidate, has lost the optimum to the prune, so phase B reruns without
-/// pruning. The flag reports whether that rerun happened.
+/// Phase B under `prune`, checked against the candidate's scaled cost: a
+/// pruned run that finds no plan, or one dearer than the candidate, has
+/// lost the optimum to the prune, so phase B reruns without pruning. The
+/// flag reports whether that rerun happened.
 fn certified_exact_phase<'a, N: ScaledInt<'a>>(
     view: &ScaledView<'a, N>,
     frontiers: &Frontiers,
     allow_cartesian: bool,
     budget: &Budget,
-    est: &[Vec<LogNum>],
-    bound: LogNum,
+    prune: Prune<'_>,
     candidate: &N,
 ) -> Result<(Option<(N, JoinSequence)>, bool), BudgetExceeded> {
-    let pruned = exact_phase(view, frontiers, allow_cartesian, budget, Some((est, bound)))?;
+    let pruned = exact_phase(view, frontiers, allow_cartesian, budget, Some(prune))?;
     if pruned.as_ref().is_some_and(|(cost, _)| cost <= candidate) {
         return Ok((pruned, false));
     }
@@ -957,7 +1112,7 @@ struct PhaseB<'a, 'r> {
     frontiers: &'r Frontiers,
     allow_cartesian: bool,
     budget: &'r Budget,
-    log: &'r LogDp,
+    phase_a: &'r PhaseA,
     candidate: &'r JoinSequence,
 }
 
@@ -985,8 +1140,7 @@ fn certify<'a, N: ScaledInt<'a>>(
         b.frontiers,
         b.allow_cartesian,
         b.budget,
-        &b.log.dp,
-        bound,
+        b.phase_a.prune(bound),
         &candidate_cost,
     )?;
     Ok((opt.map(|(cost, sequence)| (cost.to_big(), sequence)), fell_back))
@@ -1033,13 +1187,13 @@ pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     let threads = resolve_threads(opts.threads);
     let nbr = nbr_masks(inst);
     let frontiers = Frontiers::build(n, &nbr, FrontierMode::of(allow_cartesian), budget)?;
-    let log = log_phase(inst, &frontiers, &nbr, allow_cartesian, threads, budget)?;
-    if frontiers.layer(n).is_empty() || unreached(log.dp[n][0]) {
+    let phase_a = PhaseA::run(inst, &frontiers, &nbr, allow_cartesian, threads, budget)?;
+    if frontiers.layer(n).is_empty() || !phase_a.reached_full(n) {
         // Unreachable full set is a combinatorial fact (disconnected graph
-        // under the no-cartesian rule), identical in both scalars.
+        // under the no-cartesian rule), identical in every scalar.
         return Ok(None);
     }
-    let Some(candidate) = reconstruct_order(&frontiers, &log.parent, n) else {
+    let Some(candidate) = reconstruct_order(&frontiers, phase_a.parent(), n) else {
         return Ok(None);
     };
     // Fixed-width limbs when phase B's values provably fit (DESIGN.md §9).
@@ -1051,7 +1205,7 @@ pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
         frontiers: &frontiers,
         allow_cartesian,
         budget,
-        log: &log,
+        phase_a: &phase_a,
         candidate: &candidate,
     };
     let (opt, fell_back) = if phase_b_fits(inst, &scale) {
@@ -1062,9 +1216,11 @@ pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     if fell_back {
         aqo_obs::counter_handle!("optimizer.engine.prune_fallbacks").inc();
     }
+    // `D·C*/D` reduced by `D`'s own factors, the `q_e`, in machine words.
+    let denoms = inst.edges().map(|(_, _, s, _)| s.denom());
     Ok(opt.map(|(cost, sequence)| Optimum {
         sequence,
-        cost: S::from_ratio(&BigRational::new(BigInt::from(cost), scale)),
+        cost: S::from_ratio(&BigRational::from_scaled(cost, denoms)),
     }))
 }
 
@@ -1220,15 +1376,28 @@ mod tests {
         BigRational::new(BigInt::from(scaled), scale.clone())
     }
 
-    /// Phase A's estimates, the candidate's scaled cost and the prune
-    /// bound, exactly as [`optimize_two_phase`] derives them.
-    fn phase_a_and_bound(inst: &QoNInstance, allow_cartesian: bool) -> (Frontiers, LogDp, LogNum) {
+    /// `f64` estimates as the [`LogNum`]s they equal.
+    fn as_lognum(log: LogDp<f64>) -> LogDp<LogNum> {
+        let dp = log.dp.iter().map(|l| l.iter().map(|&v| LogNum::from_value(v)).collect());
+        LogDp { dp: dp.collect(), parent: log.parent }
+    }
+
+    /// Phase A's estimates on the path the engine takes (as `LogNum`s,
+    /// exactly, on the `f64` path), the candidate's scaled cost and the
+    /// prune bound, exactly as [`optimize_two_phase`] derives them.
+    fn phase_a_and_bound(
+        inst: &QoNInstance,
+        allow_cartesian: bool,
+    ) -> (Frontiers, LogDp<LogNum>, LogNum) {
         let n = inst.n();
         let nbr = nbr_masks(inst);
         let budget = Budget::unlimited();
         let frontiers =
             Frontiers::build(n, &nbr, FrontierMode::of(allow_cartesian), &budget).unwrap();
-        let log = log_phase(inst, &frontiers, &nbr, allow_cartesian, 1, &budget).unwrap();
+        let log = match PhaseA::run(inst, &frontiers, &nbr, allow_cartesian, 1, &budget).unwrap() {
+            PhaseA::F64(log) => as_lognum(log),
+            PhaseA::Log(log) => log,
+        };
         let candidate = reconstruct_order(&frontiers, &log.parent, n).unwrap();
         let scale = scale_of(inst);
         let view = ScaledView::<BigUint>::build(inst, &nbr, &scale);
@@ -1295,8 +1464,7 @@ mod tests {
                 &frontiers,
                 true,
                 &Budget::unlimited(),
-                &log.dp,
-                bound,
+                Prune::Log(&log.dp, bound),
                 candidate,
             )
             .unwrap();
@@ -1350,6 +1518,18 @@ mod tests {
         }
     }
 
+    /// Phase A in `LogNum` and on raw `f64`: every estimate the same value,
+    /// bit for bit, and every parent the same.
+    fn assert_same_phase_a(log: &LogDp<LogNum>, raw: &LogDp<f64>, label: &str) {
+        assert_eq!(log.parent, raw.parent, "{label}: parents");
+        for (k, (l, r)) in log.dp.iter().zip(&raw.dp).enumerate() {
+            assert_eq!(l.len(), r.len(), "{label}: layer {k}");
+            for (i, (&l, &r)) in l.iter().zip(r).enumerate() {
+                assert_eq!(l, LogNum::from_value(r), "{label}: layer {k} entry {i}");
+            }
+        }
+    }
+
     #[test]
     fn log_parallel_deterministic_and_close_to_sequential_log_dp() {
         for seed in [3u64, 11, 29] {
@@ -1358,9 +1538,14 @@ mod tests {
             let (n, budget, nbr) = (inst.n(), Budget::unlimited(), nbr_masks(&inst));
             let frontiers = Frontiers::build(n, &nbr, FrontierMode::AllSubsets, &budget).unwrap();
             let mut baseline: Option<(u64, Vec<usize>)> = None;
+            assert!(phase_a_fits(&inst), "seed {seed}: small sizes run on f64");
             for threads in [1usize, 2, 3, 7] {
-                // Phase A alone: the candidate `optimize_two_phase` starts from.
+                // Phase A alone: the candidate `optimize_two_phase` starts from,
+                // in both scalars, bit for bit the same.
                 let log = log_phase(&inst, &frontiers, &nbr, true, threads, &budget).unwrap();
+                let raw =
+                    log_phase::<f64>(&inst, &frontiers, &nbr, true, threads, &budget).unwrap();
+                assert_same_phase_a(&log, &raw, &format!("seed {seed} threads {threads}"));
                 let cost = log.dp[n][0];
                 let order = reconstruct_order(&frontiers, &log.parent, n).unwrap();
                 // The engine evaluates the same canonical recurrence for any
@@ -1542,7 +1727,8 @@ mod tests {
         let (mut with_default, mut without_default) = (0usize, 0usize);
         for inst in &instances {
             let nbr = nbr_masks(inst);
-            let view = LogView::build(inst, &nbr);
+            let view = LogView::<LogNum>::build(inst, &nbr);
+            let raw = LogView::<f64>::build(inst, &nbr);
             let rows = AccessRows::build(inst, &nbr);
             for j in 0..n {
                 // Every nonempty mask without `j`: with and without a
@@ -1552,6 +1738,7 @@ mod tests {
                     assert_eq!(rows.wmin_at(j, s), want, "j {j} s {s:b}");
                     let got = wmin_log(&view, n, j, s);
                     assert_eq!(got, LogNum::from_uint(rows.w[want]), "j {j} s {s:b}");
+                    assert_eq!(wmin_log(&raw, n, j, s), got.to_f64(), "j {j} s {s:b}");
                     if s & !nbr[j] != 0 {
                         with_default += 1;
                     } else {
@@ -1600,8 +1787,8 @@ mod tests {
         let budget = Budget::unlimited();
         let frontiers =
             Frontiers::build(n, nbr, FrontierMode::of(allow_cartesian), &budget).unwrap();
-        let log = log_phase(inst, &frontiers, nbr, allow_cartesian, 1, &budget).unwrap();
-        let Some(candidate) = reconstruct_order(&frontiers, &log.parent, n) else {
+        let phase_a = PhaseA::run(inst, &frontiers, nbr, allow_cartesian, 1, &budget).unwrap();
+        let Some(candidate) = reconstruct_order(&frontiers, phase_a.parent(), n) else {
             return (None, false);
         };
         let scale = scale_of(inst);
@@ -1609,16 +1796,10 @@ mod tests {
         let scaled = view.path_cost(candidate.order());
         let bound =
             if impossible { LogNum::ZERO } else { prune_bound(n, &scaled.to_big(), &scale).0 };
-        let (opt, fell_back) = certified_exact_phase(
-            &view,
-            &frontiers,
-            allow_cartesian,
-            &budget,
-            &log.dp,
-            bound,
-            &scaled,
-        )
-        .unwrap();
+        let prune = phase_a.prune(bound);
+        let (opt, fell_back) =
+            certified_exact_phase(&view, &frontiers, allow_cartesian, &budget, prune, &scaled)
+                .unwrap();
         let opt = opt.map(|(cost, seq)| (unscale(cost.to_big(), &scale), seq.order().to_vec()));
         (opt, fell_back)
     }
@@ -1745,6 +1926,161 @@ mod tests {
                 for (got, fell_back) in runs {
                     prop_assert_eq!(&got, &want);
                     prop_assert_eq!(fell_back, impossible);
+                }
+            }
+        }
+    }
+
+    /// A random connected instance on `n` relations whose
+    /// [`phase_a_exponents`] are `(lo, hi)` with `lo` or `hi` equal to
+    /// `target` (by `at_lo`) and the other far below the limit. Some edges
+    /// have `q_e = 1` and some `p_e > 1`. At the `lo` end the denominators
+    /// share `target` bits, several limbs each on few edges; at the `hi`
+    /// end the sizes share it, several limbs each.
+    fn instance_at_exponent(seed: u64, n: usize, target: u64, at_lo: bool) -> QoNInstance {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ state >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ z >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ z >> 31
+        };
+        // A number of exactly `b >= 1` bits.
+        let mut of_bits = |b: u64| {
+            let top = BigUint::one() << (b - 1);
+            &top + &(&BigUint::from_limbs((0..b.div_ceil(64)).map(|_| next()).collect()) % &top)
+        };
+        let mut g = Graph::new(n);
+        for v in 1..n {
+            g.add_edge((seed as usize >> (v % 8)) % v, v);
+        }
+        for u in 0..n {
+            for v in u + 2..n {
+                if (seed >> ((u * n + v) % 61)) & 1 == 1 {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        let edges: Vec<(usize, usize)> = g.edges().collect();
+        // Bits per denominator: the first edge has `q = 1` (one bit); the
+        // rest share what is left of the target, or 2–4 bits each.
+        let m = edges.len() as u64;
+        let q_bits: Vec<u64> = (0..m)
+            .map(|i| match (i, at_lo) {
+                (0, _) => 1,
+                (_, true) => (target - 1) / (m - 1) + u64::from(i <= (target - 1) % (m - 1)),
+                (_, false) => 2 + i % 3,
+            })
+            .collect();
+        // At the `lo` end every size is 1, every `q_e` odd and just under
+        // `2^b`, and `p_e = 1` but for `p_e = 2` on one edge, so that
+        // `N(full) = 2/∏ q_e` falls to about `2^(1 − lo)`: a limit 22 bits
+        // higher would send it below `f64`'s normal range.
+        let mut sels = Vec::new();
+        for (i, &b) in q_bits.iter().enumerate() {
+            let (q, p) = if at_lo && b > 4 {
+                let q = &(&(BigUint::one() << b) - &(&of_bits(3) << 1)) - &BigUint::one();
+                (q, BigUint::from(1 + u64::from(i == 1)))
+            } else {
+                let q = of_bits(b);
+                let p = if b > 2 && i % 2 == 0 { &q - &BigUint::one() } else { BigUint::one() };
+                (q, p)
+            };
+            sels.push(BigRational::new(BigInt::from(p), q));
+        }
+        // Size bits `x` each, and `Σ + max = rest` exactly (see below).
+        let nbits = u64::from(usize::BITS - n.leading_zeros());
+        let rest = if at_lo { n as u64 + 1 } else { target - nbits };
+        let (x, rem) = (rest / (n as u64 + 1), rest % (n as u64 + 1));
+        let mut bits = vec![x; n];
+        match rem {
+            0 => {}
+            // Top `x + 1` adds 2; one other at `x − 1` takes one back.
+            1 => (bits[0], bits[1]) = (x + 1, x - 1),
+            // Top `x + 1` adds 2, then `rem − 2` others rise to `x + 1`.
+            _ => (0..rem as usize - 1).for_each(|i| bits[i] = x + 1),
+        }
+        let sizes: Vec<BigUint> = bits.iter().map(|&b| of_bits(b)).collect();
+        let mut s = SelectivityMatrix::new();
+        let mut w = AccessCostMatrix::new();
+        for (&(u, v), sel) in edges.iter().zip(&sels) {
+            s.set(u, v, sel.clone());
+            for (j, k) in [(u, v), (v, u)] {
+                let lower = (BigRational::from(sizes[j].clone()) * sel).ceil().magnitude().clone();
+                let room = &sizes[j] - &lower;
+                let pick = &(&room * &BigUint::from(next() % 1024)) / &BigUint::from(1023u64);
+                w.set(j, k, &lower + &pick);
+            }
+        }
+        QoNInstance::new(g, sizes, s, w)
+    }
+
+    #[test]
+    fn phase_a_range_sends_the_wide_f_n_instance_to_lognum() {
+        // The two-limb `a` of the prune test: sizes of 281 bits each.
+        let inst = fn_instance(9, 5, &(BigUint::one() << 70), 4);
+        assert!(phase_a_exponents(&inst).1 > PHASE_A_EXP_LIMIT);
+        let (n, budget, nbr) = (inst.n(), Budget::unlimited(), nbr_masks(&inst));
+        let frontiers = Frontiers::build(n, &nbr, FrontierMode::AllSubsets, &budget).unwrap();
+        let phase_a = PhaseA::run(&inst, &frontiers, &nbr, true, 1, &budget).unwrap();
+        assert!(matches!(phase_a, PhaseA::Log(_)));
+        // A base-4 one, the shape E5 solves exactly, fits.
+        assert!(phase_a_fits(&fn_instance(10, 6, &BigUint::from(4u64), 7)));
+    }
+
+    proptest! {
+        /// Phase A at the edge of its `f64` range: instances whose bound
+        /// is exactly [`PHASE_A_EXP_LIMIT`] or one bit past it, at the
+        /// `lo` end (the denominators) and at the `hi` end (the sizes).
+        /// The engine takes the path the bound names, and both scalars
+        /// give the same estimates, parents, candidate and prune
+        /// decisions, bit for bit, in both modes and at 1 and 2 threads.
+        #[test]
+        fn phase_a_range_edge_takes_the_bound_path_and_agrees_bit_for_bit(
+            seed in any::<u64>(),
+            n in 3usize..=7,
+            past in any::<bool>(),
+            at_lo in any::<bool>(),
+        ) {
+            let target = PHASE_A_EXP_LIMIT + u64::from(past);
+            let inst = instance_at_exponent(seed, n, target, at_lo);
+            let (lo, hi) = phase_a_exponents(&inst);
+            prop_assert_eq!(if at_lo { lo } else { hi }, target);
+            prop_assert!(if at_lo { hi } else { lo } < PHASE_A_EXP_LIMIT);
+            prop_assert_eq!(phase_a_fits(&inst), !past);
+            let (budget, nbr) = (Budget::unlimited(), nbr_masks(&inst));
+            let scale = scale_of(&inst);
+            let view = ScaledView::<BigUint>::build(&inst, &nbr, &scale);
+            for allow in [true, false] {
+                let mode = FrontierMode::of(allow);
+                let frontiers = Frontiers::build(n, &nbr, mode, &budget).unwrap();
+                for threads in [1usize, 2] {
+                    let label = format!("allow {allow} threads {threads}");
+                    let taken = PhaseA::run(&inst, &frontiers, &nbr, allow, threads, &budget)
+                        .unwrap();
+                    prop_assert_eq!(matches!(taken, PhaseA::F64(_)), !past, "{}", label);
+                    let log = log_phase::<LogNum>(&inst, &frontiers, &nbr, allow, threads, &budget)
+                        .unwrap();
+                    let raw = log_phase::<f64>(&inst, &frontiers, &nbr, allow, threads, &budget)
+                        .unwrap();
+                    assert_same_phase_a(&log, &raw, &label);
+                    let candidate = reconstruct_order(&frontiers, &log.parent, n).unwrap();
+                    let want = reconstruct_order(&frontiers, taken.parent(), n).unwrap();
+                    prop_assert_eq!(candidate.order(), want.order(), "{}", label);
+                    let scaled = view.path_cost(candidate.order());
+                    let bound = prune_bound(n, &scaled, &scale).0;
+                    let (log, raw) = (PhaseA::Log(log), PhaseA::F64(raw));
+                    let (by_log, by_raw) = (log.prune(bound), raw.prune(bound));
+                    let mut kept = 0usize;
+                    for k in 2..=n {
+                        for i in 0..frontiers.layer(k).len() {
+                            let pruned = by_log.exceeds(k, i);
+                            let raw_pruned = by_raw.exceeds(k, i);
+                            prop_assert_eq!(pruned, raw_pruned, "{} k {} i {}", label, k, i);
+                            kept += usize::from(!pruned);
+                        }
+                    }
+                    prop_assert!(kept >= n - 1, "{}: the candidate's own prefixes survive", label);
                 }
             }
         }

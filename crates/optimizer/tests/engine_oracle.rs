@@ -2,7 +2,13 @@
 //! timed on. The serving benchmark checks its `qon-dense` answers (QO_N
 //! cliques, n = 9, cartesian products allowed) against the engine itself,
 //! so this file is that shape's independent oracle: the exact cost and
-//! the plan must equal `dp::optimize::<BigRational>` at threads 1 and 2.
+//! the plan must equal `dp::optimize::<BigRational>` at threads 1 and 2,
+//! on random cliques and on the benchmark's own two pools, rebuilt here as
+//! it builds them. On the pools the engine's work is pinned as well:
+//! recosts, prunes and expansions. The pools' `dp` cross-check takes
+//! seconds in a debug build, so it is `#[ignore]`d and runs in release
+//! (`cargo test --release -p aqo-optimizer --test engine_oracle --
+//! --ignored`); the pins run everywhere.
 //! The second test covers what the catalog generator never emits —
 //! selectivity numerators `p_e > 1` and edges with `q_e = 1` — which the
 //! engine's integer scaling (`D = ∏_e q_e`) must get right too. Neither
@@ -116,5 +122,61 @@ fn engine_matches_dp_with_general_selectivity_fractions() {
         assert_engine_matches_dp(&inst, &format!("fractional seed {seed}"));
     }
     assert!(numerators > 0 && unit > 0, "p > 1 and q = 1 edges both exercised");
+    assert_eq!(prune_fallbacks(), 0);
+}
+
+/// The benchmark's `qon-dense` pools, rebuilt as it builds them: seeds 1
+/// and 7, 64 cliques of 9 relations each, entry `i` drawn from its own
+/// stream so that entries do not depend on each other.
+fn qon_dense_pools() -> impl Iterator<Item = (u64, u64, QoNInstance)> {
+    [1u64, 7].into_iter().flat_map(|seed| {
+        (0..64u64).map(move |i| {
+            let mut rng =
+                StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i));
+            (seed, i, workloads::clique(9, &WorkloadParams::default(), &mut rng))
+        })
+    })
+}
+
+/// The pools' totals: recosted and pruned subsets, and the expansions of
+/// every completed run. A change to phase A's scalar, its prune bound or
+/// its budget ticks moves them.
+#[test]
+fn engine_work_on_the_qon_dense_pools_is_pinned() {
+    // Counters of this test's own scope: other tests run beside it.
+    let _scope = aqo_obs::Scope::new().install();
+    aqo_obs::set_enabled(true);
+    let opts = engine::DpOptions { allow_cartesian: true, threads: 1 };
+    let mut expansions = 0u64;
+    for (seed, i, inst) in qon_dense_pools() {
+        let budget = Budget::unlimited();
+        let got = engine::optimize_two_phase::<BigRational>(&inst, &opts, &budget)
+            .expect("unlimited budget");
+        assert!(got.is_some(), "seed {seed} instance {i}: a clique always has a plan");
+        expansions += budget.expansions_used();
+    }
+    let count = |name: &str| aqo_obs::counter(name).get();
+    assert_eq!(count("optimizer.engine.exact_recosts"), 3_742);
+    assert_eq!(count("optimizer.engine.pruned"), 60_514);
+    assert_eq!(expansions, 376_479);
+    assert_eq!(count("optimizer.engine.prune_fallbacks"), 0);
+}
+
+#[test]
+#[ignore = "seconds in a debug build; run in release with --ignored"]
+fn engine_matches_dp_on_the_qon_dense_pools() {
+    aqo_obs::set_enabled(true);
+    for (seed, i, inst) in qon_dense_pools() {
+        let want = dp::optimize::<BigRational>(&inst, true).expect("a clique always has a plan");
+        for threads in [1usize, 2] {
+            let opts = engine::DpOptions { allow_cartesian: true, threads };
+            let got = engine::optimize_two_phase::<BigRational>(&inst, &opts, &Budget::unlimited())
+                .expect("unlimited budget")
+                .expect("a clique always has a plan");
+            let label = format!("seed {seed} instance {i} threads {threads}");
+            assert_eq!(want.cost, got.cost, "{label}");
+            assert_eq!(want.sequence.order(), got.sequence.order(), "{label}");
+        }
+    }
     assert_eq!(prune_fallbacks(), 0);
 }
