@@ -73,23 +73,69 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two-phase engine over `qon-dense`'s shape, 64 distinct clique-9
-/// instances cycled: one instance repeated lets caches and branch
-/// predictors learn it and flatters every figure.
+/// The `f_N` reduction's instance on `n` vertices with clique number `k`:
+/// selectivity `1/a` and access cost `a^(e−1)` on every edge, size `a^e`.
+fn fn_instance(n: usize, k: usize, a: &BigUint, e: u64) -> QoNInstance {
+    let g = generators::dense_known_omega(n, k);
+    let sel = BigRational::recip_of(a.clone());
+    let mut s = SelectivityMatrix::new();
+    let mut w = AccessCostMatrix::new();
+    for (u, v) in g.edges().collect::<Vec<_>>() {
+        s.set(u, v, sel.clone());
+        w.set(u, v, a.pow(e - 1));
+        w.set(v, u, a.pow(e - 1));
+    }
+    QoNInstance::new(g, vec![a.pow(e); n], s, w)
+}
+
+/// The two-phase engine over pools of 64 distinct instances of one shape,
+/// cycled: one instance repeated lets caches and branch predictors learn
+/// it and flatters every figure. `clique9` is `qon-dense`'s shape; the
+/// stars, chains and cycles are the sparse side of phase A, with and
+/// without cartesian products; `fn9_wide` is an `f_N` instance with
+/// two-limb `a ≈ 2^70` (sizes of 281 bits), whose phase A runs on
+/// `LogNum` because its values leave `f64`'s range.
 fn bench_engine_cycled(c: &mut Criterion) {
     let params = WorkloadParams::default();
-    let pool: Vec<QoNInstance> = (0..64)
-        .map(|seed| workloads::clique(9, &params, &mut StdRng::seed_from_u64(seed)))
+    type Family = fn(usize, &WorkloadParams, &mut StdRng) -> QoNInstance;
+    let families: [(&str, Family, usize, bool); 5] = [
+        ("clique9", workloads::clique, 9, true),
+        ("star14", workloads::star, 14, true),
+        ("chain14", workloads::chain, 14, true),
+        ("chain20_connected", workloads::chain, 20, false),
+        ("cycle20_connected", workloads::cycle, 20, false),
+    ];
+    let mut pools: Vec<(&str, Vec<QoNInstance>, bool)> = families
+        .iter()
+        .map(|&(name, family, n, allow)| {
+            let pool = (0..64)
+                .map(|seed| family(n, &params, &mut StdRng::seed_from_u64(seed)))
+                .collect();
+            (name, pool, allow)
+        })
         .collect();
-    let opts = DpOptions { allow_cartesian: true, threads: 1 };
+    let wide = (0..64u64)
+        .map(|seed| {
+            let a = &(BigUint::one() << 70) + &BigUint::from(2 * seed + 1);
+            fn_instance(9, 5 + seed as usize % 5, &a, 4)
+        })
+        .collect();
+    pools.push(("fn9_wide", wide, true));
     let mut group = c.benchmark_group("engine");
-    let mut next = pool.iter().cycle();
-    group.bench_function("two_phase_cycled/clique9", |b| {
-        b.iter(|| {
-            let inst = next.next().expect("a cycled pool never ends");
-            engine::optimize_two_phase::<BigRational>(black_box(inst), &opts, &Budget::unlimited())
+    for (name, pool, allow_cartesian) in &pools {
+        let opts = DpOptions { allow_cartesian: *allow_cartesian, threads: 1 };
+        let mut next = pool.iter().cycle();
+        group.bench_function(format!("two_phase_cycled/{name}"), |b| {
+            b.iter(|| {
+                let inst = next.next().expect("a cycled pool never ends");
+                engine::optimize_two_phase::<BigRational>(
+                    black_box(inst),
+                    &opts,
+                    &Budget::unlimited(),
+                )
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -61,11 +61,15 @@
 //!
 //! The per-transition access cost `min_{k ∈ S} w*(j,k)` is read off row
 //! `j` kept in ascending value order — one entry per neighbour `k`, one
-//! for the default `t_j` that any non-neighbour in `S` offers — by
-//! stopping at the first entry `S` meets, one or two steps on a dense
-//! `S`. It replaced the incremental min-weight tables the dense engine
-//! used to carry (two `widest·n` [`LogNum`] generations, the dominant
-//! share of its 2.5× memory overhead over the sequential DP).
+//! for the default `t_j` that any non-neighbour in `S` offers — at the
+//! first entry `S` meets. Phase A finds that entry without a
+//! data-dependent exit: every live entry of the row sets one bit of a
+//! hit mask, and the lowest set bit is the entry; its running minimum
+//! over `j` is a select, not a branch. Phase B and the reference `dp`
+//! stop at the first match instead ([`AccessRows`]). The rows replaced
+//! the incremental min-weight tables the dense engine used to carry (two
+//! `widest·n` [`LogNum`] generations, the dominant share of its 2.5×
+//! memory overhead over the sequential DP).
 //!
 //! Cancellation and deadlines keep working mid-layer: every phase-A
 //! worker and phase B tick the shared [`Budget`] (atomic interior) and
@@ -181,35 +185,29 @@ impl FrontierMode {
 }
 
 /// Pascal's triangle up to `n`, backing the combinatorial-number-system
-/// subset ranking that replaced the dense mask→rank table.
+/// subset ranking that replaced the dense mask→rank table. Each row holds
+/// a column for every `i ≤` [`crate::ccp::MAX_N`], zero past `p`, so
+/// `C(p, i)` is one load with no `i > p` test.
 pub(crate) struct Binom {
-    w: usize,
-    c: Vec<u32>,
+    rows: Vec<[u32; crate::ccp::MAX_N + 1]>,
 }
 
 impl Binom {
     pub(crate) fn build(n: usize) -> Binom {
-        let w = n + 1;
-        let mut c = vec![0u32; w * w];
-        c[0] = 1;
+        let mut rows = vec![[0u32; crate::ccp::MAX_N + 1]; n + 1];
+        rows[0][0] = 1;
         for p in 1..=n {
-            c[p * w] = 1;
+            rows[p][0] = 1;
             for i in 1..=p {
-                let up = c[(p - 1) * w + i - 1];
-                let left = if i < p { c[(p - 1) * w + i] } else { 0 };
-                c[p * w + i] = up + left;
+                rows[p][i] = rows[p - 1][i - 1] + rows[p - 1][i];
             }
         }
-        Binom { w, c }
+        Binom { rows }
     }
 
     #[inline]
     fn c(&self, p: usize, i: usize) -> u32 {
-        if i > p {
-            0
-        } else {
-            self.c[p * self.w + i]
-        }
+        self.rows[p][i]
     }
 }
 
@@ -396,11 +394,14 @@ impl Estimate for LogNum {
 struct LogView<'a, E> {
     nbr: &'a [u32],
     tlog: Vec<E>,
-    /// Row `j` of `w*` in ascending value order, `n` slots per row: one
-    /// `(1 << k, w(j,k))` per neighbour `k` and one `(!nbr(j), t_j)` for
-    /// the default access path, which every non-neighbour offers. Unused
-    /// slots are `(0, +inf)` and never match.
-    wrows: Vec<(u32, E)>,
+    /// Row `j` of `w*` in ascending value order, `n` slots per row, as
+    /// parallel mask and value arrays: one `(1 << k, w(j,k))` per
+    /// neighbour `k` and one `(!nbr(j), t_j)` for the default access
+    /// path, which every non-neighbour offers.
+    wmask: Vec<u32>,
+    wval: Vec<E>,
+    /// Live entries per row: the default and one per neighbour.
+    wlen: Vec<usize>,
     /// Selectivities row-major; `1` off the query graph.
     slog: Vec<E>,
 }
@@ -410,31 +411,34 @@ impl<'a, E: Estimate> LogView<'a, E> {
         let n = inst.n();
         let of = |v: &BigUint| E::from_log(LogNum::from_uint(v));
         let tlog: Vec<E> = inst.sizes().iter().map(of).collect();
-        let mut wrows = vec![(0u32, E::INFINITY); n * n];
-        let mut len = vec![1usize; n];
+        let mut wmask = vec![0u32; n * n];
+        let mut wval = vec![E::INFINITY; n * n];
+        let mut wlen = vec![1usize; n];
         for (j, &t) in tlog.iter().enumerate() {
-            wrows[j * n] = (!nbr[j], t);
+            (wmask[j * n], wval[j * n]) = (!nbr[j], t);
         }
         let mut slog = vec![E::ONE; n * n];
         for (u, v, s, [w_uv, w_vu]) in inst.edges() {
             let s = E::from_log(<LogNum as CostScalar>::from_ratio(s));
             (slog[u * n + v], slog[v * n + u]) = (s, s);
             for (j, k, w) in [(u, v, w_uv), (v, u, w_vu)] {
-                wrows[j * n + len[j]] = (1 << k, of(w));
-                len[j] += 1;
+                (wmask[j * n + wlen[j]], wval[j * n + wlen[j]]) = (1 << k, of(w));
+                wlen[j] += 1;
             }
         }
-        for (row, &l) in wrows.chunks_exact_mut(n).zip(&len) {
+        for (j, &l) in wlen.iter().enumerate() {
+            let (mask, val) = (&mut wmask[j * n..j * n + l], &mut wval[j * n..j * n + l]);
             // Insertion sort: stable, short rows, and little code per scalar.
             for i in 1..l {
                 let mut p = i;
-                while p > 0 && row[p].1 < row[p - 1].1 {
-                    row.swap(p, p - 1);
+                while p > 0 && val[p] < val[p - 1] {
+                    mask.swap(p, p - 1);
+                    val.swap(p, p - 1);
                     p -= 1;
                 }
             }
         }
-        LogView { nbr, tlog, wrows, slog }
+        LogView { nbr, tlog, wmask, wval, wlen, slog }
     }
 }
 
@@ -474,14 +478,23 @@ fn reconstruct_order(frontiers: &Frontiers, parent: &[Vec<u8>], n: usize) -> Opt
     Some(JoinSequence::new(order))
 }
 
-/// `min_{k ∈ S} w*(j,k)`: row `j` in ascending value order, stopping at
-/// the first entry `s` meets — a neighbour of `j` inside `s`, or the
-/// default `t_j` once `s` holds a non-neighbour. On a dense `s` that is
-/// the first or second entry.
+/// `min_{k ∈ S} w*(j,k)`: row `j` in ascending value order, read at its
+/// first entry `s` meets — a neighbour of `j` inside `s`, or the default
+/// `t_j` once `s` holds a non-neighbour. Every live entry sets its bit
+/// of a hit mask, with no data-dependent exit, and the lowest set bit is
+/// that first entry.
 #[inline]
 fn wmin_log<E: Estimate>(view: &LogView<E>, n: usize, j: usize, s: u32) -> E {
-    let row = &view.wrows[j * n..(j + 1) * n];
-    row.iter().find(|&&(mask, _)| s & mask != 0).map_or(E::INFINITY, |&(_, w)| w)
+    let row = j * n;
+    let mut hits = 0u32;
+    for &mask in view.wmask[row..row + view.wlen[j]].iter().rev() {
+        hits = hits << 1 | u32::from(mask & s != 0);
+    }
+    if hits == 0 {
+        E::INFINITY
+    } else {
+        view.wval[row + hits.trailing_zeros() as usize]
+    }
 }
 
 /// Phase A: the subset DP in `E` over the sparse frontiers,
@@ -498,9 +511,11 @@ fn log_phase<E: Estimate>(
     let n = inst.n();
     let view = LogView::<E>::build(inst, nbr);
     let binom = Binom::build(n);
-    // The view's n×n tables and sizes, charged before the layer loop.
-    let row_bytes = std::mem::size_of::<(u32, E)>() + std::mem::size_of::<E>();
-    budget.charge_memory((n * n * row_bytes + n * std::mem::size_of::<E>()) as u64)?;
+    // The view's n×n tables (`w*` masks and values, selectivities), its
+    // sizes and row lengths, charged before the layer loop.
+    let row_bytes = std::mem::size_of::<u32>() + 2 * std::mem::size_of::<E>();
+    let col_bytes = std::mem::size_of::<E>() + std::mem::size_of::<usize>();
+    budget.charge_memory((n * n * row_bytes + n * col_bytes) as u64)?;
     budget.checkpoint()?;
 
     let mut dp_layers: Vec<Vec<E>> = vec![Vec::new(); n + 1];
@@ -571,10 +586,11 @@ fn log_phase<E: Estimate>(
                         continue;
                     }
                     let cand = d + nlog_prev[r as usize] * wmin_log(&view, n, j, s);
-                    if cand < best {
-                        best = cand;
-                        bj = j as u8;
-                    }
+                    // A select, not a branch: strict `<` keeps the lowest
+                    // `j` on ties.
+                    let better = cand < best;
+                    best = if better { cand } else { best };
+                    bj = if better { j as u8 } else { bj };
                 }
                 res[i] = (best, nl, bj);
             }
@@ -1681,31 +1697,47 @@ mod tests {
     /// each `w(j,k)` drawn from `{t_j/2, 3t_j/4, t_j}`, so neighbours tie
     /// with each other and with the default `t_j`.
     fn tied_access_instance(seed: u64, n: usize, extra_edges: usize) -> QoNInstance {
-        let base = random_instance(seed, n, extra_edges);
+        access_instance_on(random_instance(seed, n, extra_edges).graph().clone(), seed, true)
+    }
+
+    /// Selectivity 1/2 on every edge of `g`. `tied`: sizes 8 or 12 and
+    /// each `w(j,k)` drawn from `{t_j/2, 3t_j/4, t_j}`, so neighbours tie
+    /// with each other and with the default `t_j`; otherwise sizes in
+    /// `[2, 1001]` and each `w(j,k)` anywhere in `[⌈t_j/2⌉, t_j]`.
+    fn access_instance_on(g: Graph, seed: u64, tied: bool) -> QoNInstance {
+        let n = g.n();
         let mut state = seed | 1;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 33
         };
-        let g = base.graph().clone();
-        let sizes: Vec<BigUint> = (0..n).map(|_| BigUint::from(8 + 4 * (next() % 2))).collect();
+        let sizes: Vec<BigUint> = (0..n)
+            .map(|_| BigUint::from(if tied { 8 + 4 * (next() % 2) } else { 2 + next() % 1000 }))
+            .collect();
         let sel = BigRational::new(BigInt::one(), BigUint::from(2u64));
         let mut s = SelectivityMatrix::new();
         let mut w = AccessCostMatrix::new();
         for (u, v) in g.edges().collect::<Vec<_>>() {
             s.set(u, v, sel.clone());
             for (j, k) in [(u, v), (v, u)] {
-                let quarters = 2 + next() % 3;
-                w.set(j, k, &(&sizes[j] * &BigUint::from(quarters)) / &BigUint::from(4u64));
+                let w_jk = if tied {
+                    &(&sizes[j] * &BigUint::from(2 + next() % 3)) / &BigUint::from(4u64)
+                } else {
+                    let lower = (BigRational::from(sizes[j].clone()) * &sel).ceil();
+                    let room = &sizes[j] - lower.magnitude();
+                    let pick = &(&room * &BigUint::from(next() % 1024)) / &BigUint::from(1023u64);
+                    lower.magnitude() + &pick
+                };
+                w.set(j, k, w_jk);
             }
         }
         QoNInstance::new(g, sizes, s, w)
     }
 
-    /// The full scan the early exits replace: every neighbour of `j` in
-    /// `s`, and the default `t_j` when `s` holds a non-neighbour; the
-    /// default wins ties, then the lowest `k`. The index into
-    /// [`AccessRows::w`].
+    /// The full scan the early exit and the hit mask replace: every
+    /// neighbour of `j` in `s`, and the default `t_j` when `s` holds a
+    /// non-neighbour; the default wins ties, then the lowest `k`. The
+    /// index into [`AccessRows::w`].
     fn wmin_full_scan(inst: &QoNInstance, nbr: &[u32], j: usize, s: u32) -> usize {
         let n = inst.n();
         let mut best = (s & !nbr[j] != 0).then_some(j);
@@ -1748,6 +1780,63 @@ mod tests {
             }
         }
         assert!(with_default > 0 && without_default > 0);
+    }
+
+    proptest! {
+        /// The hit-mask `wmin_log`, on both scalars, against the full scan
+        /// at every `n` up to [`crate::ccp::MAX_N`], the `u32` mask width:
+        /// a sparse random graph, one with a hub adjacent to every vertex,
+        /// or the complete graph, whose rows hold `n` live entries; random
+        /// or tied access costs. Per row: every singleton, which meets one
+        /// entry alone (the default when it is a non-neighbour of `j`), and
+        /// sampled masks over all other vertices and inside `nbr(j)`, where
+        /// the default entry never matches. On a tied complete graph of 32,
+        /// every bit of the hit mask is some transition's lowest hit.
+        #[test]
+        fn hit_mask_wmin_matches_a_full_scan(
+            seed in any::<u64>(),
+            n in 2usize..=2 * crate::ccp::MAX_N,
+            extra in 0usize..=40,
+            shape in 0u8..3,
+            tied in any::<bool>(),
+            samples in prop::collection::vec(any::<u32>(), 1..16),
+        ) {
+            // Half the cases at the full width.
+            let n = n.min(crate::ccp::MAX_N);
+            let mut g = random_instance(seed, n, extra).graph().clone();
+            let hub = (seed % n as u64) as usize;
+            for v in 0..n {
+                for u in 0..v {
+                    if shape == 2 || (shape == 1 && (hub == u || hub == v)) {
+                        g.add_edge(u, v);
+                    }
+                }
+            }
+            let inst = access_instance_on(g, seed, tied);
+            let nbr = nbr_masks(&inst);
+            let view = LogView::<LogNum>::build(&inst, &nbr);
+            let raw = LogView::<f64>::build(&inst, &nbr);
+            let rows = AccessRows::build(&inst, &nbr);
+            let everyone = u32::MAX >> (32 - n);
+            let mut lowest_hits = 0u32;
+            for j in 0..n {
+                let others = everyone & !(1u32 << j);
+                let singletons = (0..n).filter(|&k| k != j).map(|k| 1u32 << k);
+                let sampled = samples.iter().flat_map(|&m| [m & others, m & nbr[j]]);
+                for s in singletons.chain(sampled).filter(|&s| s != 0) {
+                    let want = rows.w[wmin_full_scan(&inst, &nbr, j, s)];
+                    let got = wmin_log(&view, n, j, s);
+                    prop_assert_eq!(got, LogNum::from_uint(want), "j {} s {:b}", j, s);
+                    prop_assert_eq!(wmin_log(&raw, n, j, s), got.to_f64(), "j {} s {:b}", j, s);
+                    let row = &view.wmask[j * n..j * n + view.wlen[j]];
+                    let first = row.iter().position(|&mask| mask & s != 0);
+                    lowest_hits |= 1 << first.expect("a nonempty s meets its row");
+                }
+            }
+            if shape == 2 && tied && n == crate::ccp::MAX_N {
+                prop_assert_eq!(lowest_hits, u32::MAX);
+            }
+        }
     }
 
     #[test]

@@ -121,9 +121,10 @@ fn qoh_exhaustive_allocations_do_not_scale_with_n_factorial() {
 #[test]
 fn qon_two_phase_clique9_allocates_per_layer_not_per_subset() {
     // 511 subsets; `qon-dense`'s shape: cartesian products allowed.
-    // 78–85 allocations today, since phase B keeps entries for the
+    // 79–86 allocations today, since phase B keeps entries for the
     // survivors of the prune only, in fixed-width limbs, and the exit
-    // reduces by the `q_e` in machine words; 86–91 while the exit ran a
+    // reduces by the `q_e` in machine words (one more than when phase A's
+    // `w*` rows were one array of pairs); 86–91 while the exit ran a
     // big-number GCD, 139–149 while phase B kept one `BigUint` entry per
     // subset, 166–200 while every value had a heap buffer.
     let opts = engine::DpOptions { allow_cartesian: true, threads: 1 };
